@@ -6,11 +6,18 @@ writable store (WS) holding recent changes, plus a "tuple mover" that
 periodically folds WS into RS. This module reproduces that architecture at
 the scale this library needs:
 
-* :class:`DeltaStore` — an in-memory WS keyed by logical table: pending
-  *inserted* rows buffered column-wise, plus a multiset of *deleted* stored
-  rows (the delete-bitmap analogue for a store whose projections are
-  rebuilt, not patched, by the mover). Updates are delete+insert in one
+* :class:`DeltaStore` — an in-memory WS keyed by logical table, columnar
+  on both sides: pending *inserted* rows and the multiset of *deleted*
+  stored rows (the delete-bitmap analogue for a store whose projections
+  are rebuilt, not patched, by the mover) are per-table column arrays.
+  Appends land in chunk lists that are concatenated once, on the next
+  read, and cached until the next write. Updates are delete+insert in one
   atomic WAL record.
+* :func:`multiset_subtract` — the one kernel every consumer of the delete
+  multiset shares (reads over pending deletes, update/delete matching,
+  removal of pending rows, the tuple mover): subtract a multiset of full
+  rows from a set of columns, duplicates cancelling one-for-one, with
+  numpy primitives only.
 * query-time merge — `Database.query` transparently folds pending changes
   into selection and aggregation results (see :func:`delta_select` /
   :func:`merge_aggregates`); joins require a merge first, as C-Store's
@@ -41,6 +48,7 @@ import json
 import logging
 import os
 from dataclasses import replace
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +61,71 @@ from .storage.atomic import fsync_dir
 
 #: Accepted values of the ``Database(durability=...)`` knob.
 DURABILITY_MODES = ("fsync", "flush")
+
+
+def _is_plain_row(record) -> bool:
+    """A WAL line without ``_op`` is one inserted row (the original format)."""
+    return not (isinstance(record, dict) and "_op" in record)
+
+
+def _row_columns(rows: list[dict], names) -> dict[str, np.ndarray]:
+    """Row dicts (WAL shape) as one value array per column of *names*."""
+    return {col: np.array([row[col] for row in rows]) for col in names}
+
+
+def _row_dicts(columns: dict[str, np.ndarray]) -> list[dict]:
+    """Column arrays as JSON-ready row dicts (the WAL record shape)."""
+    names = list(columns)
+    return [
+        dict(zip(names, values))
+        for values in zip(*(columns[col].tolist() for col in names))
+    ]
+
+
+class _ColumnBuffer:
+    """One table's buffered rows as per-column arrays.
+
+    Appends land in per-column chunk lists; the first read after a write
+    concatenates each list once, and the schema-typed arrays handed out
+    are cached (read-only) until the next write. The first row buffered
+    names the columns; every later row must carry them all.
+    """
+
+    def __init__(self, names):
+        self.names = tuple(names)
+        self.n = 0
+        self._chunks: dict[str, list[np.ndarray]] = {c: [] for c in self.names}
+        self._typed: dict[tuple[str, str], np.ndarray] = {}
+
+    def append(self, rows: list[dict]) -> None:
+        for col, values in _row_columns(rows, self.names).items():
+            self._chunks[col].append(values)
+        self.n += len(rows)
+        self._typed.clear()
+
+    def raw(self, col: str) -> np.ndarray:
+        """All buffered values of *col*, in arrival order."""
+        chunks = self._chunks[col]
+        if len(chunks) > 1:
+            chunks[:] = [np.concatenate(chunks)]
+        return chunks[0]
+
+    def typed(self, col: str, ctype) -> np.ndarray:
+        """Column *col* as *ctype*'s dtype; raises if a value does not fit."""
+        key = (col, ctype.name)
+        values = self._typed.get(key)
+        if values is None:
+            values = ctype.validate(self.raw(col))
+            values.flags.writeable = False
+            self._typed[key] = values
+        return values
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Drop the rows where *mask* is False."""
+        for col in self.names:
+            self._chunks[col] = [self.raw(col)[mask]]
+        self.n = int(np.count_nonzero(mask))
+        self._typed.clear()
 
 
 class DeltaStore:
@@ -72,11 +145,12 @@ class DeltaStore:
                 f"durability must be one of {DURABILITY_MODES}, "
                 f"got {durability!r}"
             )
-        self._rows: dict[str, list[dict]] = {}
+        #: Pending inserted rows per table.
+        self._pending: dict[str, _ColumnBuffer] = {}
         #: Multiset of stored rows deleted ahead of the next merge, as full
-        #: encoded row dicts (captured at delete time so every projection —
+        #: encoded rows (captured at delete time so every projection —
         #: whatever column subset it carries — can subtract them).
-        self._deleted: dict[str, list[dict]] = {}
+        self._deleted: dict[str, _ColumnBuffer] = {}
         #: WAL record-line count per table (the merge marker's unit).
         self._records: dict[str, int] = {}
         self._catalog = catalog
@@ -152,15 +226,21 @@ class DeltaStore:
                     f.flush()
             if applied and self._catalog is not None:
                 self._catalog.set_wal_applied(table, 0)
-            for record in live:
-                try:
-                    self._apply_record(table, record)
-                except CatalogError:
-                    raise
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise CatalogError(
-                        f"{path}: malformed WAL record: {exc}"
-                    ) from exc
+            try:
+                # Consecutive plain rows (one insert batch or many) enter
+                # the column buffers as one chunk, not one per line.
+                for plain, group in groupby(live, key=_is_plain_row):
+                    if plain:
+                        self._extend(self._pending, table, list(group))
+                    else:
+                        for record in group:
+                            self._apply_record(table, record)
+            except CatalogError:
+                raise
+            except (LookupError, TypeError, ValueError) as exc:
+                raise CatalogError(
+                    f"{path}: malformed WAL record: {exc}"
+                ) from exc
             if live:
                 self._records[table] = len(live)
         # A marker for a table whose WAL is already gone means the crash
@@ -170,30 +250,38 @@ class DeltaStore:
                 self._catalog.set_wal_applied(table, 0)
 
     def _apply_record(self, table: str, record: dict) -> None:
-        op = record.get("_op") if isinstance(record, dict) else None
-        if op is None:
-            # Legacy/plain record: one inserted row.
-            self._rows.setdefault(table, []).append(record)
-        elif op == "insert":
-            self._rows.setdefault(table, []).extend(record["rows"])
+        op = record["_op"]
+        if op == "insert":
+            self._extend(self._pending, table, record["rows"])
         elif op in ("delete", "update"):
             self._remove_pending(table, record.get("pending", []))
-            stored = record.get("stored", [])
-            if stored:
-                self._deleted.setdefault(table, []).extend(stored)
+            self._extend(self._deleted, table, record.get("stored", []))
             if op == "update":
-                self._rows.setdefault(table, []).extend(record["rows"])
+                self._extend(self._pending, table, record["rows"])
         else:
             raise CatalogError(f"unknown WAL record op {op!r}")
 
+    @staticmethod
+    def _extend(store: dict, table: str, rows: list[dict]) -> None:
+        if not rows:
+            return
+        buffer = store.get(table)
+        if buffer is None:
+            buffer = store[table] = _ColumnBuffer(rows[0])
+        buffer.append(rows)
+
     def _remove_pending(self, table: str, targets: list[dict]) -> None:
-        rows = self._rows.get(table, [])
-        for target in targets:
-            try:
-                rows.remove(target)
-            except ValueError:
-                # The pending row is already gone (idempotent replay).
-                pass
+        buffer = self._pending.get(table)
+        if not targets or buffer is None or not buffer.n:
+            return
+        # A target matching no pending row is already gone (idempotent
+        # replay), so the kernel's unmatched count is deliberately unused.
+        keep, _already_gone = multiset_subtract(
+            {col: buffer.raw(col) for col in buffer.names},
+            _row_columns(targets, buffer.names),
+            buffer.names,
+        )
+        buffer.keep(keep)
 
     # ---------------------------------------------------------------- write
 
@@ -250,55 +338,51 @@ class DeltaStore:
                 {col: schemas[col].encode_value(row[col]) for col in row}
             )
         self._append_records(table, encoded_rows)
-        self._rows.setdefault(table, []).extend(encoded_rows)
+        self._extend(self._pending, table, encoded_rows)
         return len(encoded_rows)
 
-    def delete(self, table: str, stored_rows: list[dict],
-               pending_rows: list[dict]) -> int:
-        """Log and apply one delete: *stored_rows* (full encoded rows
-        matched in the read store, subtracted at query time and dropped at
-        merge time) plus *pending_rows* (matches in this store, removed
-        immediately). One WAL record, so the delete is atomic."""
-        record = {
-            "_op": "delete", "stored": stored_rows, "pending": pending_rows,
-        }
-        self._append_records(table, [record])
-        self._apply_record(table, record)
-        return len(stored_rows) + len(pending_rows)
+    def delete(self, table: str, stored: dict[str, np.ndarray],
+               pending: dict[str, np.ndarray]) -> int:
+        """Log and apply one delete: *stored* (full encoded rows matched in
+        the read store, subtracted at query time and dropped at merge
+        time) plus *pending* (matches in this store, removed immediately),
+        both as column arrays. One WAL record, so the delete is atomic."""
+        return self._log_and_apply(table, "delete", stored, pending)
 
-    def update(self, table: str, stored_rows: list[dict],
-               pending_rows: list[dict], new_rows: list[dict]) -> int:
-        """Log and apply one update as delete+insert in a single record."""
-        record = {
-            "_op": "update",
-            "stored": stored_rows,
-            "pending": pending_rows,
-            "rows": new_rows,
-        }
+    def update(self, table: str, stored: dict[str, np.ndarray],
+               pending: dict[str, np.ndarray], assignments: dict) -> int:
+        """Log and apply one update as delete+insert in a single record:
+        every matched row re-enters the store with the (already encoded)
+        *assignments* applied."""
+        return self._log_and_apply(table, "update", stored, pending,
+                                   assignments)
+
+    def _log_and_apply(self, table, op, stored, pending, assignments=None):
+        stored_rows, pending_rows = _row_dicts(stored), _row_dicts(pending)
+        matched = stored_rows + pending_rows
+        if not matched:
+            return 0  # nothing to log
+        record = {"_op": op, "stored": stored_rows, "pending": pending_rows}
+        if op == "update":
+            record["rows"] = [dict(row, **assignments) for row in matched]
         self._append_records(table, [record])
         self._apply_record(table, record)
-        return len(stored_rows) + len(pending_rows)
+        return len(matched)
 
     # ----------------------------------------------------------------- read
 
     def count(self, table: str) -> int:
-        return len(self._rows.get(table, []))
+        buffer = self._pending.get(table)
+        return buffer.n if buffer is not None else 0
 
     def deleted_count(self, table: str) -> int:
         """How many stored rows are pending deletion for *table*."""
-        return len(self._deleted.get(table, []))
+        buffer = self._deleted.get(table)
+        return buffer.n if buffer is not None else 0
 
     def dirty(self, table: str) -> bool:
         """True when *table* has any pending change (inserts or deletes)."""
-        return bool(self._rows.get(table)) or bool(self._deleted.get(table))
-
-    def rows(self, table: str) -> list[dict]:
-        """The pending inserted rows (copies; encoded values)."""
-        return [dict(r) for r in self._rows.get(table, [])]
-
-    def deleted_rows(self, table: str) -> list[dict]:
-        """The pending deleted stored rows (copies; encoded values)."""
-        return [dict(r) for r in self._deleted.get(table, [])]
+        return bool(self.count(table) or self.deleted_count(table))
 
     def wal_records(self, table: str) -> int:
         """WAL record lines currently logged for *table* (the merge
@@ -306,24 +390,28 @@ class DeltaStore:
         return self._records.get(table, 0)
 
     def columns(self, table: str, schemas: dict) -> dict[str, np.ndarray]:
-        """Pending inserted rows as column arrays (typed per schema)."""
-        rows = self._rows.get(table, [])
-        return {
-            col: np.array(
-                [r[col] for r in rows], dtype=schema.ctype.numpy_dtype
-            )
-            for col, schema in schemas.items()
-        }
+        """Pending inserted rows as column arrays (typed per schema).
+
+        The arrays are the store's cache — read-only, shared between
+        callers, valid until the next write to *table*."""
+        return self._typed_columns(self._pending.get(table), schemas)
 
     def deleted_columns(
         self, table: str, schemas: dict
     ) -> dict[str, np.ndarray]:
-        """Pending deleted rows as column arrays (typed per schema)."""
-        rows = self._deleted.get(table, [])
+        """Pending deleted rows as column arrays (typed per schema); same
+        sharing contract as :meth:`columns`."""
+        return self._typed_columns(self._deleted.get(table), schemas)
+
+    @staticmethod
+    def _typed_columns(buffer, schemas: dict) -> dict[str, np.ndarray]:
+        if buffer is None or not buffer.n:
+            return {
+                col: np.empty(0, dtype=schema.ctype.numpy_dtype)
+                for col, schema in schemas.items()
+            }
         return {
-            col: np.array(
-                [r[col] for r in rows], dtype=schema.ctype.numpy_dtype
-            )
+            col: buffer.typed(col, schema.ctype)
             for col, schema in schemas.items()
         }
 
@@ -344,7 +432,7 @@ class DeltaStore:
                 self._crash.hook("wal.truncate", path)
             path.unlink()
             fsync_dir(self._wal_dir, crash=self._crash, disk=self._disk)
-        self._rows.pop(table, None)
+        self._pending.pop(table, None)
         self._deleted.pop(table, None)
         self._records.pop(table, None)
         if self._catalog is not None:
@@ -356,48 +444,105 @@ class DeltaStore:
 
     def tables(self) -> list[str]:
         return sorted(
-            set(t for t, rows in self._rows.items() if rows)
-            | set(t for t, rows in self._deleted.items() if rows)
+            t for t in self._pending.keys() | self._deleted.keys()
+            if self.dirty(t)
         )
 
 
-def multiset_keep_mask(
-    stored: dict[str, np.ndarray],
-    deleted_rows: list[dict],
-    columns: list[str],
-) -> np.ndarray:
-    """Which stored rows survive subtracting *deleted_rows* as a multiset.
+_INT64_MAX = np.iinfo(np.int64).max
 
-    Restricted to *columns* (a projection may carry a subset of the table's
-    columns): each deleted row cancels at most one stored row with equal
-    values on those columns, duplicates cancelling one-for-one. Vectorized
-    via row codes: ``np.unique`` over the stacked stored+deleted matrix
-    yields per-row group codes, and within each code the first
-    ``count(deleted)`` stored occurrences are dropped.
+
+def multiset_subtract(
+    columns: dict[str, np.ndarray],
+    ghosts: dict[str, np.ndarray],
+    names,
+) -> tuple[np.ndarray, int]:
+    """Subtract the row multiset *ghosts* from the rows of *columns*.
+
+    Rows are compared on *names* only (a projection or a query result may
+    carry a subset of the table's columns, the ghosts the full rows). Each
+    ghost cancels at most one equal row, duplicates cancelling one-for-one,
+    and within a run of equal rows the *first* ones are dropped. Returns
+    ``(keep_mask, n_unmatched)``: which rows survive, and how many ghosts
+    found no row to cancel.
+
+    Built from columnar primitives only: rows become int64 keys
+    (:func:`_row_keys`), the ghosts' distinct keys are searched for every
+    row's key, and only the rows that hit one — the candidates — are
+    sorted to rank them within their run.
     """
-    cols = list(columns)
-    n = len(stored[cols[0]]) if cols else 0
-    if not deleted_rows or n == 0:
-        return np.ones(n, dtype=bool)
-    smat = np.stack([stored[c].astype(np.int64) for c in cols], axis=1)
-    dmat = np.array(
-        [[int(r[c]) for c in cols] for r in deleted_rows], dtype=np.int64
-    )
-    _, inverse = np.unique(
-        np.concatenate((smat, dmat)), axis=0, return_inverse=True
-    )
-    inverse = inverse.reshape(-1)  # 2.0 returned (n, 1) for axis=0 input
-    scodes, dcodes = inverse[:n], inverse[n:]
-    del_counts = np.bincount(dcodes, minlength=int(inverse.max()) + 1)
-    order = np.argsort(scodes, kind="stable")
-    sorted_codes = scodes[order]
-    boundary = np.concatenate(([True], sorted_codes[1:] != sorted_codes[:-1]))
-    starts = np.flatnonzero(boundary)
-    run_id = np.cumsum(boundary) - 1
-    occurrence = np.arange(n) - starts[run_id]
-    keep = np.empty(n, dtype=bool)
-    keep[order] = occurrence >= del_counts[sorted_codes]
-    return keep
+    names = list(names)
+    stored = [np.asarray(columns[c]) for c in names]
+    ghost = [np.asarray(ghosts[c]) for c in names]
+    n = len(stored[0]) if names else 0
+    g = len(ghost[0]) if names else 0
+    keep = np.ones(n, dtype=bool)
+    if n == 0 or g == 0:
+        return keep, g
+    row_keys, ghost_keys = _row_keys(stored, ghost)
+    distinct, counts = np.unique(ghost_keys, return_counts=True)
+    slot = np.searchsorted(distinct, row_keys)
+    slot[slot == len(distinct)] = 0
+    candidates = np.flatnonzero(distinct[slot] == row_keys)
+    slot = slot[candidates]
+    order = np.argsort(slot, kind="stable")  # by ghost key, row order within
+    slot = slot[order]
+    run_start = np.searchsorted(slot, np.arange(len(distinct)))
+    rank = np.arange(len(slot)) - run_start[slot]
+    dropped = candidates[order[rank < counts[slot]]]
+    keep[dropped] = False
+    return keep, g - len(dropped)
+
+
+def _row_keys(
+    stored: list[np.ndarray], ghost: list[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """int64 keys for both sides, equal exactly where whole rows are equal.
+
+    Integer columns whose combined value ranges fit are fused into one
+    mixed-radix key (the radix product is computed in Python integers, so
+    a range too wide for int64 is detected, never wrapped). Anything else
+    takes the exact fallback: only rows whose every value occurs in the
+    matching ghost column can equal a ghost, so those candidates and the
+    ghosts are lexsorted together and numbered by run; every other row
+    gets -1, which no ghost carries.
+    """
+    lows, spans, capacity = [], [], 1
+    for s, gh in zip(stored, ghost):
+        if s.dtype.kind not in "iub" or gh.dtype.kind not in "iub" or (
+            np.dtype("uint64") in (s.dtype, gh.dtype)
+        ):
+            break
+        low = min(int(s.min()), int(gh.min()))
+        span = max(int(s.max()), int(gh.max())) - low + 1
+        capacity *= span
+        if capacity > _INT64_MAX:
+            break
+        lows.append(low)
+        spans.append(span)
+    else:
+        row_keys = np.zeros(len(stored[0]), dtype=np.int64)
+        ghost_keys = np.zeros(len(ghost[0]), dtype=np.int64)
+        for s, gh, low, span in zip(stored, ghost, lows, spans):
+            row_keys = row_keys * span + (s.astype(np.int64) - low)
+            ghost_keys = ghost_keys * span + (gh.astype(np.int64) - low)
+        return row_keys, ghost_keys
+    possible = np.ones(len(stored[0]), dtype=bool)
+    for s, gh in zip(stored, ghost):
+        possible &= np.isin(s, gh)
+    candidates = np.flatnonzero(possible)
+    both = [np.concatenate((s[candidates], gh)) for s, gh in zip(stored, ghost)]
+    order = np.lexsort(both[::-1])
+    boundary = np.zeros(len(order), dtype=bool)
+    boundary[0] = True
+    for col in both:
+        ordered = col[order]
+        boundary[1:] |= ordered[1:] != ordered[:-1]
+    run = np.empty(len(order), dtype=np.int64)
+    run[order] = np.cumsum(boundary) - 1
+    row_keys = np.full(len(stored[0]), -1, dtype=np.int64)
+    row_keys[candidates] = run[: len(candidates)]
+    return row_keys, run[len(candidates):]
 
 
 def expand_avg(specs: tuple[AggSpec, ...]) -> tuple[list[AggSpec], dict]:

@@ -26,7 +26,7 @@ Example::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .buffer import BufferPool, DecodedBlockCache, DiskModel
@@ -38,10 +38,9 @@ from .delta import (
     DeltaStore,
     delta_aggregate,
     delta_select,
-    expand_avg,
     internal_query,
     merge_aggregates,
-    multiset_keep_mask,
+    multiset_subtract,
 )
 from .errors import CatalogError, ExecutionError, PlanError
 from .faults import FaultInjector, PartitionQuarantine, RetryPolicy
@@ -504,7 +503,9 @@ class Database:
             strategy: a :class:`Strategy` / its name, "auto" for model-driven
                 choice, or for joins a :class:`RightTableStrategy` / name.
             cold: clear the buffer pool first (cold-cache measurement).
-            trace: record per-operator events on ``QueryResult.trace``.
+            trace: build the EXPLAIN ANALYZE span tree and return it on
+                ``QueryResult.spans`` (``QueryResult.trace`` is the flat
+                event list derived from it).
             timeout_ms: per-query deadline; expiry raises
                 :class:`~repro.errors.QueryTimeoutError` at the next block
                 access. Ignored when *cancel* already carries a deadline.
@@ -661,8 +662,18 @@ class Database:
     def _select_with_delta(
         self, ctx, projection, query: SelectQuery, resolved, table: str
     ):
-        """Merge-on-read: fold the writable store into the stored result."""
-        from .operators import TupleSet
+        """Merge-on-read: fold the writable store into the stored result.
+
+        The stored side runs the chosen strategy unchanged, so all four
+        stay exercised and bit-identical. Without pending deletes it
+        produces mergeable partials (:func:`internal_query`) and the
+        pending rows are one more partial. Deleted rows still sit inside
+        the stored projections, so under pending deletes an aggregation
+        instead fetches its group/value rows, the delete multiset is
+        subtracted from them (``GHOST``), and they are reduced to the same
+        partials here. Pending survivors then join through one combine
+        (``DELTA``), and HAVING / ORDER BY / LIMIT run over the result.
+        """
         from .planner.plans import _apply_having, _order_and_limit
 
         if any(s.func == "count_distinct" for s in query.aggregates):
@@ -670,153 +681,91 @@ class Database:
                 "count(distinct) cannot merge with pending writes; call "
                 "Database.merge() first"
             )
-        if self.delta.deleted_count(table):
-            return self._select_with_deletes(
-                ctx, projection, query, resolved, table
+        ghosted = self.delta.deleted_count(table) > 0
+        stored_query, plan = internal_query(query)
+        specs = list(stored_query.aggregates)
+        groups = list(stored_query.group_columns)
+        if ghosted and specs:
+            value_cols = [s.column for s in specs if s.column]
+            stored_query = replace(
+                stored_query,
+                select=tuple(dict.fromkeys(groups + value_cols)),
+                aggregates=(),
+                group_by=None,
             )
-        rewritten, plan = internal_query(query)
-        stored = execute_select(ctx, projection, rewritten, resolved)
-        needed = rewritten.all_columns
-        schemas = {col: projection.schema(col) for col in needed}
-        survivors = delta_select(
-            rewritten, self.delta.columns(table, schemas)
+        stored = execute_select(ctx, projection, stored_query, resolved)
+        schemas = {
+            col: projection.schema(col) for col in stored_query.all_columns
+        }
+        if ghosted:
+            span = ctx.begin("GHOST")
+            ghosts = delta_select(
+                stored_query, self.delta.deleted_columns(table, schemas)
+            )
+            names = stored_query.select
+            keep, unmatched = multiset_subtract(
+                {col: stored.column(col) for col in names}, ghosts, names
+            )
+            n_ghosts = len(ghosts[names[0]])
+            ctx.stats.tuple_iterations += stored.n_tuples + n_ghosts
+            if unmatched:
+                raise ExecutionError(
+                    f"delete multiset for {table!r} names rows the stored "
+                    f"projection {projection.name!r} does not hold "
+                    "(writable store out of sync with the read store)"
+                )
+            stored = stored.filter(keep)
+            if specs:
+                stored = delta_aggregate(
+                    specs, groups, {c: stored.column(c) for c in names}
+                )
+            ctx.end(span, rows=stored.n_tuples, ghosts=n_ghosts)
+        span = ctx.begin("DELTA")
+        pending = delta_select(
+            stored_query, self.delta.columns(table, schemas)
         )
-        n_pending = len(next(iter(survivors.values()))) if survivors else 0
+        n_pending = len(next(iter(pending.values())))
         ctx.stats.tuple_iterations += n_pending
-        if query.aggregates:
-            pending_partials = delta_aggregate(
-                list(rewritten.aggregates),
-                list(rewritten.group_columns),
-                survivors,
-            )
+        if specs:
             merged = merge_aggregates(
                 stored,
-                pending_partials,
-                list(rewritten.group_columns),
-                list(rewritten.aggregates),
+                delta_aggregate(specs, groups, pending),
+                groups,
+                specs,
                 plan,
                 list(query.select),
             )
         else:
-            pending_tuples = TupleSet.stitch(
-                {col: survivors[col] for col in query.select},
-                stats=ctx.stats,
+            merged = TupleSet.concat([
+                stored,
+                TupleSet.stitch(
+                    {col: pending[col] for col in query.select},
+                    stats=ctx.stats,
+                ),
+            ])
+        if ghosted:
+            # The model charges the subtraction for re-materialising what
+            # it keeps: the surviving rows of a selection, the finished
+            # groups of an aggregation.
+            ctx.stats.tuples_constructed += (
+                merged.n_tuples if specs else stored.n_tuples
             )
-            merged = TupleSet.concat([stored, pending_tuples])
+        ctx.end(span, rows=merged.n_tuples, pending=n_pending)
         merged = _apply_having(ctx, merged, query)
         ctx.stats.tuples_output = merged.n_tuples
         return _order_and_limit(ctx, merged, query)
 
-    def _select_with_deletes(
-        self, ctx, projection, query: SelectQuery, resolved, table: str
-    ):
-        """Merge-on-read under pending deletes: the row-level path.
-
-        Deleted rows still sit inside the stored projections, so stored
-        results must have the delete multiset subtracted *before* any
-        aggregation. The stored side runs the chosen strategy as a
-        row-returning query over the group/value columns (so all four
-        strategies stay exercised and bit-identical), the delete multiset
-        is subtracted row-for-row, pending survivors are appended, and
-        aggregation/HAVING/ORDER run over the merged rows.
-        """
-        from collections import Counter
-        from dataclasses import replace as _dc_replace
-
-        from .operators import TupleSet
-        from .planner.plans import _apply_having, _order_and_limit
-
-        if query.aggregates:
-            internal_specs, plan = expand_avg(query.aggregates)
-            value_cols = [s.column for s in internal_specs if s.column]
-            out_cols = list(
-                dict.fromkeys(list(query.group_columns) + value_cols)
-            )
-        else:
-            internal_specs, plan = [], {}
-            out_cols = list(query.select)
-        row_query = _dc_replace(
-            query,
-            select=tuple(out_cols),
-            aggregates=(),
-            group_by=None,
-            order_by=(),
-            limit=None,
-            having=(),
-        )
-        stored = execute_select(ctx, projection, row_query, resolved)
-        schemas = {
-            col: projection.schema(col) for col in row_query.all_columns
-        }
-        ghost_survivors = delta_select(
-            row_query, self.delta.deleted_columns(table, schemas)
-        )
-        pending_survivors = delta_select(
-            row_query, self.delta.columns(table, schemas)
-        )
-        n_ghost = (
-            len(next(iter(ghost_survivors.values())))
-            if ghost_survivors else 0
-        )
-        n_pending = (
-            len(next(iter(pending_survivors.values())))
-            if pending_survivors else 0
-        )
-        stored_rows = stored.select(out_cols).rows()
-        ctx.stats.tuple_iterations += len(stored_rows) + n_ghost + n_pending
-        ghosts: Counter = Counter()
-        for i in range(n_ghost):
-            ghosts[tuple(int(ghost_survivors[c][i]) for c in out_cols)] += 1
-        alive = []
-        for row in stored_rows:
-            key = tuple(int(v) for v in row)
-            if ghosts.get(key, 0):
-                ghosts[key] -= 1
-            else:
-                alive.append(key)
-        if sum(ghosts.values()):
-            raise ExecutionError(
-                f"delete multiset for {table!r} names rows the stored "
-                f"projection {projection.name!r} does not hold "
-                "(writable store out of sync with the read store)"
-            )
-        combined: dict = {}
-        for ci, col in enumerate(out_cols):
-            stored_side = np.array(
-                [row[ci] for row in alive], dtype=np.int64
-            )
-            pending_side = (
-                pending_survivors[col].astype(np.int64)
-                if n_pending
-                else np.array([], dtype=np.int64)
-            )
-            combined[col] = np.concatenate((stored_side, pending_side))
-        if query.aggregates:
-            partials = delta_aggregate(
-                internal_specs, list(query.group_columns), combined
-            )
-            finished: dict = {
-                g: partials.column(g) for g in query.group_columns
-            }
-            for output, how in plan.items():
-                if how[0] == "avg":
-                    sums = partials.column(how[1])
-                    counts = partials.column(how[2])
-                    finished[output] = sums // np.maximum(counts, 1)
-                else:
-                    finished[output] = partials.column(how[1])
-            merged = TupleSet.stitch(
-                {col: finished[col] for col in query.select},
-                stats=ctx.stats,
-            )
-        else:
-            merged = TupleSet.stitch(
-                {col: combined[col] for col in query.select},
-                stats=ctx.stats,
-            )
-        merged = _apply_having(ctx, merged, query)
-        ctx.stats.tuples_output = merged.n_tuples
-        return _order_and_limit(ctx, merged, query)
+    def _table_schemas(self, table: str) -> tuple[dict, list]:
+        """Column schemas of *table* (the union over its projections) and
+        the projections themselves."""
+        candidates = self.catalog.candidates(table)
+        if not candidates:
+            raise CatalogError(f"unknown projection or table {table!r}")
+        schemas: dict = {}
+        for proj in candidates:
+            for col in proj.column_names:
+                schemas.setdefault(col, proj.schema(col))
+        return schemas, candidates
 
     def _write_target(self, table: str, predicates) -> tuple:
         """Resolve a delete/update target: schemas plus a covering projection.
@@ -826,13 +775,7 @@ class Database:
         column — required because deletes capture full rows, so any
         projection (whatever its column subset) can subtract them later.
         """
-        candidates = self.catalog.candidates(table)
-        if not candidates:
-            raise CatalogError(f"unknown projection or table {table!r}")
-        schemas: dict = {}
-        for proj in candidates:
-            for col in proj.column_names:
-                schemas.setdefault(col, proj.schema(col))
+        schemas, candidates = self._table_schemas(table)
         for pred in predicates:
             if pred.column not in schemas:
                 raise CatalogError(
@@ -855,52 +798,33 @@ class Database:
 
     def _match_rows(
         self, table: str, predicates, schemas, cover
-    ) -> tuple[list[dict], list[dict]]:
-        """Stored and pending rows matching *predicates* (encoded domain).
+    ) -> tuple[dict, dict]:
+        """Stored and pending rows matching *predicates*, as column arrays.
 
-        Stored matches already queued for deletion are excluded (a row can
-        only die once); predicates take stored-domain values, exactly like
+        Stored matches come through the ordinary read path — a selection
+        of every column over the covering projection, so zone maps prune,
+        the sorted-column index applies and blocks come from the buffer
+        pool — never a whole-table decode. Matches already queued for
+        deletion are excluded (a row can only die once); predicates take
+        stored-domain values, exactly like
         :class:`~repro.planner.logical.SelectQuery` predicates.
         """
-        from collections import Counter
-
-        stored_cols = {
-            col: cover.read_column_values(col) for col in schemas
-        }
-        n = len(next(iter(stored_cols.values()))) if stored_cols else 0
-        mask = np.ones(n, dtype=bool)
-        for pred in predicates:
-            mask &= pred.mask(stored_cols[pred.column])
-        order = sorted(schemas)
-        already = Counter(
-            tuple(int(row[c]) for c in order)
-            for row in self.delta.deleted_rows(table)
+        names = tuple(schemas)
+        query = SelectQuery(cover.name, names, tuple(predicates))
+        ctx = self._context()
+        ctx.on_error = "fail"  # a write must see every partition or fail
+        # Early materialisation, pipelined: the write needs whole rows, the
+        # plan applies the most selective predicate first, and unlike
+        # LM-pipelined it supports every encoding.
+        matched = execute_select(ctx, cover, query, Strategy.EM_PIPELINED)
+        stored = {col: matched.column(col) for col in names}
+        already_deleted = delta_select(
+            query, self.delta.deleted_columns(table, schemas)
         )
-        stored_matches: list[dict] = []
-        for i in np.flatnonzero(mask):
-            row = {col: int(stored_cols[col][i]) for col in schemas}
-            key = tuple(row[c] for c in order)
-            if already.get(key, 0):
-                already[key] -= 1
-            else:
-                stored_matches.append(row)
-        pending_rows = self.delta.rows(table)
-        pending_matches: list[dict] = []
-        if pending_rows:
-            arrays = {
-                pred.column: np.array(
-                    [row[pred.column] for row in pending_rows],
-                    dtype=np.int64,
-                )
-                for pred in predicates
-            }
-            pmask = np.ones(len(pending_rows), dtype=bool)
-            for pred in predicates:
-                pmask &= pred.mask(arrays[pred.column])
-            pending_matches = [
-                pending_rows[i] for i in np.flatnonzero(pmask)
-            ]
-        return stored_matches, pending_matches
+        keep, _ = multiset_subtract(stored, already_deleted, names)
+        stored = {col: values[keep] for col, values in stored.items()}
+        pending = delta_select(query, self.delta.columns(table, schemas))
+        return stored, pending
 
     def delete(self, table: str, predicates) -> int:
         """Delete every row of *table* matching all *predicates*.
@@ -914,12 +838,8 @@ class Database:
         """
         predicates = tuple(predicates)
         schemas, cover = self._write_target(table, predicates)
-        stored_matches, pending_matches = self._match_rows(
-            table, predicates, schemas, cover
-        )
-        if not stored_matches and not pending_matches:
-            return 0
-        return self.delta.delete(table, stored_matches, pending_matches)
+        stored, pending = self._match_rows(table, predicates, schemas, cover)
+        return self.delta.delete(table, stored, pending)
 
     def update(self, table: str, predicates, assignments: dict) -> int:
         """Update matching rows of *table*: ``assignments`` is column ->
@@ -942,18 +862,8 @@ class Database:
             col: schemas[col].encode_value(value)
             for col, value in assignments.items()
         }
-        stored_matches, pending_matches = self._match_rows(
-            table, predicates, schemas, cover
-        )
-        if not stored_matches and not pending_matches:
-            return 0
-        new_rows = [
-            dict(row, **encoded)
-            for row in stored_matches + pending_matches
-        ]
-        return self.delta.update(
-            table, stored_matches, pending_matches, new_rows
-        )
+        stored, pending = self._match_rows(table, predicates, schemas, cover)
+        return self.delta.update(table, stored, pending, encoded)
 
     def insert(self, table: str, rows: list[dict]) -> int:
         """Buffer rows into the writable store for *table* (an anchor name).
@@ -961,13 +871,7 @@ class Database:
         Rows become visible to selection and aggregation queries immediately
         (merge-on-read); call :meth:`merge` to fold them into the read store.
         """
-        candidates = self.catalog.candidates(table)
-        if not candidates:
-            raise CatalogError(f"unknown projection or table {table!r}")
-        schemas: dict = {}
-        for proj in candidates:
-            for col in proj.column_names:
-                schemas.setdefault(col, proj.schema(col))
+        schemas, _projections = self._table_schemas(table)
         return self.delta.insert(table, rows, schemas)
 
     def pending(self, table: str) -> int:
@@ -991,24 +895,19 @@ class Database:
         moved = self.delta.count(table) + self.delta.deleted_count(table)
         if moved == 0:
             return 0
-        deleted_rows = self.delta.deleted_rows(table)
+        table_schemas, projections = self._table_schemas(table)
+        pending = self.delta.columns(table, table_schemas)
+        deleted = self.delta.deleted_columns(table, table_schemas)
         builds = []
-        for proj in sorted(
-            self.catalog.candidates(table), key=lambda p: p.name
-        ):
+        for proj in sorted(projections, key=lambda p: p.name):
             schemas = {c: proj.schema(c) for c in proj.column_names}
-            pending_cols = self.delta.columns(table, schemas)
             stored = {
                 col: proj.read_column_values(col)
                 for col in proj.column_names
             }
-            if deleted_rows:
-                keep = multiset_keep_mask(
-                    stored, deleted_rows, list(proj.column_names)
-                )
-                stored = {col: vals[keep] for col, vals in stored.items()}
+            keep, _ = multiset_subtract(stored, deleted, proj.column_names)
             data = {
-                col: np.concatenate((stored[col], pending_cols[col]))
+                col: np.concatenate((stored[col][keep], pending[col]))
                 for col in proj.column_names
             }
             builds.append(

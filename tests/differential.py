@@ -793,11 +793,11 @@ def run_write_differential(
     row set on both databases — the end-to-end proof that the write path
     (WAL, delete multisets, upserts, merge) is purely physical.
 
-    The merged side runs traced with the span invariants checked; the
-    pending side runs untraced (delta-store row stitching accounts tuple
-    iterations outside the span tree by design). The sweep asserts the
-    workload really updated and deleted rows, so the axis cannot silently
-    degrade to the insert-only differential.
+    Both sides run traced with the span invariants checked — on the
+    pending side that covers the ``GHOST`` and ``DELTA`` spans of the
+    merge-on-read fold. The sweep asserts the workload really updated and
+    deleted rows, so the axis cannot silently degrade to the insert-only
+    differential.
     """
     ops = seeded_write_workload(pending_db, projection, seed, n_ops=n_ops)
     touched = {"insert": 0, "update": 0, "delete": 0}
@@ -827,16 +827,13 @@ def run_write_differential(
         reference = None
         for strategy in strategies:
             for db in (merged_db, pending_db):
-                traced = db is merged_db
                 try:
-                    result = db.query(query, strategy=strategy,
-                                      trace=traced)
+                    result = db.query(query, strategy=strategy, trace=True)
                 except UnsupportedOperationError:
                     report.skipped += 1
                     continue
                 report.runs += 1
-                if traced:
-                    check_span_invariants(result, db.constants)
+                check_span_invariants(result, db.constants)
                 rows = sorted(result.rows())
                 if reference is None:
                     reference = rows

@@ -5,12 +5,15 @@ import pytest
 
 from repro import AggSpec, Predicate, SelectQuery
 from repro.delta import (
+    DeltaStore,
     delta_aggregate,
     delta_select,
     expand_avg,
     internal_query,
     merge_aggregates,
 )
+from repro.dtypes import INT8, INT32, ColumnSchema
+from repro.errors import EncodingError
 from repro.operators.tuples import TupleSet
 
 
@@ -171,3 +174,54 @@ class TestDeltaAggregate:
         )
         assert out.columns == ("g", "sum(v)")
         assert out.rows() == [(1, 7), (2, 5)]
+
+
+class TestColumnarStore:
+    """DeltaStore holds both sides as cached per-table column arrays."""
+
+    SCHEMAS = {
+        "a": ColumnSchema("a", INT32),
+        "b": ColumnSchema("b", INT8),
+    }
+
+    def test_columns_are_cached_until_the_next_write(self):
+        store = DeltaStore()
+        store.insert("t", [{"a": 1, "b": 2}, {"a": 3, "b": 4}], self.SCHEMAS)
+        first = store.columns("t", self.SCHEMAS)
+        again = store.columns("t", self.SCHEMAS)
+        assert all(first[c] is again[c] for c in self.SCHEMAS)
+        assert first["a"].dtype == np.int32 and first["b"].dtype == np.int8
+        with pytest.raises(ValueError):
+            first["a"][0] = 99  # shared between readers, so read-only
+        store.insert("t", [{"a": 5, "b": 6}], self.SCHEMAS)
+        after = store.columns("t", self.SCHEMAS)
+        assert after["a"].tolist() == [1, 3, 5]
+        assert first["a"].tolist() == [1, 3]  # a reader's arrays never move
+
+    def test_empty_table_has_typed_empty_columns(self):
+        cols = DeltaStore().deleted_columns("t", self.SCHEMAS)
+        assert {c: (v.dtype, len(v)) for c, v in cols.items()} == {
+            "a": (np.dtype(np.int32), 0),
+            "b": (np.dtype(np.int8), 0),
+        }
+
+    def test_value_that_does_not_fit_its_column_raises(self):
+        store = DeltaStore()
+        store.insert("t", [{"a": 1, "b": 1000}], self.SCHEMAS)
+        with pytest.raises(EncodingError, match="int8"):
+            store.columns("t", self.SCHEMAS)
+
+    def test_delete_and_update_take_column_arrays(self):
+        store = DeltaStore()
+        store.insert("t", [{"a": 1, "b": 1}, {"a": 1, "b": 1}], self.SCHEMAS)
+        stored = {"a": np.array([7, 8]), "b": np.array([0, 0])}
+        pending = {"a": np.array([1]), "b": np.array([1])}
+        assert store.update("t", stored, pending, {"b": 5}) == 3
+        assert store.count("t") == 4 and store.deleted_count("t") == 2
+        cols = store.columns("t", self.SCHEMAS)
+        assert sorted(zip(cols["a"].tolist(), cols["b"].tolist())) == [
+            (1, 1), (1, 5), (7, 5), (8, 5),
+        ]
+        none = {"a": np.array([], np.int64), "b": np.array([], np.int64)}
+        assert store.delete("t", none, none) == 0
+        assert store.wal_records("t") == 3  # two row lines + the update

@@ -1,9 +1,14 @@
-"""Property-based tests: merge-on-read equals a from-scratch rebuild.
+"""Property-based tests of the writable store.
 
-For any sequence of inserts and any query, the answer with pending rows
-(merge-on-read) must equal the answer after the tuple mover runs — and both
-must equal a database loaded with the combined data in one shot.
+* merge-on-read equals a from-scratch rebuild: for any sequence of inserts
+  and any query, the answer with pending rows must equal the answer after
+  the tuple mover runs — and both must equal a database loaded with the
+  combined data in one shot;
+* :func:`repro.delta.multiset_subtract` equals a ``collections.Counter``
+  row loop — the implementation it replaced — on both of its key paths.
 """
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AggSpec, Database, Predicate, SelectQuery
+from repro.delta import multiset_subtract
 from repro.dtypes import INT32, ColumnSchema
 
 from .reference import canonical
@@ -97,3 +103,124 @@ def test_merge_on_read_equals_rebuild(tmp_path_factory, rows, query):
     assert np.array_equal(
         canonical(after_merge.tuples.data), canonical(expected.tuples.data)
     )
+
+
+# ------------------------------------------------------- multiset_subtract
+
+
+def counter_subtract(rows, ghosts):
+    """Reference: cancel ghosts against rows one-for-one, first rows first."""
+    remaining = Counter(ghosts)
+    keep = []
+    for row in rows:
+        if remaining[row]:
+            remaining[row] -= 1
+            keep.append(False)
+        else:
+            keep.append(True)
+    return keep, sum(remaining.values())
+
+
+def as_columns(rows, names, dtypes):
+    return {
+        name: np.array([row[i] for row in rows], dtype=dtype)
+        for i, (name, dtype) in enumerate(zip(names, dtypes))
+    }
+
+
+def check_against_counter(rows, ghosts, names, dtypes, compare=None):
+    """Run the kernel on *compare* (default: every column) and check it
+    against the Counter loop over the same column subset."""
+    compare = list(names if compare is None else compare)
+    idx = [names.index(c) for c in compare]
+    keep, unmatched = multiset_subtract(
+        as_columns(rows, names, dtypes),
+        as_columns(ghosts, names, dtypes),
+        compare,
+    )
+    expected_keep, expected_unmatched = counter_subtract(
+        [tuple(row[i] for i in idx) for row in rows],
+        [tuple(row[i] for i in idx) for row in ghosts],
+    )
+    assert keep.dtype == bool and keep.tolist() == expected_keep
+    assert unmatched == expected_unmatched
+
+
+NAMES = ["a", "b", "c"]
+#: Small domains, so duplicates on both sides and ghosts that hit are the
+#: norm; the int8/int32 extremes ride along without leaving the fused path.
+narrow_rows = st.lists(
+    st.tuples(
+        st.sampled_from([-128, -1, 0, 1, 127]),
+        st.integers(0, 3),
+        st.sampled_from([-(2**31), 0, 5, 2**31 - 1]),
+    ),
+    max_size=40,
+)
+#: Two int64 columns spanning the whole type: the mixed-radix product
+#: overflows a fused int64 key, which forces the lexsort fallback.
+INT64_EDGES = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**63 - 2, 2**63 - 1]
+wide_rows = st.lists(
+    st.tuples(
+        st.sampled_from(INT64_EDGES),
+        st.integers(0, 2),
+        st.sampled_from(INT64_EDGES),
+    ),
+    max_size=40,
+)
+
+
+@given(narrow_rows, narrow_rows)
+@settings(max_examples=200, deadline=None)
+def test_subtract_matches_counter_on_fused_keys(rows, ghosts):
+    check_against_counter(rows, ghosts, NAMES, [np.int8, np.uint8, np.int32])
+
+
+@given(wide_rows, wide_rows)
+@settings(max_examples=200, deadline=None)
+def test_subtract_matches_counter_when_key_would_overflow(rows, ghosts):
+    check_against_counter(rows, ghosts, NAMES, [np.int64, np.int8, np.int64])
+
+
+@given(wide_rows, wide_rows, st.sampled_from([["b"], ["c", "a"], ["a"]]))
+@settings(max_examples=100, deadline=None)
+def test_subtract_on_a_column_subset_of_a_wider_row(rows, ghosts, compare):
+    # A projection (or a query result) carries fewer columns than the
+    # full rows the delete multiset holds.
+    check_against_counter(
+        rows, ghosts, NAMES, [np.int64, np.int8, np.int64], compare=compare
+    )
+
+
+def test_subtract_paths_agree_and_drop_the_first_equal_rows():
+    rows = [(7, 1), (3, 2), (7, 1), (7, 1), (3, 2)]
+    ghosts = [(7, 1), (9, 9), (7, 1)]
+    for dtypes in ([np.int32, np.int32], [np.float64, np.int32]):
+        keep, unmatched = multiset_subtract(
+            as_columns(rows, ["x", "y"], dtypes),
+            as_columns(ghosts, ["x", "y"], dtypes),
+            ["x", "y"],
+        )
+        # The first two (7, 1) rows die, the third survives; (9, 9) found
+        # nothing to cancel. float64 cannot fuse, so it takes the fallback.
+        assert keep.tolist() == [False, True, False, True, True]
+        assert unmatched == 1
+
+
+def test_subtract_with_an_empty_side():
+    cols = as_columns([(1, 2), (1, 2)], ["x", "y"], [np.int32, np.int32])
+    none = as_columns([], ["x", "y"], [np.int32, np.int32])
+    keep, unmatched = multiset_subtract(cols, none, ["x", "y"])
+    assert keep.tolist() == [True, True] and unmatched == 0
+    keep, unmatched = multiset_subtract(none, cols, ["x", "y"])
+    assert keep.tolist() == [] and unmatched == 2
+
+
+def test_subtract_never_wraps_a_wide_key():
+    # Distinct rows whose naive int64 mixed-radix keys collide after
+    # wrap-around (2**63 * 2 == 0 mod 2**64): they must stay distinct.
+    lo, hi = -(2**63), 2**63 - 1
+    cols = {"a": np.array([lo, hi], np.int64), "b": np.array([lo, lo], np.int64)}
+    ghost = {"a": np.array([hi], np.int64), "b": np.array([lo], np.int64)}
+    keep, unmatched = multiset_subtract(cols, ghost, ["a", "b"])
+    assert keep.tolist() == [True, False] and unmatched == 0

@@ -246,6 +246,79 @@ class TestDeletes:
         assert (values == 2).sum() == 0
 
 
+    def test_delete_multiset_out_of_sync_with_read_store_raises(self, db):
+        # A ghost the stored projection does not hold cannot be cancelled;
+        # silently ignoring it would hide a diverged write store.
+        phantom = {
+            "returnflag": np.array([0]),
+            "shipdate": np.array([10_000]),
+            "linenum": np.array([1]),
+            "quantity": np.array([10**6]),  # no stored row has this
+        }
+        nothing = {col: np.array([], dtype=np.int64) for col in phantom}
+        assert db.delta.delete("lineitem", phantom, nothing) == 1
+        for sql in (
+            "SELECT quantity FROM lineitem WHERE quantity > 1000",
+            "SELECT linenum, sum(quantity) FROM lineitem "
+            "WHERE quantity > 1000 GROUP BY linenum",
+        ):
+            with pytest.raises(
+                ExecutionError, match=r"'lineitem'.*'lineitem'.*out of sync"
+            ):
+                db.sql(sql)
+        # A query whose predicates exclude the ghost is unaffected.
+        assert db.sql(
+            "SELECT quantity FROM lineitem WHERE quantity < 5"
+        ).n_rows > 0
+
+
+class TestDmlReadPath:
+    """update/delete resolve matches through the read path, not by
+    decoding every column of the table."""
+
+    def test_selective_dml_reads_only_surviving_partitions(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.planner.partitioned import prune_partitions
+        from repro.storage.column_file import ColumnFile
+
+        database = Database(tmp_path / "parts")
+        load_tpch(database.catalog, scale=0.01, seed=5, partitions=4)
+        lineitem = database.projection("lineitem")
+
+        def blocks(partitions):
+            return sum(
+                part.open().column(col).file().n_blocks
+                for part in partitions
+                for col in lineitem.column_names
+            )
+
+        def whole_column_decode(self):
+            raise AssertionError(f"read_all_values({self.path}) during DML")
+
+        monkeypatch.setattr(ColumnFile, "read_all_values", whole_column_decode)
+        for flag, run in (
+            (0, lambda preds: database.delete("lineitem", preds)),
+            (2, lambda preds: database.update(
+                "lineitem", preds, {"quantity": 49})),
+        ):
+            preds = (
+                Predicate("returnflag", "=", flag),
+                Predicate("linenum", "=", 3),
+            )
+            survivors, total = prune_partitions(
+                lineitem, SelectQuery("lineitem", ("linenum",), preds)
+            )
+            assert 0 < len(survivors) < total
+            database.clear_cache()  # every block touched is now a miss
+            before = database.pool.misses
+            assert run(preds) > 0
+            touched = database.pool.misses - before
+            assert 0 < touched <= blocks(survivors) < blocks(
+                lineitem.partitions
+            )
+
+
 class TestUpdates:
     def test_update_rewrites_matches(self, db):
         before = db.sql(
@@ -298,6 +371,51 @@ class TestUpdates:
         r = reopened.sql("SELECT quantity FROM lineitem WHERE linenum = 7")
         assert {row[0] for row in r.rows()} == {55}
         assert reopened.pending("lineitem") == 0
+
+    def test_update_of_pending_rows_replaces_them_in_place(self, db):
+        db.insert(
+            "lineitem",
+            [lineitem_row(linenum=77, quantity=q) for q in (1, 2, 2)],
+        )
+        n = db.update(
+            "lineitem",
+            (Predicate("linenum", "=", 77), Predicate("quantity", "=", 2)),
+            {"quantity": 9},
+        )
+        assert n == 2
+        assert db.pending("lineitem") == 3  # still three rows, no ghosts
+        assert db.delta.deleted_count("lineitem") == 0
+        r = db.sql("SELECT quantity FROM lineitem WHERE linenum = 77")
+        assert sorted(r.rows()) == [(1,), (9,), (9,)]
+        # One of two equal pending rows deleted: exactly one goes.
+        assert db.delete(
+            "lineitem",
+            (Predicate("linenum", "=", 77), Predicate("quantity", "=", 1)),
+        ) == 1
+        assert db.pending("lineitem") == 2
+
+    def test_replay_of_an_already_removed_pending_row_is_idempotent(
+        self, db, tmp_path
+    ):
+        import json
+
+        row = {"returnflag": 0, "shipdate": 10_000, "linenum": 77,
+               "quantity": 5}
+        other = dict(row, quantity=6)
+        gone = {"_op": "delete", "stored": [], "pending": [row]}
+        never = {"_op": "delete", "stored": [], "pending": [dict(row, quantity=7)]}
+        wal = db.catalog.root / "_wal" / "lineitem.wal"
+        wal.parent.mkdir(exist_ok=True)
+        # The same pending-row removal logged twice (a replayed record),
+        # and one naming a row that was never pending: both are no-ops.
+        wal.write_text("".join(
+            json.dumps(record) + "\n"
+            for record in (row, other, row, gone, gone, gone, never)
+        ))
+        reopened = Database(tmp_path / "db")
+        assert reopened.pending("lineitem") == 1
+        r = reopened.sql("SELECT quantity FROM lineitem WHERE linenum = 77")
+        assert r.rows() == [(6,)]
 
     def test_update_then_delete_composes(self, db):
         db.update(
