@@ -11,6 +11,7 @@ from ..buffer import BufferPool, DecodedBlockCache
 from ..metrics import QueryStats
 from ..multicolumn import MiniColumn
 from ..observe import Span, SpanTracer
+from ..positions import PositionSet, RangePositions, RunPositions
 from ..storage.block import BlockDescriptor
 from ..storage.column_file import ColumnFile
 
@@ -177,23 +178,31 @@ class ExecutionContext:
         column_file: ColumnFile,
         desc: BlockDescriptor,
         payload: bytes,
-        positions: np.ndarray,
+        positions: "np.ndarray | range",
     ) -> np.ndarray:
         """Values at sorted absolute *positions* (all within this block).
 
-        With the decoded cache on, run-length blocks jump through the cached
-        run table and every other encoding indexes the cached decoded array —
-        for bit-vector data this turns the per-gather full decompression into
-        a one-time cost.
+        With the decoded cache on, run-length blocks expand the cached run
+        table by structure (:func:`repeat_by_run`) and every other encoding
+        indexes the cached decoded array — for bit-vector data this turns the
+        per-gather full decompression into a one-time cost. A contiguous
+        ``range`` of positions is a slice of that array, not a fancy index.
         """
         encoding = column_file.encoding
+        contiguous = isinstance(positions, range)
+        if self.decoded is not None and not encoding.supports_runs:
+            values = self.decode_payload(column_file, desc, payload)
+            if contiguous:
+                return values[
+                    positions.start - desc.start_pos : positions.stop - desc.start_pos
+                ]
+            return values[positions - desc.start_pos]
+        if contiguous:
+            positions = np.arange(positions.start, positions.stop, dtype=np.int64)
         if self.decoded is None:
             return encoding.gather(payload, desc, column_file.dtype, positions)
-        if encoding.supports_runs:
-            values, starts, _lengths = self.run_table(column_file, desc, payload)
-            return values[np.searchsorted(starts, positions, side="right") - 1]
-        values = self.decode_payload(column_file, desc, payload)
-        return values[positions - desc.start_pos]
+        values, starts, _lengths = self.run_table(column_file, desc, payload)
+        return repeat_by_run(starts, positions, values)
 
     # ------------------------------------------------- parallel scan leaves
 
@@ -242,8 +251,6 @@ def position_groups(positions) -> int:
     listed/bitmap representations are charged one step per contained
     position (runs inside them are not free to detect).
     """
-    from ..positions import RangePositions, RunPositions
-
     if isinstance(positions, RangePositions):
         return 1 if positions.count() else 0
     if isinstance(positions, RunPositions):
@@ -251,14 +258,40 @@ def position_groups(positions) -> int:
     return positions.count()
 
 
+def repeat_by_run(
+    starts: np.ndarray, positions: np.ndarray, per_run: np.ndarray
+) -> np.ndarray:
+    """``per_run[i]`` for each of the sorted *positions*, ``i`` being its run.
+
+    Gathers by structure: the shorter of the two sorted arrays is searched
+    into the longer. A dense gather (runs ≪ positions, every warm scan)
+    locates the few run starts among the positions and repeats each run's
+    entry over the positions it holds — O(runs·log n + n), not a binary
+    search per position; a sparse one (a selective read touching a block of
+    many short runs) looks its few positions up in the run table. Duplicate
+    positions land in the same run and repeat with it. No position may
+    precede ``starts[0]``.
+    """
+    if len(positions) < len(starts):
+        return per_run[np.searchsorted(starts, positions, side="right") - 1]
+    cuts = np.empty(len(starts) + 1, dtype=np.intp)
+    cuts[:-1] = np.searchsorted(positions, starts, side="left")
+    cuts[-1] = len(positions)
+    return np.repeat(per_run, cuts[1:] - cuts[:-1])
+
+
 def gather_values(
     ctx: ExecutionContext,
     column_file: ColumnFile,
-    positions: np.ndarray,
+    positions: "np.ndarray | PositionSet",
     minicolumn: MiniColumn | None = None,
     on_the_fly: bool = False,
 ) -> np.ndarray:
     """DS3 inner loop: values of *column_file* at absolute *positions*.
+
+    A :class:`~repro.positions.PositionSet` is sorted by construction, and a
+    contiguous :class:`~repro.positions.RangePositions` is never expanded:
+    each block serves its share as a slice.
 
     Handles unsorted position arrays (the join re-extraction case): they are
     sorted for block-cursor access and the result scattered back, and the
@@ -275,13 +308,19 @@ def gather_values(
     and blocks covering no position are skipped.
     """
     stats = ctx.stats
+    presorted = isinstance(positions, PositionSet)
+    contiguous = isinstance(positions, RangePositions)
+    if contiguous:
+        positions = range(positions.start, positions.stop)
+    elif presorted:
+        positions = positions.to_array()
     n = len(positions)
     if n == 0:
         return np.empty(0, dtype=column_file.dtype)
 
     order = None
     sorted_positions = positions
-    if n > 1 and not _is_sorted(positions):
+    if n > 1 and not presorted and not _is_sorted(positions):
         order = np.argsort(positions, kind="stable")
         sorted_positions = positions[order]
         if on_the_fly:
@@ -299,7 +338,10 @@ def gather_values(
     for desc in column_file.descriptors:
         if cursor >= n:
             break
-        hi = int(np.searchsorted(sorted_positions, desc.end_pos, side="left"))
+        if contiguous:
+            hi = min(max(desc.end_pos - sorted_positions.start, 0), n)
+        else:
+            hi = int(np.searchsorted(sorted_positions, desc.end_pos, side="left"))
         if hi <= cursor:
             if desc.start_pos > sorted_positions[-1]:
                 break

@@ -20,6 +20,7 @@ import numpy as np
 from ..errors import UnsupportedOperationError
 from ..multicolumn import MiniColumn, MultiColumn
 from ..positions import (
+    BitmapPositions,
     ListedPositions,
     PositionSet,
     RangePositions,
@@ -83,8 +84,6 @@ def _concat_position_sets(parts: list[PositionSet], n_rows: int) -> PositionSet:
         return ListedPositions(merged, assume_sorted=True)
     mask = np.zeros(span, dtype=bool)
     mask[merged - lo] = True
-    from ..positions import BitmapPositions
-
     return BitmapPositions.from_mask(lo, mask)
 
 
@@ -276,24 +275,26 @@ class DS2Scan:
             if ctx.decoded is not None and cf.encoding.decoded_pairs_equivalent:
                 # Scan fast-path: pairs from the cached decoded array — one
                 # decode per block ever, instead of one per scan.
-                decoded = ctx.decode_payload(cf, desc, payload)
+                values = ctx.decode_payload(cf, desc, payload)
                 if pred is None:
-                    positions = RangePositions(desc.start_pos, desc.end_pos)
-                    values = decoded
+                    positions = np.arange(
+                        desc.start_pos, desc.end_pos, dtype=np.int64
+                    )
                 else:
-                    mask = pred.mask(decoded)
-                    positions = from_mask(desc.start_pos, mask)
-                    values = decoded[mask]
+                    local = np.flatnonzero(pred.mask(values))
+                    positions = local + desc.start_pos
+                    values = values[local]
             else:
-                positions, values = cf.encoding.scan_pairs(
+                block_positions, values = cf.encoding.scan_pairs(
                     payload, desc, cf.dtype, pred
                 )
+                positions = block_positions.to_array()
             matched = len(values)
             # Gluing positions and values together costs TICTUP + FC per
             # surviving tuple (Case 2, step 5).
             stats.tuple_iterations += matched
             stats.function_calls += matched
-            pos_parts.append(positions.to_array())
+            pos_parts.append(positions)
             val_parts.append(values)
         pos = (
             np.concatenate(pos_parts) if pos_parts else np.empty(0, dtype=np.int64)
@@ -359,37 +360,40 @@ class DS3Gather:
         # Case 3 steps 3+4: iterate the position list, jump and extract.
         stats.column_iterations += 2 * groups
         stats.function_calls += groups
-        pos_array = self.positions.to_array()
-        values = gather_values(ctx, cf, pos_array, minicolumn=self.minicolumn)
+        positions = self.positions
+        if not isinstance(positions, RangePositions):
+            # Expand once; the gather and the filter below share the array.
+            positions = ListedPositions(positions.to_array(), assume_sorted=True)
+        values = gather_values(ctx, cf, positions, minicolumn=self.minicolumn)
         if self.predicate is None:
             if span is not None:
                 ctx.end(
                     span,
                     column=cf.column,
-                    positions=len(pos_array),
+                    positions=len(values),
                     pinned=self.minicolumn is not None,
                 )
             return ScanResult(
                 positions=self.positions, minicolumn=self.minicolumn, values=values
             )
-        mask = self.predicate.mask(values)
+        keep = np.flatnonzero(self.predicate.mask(values))
         stats.function_calls += len(values)
         stats.values_scanned += len(values)
-        kept = pos_array[mask]
+        kept = positions.to_array()[keep]
         if span is not None:
             ctx.end(
                 span,
                 column=cf.column,
                 predicate=str(self.predicate),
-                positions_in=len(pos_array),
-                positions_out=int(mask.sum()),
+                positions_in=len(values),
+                positions_out=len(keep),
             )
         return ScanResult(
             positions=ListedPositions(kept, assume_sorted=True)
             if kept.size
             else RangePositions.empty(),
             minicolumn=self.minicolumn,
-            values=values[mask],
+            values=values[keep],
         )
 
 
@@ -422,26 +426,18 @@ class DS4Scan:
         if self.predicate is not None:
             mask = self.predicate.mask(values)
             stats.values_scanned += n_em
-            matched = int(mask.sum())
-            stats.tuple_iterations += matched  # step 5: output <e, t>
-            result = tuples.filter(mask).extend(
-                cf.column, values[mask], stats=stats
-            )
-            if span is not None:
-                ctx.end(
-                    span,
-                    column=cf.column,
-                    predicate=str(self.predicate),
-                    tuples_in=n_em,
-                    tuples_out=matched,
-                )
-            return result
-        stats.tuple_iterations += n_em
-        result = tuples.extend(cf.column, values, stats=stats)
+            result = tuples.filter_extend(mask, cf.column, values, stats=stats)
+        else:
+            result = tuples.extend(cf.column, values, stats=stats)
+        matched = result.n_tuples
+        stats.tuple_iterations += matched  # step 5: output <e, t>
         if span is not None:
             ctx.end(
-                span, column=cf.column, predicate=None, tuples_in=n_em,
-                tuples_out=n_em,
+                span,
+                column=cf.column,
+                predicate=str(self.predicate) if self.predicate is not None else None,
+                tuples_in=n_em,
+                tuples_out=matched,
             )
         return result
 
@@ -510,11 +506,10 @@ class SPCScan:
             for pred in preds:
                 mask &= pred.mask(values)
 
-        stitched = {name: decoded[name][mask] for name in self.column_files}
+        keep = np.flatnonzero(mask)
+        stitched = {name: decoded[name][keep] for name in self.column_files}
         if self.with_positions:
-            stitched = {POSITION_COLUMN: np.nonzero(mask)[0].astype(np.int64)} | (
-                stitched
-            )
+            stitched = {POSITION_COLUMN: keep} | stitched
         result = TupleSet.stitch(stitched, stats=stats)
         # Step 5: constructing each surviving tuple is a tuple-iterator step.
         stats.tuple_iterations += result.n_tuples

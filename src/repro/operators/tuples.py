@@ -4,6 +4,12 @@ A :class:`TupleSet` stores n-attribute tuples in a single row-major 2D int64
 array — genuinely interleaved like a row store page, so that per-column access
 is strided and stitching requires a real copy. Early materialization pays
 these costs; late materialization avoids them until the final merge.
+
+The rule this module enforces: one block write per ``tuples_constructed``
+charge. Every constructor (:meth:`TupleSet.stitch`, :meth:`TupleSet.extend`,
+:meth:`TupleSet.filter_extend`) allocates its block once and fills it once;
+projection to the same columns is free (:meth:`TupleSet.select` returns
+``self``) and any other projection is a single pass into a C-contiguous block.
 """
 
 from __future__ import annotations
@@ -46,14 +52,13 @@ class TupleSet:
         produced tuple as constructed.
         """
         names = tuple(columns)
-        arrays = [np.asarray(columns[name], dtype=np.int64) for name in names]
-        lengths = {len(a) for a in arrays}
+        lengths = {len(columns[name]) for name in names}
         if len(lengths) > 1:
             raise ExecutionError(f"stitch inputs differ in length: {lengths}")
         n = lengths.pop() if lengths else 0
         data = np.empty((n, len(names)), dtype=np.int64)
-        for i, arr in enumerate(arrays):
-            data[:, i] = arr
+        for i, name in enumerate(names):
+            data[:, i] = columns[name]  # narrow dtypes widen on assignment
         if stats is not None:
             stats.tuples_constructed += n
         return cls(columns=names, data=data)
@@ -96,21 +101,47 @@ class TupleSet:
             stats.tuples_constructed += n
         return TupleSet(columns=self.columns + (name,), data=data)
 
-    def without(self, name: str) -> "TupleSet":
-        """Project away one attribute (used to drop ``_pos`` before output)."""
-        idx = self.column_index(name)
-        keep = [i for i in range(len(self.columns)) if i != idx]
+    def filter_extend(
+        self, mask: np.ndarray, name: str, values: np.ndarray, stats=None
+    ) -> "TupleSet":
+        """``filter(mask).extend(name, values[mask])`` in one block write.
+
+        Rows move as opaque ``8 * width``-byte records straight into their
+        slot of the widened block, which costs the same per byte for 2-column
+        and 16-column tuples (a column-at-a-time fill does not).
+        """
+        keep = np.flatnonzero(mask)
+        row = np.dtype(f"V{8 * len(self.columns)}")
+        block = np.empty(len(keep), dtype=[("row", row), ("new", np.int64)])
+        rows = np.ascontiguousarray(self.data, dtype=np.int64).view(row).ravel()
+        # mode="clip" lets take() write through ``out`` unbuffered.
+        np.take(rows, keep, out=block["row"], mode="clip")
+        block["new"] = np.asarray(values)[keep]
+        if stats is not None:
+            stats.tuples_constructed += len(keep)
         return TupleSet(
-            columns=tuple(c for c in self.columns if c != name),
-            data=np.ascontiguousarray(self.data[:, keep]),
+            columns=self.columns + (name,),
+            data=block.view(np.int64).reshape(len(keep), len(self.columns) + 1),
         )
 
+    def without(self, name: str) -> "TupleSet":
+        """Project away one attribute (used to drop ``_pos`` before output)."""
+        self.column_index(name)  # an unknown column is an error, not a no-op
+        return self.select([c for c in self.columns if c != name])
+
     def select(self, names: list[str]) -> "TupleSet":
-        """Project to the given attributes, in order."""
+        """Project to the given attributes, in order.
+
+        Free when they already are this set's columns (returns ``self``);
+        otherwise one pass into a fresh C-contiguous block.
+        """
+        names = tuple(names)
+        if names == self.columns:
+            return self
         idx = [self.column_index(n) for n in names]
-        return TupleSet(
-            columns=tuple(names), data=np.ascontiguousarray(self.data[:, idx])
-        )
+        data = np.empty((self.n_tuples, len(idx)), dtype=self.data.dtype)
+        np.take(self.data, idx, axis=1, out=data, mode="clip")
+        return TupleSet(columns=names, data=data)
 
     def rows(self) -> list[tuple[int, ...]]:
         """Materialise as Python tuples (tests and small outputs only)."""

@@ -25,6 +25,7 @@ from ..operators import (
     gather_values,
 )
 from ..operators.aggregate import AggregateEM, AggregateLM
+from ..operators.base import repeat_by_run
 from ..operators.joins import (
     fetch_right_columns,
     join_materialized,
@@ -32,7 +33,7 @@ from ..operators.joins import (
     join_single_column,
     merge_fetch_left,
 )
-from ..positions import RangePositions
+from ..positions import ListedPositions, RangePositions
 from ..predicates import Predicate, combine_column_predicates
 from ..storage.column_file import ColumnFile
 from ..storage.projection import Projection
@@ -254,10 +255,9 @@ def _rle_group_runs(
         else:
             payload = ctx.read_block(column_file, desc.index)
         values, starts, _lengths = ctx.run_table(column_file, desc, payload)
-        chunk = positions[cursor:hi]
-        local = np.searchsorted(starts, chunk, side="right") - 1
+        run_ids = np.arange(run_base, run_base + len(values), dtype=np.int64)
         run_value_parts.append(values)
-        id_parts.append(local + run_base)
+        id_parts.append(repeat_by_run(starts, positions[cursor:hi], run_ids))
         run_base += len(values)
         cursor = hi
     if not run_value_parts:
@@ -278,6 +278,9 @@ def _lm_finish(
     """Shared tail of LM plans: extract values, aggregate or merge."""
     if query.aggregates:
         pos_array = positions.to_array()
+        if not isinstance(positions, RangePositions):
+            # Expanded once; the gathers below take it as sorted by construction.
+            positions = ListedPositions(pos_array, assume_sorted=True)
         value_cols = [
             spec.column
             for spec in query.aggregates
@@ -286,7 +289,7 @@ def _lm_finish(
         columns = {}
         for col in dict.fromkeys(value_cols):
             columns[col] = gather_values(
-                ctx, files[col], pos_array, minicolumn=minicolumns.get(col)
+                ctx, files[col], positions, minicolumn=minicolumns.get(col)
             )
             ctx.stats.column_iterations += len(pos_array)
         group_cols = list(query.group_columns)
@@ -339,7 +342,7 @@ def _lm_finish(
                 groups[col] = gather_values(
                     ctx,
                     files[col],
-                    pos_array,
+                    positions,
                     minicolumn=minicolumns.get(col),
                 )
                 ctx.stats.column_iterations += len(pos_array)
