@@ -29,13 +29,12 @@ from repro import (
     SelectQuery,
     load_tpch,
 )
-from repro.tpch.generator import SHIPDATE_MAX, SHIPDATE_MIN
+# The selectivity sweep (the paper sweeps 0..1) and the shipdate constant
+# for a selectivity are shared with ``repro reproduce``.
+from repro.reproduce import SWEEP, shipdate_constant
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 RESULTS_DIR = Path(__file__).parent / "results"
-
-#: Selectivity sweep used by the figure tables (the paper sweeps 0..1).
-SWEEP = (0.02, 0.1, 0.25, 0.4, 0.5, 0.6, 0.75, 0.9, 0.98)
 
 #: Coarse sweep for the per-point pytest-benchmark cases.
 POINTS = (0.05, 0.5, 0.95)
@@ -46,15 +45,6 @@ def build_database(root) -> Database:
     db = Database(root)
     load_tpch(db.catalog, scale=BENCH_SCALE, seed=42)
     return db
-
-
-def shipdate_constant(selectivity: float) -> int:
-    """The shipdate constant X giving roughly the requested selectivity.
-
-    Shipdates are uniform over the TPC-H domain, so linear interpolation over
-    the domain is accurate — the same knob the paper turns.
-    """
-    return int(SHIPDATE_MIN + selectivity * (SHIPDATE_MAX + 1 - SHIPDATE_MIN))
 
 
 def selection_query(
@@ -165,30 +155,6 @@ def record(name: str, text: str, table: dict | None = None) -> None:
             lines.append(",".join(cells))
         csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"\n{text}\n[written to {path}]")
-
-
-def record_json(name: str, payload: dict, registry=None) -> Path:
-    """Persist a machine-readable benchmark summary under benchmarks/results/.
-
-    Written as ``{name}.json`` with sorted keys and a trailing newline so CI
-    artifacts diff cleanly run-over-run. A metrics-registry snapshot (the
-    process-wide :data:`repro.metrics.REGISTRY` unless *registry* is given)
-    is attached under ``"metrics"``, so every benchmark artifact records the
-    query counts, latency histograms and cache states behind its numbers.
-    """
-    import json
-
-    from repro.metrics import REGISTRY
-
-    RESULTS_DIR.mkdir(exist_ok=True)
-    payload = dict(payload)
-    payload.setdefault("metrics", (registry or REGISTRY).snapshot())
-    path = RESULTS_DIR / f"{name}.json"
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    print(f"[written to {path}]")
-    return path
 
 
 def crossover(table: dict, a: str, b: str, metric: int = 2):

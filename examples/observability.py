@@ -9,8 +9,9 @@ Shows the lenses the engine offers on a single query:
 1. ``explain`` — the analytical model's predicted cost per strategy (what
    the optimizer sees *before* running anything);
 2. ``describe`` — the chosen strategy's physical operator tree;
-3. ``trace`` — what actually happened, operator by operator, with observed
-   cardinalities, next to the executed query's counter-level statistics;
+3. ``trace=True`` — what actually happened, operator by operator (a walk
+   of the span tree), with observed cardinalities, next to the executed
+   query's counter-level statistics;
 4. ``explain --analyze`` — the span tree: per-operator wall-clock and
    model-replay attribution (exclusive times sum exactly to the query's
    ``simulated_ms``), plus I/O and decode-cache counters;
@@ -49,9 +50,9 @@ def main() -> None:
 
     print("\n3) trace — observed execution, operator by operator")
     result = db.query(query, strategy=plan["chosen"], cold=True, trace=True)
-    for op, detail in result.trace:
-        pretty = ", ".join(f"{k}={v}" for k, v in detail.items())
-        print(f"   {op:<11} {pretty}")
+    for span in list(result.spans.walk())[1:]:  # below the root query span
+        pretty = ", ".join(f"{k}={v}" for k, v in span.detail.items())
+        print(f"   {span.name:<11} {pretty}")
 
     stats = result.stats
     print(

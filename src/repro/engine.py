@@ -59,6 +59,7 @@ from .planner import (
     execute_select,
     resolve_projection,
 )
+from .planner.describe import render_span_tree
 from .planner.projection_choice import resolve_join_side
 from .storage.catalog import Catalog
 from .storage.projection import Projection
@@ -96,17 +97,6 @@ class QueryResult:
     projection: str | None = None
 
     @property
-    def trace(self) -> list | None:
-        """Flat ``(operator, detail)`` events derived from the span tree.
-
-        Operators appear in the order they *finished* (children before
-        parents), matching the legacy flat-trace representation.
-        """
-        if self.spans is None:
-            return None
-        return self.spans.events()
-
-    @property
     def n_rows(self) -> int:
         return self.tuples.n_tuples
 
@@ -125,7 +115,7 @@ class QueryResult:
         return self.tuples.rows()
 
     def report(self) -> str:
-        """Human-readable execution report: strategy, costs, counters, trace."""
+        """Human-readable execution report: strategy, costs, counters, spans."""
         stats = self.stats
         lines = [
             f"strategy       {self.strategy}",
@@ -170,11 +160,9 @@ class QueryResult:
             if key == "queue_wait_ms":  # has its own line above
                 continue
             lines.append(f"{key:<14} {value}")
-        if self.trace:
+        if self.spans is not None:
             lines.append("operators:")
-            for op, detail in self.trace:
-                pretty = ", ".join(f"{k}={v}" for k, v in detail.items())
-                lines.append(f"  {op:<11} {pretty}")
+            lines.append(render_span_tree(self.spans))
         return "\n".join(lines)
 
     def decoded_rows(self) -> list[tuple]:
@@ -207,13 +195,10 @@ class Database:
         decoded_cache_bytes: int = DEFAULT_DECODED_CAPACITY_BYTES,
         parallel_scans: int = 0,
         metrics: MetricsRegistry | None = None,
-        slow_query_ms: float | None = None,
         fault_injector: FaultInjector | None = None,
         retry: RetryPolicy | None = None,
         on_error: str = "fail",
         query_log: "QueryLog | bool | None" = True,
-        qlog_sample: float = 1.0,
-        qlog_max_bytes: int | None = None,
         durability: str = "fsync",
         crash_injector=None,
     ):
@@ -246,10 +231,9 @@ class Database:
                 identical to serial execution.
             metrics: registry every finished query is reported into. Defaults
                 to the process-wide :data:`repro.metrics.REGISTRY`; pass a
-                fresh :class:`~repro.metrics.MetricsRegistry` to isolate.
-            slow_query_ms: wall-clock threshold for this database's entries
-                in the registry's slow-query log. ``None`` uses the
-                registry's own threshold.
+                fresh :class:`~repro.metrics.MetricsRegistry` to isolate
+                (its ``slow_query_threshold_ms`` sets the slow-query log's
+                wall-clock threshold).
             fault_injector: optional :class:`~repro.faults.FaultInjector`
                 consulted before every physical block read — the test
                 substrate for transient I/O errors, injected corruption and
@@ -267,15 +251,12 @@ class Database:
                 opens a :class:`~repro.qlog.QueryLog` under
                 ``<root>/_qlog/`` recording every finished query (outcome,
                 strategy, counters, selectivity, result hash — see
-                :mod:`repro.qlog`); pass an existing ``QueryLog`` to share
-                one, or ``False``/``None`` to disable. Recorder overhead
-                is gated <5% warm by ``benchmarks/bench_qlog_overhead.py``.
-            qlog_sample: fraction of queries the recorder keeps (only used
-                when ``query_log is True``); deterministic counter-based
-                sampling.
-            qlog_max_bytes: segment rotation threshold for the recorder
-                (only used when ``query_log is True``); ``None`` uses
-                :data:`repro.qlog.DEFAULT_SEGMENT_BYTES`.
+                :mod:`repro.qlog`); pass a ``QueryLog(directory,
+                sample=..., max_segment_bytes=...)`` to sample, rotate or
+                share one, or ``False``/``None`` to disable. The recorder
+                runs inside every workload of the e2e benchmark
+                (``benchmarks/e2e``), so its cost is part of every
+                end-to-end number there.
             durability: ``"fsync"`` (default) fsyncs every WAL append (one
                 fsync per accepted batch, charged to the simulated disk
                 clock) and every staged-commit boundary, so acknowledged
@@ -326,7 +307,6 @@ class Database:
         self.decompress_eagerly = decompress_eagerly
         self.compressed_execution = compressed_execution
         self.metrics = metrics if metrics is not None else REGISTRY
-        self.slow_query_ms = slow_query_ms
         self.metrics.register_collector("buffer_pool", self.pool.metrics)
         if self.decoded is not None:
             self.metrics.register_collector(
@@ -338,12 +318,10 @@ class Database:
             )
         self.metrics.register_collector("quarantine", self.quarantine.metrics)
         if query_log is True:
-            from .qlog import DEFAULT_SEGMENT_BYTES, QueryLog
+            from .qlog import QueryLog
 
             self.qlog: "QueryLog | None" = QueryLog(
-                self.catalog.root / "_qlog",
-                sample=qlog_sample,
-                max_segment_bytes=qlog_max_bytes or DEFAULT_SEGMENT_BYTES,
+                self.catalog.root / "_qlog"
             )
         elif query_log:
             self.qlog = query_log
@@ -504,8 +482,7 @@ class Database:
                 choice, or for joins a :class:`RightTableStrategy` / name.
             cold: clear the buffer pool first (cold-cache measurement).
             trace: build the EXPLAIN ANALYZE span tree and return it on
-                ``QueryResult.spans`` (``QueryResult.trace`` is the flat
-                event list derived from it).
+                ``QueryResult.spans``.
             timeout_ms: per-query deadline; expiry raises
                 :class:`~repro.errors.QueryTimeoutError` at the next block
                 access. Ignored when *cancel* already carries a deadline.
@@ -570,7 +547,6 @@ class Database:
             rows=result.n_rows,
             description=repr(query)[:200],
             encodings=getattr(query, "encoding_map", {}).values(),
-            slow_threshold_ms=self.slow_query_ms,
             queue_wait_ms=result.queue_wait_ms,
             degraded=result.degraded,
         )
@@ -1065,8 +1041,6 @@ class Database:
         latency decomposes in the report itself.
         """
         if analyze:
-            from .planner.describe import render_span_tree
-
             result = self.query(
                 query,
                 strategy=strategy,

@@ -254,9 +254,7 @@ def render_prometheus(export: dict, serving: dict | None = None,
     text format.
 
     Args:
-        export: a :meth:`repro.metrics.MetricsRegistry.export` dict. A
-            plain :meth:`snapshot` also works — its summary histograms
-            (no raw buckets) then render as ``_sum``/``_count`` only.
+        export: a :meth:`repro.metrics.MetricsRegistry.export` dict.
         serving: a ``QueryServer.stats()`` dict; adds
             ``repro_serving_*`` families (queue depth per priority class,
             in-flight queries, rejections, drain state, uptime).
@@ -270,22 +268,7 @@ def render_prometheus(export: dict, serving: dict | None = None,
     for name, value in (export.get("counters") or {}).items():
         _add_counter(exp, name, value)
     for name, hist in (export.get("histograms") or {}).items():
-        if isinstance(hist, dict) and "counts" in hist and "bounds" in hist:
-            _add_histogram(exp, name, hist)
-        elif isinstance(hist, dict):
-            # Summary-only snapshot: expose what we can without buckets.
-            fam_name = name
-            dotted = _split_dotted(name)
-            labels: dict = {}
-            if dotted:
-                base, dimension, dim_value = dotted
-                fam_name = f"{base}_by_{dimension}"
-                labels = {_sanitize_label(dimension): dim_value}
-            fam = exp.family(_sanitize_name(fam_name), "histogram")
-            fam.add(float(hist.get("sum_ms", 0.0)), labels=labels,
-                    suffix="_sum")
-            fam.add(int(hist.get("count", 0)), labels=labels,
-                    suffix="_count")
+        _add_histogram(exp, name, hist)
     slow = export.get("slow_queries")
     if slow is not None:
         exp.family("slow_queries_resident", "gauge").add(len(slow))

@@ -25,8 +25,8 @@ independent of thread interleaving under the parallel scan scheduler. The
 per-block attempt counters are guarded by one lock.
 
 The hook is nearly free when disabled: ``BufferPool`` holds ``injector =
-None`` and skips the call entirely (guarded by
-``benchmarks/bench_fault_overhead.py``).
+None`` and skips the call entirely, so every e2e benchmark workload
+(``benchmarks/e2e``) already pays whatever the disabled hook costs.
 """
 
 from __future__ import annotations
@@ -43,22 +43,6 @@ from .errors import (
     TransientIOError,
 )
 from .metrics import QueryStats
-
-#: Environment variable the test harness reads to vary fault schedules in CI.
-FAULT_SEED_ENV = "REPRO_FAULT_SEED"
-
-#: Environment variable the crash-matrix job reads to vary crash workloads.
-CRASH_SEED_ENV = "REPRO_CRASH_SEED"
-
-
-def fault_seed_from_env(default: int = 0) -> int:
-    """The CI fault-matrix seed (``REPRO_FAULT_SEED``), or *default*."""
-    return int(os.environ.get(FAULT_SEED_ENV, str(default)))
-
-
-def crash_seed_from_env(default: int = 0) -> int:
-    """The CI crash-matrix seed (``REPRO_CRASH_SEED``), or *default*."""
-    return int(os.environ.get(CRASH_SEED_ENV, str(default)))
 
 
 @dataclass(frozen=True)
@@ -262,7 +246,8 @@ class CrashInjector:
       mode, mirroring :class:`FaultRule`.
 
     Like the fault injector, the hook is free when disabled (``crash = None``
-    callers skip it entirely; guarded by ``benchmarks/bench_write_path.py``).
+    callers skip it entirely; the e2e ``htap_ingest_read`` workload runs
+    the disabled hooks on every write).
     """
 
     def __init__(self, points=(), seed: int = 0, crash_at: int | None = None):

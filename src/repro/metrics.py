@@ -224,12 +224,10 @@ class SlowQueryLog:
         self._entries: deque = deque(maxlen=max(capacity, 1))
         self._lock = threading.Lock()
 
-    def observe(self, wall_ms: float, threshold_ms: float | None = None,
-                **entry) -> bool:
-        """Record *entry* if ``wall_ms`` meets the (possibly overridden)
-        threshold; returns whether it was logged."""
-        limit = self.threshold_ms if threshold_ms is None else threshold_ms
-        if wall_ms < limit:
+    def observe(self, wall_ms: float, **entry) -> bool:
+        """Record *entry* if ``wall_ms`` meets the threshold; returns whether
+        it was logged."""
+        if wall_ms < self.threshold_ms:
             return False
         with self._lock:
             self._entries.append(
@@ -317,7 +315,6 @@ class MetricsRegistry:
         rows: int = 0,
         description: str = "",
         encodings=(),
-        slow_threshold_ms: float | None = None,
         queue_wait_ms: float = 0.0,
         degraded: bool = False,
     ) -> None:
@@ -338,7 +335,6 @@ class MetricsRegistry:
         self.histogram(f"query_sim_ms.strategy.{strategy}").record(simulated_ms)
         logged = self.slow_queries.observe(
             wall_ms,
-            threshold_ms=slow_threshold_ms,
             strategy=strategy,
             simulated_ms=round(simulated_ms, 3),
             rows=rows,
@@ -353,32 +349,19 @@ class MetricsRegistry:
 
     def snapshot(self) -> dict:
         """One JSON-safe dict of everything the registry knows right now."""
-        with self._lock:
-            counters = {name: c.value for name, c in self._counters.items()}
-            histograms = {
-                name: h.snapshot() for name, h in self._histograms.items()
-            }
-            collectors = list(self._collectors.items())
-        out = {
-            "counters": counters,
-            "histograms": histograms,
-            "slow_queries": self.slow_queries.entries(),
-        }
-        for name, fn in collectors:
-            try:
-                out[name] = fn()
-            except Exception as exc:  # collector outlived its owner
-                out[name] = {"error": f"{type(exc).__name__}: {exc}"}
-        return out
+        return self._dump(LatencyHistogram.snapshot)
 
     def export(self) -> dict:
         """Exposition-grade dump: like :meth:`snapshot` but with raw
         histogram buckets (via :meth:`LatencyHistogram.export`) so the
         Prometheus renderer can emit cumulative ``_bucket`` series."""
+        return self._dump(LatencyHistogram.export)
+
+    def _dump(self, histogram_view) -> dict:
         with self._lock:
             counters = {name: c.value for name, c in self._counters.items()}
             histograms = {
-                name: h.export() for name, h in self._histograms.items()
+                name: histogram_view(h) for name, h in self._histograms.items()
             }
             collectors = list(self._collectors.items())
         out = {

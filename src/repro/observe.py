@@ -21,7 +21,8 @@ rooted at one ``query`` span. A span captures four things:
 Tracing is strictly opt-in: with no tracer on the
 :class:`~repro.operators.base.ExecutionContext`, ``ctx.begin`` returns
 ``None`` without allocating and operators skip their ``ctx.end`` call, so
-the hot path is untouched (guarded by the tracing-overhead benchmark).
+the hot path is untouched (the e2e benchmark's
+``driver.trace_overhead_share`` measures what tracing costs when on).
 
 Error behaviour: when an operator raises mid-span (e.g. a
 :class:`~repro.errors.CorruptBlockError` from a scan), the tracer's
@@ -121,20 +122,6 @@ class Span:
     def open_spans(self) -> list["Span"]:
         """Spans still marked ``open`` (must be empty after finish())."""
         return [s for s in self.walk() if s.status == "open"]
-
-    def events(self, include_self: bool = False) -> list[tuple[str, dict]]:
-        """Flat ``(operator, detail)`` events, children before parents.
-
-        This is the legacy trace representation (operators used to append an
-        event when they *finished*), kept as a derived view so existing
-        consumers of ``QueryResult.trace`` keep working.
-        """
-        out: list[tuple[str, dict]] = []
-        for child in self.children:
-            out.extend(child.events(include_self=True))
-        if include_self:
-            out.append((self.name, self.detail))
-        return out
 
     # --------------------------------------------------------------- export
 

@@ -343,8 +343,6 @@ def gather_values(
         else:
             hi = int(np.searchsorted(sorted_positions, desc.end_pos, side="left"))
         if hi <= cursor:
-            if desc.start_pos > sorted_positions[-1]:
-                break
             stats.blocks_skipped += 1
             continue
         chunk = sorted_positions[cursor:hi]

@@ -27,11 +27,11 @@ increasing ``seq`` stamped on every written record makes cross-segment
 ordering checkable.
 
 The recorder is **always on** by default (``Database(query_log=True)``)
-and sampled (``qlog_sample``): the deterministic counter-based sampler
-keeps exactly ``floor(n * sample)`` of the first *n* finished queries, so
-two runs over the same workload log the same subset. The overhead of the
-enabled recorder is gated below 5% warm by
-``benchmarks/bench_qlog_overhead.py``.
+and sampled (``QueryLog(directory, sample=...)``): the deterministic
+counter-based sampler keeps exactly ``floor(n * sample)`` of the first *n*
+finished queries, so two runs over the same workload log the same subset.
+Every workload of the e2e benchmark (``benchmarks/e2e``) runs with the
+recorder on, so its cost is inside every end-to-end number there.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Self-contained figure reproduction (the CLI's ``repro reproduce``).
 
 Regenerates any of the paper's evaluation figures from a fresh TPC-H-style
-database, printing the same series the paper plots. The pytest benchmark
-suite (``benchmarks/``) is the rigorous harness; this module makes the
-installed package able to reproduce the figures on its own::
+database, printing the same series the paper plots. The pytest artefact
+benches (``benchmarks/bench_*.py``) share its sweep and shipdate constant
+and assert each figure's shape; this module makes the installed package
+able to reproduce the figures on its own::
 
     repro reproduce 11a --scale 0.05
     repro reproduce 12b

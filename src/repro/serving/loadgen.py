@@ -7,8 +7,9 @@ model follows the interactive-response-time law — one client's throughput
 is bounded by ``1 / (think + response)``, so a server that overlaps many
 clients' think time across its worker pool scales throughput with client
 count until the machine (or the admission queue) saturates. That scaling
-curve — plus p50/p99 latency, queue depth and rejection rate — is exactly
-what ``benchmarks/bench_serving.py`` records into ``BENCH_serving.json``.
+curve — plus p50/p99 latency, queue depth and rejection rate — is what
+``repro loadgen`` prints; the e2e benchmark's ``serve_sql_zipf`` workload
+measures served throughput against a ``repro serve`` subprocess.
 
 Everything is seeded: the corpus, each client's query choices and think
 jitter, so a run is reproducible end to end. The Zipfian skew (``theta``)

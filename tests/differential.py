@@ -23,8 +23,8 @@ query on a clean database and on a database whose block reads fail
 transiently under a seeded :class:`~repro.faults.FaultInjector` with retries
 enabled: recovery is purely physical too, so every faulted execution must
 reproduce the clean rows exactly — and the sweep asserts retries actually
-fired, so the axis cannot silently degrade to a clean-read re-run. The CI
-fault matrix varies the schedule via ``REPRO_FAULT_SEED``.
+fired, so the axis cannot silently degrade to a clean-read re-run. CI's
+``seeds`` job varies the schedule via ``REPRO_FAULT_SEED``.
 
 A fourth, **compressed-execution** axis (:func:`run_compressed_differential`)
 runs every query on a database with the compressed kernels on and on one
@@ -83,7 +83,7 @@ multi-row insert, whose WAL lines land one row at a time) a row prefix —
 and resuming the remaining workload on the recovered database must
 reproduce the clean final state and query answers bit for bit (the reopened
 database also runs with a different ``parallel_scans``, stacking a second
-physical knob on the recovery path). The CI crash matrix varies the
+physical knob on the recovery path). CI's ``seeds`` job varies the
 boundary schedule via ``REPRO_CRASH_SEED``.
 
 A companion **write** axis (:func:`run_write_differential`) proves
@@ -165,7 +165,11 @@ class QueryGenerator:
             # Partition-aware reads: a partitioned projection's values and
             # encodings live in its children.
             values = self.projection.read_column_values(col)
-            self.domains[col] = (int(values.min()), int(values.max()))
+            # A write workload may have deleted every row.
+            self.domains[col] = (
+                (int(values.min()), int(values.max())) if values.size
+                else (0, 0)
+            )
             self.encodings[col] = list(
                 self.projection.physical_column(col).encodings
             )

@@ -9,7 +9,7 @@ the serial reference bit for bit, with compressed execution both on and
 off and ``parallel_scans`` enabled.
 
 The seed is fixed (overridable via ``REPRO_DIFF_SEED``); CI's
-``serving-matrix`` job runs this file under two different seeds.
+``seeds`` job runs this file under two different seeds.
 """
 
 from __future__ import annotations

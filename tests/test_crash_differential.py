@@ -5,8 +5,8 @@ insert/update/delete/merge/apply workload crashed at every one of its
 write/fsync/rename boundaries, each recovery checked for prefix
 consistency against the clean reference and resumed to the identical
 final state (see :func:`tests.differential.run_crash_differential`). The
-boundary schedule seed comes from ``REPRO_CRASH_SEED`` so the CI crash
-matrix varies it run over run.
+boundary schedule seed comes from ``REPRO_CRASH_SEED`` so CI's ``seeds``
+job varies it run over run.
 """
 
 from __future__ import annotations

@@ -444,6 +444,36 @@ class TestDurabilityKnob:
         database.insert("lineitem", [lineitem_row()])
         assert database.disk.total_fsyncs == before
 
+    def test_empty_crash_schedule_changes_no_outcome(self, tmp_path):
+        """Disabled crash hooks and the durability knob change no logical
+        outcome; only the per-append WAL fsyncs follow the durability mode
+        (the staged-commit fsyncs are unconditional)."""
+        import shutil
+
+        from repro.faults import CrashInjector
+
+        with Database(tmp_path / "source", query_log=False) as source:
+            load_tpch(source.catalog, scale=0.001, seed=5)
+        configs = {
+            "flush": dict(durability="flush"),
+            "fsync": {},
+            "hooked": dict(crash_injector=CrashInjector([], seed=0)),
+        }
+        outcomes = {}
+        for name, kwargs in configs.items():
+            shutil.copytree(tmp_path / "source", tmp_path / name)
+            with Database(tmp_path / name, query_log=False, **kwargs) as db:
+                db.insert("lineitem", [lineitem_row(quantity=q % 50 + 1)
+                                       for q in range(64)])
+                db.update("lineitem", (Predicate("quantity", "=", 1),),
+                          {"quantity": 50})
+                db.delete("lineitem", (Predicate("linenum", "=", 1),))
+                moved = db.merge("lineitem")
+                outcomes[name] = (moved, db.disk.total_fsyncs)
+        assert len({moved for moved, _ in outcomes.values()}) == 1, outcomes
+        assert outcomes["flush"][1] < outcomes["fsync"][1]
+        assert outcomes["hooked"][1] == outcomes["fsync"][1]
+
     def test_invalid_mode_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="durability"):
             Database(tmp_path / "db", durability="yolo")

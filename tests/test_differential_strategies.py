@@ -11,7 +11,7 @@ import os
 
 import pytest
 
-from repro import Strategy
+from repro import FaultRule, Strategy
 
 from .differential import (
     QueryGenerator,
@@ -36,8 +36,13 @@ KERNEL_LINENUM_ENCODINGS = (
 
 SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260806"))
 
-#: Fault-schedule seed for the CI fault matrix (varied run-over-run there).
+#: Fault-schedule seed (CI's ``seeds`` job varies it run over run).
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "7"))
+
+#: Fails every file's first block once. The fixture data has about a dozen
+#: blocks, so a seeded 30% rule alone selects none of them at some seeds
+#: (1009 is one) and the fault axis would silently re-run clean reads.
+FIRST_BLOCK_FAULT = FaultRule(kind="transient", block_index=0, times=1)
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +260,10 @@ class TestCompressedDifferential:
             linenum_encodings=KERNEL_LINENUM_ENCODINGS,
         )
         injector = FaultInjector(
-            [FaultRule(kind="transient", probability=0.3, times=2)],
+            [
+                FaultRule(kind="transient", probability=0.3, times=2),
+                FIRST_BLOCK_FAULT,
+            ],
             seed=FAULT_SEED,
         )
         with Database(
@@ -286,6 +294,7 @@ def fault_pair(tmp_path_factory):
             # every selected block eventually recovers.
             FaultRule(kind="transient", probability=0.3, times=2),
             FaultRule(kind="slow", probability=0.1, latency_us=200.0),
+            FIRST_BLOCK_FAULT,
         ],
         seed=FAULT_SEED,
     )

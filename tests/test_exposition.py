@@ -155,8 +155,7 @@ class TestConformance:
                 for name, labels, value, _i in samples
                 if name == f"{family}_bucket"
             ]
-            if not buckets:  # summary-only render elsewhere
-                continue
+            assert buckets, f"{family} has no _bucket series"
             # Group by the non-le labels.
             series: dict = {}
             for labels, value in buckets:
@@ -214,16 +213,6 @@ class TestConformance:
             in text
         )
         assert "repro_admission_queue_closed 0" in text
-
-    def test_snapshot_fallback_renders_sum_count_only(self):
-        # A plain snapshot() (no raw buckets) still renders legally.
-        reg = _populated_registry()
-        text = render_prometheus(reg.snapshot())
-        _helps, types, samples = _parse(text)
-        assert types["repro_query_wall_ms"] == "histogram"
-        names = {name for name, _l, _v, _i in samples}
-        assert "repro_query_wall_ms_count" in names
-        assert "repro_query_wall_ms_bucket" not in names
 
     def test_ends_with_single_newline(self):
         text = _render()

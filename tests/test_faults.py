@@ -200,6 +200,18 @@ class TestRetryingReads:
         )
         assert db.pool.total_retries == faulted.stats.io_retries
 
+    def test_empty_schedule_changes_nothing(self, tmp_path, registry):
+        """A hook consulted on every physical read but matching no rule
+        leaves rows, every counter and simulated time untouched."""
+        hooked, _inj = self._db(tmp_path, registry, [], query_log=False)
+        plain = Database(tmp_path / "db", metrics=registry, query_log=False)
+        for cold in (True, False):
+            a = plain.query(scan_query(), cold=cold)
+            b = hooked.query(scan_query(), cold=cold)
+            assert b.rows() == a.rows()
+            assert b.simulated_ms == a.simulated_ms
+            assert b.stats.as_dict() == a.stats.as_dict()
+
     def test_exhausted_budget_gives_up(self, tmp_path, registry):
         db, _inj = self._db(
             tmp_path,

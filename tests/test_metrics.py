@@ -145,10 +145,6 @@ class TestSlowQueryLog:
         assert log.observe(15.0, strategy="x")
         assert len(log.entries()) == 1
 
-    def test_override_threshold(self):
-        log = SlowQueryLog(threshold_ms=10.0)
-        assert log.observe(5.0, threshold_ms=1.0)
-
     def test_ring_buffer_caps(self):
         log = SlowQueryLog(threshold_ms=0.0, capacity=3)
         for i in range(10):

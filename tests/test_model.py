@@ -155,6 +155,51 @@ class TestSimulatedTime:
     def test_empty_stats_is_zero(self):
         assert simulated_time_ms(QueryStats(), K) == 0.0
 
+    def test_replay_grows_linearly_with_scale(self, tmp_path):
+        """Shapes measured at small scale transfer to the paper's scale 10.
+
+        Quadrupling the data grows every strategy's replay time by more than
+        1.4x (fixed seeks and plan costs dilute growth at these scales) and
+        less than 6x, and Figure 11(b)'s LM-beats-EM ordering holds from the
+        second scale up.
+        """
+        from repro import (
+            Database,
+            MetricsRegistry,
+            Predicate,
+            SelectQuery,
+            Strategy,
+            load_tpch,
+        )
+        from repro.reproduce import shipdate_constant
+
+        scales = (0.01, 0.02, 0.04)
+        query = SelectQuery(
+            projection="lineitem",
+            select=("shipdate", "linenum"),
+            predicates=(
+                Predicate("shipdate", "<", shipdate_constant(0.5)),
+                Predicate("linenum", "<", 7),
+            ),
+            encodings=(("linenum", "rle"),),
+        )
+        times = {strategy: [] for strategy in Strategy}
+        for scale in scales:
+            with Database(tmp_path / str(scale), metrics=MetricsRegistry(),
+                          query_log=False) as db:
+                load_tpch(db.catalog, scale=scale, seed=42)
+                for strategy, series in times.items():
+                    series.append(
+                        db.query(query, strategy=strategy, cold=True)
+                        .simulated_ms
+                    )
+        for strategy, series in times.items():
+            assert 1.4 < series[-1] / series[0] < 6.0, (strategy, series)
+        for lm, em in ((Strategy.LM_PARALLEL, Strategy.EM_PARALLEL),
+                       (Strategy.LM_PIPELINED, Strategy.EM_PIPELINED)):
+            for i in range(1, len(scales)):
+                assert times[lm][i] < times[em][i], (lm, i, times)
+
 
 class TestColumnMeta:
     def test_from_file(self, tpch_db):

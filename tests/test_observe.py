@@ -87,12 +87,12 @@ class TestSpan:
         assert Span("X", detail={"positions_out": 2}).rows_out == 2
         assert Span("X").rows_out is None
 
-    def test_events_children_before_parents(self):
+    def test_walk_visits_parents_before_children(self):
         root = Span("query")
         a = Span("A")
         a.children.append(Span("B"))
         root.children.append(a)
-        assert [name for name, _ in root.events()] == ["B", "A"]
+        assert [s.name for s in root.walk()] == ["query", "A", "B"]
 
     def test_find_and_walk(self):
         root = Span("query")
@@ -159,7 +159,6 @@ class TestQueryResultSpans:
     def test_untraced_query_has_no_spans(self, tpch_db):
         r = tpch_db.query(self.QUERY)
         assert r.spans is None
-        assert r.trace is None
 
     def test_explain_analyze_report(self, tpch_db):
         report = tpch_db.explain(

@@ -148,6 +148,19 @@ class TestRecorderCapture:
         db.close()
         assert not (tmp_path / "db" / "_qlog").exists()
 
+    def test_recording_changes_no_result_or_cost(self, tmp_path):
+        recorded = _db(tmp_path)
+        unrecorded = Database(tmp_path / "db", query_log=False,
+                              metrics=MetricsRegistry())
+        for strategy in ("em-pipelined", "lm-parallel"):
+            for cold in (True, False):
+                a = unrecorded.query(_select(), strategy=strategy, cold=cold)
+                b = recorded.query(_select(), strategy=strategy, cold=cold)
+                assert b.rows() == a.rows()
+                assert b.simulated_ms == a.simulated_ms
+        recorded.close()
+        unrecorded.close()
+
     def test_sampling_is_deterministic_and_exact(self, tmp_path):
         log = QueryLog(tmp_path / "qlog", sample=0.25)
         db = _db(tmp_path, query_log=log)

@@ -8,7 +8,7 @@ every ok record pinned to its recorded strategy, comparing result hashes
 bit for bit. This is the acceptance gate behind ``repro replay --check``.
 
 The seed is fixed (overridable via ``REPRO_DIFF_SEED``); CI's
-``observability-matrix`` job runs this file under two different seeds.
+``seeds`` job runs this file under two different seeds.
 """
 
 from __future__ import annotations

@@ -415,8 +415,9 @@ class TestLoadgen:
             corpus_size=8, seed=7,
         )
         assert report.ok > 0
-        assert report.errors == 0
-        assert report.p99_ms >= report.p50_ms >= 0.0
+        assert report.errors == 0 and report.timeouts == 0
+        assert report.max_ms >= report.p99_ms >= report.p95_ms
+        assert report.p95_ms >= report.p50_ms >= 0.0
         d = report.to_dict()
         assert json.dumps(d)  # JSON-safe
         assert d["rejection_rate"] == 0.0

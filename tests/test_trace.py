@@ -1,4 +1,4 @@
-"""Tests for execution tracing."""
+"""Tests for execution tracing: the operator shape of each span tree."""
 
 import pytest
 
@@ -17,29 +17,33 @@ def query():
     )
 
 
-def ops(trace):
-    return [op for op, _detail in trace]
+def ops(root):
+    """Operator names below the root ``query`` span, pre-order."""
+    return [span.name for span in root.walk()][1:]
+
+
+def detail(root, name):
+    """The detail of the first span named *name*."""
+    return root.find(name)[0].detail
 
 
 class TestTrace:
     def test_disabled_by_default(self, tpch_db, query):
-        assert tpch_db.query(query).trace is None
+        assert tpch_db.query(query).spans is None
 
     def test_lm_parallel_shape(self, tpch_db, query):
         r = tpch_db.query(query, strategy=Strategy.LM_PARALLEL, trace=True)
-        assert ops(r.trace) == [
+        assert ops(r.spans) == [
             "DS1", "DS1", "AND", "DS3", "DS3", "MERGE", "OUTPUT"
         ]
-        and_event = dict(r.trace)[("AND")]
+        and_event = detail(r.spans, "AND")
         assert and_event["positions"] == r.n_rows
         # Both extractions served from pinned mini-columns.
-        assert all(
-            d["pinned"] for op, d in r.trace if op == "DS3"
-        )
+        assert all(span.detail["pinned"] for span in r.spans.find("DS3"))
 
     def test_lm_pipelined_shape(self, tpch_db, query):
         r = tpch_db.query(query, strategy=Strategy.LM_PIPELINED, trace=True)
-        names = ops(r.trace)
+        names = ops(r.spans)
         assert names[0] == "DS1"
         assert "DS3+filter" in names
         assert names[-2:] == ["MERGE", "OUTPUT"]
@@ -47,17 +51,17 @@ class TestTrace:
 
     def test_em_pipelined_shape(self, tpch_db, query):
         r = tpch_db.query(query, strategy=Strategy.EM_PIPELINED, trace=True)
-        names = ops(r.trace)
+        names = ops(r.spans)
         assert names[0] == "DS2"
         assert "DS4" in names
-        ds4 = [d for op, d in r.trace if op == "DS4"][0]
+        ds4 = detail(r.spans, "DS4")
         assert ds4["tuples_out"] <= ds4["tuples_in"]
 
     def test_em_parallel_shape(self, tpch_db, query):
         r = tpch_db.query(query, strategy=Strategy.EM_PARALLEL, trace=True)
-        names = ops(r.trace)
+        names = ops(r.spans)
         assert names == ["SPC", "OUTPUT"]
-        spc = r.trace[0][1]
+        spc = detail(r.spans, "SPC")
         assert spc["tuples"] == r.n_rows
 
     def test_index_path_traced(self, tpch_db):
@@ -67,12 +71,12 @@ class TestTrace:
             predicates=(Predicate("returnflag", "=", 1),),
         )
         r = tpch_db.query(q, strategy=Strategy.LM_PARALLEL, trace=True)
-        ds1 = [d for op, d in r.trace if op == "DS1"][0]
+        ds1 = detail(r.spans, "DS1")
         assert ds1["via"] == "index"
 
     def test_counts_consistent_with_result(self, tpch_db, query):
         r = tpch_db.query(query, strategy=Strategy.LM_PARALLEL, trace=True)
-        merge = [d for op, d in r.trace if op == "MERGE"][0]
+        merge = detail(r.spans, "MERGE")
         assert merge["tuples"] == r.n_rows
 
     def test_join_traced(self, tpch_db):
@@ -86,7 +90,7 @@ class TestTrace:
             left_predicates=(Predicate("custkey", "<", 50),),
         )
         r = tpch_db.query(jq, strategy="materialized", trace=True)
-        names = ops(r.trace)
+        names = ops(r.spans)
         assert names[0] == "DS1"
         assert "SPC" in names
         assert "JOIN" in names
