@@ -54,7 +54,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CatalogError, ExecutionError
-from .operators.aggregate import AggSpec, factorize_groups
+from .operators.aggregate import (
+    AggSpec, _grouped_reduce, factorize_groups, fuse_keys,
+)
 from .operators.tuples import TupleSet
 from .planner.logical import SelectQuery
 from .storage.atomic import fsync_dir
@@ -449,9 +451,6 @@ class DeltaStore:
         )
 
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 def multiset_subtract(
     columns: dict[str, np.ndarray],
     ghosts: dict[str, np.ndarray],
@@ -500,32 +499,15 @@ def _row_keys(
     """int64 keys for both sides, equal exactly where whole rows are equal.
 
     Integer columns whose combined value ranges fit are fused into one
-    mixed-radix key (the radix product is computed in Python integers, so
-    a range too wide for int64 is detected, never wrapped). Anything else
-    takes the exact fallback: only rows whose every value occurs in the
-    matching ghost column can equal a ghost, so those candidates and the
-    ghosts are lexsorted together and numbered by run; every other row
-    gets -1, which no ghost carries.
+    mixed-radix key (:func:`~repro.operators.aggregate.fuse_keys`).
+    Anything else takes the exact fallback: only rows whose every value
+    occurs in the matching ghost column can equal a ghost, so those
+    candidates and the ghosts are lexsorted together and numbered by run;
+    every other row gets -1, which no ghost carries.
     """
-    lows, spans, capacity = [], [], 1
-    for s, gh in zip(stored, ghost):
-        if s.dtype.kind not in "iub" or gh.dtype.kind not in "iub" or (
-            np.dtype("uint64") in (s.dtype, gh.dtype)
-        ):
-            break
-        low = min(int(s.min()), int(gh.min()))
-        span = max(int(s.max()), int(gh.max())) - low + 1
-        capacity *= span
-        if capacity > _INT64_MAX:
-            break
-        lows.append(low)
-        spans.append(span)
-    else:
-        row_keys = np.zeros(len(stored[0]), dtype=np.int64)
-        ghost_keys = np.zeros(len(ghost[0]), dtype=np.int64)
-        for s, gh, low, span in zip(stored, ghost, lows, spans):
-            row_keys = row_keys * span + (s.astype(np.int64) - low)
-            ghost_keys = ghost_keys * span + (gh.astype(np.int64) - low)
+    fused = fuse_keys(stored, ghost)
+    if fused is not None:
+        (row_keys, ghost_keys), _lows, _spans = fused
         return row_keys, ghost_keys
     possible = np.ones(len(stored[0]), dtype=bool)
     for s, gh in zip(stored, ghost):
@@ -599,8 +581,6 @@ def delta_aggregate(
     survivors: dict[str, np.ndarray],
 ) -> TupleSet:
     """Aggregate pending survivors into the same shape as a stored result."""
-    from .operators.aggregate import _grouped_reduce
-
     group_arrays = [survivors[c].astype(np.int64) for c in group_columns]
     value_columns = {
         spec.column: survivors[spec.column].astype(np.int64)

@@ -12,6 +12,7 @@ Two flavours, matching the two materialization strategies:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,20 +42,81 @@ class AggSpec:
         return f"{self.func}({self.column})"
 
 
+def fuse_keys(
+    *sides: list[np.ndarray], limit: int = np.iinfo(np.int64).max
+) -> tuple[list[np.ndarray], list[int], list[int]] | None:
+    """One int64 key per row of each side, equal exactly where rows are equal.
+
+    Every side holds the same non-empty columns. Integer columns are fused
+    into one mixed-radix key whose digits are each column's offset from the
+    lowest value on any side, so key order is the rows' lexicographic
+    order. Returns ``(keys per side, lows, spans)``, or None when a column
+    is not an integer column or the radix product exceeds *limit* (int64's
+    maximum by default; the product is computed in Python integers, so
+    overflow is detected, never wrapped).
+    """
+    lows, spans = [], []
+    for cols in zip(*sides):
+        for c in cols:
+            if c.dtype.kind not in "iub" or c.dtype.kind == "u" and c.itemsize == 8:
+                return None
+        low = min([int(c.min()) for c in cols])
+        lows.append(low)
+        spans.append(max([int(c.max()) for c in cols]) - low + 1)
+    if math.prod(spans) > limit:
+        return None
+    keys = []
+    for cols in sides:
+        key = cols[0].astype(np.int64)
+        key -= lows[0]
+        for c, low, span in zip(cols[1:], lows[1:], spans[1:]):
+            key *= span
+            key += c
+            key -= low
+        keys.append(key)
+    return keys, lows, spans
+
+
 def factorize_groups(
     group_arrays: list[np.ndarray],
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Distinct group keys (one array per group column) + per-row group ids.
 
-    Single-column grouping uses plain ``np.unique``; compound keys factorize
-    row-wise over the stacked key columns (lexicographic output order).
+    Keys come out in lexicographic order, as ``np.unique(axis=0)`` gives
+    them. Integer columns are fused into one key (:func:`fuse_keys`); a
+    fused domain of at most ``2·n − 512`` values is numbered by occupancy
+    (``bincount`` → ``cumsum``) without sorting, a wider one by a 1-D
+    ``np.unique``. Outside that bound ``np.unique`` is as fast or faster
+    (measured; DESIGN.md §5c), so a single column outside it is not fused
+    at all, and columns that cannot be fused sort rows.
     """
+    n = len(group_arrays[0])
+    if n == 0:
+        return [np.empty(0, np.int64) for _ in group_arrays], np.empty(0, np.intp)
+    limit = 2 * n - 512
     if len(group_arrays) == 1:
-        uniques, inverse = np.unique(group_arrays[0], return_inverse=True)
-        return [uniques.astype(np.int64)], inverse
-    stacked = np.stack([a.astype(np.int64) for a in group_arrays], axis=1)
-    uniques, inverse = np.unique(stacked, axis=0, return_inverse=True)
-    return [uniques[:, i] for i in range(uniques.shape[1])], inverse
+        fused = fuse_keys(group_arrays, limit=limit) if limit > 0 else None
+    else:
+        fused = fuse_keys(group_arrays)
+    if fused is None:
+        if len(group_arrays) == 1:
+            uniques, inverse = np.unique(group_arrays[0], return_inverse=True)
+            return [uniques.astype(np.int64)], inverse
+        stacked = np.stack([a.astype(np.int64) for a in group_arrays], axis=1)
+        uniques, inverse = np.unique(stacked, axis=0, return_inverse=True)
+        return [uniques[:, i] for i in range(uniques.shape[1])], inverse
+    (key,), lows, spans = fused
+    if math.prod(spans) <= limit:
+        present = np.bincount(key) > 0
+        inverse = (np.cumsum(present) - 1)[key]
+        uniques = np.flatnonzero(present)
+    else:
+        uniques, inverse = np.unique(key, return_inverse=True)
+    columns = []
+    for low, span in zip(lows[::-1], spans[::-1]):
+        uniques, digit = np.divmod(uniques, span)
+        columns.append(digit + low)
+    return columns[::-1], inverse
 
 
 def _grouped_reduce(
@@ -76,11 +138,9 @@ def _grouped_reduce(
         values = columns[spec.column]
         if spec.func == "count_distinct":
             # Distinct (group, value) pairs, then pairs per group.
-            pairs = np.unique(
-                np.stack([inverse, values.astype(np.int64)], axis=1), axis=0
-            )
+            pairs, _ = factorize_groups([inverse, values])
             out[spec.output_name] = np.bincount(
-                pairs[:, 0], minlength=k
+                pairs[0], minlength=k
             ).astype(np.int64)
         elif spec.func == "sum":
             out[spec.output_name] = np.bincount(
@@ -236,11 +296,9 @@ class AggregateLM:
         run_counts = run_counts[occupied]
         per_run = {col: acc[occupied] for col, acc in per_run.items()}
 
-        uniques, inverse = np.unique(run_values, return_inverse=True)
+        (uniques,), inverse = factorize_groups([run_values])
         k = len(uniques)
-        out: dict[str, np.ndarray] = {
-            self.group_columns[0]: uniques.astype(np.int64)
-        }
+        out: dict[str, np.ndarray] = {self.group_columns[0]: uniques}
         group_counts = np.bincount(inverse, weights=run_counts, minlength=k)
         for spec in self.specs:
             if spec.func == "count":

@@ -180,7 +180,11 @@ class ExecutionContext:
         payload: bytes,
         positions: "np.ndarray | range",
     ) -> np.ndarray:
-        """Values at sorted absolute *positions* (all within this block).
+        """Values at absolute *positions* (all within this block).
+
+        Positions may come in any order, duplicates too, except for a
+        run-length block served from the decoded cache: that one expands
+        by structure and needs them sorted.
 
         With the decoded cache on, run-length blocks expand the cached run
         table by structure (:func:`repeat_by_run`) and every other encoding
@@ -300,7 +304,10 @@ def gather_values(
     be used"). With ``on_the_fly=True`` the positions are extracted the
     moment they are produced (the multi-column join's per-match extraction),
     so no positional join happens and no sort penalty is charged — one direct
-    jump per position instead.
+    jump per position instead: positions are bucketed by block (a stable
+    radix sort of their narrow block ids, never a comparison sort of the
+    positions), and only a run-length block served from the decoded cache,
+    whose gather needs sorted positions, sorts its own share.
 
     When *minicolumn* pins the needed blocks, no buffer-pool access happens at
     all (the multi-column optimization); otherwise blocks covering positions
@@ -320,18 +327,33 @@ def gather_values(
 
     order = None
     sorted_positions = positions
+    sort_shares = False
     if n > 1 and not presorted and not _is_sorted(positions):
-        order = np.argsort(positions, kind="stable")
-        sorted_positions = positions[order]
         if on_the_fly:
             stats.function_calls += n  # one direct jump per match
+            # Bucketed by block, the positions are partitioned at every block
+            # end, which is all the cursor search below needs.
+            ends = np.fromiter(
+                (d.end_pos for d in column_file.descriptors), np.int64,
+                len(column_file.descriptors),
+            )
+            block_of = np.searchsorted(ends, positions, side="right")
+            # Narrowest dtype: a stable sort of <= 16-bit integers is a radix sort.
+            order = np.argsort(
+                block_of.astype(np.min_scalar_type(len(ends))), kind="stable"
+            )
+            sort_shares = (
+                ctx.decoded is not None and column_file.encoding.supports_runs
+            )
         else:
             # A full positional re-join: sort, jump per position, scatter.
+            order = np.argsort(positions, kind="stable")
             stats.function_calls += int(n * max(np.log2(n), 1.0))
             stats.column_iterations += 2 * n
             stats.extra["out_of_order_gathers"] = (
                 stats.extra.get("out_of_order_gathers", 0) + n
             )
+        sorted_positions = positions[order]
 
     out = np.empty(n, dtype=column_file.dtype)
     cursor = 0
@@ -351,7 +373,13 @@ def gather_values(
             stats.block_iterations += 1
         else:
             payload = ctx.read_block(column_file, desc.index)
-        out[cursor:hi] = ctx.gather_block(column_file, desc, payload, chunk)
+        if sort_shares:
+            local = np.argsort(chunk, kind="stable")
+            out[cursor:hi][local] = ctx.gather_block(
+                column_file, desc, payload, chunk[local]
+            )
+        else:
+            out[cursor:hi] = ctx.gather_block(column_file, desc, payload, chunk)
         cursor = hi
 
     if order is not None:

@@ -25,7 +25,7 @@ import numpy as np
 from ..errors import ExecutionError
 from ..multicolumn import MultiColumn
 from ..storage.column_file import ColumnFile
-from .base import ExecutionContext, gather_values
+from .base import ExecutionContext, _is_sorted, gather_values
 from .tuples import TupleSet
 
 
@@ -54,21 +54,35 @@ def _probe(
 
     Returns ``(left_mask, right_index)``: a mask over left rows that found a
     match, and for each matching left row the right row index holding its key.
+    On duplicate right keys the first occurrence wins.
+
+    Right keys that are exactly ``lo..lo+m-1`` in order (a sorted dense
+    primary key, as an unfiltered ``customer.custkey`` is) are probed by
+    direct address: the row of key ``k`` is ``k - lo``, so the probe is one
+    subtraction and one range mask. Any other keys take a stable sort and a
+    binary search.
     """
     stats = ctx.stats
-    stats.column_iterations += len(right_keys)  # build pass over the inner keys
-    stats.function_calls += len(right_keys)
+    m = len(right_keys)
+    stats.column_iterations += m  # build pass over the inner keys
+    stats.function_calls += m
     stats.column_iterations += len(left_keys)  # probe pass
     stats.function_calls += len(left_keys)
+    if m == 0:
+        return np.zeros(len(left_keys), dtype=bool), np.empty(0, dtype=np.int64)
+    if (
+        all(np.can_cast(t, np.int64) for t in (right_keys.dtype, left_keys.dtype))
+        and int(right_keys[-1]) - int(right_keys[0]) == m - 1
+        and bool(np.all(right_keys[1:] > right_keys[:-1]))
+    ):
+        slot = np.subtract(left_keys, int(right_keys[0]), dtype=np.int64)
+        left_mask = slot.view(np.uint64) < m
+        return left_mask, slot[left_mask]
     order = np.argsort(right_keys, kind="stable")
     sorted_keys = right_keys[order]
-    slot = np.searchsorted(sorted_keys, left_keys)
-    slot_clamped = np.minimum(slot, len(sorted_keys) - 1) if len(sorted_keys) else slot
-    if len(sorted_keys) == 0:
-        return np.zeros(len(left_keys), dtype=bool), np.empty(0, dtype=np.int64)
-    left_mask = sorted_keys[slot_clamped] == left_keys
-    right_index = order[slot_clamped[left_mask]]
-    return left_mask, right_index
+    slot = np.minimum(np.searchsorted(sorted_keys, left_keys), m - 1)
+    left_mask = sorted_keys[slot] == left_keys
+    return left_mask, order[slot[left_mask]]
 
 
 def join_single_column(
@@ -80,8 +94,9 @@ def join_single_column(
     """Pure-LM join: only join-key columns in, position pairs out."""
     span = ctx.begin("JOIN")
     left_mask, right_index = _probe(ctx, left_keys, right_keys)
+    matches = len(right_index)
     ctx.stats.extra["join_matches"] = (
-        ctx.stats.extra.get("join_matches", 0) + int(left_mask.sum())
+        ctx.stats.extra.get("join_matches", 0) + matches
     )
     if span is not None:
         ctx.end(
@@ -89,7 +104,7 @@ def join_single_column(
             inner="single-column",
             left_in=len(left_keys),
             right_in=len(right_keys),
-            matches=int(left_mask.sum()),
+            matches=matches,
         )
     return JoinPositions(
         left_positions=left_positions[left_mask],
@@ -239,7 +254,7 @@ def merge_fetch_left(
     Because the left positions stay sorted, this is a standard merge join on
     position — the cheap side of the asymmetry Section 4.3 describes.
     """
-    if len(left_positions) > 1 and not np.all(np.diff(left_positions) >= 0):
+    if not _is_sorted(left_positions):
         raise ExecutionError("left join positions must be sorted")
     return {
         name: gather_values(ctx, left_files[name], left_positions)

@@ -13,14 +13,21 @@ It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
 selectivities), the Section 4.2 aggregations, and the Section 4.3 join under
 all three right-table strategies and both left-table strategies, plus a
-predicate-free selection, a disjunction and an all-columns projection. Not a
-pytest module (nothing here is collected): it compares two trees, which one
-test process cannot hold.
+predicate-free selection, a disjunction and an all-columns projection. The
+grouping and join kernels have a direct-address branch for dense integer
+domains and a sorting branch for the rest; TPC-H keys are all dense, so the
+capture also groups over wide compound keys (1-D unique and int64-overflow
+branches) and joins against ``sparse_customer``, a small right table of
+every 97th customer built here, on its sparse ``custkey`` and on its dense
+but descending ``revkey`` (both take the join's sort branch). Not a pytest
+module (nothing here is collected): it compares two trees, which one test
+process cannot hold.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -32,6 +39,7 @@ from repro import Database, Predicate, SelectQuery, load_tpch
 from repro.errors import UnsupportedOperationError
 from repro.metrics import MetricsRegistry
 from repro.planner.logical import AggSpec, JoinQuery
+from repro.dtypes import INT32, INT64, ColumnSchema
 from repro.planner.strategies import RightTableStrategy, Strategy
 from repro.tpch import SHIPDATE_MAX, SHIPDATE_MIN
 
@@ -46,6 +54,43 @@ CONFIGS = {
     "no-compressed": {"compressed_execution": False},
     "no-multicolumns": {"use_multicolumns": False, "use_indexes": False},
 }
+
+
+SPARSE_STRIDE = 97
+
+
+def _add_sparse_customer(catalog, n_customer: int) -> None:
+    """A small right table whose keys span far more values than it has rows.
+
+    ``widekey`` scales the key by 10**12, so grouping on it together with
+    ``custkey`` overflows an int64 mixed-radix key; ``revkey`` numbers the
+    rows ``m..1``, a dense domain out of order (not a sorted dense primary
+    key, so the join cannot address it directly).
+    """
+    keys = np.arange(SPARSE_STRIDE, n_customer + 1, SPARSE_STRIDE, dtype=np.int64)
+    catalog.create_projection(
+        "sparse_customer",
+        {
+            "custkey": keys,
+            "nationcode": (keys % 25).astype(np.int32),
+            "widekey": keys * 10**12,
+            "revkey": np.arange(len(keys), 0, -1, dtype=np.int64),
+        },
+        schemas={
+            "custkey": ColumnSchema("custkey", INT64),
+            "nationcode": ColumnSchema("nationcode", INT32),
+            "widekey": ColumnSchema("widekey", INT64),
+            "revkey": ColumnSchema("revkey", INT64),
+        },
+        sort_keys=["custkey"],
+        encodings={
+            "custkey": ["uncompressed"],
+            "nationcode": ["uncompressed"],
+            "widekey": ["uncompressed"],
+            "revkey": ["uncompressed"],
+        },
+        presorted=True,
+    )
 
 
 def _shipdate(selectivity: float) -> int:
@@ -94,6 +139,61 @@ def _queries(db: Database) -> list[tuple[str, object, list[str]]]:
         select_strategies,
     ))
     out.append((
+        "agg/compound",
+        SelectQuery(
+            projection="lineitem",
+            select=("returnflag", "linenum", "sum(quantity)", "min(quantity)",
+                    "max(shipdate)", "avg(quantity)"),
+            predicates=(Predicate("shipdate", "<", half),),
+            group_by=("returnflag", "linenum"),
+            aggregates=(AggSpec("sum", "quantity"), AggSpec("min", "quantity"),
+                        AggSpec("max", "shipdate"), AggSpec("avg", "quantity")),
+        ),
+        select_strategies,
+    ))
+    out.append((
+        "agg/count-distinct",
+        SelectQuery(
+            projection="lineitem",
+            select=("returnflag", "count(distinct linenum)", "count(linenum)"),
+            predicates=(Predicate("shipdate", "<", half),),
+            group_by="returnflag",
+            aggregates=(AggSpec("count_distinct", "linenum"),
+                        AggSpec("count", "linenum")),
+        ),
+        select_strategies,
+    ))
+    # Wide domains: custkey x shipdate spans far more than 4n + 1024 values.
+    out.append((
+        "agg/wide-compound",
+        SelectQuery(
+            projection="orders", select=("custkey", "shipdate", "count(shipdate)"),
+            group_by=("custkey", "shipdate"),
+            aggregates=(AggSpec("count", "shipdate"),),
+        ),
+        select_strategies,
+    ))
+    out.append((
+        "agg/wide-count-distinct",
+        SelectQuery(
+            projection="orders",
+            select=("custkey", "count(distinct shipdate)"),
+            group_by="custkey",
+            aggregates=(AggSpec("count_distinct", "shipdate"),),
+        ),
+        select_strategies,
+    ))
+    out.append((
+        "agg/int64-overflow",
+        SelectQuery(
+            projection="sparse_customer",
+            select=("widekey", "custkey", "count(nationcode)"),
+            group_by=("widekey", "custkey"),
+            aggregates=(AggSpec("count", "nationcode"),),
+        ),
+        select_strategies,
+    ))
+    out.append((
         "select/no-predicate",
         SelectQuery(projection="lineitem", select=("linenum", "quantity")),
         select_strategies,
@@ -137,6 +237,22 @@ def _queries(db: Database) -> list[tuple[str, object, list[str]]]:
                 ),
                 [s.value for s in RightTableStrategy],
             ))
+    for (label, right_key), left in itertools.product(
+        (("sparse", "custkey"), ("descending", "revkey")), ("late", "early")
+    ):
+        out.append((
+            f"join/{label}/{left}",
+            JoinQuery(
+                left="orders", right="sparse_customer",
+                left_key="custkey", right_key=right_key,
+                left_select=("shipdate",), right_select=("nationcode",),
+                left_predicates=(
+                    Predicate("custkey", "<", int(0.8 * n_customer)),
+                ),
+                left_strategy=left,
+            ),
+            [s.value for s in RightTableStrategy],
+        ))
     out.append((
         "join/aggregated",
         JoinQuery(
@@ -158,6 +274,9 @@ def capture() -> dict:
                 loader = Database(root, query_log=False, metrics=MetricsRegistry())
                 load_tpch(loader.catalog, scale=SCALE, seed=seed,
                           partitions=partitions)
+                _add_sparse_customer(
+                    loader.catalog, loader.projection("customer").n_rows
+                )
                 loader.close()
                 for config_name, config in CONFIGS.items():
                     db = Database(root, query_log=False,

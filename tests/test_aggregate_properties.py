@@ -142,3 +142,85 @@ def test_factorize_groups_properties(xs, ys):
     # Distinctness: the key table has no duplicate pairs.
     pairs = set(zip(keys[0].tolist(), keys[1].tolist()))
     assert len(pairs) == len(keys[0])
+
+
+def _unique_rows_reference(cols):
+    stacked = np.stack([c.astype(np.int64) for c in cols], axis=1)
+    uniques, inverse = np.unique(stacked, axis=0, return_inverse=True)
+    return uniques, inverse.ravel()
+
+
+def _assert_factorize_matches_reference(cols):
+    keys, inverse = factorize_groups(cols)
+    uniques, want_inverse = _unique_rows_reference(cols)
+    assert len(keys) == len(cols)
+    for i, key in enumerate(keys):
+        assert key.dtype == np.int64
+        assert np.array_equal(key, uniques[:, i])
+    assert np.array_equal(inverse, want_inverse)
+    # count(distinct v) per group over the same rows, v being the last column.
+    ctx = ExecutionContext(pool=BufferPool(), stats=QueryStats())
+    names = [f"g{i}" for i in range(len(cols) - 1)] or ["g0"]
+    groups = dict(zip(names, cols[:-1] or cols))
+    out = AggregateLM(ctx, names, [AggSpec("count_distinct", "v")]).execute(
+        groups, {"v": cols[-1]}
+    )
+    group_keys, group_of = _unique_rows_reference(list(groups.values()))
+    pairs, _ = _unique_rows_reference([group_of, cols[-1]])
+    want = np.bincount(pairs[:, 0], minlength=len(group_keys))
+    assert np.array_equal(out.column("count(distinct v)"), want)
+
+
+#: Per column: dtype and a multiplier on small integers. Wide multipliers
+#: push the fused domain past 2n - 512 (1-D unique, or the raw column's
+#: unique for one column) and, with two int64 columns, past int64 (row-wise
+#: unique).
+group_columns = st.lists(
+    st.sampled_from([
+        (np.bool_, 1), (np.uint8, 1), (np.int32, 1), (np.int32, 10**4),
+        (np.int64, 1), (np.int64, 10**9), (np.int64, 2**52),
+    ]),
+    min_size=1,
+    max_size=3,
+)
+
+
+@given(group_columns, st.data())
+@settings(max_examples=200, deadline=None)
+def test_factorize_and_count_distinct_equal_unique_rows(columns, data):
+    n = data.draw(st.integers(0, 150))
+    # Tiled eight times, most small domains fall within 2n - 512: the
+    # occupancy branch.
+    tiles = data.draw(st.sampled_from([1, 8]))
+    cols = []
+    for dtype, scale in columns:
+        raw = data.draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+        values = np.array(raw, dtype=np.int64)
+        if dtype is np.bool_:
+            cols.append(values > 0)
+        elif dtype is np.uint8:
+            cols.append((values + 4).astype(np.uint8))
+        else:
+            cols.append((values * scale).astype(dtype))
+    _assert_factorize_matches_reference([np.tile(c, tiles) for c in cols])
+
+
+@pytest.mark.parametrize(
+    "cols",
+    [
+        [np.tile(np.array([3, 1, 3, 2], np.int32), 100),
+         np.tile(np.array([0, 1, 0, 1], bool), 100)],
+        [np.tile(np.array([7, -2, 7, 5], np.int64), 100)],
+        [np.array([3, 1, 3, 2], dtype=np.int32), np.array([0, 1, 0, 1], bool)],
+        [np.array([10**9, -(10**9), 10**9]), np.array([2, 5, 2], np.uint8)],
+        [np.tile(np.array([10**6, 1, 10**6], np.int32), 100)],
+        [np.array([2**62, -(2**62), 2**62]), np.array([2**62, 0, 2**62])],
+        [np.empty(0, np.int64), np.empty(0, np.int32)],
+    ],
+    ids=[
+        "dense", "dense-one-column", "small-n", "1-d-unique",
+        "wide-one-column", "int64-overflow", "empty",
+    ],
+)
+def test_factorize_branches_equal_unique_rows(cols):
+    _assert_factorize_matches_reference(cols)

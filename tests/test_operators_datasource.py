@@ -159,10 +159,13 @@ class TestDS3:
 class TestGatherValues:
     def test_unsorted_positions(self, ctx, columns):
         _a, b, _cf_a, cf_b = columns
-        picks = np.array([79_999, 3, 40_000, 7], dtype=np.int64)
+        picks = np.array([79_999, 3, 40_000, 7, 3], dtype=np.int64)
         got = gather_values(ctx, cf_b, picks)
         assert np.array_equal(got, b[picks])
-        assert ctx.stats.extra["out_of_order_gathers"] == len(picks)
+        # The positional re-join keeps its sort: charged at n log n.
+        n = len(picks)
+        assert ctx.stats.function_calls == int(n * np.log2(n))
+        assert ctx.stats.extra["out_of_order_gathers"] == n
 
     def test_sorted_positions_no_penalty(self, ctx, columns):
         _a, b, _cf_a, cf_b = columns
@@ -397,3 +400,49 @@ class TestDS2Pairs:
             for counter in ("tuples_constructed", "tuple_iterations",
                             "function_calls", "values_scanned"):
                 assert getattr(stats_a, counter) == getattr(stats_b, counter)
+
+
+class TestOnTheFlyGather:
+    """``gather_values(on_the_fly=True)`` over unsorted positions.
+
+    It must charge what a block-cursor pass over the sorted positions
+    charges plus one function call per position (the direct jump), and
+    visit, skip and stop at blocks exactly as that pass does.
+    """
+
+    @pytest.mark.parametrize("pinned", [False, True])
+    def test_unsorted_duplicates_charge_like_sorted_plus_jumps(
+        self, encoded_column, pinned
+    ):
+        values, cf = encoded_column
+        rng = np.random.default_rng(11)
+        # Blocks 0 and n//2 only: blocks in between are skipped, later ones
+        # are never visited. More picks than a block has runs, so a
+        # run-length block expands by structure (which needs its share
+        # sorted) rather than looking each position up.
+        covered = sorted({0, cf.n_blocks // 2})
+        picks = np.concatenate([
+            rng.integers(desc.start_pos, desc.end_pos,
+                         size=desc.end_pos - desc.start_pos + 400)
+            for desc in (cf.descriptors[b] for b in covered)
+        ])
+        picks = rng.permutation(np.concatenate([picks, picks[:60]]))
+        for make_ctx in GATHER_CONTEXTS:
+            by_jump, by_sort = make_ctx(), make_ctx()
+            minis = []
+            for ctx in (by_jump, by_sort):
+                mini = None
+                if pinned:
+                    mini = MiniColumn(cf)
+                    for desc in cf.descriptors:
+                        mini.pin(desc, ctx.pool.get(cf, desc.index, QueryStats()))
+                minis.append(mini)
+            got = gather_values(
+                by_jump, cf, picks, minicolumn=minis[0], on_the_fly=True
+            )
+            gather_values(by_sort, cf, np.sort(picks), minicolumn=minis[1])
+            by_sort.stats.function_calls += len(picks)
+            assert got.dtype == values.dtype
+            assert np.array_equal(got, values[picks])
+            assert by_jump.stats.as_dict() == by_sort.stats.as_dict()
+            assert "out_of_order_gathers" not in by_jump.stats.extra
