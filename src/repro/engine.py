@@ -166,17 +166,18 @@ class QueryResult:
         return "\n".join(lines)
 
     def decoded_rows(self) -> list[tuple]:
-        """Rows with dictionary codes and dates mapped back to logical values."""
-        columns = self.tuples.columns
-        out = []
-        for row in self.tuples.rows():
-            out.append(
-                tuple(
-                    self.decoders[col](value) if col in self.decoders else value
-                    for col, value in zip(columns, row)
-                )
-            )
-        return out
+        """Rows with dictionary codes and dates mapped back to logical values.
+
+        Column at a time: one ``tolist()`` per column, its decoder mapped
+        over that list, then the columns zipped into rows.
+        """
+        data = self.tuples.data
+        columns = []
+        for i, col in enumerate(self.tuples.columns):
+            values = data[:, i].tolist()
+            decode = self.decoders.get(col)
+            columns.append(values if decode is None else map(decode, values))
+        return list(zip(*columns)) if columns else [()] * len(data)
 
 
 class Database:

@@ -29,7 +29,7 @@ from .cost import (
     simulated_time_ms,
     spc_cost,
 )
-from .predictor import predict_join, predict_select
+from .predictor import predict_join, predict_select, predict_strategies
 from .calibrate import calibrate_constants
 from .recalibrate import CalibrationReport, recalibrate_from_log
 from .morph import (
@@ -55,6 +55,7 @@ __all__ = [
     "spc_cost",
     "simulated_time_ms",
     "predict_select",
+    "predict_strategies",
     "predict_join",
     "calibrate_constants",
     "CalibrationReport",

@@ -13,6 +13,7 @@ an extension.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..planner.estimate import (
@@ -86,11 +87,15 @@ def _query_metadata(
     projection: Projection, query: SelectQuery, resident: float
 ) -> tuple[dict[str, ColumnMeta], dict[str, float], list[str]]:
     enc = query.encoding_map
-    metas: dict[str, ColumnMeta] = {}
+    files = {
+        col: projection.column(col).file(enc.get(col))
+        for col in query.all_columns
+    }
+    metas = {
+        col: ColumnMeta.from_file(cf, resident=resident)
+        for col, cf in files.items()
+    }
     sfs: dict[str, float] = {}
-    for col in query.all_columns:
-        cf = projection.column(col).file(enc.get(col))
-        metas[col] = ColumnMeta.from_file(cf, resident=resident)
     ordered: list[tuple[str, float]] = []
     by_column: dict[str, list] = {}
     for pred in query.predicates:
@@ -99,7 +104,7 @@ def _query_metadata(
     fractions: dict[str, float] = {}
     indexed: dict[str, bool] = {}
     for col, preds in by_column.items():
-        cf = projection.column(col).file(enc.get(col))
+        cf = files[col]
         combined = combine_column_predicates(preds)
         sf = 1.0
         for p in preds:
@@ -115,9 +120,8 @@ def _query_metadata(
     ordered_names = [col for col, _sf in ordered]
     if ordered_names:
         first = ordered_names[0]
-        cf = projection.column(first).file(enc.get(first))
         fragments = estimate_block_fragments(
-            cf, combine_column_predicates(by_column[first])
+            files[first], combine_column_predicates(by_column[first])
         )
     return metas, sfs, ordered_names, fragments, fractions, indexed
 
@@ -143,9 +147,29 @@ def predict_select(
     Args:
         resident: the model's F for first-access columns (0 = cold cache).
     """
+    return predict_strategies(
+        projection, query, (strategy,), constants, resident
+    )[strategy]
+
+
+def predict_strategies(
+    projection: Projection,
+    query: SelectQuery,
+    strategies: Iterable[Strategy],
+    constants: ModelConstants = PAPER_CONSTANTS,
+    resident: float = 0.0,
+) -> dict[Strategy, PlanPrediction]:
+    """Predict *query* under each of *strategies* from one metadata pass.
+
+    Selectivities, column metadata and the pruned partition set do not
+    depend on the strategy, so they are estimated once (per surviving
+    partition) and every strategy is priced from them; each prediction is
+    exactly what pricing that strategy alone gives.
+    """
+    strategies = tuple(strategies)
     if projection.is_partitioned:
         return _predict_partitioned(
-            projection, query, strategy, constants, resident
+            projection, query, strategies, constants, resident
         )
     k = constants
     metas, sfs, ordered, fragments, fractions, indexed = _query_metadata(
@@ -163,7 +187,6 @@ def predict_select(
     n = projection.n_rows
     sf_total = math.prod(sfs.values()) if sfs else 1.0
     survivors = sf_total * n
-    pred = PlanPrediction(strategy=strategy.value)
 
     value_cols = query.value_columns
     if query.aggregates:
@@ -171,116 +194,119 @@ def predict_select(
     else:
         out_tuples = survivors
 
-    if strategy is Strategy.LM_PARALLEL:
-        rlp_out = math.inf
-        for col in ordered:
-            pred.add(f"DS1({col})", ds1(col))
-            rlp_out = min(rlp_out, _position_run_length(metas[col], sfs[col]))
-        if not ordered:
-            rlp_out = float(n)
-        if len(ordered) > 1:
-            inputs = [
-                AndCost(
-                    poslist=int(sfs[col] * n),
-                    run_length=_position_run_length(metas[col], sfs[col]),
-                )
-                for col in ordered
-            ]
-            pred.add("AND", and_cost(inputs, k))
-        for col in value_cols:
-            # Scanned earlier -> pinned mini-column; index-derived positions
-            # never touched the column, so its extraction is a first access.
-            reaccess = col in sfs and not indexed.get(col)
-            # Extraction from run-length columns jumps per run, not per
-            # position, whatever the position representation.
-            extraction_rl = max(rlp_out, metas[col].run_length)
-            pred.add(
-                f"DS3({col})",
-                ds_case3_cost(
-                    metas[col],
-                    int(survivors),
-                    extraction_rl,
-                    k,
-                    reaccess=reaccess,
-                    seek_fragments=fragments,
-                ),
-            )
-        pred.add(*_lm_tail(query, survivors, out_tuples, len(value_cols), k))
-    elif strategy is Strategy.LM_PIPELINED:
-        running = float(n)
-        rlp = float(n)
-        for i, col in enumerate(ordered):
-            if i == 0:
+    predictions = {}
+    for strategy in strategies:
+        pred = predictions[strategy] = PlanPrediction(strategy=strategy.value)
+        if strategy is Strategy.LM_PARALLEL:
+            rlp_out = math.inf
+            for col in ordered:
                 pred.add(f"DS1({col})", ds1(col))
-                rlp = _position_run_length(metas[col], sfs[col])
-            else:
-                cost = ds_case3_cost(
-                    metas[col], int(running), rlp, k, seek_fragments=fragments
+                rlp_out = min(rlp_out, _position_run_length(metas[col], sfs[col]))
+            if not ordered:
+                rlp_out = float(n)
+            if len(ordered) > 1:
+                inputs = [
+                    AndCost(
+                        poslist=int(sfs[col] * n),
+                        run_length=_position_run_length(metas[col], sfs[col]),
+                    )
+                    for col in ordered
+                ]
+                pred.add("AND", and_cost(inputs, k))
+            for col in value_cols:
+                # Scanned earlier -> pinned mini-column; index-derived positions
+                # never touched the column, so its extraction is a first access.
+                reaccess = col in sfs and not indexed.get(col)
+                # Extraction from run-length columns jumps per run, not per
+                # position, whatever the position representation.
+                extraction_rl = max(rlp_out, metas[col].run_length)
+                pred.add(
+                    f"DS3({col})",
+                    ds_case3_cost(
+                        metas[col],
+                        int(survivors),
+                        extraction_rl,
+                        k,
+                        reaccess=reaccess,
+                        seek_fragments=fragments,
+                    ),
                 )
-                extra = OperatorCost(cpu_us=running * k.fc, io_us=0.0)
-                pred.add(f"DS3+pred({col})", cost + extra)
-                rlp = min(rlp, _position_run_length(metas[col], sfs[col]))
-            running *= sfs[col]
-        for col in value_cols:
-            reaccess = (
-                bool(ordered) and col == ordered[0] and not indexed.get(col)
-            )
-            extraction_rl = max(rlp, metas[col].run_length)
+            pred.add(*_lm_tail(query, survivors, out_tuples, len(value_cols), k))
+        elif strategy is Strategy.LM_PIPELINED:
+            running = float(n)
+            rlp = float(n)
+            for i, col in enumerate(ordered):
+                if i == 0:
+                    pred.add(f"DS1({col})", ds1(col))
+                    rlp = _position_run_length(metas[col], sfs[col])
+                else:
+                    cost = ds_case3_cost(
+                        metas[col], int(running), rlp, k, seek_fragments=fragments
+                    )
+                    extra = OperatorCost(cpu_us=running * k.fc, io_us=0.0)
+                    pred.add(f"DS3+pred({col})", cost + extra)
+                    rlp = min(rlp, _position_run_length(metas[col], sfs[col]))
+                running *= sfs[col]
+            for col in value_cols:
+                reaccess = (
+                    bool(ordered) and col == ordered[0] and not indexed.get(col)
+                )
+                extraction_rl = max(rlp, metas[col].run_length)
+                pred.add(
+                    f"DS3({col})",
+                    ds_case3_cost(
+                        metas[col],
+                        int(survivors),
+                        extraction_rl,
+                        k,
+                        reaccess=reaccess,
+                        seek_fragments=fragments,
+                    ),
+                )
+            pred.add(*_lm_tail(query, survivors, out_tuples, len(value_cols), k))
+        elif strategy is Strategy.EM_PIPELINED:
+            running = float(n)
+            cols = ordered or value_cols[:1]
+            first = cols[0]
             pred.add(
-                f"DS3({col})",
-                ds_case3_cost(
-                    metas[col],
-                    int(survivors),
-                    extraction_rl,
+                f"DS2({first})",
+                ds_case2_cost(
+                    metas[first],
+                    sfs.get(first, 1.0),
                     k,
-                    reaccess=reaccess,
-                    seek_fragments=fragments,
+                    read_fraction=fractions.get(first),
                 ),
             )
-        pred.add(*_lm_tail(query, survivors, out_tuples, len(value_cols), k))
-    elif strategy is Strategy.EM_PIPELINED:
-        running = float(n)
-        cols = ordered or value_cols[:1]
-        first = cols[0]
-        pred.add(
-            f"DS2({first})",
-            ds_case2_cost(
-                metas[first],
-                sfs.get(first, 1.0),
-                k,
-                read_fraction=fractions.get(first),
-            ),
-        )
-        running *= sfs.get(first, 1.0)
-        remaining = cols[1:] + [c for c in value_cols if c not in cols]
-        for col in remaining:
+            running *= sfs.get(first, 1.0)
+            remaining = cols[1:] + [c for c in value_cols if c not in cols]
+            for col in remaining:
+                pred.add(
+                    f"DS4({col})",
+                    ds_case4_cost(metas[col], int(running), sfs.get(col, 1.0), k),
+                )
+                running *= sfs.get(col, 1.0)
+            pred.add(*_em_tail(query, survivors, out_tuples, k))
+        elif strategy is Strategy.EM_PARALLEL:
+            spc_cols = ordered + [c for c in value_cols if c not in ordered]
             pred.add(
-                f"DS4({col})",
-                ds_case4_cost(metas[col], int(running), sfs.get(col, 1.0), k),
+                "SPC",
+                spc_cost(
+                    [metas[c] for c in spc_cols],
+                    [sfs.get(c, 1.0) for c in spc_cols],
+                    k,
+                ),
             )
-            running *= sfs.get(col, 1.0)
-        pred.add(*_em_tail(query, survivors, out_tuples, k))
-    elif strategy is Strategy.EM_PARALLEL:
-        spc_cols = ordered + [c for c in value_cols if c not in ordered]
-        pred.add(
-            "SPC",
-            spc_cost(
-                [metas[c] for c in spc_cols],
-                [sfs.get(c, 1.0) for c in spc_cols],
-                k,
-            ),
-        )
-        pred.add(*_em_tail(query, survivors, out_tuples, k))
-    return pred
+            pred.add(*_em_tail(query, survivors, out_tuples, k))
+    return predictions
 
 
 def _predict_partitioned(
     projection: Projection,
     query: SelectQuery,
-    strategy: Strategy,
+    strategies: tuple[Strategy, ...],
     constants: ModelConstants,
     resident: float,
-) -> PlanPrediction:
+) -> dict[Strategy, PlanPrediction]:
     """Partitioned prediction: the sum over surviving partitions.
 
     Each survivor is predicted as an independent sub-plan over its child
@@ -292,15 +318,11 @@ def _predict_partitioned(
     from ..planner.partitioned import prune_partitions
 
     survivors, _total = prune_partitions(projection, query)
-    pred = PlanPrediction(strategy=strategy.value)
+    preds = {s: PlanPrediction(strategy=s.value) for s in strategies}
     for part in survivors:
         try:
-            child = predict_select(
-                part.open(),
-                query,
-                strategy,
-                constants=constants,
-                resident=resident,
+            children = predict_strategies(
+                part.open(), query, strategies, constants, resident
             )
         except CatalogError:
             raise
@@ -311,9 +333,11 @@ def _predict_partitioned(
                 f"partition {part.name!r} of projection "
                 f"{projection.name!r} is unreadable: {exc}"
             ) from exc
-        for name, cost in child.steps:
-            pred.add(f"{part.name}:{name}", cost)
-    return pred
+        for strategy, child in children.items():
+            preds[strategy].steps.extend(
+                (f"{part.name}:{name}", cost) for name, cost in child.steps
+            )
+    return preds
 
 
 def _lm_tail(

@@ -144,8 +144,12 @@ class TupleSet:
         return TupleSet(columns=names, data=data)
 
     def rows(self) -> list[tuple[int, ...]]:
-        """Materialise as Python tuples (tests and small outputs only)."""
-        return [tuple(int(v) for v in row) for row in self.data]
+        """Materialise as tuples of Python ``int`` (the served reply rows).
+
+        One ``tolist()`` converts the whole int64 block in C; no per-cell
+        ``int()`` call.
+        """
+        return list(map(tuple, self.data.tolist()))
 
     @classmethod
     def concat(cls, parts: list["TupleSet"]) -> "TupleSet":

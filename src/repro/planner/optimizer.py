@@ -9,7 +9,6 @@ excluded the same way the experiments exclude them.
 
 from __future__ import annotations
 
-from ..errors import UnsupportedOperationError
 from ..storage.projection import Projection
 
 
@@ -43,16 +42,14 @@ def choose_strategy(
         :class:`~repro.model.predictor.PlanPrediction` map used to choose.
     """
     from ..model.constants import PAPER_CONSTANTS
-    from ..model.predictor import predict_select
+    from ..model.predictor import predict_strategies
 
-    constants = constants or PAPER_CONSTANTS
-    predictions = {}
-    for strategy in _applicable_strategies(projection, query):
-        try:
-            predictions[strategy] = predict_select(
-                projection, query, strategy, constants=constants, resident=resident
-            )
-        except UnsupportedOperationError:  # pragma: no cover - defensive
-            continue
+    predictions = predict_strategies(
+        projection,
+        query,
+        _applicable_strategies(projection, query),
+        constants=constants or PAPER_CONSTANTS,
+        resident=resident,
+    )
     best = min(predictions, key=lambda s: predictions[s].total_ms)
     return best, predictions

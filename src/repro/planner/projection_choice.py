@@ -48,28 +48,24 @@ def resolve_projection(
         return covering[0]
 
     from ..model.constants import PAPER_CONSTANTS
-    from ..model.predictor import predict_select
+    from ..model.predictor import predict_strategies
     from .strategies import Strategy
 
     constants = constants or PAPER_CONSTANTS
     best_projection = None
     best_ms = float("inf")
     for projection in covering:
-        for strategy in Strategy:
-            try:
-                # Encoding overrides may name encodings a candidate lacks;
-                # such a candidate simply loses that strategy.
-                predicted = predict_select(
-                    projection,
-                    query,
-                    strategy,
-                    constants=constants,
-                    resident=resident,
-                ).total_ms
-            except (CatalogError, UnsupportedOperationError):
-                continue
-            if predicted < best_ms:
-                best_ms = predicted
+        try:
+            # Encoding overrides may name encodings a candidate lacks;
+            # such a candidate is skipped.
+            predictions = predict_strategies(
+                projection, query, Strategy, constants, resident
+            )
+        except (CatalogError, UnsupportedOperationError):
+            continue
+        for prediction in predictions.values():
+            if prediction.total_ms < best_ms:
+                best_ms = prediction.total_ms
                 best_projection = projection
     if best_projection is None:
         # Every prediction failed (e.g. encoding overrides excluded all

@@ -11,10 +11,13 @@ Logical queries cross the wire as plain dicts via :func:`query_to_dict` /
 and :class:`~repro.planner.JoinQuery` field (predicates, IN-lists,
 aggregates, encodings, order/limit, disjuncts, having). All engine values
 are integers or floats, so the JSON round trip is exact — which is what
-makes bit-identical differential comparison over the wire sound.
+makes bit-identical differential comparison over the wire sound. Decoded
+replies add strings: dictionary values, and dates as ISO ``YYYY-MM-DD``.
 """
 
 from __future__ import annotations
+
+from datetime import date
 
 from ..operators.aggregate import AggSpec
 from ..planner import JoinQuery, SelectQuery
@@ -132,6 +135,14 @@ def query_from_dict(payload: dict):
             ),
         )
     raise ValueError(f"unknown query kind {kind!r}")
+
+
+def json_default(value):
+    """``json.dumps`` hook: dates go out as ISO strings, as ``repro query``
+    prints them; anything else stays unserialisable."""
+    if isinstance(value, date):
+        return value.isoformat()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def error_response(

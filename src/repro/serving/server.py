@@ -50,7 +50,7 @@ from ..errors import (
     ReproError,
 )
 from ..serving.admission import AdmissionQueue, PRIORITIES
-from ..serving.protocol import error_response, query_from_dict
+from ..serving.protocol import error_response, json_default, query_from_dict
 from ..serving.session import Session
 
 #: Big enough for a full result set on one JSON line (the stream reader's
@@ -223,7 +223,11 @@ class QueryServer:
                 pass
 
     async def _send(self, writer, payload: dict) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
+        try:
+            line = json.dumps(payload, default=json_default)
+        except (TypeError, ValueError) as exc:  # unserialisable: say so
+            line = json.dumps(error_response(exc))
+        writer.write(line.encode("utf-8") + b"\n")
         await writer.drain()
 
     # -------------------------------------------------------------- dispatch

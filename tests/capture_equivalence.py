@@ -13,7 +13,14 @@ It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
 selectivities), the Section 4.2 aggregations, and the Section 4.3 join under
 all three right-table strategies and both left-table strategies, plus a
-predicate-free selection, a disjunction and an all-columns projection. The
+predicate-free selection, a disjunction and an all-columns projection.
+Selections also run under ``auto`` (the chosen strategy is recorded), each
+selection's ``Database.explain`` records the chosen strategy and every
+strategy's predicted steps, and each query's last strategy (``auto`` for
+selections) records SHA-256 digests of the JSON a served reply would carry
+(``rows()`` and ``decoded_rows()``, dates as ISO strings) — once per seed,
+unpartitioned and in the default configuration, since the block digest
+already pins the same block everywhere else. The
 grouping and join kernels have a direct-address branch for dense integer
 domains and a sorting branch for the rest; TPC-H keys are all dense, so the
 capture also groups over wide compound keys (1-D unique and int64-overflow
@@ -100,7 +107,7 @@ def _shipdate(selectivity: float) -> int:
 
 def _queries(db: Database) -> list[tuple[str, object, list[str]]]:
     """``(label, query, strategy names)`` for everything the capture runs."""
-    select_strategies = [s.value for s in Strategy]
+    select_strategies = [s.value for s in Strategy] + ["auto"]
     out: list[tuple[str, object, list[str]]] = []
     for enc in ENCODINGS:
         for sel in SELECTIVITIES:
@@ -266,6 +273,36 @@ def _queries(db: Database) -> list[tuple[str, object, list[str]]]:
     return out
 
 
+def _sha256_json(value) -> str:
+    # Dates go out as ISO strings, as the server sends decoded replies.
+    text = json.dumps(value, default=lambda v: v.isoformat())
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _reply_digests(result) -> dict:
+    """What a served reply would carry: raw rows and decoded rows as JSON."""
+    return {
+        "rows_json_sha256": _sha256_json(result.rows()),
+        "decoded_json_sha256": _sha256_json(result.decoded_rows()),
+    }
+
+
+def _explain_record(db: Database, query: SelectQuery) -> dict:
+    """The optimizer's choice and every strategy's predicted steps."""
+    report = db.explain(query)
+    return {
+        "chosen": report["chosen"],
+        "steps": {
+            strategy.value: [
+                [name, cost.cpu_us, cost.io_us]
+                for name, cost in prediction.steps
+            ]
+            for strategy, prediction in report["details"].items()
+        },
+        "partitions": report.get("partitions"),
+    }
+
+
 def capture() -> dict:
     records: dict[str, dict] = {}
     for seed in SEEDS:
@@ -300,7 +337,15 @@ def capture() -> dict:
                                 ).hexdigest(),
                                 "stats": result.stats.as_dict(),
                                 "simulated_ms": result.simulated_ms,
+                                "strategy": result.strategy,
                             }
+                            if (config_name == "default" and partitions == 1
+                                    and strategy == strategies[-1]):
+                                records[key].update(_reply_digests(result))
+                        if (config_name == "default"
+                                and isinstance(query, SelectQuery)):
+                            key = f"seed{seed}/p{partitions}/{label}/explain"
+                            records[key] = _explain_record(db, query)
                     db.close()
     return records
 

@@ -54,6 +54,32 @@ class TestAccess:
     def test_rows(self):
         assert make_tuples().rows()[0] == (0, 10, 1)
 
+    def test_rows_are_tuples_of_python_int(self):
+        rows = make_tuples().rows()
+        assert rows == [(0, 10, 1), (1, 20, 2), (2, 30, 3), (3, 40, 4)]
+        for row in rows:
+            assert type(row) is tuple
+            assert all(type(v) is int for v in row)
+
+    def test_rows_round_trip_int64_extremes(self):
+        lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+        ts = TupleSet(("x", "y"), np.array([[lo, hi], [hi, lo]], dtype=np.int64))
+        assert ts.rows() == [(int(lo), int(hi)), (int(hi), int(lo))]
+        assert np.array_equal(np.array(ts.rows(), dtype=np.int64), ts.data)
+
+    def test_rows_of_empty_block(self):
+        assert TupleSet.empty(("a", "b", "c")).rows() == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(
+        st.tuples(st.integers(-(2**63), 2**63 - 1),
+                  st.integers(-(2**63), 2**63 - 1)),
+        max_size=20,
+    ))
+    def test_rows_equal_the_per_cell_loop(self, values):
+        ts = TupleSet(("a", "b"), np.array(values, dtype=np.int64).reshape(-1, 2))
+        assert ts.rows() == [tuple(int(v) for v in row) for row in ts.data]
+
 
 class TestTransforms:
     def test_filter(self):

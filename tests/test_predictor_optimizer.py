@@ -2,11 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from repro import Predicate, SelectQuery, Strategy, AggSpec
-from repro.model.predictor import predict_join, predict_select
+from repro import Database, Predicate, SelectQuery, Strategy, AggSpec, load_tpch
+from repro.dtypes import INT64, ColumnSchema
+from repro.model.predictor import (
+    predict_join,
+    predict_select,
+    predict_strategies,
+)
 from repro.planner import JoinQuery, RightTableStrategy, choose_strategy
 from repro.planner.estimate import estimate_selectivity
+from repro.planner.projection_choice import resolve_projection
+from repro.tpch import SHIPDATE_MAX, SHIPDATE_MIN
 
 from .reference import full_column
 
@@ -168,3 +177,162 @@ class TestOptimizer:
             sims[strategy] = r.simulated_ms
         observed_best = min(sims.values())
         assert sims[best] <= observed_best * 2.0
+
+
+@pytest.fixture(scope="module")
+def lineitem_p4(tmp_path_factory):
+    """The fixture's lineitem range-partitioned four ways."""
+    db = Database(tmp_path_factory.mktemp("p4"), query_log=False)
+    load_tpch(db.catalog, scale=0.002, seed=7, partitions=4)
+    return db.projection("lineitem")
+
+
+def _assert_joint_equals_alone(projection, query, strategies, resident=0.0):
+    joint = predict_strategies(
+        projection, query, strategies, resident=resident
+    )
+    assert list(joint) == list(strategies)
+    for strategy in strategies:
+        alone = predict_select(projection, query, strategy, resident=resident)
+        assert joint[strategy].strategy == alone.strategy == strategy.value
+        assert joint[strategy].steps == alone.steps
+    return joint
+
+
+_COLUMNS = ("shipdate", "linenum", "quantity", "returnflag")
+_PREDICATES = st.sampled_from([
+    Predicate("shipdate", "<", SHIPDATE_MIN + 400),
+    Predicate("shipdate", ">", SHIPDATE_MAX - 900),
+    Predicate("linenum", "<", 3),
+    Predicate("linenum", "!=", 4),
+    Predicate("quantity", ">", 30),
+    Predicate("returnflag", "=", 1),
+    Predicate("returnflag", ">", 5),      # prunes every partition
+])
+
+
+@st.composite
+def _queries(draw):
+    preds = tuple(draw(st.lists(_PREDICATES, max_size=3, unique=True)))
+    encoding = draw(st.sampled_from(["uncompressed", "rle", "bitvector"]))
+    if draw(st.booleans()):
+        group = draw(st.sampled_from(["returnflag", "linenum"]))
+        return SelectQuery(
+            projection="lineitem", select=(group, "sum(quantity)"),
+            predicates=preds, group_by=group,
+            aggregates=(AggSpec("sum", "quantity"),),
+            encodings=(("linenum", encoding),),
+        )
+    select = draw(st.lists(
+        st.sampled_from(_COLUMNS), min_size=1, max_size=3, unique=True
+    ))
+    return SelectQuery(
+        projection="lineitem", select=tuple(select), predicates=preds,
+        encodings=(("linenum", encoding),),
+    )
+
+
+class TestPredictStrategies:
+    """One metadata pass prices every strategy exactly as pricing it alone."""
+
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        query=_queries(),
+        strategies=st.lists(
+            st.sampled_from(list(Strategy)), min_size=1, unique=True
+        ),
+        resident=st.sampled_from([0.0, 0.5, 1.0]),
+        partitioned=st.booleans(),
+    )
+    def test_joint_equals_alone(
+        self, lineitem, lineitem_p4, query, strategies, resident, partitioned
+    ):
+        projection = lineitem_p4 if partitioned else lineitem
+        _assert_joint_equals_alone(projection, query, strategies, resident)
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_choice_is_argmin_of_predictions(
+        self, lineitem, lineitem_p4, partitioned
+    ):
+        projection = lineitem_p4 if partitioned else lineitem
+        for quantile in (0.05, 0.5, 0.95):
+            query = make_query(lineitem, quantile)
+            best, predictions = choose_strategy(projection, query)
+            assert best == min(
+                predictions, key=lambda s: predictions[s].total_ms
+            )
+            _assert_joint_equals_alone(projection, query, list(predictions))
+
+    def test_partition_steps_are_prefixed_per_survivor(
+        self, lineitem, lineitem_p4
+    ):
+        query = make_query(lineitem, 0.5)
+        joint = _assert_joint_equals_alone(lineitem_p4, query, list(Strategy))
+        parts = {p.name for p in lineitem_p4.partitions}
+        for prediction in joint.values():
+            assert {name.split(":")[0] for name, _c in prediction.steps} <= parts
+
+    def test_fully_pruned_query_costs_zero(self, lineitem_p4):
+        query = SelectQuery(
+            projection="lineitem", select=("shipdate",),
+            predicates=(Predicate("returnflag", ">", 5),),
+        )
+        joint = _assert_joint_equals_alone(lineitem_p4, query, list(Strategy))
+        for prediction in joint.values():
+            assert prediction.steps == []
+            assert prediction.total_ms == 0.0
+
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_bitvector_predicate_column_excludes_lm_pipelined(
+        self, lineitem, lineitem_p4, partitioned
+    ):
+        projection = lineitem_p4 if partitioned else lineitem
+        query = make_query(lineitem, 0.5, encoding="bitvector")
+        _best, predictions = choose_strategy(projection, query)
+        assert Strategy.LM_PIPELINED not in predictions
+        _assert_joint_equals_alone(projection, query, list(predictions))
+
+    def test_indexed_column_priced_as_index_lookup(self, lineitem):
+        assert lineitem.column("returnflag").index is not None
+        query = SelectQuery(
+            projection="lineitem", select=("returnflag", "quantity"),
+            predicates=(Predicate("returnflag", "=", 0),),
+        )
+        joint = _assert_joint_equals_alone(lineitem, query, list(Strategy))
+        ds1 = dict(joint[Strategy.LM_PARALLEL].steps)["DS1(returnflag)"]
+        assert ds1.io_us == 0.0
+
+    def test_candidate_lacking_an_encoding_override_is_skipped(
+        self, tmp_path
+    ):
+        db = Database(tmp_path / "db", query_log=False)
+        rng = np.random.default_rng(5)
+        ts = rng.integers(0, 1000, size=4000).astype(np.int64)
+        user = rng.integers(0, 50, size=4000).astype(np.int64)
+        for name, sort_key, encodings in (
+            ("by_ts", "ts", {"ts": ["rle", "uncompressed"],
+                             "user": ["uncompressed"]}),
+            ("by_user", "user", {"ts": ["uncompressed"],
+                                 "user": ["rle", "uncompressed"]}),
+        ):
+            db.catalog.create_projection(
+                name, {"ts": ts, "user": user},
+                schemas={c: ColumnSchema(c, INT64) for c in ("ts", "user")},
+                sort_keys=[sort_key], encodings=encodings, anchor="events",
+            )
+        # A user predicate would favour by_user, but only by_ts stores
+        # ts run-length encoded.
+        query = SelectQuery(
+            projection="events", select=("ts", "user"),
+            predicates=(Predicate("user", "=", 3),),
+            encodings=(("ts", "rle"),),
+        )
+        assert resolve_projection(db.catalog, query).name == "by_ts"
+        plain = SelectQuery(
+            projection="events", select=("ts", "user"),
+            predicates=(Predicate("user", "=", 3),),
+        )
+        assert resolve_projection(db.catalog, plain).name == "by_user"

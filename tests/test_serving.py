@@ -18,6 +18,7 @@ from repro import (
     Database,
     MetricsRegistry,
     Predicate,
+    QueryResult,
     SelectQuery,
     load_tpch,
 )
@@ -184,6 +185,45 @@ class TestServerBasics:
         assert response["ok"]
         direct = db.sql("SELECT returnflag FROM lineitem WHERE linenum = 1")
         assert [tuple(r) for r in response["rows"]] == direct.decoded_rows()
+
+    def test_decoded_dates_are_iso_strings(self, served):
+        db, server = served
+        statement = "SELECT shipdate FROM lineitem WHERE linenum = 1 LIMIT 3"
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            response = await client.sql(statement, decoded=True)
+            alive = await client.ping()
+            await client.close()
+            return response, alive
+
+        response, alive = run(go())
+        assert response["ok"], response
+        direct = db.sql(statement, strategy=response["strategy"])
+        assert response["rows"] == [
+            [day.isoformat()] for (day,) in direct.decoded_rows()
+        ]
+        assert alive["pong"]
+
+    def test_unserialisable_reply_becomes_error_response(
+        self, served, monkeypatch
+    ):
+        _db, server = served
+        monkeypatch.setattr(
+            QueryResult, "decoded_rows", lambda self: [(object(),)]
+        )
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            response = await client.sql(SQL, decoded=True)
+            alive = await client.ping()
+            await client.close()
+            return response, alive
+
+        response, alive = run(go())
+        assert not response["ok"]
+        assert response["error"]["type"] == "TypeError"
+        assert alive["pong"]
 
     def test_unknown_op_and_malformed_line(self, served):
         _db, server = served

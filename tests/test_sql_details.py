@@ -93,3 +93,46 @@ class TestQueryReport:
         text = r.report()
         assert "operators:" in text
         assert "DS1" in text
+
+
+def _row_loop_decoded(result):
+    """Per-cell reference for ``QueryResult.decoded_rows``."""
+    columns = result.tuples.columns
+    return [
+        tuple(
+            result.decoders[col](value) if col in result.decoders else value
+            for col, value in zip(columns, row)
+        )
+        for row in result.rows()
+    ]
+
+
+class TestDecodedRows:
+    @pytest.mark.parametrize("sql", [
+        "SELECT returnflag, shipdate, quantity FROM lineitem "
+        "WHERE linenum < 3",
+        "SELECT quantity, returnflag FROM lineitem WHERE shipdate = '1995-06-01'",
+        "SELECT returnflag, SUM(quantity) FROM lineitem GROUP BY returnflag",
+        "SELECT shipdate FROM lineitem WHERE linenum = 1 LIMIT 3",
+        "SELECT returnflag, shipdate, quantity FROM lineitem WHERE linenum > 99",
+    ])
+    def test_equals_the_row_loop(self, tpch_db, sql):
+        result = tpch_db.sql(sql)
+        decoded = result.decoded_rows()
+        assert decoded == _row_loop_decoded(result)
+        assert all(type(row) is tuple for row in decoded)
+        for row in decoded:
+            for col, value in zip(result.tuples.columns, row):
+                if col == "returnflag":
+                    assert isinstance(value, str)
+                elif col == "shipdate":
+                    assert type(value) is date
+                else:
+                    assert type(value) is int
+
+    def test_empty_result(self, tpch_db):
+        result = tpch_db.sql(
+            "SELECT returnflag, shipdate FROM lineitem WHERE linenum > 99"
+        )
+        assert result.n_rows == 0
+        assert result.decoded_rows() == []
