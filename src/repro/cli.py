@@ -18,7 +18,9 @@ Installed as the ``repro`` console script::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from contextlib import contextmanager
 
 from .engine import Database
 from .errors import ReproError
@@ -26,6 +28,22 @@ from .errors import ReproError
 
 def _add_db_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("db", help="database root directory")
+
+
+def _add_json_flag(parser: argparse.ArgumentParser, help: str) -> None:
+    parser.add_argument("--json", action="store_true", help=help)
+
+
+def _add_server_address(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=7379)
+
+
+def _add_encoding_option(parser: argparse.ArgumentParser, **kwargs) -> None:
+    parser.add_argument(
+        "--encoding", action="append", default=[], metavar="COLUMN=ENCODING",
+        **kwargs,
+    )
 
 
 def _parse_encodings(pairs: list[str]) -> dict[str, str]:
@@ -77,12 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="em-pipelined | em-parallel | lm-pipelined | lm-parallel | "
         "materialized | multi-column | single-column | auto",
     )
-    query.add_argument(
-        "--encoding",
-        action="append",
-        default=[],
-        metavar="COLUMN=ENCODING",
-        help="scan a column in a specific stored encoding (repeatable)",
+    _add_encoding_option(
+        query, help="scan a column in a specific stored encoding (repeatable)"
     )
     query.add_argument("--cold", action="store_true", help="clear buffer pool")
     query.add_argument("--limit", type=int, default=20)
@@ -95,9 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_db_argument(explain)
     explain.add_argument("sql")
-    explain.add_argument(
-        "--encoding", action="append", default=[], metavar="COLUMN=ENCODING"
-    )
+    _add_encoding_option(explain)
     explain.add_argument(
         "--verbose",
         action="store_true",
@@ -119,10 +131,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="auto",
         help="strategy for --analyze (default: model-driven choice)",
     )
-    explain.add_argument(
-        "--json",
-        action="store_true",
-        help="with --analyze, emit the span tree as JSON instead of ASCII",
+    _add_json_flag(
+        explain, "with --analyze, emit the span tree as JSON instead of ASCII"
     )
 
     scrub = sub.add_parser(
@@ -146,8 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve the database over TCP (newline-delimited JSON protocol)",
     )
     _add_db_argument(serve)
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=7379)
+    _add_server_address(serve)
     serve.add_argument(
         "--workers", type=int, default=2,
         help="worker threads executing admitted queries (default: 2)",
@@ -209,9 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--top", type=int, default=10,
         help="templates to list, by total wall time (default: 10)",
     )
-    workload.add_argument(
-        "--json", action="store_true", help="emit the summary as JSON"
-    )
+    _add_json_flag(workload, "emit the summary as JSON")
     workload.add_argument(
         "--db", default=None, metavar="PATH",
         help="database root: also cost each template through the model "
@@ -242,9 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="first re-fit the model constants from the same log "
         "(calibrate --from-log) and score with the fitted constants",
     )
-    advise.add_argument(
-        "--json", action="store_true", help="emit the plan as JSON"
-    )
+    _add_json_flag(advise, "emit the plan as JSON")
 
     replay = sub.add_parser(
         "replay",
@@ -263,27 +268,22 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None,
         help="replay at most N eligible records",
     )
-    replay.add_argument(
-        "--json", action="store_true", help="emit the report as JSON"
-    )
+    _add_json_flag(replay, "emit the report as JSON")
 
     metrics = sub.add_parser(
         "metrics",
         help="fetch Prometheus-format metrics from a running server",
     )
-    metrics.add_argument("--host", default="127.0.0.1")
-    metrics.add_argument("--port", type=int, default=7379)
-    metrics.add_argument(
-        "--json", action="store_true",
-        help="raw registry export + serving stats instead of text format",
+    _add_server_address(metrics)
+    _add_json_flag(
+        metrics, "raw registry export + serving stats instead of text format"
     )
 
     top = sub.add_parser(
         "top",
         help="live refreshing terminal view of a running server",
     )
-    top.add_argument("--host", default="127.0.0.1")
-    top.add_argument("--port", type=int, default=7379)
+    _add_server_address(top)
     top.add_argument(
         "--interval", type=float, default=2.0,
         help="seconds between refreshes (default: 2)",
@@ -313,9 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
         "micro-benchmarking: bare --from-log reads the database's own "
         "<db>/_qlog, --from-log PATH reads a directory or segment",
     )
-    calibrate.add_argument(
-        "--json", action="store_true",
-        help="with --from-log, emit the calibration report as JSON",
+    _add_json_flag(
+        calibrate, "with --from-log, emit the calibration report as JSON"
     )
 
     reproduce = sub.add_parser(
@@ -393,23 +392,28 @@ def cmd_query(args) -> int:
         print(" | ".join(str(v) for v in row))
     if result.n_rows > args.limit:
         print(f"... ({result.n_rows - args.limit} more rows)")
-    print(
-        f"-- {result.n_rows} rows, strategy={result.strategy}, "
-        f"wall={result.wall_ms:.1f} ms, model-replay={result.simulated_ms:.1f} ms"
-    )
-    if result.degraded:
+    summary = result.summary()
+    print(_summary_line(summary, 1))
+    if "degraded" in summary:
         print(
             "-- DEGRADED: skipped quarantined partitions "
-            + ", ".join(result.skipped_partitions),
+            + ", ".join(summary["skipped_partitions"]),
             file=sys.stderr,
         )
     return 0
 
 
+def _summary_line(summary: dict, digits: int) -> str:
+    """The ``-- N rows, strategy=…`` line of a :meth:`QueryResult.summary`."""
+    return (
+        f"-- {summary['rows']} rows, strategy={summary['strategy']}, "
+        f"wall={summary['wall_ms']:.{digits}f} ms, "
+        f"model-replay={summary['simulated_ms']:.{digits}f} ms"
+    )
+
+
 def cmd_explain(args) -> int:
     """`repro explain`: model predictions, or measured spans with --analyze."""
-    import json
-
     from .sql import bind, parse
 
     db = Database(args.db)
@@ -424,12 +428,8 @@ def cmd_explain(args) -> int:
             print(json.dumps(report["json"], indent=2))
         else:
             print(report["text"])
-            summary = (
-                f"-- {report['rows']} rows, strategy={report['strategy']}, "
-                f"wall={report['wall_ms']:.2f} ms, "
-                f"model-replay={report['simulated_ms']:.2f} ms"
-            )
-            if report.get("queue_wait_ms"):
+            summary = _summary_line(report, 2)
+            if report["queue_wait_ms"]:
                 summary += (
                     f", queue-wait={report['queue_wait_ms']:.2f} ms "
                     f"(end-to-end {report['total_ms']:.2f} ms)"
@@ -440,7 +440,7 @@ def cmd_explain(args) -> int:
                     f", partitions={parts['scanned']}/{parts['total']} "
                     f"scanned ({parts['pruned']} pruned)"
                 )
-            if report.get("degraded"):
+            if "degraded" in report:
                 summary += (
                     ", DEGRADED (skipped "
                     + ", ".join(report["skipped_partitions"])
@@ -476,8 +476,6 @@ def cmd_scrub(args) -> int:
     Prints a machine-readable JSON report naming each corrupt file/block;
     exits 0 when the store is clean, 1 when any damage was found.
     """
-    import json
-
     db = Database(args.db)
     report = db.scrub(deep=args.deep)
     print(json.dumps(report.to_json(), indent=2))
@@ -533,8 +531,6 @@ def cmd_serve(args) -> int:
 
 def cmd_loadgen(args) -> int:
     """`repro loadgen`: closed-loop clients over a seeded Zipfian mix."""
-    import json
-
     from .serving import run_loadgen
 
     db = Database(args.db)
@@ -580,26 +576,40 @@ def cmd_loadgen(args) -> int:
     return 0
 
 
+@contextmanager
+def _logged_db(db_path, log_path):
+    """Yield ``(db, records)`` for a command that reads a query log.
+
+    The database (``None`` without *db_path*) opens with its own recorder
+    off, so reading, advising on or replaying a log never appends to it;
+    *log_path* defaults to the database's own ``<db>/_qlog``. The database
+    is closed however the command ends.
+    """
+    from .qlog import read_query_log
+
+    db = Database(db_path, query_log=False) if db_path else None
+    try:
+        yield db, read_query_log(log_path or db.catalog.root / "_qlog")
+    finally:
+        if db is not None:
+            db.close()
+
+
+def _emit(report, as_json: bool, **view) -> None:
+    """Print *report* as indented JSON (``to_dict``) or as text (``render``)."""
+    if as_json:
+        print(json.dumps(report.to_dict(**view), indent=2))
+    else:
+        print(report.render(**view))
+
+
 def cmd_workload(args) -> int:
     """`repro workload`: aggregate a query log into a workload summary."""
-    import json
-
-    from .qlog import read_query_log
     from .workload import summarize_log
 
-    records = read_query_log(args.log)
-    if args.db:
-        db = Database(args.db, query_log=False)
-        try:
-            summary = summarize_log(records, db=db)
-        finally:
-            db.close()
-    else:
-        summary = summarize_log(records)
-    if args.json:
-        print(json.dumps(summary.to_dict(top=args.top), indent=2))
-    else:
-        print(summary.render(top=args.top))
+    with _logged_db(args.db, args.log) as (db, records):
+        summary = summarize_log(records, db=db)
+    _emit(summary, args.json, top=args.top)
     return 0
 
 
@@ -608,26 +618,19 @@ def cmd_advise(args) -> int:
 
     Reads the query log, scores candidate designs in what-if mode, prints
     the ranked plan, and with --apply builds/drops the recommended
-    projections through the catalog. The advising database opens with its
-    own recorder off so advice never contaminates the log it reads.
+    projections through the catalog.
     """
-    import json
-
     from .advisor import advise, apply_plan
     from .model import recalibrate_from_log
-    from .qlog import read_query_log
 
-    db = Database(args.db, query_log=False)
-    try:
-        log_path = args.log or str(db.catalog.root / "_qlog")
-        records = list(read_query_log(log_path))
-        constants = None
-        calibration = None
-        if args.recalibrate:
-            calibration = recalibrate_from_log(db, records)
-            constants = calibration.constants
+    with _logged_db(args.db, args.log) as (db, records):
+        calibration = (
+            recalibrate_from_log(db, records) if args.recalibrate else None
+        )
         plan = advise(
-            db, records, constants=constants, max_builds=args.top
+            db, records,
+            constants=calibration.constants if calibration else None,
+            max_builds=args.top,
         )
         if args.json:
             payload = plan.to_dict()
@@ -651,70 +654,72 @@ def cmd_advise(args) -> int:
                     print(f"applied        {name}")
                 if not applied:
                     print("applied        nothing (no actions)")
-    finally:
-        db.close()
     return 0
 
 
 def cmd_replay(args) -> int:
-    """`repro replay`: re-execute a captured log; --check gates bit-identity.
-
-    The replay database opens with its own recorder off, so replaying a log
-    never appends to it.
-    """
-    import json
-
-    from .qlog import read_query_log
+    """`repro replay`: re-execute a captured log; --check gates bit-identity."""
     from .workload import replay_log
 
-    records = read_query_log(args.log)
-    db = Database(args.db, query_log=False)
-    try:
+    with _logged_db(args.db, args.log) as (db, records):
         report = replay_log(db, records, check=args.check, limit=args.limit)
-    finally:
-        db.close()
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
+    _emit(report, args.json)
     return 0 if (not args.check or report.ok) else 1
 
 
-def cmd_metrics(args) -> int:
-    """`repro metrics`: scrape a running server's metrics exposition."""
+def _poll_server(args, fmt: str, show, count=1, interval: float = 0.0) -> int:
+    """Fetch a running server's metrics *count* times, handing each to *show*.
+
+    ``count=None`` polls every *interval* seconds until Ctrl-C. Shared by
+    `repro metrics` and `repro top`: an unreachable server or an error reply
+    prints ``error: …`` and returns 1.
+    """
     import asyncio
-    import json
 
     from .serving import AsyncQueryClient
 
-    async def fetch() -> dict:
+    async def run() -> int:
         client = await AsyncQueryClient.connect(args.host, args.port)
         try:
-            return await client.metrics(
-                format="json" if args.json else "prometheus"
-            )
+            polled = 0
+            while True:
+                response = await client.metrics(format=fmt)
+                if not response.get("ok"):
+                    print(f"error: {response.get('error')}", file=sys.stderr)
+                    return 1
+                show(response)
+                polled += 1
+                if count is not None and polled >= count:
+                    return 0
+                await asyncio.sleep(interval)
         finally:
             await client.close()
 
     try:
-        response = asyncio.run(fetch())
+        return asyncio.run(run())
     except (ConnectionError, OSError) as exc:
         print(
             f"error: cannot reach {args.host}:{args.port}: {exc}",
             file=sys.stderr,
         )
         return 1
-    if not response.get("ok"):
-        print(f"error: {response.get('error')}", file=sys.stderr)
-        return 1
-    if args.json:
-        print(json.dumps(
-            {"metrics": response["metrics"], "stats": response["stats"]},
-            indent=2,
-        ))
-    else:
-        print(response["text"], end="")
-    return 0
+    except KeyboardInterrupt:
+        return 0
+
+
+def cmd_metrics(args) -> int:
+    """`repro metrics`: scrape a running server's metrics exposition."""
+
+    def show(response: dict) -> None:
+        if args.json:
+            print(json.dumps(
+                {"metrics": response["metrics"], "stats": response["stats"]},
+                indent=2,
+            ))
+        else:
+            print(response["text"], end="")
+
+    return _poll_server(args, "json" if args.json else "prometheus", show)
 
 
 def _render_top_frame(payload: dict, previous: dict | None,
@@ -724,6 +729,8 @@ def _render_top_frame(payload: dict, previous: dict | None,
     Returns the frame text plus the counters carried to the next frame so
     rates (qps) can be computed as deltas.
     """
+    from .metrics import bucket_percentile
+
     stats = payload.get("stats", {})
     metrics = payload.get("metrics", {})
     counters = metrics.get("counters", {})
@@ -755,19 +762,13 @@ def _render_top_frame(payload: dict, previous: dict | None,
         lines.append(f"queries {total} total")
     hist = (metrics.get("histograms") or {}).get("query_wall_ms")
     if hist and hist.get("count"):
-        bounds, counts = hist.get("bounds", []), hist.get("counts", [])
-
-        def pct(q: float) -> float:
-            target, seen = q * hist["count"], 0
-            for i, c in enumerate(counts):
-                seen += c
-                if seen >= target:
-                    return bounds[i] if i < len(bounds) else float("inf")
-            return float("inf")
-
+        p50, p90, p99 = (
+            bucket_percentile(hist["bounds"], hist["counts"], q, hist["max_ms"])
+            for q in (0.5, 0.9, 0.99)
+        )
         lines.append(
-            f"latency p50<={pct(0.5):g} ms  p90<={pct(0.9):g} ms  "
-            f"p99<={pct(0.99):g} ms  (n={hist['count']})"
+            f"latency p50<={p50:g} ms  p90<={p90:g} ms  p99<={p99:g} ms  "
+            f"(n={hist['count']})"
         )
     strategies = sorted(
         (name.rsplit(".", 1)[1], value)
@@ -794,46 +795,16 @@ def _render_top_frame(payload: dict, previous: dict | None,
 
 def cmd_top(args) -> int:
     """`repro top`: live refreshing view of a running server."""
-    import asyncio
+    previous: dict | None = None
 
-    async def run() -> int:
-        from .serving import AsyncQueryClient
+    def show(response: dict) -> None:
+        nonlocal previous
+        frame, previous = _render_top_frame(response, previous, args.interval)
+        if not args.no_clear and sys.stdout.isatty():
+            print("\x1b[2J\x1b[H", end="")
+        print(frame)
 
-        try:
-            client = await AsyncQueryClient.connect(args.host, args.port)
-        except (ConnectionError, OSError) as exc:
-            print(
-                f"error: cannot reach {args.host}:{args.port}: {exc}",
-                file=sys.stderr,
-            )
-            return 1
-        previous: dict | None = None
-        frames = 0
-        try:
-            while True:
-                response = await client.metrics(format="json")
-                if not response.get("ok"):
-                    print(
-                        f"error: {response.get('error')}", file=sys.stderr
-                    )
-                    return 1
-                frame, previous = _render_top_frame(
-                    response, previous, args.interval
-                )
-                if not args.no_clear and sys.stdout.isatty():
-                    print("\x1b[2J\x1b[H", end="")
-                print(frame)
-                frames += 1
-                if args.count is not None and frames >= args.count:
-                    return 0
-                await asyncio.sleep(args.interval)
-        finally:
-            await client.close()
-
-    try:
-        return asyncio.run(run())
-    except KeyboardInterrupt:
-        return 0
+    return _poll_server(args, "json", show, args.count, args.interval)
 
 
 def cmd_calibrate(args) -> int:
@@ -845,8 +816,6 @@ def cmd_calibrate(args) -> int:
     :mod:`repro.model.recalibrate`); the fit is only adopted when its
     trace MAE is no worse than the baseline constants'.
     """
-    import json
-
     from .model import PAPER_CONSTANTS, calibrate_constants
 
     if getattr(args, "from_log", None) is None:
@@ -859,22 +828,14 @@ def cmd_calibrate(args) -> int:
         return 0
 
     from .model import recalibrate_from_log
-    from .qlog import read_query_log
 
     if not args.db:
         print("error: calibrate --from-log needs a database root",
               file=sys.stderr)
         return 2
-    db = Database(args.db, query_log=False)
-    try:
-        log_path = args.from_log or str(db.catalog.root / "_qlog")
-        report = recalibrate_from_log(db, read_query_log(log_path))
-    finally:
-        db.close()
-    if args.json:
-        print(json.dumps(report.to_dict(), indent=2))
-    else:
-        print(report.render())
+    with _logged_db(args.db, args.from_log) as (db, records):
+        report = recalibrate_from_log(db, records)
+    _emit(report, args.json)
     return 0
 
 

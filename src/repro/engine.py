@@ -114,14 +114,48 @@ class QueryResult:
         """Raw stored values as Python tuples."""
         return self.tuples.rows()
 
+    def summary(self) -> dict:
+        """The per-query facts every view reports, assembled in one place.
+
+        ``strategy``, ``rows``, ``wall_ms``, ``simulated_ms``,
+        ``queue_wait_ms`` and ``total_ms`` (wait + execute) always;
+        ``partitions`` ``{total, scanned, pruned}`` when the query scanned
+        a range-partitioned projection; ``degraded`` and
+        ``skipped_partitions`` when it completed over a strict subset of
+        its partitions. The metrics registry, the query log, the
+        ``explain(analyze=True)`` report, the server reply and the CLI
+        summary lines are all views of this dict.
+        """
+        queue_wait_ms = self.queue_wait_ms
+        out = {
+            "strategy": self.strategy,
+            "rows": self.n_rows,
+            "wall_ms": self.wall_ms,
+            "simulated_ms": self.simulated_ms,
+            "queue_wait_ms": queue_wait_ms,
+            "total_ms": queue_wait_ms + self.wall_ms,
+        }
+        extra = self.stats.extra
+        if "partitions_total" in extra:
+            out["partitions"] = {
+                "total": extra["partitions_total"],
+                "scanned": extra.get("partitions_scanned", 0),
+                "pruned": extra.get("partitions_pruned", 0),
+            }
+        if self.degraded:
+            out["degraded"] = True
+            out["skipped_partitions"] = list(self.skipped_partitions)
+        return out
+
     def report(self) -> str:
         """Human-readable execution report: strategy, costs, counters, spans."""
         stats = self.stats
+        summary = self.summary()
         lines = [
-            f"strategy       {self.strategy}",
-            f"rows           {self.n_rows}",
-            f"wall time      {self.wall_ms:.2f} ms",
-            f"model replay   {self.simulated_ms:.2f} ms",
+            f"strategy       {summary['strategy']}",
+            f"rows           {summary['rows']}",
+            f"wall time      {summary['wall_ms']:.2f} ms",
+            f"model replay   {summary['simulated_ms']:.2f} ms",
             (
                 f"I/O            {stats.block_reads} block reads, "
                 f"{stats.disk_seeks} seeks, {stats.buffer_hits} pool hits, "
@@ -143,18 +177,18 @@ class QueryResult:
         ]
         if "queue_wait_ms" in stats.extra:
             lines.append(
-                f"queue wait     {stats.extra['queue_wait_ms']:.2f} ms "
-                f"(end-to-end {stats.extra['queue_wait_ms'] + self.wall_ms:.2f} ms)"
+                f"queue wait     {summary['queue_wait_ms']:.2f} ms "
+                f"(end-to-end {summary['total_ms']:.2f} ms)"
             )
         if stats.io_retries or stats.io_gave_up:
             lines.append(
                 f"fault recovery {stats.io_retries} retries, "
                 f"{stats.io_gave_up} reads abandoned"
             )
-        if self.degraded:
+        if "degraded" in summary:
             lines.append(
                 "DEGRADED       result excludes quarantined partitions: "
-                + ", ".join(self.skipped_partitions)
+                + ", ".join(summary["skipped_partitions"])
             )
         for key, value in sorted(stats.extra.items()):
             if key == "queue_wait_ms":  # has its own line above
@@ -421,25 +455,6 @@ class Database:
         else:
             ctx.stats.extra["queue_wait_ms"] = wait
 
-    @staticmethod
-    def _finish_trace(ctx: ExecutionContext, strategy: str) -> Span | None:
-        """Close the root span of a successful execution, if tracing."""
-        if ctx.tracer is None:
-            return None
-        root = ctx.tracer.finish()
-        root.detail["strategy"] = strategy
-        return root
-
-    @staticmethod
-    def _abort_trace(ctx: ExecutionContext, exc: BaseException) -> None:
-        """Error path: truncate the span tree and attach it to the exception.
-
-        Any span the exception cut short is closed with ``status="error"``,
-        so ``exc.spans`` is a valid (if incomplete) tree for post-mortems.
-        """
-        if ctx.tracer is not None:
-            exc.spans = ctx.tracer.finish(error=exc)
-
     def _resolve_strategy(
         self, projection: Projection, query: SelectQuery, strategy
     ) -> Strategy:
@@ -542,38 +557,12 @@ class Database:
                 )
             raise
         self.metrics.observe_query(
-            strategy=result.strategy,
-            wall_ms=result.wall_ms,
-            simulated_ms=result.simulated_ms,
-            rows=result.n_rows,
+            result,
             description=repr(query)[:200],
             encodings=getattr(query, "encoding_map", {}).values(),
-            queue_wait_ms=result.queue_wait_ms,
-            degraded=result.degraded,
         )
         if self.qlog is not None:
             self.qlog.observe(query, result, origin=origin, session=session)
-        extra = result.stats.extra
-        if "partitions_total" in extra:
-            self.metrics.counter("partitions_scanned_total").inc(
-                extra.get("partitions_scanned", 0)
-            )
-            self.metrics.counter("partitions_pruned_total").inc(
-                extra.get("partitions_pruned", 0)
-            )
-        if result.stats.io_retries:
-            self.metrics.counter("io_retries_total").inc(
-                result.stats.io_retries
-            )
-        if result.stats.io_gave_up:
-            self.metrics.counter("io_gave_up_total").inc(
-                result.stats.io_gave_up
-            )
-        if result.degraded:
-            self.metrics.counter("degraded_queries_total").inc()
-            self.metrics.counter("partitions_quarantined_total").inc(
-                extra.get("partitions_quarantined", 0)
-            )
         return result
 
     def _pending_table(self, *names) -> str | None:
@@ -605,35 +594,62 @@ class Database:
                 self.catalog, query, constants=self.constants
             )
         resolved = self._resolve_strategy(projection, query, strategy)
+
+        def run(ctx):
+            pending = self._pending_table(query.projection, projection.anchor)
+            if pending is None:
+                return execute_select(ctx, projection, query, resolved)
+            return self._select_with_delta(
+                ctx, projection, query, resolved, pending
+            )
+
+        return self._execute(
+            run, resolved, (projection,), trace, cancel, queue_wait_ms,
+            base_rows=projection.n_rows, projection=projection.name,
+        )
+
+    def _execute(
+        self, run, resolved, sources, trace, cancel, queue_wait_ms, **fields
+    ) -> QueryResult:
+        """Run ``run(ctx)`` on a fresh context and wrap its tuples.
+
+        The one execute-and-wrap tail of selects and joins: wall time starts
+        here, after the strategy is resolved; *sources* are the projections
+        whose dictionaries decode the result columns; *fields* are extra
+        :class:`QueryResult` fields.
+        """
         ctx = self._context(trace=trace, cancel=cancel)
         self._note_queue_wait(ctx, queue_wait_ms)
         start = time.perf_counter()
         try:
             if cancel is not None:  # e.g. the deadline expired while queued
                 cancel.check()
-            pending = self._pending_table(query.projection, projection.anchor)
-            if pending is None:
-                tuples = execute_select(ctx, projection, query, resolved)
-            else:
-                tuples = self._select_with_delta(
-                    ctx, projection, query, resolved, pending
-                )
+            tuples = run(ctx)
         except BaseException as exc:
-            self._abort_trace(ctx, exc)
+            # Truncate the span tree — every span the exception cut short
+            # closes with status="error" — and attach it for post-mortems.
+            if ctx.tracer is not None:
+                exc.spans = ctx.tracer.finish(error=exc)
             raise
         wall_ms = (time.perf_counter() - start) * 1000.0
+        spans = None
+        if ctx.tracer is not None:
+            spans = ctx.tracer.finish()
+            spans.detail["strategy"] = resolved.value
+        decoders = {}
+        for source in sources:
+            decoders.update(self._decoders(source, tuples.columns))
         return QueryResult(
             tuples=tuples,
             strategy=resolved.value,
             stats=ctx.stats,
             wall_ms=wall_ms,
             simulated_ms=simulated_time_ms(ctx.stats, self.constants),
-            decoders=self._decoders(projection, tuples.columns),
-            spans=self._finish_trace(ctx, resolved.value),
+            decoders=decoders,
+            spans=spans,
             degraded=bool(ctx.skipped_partitions),
             skipped_partitions=tuple(ctx.skipped_partitions),
-            base_rows=projection.n_rows,
-            projection=projection.name,
+            **fields,
         )
 
     def _select_with_delta(
@@ -925,41 +941,30 @@ class Database:
                     f"table {pending!r} has {self.pending(pending)} "
                     "pending writes; call Database.merge() before joining"
                 )
-        left_needed = [query.left_key, *query.left_select] + [
-            p.column for p in query.left_predicates
-        ]
-        left = resolve_join_side(self.catalog, query.left, left_needed)
-        right = resolve_join_side(
-            self.catalog, query.right, [query.right_key, *query.right_select]
-        )
+        left, right = self._join_sides(query)
         if strategy is None or strategy == "auto":
             resolved = RightTableStrategy.MATERIALIZED
         elif isinstance(strategy, RightTableStrategy):
             resolved = strategy
         else:
             resolved = RightTableStrategy.from_name(str(strategy))
-        ctx = self._context(trace=trace, cancel=cancel)
-        self._note_queue_wait(ctx, queue_wait_ms)
-        start = time.perf_counter()
-        try:
-            if cancel is not None:
-                cancel.check()
-            tuples = execute_join(ctx, left, right, query, resolved)
-        except BaseException as exc:
-            self._abort_trace(ctx, exc)
-            raise
-        wall_ms = (time.perf_counter() - start) * 1000.0
-        decoders = self._decoders(left, tuples.columns)
-        decoders.update(self._decoders(right, tuples.columns))
-        return QueryResult(
-            tuples=tuples,
-            strategy=resolved.value,
-            stats=ctx.stats,
-            wall_ms=wall_ms,
-            simulated_ms=simulated_time_ms(ctx.stats, self.constants),
-            decoders=decoders,
-            spans=self._finish_trace(ctx, resolved.value),
+        return self._execute(
+            lambda ctx: execute_join(ctx, left, right, query, resolved),
+            resolved, (left, right), trace, cancel, queue_wait_ms,
         )
+
+    def _join_sides(self, query: JoinQuery) -> tuple:
+        """The stored projections a join reads on its left and right."""
+        left = resolve_join_side(
+            self.catalog,
+            query.left,
+            [query.left_key, *query.left_select]
+            + [p.column for p in query.left_predicates],
+        )
+        right = resolve_join_side(
+            self.catalog, query.right, [query.right_key, *query.right_select]
+        )
+        return left, right
 
     def scrub(self, deep: bool = False):
         """Verify every stored block offline; see :mod:`repro.scrub`.
@@ -1034,9 +1039,9 @@ class Database:
 
         With ``analyze=True`` the query is *executed* (with tracing on, under
         the given *strategy*) and the result is an EXPLAIN ANALYZE report
-        instead: ``{"strategy", "rows", "wall_ms", "simulated_ms",
-        "queue_wait_ms", "total_ms", "root" (the Span tree), "text"
-        (rendered tree), "json" (export dict)}``. ``queue_wait_ms`` is the
+        instead: :meth:`QueryResult.summary` plus ``"root"`` (the Span
+        tree), ``"text"`` (rendered tree), ``"json"`` (export dict) and, when
+        kernels fired, ``"compressed"``. ``queue_wait_ms`` is the
         admission-queue wait passed through to :meth:`query` (0.0 outside a
         serving context) and ``total_ms`` is wait + execute, so serving
         latency decomposes in the report itself.
@@ -1050,47 +1055,22 @@ class Database:
                 cancel=cancel,
                 queue_wait_ms=queue_wait_ms,
             )
-            report = {
-                "strategy": result.strategy,
-                "rows": result.n_rows,
-                "wall_ms": result.wall_ms,
-                "simulated_ms": result.simulated_ms,
-                "queue_wait_ms": result.queue_wait_ms,
-                "total_ms": result.queue_wait_ms + result.wall_ms,
-                "root": result.spans,
-                "text": render_span_tree(result.spans, self.constants),
-                "json": result.spans.to_dict(self.constants),
-            }
+            report = result.summary()
+            report.update(
+                root=result.spans,
+                text=render_span_tree(result.spans, self.constants),
+                json=result.spans.to_dict(self.constants),
+            )
             if result.stats.compressed_scans or result.stats.morphs:
                 report["compressed"] = {
                     "kernel_scans": result.stats.compressed_scans,
                     "morphs": result.stats.morphs,
                 }
-            extra = result.stats.extra
-            if "partitions_total" in extra:
-                report["partitions"] = {
-                    "total": extra["partitions_total"],
-                    "scanned": extra.get("partitions_scanned", 0),
-                    "pruned": extra.get("partitions_pruned", 0),
-                }
-            if result.degraded:
-                report["degraded"] = True
-                report["skipped_partitions"] = list(
-                    result.skipped_partitions
-                )
             return report
         if isinstance(query, JoinQuery):
             from .model.predictor import predict_join
 
-            left_needed = [query.left_key, *query.left_select] + [
-                p.column for p in query.left_predicates
-            ]
-            left = resolve_join_side(self.catalog, query.left, left_needed)
-            right = resolve_join_side(
-                self.catalog,
-                query.right,
-                [query.right_key, *query.right_select],
-            )
+            left, right = self._join_sides(query)
             predictions = {
                 s: predict_join(
                     left, right, query, s,
@@ -1099,19 +1079,13 @@ class Database:
                 for s in RightTableStrategy
             }
             best = min(predictions, key=lambda s: predictions[s].total_ms)
-            return {
-                "chosen": best.value,
-                "predictions": {
-                    s.value: p.total_ms for s, p in predictions.items()
-                },
-                "details": predictions,
-            }
-        projection = resolve_projection(
-            self.catalog, query, constants=self.constants
-        )
-        best, predictions = choose_strategy(
-            projection, query, constants=self.constants, resident=resident
-        )
+        else:
+            projection = resolve_projection(
+                self.catalog, query, constants=self.constants
+            )
+            best, predictions = choose_strategy(
+                projection, query, constants=self.constants, resident=resident
+            )
         report = {
             "chosen": best.value,
             "predictions": {
@@ -1119,7 +1093,7 @@ class Database:
             },
             "details": predictions,
         }
-        if projection.is_partitioned:
+        if isinstance(query, SelectQuery) and projection.is_partitioned:
             from .planner.partitioned import prune_partitions
 
             survivors, total = prune_partitions(projection, query)

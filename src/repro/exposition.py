@@ -287,33 +287,18 @@ def _add_serving(exp: _Exposition, stats: dict) -> None:
     fam = exp.family("serving_queue_depth", "gauge")
     for cls, depth in (admission.get("per_class") or {}).items():
         fam.add(depth, labels={"priority": str(cls)})
-    for key, fam_name in (
-        ("admitted", "serving_admitted_total"),
-        ("taken", "serving_taken_total"),
-        ("rejected", "serving_rejected_total"),
+    for source, key, fam_name, mtype, cast in (
+        (admission, "admitted", "serving_admitted_total", "counter", None),
+        (admission, "taken", "serving_taken_total", "counter", None),
+        (admission, "rejected", "serving_rejected_total", "counter", None),
+        (admission, "peak_depth", "serving_queue_peak_depth", "gauge", None),
+        (admission, "max_depth", "serving_queue_max_depth", "gauge", None),
+        (stats, "active", "serving_active_queries", "gauge", None),
+        (stats, "sessions", "serving_sessions", "gauge", None),
+        (stats, "workers", "serving_workers", "gauge", None),
+        (stats, "draining", "serving_draining", "gauge", bool),
+        (stats, "uptime_s", "serving_uptime_seconds", "gauge", float),
     ):
-        if key in admission:
-            exp.family(fam_name, "counter").add(admission[key])
-    if "peak_depth" in admission:
-        exp.family("serving_queue_peak_depth", "gauge").add(
-            admission["peak_depth"]
-        )
-    if "max_depth" in admission:
-        exp.family("serving_queue_max_depth", "gauge").add(
-            admission["max_depth"]
-        )
-    for key, fam_name in (
-        ("active", "serving_active_queries"),
-        ("sessions", "serving_sessions"),
-        ("workers", "serving_workers"),
-    ):
-        if key in stats:
-            exp.family(fam_name, "gauge").add(stats[key])
-    if "draining" in stats:
-        exp.family("serving_draining", "gauge").add(
-            bool(stats["draining"])
-        )
-    if "uptime_s" in stats:
-        exp.family("serving_uptime_seconds", "gauge").add(
-            float(stats["uptime_s"])
-        )
+        if key in source:
+            value = source[key]
+            exp.family(fam_name, mtype).add(cast(value) if cast else value)

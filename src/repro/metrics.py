@@ -174,15 +174,7 @@ class LatencyHistogram:
 
     def percentile(self, q: float) -> float:
         """Upper bound of the bucket holding the *q*-quantile (0 < q <= 1)."""
-        if self.count == 0:
-            return 0.0
-        target = q * self.count
-        seen = 0
-        for i, c in enumerate(self.counts):
-            seen += c
-            if seen >= target:
-                return self.BOUNDS[i] if i < len(self.BOUNDS) else self.max_ms
-        return self.max_ms  # pragma: no cover - defensive
+        return bucket_percentile(self.BOUNDS, self.counts, q, self.max_ms)
 
     def snapshot(self) -> dict:
         """Summary dict: count, sum, min/max/mean and p50/p90/p99."""
@@ -205,7 +197,9 @@ class LatencyHistogram:
 
         Unlike :meth:`snapshot` (a human-facing summary), this carries the
         full bucket array so :func:`repro.exposition.render_prometheus` can
-        emit a standard cumulative ``_bucket{le=...}`` series.
+        emit a standard cumulative ``_bucket{le=...}`` series, and
+        ``max_ms`` so :func:`bucket_percentile` over the export answers
+        exactly as :meth:`percentile` does.
         """
         with self._lock:
             return {
@@ -213,7 +207,38 @@ class LatencyHistogram:
                 "counts": list(self.counts),
                 "count": self.count,
                 "sum_ms": self.sum_ms,
+                "max_ms": self.max_ms,
             }
+
+
+def bucket_percentile(bounds, counts, q: float, max_ms: float) -> float:
+    """Upper bound of the histogram bucket holding the *q*-quantile.
+
+    *counts* has one entry per bound plus a final unbounded bucket, which
+    reports *max_ms* (the largest observation) instead of infinity. Works on
+    a live :class:`LatencyHistogram` and on its :meth:`~LatencyHistogram.export`
+    alike; 0.0 for an empty histogram.
+    """
+    total = sum(counts)
+    if total == 0:
+        return 0.0
+    target, seen = q * total, 0
+    for bound, c in zip(bounds, counts):
+        seen += c
+        if seen >= target:
+            return bound
+    return max_ms
+
+
+def exact_percentile(sorted_values: list[float], q: float) -> float:
+    """Exact, linearly interpolated percentile of an already-sorted sample."""
+    if not sorted_values:
+        return 0.0
+    pos = (len(sorted_values) - 1) * q
+    lo = int(pos)
+    hi = min(lo + 1, len(sorted_values) - 1)
+    frac = pos - lo
+    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
 
 
 class SlowQueryLog:
@@ -307,24 +332,23 @@ class MetricsRegistry:
 
     # ------------------------------------------------------------- reporting
 
-    def observe_query(
-        self,
-        strategy: str,
-        wall_ms: float,
-        simulated_ms: float = 0.0,
-        rows: int = 0,
-        description: str = "",
-        encodings=(),
-        queue_wait_ms: float = 0.0,
-        degraded: bool = False,
-    ) -> None:
+    def observe_query(self, result, description: str = "", encodings=()) -> None:
         """Record one finished query into counters, histograms, slow log.
 
-        ``queue_wait_ms`` and ``degraded`` travel onto the slow-query ring
-        buffer entry, so a slow served query shows how much of its latency
-        was admission-queue wait and whether it completed over a partial
-        (quarantine-degraded) partition set.
+        *result* is a :class:`~repro.engine.QueryResult`; everything recorded
+        is read from its :meth:`~repro.engine.QueryResult.summary` and
+        ``stats``. ``queue_wait_ms`` and ``degraded`` travel onto the
+        slow-query ring buffer entry, so a slow served query shows how much
+        of its latency was admission-queue wait and whether it completed
+        over a partial (quarantine-degraded) partition set. Partition
+        scan/prune totals, I/O retries and degraded queries are counted too.
         """
+        summary = result.summary()
+        stats = result.stats
+        strategy = summary["strategy"]
+        wall_ms = summary["wall_ms"]
+        simulated_ms = summary["simulated_ms"]
+        degraded = summary.get("degraded", False)
         self.counter("queries_total").inc()
         self.counter(f"queries.strategy.{strategy}").inc()
         for encoding in encodings:
@@ -337,13 +361,26 @@ class MetricsRegistry:
             wall_ms,
             strategy=strategy,
             simulated_ms=round(simulated_ms, 3),
-            rows=rows,
+            rows=summary["rows"],
             query=description,
-            queue_wait_ms=round(queue_wait_ms, 3),
+            queue_wait_ms=round(summary["queue_wait_ms"], 3),
             degraded=degraded,
         )
         if logged:
             self.counter("queries_slow_total").inc()
+        partitions = summary.get("partitions")
+        if partitions is not None:
+            self.counter("partitions_scanned_total").inc(partitions["scanned"])
+            self.counter("partitions_pruned_total").inc(partitions["pruned"])
+        if stats.io_retries:
+            self.counter("io_retries_total").inc(stats.io_retries)
+        if stats.io_gave_up:
+            self.counter("io_gave_up_total").inc(stats.io_gave_up)
+        if degraded:
+            self.counter("degraded_queries_total").inc()
+            self.counter("partitions_quarantined_total").inc(
+                stats.extra.get("partitions_quarantined", 0)
+            )
 
     # ------------------------------------------------------------- lifecycle
 

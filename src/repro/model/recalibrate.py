@@ -27,12 +27,10 @@ error over the trace is no worse than the baseline constants', so
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ReproError
 from .constants import ModelConstants
 
 #: The constants fitted from traces, in ModelConstants field order. ``pf``
@@ -62,39 +60,19 @@ def _basis(baseline: ModelConstants) -> list[ModelConstants]:
 def _record_features(db, record, basis, cache):
     """Per-record feature row: predicted ms per unit price of each constant.
 
-    Pins the record's resolved strategy and projection (when recorded and
-    still present) so the features describe the plan that produced the
-    measurement. Returns an ``len(FITTED_FIELDS)``-vector or None when the
-    record is not a usable select trace.
+    Priced against the record's logged plan
+    (:func:`repro.workload.price_record`), so the features describe the
+    plan that produced the measurement. Returns an
+    ``len(FITTED_FIELDS)``-vector or None when the record is not a usable
+    ok select trace.
     """
-    if record.get("kind") != "select" or record.get("outcome") != "ok":
+    if record.get("outcome") != "ok" or "simulated_ms" not in record:
         return None
-    qdict = record.get("query")
-    strategy_name = record.get("strategy")
-    if not qdict or not strategy_name or "simulated_ms" not in record:
-        return None
-    proj_name = record.get("projection") or qdict.get("projection")
-    key = (
-        record.get("fingerprint", "-"),
-        strategy_name,
-        proj_name,
-        json.dumps(qdict, sort_keys=True),
-    )
-    if key in cache:
-        return cache[key]
-    from ..planner.projection_choice import resolve_projection
-    from ..planner.strategies import Strategy
-    from ..serving.protocol import query_from_dict
+    from ..workload import price_record
     from .predictor import predict_select
 
-    try:
-        query = query_from_dict(qdict)
-        strategy = Strategy.from_name(strategy_name)
-        if proj_name is not None and proj_name in db.catalog:
-            projection = db.catalog.get(proj_name)
-        else:
-            projection = resolve_projection(db.catalog, query)
-        row = np.array(
+    def features(projection, query, strategy):
+        return np.array(
             [
                 predict_select(projection, query, strategy, constants=k)
                 .total_ms
@@ -102,10 +80,8 @@ def _record_features(db, record, basis, cache):
             ],
             dtype=np.float64,
         )
-    except (ReproError, ValueError):
-        row = None
-    cache[key] = row
-    return row
+
+    return price_record(db, record, cache, features)
 
 
 @dataclass

@@ -44,11 +44,13 @@ import queue
 import threading
 import time
 import zlib
+from dataclasses import fields
 from functools import lru_cache
 from hashlib import blake2b
 from pathlib import Path
 
 from .errors import CatalogError
+from .metrics import QueryStats
 
 logger = logging.getLogger(__name__)
 
@@ -59,6 +61,13 @@ DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
 _BATCH_DELAY_S = 0.02
 
 _SEGMENT_GLOB = "qlog-*.jsonl"
+
+#: The ``counters`` of an ok record: every :class:`QueryStats` field except
+#: ``tuples_output`` (the record's ``rows``) and ``extra``.
+_COUNTER_FIELDS = tuple(
+    f.name for f in fields(QueryStats)
+    if f.name not in ("tuples_output", "extra")
+)
 
 
 def _segment_name(index: int) -> str:
@@ -225,6 +234,15 @@ def _query_static(query) -> tuple:
     )
 
 
+def _counters(stats: QueryStats) -> dict:
+    """Every counter of an ok record, floats rounded to 3 places."""
+    out = {}
+    for name in _COUNTER_FIELDS:
+        value = getattr(stats, name)
+        out[name] = round(value, 3) if isinstance(value, float) else value
+    return out
+
+
 def result_hash(tuples) -> str:
     """Order-sensitive hash of a result :class:`~repro.operators.TupleSet`.
 
@@ -341,36 +359,18 @@ class QueryLog:
         dropped (the query's caller never saw the record acknowledged); a
         malformed line anywhere earlier is real corruption and raises.
         """
-        lines = []
-        with open(path, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    lines.append(line)
-        last_seq = -1
-        torn = False
-        for i, line in enumerate(lines):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if i == len(lines) - 1:
-                    torn = True
-                    logger.warning(
-                        "%s: truncating torn final query-log line "
-                        "(%d intact records kept): %s",
-                        path, len(lines) - 1, exc,
-                    )
-                    break
-                raise CatalogError(
-                    f"{path}: corrupt query-log line {i + 1} of "
-                    f"{len(lines)} (not the torn-tail case): {exc}"
-                ) from exc
-            last_seq = int(record.get("seq", last_seq + 1))
-        if torn:
+        records, lines, torn = _read_segment(path, torn_tail_ok=True)
+        if torn is not None:
+            logger.warning(
+                "%s: truncating torn final query-log line "
+                "(%d intact records kept): %s",
+                path, len(records), torn,
+            )
             with open(path, "w", encoding="utf-8") as f:
-                for line in lines[:-1]:
-                    f.write(line + "\n")
-                f.flush()
+                f.writelines(line + "\n" for line in lines[:-1])
+        last_seq = -1
+        for record in records:
+            last_seq = int(record.get("seq", last_seq + 1))
         return last_seq
 
     def close(self) -> None:
@@ -477,81 +477,64 @@ class QueryLog:
         self._queue.put(record)
 
     def _base_record(self, query, origin: str, session) -> dict:
+        """Timestamp, provenance and, given a query, its static fields.
+
+        A request turned away before it was bound has no query (``None``):
+        its record carries no fingerprint, kind, template, columns or query.
+        """
+        record = {"ts": round(time.time(), 3), "origin": origin}
+        if session is not None:
+            record["session"] = session
+        if query is None:
+            return record
         try:
             fingerprint, kind, template, columns, qdict = _query_static(query)
         except TypeError:  # unhashable query object: compute uncached
             fingerprint, kind, template, columns, qdict = (
                 _query_static.__wrapped__(query)
             )
-        record = {
-            "ts": round(time.time(), 3),
-            "fingerprint": fingerprint,
-            "kind": kind,
-            "template": template,
-            "origin": origin,
-            "columns": list(columns),
-        }
-        if session is not None:
-            record["session"] = session
-        record["query"] = qdict
+        record.update(
+            fingerprint=fingerprint,
+            kind=kind,
+            template=template,
+            columns=list(columns),
+            query=qdict,
+        )
         return record
 
     def observe(self, query, result, origin: str = "embedded",
                 session=None) -> bool:
-        """Record one finished query; returns whether it was sampled in."""
+        """Record one finished query; returns whether it was sampled in.
+
+        The record is a view of ``result.summary()`` plus the query's
+        static fields, every :class:`QueryStats` counter, the resolved
+        projection, the observed selectivity and the result hash.
+        """
         with self._lock:
             if not self._sampled_in():
                 return False
             record = self._base_record(query, origin, session)
-            stats = result.stats
+            summary = result.summary()
             record.update(
-                strategy=result.strategy,
+                strategy=summary["strategy"],
                 encodings=dict(getattr(query, "encodings", ()) or ()),
-                outcome="degraded" if result.degraded else "ok",
-                rows=result.n_rows,
-                wall_ms=round(result.wall_ms, 3),
-                simulated_ms=round(result.simulated_ms, 3),
-                queue_wait_ms=round(result.queue_wait_ms, 3),
-                counters={
-                    "block_reads": stats.block_reads,
-                    "disk_seeks": stats.disk_seeks,
-                    "buffer_hits": stats.buffer_hits,
-                    "decode_hits": stats.decode_hits,
-                    "decode_misses": stats.decode_misses,
-                    "blocks_skipped": stats.blocks_skipped,
-                    "compressed_scans": stats.compressed_scans,
-                    "morphs": stats.morphs,
-                    "io_retries": stats.io_retries,
-                    "io_gave_up": stats.io_gave_up,
-                    "values_scanned": stats.values_scanned,
-                    "tuples_constructed": stats.tuples_constructed,
-                    "positions_intersected": stats.positions_intersected,
-                    "block_iterations": stats.block_iterations,
-                    "column_iterations": stats.column_iterations,
-                    "tuple_iterations": stats.tuple_iterations,
-                    "function_calls": stats.function_calls,
-                    "simulated_io_us": round(stats.simulated_io_us, 3),
-                },
+                outcome="degraded" if "degraded" in summary else "ok",
+                rows=summary["rows"],
+                wall_ms=round(summary["wall_ms"], 3),
+                simulated_ms=round(summary["simulated_ms"], 3),
+                queue_wait_ms=round(summary["queue_wait_ms"], 3),
+                counters=_counters(result.stats),
             )
-            resolved = getattr(result, "projection", None)
-            if resolved is not None:
-                record["projection"] = resolved
+            if result.projection is not None:
+                record["projection"] = result.projection
             if result.base_rows and not getattr(query, "aggregates", ()):
                 record["selectivity"] = round(
-                    result.n_rows / result.base_rows, 6
+                    summary["rows"] / result.base_rows, 6
                 )
-            extra = stats.extra
-            if "partitions_total" in extra:
-                record["partitions"] = {
-                    "total": extra["partitions_total"],
-                    "scanned": extra.get("partitions_scanned", 0),
-                    "pruned": extra.get("partitions_pruned", 0),
-                }
-            if result.degraded:
-                record["skipped_partitions"] = list(
-                    result.skipped_partitions
-                )
-            if self.result_hashes and not result.degraded:
+            for key in ("partitions", "skipped_partitions"):
+                if key in summary:
+                    record[key] = summary[key]
+            if self.result_hashes and "degraded" not in summary:
                 record["result_hash"] = result_hash(result.tuples)
             self._enqueue(record)
             return True
@@ -574,34 +557,34 @@ class QueryLog:
             outcome = "cancelled"
         else:
             outcome = "error"
+        return self._observe_failure(
+            query, outcome, type(exc).__name__, str(exc), wall_ms,
+            queue_wait_ms, origin, session,
+        )
+
+    def observe_rejected(self, query, reason: str,
+                         origin: str = "served", session=None) -> bool:
+        """Record a query the admission queue (or drain) turned away.
+
+        *query* is ``None`` for a request turned away before it was bound;
+        that record carries the outcome and provenance only, so the workload
+        summary counts it without inventing a template for it.
+        """
+        return self._observe_failure(
+            query, "rejected", "Rejected", reason, 0.0, 0.0, origin, session
+        )
+
+    def _observe_failure(self, query, outcome, error_type, message, wall_ms,
+                         queue_wait_ms, origin, session) -> bool:
         with self._lock:
             if not self._sampled_in():
                 return False
             record = self._base_record(query, origin, session)
             record.update(
                 outcome=outcome,
-                error={
-                    "type": type(exc).__name__,
-                    "message": str(exc)[:200],
-                },
+                error={"type": error_type, "message": message[:200]},
                 wall_ms=round(wall_ms, 3),
                 queue_wait_ms=round(float(queue_wait_ms or 0.0), 3),
-            )
-            self._enqueue(record)
-            return True
-
-    def observe_rejected(self, query, reason: str,
-                         origin: str = "served", session=None) -> bool:
-        """Record a query the admission queue (or drain) turned away."""
-        with self._lock:
-            if not self._sampled_in():
-                return False
-            record = self._base_record(query, origin, session)
-            record.update(
-                outcome="rejected",
-                error={"type": "Rejected", "message": reason[:200]},
-                wall_ms=0.0,
-                queue_wait_ms=0.0,
             )
             self._enqueue(record)
             return True
@@ -647,26 +630,68 @@ def read_query_log(path: str | Path) -> list[dict]:
     else:
         raise CatalogError(f"{path}: no such query log")
     records: list[dict] = []
-    for si, segment in enumerate(segments):
-        final_segment = si == len(segments) - 1
-        lines = []
-        with open(segment, encoding="utf-8") as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    lines.append(line)
-        for i, line in enumerate(lines):
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as exc:
-                if final_segment and i == len(lines) - 1:
-                    logger.warning(
-                        "%s: skipping torn final query-log line: %s",
-                        segment, exc,
-                    )
-                    break
-                raise CatalogError(
-                    f"{segment}: corrupt query-log line {i + 1} of "
-                    f"{len(lines)} (not the torn-tail case): {exc}"
-                ) from exc
+    for segment in segments:
+        part, _, torn = _read_segment(
+            segment, torn_tail_ok=segment == segments[-1]
+        )
+        if torn is not None:
+            logger.warning(
+                "%s: skipping torn final query-log line: %s", segment, torn
+            )
+        records.extend(part)
     return records
+
+
+def _read_segment(path: Path, torn_tail_ok: bool) -> tuple:
+    """``(records, lines, torn)`` of one segment file.
+
+    *torn* is the parse error of a malformed final line when
+    *torn_tail_ok* (its record is left out), else ``None``; a malformed
+    line anywhere else is real corruption and raises
+    :class:`~repro.errors.CatalogError` naming the file and line.
+    """
+    with open(path, encoding="utf-8") as f:
+        lines = [line.strip() for line in f if line.strip()]
+    records = []
+    for i, line in enumerate(lines):
+        try:
+            records.append(json.loads(line))
+        except json.JSONDecodeError as exc:
+            if torn_tail_ok and i == len(lines) - 1:
+                return records, lines, exc
+            raise CatalogError(
+                f"{path}: corrupt query-log line {i + 1} of "
+                f"{len(lines)} (not the torn-tail case): {exc}"
+            ) from exc
+    return records, lines, None
+
+
+def record_plan(record: dict, catalog) -> tuple:
+    """``(query, strategy, pinned projection)`` a logged record ran under.
+
+    The logical query is rebuilt from the record's query dict (raising
+    :class:`~repro.errors.ReproError` or ``ValueError`` when it cannot be),
+    the strategy is the recorded resolved strategy name (``None`` when
+    absent, which executes as ``auto``), and the pinned projection is the
+    name of the projection a select resolved to — kept only while *catalog*
+    still serves the query's table from it, ``None`` otherwise (joins,
+    older records, or a design that has since dropped it), in which case
+    the caller routes afresh. Replay, the workload summary's model
+    residuals and log recalibration all read records through this one
+    helper, so they price and re-execute the same physical plan.
+    """
+    from .serving.protocol import query_from_dict
+
+    qdict = record["query"]
+    query = query_from_dict(qdict)
+    pinned = record.get("projection")
+    if not (
+        pinned
+        and qdict.get("kind", "select") == "select"
+        and pinned in catalog
+        and pinned in {
+            p.name for p in catalog.candidates(qdict.get("projection", ""))
+        }
+    ):
+        pinned = None
+    return query, record.get("strategy"), pinned

@@ -26,6 +26,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 
+from ..metrics import exact_percentile
 from ..planner import SelectQuery
 from ..predicates import Predicate
 from .client import AsyncQueryClient
@@ -160,14 +161,6 @@ class LoadgenReport:
         }
 
 
-def _percentile(sorted_ms: list[float], q: float) -> float:
-    """Exact (nearest-rank) percentile of an already-sorted sample."""
-    if not sorted_ms:
-        return 0.0
-    rank = max(0, min(len(sorted_ms) - 1, int(q * len(sorted_ms) + 0.5) - 1))
-    return sorted_ms[rank]
-
-
 async def _client_loop(
     index: int,
     host: str,
@@ -279,9 +272,9 @@ async def _run_clients(
     report.duration_s = elapsed
     report.throughput_qps = report.ok / elapsed if elapsed > 0 else 0.0
     report.mean_ms = sum(lat) / len(lat) if lat else 0.0
-    report.p50_ms = _percentile(lat, 0.50)
-    report.p95_ms = _percentile(lat, 0.95)
-    report.p99_ms = _percentile(lat, 0.99)
+    report.p50_ms = exact_percentile(lat, 0.50)
+    report.p95_ms = exact_percentile(lat, 0.95)
+    report.p99_ms = exact_percentile(lat, 0.99)
     report.max_ms = lat[-1] if lat else 0.0
     report.queue_depth_max = max(depth_samples, default=0)
     report.queue_depth_mean = (

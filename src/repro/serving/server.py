@@ -57,6 +57,13 @@ from ..serving.session import Session
 #: default 64 KiB limit truncates anything non-trivial).
 STREAM_LIMIT = 32 * 1024 * 1024
 
+#: The :meth:`~repro.engine.QueryResult.summary` keys a query reply carries
+#: (the row count goes out as ``n_rows``); the degraded pair only when set.
+_REPLY_SUMMARY = (
+    "strategy", "wall_ms", "simulated_ms", "queue_wait_ms", "total_ms",
+    "degraded", "skipped_partitions",
+)
+
 
 @dataclass
 class _Work:
@@ -281,16 +288,9 @@ class QueryServer:
     async def _submit(self, session: Session, op: str, request: dict) -> dict:
         """Bind, admit, and await one executable request."""
         if self._draining:
-            session.rejected += 1
-            qlog = getattr(self.db, "qlog", None)
-            if qlog is not None:
-                # Pre-bind rejection: no query object yet, log outcome only.
-                qlog.observe_rejected(
-                    None, "draining", session=str(session.session_id)
-                )
-            return error_response(
-                ReproError("server is draining"), rejected=True
-            )
+            # Pre-bind rejection: no query object yet, log outcome only.
+            return self._reject(session, None, "draining",
+                                "server is draining")
         try:
             query = self._bind(request)
         except Exception as exc:
@@ -321,22 +321,12 @@ class QueryServer:
         session.track(token)
         try:
             if not self.admission.offer(work, priority=knobs["priority"]):
-                session.rejected += 1
                 self.metrics.counter("serving.rejected_total").inc()
-                qlog = getattr(self.db, "qlog", None)
-                if qlog is not None:
-                    qlog.observe_rejected(
-                        query,
-                        f"queue full (depth {self.admission.max_depth})",
-                        session=str(session.session_id),
-                    )
                 session.record(op, ok=False, detail="rejected (queue full)")
-                return error_response(
-                    ReproError(
-                        f"admission queue full "
-                        f"(depth {self.admission.max_depth})"
-                    ),
-                    rejected=True,
+                depth = self.admission.max_depth
+                return self._reject(
+                    session, query, f"queue full (depth {depth})",
+                    f"admission queue full (depth {depth})",
                 )
             response = await work.future
         finally:
@@ -349,6 +339,17 @@ class QueryServer:
             or request.get("query", {}).get("projection", ""),
         )
         return response
+
+    def _reject(self, session: Session, query, reason: str,
+                message: str) -> dict:
+        """Turn a request away: count it, log it, build the error reply."""
+        session.rejected += 1
+        qlog = getattr(self.db, "qlog", None)
+        if qlog is not None:
+            qlog.observe_rejected(
+                query, reason, session=str(session.session_id)
+            )
+        return error_response(ReproError(message), rejected=True)
 
     def _bind(self, request: dict):
         """Turn the request into a logical query object (event-loop side)."""
@@ -427,22 +428,17 @@ class QueryServer:
                     result.decoded_rows() if knobs["decoded"]
                     else result.rows()
                 )
+                summary = result.summary()
                 response = {
                     "ok": True,
                     "columns": list(result.tuples.columns),
                     "rows": rows,
-                    "n_rows": result.n_rows,
-                    "strategy": result.strategy,
-                    "wall_ms": result.wall_ms,
-                    "simulated_ms": result.simulated_ms,
-                    "queue_wait_ms": result.queue_wait_ms,
-                    "total_ms": result.queue_wait_ms + result.wall_ms,
+                    "n_rows": summary["rows"],
                 }
-                if result.degraded:
-                    response["degraded"] = True
-                    response["skipped_partitions"] = list(
-                        result.skipped_partitions
-                    )
+                response.update(
+                    (key, summary[key]) for key in _REPLY_SUMMARY
+                    if key in summary
+                )
                 if result.spans is not None:
                     response["trace"] = result.spans.to_dict(
                         self.db.constants

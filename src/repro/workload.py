@@ -22,20 +22,30 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import ReproError, UnsupportedOperationError
-from .qlog import result_hash
+from .metrics import exact_percentile
+from .qlog import record_plan, result_hash
 
 
-def _percentile(sorted_values: list[float], q: float) -> float:
-    """Exact (nearest-rank, linear-interpolated) percentile of a sorted list."""
-    if not sorted_values:
-        return 0.0
-    if len(sorted_values) == 1:
-        return sorted_values[0]
-    pos = (len(sorted_values) - 1) * q
-    lo = int(pos)
-    hi = min(lo + 1, len(sorted_values) - 1)
-    frac = pos - lo
-    return sorted_values[lo] * (1 - frac) + sorted_values[hi] * frac
+def _bump(counts: dict, key, n=1) -> None:
+    counts[key] = counts.get(key, 0) + n
+
+
+def _mix_lines(**mixes: dict) -> list[str]:
+    """One ``label  key=count, ...`` report line per non-empty mix."""
+    return [
+        f"{label:<14} " + ", ".join(f"{k}={v}" for k, v in sorted(mix.items()))
+        for label, mix in mixes.items()
+        if mix
+    ]
+
+
+def _wall_percentiles(samples: list[float]) -> dict:
+    """p50/p90/p99 of wall-time samples, rounded to microseconds."""
+    ordered = sorted(samples)
+    return {
+        name: round(exact_percentile(ordered, q), 3)
+        for name, q in (("p50", 0.50), ("p90", 0.90), ("p99", 0.99))
+    }
 
 
 @dataclass
@@ -74,12 +84,7 @@ class TemplateStats:
     residual_ms_total: float = 0.0
 
     def percentiles(self) -> dict:
-        ordered = sorted(self.wall_samples)
-        return {
-            "p50": round(_percentile(ordered, 0.50), 3),
-            "p90": round(_percentile(ordered, 0.90), 3),
-            "p99": round(_percentile(ordered, 0.99), 3),
-        }
+        return _wall_percentiles(self.wall_samples)
 
     def to_dict(self) -> dict:
         d = {
@@ -136,12 +141,7 @@ class WorkloadSummary:
         )[:n]
 
     def latency_percentiles(self) -> dict:
-        ordered = sorted(self.wall_samples)
-        return {
-            "p50": round(_percentile(ordered, 0.50), 3),
-            "p90": round(_percentile(ordered, 0.90), 3),
-            "p99": round(_percentile(ordered, 0.99), 3),
-        }
+        return _wall_percentiles(self.wall_samples)
 
     def to_dict(self, top: int = 10) -> dict:
         return {
@@ -175,21 +175,11 @@ class WorkloadSummary:
             f"records        {self.total}",
             f"templates      {len(self.templates)}",
         ]
-        if self.by_outcome:
-            mix = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.by_outcome.items())
-            )
-            lines.append(f"outcomes       {mix}")
-        if self.by_strategy:
-            mix = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.by_strategy.items())
-            )
-            lines.append(f"strategies     {mix}")
-        if self.by_origin:
-            mix = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.by_origin.items())
-            )
-            lines.append(f"origins        {mix}")
+        lines += _mix_lines(
+            outcomes=self.by_outcome,
+            strategies=self.by_strategy,
+            origins=self.by_origin,
+        )
         pct = self.latency_percentiles()
         lines.append(
             f"latency ms     p50={pct['p50']} p90={pct['p90']} "
@@ -225,51 +215,44 @@ class WorkloadSummary:
         return "\n".join(lines)
 
 
-def _record_prediction(db, record, constants, cache):
-    """Model-predicted simulated ms for one select record (None when n/a).
+def price_record(db, record, cache: dict, price, constants=None):
+    """``price(projection, query, strategy)`` for a logged select's plan.
 
-    The prediction pins the record's resolved strategy and, when recorded,
-    its resolved projection — the same physical plan the measurement came
-    from — so ``predicted - measured`` is a true model residual rather
-    than a plan-choice delta. Keyed by (fingerprint, strategy, projection,
-    literal query) so repeated templates cost one prediction each.
+    The plan is :func:`repro.qlog.record_plan`'s: the recorded strategy and,
+    while the catalog still has it, the recorded projection (else the one
+    the planner resolves now under *constants*) — the plan the measurement
+    came from, so a prediction against it is a true model residual rather
+    than a plan-choice delta. Memoised in *cache* per (fingerprint,
+    strategy, projection, literal query), so repeated templates are priced
+    once; None when the record is not a select carrying its query and
+    strategy, or does not price cleanly against the catalog.
     """
     if record.get("kind") != "select":
         return None
-    qdict = record.get("query")
-    strategy_name = record.get("strategy")
-    if not qdict or not strategy_name:
+    if not record.get("query") or not record.get("strategy"):
         return None
-    proj_name = record.get("projection") or qdict.get("projection")
     key = (
         record.get("fingerprint", "-"),
-        strategy_name,
-        proj_name,
-        json.dumps(qdict, sort_keys=True),
+        record["strategy"],
+        record.get("projection"),
+        json.dumps(record["query"], sort_keys=True),
     )
-    if key in cache:
-        return cache[key]
-    from .model import predict_select
-    from .planner.projection_choice import resolve_projection
-    from .planner.strategies import Strategy
-    from .serving.protocol import query_from_dict
+    if key not in cache:
+        from .planner.projection_choice import resolve_projection
+        from .planner.strategies import Strategy
 
-    try:
-        query = query_from_dict(qdict)
-        strategy = Strategy.from_name(strategy_name)
-        if proj_name is not None and proj_name in db.catalog:
-            projection = db.catalog.get(proj_name)
-        else:
-            projection = resolve_projection(
-                db.catalog, query, constants=constants
-            )
-        value = predict_select(
-            projection, query, strategy, constants=constants
-        ).total_ms
-    except (ReproError, ValueError):
-        value = None
-    cache[key] = value
-    return value
+        try:
+            query, strategy, pinned = record_plan(record, db.catalog)
+            if pinned is not None:
+                projection = db.catalog.get(pinned)
+            else:
+                projection = resolve_projection(
+                    db.catalog, query, constants=constants
+                )
+            cache[key] = price(projection, query, Strategy.from_name(strategy))
+        except (ReproError, ValueError):
+            cache[key] = None
+    return cache[key]
 
 
 def summarize_log(records, db=None, constants=None) -> WorkloadSummary:
@@ -286,24 +269,28 @@ def summarize_log(records, db=None, constants=None) -> WorkloadSummary:
     if db is not None and constants is None:
         constants = db.constants
     prediction_cache: dict = {}
+
+    def predict(projection, query, strategy) -> float:
+        from .model import predict_select
+
+        return predict_select(
+            projection, query, strategy, constants=constants
+        ).total_ms
+
     summary = WorkloadSummary()
     for record in records:
         summary.total += 1
         outcome = record.get("outcome", "ok")
-        summary.by_outcome[outcome] = summary.by_outcome.get(outcome, 0) + 1
+        _bump(summary.by_outcome, outcome)
         origin = record.get("origin", "embedded")
-        summary.by_origin[origin] = summary.by_origin.get(origin, 0) + 1
+        _bump(summary.by_origin, origin)
         strategy = record.get("strategy")
         if strategy:
-            summary.by_strategy[strategy] = (
-                summary.by_strategy.get(strategy, 0) + 1
-            )
+            _bump(summary.by_strategy, strategy)
         for enc in (record.get("encodings") or {}).values():
-            summary.by_encoding[enc] = summary.by_encoding.get(enc, 0) + 1
+            _bump(summary.by_encoding, enc)
         for col in record.get("columns", ()):
-            summary.column_touches[col] = (
-                summary.column_touches.get(col, 0) + 1
-            )
+            _bump(summary.column_touches, col)
         wall = float(record.get("wall_ms", 0.0))
         sim = float(record.get("simulated_ms", 0.0))
         wait = float(record.get("queue_wait_ms", 0.0))
@@ -315,9 +302,11 @@ def summarize_log(records, db=None, constants=None) -> WorkloadSummary:
             summary.partitions_scanned += int(parts.get("scanned", 0))
             summary.partitions_pruned += int(parts.get("pruned", 0))
         for name, value in (record.get("counters") or {}).items():
-            summary.counters[name] = summary.counters.get(name, 0) + value
+            _bump(summary.counters, name, value)
 
-        fp = record.get("fingerprint", "-")
+        fp = record.get("fingerprint")
+        if fp is None:  # turned away before binding: no query, no template
+            continue
         tmpl = summary.templates.get(fp)
         if tmpl is None:
             tmpl = TemplateStats(
@@ -327,10 +316,10 @@ def summarize_log(records, db=None, constants=None) -> WorkloadSummary:
             )
             summary.templates[fp] = tmpl
         tmpl.count += 1
-        tmpl.outcomes[outcome] = tmpl.outcomes.get(outcome, 0) + 1
+        _bump(tmpl.outcomes, outcome)
         if strategy:
-            tmpl.strategies[strategy] = tmpl.strategies.get(strategy, 0) + 1
-        tmpl.origins[origin] = tmpl.origins.get(origin, 0) + 1
+            _bump(tmpl.strategies, strategy)
+        _bump(tmpl.origins, origin)
         tmpl.rows_total += int(record.get("rows", 0))
         tmpl.wall_ms_total += wall
         tmpl.simulated_ms_total += sim
@@ -339,15 +328,15 @@ def summarize_log(records, db=None, constants=None) -> WorkloadSummary:
             tmpl.selectivities.append(float(record["selectivity"]))
         proj = record.get("projection")
         if proj:
-            tmpl.projections[proj] = tmpl.projections.get(proj, 0) + 1
+            _bump(tmpl.projections, proj)
         if outcome in ("ok", "degraded"):
             tmpl.wall_samples.append(wall)
             summary.wall_samples.append(wall)
             if tmpl.example_query is None and record.get("query"):
                 tmpl.example_query = record["query"]
             if db is not None:
-                predicted = _record_prediction(
-                    db, record, constants, prediction_cache
+                predicted = price_record(
+                    db, record, prediction_cache, predict, constants
                 )
                 if predicted is not None:
                     tmpl.predicted_count += 1
@@ -429,16 +418,7 @@ class ReplayReport:
             f"(matched={self.matched} mismatched={self.mismatched} "
             f"errors={self.errors} skipped={self.skipped})",
         ]
-        if self.strategies:
-            mix = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.strategies.items())
-            )
-            lines.append(f"strategies     {mix}")
-        if self.origins:
-            mix = ", ".join(
-                f"{k}={v}" for k, v in sorted(self.origins.items())
-            )
-            lines.append(f"origins        {mix}")
+        lines += _mix_lines(strategies=self.strategies, origins=self.origins)
         for m in self.mismatches[:5]:
             lines.append(
                 f"  seq {m.seq} [{m.fingerprint}] {m.strategy}: "
@@ -469,8 +449,6 @@ def replay_log(db, records, check: bool = True,
     report's :attr:`ReplayReport.ok` is True iff nothing mismatched and
     nothing errored.
     """
-    from .serving.protocol import query_from_dict
-
     report = ReplayReport()
     for record in records:
         report.total += 1
@@ -484,38 +462,12 @@ def replay_log(db, records, check: bool = True,
         if limit is not None and report.replayed >= limit:
             report.skipped += 1
             continue
-        qdict = record["query"]
-        # The planner resolved this select to a concrete projection at
-        # record time; pin the replay to the same physical source so tuple
-        # order (and therefore the hash) reproduces even if the advisor
-        # has since changed the candidate set. Records without the field
-        # (older logs) fall back to live routing, as before.
-        pinned = record.get("projection")
-        if not (
-            pinned
-            and qdict.get("kind", "select") == "select"
-            and pinned in db.catalog
-        ):
-            pinned = None
-        elif pinned not in {
-            p.name for p in db.catalog.candidates(qdict.get("projection", ""))
-        }:
-            # The record's projection no longer serves the query's table
-            # (renamed, re-anchored, or the record was hand-edited): fall
-            # back to live routing so errors surface normally.
-            pinned = None
+        # Pin the replay to the recorded strategy and, while the catalog
+        # still serves the query from it, the recorded projection, so tuple
+        # order (and therefore the hash) reproduces even if the advisor has
+        # since changed the candidate set.
         try:
-            query = query_from_dict(qdict)
-        except ReproError as exc:
-            report.errors += 1
-            report.error_detail.append({
-                "seq": record.get("seq", -1),
-                "type": type(exc).__name__,
-                "message": str(exc)[:200],
-            })
-            continue
-        strategy = record.get("strategy", "auto")
-        try:
+            query, strategy, pinned = record_plan(record, db.catalog)
             result = db.query(query, strategy=strategy,
                               pin_projection=pinned)
         except UnsupportedOperationError:
@@ -530,11 +482,8 @@ def replay_log(db, records, check: bool = True,
             })
             continue
         report.replayed += 1
-        report.strategies[result.strategy] = (
-            report.strategies.get(result.strategy, 0) + 1
-        )
-        origin = record.get("origin", "embedded")
-        report.origins[origin] = report.origins.get(origin, 0) + 1
+        _bump(report.strategies, result.strategy)
+        _bump(report.origins, record.get("origin", "embedded"))
         if check:
             replayed = result_hash(result.tuples)
             if replayed == record["result_hash"]:

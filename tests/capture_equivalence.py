@@ -20,7 +20,12 @@ strategy's predicted steps, and each query's last strategy (``auto`` for
 selections) records SHA-256 digests of the JSON a served reply would carry
 (``rows()`` and ``decoded_rows()``, dates as ISO strings) — once per seed,
 unpartitioned and in the default configuration, since the block digest
-already pins the same block everywhere else. The
+already pins the same block everywhere else. The views of each finished
+query are captured too: every execution's query-log record (without its
+``ts``, ``seq`` and ``wall_ms``), each query's ``explain(analyze=True)``
+report under its last strategy in the default configuration (without
+wall-clock timings), and each configuration's final registry counters
+(without the wall-clock-dependent ``queries_slow_total``). The
 grouping and join kernels have a direct-address branch for dense integer
 domains and a sorting branch for the rest; TPC-H keys are all dense, so the
 capture also groups over wide compound keys (1-D unique and int64-overflow
@@ -45,6 +50,7 @@ import numpy as np
 from repro import Database, Predicate, SelectQuery, load_tpch
 from repro.errors import UnsupportedOperationError
 from repro.metrics import MetricsRegistry
+from repro.qlog import QueryLog, read_query_log
 from repro.planner.logical import AggSpec, JoinQuery
 from repro.dtypes import INT32, INT64, ColumnSchema
 from repro.planner.strategies import RightTableStrategy, Strategy
@@ -303,6 +309,35 @@ def _explain_record(db: Database, query: SelectQuery) -> dict:
     }
 
 
+def _without_wall(value):
+    """*value* with every ``wall_ms`` key dropped, at any depth."""
+    if isinstance(value, dict):
+        return {k: _without_wall(v) for k, v in value.items() if k != "wall_ms"}
+    if isinstance(value, list):
+        return [_without_wall(v) for v in value]
+    return value
+
+
+def _analyze_record(db: Database, query, strategy: str) -> dict:
+    """``explain(analyze=True)`` without its wall-clock fields."""
+    try:
+        report = db.explain(query, analyze=True, strategy=strategy)
+    except UnsupportedOperationError as exc:
+        return {"unsupported": str(exc)}
+    out = {
+        k: v for k, v in report.items()
+        if k not in ("wall_ms", "total_ms", "root", "text", "json")
+    }
+    out["json"] = _without_wall(report["json"])
+    return out
+
+
+def _qlog_record(record: dict) -> dict:
+    return {
+        k: v for k, v in record.items() if k not in ("ts", "seq", "wall_ms")
+    }
+
+
 def capture() -> dict:
     records: dict[str, dict] = {}
     for seed in SEEDS:
@@ -316,12 +351,16 @@ def capture() -> dict:
                 )
                 loader.close()
                 for config_name, config in CONFIGS.items():
-                    db = Database(root, query_log=False,
-                                  metrics=MetricsRegistry(), **config)
+                    log_dir = Path(root) / f"_qlog_{config_name}"
+                    registry = MetricsRegistry()
+                    db = Database(root, query_log=QueryLog(log_dir),
+                                  metrics=registry, **config)
+                    logged: list[str] = []  # one key per query-log record
                     for label, query, strategies in _queries(db):
                         for strategy in strategies:
                             key = (f"seed{seed}/p{partitions}/{config_name}/"
                                    f"{label}/{strategy}")
+                            logged.append(key)
                             try:
                                 result = db.query(query, strategy=strategy)
                             except UnsupportedOperationError as exc:
@@ -342,11 +381,30 @@ def capture() -> dict:
                             if (config_name == "default" and partitions == 1
                                     and strategy == strategies[-1]):
                                 records[key].update(_reply_digests(result))
-                        if (config_name == "default"
-                                and isinstance(query, SelectQuery)):
+                        if config_name != "default":
+                            continue
+                        if isinstance(query, SelectQuery):
                             key = f"seed{seed}/p{partitions}/{label}/explain"
                             records[key] = _explain_record(db, query)
+                        key = f"seed{seed}/p{partitions}/{label}/analyze"
+                        logged.append(key)
+                        records[key] = _analyze_record(
+                            db, query, strategies[-1]
+                        )
                     db.close()
+                    log = read_query_log(log_dir)
+                    if len(log) != len(logged):
+                        raise RuntimeError(
+                            f"{len(log)} query-log records for "
+                            f"{len(logged)} executions"
+                        )
+                    for key, record in zip(logged, log):
+                        records[f"{key}/qlog"] = _qlog_record(record)
+                    counters = registry.snapshot()["counters"]
+                    counters.pop("queries_slow_total", None)
+                    records[
+                        f"seed{seed}/p{partitions}/{config_name}/registry"
+                    ] = counters
     return records
 
 

@@ -19,6 +19,9 @@ PACKAGES = [
     "repro.model",
     "repro.tpch",
     "repro.sql",
+    "repro.serving",
+    "repro.advisor",
+    "repro.compressed",
 ]
 
 

@@ -14,6 +14,8 @@ import re
 
 from repro import MetricsRegistry, render_prometheus
 
+from .test_metrics import finished_query
+
 METRIC_NAME = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 LABEL_NAME = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 SAMPLE_LINE = re.compile(
@@ -31,14 +33,16 @@ def _populated_registry() -> MetricsRegistry:
         (80.0, "lm-pipelined", "rle"),
     ):
         reg.observe_query(
-            strategy=strategy,
-            wall_ms=wall,
-            simulated_ms=wall * 3,
-            rows=10,
+            finished_query(
+                strategy,
+                wall_ms=wall,
+                simulated_ms=wall * 3,
+                rows=10,
+                queue_wait_ms=1.5,
+                degraded=True,
+            ),
             description='SELECT "quoted" FROM t\nWHERE x < 1 \\ y',
             encodings=(encoding,),
-            queue_wait_ms=1.5,
-            degraded=True,
         )
     reg.counter("serving.rejected_total").inc(3)
     reg.register_collector(

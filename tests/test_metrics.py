@@ -2,7 +2,10 @@
 
 from dataclasses import fields
 
+import numpy as np
+
 from repro import Predicate, SelectQuery
+from repro.engine import QueryResult
 from repro.metrics import (
     Counter,
     LatencyHistogram,
@@ -10,6 +13,23 @@ from repro.metrics import (
     QueryStats,
     SlowQueryLog,
 )
+from repro.operators import TupleSet
+
+
+def finished_query(strategy, wall_ms, simulated_ms=0.0, rows=0,
+                   queue_wait_ms=0.0, degraded=False) -> QueryResult:
+    """A hand-built finished query for feeding a registry directly."""
+    stats = QueryStats()
+    if queue_wait_ms:
+        stats.extra["queue_wait_ms"] = queue_wait_ms
+    return QueryResult(
+        tuples=TupleSet(("x",), np.zeros((rows, 1), dtype=np.int64)),
+        strategy=strategy,
+        stats=stats,
+        wall_ms=wall_ms,
+        simulated_ms=simulated_ms,
+        degraded=degraded,
+    )
 
 
 class TestQueryStats:
@@ -158,7 +178,8 @@ class TestMetricsRegistry:
     def test_observe_query_populates(self):
         reg = MetricsRegistry()
         reg.observe_query(
-            strategy="lm-parallel", wall_ms=3.0, simulated_ms=1.0, rows=10,
+            finished_query("lm-parallel", wall_ms=3.0, simulated_ms=1.0,
+                           rows=10),
             encodings=("rle",),
         )
         snap = reg.snapshot()
@@ -169,7 +190,7 @@ class TestMetricsRegistry:
 
     def test_slow_query_logged_and_counted(self):
         reg = MetricsRegistry(slow_query_threshold_ms=1.0)
-        reg.observe_query(strategy="spc", wall_ms=5.0, description="q")
+        reg.observe_query(finished_query("spc", wall_ms=5.0), description="q")
         snap = reg.snapshot()
         assert snap["counters"]["queries_slow_total"] == 1
         assert snap["slow_queries"][0]["strategy"] == "spc"
@@ -197,7 +218,7 @@ class TestMetricsRegistry:
     def test_reset_keeps_collectors(self):
         reg = MetricsRegistry()
         reg.register_collector("pool", lambda: {"v": 1})
-        reg.observe_query(strategy="spc", wall_ms=1.0)
+        reg.observe_query(finished_query("spc", wall_ms=1.0))
         reg.reset()
         snap = reg.snapshot()
         assert snap["counters"] == {}

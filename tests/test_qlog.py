@@ -28,6 +28,7 @@ from repro import (
     read_query_log,
 )
 from repro.testing import make_random_projection
+from repro.workload import summarize_log
 
 
 def _db(tmp_path, **kwargs):
@@ -177,6 +178,24 @@ class TestRecorderCapture:
         assert snap["query_log"]["written"] == 1
         assert snap["query_log"]["segments"] == 1
         db.close()
+
+    def test_rejection_before_binding_has_no_template(self, tmp_path):
+        log = QueryLog(tmp_path / "qlog")
+        log.observe_rejected(None, "draining", session="7")
+        log.observe_rejected(_select(), "queue full", session="7")
+        log.close()
+        unbound, bound = read_query_log(tmp_path / "qlog")
+        static = {"fingerprint", "kind", "template", "columns", "query"}
+        assert not static & set(unbound)
+        assert static <= set(bound)
+        assert unbound["outcome"] == "rejected"
+        assert unbound["session"] == "7"
+        summary = summarize_log([unbound, bound])
+        assert summary.by_outcome == {"rejected": 2}
+        assert summary.by_origin == {"served": 2}
+        assert [t.template for t in summary.templates.values()] == [
+            query_template(_select())
+        ]
 
     def test_invalid_sample_rejected(self, tmp_path):
         with pytest.raises(ValueError):

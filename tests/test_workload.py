@@ -21,7 +21,7 @@ from repro import (
     replay_log,
     summarize_log,
 )
-from repro.workload import _percentile
+from repro.metrics import exact_percentile as _percentile
 from repro.testing import make_random_projection
 
 
