@@ -23,21 +23,30 @@ the scale this library needs:
   :func:`merge_aggregates`); joins require a merge first, as C-Store's
   early releases did.
 * :meth:`Database.merge` — the tuple mover: rebuilds every projection of a
-  table from (stored − deleted) + pending rows (re-sorting, re-encoding,
-  re-indexing), publishes all the rebuilds in one atomic manifest commit,
-  and only then truncates the WAL.
+  table from (stored − deleted) + pending rows and publishes all the
+  rebuilds in one atomic manifest commit, and only then truncates the WAL.
+  The surviving stored rows are already in sort-key order, so only the
+  pending rows are sorted and merged in (:func:`merge_sorted`); encoding,
+  indexing and one histogram per column follow in
+  :meth:`~repro.storage.projection.Projection.create`.
 
-WAL format: one JSON line per record. A plain object is a single inserted
-row (already schema-encoded), unchanged since the WAL was introduced;
-``{"_op": "delete", ...}`` / ``{"_op": "update", ...}`` records carry the
-full matched rows so recovery can replay them without consulting the read
-store. Recovery tolerates a torn final line (that record was never
-acknowledged) and honours the catalog's ``wal_applied`` marker: records a
-committed merge already folded into the read store are discarded, which is
-what makes a crash between manifest commit and WAL truncation harmless.
+WAL format: one JSON line per write call, each side of it columnar. An
+insert is ``{"_op": "insert", "columns": {col: [...]}}`` with the values
+already schema-encoded and type-checked; a delete is ``{"_op": "delete",
+"stored": {col: [...]}, "pending": {col: [...]}}`` — the full matched rows,
+so recovery replays it without consulting the read store — and an update
+is a delete record plus the ``"assignments"`` its re-inserted rows take.
+Logs written before the columnar format still replay: a line without
+``_op`` is one inserted row, and delete/update records may carry their
+sides as row lists (an update then also lists its re-inserted ``"rows"``).
+Recovery tolerates a torn final line (that write was never acknowledged,
+so a torn insert drops its whole batch) and honours the catalog's
+``wal_applied`` marker: records a committed merge already folded into the
+read store are discarded, which is what makes a crash between manifest
+commit and WAL truncation harmless.
 
 Durability: with ``durability="fsync"`` (the default) every append is
-fsynced — one fsync per accepted batch, charged to the simulated disk
+fsynced — one fsync per accepted write call, charged to the simulated disk
 clock; ``"flush"`` restores the old buffered behaviour for callers that
 prefer speed over crash-durability of the last few writes.
 """
@@ -71,17 +80,41 @@ def _is_plain_row(record) -> bool:
 
 
 def _row_columns(rows: list[dict], names) -> dict[str, np.ndarray]:
-    """Row dicts (WAL shape) as one value array per column of *names*."""
+    """Row dicts (the WAL's row shape) as one value array per column."""
     return {col: np.array([row[col] for row in rows]) for col in names}
 
 
-def _row_dicts(columns: dict[str, np.ndarray]) -> list[dict]:
-    """Column arrays as JSON-ready row dicts (the WAL record shape)."""
-    names = list(columns)
-    return [
-        dict(zip(names, values))
-        for values in zip(*(columns[col].tolist() for col in names))
-    ]
+def _record_columns(side) -> dict[str, np.ndarray]:
+    """One side of a WAL record as column arrays: a column dict, or a list
+    of row dicts as logs written before the columnar format hold it."""
+    if isinstance(side, dict):
+        columns = {col: np.asarray(values) for col, values in side.items()}
+        if len({len(v) for v in columns.values()}) > 1:
+            raise ValueError(f"columns differ in length: {sorted(side)}")
+        return columns
+    return _row_columns(side, side[0]) if side else {}
+
+
+def _n_rows(columns: dict[str, np.ndarray]) -> int:
+    return len(next(iter(columns.values()))) if columns else 0
+
+
+def _wal_json(columns: dict[str, np.ndarray]) -> dict[str, list]:
+    return {col: values.tolist() for col, values in columns.items()}
+
+
+def _assigned(stored: dict, pending: dict, assignments: dict) -> dict:
+    """An update's re-inserted rows: every matched row, stored ones first,
+    with *assignments* (column -> encoded value) applied."""
+    sides = [side for side in (stored, pending) if _n_rows(side)]
+    if not sides:
+        return {}
+    n = sum(_n_rows(side) for side in sides)
+    return {
+        col: np.full(n, assignments[col]) if col in assignments
+        else np.concatenate([side[col] for side in sides])
+        for col in sides[0]
+    }
 
 
 class _ColumnBuffer:
@@ -89,8 +122,8 @@ class _ColumnBuffer:
 
     Appends land in per-column chunk lists; the first read after a write
     concatenates each list once, and the schema-typed arrays handed out
-    are cached (read-only) until the next write. The first row buffered
-    names the columns; every later row must carry them all.
+    are cached (read-only) until the next write. The first batch buffered
+    names the columns; every later batch must carry them all.
     """
 
     def __init__(self, names):
@@ -99,10 +132,10 @@ class _ColumnBuffer:
         self._chunks: dict[str, list[np.ndarray]] = {c: [] for c in self.names}
         self._typed: dict[tuple[str, str], np.ndarray] = {}
 
-    def append(self, rows: list[dict]) -> None:
-        for col, values in _row_columns(rows, self.names).items():
-            self._chunks[col].append(values)
-        self.n += len(rows)
+    def append(self, columns: dict[str, np.ndarray]) -> None:
+        for col in self.names:
+            self._chunks[col].append(np.array(columns[col]))  # own copy
+        self.n += len(columns[self.names[0]])
         self._typed.clear()
 
     def raw(self, col: str) -> np.ndarray:
@@ -229,11 +262,14 @@ class DeltaStore:
             if applied and self._catalog is not None:
                 self._catalog.set_wal_applied(table, 0)
             try:
-                # Consecutive plain rows (one insert batch or many) enter
-                # the column buffers as one chunk, not one per line.
+                # Consecutive plain rows (one insert batch or many, as logs
+                # written before the columnar format hold them) enter the
+                # column buffers as one chunk, not one per line.
                 for plain, group in groupby(live, key=_is_plain_row):
                     if plain:
-                        self._extend(self._pending, table, list(group))
+                        rows = list(group)
+                        self._extend(self._pending, table,
+                                     _row_columns(rows, rows[0]))
                     else:
                         for record in group:
                             self._apply_record(table, record)
@@ -252,55 +288,71 @@ class DeltaStore:
                 self._catalog.set_wal_applied(table, 0)
 
     def _apply_record(self, table: str, record: dict) -> None:
+        """Replay one logged record, in any shape ever written."""
         op = record["_op"]
         if op == "insert":
-            self._extend(self._pending, table, record["rows"])
+            self._extend(self._pending, table, _record_columns(
+                record["columns"] if "columns" in record else record["rows"]
+            ))
         elif op in ("delete", "update"):
-            self._remove_pending(table, record.get("pending", []))
-            self._extend(self._deleted, table, record.get("stored", []))
+            stored = _record_columns(record.get("stored", []))
+            pending = _record_columns(record.get("pending", []))
+            inserted = None
             if op == "update":
-                self._extend(self._pending, table, record["rows"])
+                inserted = (
+                    _record_columns(record["rows"]) if "rows" in record
+                    else _assigned(stored, pending, record["assignments"])
+                )
+            self._apply(table, stored, pending, inserted)
         else:
             raise CatalogError(f"unknown WAL record op {op!r}")
 
+    def _apply(self, table: str, stored: dict, pending: dict,
+               inserted: dict | None) -> None:
+        """One delete (``inserted`` None) or update, as column arrays."""
+        self._remove_pending(table, pending)
+        self._extend(self._deleted, table, stored)
+        if inserted is not None:
+            self._extend(self._pending, table, inserted)
+
     @staticmethod
-    def _extend(store: dict, table: str, rows: list[dict]) -> None:
-        if not rows:
+    def _extend(store: dict, table: str, columns: dict) -> None:
+        if not _n_rows(columns):
             return
         buffer = store.get(table)
         if buffer is None:
-            buffer = store[table] = _ColumnBuffer(rows[0])
-        buffer.append(rows)
+            buffer = store[table] = _ColumnBuffer(columns)
+        buffer.append(columns)
 
-    def _remove_pending(self, table: str, targets: list[dict]) -> None:
+    def _remove_pending(self, table: str, targets: dict) -> None:
         buffer = self._pending.get(table)
-        if not targets or buffer is None or not buffer.n:
+        if not _n_rows(targets) or buffer is None or not buffer.n:
             return
         # A target matching no pending row is already gone (idempotent
         # replay), so the kernel's unmatched count is deliberately unused.
         keep, _already_gone = multiset_subtract(
             {col: buffer.raw(col) for col in buffer.names},
-            _row_columns(targets, buffer.names),
+            targets,
             buffer.names,
         )
         buffer.keep(keep)
 
     # ---------------------------------------------------------------- write
 
-    def _append_records(self, table: str, records: list[dict]) -> None:
+    def _append(self, table: str, record: dict) -> None:
+        """Log one write call as one WAL line (fsynced per durability)."""
         path = self._wal_path(table)
         if path is not None:
-            payload = "".join(json.dumps(r) + "\n" for r in records)
+            payload = json.dumps(record, separators=(",", ":")) + "\n"
             if self._crash is not None:
                 self._crash.hook("wal.append", path)
             with open(path, "a", encoding="utf-8") as f:
                 if self._crash is not None and self._crash.check(
                     "wal.torn", str(path)
                 ):
-                    # The crash landed mid-append: an arbitrary prefix of
-                    # the payload reaches disk, its final line torn. The
-                    # change was never acknowledged; recovery drops the
-                    # torn tail.
+                    # The crash landed mid-append: a prefix of the line
+                    # reaches disk, torn. The write was never acknowledged;
+                    # recovery drops the torn tail, whole batch and all.
                     f.write(payload[: max(1, len(payload) // 2)])
                     f.flush()
                     os.fsync(f.fileno())
@@ -313,10 +365,15 @@ class DeltaStore:
                     os.fsync(f.fileno())
                     if self._disk is not None:
                         self._disk.charge_fsync()
-        self._records[table] = self._records.get(table, 0) + len(records)
+        self._records[table] = self._records.get(table, 0) + 1
 
     def insert(self, table: str, rows: list[dict], schemas: dict) -> int:
-        """Validate and buffer *rows* (each a column->value dict).
+        """Validate, log and buffer *rows* (each a column->value dict).
+
+        The batch is encoded and type-checked column by column before
+        anything is logged, so a value that does not fit its column raises
+        :class:`~repro.errors.EncodingError` and leaves no trace; an empty
+        batch logs nothing. Returns the number of rows inserted.
 
         Args:
             table: logical table (anchor) name.
@@ -325,23 +382,28 @@ class DeltaStore:
                 values are encoded through the schema (dates, dictionary
                 strings) exactly as the loader encodes bulk data.
         """
-        expected = set(schemas)
-        encoded_rows = []
-        for row in rows:
-            if set(row) != expected:
-                missing = expected - set(row)
-                extra = set(row) - expected
-                raise CatalogError(
-                    f"insert into {table!r} must provide exactly columns "
-                    f"{sorted(expected)} (missing {sorted(missing)}, "
-                    f"unexpected {sorted(extra)})"
-                )
-            encoded_rows.append(
-                {col: schemas[col].encode_value(row[col]) for col in row}
-            )
-        self._append_records(table, encoded_rows)
-        self._extend(self._pending, table, encoded_rows)
-        return len(encoded_rows)
+        if not rows:
+            return 0
+        try:
+            values = {col: [row[col] for row in rows] for col in schemas}
+        except KeyError:
+            values = None
+        # Every table column present and no other: exactly len(schemas) keys.
+        if values is None or any(len(row) != len(schemas) for row in rows):
+            expected = schemas.keys()
+            row = next(row for row in rows if row.keys() != expected)
+            raise CatalogError(
+                f"insert into {table!r} must provide exactly columns "
+                f"{sorted(expected)} (missing {sorted(expected - row.keys())}"
+                f", unexpected {sorted(row.keys() - expected)})"
+            ) from None
+        columns = {
+            col: schema.encode_column(values[col])
+            for col, schema in schemas.items()
+        }
+        self._append(table, {"_op": "insert", "columns": _wal_json(columns)})
+        self._extend(self._pending, table, columns)
+        return len(rows)
 
     def delete(self, table: str, stored: dict[str, np.ndarray],
                pending: dict[str, np.ndarray]) -> int:
@@ -360,16 +422,18 @@ class DeltaStore:
                                    assignments)
 
     def _log_and_apply(self, table, op, stored, pending, assignments=None):
-        stored_rows, pending_rows = _row_dicts(stored), _row_dicts(pending)
-        matched = stored_rows + pending_rows
+        matched = _n_rows(stored) + _n_rows(pending)
         if not matched:
             return 0  # nothing to log
-        record = {"_op": op, "stored": stored_rows, "pending": pending_rows}
+        record = {"_op": op, "stored": _wal_json(stored),
+                  "pending": _wal_json(pending)}
+        inserted = None
         if op == "update":
-            record["rows"] = [dict(row, **assignments) for row in matched]
-        self._append_records(table, [record])
-        self._apply_record(table, record)
-        return len(matched)
+            record["assignments"] = assignments
+            inserted = _assigned(stored, pending, assignments)
+        self._append(table, record)
+        self._apply(table, stored, pending, inserted)
+        return matched
 
     # ----------------------------------------------------------------- read
 
@@ -491,6 +555,54 @@ def multiset_subtract(
     dropped = candidates[order[rank < counts[slot]]]
     keep[dropped] = False
     return keep, g - len(dropped)
+
+
+def merge_sorted(
+    stored: dict[str, np.ndarray],
+    pending: dict[str, np.ndarray],
+    sort_keys,
+) -> dict[str, np.ndarray]:
+    """*stored* ++ *pending* in the order a stable ``np.lexsort`` on
+    *sort_keys* gives the concatenation — the tuple mover's kernel.
+
+    *stored* holds a projection's surviving rows, already in key order, so
+    only the pending rows are stable-sorted; one ``searchsorted`` with
+    ``side="right"`` over the fused key (:func:`fuse_keys`) then places
+    each after the stored rows it ties with, pending ties keeping arrival
+    order. A key that does not fuse, or stored rows that turn out not to be
+    in key order, take the full lexsort.
+    """
+    sort_keys = list(sort_keys)
+    sides = [side for side in (stored, pending) if _n_rows(side)]
+    fused = None
+    if sort_keys and sides:
+        fused = fuse_keys(*[[side[k] for k in sort_keys] for side in sides])
+    if fused is not None:
+        keys = fused[0]
+        stored_key = keys[0] if _n_rows(stored) else keys[0][:0]
+        pending_key = keys[-1] if _n_rows(pending) else keys[-1][:0]
+        if np.all(stored_key[1:] >= stored_key[:-1]):
+            order = np.argsort(pending_key, kind="stable")
+            slots = np.searchsorted(
+                stored_key, pending_key[order], side="right"
+            ) + np.arange(len(order))
+            from_stored = np.ones(len(stored_key) + len(order), dtype=bool)
+            from_stored[slots] = False
+            merged = {}
+            for col in stored:
+                out = np.empty(
+                    len(from_stored),
+                    dtype=np.result_type(stored[col], pending[col]),
+                )
+                out[from_stored] = stored[col]
+                out[slots] = pending[col][order]
+                merged[col] = out
+            return merged
+    data = {col: np.concatenate((stored[col], pending[col])) for col in stored}
+    if not sort_keys:
+        return data
+    order = np.lexsort([data[k] for k in reversed(sort_keys)])
+    return {col: values[order] for col, values in data.items()}
 
 
 def _row_keys(

@@ -116,3 +116,34 @@ class ColumnSchema:
         if self.ctype is DATE and isinstance(value, date):
             return date_to_int(value)
         return value
+
+    def encode_column(self, values: list) -> np.ndarray:
+        """Map logical values to one array of this column's stored type.
+
+        Dictionary strings become codes and dates day offsets, as
+        :meth:`encode_value` maps them one by one.
+
+        Raises:
+            EncodingError: if a value is not in the dictionary, is not a
+                number, or cannot be represented losslessly in ``ctype``.
+        """
+        if self.dictionary:
+            codes = {v: i for i, v in enumerate(self.dictionary)}
+            try:
+                values = [codes[v] for v in values]
+            except (KeyError, TypeError):  # encode_value names the value
+                values = [self.encode_value(v) for v in values]
+        elif self.ctype is DATE:
+            values = [
+                date_to_int(v) if isinstance(v, date) else v for v in values
+            ]
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biuf":
+            raise EncodingError(
+                f"column {self.name}: values of dtype {arr.dtype} are not "
+                f"{self.ctype.name} values"
+            )
+        try:
+            return self.ctype.validate(arr)
+        except EncodingError as exc:
+            raise EncodingError(f"column {self.name}: {exc}") from None

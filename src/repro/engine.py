@@ -32,7 +32,6 @@ from pathlib import Path
 from .buffer import BufferPool, DecodedBlockCache, DiskModel
 from .buffer.decoded import DEFAULT_DECODED_CAPACITY_BYTES
 from .cancel import CancelToken
-import numpy as np
 
 from .delta import (
     DeltaStore,
@@ -40,6 +39,7 @@ from .delta import (
     delta_select,
     internal_query,
     merge_aggregates,
+    merge_sorted,
     multiset_subtract,
 )
 from .errors import CatalogError, ExecutionError, PlanError
@@ -851,8 +851,8 @@ class Database:
             raise CatalogError(
                 f"unknown column(s) {sorted(unknown)} of table {table!r}"
             )
-        encoded = {
-            col: schemas[col].encode_value(value)
+        encoded = {  # type-checked like inserted values, before any log
+            col: schemas[col].encode_column([value])[0].item()
             for col, value in assignments.items()
         }
         stored, pending = self._match_rows(table, predicates, schemas, cover)
@@ -876,8 +876,10 @@ class Database:
         """The tuple mover: fold buffered changes into every projection of
         *table*.
 
-        Rebuilds each projection (sort, encode, checksum, index, histogram)
-        from (stored − deleted) + pending rows and publishes every rebuild
+        Rebuilds each projection (encode, checksum, index, histogram)
+        from (stored − deleted) + pending rows — the surviving stored rows
+        keep their order and only the pending rows are sorted into it
+        (:func:`~repro.delta.merge_sorted`) — and publishes every rebuild
         in ONE atomic manifest commit — staged under ``tmp-*/``, fsynced,
         renamed, committed by ``os.replace`` of the manifest (see
         :meth:`repro.storage.catalog.Catalog.commit_merge`). The WAL is
@@ -899,16 +901,18 @@ class Database:
                 for col in proj.column_names
             }
             keep, _ = multiset_subtract(stored, deleted, proj.column_names)
-            data = {
-                col: np.concatenate((stored[col][keep], pending[col]))
-                for col in proj.column_names
-            }
+            data = merge_sorted(
+                {col: values[keep] for col, values in stored.items()},
+                {col: pending[col] for col in proj.column_names},
+                proj.sort_keys,
+            )
             builds.append(
                 dict(
                     name=proj.name,
                     data=data,
                     schemas=schemas,
                     sort_keys=list(proj.sort_keys),
+                    presorted=True,
                     encodings={
                         col: proj.physical_column(col).encodings
                         for col in proj.column_names

@@ -112,8 +112,10 @@ def _scrub_write_path(catalog, report: ScrubReport) -> None:
     The manifest must parse and every projection it names must exist;
     ``tmp-*`` staging directories (and a staged manifest copy) are
     uncommitted debris a crash left behind; each per-table WAL must be
-    line-by-line valid JSON with known record shapes — only its *final*
-    line may be torn (that case is recoverable and reported as such). A
+    line-by-line valid JSON with known record shapes (a known op; columnar
+    sides naming the table's columns, in lists of one length) — only its
+    *final* line may be torn (that case is recoverable and reported as
+    such). A
     ``wal_applied`` marker exceeding the WAL's record count would make
     recovery discard the whole log, so it is flagged too.
     """
@@ -234,10 +236,52 @@ def _scrub_manifest(catalog, report: ScrubReport) -> None:
 _WAL_OPS = (None, "insert", "delete", "update")
 
 
+def _wal_shape_error(record, known: set) -> str | None:
+    """What is wrong with one parsed WAL record's shape, or None.
+
+    A columnar side (an insert's ``columns``, a delete's or update's
+    ``stored``/``pending``) must name only *known* columns (any, when the
+    table has no projection to name them) in lists of one length; an
+    update's ``assignments`` only known columns. Row-shaped records, as
+    logs written before the columnar format hold them, are checked for
+    their op only.
+    """
+    op = record.get("_op") if isinstance(record, dict) else "?"
+    if op not in _WAL_OPS:
+        return f"unknown WAL record op {op!r}"
+    if op is None:
+        return None  # one inserted row, in the row-per-line format
+    required = {"insert": ("columns", "rows"),
+                "update": ("assignments", "rows")}.get(op, ())
+    if required and not any(key in record for key in required):
+        return f"{op} record carries none of {list(required)}"
+    for key in ("columns", "stored", "pending", "assignments"):
+        side = record.get(key)
+        if not isinstance(side, dict):
+            continue
+        unknown = sorted(set(side) - known) if known else []
+        if unknown:
+            return f"{op} record names unknown column(s) {unknown} in {key!r}"
+        if key == "assignments":
+            continue
+        lengths = {
+            len(values) if isinstance(values, list) else -1
+            for values in side.values()
+        }
+        if -1 in lengths or len(lengths) > 1:
+            return f"{op} record's {key!r} columns are not lists of one length"
+    return None
+
+
 def _scrub_wal(catalog, path, report: ScrubReport) -> None:
     import json
 
     report.files_scanned += 1
+    known = {
+        col
+        for proj in catalog.candidates(path.stem)
+        for col in proj.column_names
+    }
     lines = []
     with open(path, encoding="utf-8") as f:
         for raw in f:
@@ -275,14 +319,14 @@ def _scrub_wal(catalog, path, report: ScrubReport) -> None:
                 )
             continue
         records += 1
-        op = record.get("_op") if isinstance(record, dict) else "?"
-        if op not in _WAL_OPS:
+        error = _wal_shape_error(record, known)
+        if error is not None:
             report.issues.append(
                 ScrubIssue(
                     projection=path.stem,
                     file=str(path),
                     line=i + 1,
-                    error=f"unknown WAL record op {op!r}",
+                    error=error,
                 )
             )
     marker = getattr(catalog, "wal_applied", {}).get(path.stem, 0)

@@ -34,8 +34,14 @@ def write_column(
     ctype: ColumnType,
     encoding: Encoding,
     column_name: str = "",
+    histogram: ColumnHistogram | None = None,
 ) -> "ColumnFile":
-    """Encode *values* with *encoding* and write a column file at *path*."""
+    """Encode *values* with *encoding* and write a column file at *path*.
+
+    *histogram* is the values' :class:`ColumnHistogram` when the caller
+    already built it (one column stored under several encodings shares
+    one); it is built here otherwise.
+    """
     path = Path(path)
     values = ctype.validate(values)
     blocks = list(encoding.encode(values, ctype.numpy_dtype))
@@ -56,7 +62,8 @@ def write_column(
             )
         )
         offset += len(blk.payload)
-    histogram = ColumnHistogram.build(values)
+    if histogram is None:
+        histogram = ColumnHistogram.build(values)
     header = {
         "column": column_name or path.stem,
         "dtype": ctype.name,

@@ -28,6 +28,7 @@ from .partition import (
     ZoneMap,
     partition_boundaries,
 )
+from .stats import ColumnHistogram
 
 META_FILE = "projection.json"
 
@@ -195,11 +196,14 @@ class Projection:
         indexed = sort_keys[0] if sort_keys and n_rows else None
         for col, values in data.items():
             schema = schemas[col]
+            values = schema.ctype.validate(values)
+            histogram = ColumnHistogram.build(values)  # one per column
             files: dict[str, Path] = {}
             for enc_name in encodings.get(col, ["uncompressed"]):
                 encoding = encoding_by_name(enc_name)
                 path = directory / f"{col}.{enc_name}.col"
-                write_column(path, values, schema.ctype, encoding, column_name=col)
+                write_column(path, values, schema.ctype, encoding,
+                             column_name=col, histogram=histogram)
                 files[enc_name] = path
             index_path = None
             if col == indexed:

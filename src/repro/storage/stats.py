@@ -23,6 +23,53 @@ DEFAULT_BINS = 64
 DEFAULT_HEAVY_HITTERS = 16
 
 
+def _value_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values and their counts, as ``np.unique`` gives them.
+
+    An integer column whose value range is at most four times its length is
+    counted with one ``bincount`` over offsets from its minimum; anything
+    else (wide ranges, floats, uint64) takes ``np.unique``'s sort.
+    """
+    kind = values.dtype.kind
+    if kind == "i" or kind == "u" and values.itemsize < 8:
+        lo = values.min()
+        if int(values.max()) - int(lo) < 4 * len(values):
+            counts = np.bincount(np.subtract(values, lo, dtype=np.intp))
+            present = np.flatnonzero(counts)
+            return present + int(lo), counts[present]
+    return np.unique(values, return_counts=True)
+
+
+def _linear_quantiles(
+    res_values: np.ndarray, below: np.ndarray, q: np.ndarray
+) -> np.ndarray:
+    """``np.quantile(sorted_values, q)`` (method ``linear``) where the sorted
+    values are ``res_values[j]`` repeated ``below[j+1] - below[j]`` times.
+
+    Follows numpy's arithmetic step for step so the floats are identical:
+    virtual index ``(m-1)·q``, its floor and floor+1 as neighbours (both the
+    last value at or past ``m-1``), and ``_lerp``'s two-sided formula.
+    """
+    m = int(below[-1])
+    virtual = (m - 1) * q
+    previous = np.floor(virtual)
+    following = previous + 1
+    past_end = virtual >= m - 1
+    previous[past_end] = -1
+    following[past_end] = -1
+    previous = previous.astype(np.intp)
+    following = following.astype(np.intp)
+    # Sorted position i holds the value whose run covers i (-1 = the last).
+    runs = below[1:]
+    a = res_values[np.searchsorted(runs, previous % m, side="right")]
+    b = res_values[np.searchsorted(runs, following % m, side="right")]
+    gamma = virtual - previous
+    diff = b - a
+    out = a + diff * gamma
+    np.subtract(b, diff * (1 - gamma), out=out, where=gamma >= 0.5)
+    return out
+
+
 @dataclass(frozen=True)
 class ColumnHistogram:
     """Heavy hitters + equi-depth histogram over the residual mass.
@@ -49,45 +96,58 @@ class ColumnHistogram:
         bins: int = DEFAULT_BINS,
         heavy_hitters: int = DEFAULT_HEAVY_HITTERS,
     ) -> "ColumnHistogram":
+        """Histogram of *values*, built from their distinct values and counts.
+
+        The equi-depth edges are ``np.quantile`` (method ``linear``) of the
+        residual values and the bin counts ``np.histogram``'s over them,
+        float for float, but both come from the residual values' cumulative
+        counts: no per-value copy of the residual is made.
+        """
+        values = np.asarray(values)
         n = int(len(values))
         if n == 0:
             return cls((), (), (), 0, 0)
-        uniques, unique_counts = np.unique(values, return_counts=True)
+        uniques, unique_counts = _value_counts(values)
         distinct = int(len(uniques))
 
         # Exact counts for values holding disproportionate mass.
         k = min(heavy_hitters, distinct)
         threshold = n / max(bins, 1)
         order = np.argsort(unique_counts)[::-1][:k]
-        hot = [i for i in order if unique_counts[i] >= threshold]
+        hot = np.sort(order[unique_counts[order] >= threshold])
         common = tuple(
-            (float(uniques[i]), int(unique_counts[i])) for i in sorted(hot)
+            (float(uniques[i]), int(unique_counts[i])) for i in hot
         )
-        hot_set = set(hot)
+        residual = np.ones(distinct, dtype=bool)
+        residual[hot] = False
+        if not residual.any():
+            return cls(common=common, edges=(), counts=(), n_values=n,
+                       n_distinct=distinct)
 
-        residual_idx = [i for i in range(distinct) if i not in hot_set]
-        if residual_idx:
-            residual_values = np.repeat(
-                uniques[residual_idx].astype(np.float64),
-                unique_counts[residual_idx],
+        # Sorted, the residual values are each res_values[j] repeated as
+        # often as it occurs; below[j] of them lie before res_values[j].
+        res_values = uniques[residual].astype(np.float64)
+        below = np.concatenate(([0], np.cumsum(unique_counts[residual])))
+        n_bins = max(1, min(bins, len(res_values)))
+        edges = np.unique(
+            _linear_quantiles(
+                res_values, below, np.linspace(0.0, 1.0, n_bins + 1)
             )
-            n_bins = max(1, min(bins, len(residual_idx)))
-            quantiles = np.quantile(
-                residual_values, np.linspace(0.0, 1.0, n_bins + 1)
-            )
-            edges = np.unique(quantiles)
-            if len(edges) < 2:
-                edges = np.array([edges[0], edges[0] + 1.0])
-            counts, _ = np.histogram(residual_values, bins=edges)
-            return cls(
-                common=common,
-                edges=tuple(float(e) for e in edges),
-                counts=tuple(int(c) for c in counts),
-                n_values=n,
-                n_distinct=distinct,
-            )
-        return cls(common=common, edges=(), counts=(), n_values=n,
-                   n_distinct=distinct)
+        )
+        if len(edges) < 2:
+            edges = np.array([edges[0], edges[0] + 1.0])
+        # np.histogram: bins are half-open except the last, which is closed.
+        cumulative = np.concatenate((
+            below[np.searchsorted(res_values, edges[:-1], side="left")],
+            below[np.searchsorted(res_values, edges[-1:], side="right")],
+        ))
+        return cls(
+            common=common,
+            edges=tuple(float(e) for e in edges),
+            counts=tuple(int(c) for c in np.diff(cumulative)),
+            n_values=n,
+            n_distinct=distinct,
+        )
 
     # ------------------------------------------------------------------ math
 

@@ -31,8 +31,15 @@ domains and a sorting branch for the rest; TPC-H keys are all dense, so the
 capture also groups over wide compound keys (1-D unique and int64-overflow
 branches) and joins against ``sparse_customer``, a small right table of
 every 97th customer built here, on its sparse ``custkey`` and on its dense
-but descending ``revkey`` (both take the join's sort branch). Not a pytest
-module (nothing here is collected): it compares two trees, which one test
+but descending ``revkey`` (both take the join's sort branch). The write
+path has its own section: per seed and partition count, a seeded stream
+of inserts, updates, deletes and merges over ``lineitem`` (plus two
+secondary projections built here, one sorted on the tie-heavy
+``quantity`` and one with no sort key) records the answers read over the
+pending changes, ``disk.total_fsyncs`` after every write, and the SHA-256
+of every file in each merged projection directory. WAL bytes are not
+captured: their format is not part of the contract. Not a pytest module
+(nothing here is collected): it compares two trees, which one test
 process cannot hold.
 """
 
@@ -408,6 +415,127 @@ def capture() -> dict:
     return records
 
 
+WRITE_EPOCHS = 3
+WRITE_BATCH_ROWS = 64
+
+
+def _add_write_projections(db: Database) -> None:
+    """Secondary lineitem projections for the write section: one sorted
+    on ``quantity`` (50 values, so pending rows tie with stored ones), one
+    with no sort key."""
+    base = db.projection("lineitem")
+    data = {c: base.read_column_values(c) for c in base.column_names}
+    schemas = {c: base.schema(c) for c in base.column_names}
+    for name, sort_keys in (("lineitem_q", ["quantity", "linenum"]),
+                            ("lineitem_heap", [])):
+        db.catalog.create_projection(
+            name, dict(data), schemas=dict(schemas), sort_keys=sort_keys,
+            encodings={"returnflag": ["uncompressed"], "shipdate": ["rle"],
+                       "linenum": ["uncompressed"],
+                       "quantity": ["rle", "uncompressed"]},
+            anchor="lineitem",
+        )
+
+
+def _tree_digests(directory: Path) -> dict:
+    return {
+        str(path.relative_to(directory)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*")) if path.is_file()
+    }
+
+
+def _answer_digest(result) -> str:
+    rows = np.ascontiguousarray(result.tuples.data)
+    if len(rows):
+        rows = rows[np.lexsort(rows.T[::-1])]
+    return hashlib.sha256(rows.tobytes()).hexdigest()
+
+
+def _pending_reads(rng) -> list[SelectQuery]:
+    lo = int(rng.integers(SHIPDATE_MIN, SHIPDATE_MAX - 200))
+    window = (Predicate("shipdate", ">=", lo),
+              Predicate("shipdate", "<", lo + 150))
+    return [
+        SelectQuery("lineitem", ("shipdate", "linenum", "quantity"), window),
+        SelectQuery("lineitem", ("linenum", "sum(quantity)", "count(quantity)"),
+                    window, group_by="linenum",
+                    aggregates=(AggSpec("sum", "quantity"),
+                                AggSpec("count", "quantity"))),
+        SelectQuery("lineitem", ("returnflag", "sum(quantity)"),
+                    (Predicate("quantity", "<", 10),), group_by="returnflag",
+                    aggregates=(AggSpec("sum", "quantity"),)),
+    ]
+
+
+def _write_op(db: Database, i: int, rng, flags) -> tuple[str, int]:
+    """Op *i* of an epoch: an update at 4, a delete at 8, else an insert
+    of a 64-row batch drawn uniformly over lineitem's domains."""
+    line = Predicate("linenum", "=", int(rng.integers(1, 8)))
+    if i == 4:
+        return "update", db.update(
+            "lineitem",
+            (line, Predicate("quantity", "<", int(rng.integers(2, 6)))),
+            {"quantity": int(rng.integers(1, 51))},
+        )
+    if i == 8:
+        return "delete", db.delete(
+            "lineitem",
+            (line, Predicate("quantity", "=", int(rng.integers(1, 51)))),
+        )
+    n = WRITE_BATCH_ROWS
+    flag = rng.integers(0, len(flags), n)
+    shipdate = rng.integers(SHIPDATE_MIN, SHIPDATE_MAX + 1, n)
+    linenum = rng.integers(1, 8, n)
+    quantity = rng.integers(1, 51, n)
+    return "insert", db.insert("lineitem", [
+        {"returnflag": flags[int(flag[r])], "shipdate": int(shipdate[r]),
+         "linenum": int(linenum[r]), "quantity": int(quantity[r])}
+        for r in range(n)
+    ])
+
+
+def capture_write_path() -> dict:
+    """The write section: answers over pending changes, fsync counts and
+    the merged projections' file digests, per seed and partition count."""
+    records: dict[str, dict] = {}
+    for seed in SEEDS:
+        for partitions in PARTITIONS:
+            with tempfile.TemporaryDirectory() as root:
+                db = Database(root, query_log=False, metrics=MetricsRegistry())
+                load_tpch(db.catalog, scale=SCALE, seed=seed,
+                          partitions=partitions)
+                _add_write_projections(db)
+                flags = db.projection("lineitem").schema("returnflag").dictionary
+                rng = np.random.default_rng([seed, partitions])
+                for epoch in range(WRITE_EPOCHS):
+                    prefix = f"write/seed{seed}/p{partitions}/epoch{epoch}"
+                    for i in range(10):
+                        kind, rows = _write_op(db, i, rng, flags)
+                        records[f"{prefix}/op{i}"] = {
+                            "kind": kind,
+                            "rows": rows,
+                            "pending": db.pending("lineitem"),
+                            "total_fsyncs": db.disk.total_fsyncs,
+                            "answers": [
+                                _answer_digest(db.query(q, strategy=strategy))
+                                for q in _pending_reads(rng)
+                                for strategy in ("em-parallel", "lm-parallel")
+                            ],
+                        }
+                    moved = db.merge("lineitem")
+                    records[f"{prefix}/merge"] = {
+                        "moved": moved,
+                        "total_fsyncs": db.disk.total_fsyncs,
+                        "files": {
+                            proj.name: _tree_digests(proj.directory)
+                            for proj in db.catalog.candidates("lineitem")
+                        },
+                    }
+                db.close()
+    return records
+
+
 def compare(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
@@ -425,4 +553,6 @@ def compare(path_a: str, path_b: str) -> int:
 if __name__ == "__main__":
     if sys.argv[1:2] == ["--compare"]:
         sys.exit(compare(sys.argv[2], sys.argv[3]))
-    Path(sys.argv[1]).write_text(json.dumps(capture(), sort_keys=True))
+    records = capture_write_path()
+    records.update(capture())
+    Path(sys.argv[1]).write_text(json.dumps(records, sort_keys=True))

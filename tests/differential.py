@@ -78,9 +78,9 @@ with ``crash_at=k``: the injector raises
 abandons the handle (a hard kill — no close, no flush) and reopens the
 database cold. Every recovered state must be **prefix-consistent** — equal
 to the clean reference executed to the same operation prefix, where the
-interrupted operation is either fully invisible, fully applied, or (for a
-multi-row insert, whose WAL lines land one row at a time) a row prefix —
-and resuming the remaining workload on the recovered database must
+interrupted operation is either fully invisible or fully applied (every
+write call is one WAL line, so a torn multi-row insert recovers none of
+its rows) — and resuming the remaining workload on the recovered database must
 reproduce the clean final state and query answers bit for bit (the reopened
 database also runs with a different ``parallel_scans``, stacking a second
 physical knob on the recovery path). CI's ``seeds`` job varies the
@@ -863,9 +863,10 @@ class CrashDifferentialReport:
     crashes: int = 0
     #: Op kinds a crash interrupted ("open", "insert", "update", ...).
     ops_crashed: set = field(default_factory=set)
-    #: Recoveries that surfaced a partially-durable multi-row insert
-    #: (a true torn-tail row prefix, not just all-or-nothing).
-    prefix_recoveries: int = 0
+    #: Trials that tore a multi-row insert's WAL line mid-append and
+    #: recovered none of its rows (an insert batch is one line, so a torn
+    #: insert is all-or-nothing).
+    torn_inserts_dropped: int = 0
     mismatches: list = field(default_factory=list)
 
 
@@ -878,7 +879,7 @@ def build_crash_template(root, seed: int = 0):
     tuple-mover merge rebuilds several directories in one commit. ``tags``
     is a second table proving per-table WAL isolation. All columns are
     plain integers, so logical and stored domains coincide and canonical
-    row states compose exactly with WAL row prefixes.
+    row states compose exactly with inserted rows.
     """
     import numpy as np
 
@@ -1040,28 +1041,16 @@ def _acceptance_states(ops, states, j):
     """Every prefix-consistent state for a crash during op *j* (1-based).
 
     ``states[j]`` is the canonical state after op j (``states[0]`` = the
-    template). The interrupted op may be invisible, fully applied, or —
-    for a multi-row insert, whose WAL lines land row by row and whose tail
-    may tear mid-payload — any row prefix. Merges and applies never change
-    the canonical state, so for them before/after coincide.
+    template). The interrupted write may be invisible or fully applied —
+    every write call, a multi-row insert included, is one WAL line, so a
+    tail torn mid-payload drops the whole call. Merges and applies never
+    change the canonical state, so for them before/after coincide.
     """
     if j == 0:
         return [states[0]]
     op = ops[j - 1]
     before, after = states[j - 1], states[j]
-    if op[0] == "insert":
-        table, rows = op[1], op[2]
-        columns = CRASH_TABLES[table]
-        accepted = []
-        for i in range(len(rows) + 1):
-            state = {t: list(v) for t, v in before.items()}
-            state[table] = sorted(
-                state[table]
-                + [tuple(int(r[c]) for c in columns) for r in rows[:i]]
-            )
-            accepted.append(state)
-        return accepted
-    if op[0] in ("update", "delete"):
+    if op[0] in ("insert", "update", "delete"):
         return [before, after]
     return [before]  # merge / apply: answer-preserving by construction
 
@@ -1151,7 +1140,8 @@ def run_crash_differential(
                           query_log=False, metrics=MetricsRegistry())
             for j, op in enumerate(ops, start=1):
                 _crash_apply_op(db, op)
-        except SimulatedCrash:
+        except SimulatedCrash as exc:
+            crash_op = exc.op
             crashed_at = 0 if injector.steps <= cumulative[0] else next(
                 j for j in range(1, len(ops) + 1)
                 if injector.steps <= cumulative[j]
@@ -1186,18 +1176,17 @@ def run_crash_differential(
             )
             recovered.close()
             continue
-        if crashed_at and ops[crashed_at - 1][0] == "insert":
-            if 0 < match < len(accepted) - 1:
-                report.prefix_recoveries += 1
+        if crashed_at and crash_op == "wal.torn" and match == 0:
+            op = ops[crashed_at - 1]
+            if op[0] == "insert" and len(op[2]) > 1:
+                report.torn_inserts_dropped += 1
 
         # Resume: finish (or redo) the interrupted op, then run the rest.
         if crashed_at == 0:
             remaining = ops
         else:
             op = ops[crashed_at - 1]
-            if op[0] == "insert":
-                recovered.insert(op[1], op[2][match:])
-            elif op[0] in ("update", "delete"):
+            if op[0] in ("insert", "update", "delete"):
                 if match == 0:  # the op never became durable
                     _crash_apply_op(recovered, op)
             else:

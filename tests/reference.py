@@ -89,3 +89,40 @@ def canonical(rows: np.ndarray) -> np.ndarray:
     if rows.size == 0:
         return rows
     return rows[np.lexsort(tuple(rows[:, i] for i in range(rows.shape[1] - 1, -1, -1)))]
+
+
+def reference_histogram_json(values, bins: int = 64, heavy_hitters: int = 16):
+    """``ColumnHistogram.build(values).to_json()`` by the original algorithm:
+    ``np.unique`` counts, then ``np.quantile`` edges and ``np.histogram``
+    counts over an ``np.repeat``-ed copy of the residual values."""
+    n = int(len(values))
+    if n == 0:
+        return {"common": [], "edges": [], "counts": [], "n_values": 0,
+                "n_distinct": 0}
+    uniques, unique_counts = np.unique(values, return_counts=True)
+    distinct = int(len(uniques))
+    k = min(heavy_hitters, distinct)
+    threshold = n / max(bins, 1)
+    order = np.argsort(unique_counts)[::-1][:k]
+    hot = [i for i in order if unique_counts[i] >= threshold]
+    common = [[float(uniques[i]), int(unique_counts[i])] for i in sorted(hot)]
+    hot_set = set(hot)
+    residual_idx = [i for i in range(distinct) if i not in hot_set]
+    edges, counts = [], []
+    if residual_idx:
+        residual_values = np.repeat(
+            uniques[residual_idx].astype(np.float64),
+            unique_counts[residual_idx],
+        )
+        n_bins = max(1, min(bins, len(residual_idx)))
+        quantiles = np.quantile(
+            residual_values, np.linspace(0.0, 1.0, n_bins + 1)
+        )
+        edge_array = np.unique(quantiles)
+        if len(edge_array) < 2:
+            edge_array = np.array([edge_array[0], edge_array[0] + 1.0])
+        count_array, _ = np.histogram(residual_values, bins=edge_array)
+        edges = [float(e) for e in edge_array]
+        counts = [int(c) for c in count_array]
+    return {"common": common, "edges": edges, "counts": counts,
+            "n_values": n, "n_distinct": distinct}

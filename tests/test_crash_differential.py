@@ -63,6 +63,8 @@ class TestCrashDifferential:
         } <= crash_report.ops_crashed, crash_report.ops_crashed
 
     def test_torn_multi_row_inserts_recovered_as_prefixes(self, crash_report):
-        # At least one crash must land mid-append, leaving a true row
-        # prefix — otherwise the torn-tail path silently went untested.
-        assert crash_report.prefix_recoveries > 0
+        # An insert batch is one WAL line, so the only prefix a torn one
+        # may leave is the empty one. At least one crash must tear a
+        # multi-row insert mid-append and recover none of its rows —
+        # otherwise the torn-tail path silently went untested.
+        assert crash_report.torn_inserts_dropped > 0

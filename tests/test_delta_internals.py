@@ -206,10 +206,11 @@ class TestColumnarStore:
         }
 
     def test_value_that_does_not_fit_its_column_raises(self):
+        # Type-checked at insert time, before anything is buffered.
         store = DeltaStore()
-        store.insert("t", [{"a": 1, "b": 1000}], self.SCHEMAS)
         with pytest.raises(EncodingError, match="int8"):
-            store.columns("t", self.SCHEMAS)
+            store.insert("t", [{"a": 1, "b": 1000}], self.SCHEMAS)
+        assert store.count("t") == 0 and store.wal_records("t") == 0
 
     def test_delete_and_update_take_column_arrays(self):
         store = DeltaStore()
@@ -224,4 +225,4 @@ class TestColumnarStore:
         ]
         none = {"a": np.array([], np.int64), "b": np.array([], np.int64)}
         assert store.delete("t", none, none) == 0
-        assert store.wal_records("t") == 3  # two row lines + the update
+        assert store.wal_records("t") == 2  # one line per write call

@@ -5,7 +5,10 @@
   the tuple mover runs — and both must equal a database loaded with the
   combined data in one shot;
 * :func:`repro.delta.multiset_subtract` equals a ``collections.Counter``
-  row loop — the implementation it replaced — on both of its key paths.
+  row loop — the implementation it replaced — on both of its key paths;
+* :func:`repro.delta.merge_sorted` equals a stable ``np.lexsort`` of
+  ``stored ++ pending`` — what the tuple mover did before it — on its
+  fused-key path and on both fallbacks.
 """
 
 from collections import Counter
@@ -16,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import AggSpec, Database, Predicate, SelectQuery
-from repro.delta import multiset_subtract
+from repro.delta import merge_sorted, multiset_subtract
 from repro.dtypes import INT32, ColumnSchema
 
 from .reference import canonical
@@ -224,3 +227,81 @@ def test_subtract_never_wraps_a_wide_key():
     ghost = {"a": np.array([hi], np.int64), "b": np.array([lo], np.int64)}
     keep, unmatched = multiset_subtract(cols, ghost, ["a", "b"])
     assert keep.tolist() == [True, False] and unmatched == 0
+
+
+# ------------------------------------------------------------ merge_sorted
+
+
+def lexsort_concat(stored, pending, sort_keys):
+    """Reference: concatenate, then one stable lexsort on *sort_keys*."""
+    data = {c: np.concatenate((stored[c], pending[c])) for c in stored}
+    if not sort_keys:
+        return data
+    order = np.lexsort([data[k] for k in reversed(sort_keys)])
+    return {c: values[order] for c, values in data.items()}
+
+
+def check_merge(stored_rows, pending_rows, sort_keys, dtypes, presort=True):
+    """Rows get a distinct ``id`` column, so the order of tied rows shows;
+    *stored* is put in key order first unless *presort* is False."""
+    names = NAMES + ["id"]
+    dtypes = list(dtypes) + [np.int32]
+    n = len(stored_rows)
+    stored = as_columns(
+        [row + (i,) for i, row in enumerate(stored_rows)], names, dtypes
+    )
+    pending = as_columns(
+        [row + (n + i,) for i, row in enumerate(pending_rows)], names, dtypes
+    )
+    if presort:
+        empty = {c: values[:0] for c, values in stored.items()}
+        stored = lexsort_concat(stored, empty, sort_keys)
+    got = merge_sorted(stored, pending, sort_keys)
+    want = lexsort_concat(stored, pending, sort_keys)
+    assert list(got) == names
+    for c in names:
+        assert got[c].dtype == want[c].dtype
+        assert got[c].tolist() == want[c].tolist(), c
+
+
+SORT_KEYS = st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "c", "a"], []])
+
+
+@given(narrow_rows, narrow_rows, SORT_KEYS)
+@settings(max_examples=200, deadline=None)
+def test_merge_matches_lexsort_on_fused_keys(stored, pending, sort_keys):
+    # Small domains: ties within and across the two sides are the norm.
+    check_merge(stored, pending, sort_keys, [np.int8, np.uint8, np.int32])
+
+
+@given(wide_rows, wide_rows, SORT_KEYS)
+@settings(max_examples=100, deadline=None)
+def test_merge_matches_lexsort_when_key_does_not_fuse(
+    stored, pending, sort_keys
+):
+    check_merge(stored, pending, sort_keys, [np.int64, np.int8, np.int64])
+
+
+@given(narrow_rows, narrow_rows, SORT_KEYS)
+@settings(max_examples=100, deadline=None)
+def test_merge_matches_lexsort_when_stored_is_not_sorted(
+    stored, pending, sort_keys
+):
+    # A projection created with a false presorted=True: the stored side's
+    # fused key is not non-decreasing, so the merge re-sorts everything.
+    check_merge(stored, pending, sort_keys, [np.int8, np.uint8, np.int32],
+                presort=False)
+
+
+def test_merge_places_pending_after_equal_stored_rows():
+    stored = {"k": np.array([1, 2, 2, 5], np.int32),
+              "id": np.array([0, 1, 2, 3], np.int32)}
+    pending = {"k": np.array([2, 0, 5, 2], np.int32),
+               "id": np.array([4, 5, 6, 7], np.int32)}
+    got = merge_sorted(stored, pending, ["k"])
+    assert got["k"].tolist() == [0, 1, 2, 2, 2, 2, 5, 5]
+    assert got["id"].tolist() == [5, 0, 1, 2, 4, 7, 3, 6]
+    none = {c: values[:0] for c, values in pending.items()}
+    for a, b in ((stored, none), (none, pending), (none, none)):
+        assert {c: v.tolist() for c, v in merge_sorted(a, b, ["k"]).items()} \
+            == {c: v.tolist() for c, v in lexsort_concat(a, b, ["k"]).items()}

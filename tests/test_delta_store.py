@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro import AggSpec, Database, Predicate, SelectQuery, load_tpch
-from repro.errors import CatalogError, ExecutionError
+from repro.errors import CatalogError, EncodingError, ExecutionError
 
 from .reference import full_column
 
@@ -47,6 +47,26 @@ class TestInsertValidation:
         bad["surprise"] = 1
         with pytest.raises(CatalogError):
             db.insert("lineitem", [bad])
+
+    @pytest.mark.parametrize("quantity", [2**40, "seven", 1.5, None])
+    def test_value_that_does_not_fit_logs_nothing(self, db, tmp_path,
+                                                  quantity):
+        # The whole batch is type-checked before the WAL append: nothing
+        # is logged or buffered, and the table stays readable, reopened too.
+        db.insert("lineitem", [lineitem_row(linenum=2)])
+        wal = db.catalog.root / "_wal" / "lineitem.wal"
+        logged = wal.read_bytes()
+        batch = [lineitem_row(), lineitem_row(quantity=quantity)]
+        with pytest.raises(EncodingError, match="quantity"):
+            db.insert("lineitem", batch)
+        assert wal.read_bytes() == logged
+        assert db.pending("lineitem") == 1
+        with pytest.raises(EncodingError, match="quantity"):
+            db.update("lineitem", (), {"quantity": quantity})
+        assert wal.read_bytes() == logged
+        query = "SELECT linenum FROM lineitem WHERE shipdate > '1999-01-01'"
+        assert db.sql(query).rows() == [(2,)]
+        assert Database(tmp_path / "db").sql(query).rows() == [(2,)]
 
     def test_dictionary_value_encoded(self, db):
         db.insert("lineitem", [lineitem_row(flag="R")])
@@ -225,6 +245,14 @@ class TestDeletes:
         assert db.delete("lineitem", (Predicate("quantity", ">", 10**6),)) == 0
         assert not wal.exists()
 
+    def test_empty_insert_returns_zero_and_logs_nothing(self, db):
+        wal = db.catalog.root / "_wal" / "lineitem.wal"
+        fsyncs = db.disk.total_fsyncs
+        assert db.insert("lineitem", []) == 0
+        assert not wal.exists()
+        assert db.disk.total_fsyncs == fsyncs
+        assert db.pending("lineitem") == 0
+
     def test_deletes_survive_restart(self, db, tmp_path):
         n = db.delete("lineitem", (Predicate("linenum", "=", 5),))
         assert n > 0
@@ -357,8 +385,18 @@ class TestUpdates:
             for line in wal.read_text().splitlines() if line
         ]
         assert len(lines) == 1
-        assert lines[0]["_op"] == "update"
-        assert len(lines[0]["rows"]) == n
+        [record] = lines
+        assert record["_op"] == "update"
+        # The matched rows, columnar, plus the assignments they re-enter
+        # with (not a re-materialised copy of every row).
+        assert record["assignments"] == {"quantity": 9}
+        assert sum(
+            len(record[side]["quantity"]) for side in ("stored", "pending")
+        ) == n
+        for side in ("stored", "pending"):
+            assert {len(values) for values in record[side].values()} == {
+                len(record[side]["quantity"])
+            }
 
     def test_updates_survive_restart_and_merge(self, db, tmp_path):
         db.update(

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from repro import Database
+from repro import Database, Predicate
 from repro.cli import main
 from repro.dtypes import INT32, ColumnSchema
 from repro.storage.column_file import ColumnFile
@@ -213,7 +213,8 @@ class TestScrubWritePath:
     def test_torn_final_wal_line_is_recoverable(self, tmp_path):
         # Scrub the damaged bytes directly, before recovery rewrites them.
         db = make_db(tmp_path / "db")
-        db.insert("t", [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+        db.insert("t", [{"a": 1, "b": 2}])
+        db.insert("t", [{"a": 3, "b": 4}])  # one line per write call
         wal = self.wal_path(tmp_path)
         wal.write_bytes(wal.read_bytes()[:-6])
         report = db.scrub()
@@ -226,7 +227,8 @@ class TestScrubWritePath:
 
     def test_mid_file_wal_corruption_names_line(self, tmp_path):
         db = make_db(tmp_path / "db")
-        db.insert("t", [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+        db.insert("t", [{"a": 1, "b": 2}])
+        db.insert("t", [{"a": 3, "b": 4}])
         wal = self.wal_path(tmp_path)
         lines = wal.read_text().splitlines()
         lines[0] = "{broken"
@@ -246,6 +248,43 @@ class TestScrubWritePath:
         [issue] = [i for i in report.issues if "unknown WAL record" in i.error]
         assert issue.line == 2
         assert "'compact'" in issue.error
+
+    @pytest.mark.parametrize("record, error", [
+        ({"_op": "insert", "columns": {"a": [1, 2], "b": [3]}},
+         "'columns' columns are not lists of one length"),
+        ({"_op": "insert", "columns": {"a": [1], "zz": [3]}},
+         "unknown column(s) ['zz'] in 'columns'"),
+        ({"_op": "insert", "columns": {"a": 1, "b": 2}},
+         "not lists of one length"),
+        ({"_op": "insert"}, "insert record carries none of"),
+        ({"_op": "delete", "stored": {"a": [1], "b": [2]},
+          "pending": {"a": [1, 2], "b": [3]}},
+         "'pending' columns are not lists of one length"),
+        ({"_op": "update", "stored": {"a": [1], "b": [2]},
+          "pending": {"a": [], "b": []}, "assignments": {"c": 1}},
+         "unknown column(s) ['c'] in 'assignments'"),
+        ({"_op": "update", "stored": {"a": [1], "b": [2]},
+          "pending": {"a": [], "b": []}},
+         "update record carries none of"),
+    ])
+    def test_malformed_columnar_record_names_file_and_line(
+        self, tmp_path, record, error
+    ):
+        db = make_db(tmp_path / "db")
+        db.insert("t", [{"a": 1, "b": 2}])
+        wal = self.wal_path(tmp_path)
+        with open(wal, "a") as f:
+            f.write(json.dumps(record) + "\n")
+        [issue] = db.scrub().issues
+        assert (issue.file, issue.line) == (str(wal), 2)
+        assert error in issue.error
+
+    def test_well_formed_write_calls_scrub_clean(self, tmp_path):
+        db = make_db(tmp_path / "db")
+        db.insert("t", [{"a": 1, "b": 2}, {"a": 3, "b": 4}])
+        db.update("t", (Predicate("a", "=", 1),), {"b": 9})
+        db.delete("t", (Predicate("a", "=", 3),))
+        assert db.scrub().clean
 
     def test_marker_exceeding_wal_records_reported(self, tmp_path):
         db = make_db(tmp_path / "db")

@@ -1,4 +1,5 @@
-"""Property-based tests: every codec round-trips and scans correctly."""
+"""Property-based tests: every codec round-trips and scans correctly, and
+the write-time histogram equals the algorithm it replaced."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -8,6 +9,9 @@ from repro.dtypes import INT32
 from repro.predicates import Predicate
 from repro.storage import encoding_by_name
 from repro.storage.block import BlockDescriptor
+from repro.storage.stats import ColumnHistogram
+
+from .reference import reference_histogram_json
 
 
 def _blocks(codec, values):
@@ -96,3 +100,45 @@ def test_descriptor_minmax_bounds_content(codec_name, values):
         chunk = values[desc.start_pos : desc.end_pos]
         assert desc.min_value == chunk.min()
         assert desc.max_value == chunk.max()
+
+
+@st.composite
+def histogram_inputs(draw):
+    """Value arrays across the histogram's two counting paths: narrow
+    ranges (bincount) and ranges of 2**40 and more (sort), with heavy
+    hitters, negatives and uint8/int32/int64."""
+    dtype = draw(st.sampled_from([np.uint8, np.int32, np.int64]))
+    info = np.iinfo(dtype)
+    shape = draw(st.sampled_from(["narrow", "wide", "hitters", "mixed"]))
+    if shape == "wide" and dtype == np.int64:
+        lo = draw(st.integers(info.min, info.max - 2**40))
+        hi = draw(st.integers(lo + 2**40, info.max))
+    else:
+        lo = draw(st.integers(int(info.min), int(info.max)))
+        hi = min(lo + draw(st.integers(0, 300)), int(info.max))
+    values = st.integers(lo, hi)
+    if shape == "hitters":  # only a few values, each heavy
+        values = st.sampled_from(sorted({lo, hi, (lo + hi) // 2}))
+    elif shape == "mixed":  # a few heavy values over a spread residual
+        values = st.one_of(st.sampled_from([lo, hi]), values)
+    return np.array(draw(st.lists(values, max_size=400)), dtype=dtype)
+
+
+@given(histogram_inputs())
+@settings(max_examples=300, deadline=None)
+def test_histogram_matches_reference_algorithm(values):
+    assert ColumnHistogram.build(values).to_json() == \
+        reference_histogram_json(values)
+
+
+@given(st.sampled_from([np.uint8, np.int32, np.int64]),
+       st.integers(-(2**40), 2**40), st.integers(1, 500))
+@settings(max_examples=60, deadline=None)
+def test_histogram_of_a_single_value_matches_reference(dtype, value, n):
+    info = np.iinfo(dtype)
+    values = np.full(n, min(max(value, info.min), info.max), dtype=dtype)
+    assert ColumnHistogram.build(values).to_json() == \
+        reference_histogram_json(values)
+    empty = np.empty(0, dtype=dtype)
+    assert ColumnHistogram.build(empty).to_json() == \
+        reference_histogram_json(empty)

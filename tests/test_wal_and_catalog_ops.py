@@ -1,11 +1,13 @@
 """Tests for WAL durability, drop_projection, and storage reports."""
 
+import json
 from datetime import date
 
 import numpy as np
 import pytest
 
-from repro import Database, load_tpch
+from repro import Database, Predicate, SelectQuery, load_tpch
+from repro.dtypes import INT32, ColumnSchema, date_to_int
 from repro.errors import CatalogError
 
 
@@ -53,9 +55,16 @@ class TestWALDurability:
     def test_values_already_encoded_in_wal(self, db_root):
         root, db = db_root
         db.insert("orders", [order_row(5)])
-        line = (root / "_wal" / "orders.wal").read_text()
-        # The date was encoded to an int before hitting the log.
-        assert '"shipdate": 10' in line
+        [record] = [
+            json.loads(line)
+            for line in (root / "_wal" / "orders.wal").read_text().splitlines()
+        ]
+        # One columnar line; the date was encoded to an int before it hit
+        # the log.
+        assert record["_op"] == "insert"
+        assert record["columns"] == {
+            "shipdate": [date_to_int(date(1999, 1, 1))], "custkey": [5],
+        }
 
     def test_torn_final_line_recovers_complete_rows(self, db_root):
         """Crash simulation: a partial final append must not poison recovery.
@@ -95,7 +104,8 @@ class TestWALDurability:
     def test_mid_file_corruption_still_raises(self, db_root):
         """Only the *final* line may be torn; earlier damage is real."""
         root, db = db_root
-        db.insert("orders", [order_row(1), order_row(2)])
+        db.insert("orders", [order_row(1)])
+        db.insert("orders", [order_row(2)])  # one line per write call
         wal = root / "_wal" / "orders.wal"
         lines = wal.read_text().splitlines()
         lines[0] = lines[0][:-5]  # truncate the FIRST line, keep the rest
@@ -122,6 +132,80 @@ class TestWALDurability:
         db.merge("orders")
         assert not (root / "_wal" / "orders.wal").exists()
         assert (root / "_wal" / "lineitem.wal").exists()
+
+
+#: A write-ahead log in the row-per-line format written before each write
+#: call became one columnar line: an insert batch as plain row lines, a
+#: delete and an update carrying row lists, and an insert torn mid-line.
+#: Its first line was already folded in by a merge (``wal_applied`` = 1).
+ROW_FORMAT_WAL = """\
+{"a": 99, "b": 1}
+{"a": 4, "b": 40}
+{"a": 5, "b": 50}
+{"a": 5, "b": 50}
+{"_op": "delete", "stored": [{"a": 1, "b": 10}], "pending": [{"a": 4, "b": 40}]}
+{"_op": "update", "stored": [{"a": 2, "b": 20}], "pending": [{"a": 5, "b": 50}], "rows": [{"a": 2, "b": 7}, {"a": 5, "b": 7}]}
+{"a": 6, "b\""""
+
+
+class TestRowFormatLogsStillReplay:
+    SCHEMAS = {"a": ColumnSchema("a", INT32), "b": ColumnSchema("b", INT32)}
+
+    def make_db(self, root):
+        db = Database(root)
+        db.catalog.create_projection(
+            "t",
+            {"a": np.array([1, 2, 3], np.int32),
+             "b": np.array([10, 20, 30], np.int32)},
+            schemas=self.SCHEMAS,
+            sort_keys=["a"],
+            encodings={"a": ["uncompressed"], "b": ["uncompressed"]},
+        )
+        db.catalog.set_wal_applied("t", 1)
+        wal = root / "_wal" / "t.wal"
+        wal.write_text(ROW_FORMAT_WAL)
+        return db, wal
+
+    @staticmethod
+    def rows(columns):
+        return sorted(zip(columns["a"].tolist(), columns["b"].tolist()))
+
+    def test_pending_and_deleted_state_recovered(self, tmp_path):
+        db, wal = self.make_db(tmp_path / "db")
+        # Scrub reads the old shapes: only the torn tail is reported.
+        [issue] = db.scrub().issues
+        assert (issue.line, "torn" in issue.error) == (7, True)
+
+        reopened = Database(tmp_path / "db")
+        delta = reopened.delta
+        assert self.rows(delta.columns("t", self.SCHEMAS)) == [
+            (2, 7), (5, 7), (5, 50),
+        ]
+        assert self.rows(delta.deleted_columns("t", self.SCHEMAS)) == [
+            (1, 10), (2, 20),
+        ]
+        assert reopened.catalog.wal_applied == {}
+        # The applied line and the torn tail are gone from disk, the rest
+        # kept byte for byte.
+        assert wal.read_text() == "".join(
+            line + "\n" for line in ROW_FORMAT_WAL.splitlines()[1:6]
+        )
+        assert sorted(reopened.query(
+            SelectQuery("t", ("a", "b"))
+        ).rows()) == [(2, 7), (3, 30), (5, 7), (5, 50)]
+
+    def test_columnar_lines_append_after_row_lines(self, tmp_path):
+        self.make_db(tmp_path / "db")
+        db = Database(tmp_path / "db")
+        db.insert("t", [{"a": 8, "b": 80}])
+        db.delete("t", (Predicate("b", "=", 7),))
+        reopened = Database(tmp_path / "db")
+        assert reopened.pending("t") == 2 + 2  # pending + deleted rows
+        assert reopened.scrub().clean
+        reopened.merge("t")
+        assert sorted(reopened.query(
+            SelectQuery("t", ("a", "b"))
+        ).rows()) == [(3, 30), (5, 50), (8, 80)]
 
 
 class TestDropProjection:
