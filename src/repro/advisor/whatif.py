@@ -22,8 +22,8 @@ Three duck-typed stand-ins mirror the read surface the predictor and
   missing encoding as :class:`~repro.storage.projection.ProjectionColumn`,
   so encoding overrides disqualify hypothetical candidates exactly like
   real ones.
-* :class:`HypotheticalProjection` — ``column``/``physical_column``/
-  ``column_names``/``n_rows``/``sort_keys``/``is_partitioned``.
+* :class:`HypotheticalProjection` — ``column``/``column_names``/
+  ``n_rows``/``sort_keys``/``is_partitioned``.
 
 :class:`WhatIfCatalog` overlays additions and drops on a real catalog and
 exposes the one method projection routing needs (``candidates``), so
@@ -147,10 +147,6 @@ class HypotheticalProjection:
                 f"hypothetical projection {self.name!r} has no column "
                 f"{name!r}"
             ) from None
-
-    # The predictor reaches columns via ``column``; the optimizer's
-    # applicability check via ``physical_column``. Same thing here.
-    physical_column = column
 
 
 def _mass_segments(histogram) -> list[tuple[float, float, float]]:
@@ -376,43 +372,23 @@ class WhatIfCatalog:
 def cheapest_plan_ms(catalog_like, query, constants):
     """The router's own minimization, returning its score.
 
-    Runs :func:`resolve_projection`'s candidate × strategy loop against
-    any catalog-like view and returns ``(best_ms, projection_name,
+    Runs :func:`resolve_projection`'s candidate × strategy minimization
+    against any catalog-like view and returns ``(best_ms, projection_name,
     strategy_value)``. Raises :class:`CatalogError` when nothing covers
     the query or nothing costs cleanly.
     """
-    from ..model.predictor import predict_select
-    from ..planner.strategies import Strategy
+    from ..planner.projection_choice import cheapest_plan, covering_candidates
 
-    candidates = catalog_like.candidates(query.projection)
-    if not candidates:
-        raise CatalogError(
-            f"unknown projection or table {query.projection!r}"
-        )
-    needed = set(query.all_columns)
-    covering = [p for p in candidates if needed <= set(p.column_names)]
-    if not covering:
-        raise CatalogError(
-            f"no projection of {query.projection!r} covers columns "
-            f"{sorted(needed)}"
-        )
-    best = None
-    for projection in covering:
-        for strategy in Strategy:
-            try:
-                ms = predict_select(
-                    projection, query, strategy, constants=constants
-                ).total_ms
-            except (CatalogError, UnsupportedOperationError):
-                continue
-            if best is None or ms < best[0]:
-                best = (ms, projection.name, strategy.value)
+    best = cheapest_plan(
+        covering_candidates(catalog_like, query), query, constants
+    )
     if best is None:
         raise CatalogError(
             f"no candidate of {query.projection!r} costs cleanly for "
             "this query"
         )
-    return best
+    ms, projection, strategy = best
+    return ms, projection.name, strategy.value
 
 
 def evaluate_design(catalog_like, weighted_queries, constants):

@@ -14,7 +14,7 @@ only the physical work changes — gated by the compressed differential axis.
 
 from .kernels import (
     KERNEL_ENCODINGS,
-    dictionary_group_codes,
+    group_ids,
     has_kernel,
     scan_block_compressed,
 )
@@ -31,7 +31,7 @@ __all__ = [
     "KERNEL_ENCODINGS",
     "has_kernel",
     "scan_block_compressed",
-    "dictionary_group_codes",
+    "group_ids",
     "Representation",
     "ENCODING_REPRESENTATIONS",
     "MORPHS",

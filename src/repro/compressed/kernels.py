@@ -185,26 +185,30 @@ def _offset_space_predicate(
     return None
 
 
-def dictionary_group_codes(
+def group_ids(
     ctx: "ExecutionContext",
     column_file: "ColumnFile",
     positions: np.ndarray,
     minicolumn,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Map each position to its dictionary code: (code values, code id per row).
+    """Map each position to its RLE run or dictionary code of the group
+    column: ``(unit values, unit id per row)``.
 
-    The aggregation analogue of the RLE run path: the group column stays in
-    the code domain, the aggregator reduces rows to per-block code
-    histograms (dense bincount over code ids), and only the distinct arrays
-    — a handful of values per block — are ever widened. Returns per-block
-    dictionaries concatenated with globally offset code ids, exactly the
-    ``(run_values, run_ids)`` contract of ``AggregateLM.execute_runs``.
+    The aggregation side of operating on compressed data: the aggregator
+    reduces rows per run / per code (a dense bincount over the ids) and only
+    the run values or per-block dictionaries — a handful per block — are
+    ever widened. Per-block units are concatenated with globally offset
+    ids, the ``(run_values, run_ids)`` contract of
+    ``AggregateLM.execute_runs``.
     """
+    from ..operators.base import repeat_by_run
+
     stats = ctx.stats
+    runs = column_file.encoding.supports_runs
     value_parts: list[np.ndarray] = []
     id_parts: list[np.ndarray] = []
     cursor = 0
-    code_base = 0  # dictionary entries appended so far across loaded blocks
+    base = 0  # units appended so far across loaded blocks
     n = len(positions)
     for desc in column_file.descriptors:
         if cursor >= n:
@@ -218,12 +222,17 @@ def dictionary_group_codes(
             stats.block_iterations += 1
         else:
             payload = ctx.read_block(column_file, desc.index)
-        distinct, codes = ctx.code_table(column_file, desc, payload)
         chunk = positions[cursor:hi]
-        local = codes[chunk - desc.start_pos].astype(np.int64)
-        value_parts.append(distinct.astype(column_file.dtype))
-        id_parts.append(local + code_base)
-        code_base += len(distinct)
+        if runs:
+            values, starts, _lengths = ctx.run_table(column_file, desc, payload)
+            unit_ids = np.arange(base, base + len(values), dtype=np.int64)
+            id_parts.append(repeat_by_run(starts, chunk, unit_ids))
+        else:
+            distinct, codes = ctx.code_table(column_file, desc, payload)
+            values = distinct.astype(column_file.dtype)
+            id_parts.append(codes[chunk - desc.start_pos].astype(np.int64) + base)
+        value_parts.append(values)
+        base += len(values)
         cursor = hi
     if not value_parts:
         return (

@@ -60,6 +60,7 @@ from .planner import (
     resolve_projection,
 )
 from .planner.describe import render_span_tree
+from .planner.nodes import executed_strategy
 from .planner.projection_choice import resolve_join_side
 from .storage.catalog import Catalog
 from .storage.projection import Projection
@@ -458,9 +459,6 @@ class Database:
     def _resolve_strategy(
         self, projection: Projection, query: SelectQuery, strategy
     ) -> Strategy:
-        if query.disjuncts:
-            # Disjunctions always run the position-union (LM) path.
-            return Strategy.LM_PARALLEL
         if strategy is None or strategy == "auto":
             chosen, _predictions = choose_strategy(
                 projection,
@@ -473,9 +471,9 @@ class Database:
                 ),
             )
             return chosen
-        if isinstance(strategy, Strategy):
-            return strategy
-        return Strategy.from_name(str(strategy))
+        if not isinstance(strategy, Strategy):
+            strategy = Strategy.from_name(str(strategy))
+        return executed_strategy(query, strategy)
 
     def query(
         self,

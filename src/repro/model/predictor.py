@@ -1,9 +1,16 @@
 """A-priori end-to-end plan cost prediction.
 
-Composes the per-operator formulas of :mod:`repro.model.cost` into whole-plan
-predictions for each materialization strategy, mirroring how Section 3.5's
-example plans chain DS/AND/MERGE/SPC operators. Selectivities come from the
-header-only estimator; nothing here reads block payloads.
+Prices the nodes :func:`repro.planner.nodes.plan_nodes` builds — the very
+operator tree the executor runs — by attaching the per-operator formulas of
+:mod:`repro.model.cost` to each node, the way Section 3.5's example plans
+chain DS/AND/MERGE/SPC operators. Selectivities come from the header-only
+estimator; nothing here reads block payloads.
+
+Kept on purpose, so predictions stay what they were (inputs for a host
+cost model): a one-input AND is executed but not priced; OUTPUT is priced
+with each (sub)plan's last operator, so once per partition, though it runs
+once after COMBINE; COMBINE and UNION are not priced; and the predictor
+ignores the ``use_indexes`` / ``use_multicolumns`` ablations.
 
 The join predictor extends the paper's model (which stops at selection /
 aggregation plans) with the obvious per-strategy terms; DESIGN.md lists it as
@@ -16,14 +23,20 @@ import math
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
+from ..errors import UnsupportedOperationError
 from ..planner.estimate import (
     estimate_block_fragments,
     estimate_read_fraction,
     estimate_selectivity,
 )
-from ..errors import CatalogError, StorageError
-from ..predicates import combine_column_predicates
 from ..planner.logical import JoinQuery, SelectQuery
+from ..planner.nodes import (
+    PlanFacts,
+    PlanNode,
+    partition_facts,
+    plan_outline,
+    uses_index,
+)
 from ..planner.strategies import RightTableStrategy, Strategy
 from ..storage.projection import Projection
 from .constants import PAPER_CONSTANTS, ModelConstants
@@ -83,49 +96,6 @@ def _position_run_length(meta: ColumnMeta, sf: float) -> float:
     return float(_BITMAP_WORD) if sf > 1.0 / _BITMAP_WORD else 1.0
 
 
-def _query_metadata(
-    projection: Projection, query: SelectQuery, resident: float
-) -> tuple[dict[str, ColumnMeta], dict[str, float], list[str]]:
-    enc = query.encoding_map
-    files = {
-        col: projection.column(col).file(enc.get(col))
-        for col in query.all_columns
-    }
-    metas = {
-        col: ColumnMeta.from_file(cf, resident=resident)
-        for col, cf in files.items()
-    }
-    sfs: dict[str, float] = {}
-    ordered: list[tuple[str, float]] = []
-    by_column: dict[str, list] = {}
-    for pred in query.predicates:
-        by_column.setdefault(pred.column, []).append(pred)
-    fragments = None
-    fractions: dict[str, float] = {}
-    indexed: dict[str, bool] = {}
-    for col, preds in by_column.items():
-        cf = files[col]
-        combined = combine_column_predicates(preds)
-        sf = 1.0
-        for p in preds:
-            sf *= estimate_selectivity(cf, p)
-        sfs[col] = sf
-        fractions[col] = estimate_read_fraction(cf, combined)
-        indexed[col] = projection.column(col).index is not None and all(
-            getattr(p, "in_values", None) is not None or p.op != "!="
-            for p in preds
-        )
-        ordered.append((col, sf))
-    ordered.sort(key=lambda item: item[1])
-    ordered_names = [col for col, _sf in ordered]
-    if ordered_names:
-        first = ordered_names[0]
-        fragments = estimate_block_fragments(
-            files[first], combine_column_predicates(by_column[first])
-        )
-    return metas, sfs, ordered_names, fragments, fractions, indexed
-
-
 def _estimated_groups(projection: Projection, query: SelectQuery, survivors: float) -> float:
     """Crude distinct-group estimate for aggregate output sizing."""
     bound = 1.0
@@ -146,6 +116,9 @@ def predict_select(
 
     Args:
         resident: the model's F for first-access columns (0 = cold cache).
+
+    Raises:
+        UnsupportedOperationError: the strategy cannot run the query.
     """
     return predict_strategies(
         projection, query, (strategy,), constants, resident
@@ -161,211 +134,177 @@ def predict_strategies(
 ) -> dict[Strategy, PlanPrediction]:
     """Predict *query* under each of *strategies* from one metadata pass.
 
-    Selectivities, column metadata and the pruned partition set do not
-    depend on the strategy, so they are estimated once (per surviving
-    partition) and every strategy is priced from them; each prediction is
-    exactly what pricing that strategy alone gives.
+    Column metadata, selectivities and the pruned partition set do not
+    depend on the strategy, so they are gathered once (per surviving
+    partition) and each strategy's plan nodes are priced from them; each
+    prediction is exactly what pricing that strategy alone gives. A
+    strategy whose plan cannot run the query is left out, and when none can
+    the executor's error is raised. A partitioned prediction is the sum
+    over the surviving partitions' sub-plans, each step prefixed with its
+    partition's name; a fully pruned query predicts (and costs) zero.
     """
     strategies = tuple(strategies)
+    if not strategies:
+        return {}
     if projection.is_partitioned:
-        return _predict_partitioned(
-            projection, query, strategies, constants, resident
-        )
-    k = constants
-    metas, sfs, ordered, fragments, fractions, indexed = _query_metadata(
-        projection, query, resident
-    )
+        from ..delta import internal_query
 
-    def ds1(col):
-        """DS1 prediction: index-derived positions when available."""
-        if indexed.get(col):
-            # Binary search over the index: no blocks touched at all.
-            return OperatorCost(cpu_us=16 * k.fc, io_us=0.0)
-        return ds_case1_cost(
-            metas[col], sfs[col], k, read_fraction=fractions.get(col)
-        )
-    n = projection.n_rows
-    sf_total = math.prod(sfs.values()) if sfs else 1.0
-    survivors = sf_total * n
-
-    value_cols = query.value_columns
-    if query.aggregates:
-        out_tuples = _estimated_groups(projection, query, survivors)
+        sub_query, _plan = internal_query(query)
+        scopes = [
+            (f"{node.partition.name}:",
+             partition_facts(projection, node.partition, sub_query))
+            for node in plan_outline(projection, query, strategies[0])
+            if node.op == "PARTITION"
+        ]
     else:
-        out_tuples = survivors
-
-    predictions = {}
+        scopes = [("", PlanFacts(projection, query))]
+    scopes = [(prefix, f, _Inputs(f, resident)) for prefix, f in scopes]
+    predictions: dict[Strategy, PlanPrediction] = {}
+    error = None
     for strategy in strategies:
-        pred = predictions[strategy] = PlanPrediction(strategy=strategy.value)
-        if strategy is Strategy.LM_PARALLEL:
-            rlp_out = math.inf
-            for col in ordered:
-                pred.add(f"DS1({col})", ds1(col))
-                rlp_out = min(rlp_out, _position_run_length(metas[col], sfs[col]))
-            if not ordered:
-                rlp_out = float(n)
-            if len(ordered) > 1:
-                inputs = [
-                    AndCost(
-                        poslist=int(sfs[col] * n),
-                        run_length=_position_run_length(metas[col], sfs[col]),
+        prediction = PlanPrediction(strategy=strategy.value)
+        try:
+            for prefix, facts, inputs in scopes:
+                prediction.steps.extend(
+                    (prefix + name, cost)
+                    for name, cost in _price(
+                        facts, inputs, facts.core(strategy), constants
                     )
-                    for col in ordered
-                ]
-                pred.add("AND", and_cost(inputs, k))
-            for col in value_cols:
-                # Scanned earlier -> pinned mini-column; index-derived positions
-                # never touched the column, so its extraction is a first access.
-                reaccess = col in sfs and not indexed.get(col)
-                # Extraction from run-length columns jumps per run, not per
-                # position, whatever the position representation.
-                extraction_rl = max(rlp_out, metas[col].run_length)
-                pred.add(
-                    f"DS3({col})",
-                    ds_case3_cost(
-                        metas[col],
-                        int(survivors),
-                        extraction_rl,
-                        k,
-                        reaccess=reaccess,
-                        seek_fragments=fragments,
-                    ),
                 )
-            pred.add(*_lm_tail(query, survivors, out_tuples, len(value_cols), k))
-        elif strategy is Strategy.LM_PIPELINED:
-            running = float(n)
-            rlp = float(n)
-            for i, col in enumerate(ordered):
-                if i == 0:
-                    pred.add(f"DS1({col})", ds1(col))
-                    rlp = _position_run_length(metas[col], sfs[col])
-                else:
-                    cost = ds_case3_cost(
-                        metas[col], int(running), rlp, k, seek_fragments=fragments
-                    )
-                    extra = OperatorCost(cpu_us=running * k.fc, io_us=0.0)
-                    pred.add(f"DS3+pred({col})", cost + extra)
-                    rlp = min(rlp, _position_run_length(metas[col], sfs[col]))
-                running *= sfs[col]
-            for col in value_cols:
-                reaccess = (
-                    bool(ordered) and col == ordered[0] and not indexed.get(col)
-                )
-                extraction_rl = max(rlp, metas[col].run_length)
-                pred.add(
-                    f"DS3({col})",
-                    ds_case3_cost(
-                        metas[col],
-                        int(survivors),
-                        extraction_rl,
-                        k,
-                        reaccess=reaccess,
-                        seek_fragments=fragments,
-                    ),
-                )
-            pred.add(*_lm_tail(query, survivors, out_tuples, len(value_cols), k))
-        elif strategy is Strategy.EM_PIPELINED:
-            running = float(n)
-            cols = ordered or value_cols[:1]
-            first = cols[0]
-            pred.add(
-                f"DS2({first})",
-                ds_case2_cost(
-                    metas[first],
-                    sfs.get(first, 1.0),
-                    k,
-                    read_fraction=fractions.get(first),
-                ),
-            )
-            running *= sfs.get(first, 1.0)
-            remaining = cols[1:] + [c for c in value_cols if c not in cols]
-            for col in remaining:
-                pred.add(
-                    f"DS4({col})",
-                    ds_case4_cost(metas[col], int(running), sfs.get(col, 1.0), k),
-                )
-                running *= sfs.get(col, 1.0)
-            pred.add(*_em_tail(query, survivors, out_tuples, k))
-        elif strategy is Strategy.EM_PARALLEL:
-            spc_cols = ordered + [c for c in value_cols if c not in ordered]
-            pred.add(
-                "SPC",
-                spc_cost(
-                    [metas[c] for c in spc_cols],
-                    [sfs.get(c, 1.0) for c in spc_cols],
-                    k,
-                ),
-            )
-            pred.add(*_em_tail(query, survivors, out_tuples, k))
+        except UnsupportedOperationError as exc:
+            error = exc
+            continue
+        predictions[strategy] = prediction
+    if error is not None and not predictions:
+        raise error
     return predictions
 
 
-def _predict_partitioned(
-    projection: Projection,
-    query: SelectQuery,
-    strategies: tuple[Strategy, ...],
-    constants: ModelConstants,
-    resident: float,
-) -> dict[Strategy, PlanPrediction]:
-    """Partitioned prediction: the sum over surviving partitions.
+class _Inputs:
+    """What pricing needs from a plan's metadata beyond the nodes, worked
+    out once for every strategy priced from the same :class:`PlanFacts`."""
 
-    Each survivor is predicted as an independent sub-plan over its child
-    projection (whose block counts, run lengths and histograms describe
-    exactly the rows the executor will touch), so the whole-query prediction
-    — and EXPLAIN's per-step attribution — stays exact under pruning. A
-    fully pruned query predicts (and costs) zero.
-    """
-    from ..planner.partitioned import prune_partitions
-
-    survivors, _total = prune_partitions(projection, query)
-    preds = {s: PlanPrediction(strategy=s.value) for s in strategies}
-    for part in survivors:
-        try:
-            children = predict_strategies(
-                part.open(), query, strategies, constants, resident
+    def __init__(self, facts: PlanFacts, resident: float):
+        query, projection = facts.query, facts.projection
+        files, n = facts.files, projection.n_rows
+        self.metas = {
+            c: ColumnMeta.from_file(cf, resident=resident) for c, cf in files.items()
+        }
+        self.conds = [cond for group in facts.where for cond in group]
+        self.fractions = {
+            (c, p): estimate_read_fraction(files[c], p) for c, p, _sf in self.conds
+        }
+        if query.disjuncts:
+            miss = math.prod(
+                1.0 - math.prod(sf for *_, sf in g) for g in facts.where
             )
-        except CatalogError:
-            raise
-        except (StorageError, OSError) as exc:
-            # Prediction reads block headers; a lost partition file must
-            # surface as a catalog failure naming the partition here too.
-            raise CatalogError(
-                f"partition {part.name!r} of projection "
-                f"{projection.name!r} is unreadable: {exc}"
-            ) from exc
-        for strategy, child in children.items():
-            preds[strategy].steps.extend(
-                (f"{part.name}:{name}", cost) for name, cost in child.steps
-            )
-    return preds
-
-
-def _lm_tail(
-    query: SelectQuery,
-    survivors: float,
-    out_tuples: float,
-    degree: int,
-    k: ModelConstants,
-) -> tuple[str, OperatorCost]:
-    """Aggregation-or-merge plus output for LM plans."""
-    if query.aggregates:
-        agg = OperatorCost(cpu_us=survivors * k.ticcol, io_us=0.0)
-        tail = agg + merge_cost(int(out_tuples), degree, k) + output_cost(
-            int(out_tuples), k
+            self.survivors = (1.0 - miss) * n
+        else:
+            self.survivors = math.prod((sf for *_, sf in self.conds), start=1.0) * n
+        self.out_tuples = int(
+            _estimated_groups(projection, query, self.survivors)
+            if query.aggregates else self.survivors
         )
-        return "aggregate+output", tail
-    tail = merge_cost(int(survivors), degree, k) + output_cost(int(out_tuples), k)
-    return "merge+output", tail
+        self.fragments = None
+        if self.conds:
+            col, pred, _sf = min(self.conds, key=lambda cond: cond[2])
+            self.fragments = estimate_block_fragments(files[col], pred)
 
 
-def _em_tail(
-    query: SelectQuery, survivors: float, out_tuples: float, k: ModelConstants
-) -> tuple[str, OperatorCost]:
-    """Aggregation (tuple-iterator input) plus output for EM plans."""
-    if query.aggregates:
+def _price(
+    facts: PlanFacts, inputs: _Inputs, nodes: list[PlanNode], k: ModelConstants
+) -> list[tuple[str, OperatorCost]]:
+    """The prediction steps of one operator core.
+
+    Nodes are priced in execution order, composed as the paper's Section 3.5
+    plans are: an AND lists its DS1 operands most-selective-first, then
+    itself (priced only with two or more); SPC applies its predicates
+    most-selective-first; the DS3 extractions feeding MERGE / AGG are priced
+    once per value column, then that operator together with the output.
+    """
+    query, projection, n = facts.query, facts.projection, facts.projection.n_rows
+    metas, conds, fragments = inputs.metas, inputs.conds, inputs.fragments
+    survivors, out_tuples = inputs.survivors, inputs.out_tuples
+    pinned = set()  # columns a DS1 scan pins for re-access
+    operands = {j for node in nodes if node.op == "AND" for j in node.inputs}
+    steps, deferred, tail = [], {}, None
+    running, rlp = float(n), math.inf  # surviving tuples; positions' run length
+    for i, node in enumerate(nodes):
+        op, col, sf = node.op, node.column, node.sf
+        if op == "DS1":
+            if uses_index(projection, node):
+                # Binary search over the index: no blocks touched at all.
+                cost = OperatorCost(cpu_us=16 * k.fc, io_us=0.0)
+            else:
+                pinned.add(col)
+                fraction = inputs.fractions[col, node.predicate]
+                cost = ds_case1_cost(metas[col], sf, k, read_fraction=fraction)
+            if i in operands:
+                deferred[i] = (f"DS1({col})", cost)
+            else:
+                steps.append((f"DS1({col})", cost))
+        elif op == "AND":
+            ordered = sorted(node.inputs, key=lambda j: nodes[j].sf)
+            steps += [deferred.pop(j) for j in ordered]
+            if len(ordered) > 1:
+                steps.append(("AND", and_cost([
+                    AndCost(
+                        poslist=int(nodes[j].sf * n),
+                        run_length=_position_run_length(
+                            metas[nodes[j].column], nodes[j].sf
+                        ),
+                    )
+                    for j in ordered
+                ], k)))
+        elif op == "DS3+filter":
+            cost = ds_case3_cost(
+                metas[col], int(running), rlp, k, seek_fragments=fragments
+            )
+            extra = OperatorCost(cpu_us=running * k.fc, io_us=0.0)
+            steps.append((f"DS3+pred({col})", cost + extra))
+        elif op == "DS2":
+            fraction = inputs.fractions.get((col, node.predicate))
+            steps.append((
+                f"DS2({col})",
+                ds_case2_cost(metas[col], sf, k, read_fraction=fraction),
+            ))
+        elif op == "DS4":
+            steps.append(
+                (f"DS4({col})", ds_case4_cost(metas[col], int(running), sf, k))
+            )
+        elif op == "SPC":
+            sfs = {c: f for c, _p, f in sorted(conds, key=lambda cond: cond[2])}
+            cols = list(sfs) + [c for c in query.value_columns if c not in sfs]
+            steps.append(("SPC", spc_cost(
+                [metas[c] for c in cols], [sfs.get(c, 1.0) for c in cols], k
+            )))
+        elif op in ("MERGE", "AGG"):
+            tail = node
+        if op in ("DS1", "DS3+filter"):
+            rlp = min(rlp, _position_run_length(metas[col], sf))
+        running *= sf
+
+    value_cols = query.value_columns
+    output = output_cost(out_tuples, k)
+    if tail is None:
+        return steps + [("output", output)]
+    if tail.case == "tuple":
         agg = OperatorCost(cpu_us=survivors * k.tictup, io_us=0.0)
-        return "aggregate+output", agg + output_cost(int(out_tuples), k)
-    return "output", output_cost(int(out_tuples), k)
+        return steps + [("aggregate+output", agg + output)]
+    rlp = float(n) if rlp == math.inf else rlp
+    for col in value_cols:
+        # Extraction from run-length columns jumps per run, not per
+        # position, whatever the position representation.
+        steps.append((f"DS3({col})", ds_case3_cost(
+            metas[col], int(survivors), max(rlp, metas[col].run_length), k,
+            reaccess=col in pinned, seek_fragments=fragments,
+        )))
+    if tail.op == "AGG":
+        agg = OperatorCost(cpu_us=survivors * k.ticcol, io_us=0.0)
+        merge = merge_cost(out_tuples, len(value_cols), k)
+        return steps + [("aggregate+output", agg + merge + output)]
+    merge = merge_cost(int(survivors), len(value_cols), k)
+    return steps + [("merge+output", merge + output)]
 
 
 def predict_join(
@@ -388,7 +327,9 @@ def predict_join(
     )
     sf = 1.0
     for p in query.left_predicates:
-        sf *= estimate_selectivity(left_key_file, p)
+        sf *= estimate_selectivity(
+            left_projection.column(p.column).file(enc.get(p.column)), p
+        )
     matches = sf * n_left
 
     left_meta = ColumnMeta.from_file(left_key_file, resident=resident)

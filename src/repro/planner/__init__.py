@@ -2,13 +2,16 @@
 
 The planner turns a :class:`~repro.planner.logical.SelectQuery` or
 :class:`~repro.planner.logical.JoinQuery` into one of the paper's four
-physical plan shapes (EM/LM x pipelined/parallel) and executes it; the
-model-driven :mod:`~repro.planner.optimizer` picks the strategy the
-analytical cost model predicts to be fastest.
+physical plan shapes (EM/LM x pipelined/parallel) and executes it. A
+selection's shape is built once, by :func:`~repro.planner.nodes.plan_nodes`;
+the executor runs those nodes, the cost model prices them, EXPLAIN renders
+them, and the model-driven :mod:`~repro.planner.optimizer` picks the
+strategy predicted to be fastest.
 """
 
 from .logical import JoinQuery, SelectQuery
 from .strategies import LeftTableStrategy, RightTableStrategy, Strategy
+from .nodes import PlanNode, plan_nodes
 from .plans import execute_join, execute_select
 from .estimate import estimate_selectivity
 from .optimizer import choose_strategy
@@ -21,6 +24,8 @@ __all__ = [
     "Strategy",
     "LeftTableStrategy",
     "RightTableStrategy",
+    "PlanNode",
+    "plan_nodes",
     "execute_select",
     "execute_join",
     "estimate_selectivity",

@@ -2,10 +2,10 @@
 
 Two renderers live here:
 
-* :func:`describe_plan` mirrors the plan shapes :mod:`repro.planner.plans`
-  builds, annotated with the physical facts the strategy decision rests on:
-  encodings, block counts, run lengths, estimated selectivities, index
-  availability.
+* :func:`describe_plan` renders the nodes :func:`repro.planner.nodes.plan_nodes`
+  builds — the plan the executor runs — annotated with the physical facts the
+  strategy decision rests on: encodings, block counts, run lengths,
+  estimated selectivities, index availability.
 * :func:`render_span_tree` renders a *measured* execution — the span tree
   EXPLAIN ANALYZE produces — with per-operator wall-clock, simulated-time
   attribution and cache interactions.
@@ -13,10 +13,15 @@ Two renderers live here:
 
 from __future__ import annotations
 
-from ..errors import UnsupportedOperationError
 from ..storage.projection import Projection
-from .estimate import estimate_selectivity
 from .logical import SelectQuery
+from .nodes import (
+    executed_strategy,
+    grouped_predicates,
+    plan_nodes,
+    tail_ops,
+    uses_index,
+)
 from .strategies import Strategy
 
 #: detail keys already surfaced elsewhere on a span line.
@@ -94,16 +99,75 @@ def _column_note(projection: Projection, query: SelectQuery, col: str) -> str:
     return ", ".join(bits)
 
 
-def _pred_lines(projection, query, col_preds, indent="    ") -> list[str]:
-    lines = []
-    for col, pred in col_preds.items():
-        cf = projection.column(col).file(query.encoding_map.get(col))
-        sf = estimate_selectivity(cf, pred)
-        lines.append(
-            f"{indent}DS1({pred}) [{_column_note(projection, query, col)}, "
-            f"SF~{sf:.3f}]"
-        )
-    return lines
+def _annotation(node, query: SelectQuery) -> str | None:
+    """The header line of a node that is not drawn in the tree."""
+    if node.op == "AGG":
+        outputs = ", ".join(s.output_name for s in query.aggregates)
+        return f"Aggregate({outputs} GROUP BY {', '.join(query.group_columns)})"
+    if node.op == "HAVING":
+        return f"Having({' AND '.join(str(p) for p in query.having)})"
+    if node.op == "ORDER BY":
+        keys = ", ".join(f"{c}{' DESC' if d else ''}" for c, d in query.order_by)
+        return f"OrderBy({keys})"
+    if node.op == "LIMIT":
+        return f"Limit({query.limit})"
+    return None
+
+
+def _render(nodes, projection, query, depth: int) -> list[str]:
+    """One operator core (plus its tail, if any): the annotations, then the
+    tree from the core's last operator down."""
+    pinned = {
+        n.column for n in nodes
+        if n.op == "DS1" and not uses_index(projection, n)
+    }
+
+    def note(col: str) -> str:
+        return _column_note(projection, query, col)
+
+    def tree(i: int, depth: int, parent: str | None) -> list[str]:
+        node = nodes[i]
+        op, col, pad = node.op, node.column, "  " * depth
+        if op == "AGG" and node.case == "tuple":
+            return tree(node.inputs[0], depth, parent)
+        if op in ("AND", "UNION"):
+            lines = [pad + ("AND" if op == "AND" else "UNION of position sets")]
+            return lines + [x for j in node.inputs for x in tree(j, depth + 1, op)]
+        if op == "DS1":
+            sf = f", SF~{node.sf:.3f}" if parent in ("AND", "UNION") else ""
+            return [f"{pad}DS1({node.predicate}) [{note(col)}{sf}]"]
+        if op == "SPC":
+            preds = grouped_predicates(query.predicates).values()
+            cols = ", ".join(f"{c} [{note(c)}]" for c in query.all_columns)
+            return [
+                f"{pad}SPC({', '.join(str(p) for p in preds) or 'true'})",
+                f"{pad}  scan all blocks of: {cols}",
+            ]
+        if op in ("MERGE", "AGG"):
+            extracted = [nodes[j].column for j in node.inputs]
+            lines = [pad + (
+                "vector aggregation input (no tuples constructed before groups)"
+                if op == "AGG" else f"Merge({', '.join(extracted)})"
+            )]
+            for c in extracted:
+                reaccess = " [re-access via pinned mini-column]" if c in pinned else ""
+                lines.append(f"{pad}  DS3({c}) [{note(c)}]{reaccess}")
+            source = nodes[node.inputs[0]].inputs
+            if source:
+                return lines + tree(source[0], depth + 1, "DS3")
+            return lines + [pad + "  full position range (no predicates)"]
+        label = node.predicate
+        if label is None:
+            label = f"{'scan' if op == 'DS2' else 'fetch'} {col}"
+        lines = [f"{pad}{op}({label}) [{note(col)}]"]
+        return lines + [x for j in node.inputs for x in tree(j, depth + 1, op)]
+
+    lines = [
+        "  " * depth + text for node in nodes
+        if (text := _annotation(node, query)) is not None
+    ]
+    top = max(i for i, n in enumerate(nodes) if n.op not in tail_ops(query))
+    return lines + tree(top, depth, None)
 
 
 def describe_plan(
@@ -111,166 +175,39 @@ def describe_plan(
 ) -> str:
     """Render the physical operator tree for *query* under *strategy*.
 
-    Partitioned projections render the zone-map pruning outcome first, then
-    each surviving partition's sub-plan (indented, header dropped) — the
-    same shape per-partition execution fans out.
+    Partitioned projections render the zone-map pruning outcome, the tail
+    that runs once and the COMBINE, then each surviving partition's
+    sub-plan — the shape per-partition execution fans out.
+
+    Raises:
+        UnsupportedOperationError: *strategy* cannot run *query*.
     """
-    from ..predicates import combine_column_predicates
+    strategy = executed_strategy(query, strategy)
+    nodes = plan_nodes(projection, query, strategy)
+    if not projection.is_partitioned:
+        header = f"{strategy.value} plan over projection {projection.name!r}"
+        return "\n".join([header] + _render(nodes, projection, query, 1))
+    from ..delta import internal_query
 
-    if projection.is_partitioned:
-        from .partitioned import prune_partitions
-
-        survivors, total = prune_partitions(projection, query)
-        lines = [
-            f"{strategy.value} plan over range-partitioned projection "
-            f"{projection.name!r} "
-            f"({len(survivors)}/{total} partitions after zone-map pruning)"
-        ]
-        if not survivors:
-            lines.append(
-                "  all partitions pruned: zone maps exclude every predicate"
-            )
-            return "\n".join(lines)
-        for part in survivors:
-            lines.append(f"  {part.name} ({part.n_rows} rows)")
-            sub = describe_plan(part.open(), query, strategy)
-            lines.extend("  " + line for line in sub.splitlines()[1:])
-        return "\n".join(lines)
-
-    by_column: dict[str, list] = {}
-    source = query.disjuncts if query.disjuncts else (query.predicates,)
-    for group in source:
-        for pred in group:
-            by_column.setdefault(pred.column, []).append(pred)
-    col_preds = {
-        col: combine_column_predicates(preds)
-        for col, preds in by_column.items()
-    }
-    ordered = sorted(
-        col_preds,
-        key=lambda col: estimate_selectivity(
-            projection.column(col).file(query.encoding_map.get(col)),
-            col_preds[col],
-        ),
-    )
-    value_cols = query.value_columns
-
-    lines = [f"{strategy.value} plan over projection {projection.name!r}"]
-    tail = []
-    if query.aggregates:
-        outputs = ", ".join(s.output_name for s in query.aggregates)
+    parts = [n.partition for n in nodes if n.op == "PARTITION"]
+    lines = [
+        f"{strategy.value} plan over range-partitioned projection "
+        f"{projection.name!r} ({len(parts)}/{len(projection.partitions)} "
+        "partitions after zone-map pruning)"
+    ] + [
+        "  " + text for node in nodes
+        if node.partition is None and (text := _annotation(node, query))
+    ]
+    if not parts:
+        lines.append("  all partitions pruned: zone maps exclude every predicate")
+    elif query.aggregates:
         groups = ", ".join(query.group_columns)
-        tail.append(f"  Aggregate({outputs} GROUP BY {groups})")
-    if query.order_by:
-        keys = ", ".join(
-            f"{c}{' DESC' if d else ''}" for c, d in query.order_by
-        )
-        tail.append(f"  OrderBy({keys})")
-    if query.limit is not None:
-        tail.append(f"  Limit({query.limit})")
-
-    if query.disjuncts:
-        lines += tail
-        lines.append(f"  Merge({', '.join(value_cols)})")
-        for col in value_cols:
-            lines.append(f"    DS3({col}) [{_column_note(projection, query, col)}]")
-        lines.append("    UNION of position sets")
-        for group in query.disjuncts:
-            group_preds = {
-                col: combine_column_predicates(preds)
-                for col, preds in _group_by_column(group).items()
-            }
-            lines.append("      AND")
-            lines += _pred_lines(projection, query, group_preds, indent="        ")
-        return "\n".join(lines)
-
-    if strategy is Strategy.EM_PARALLEL:
-        lines += tail
-        preds = ", ".join(str(p) for p in col_preds.values()) or "true"
-        cols = ", ".join(
-            f"{c} [{_column_note(projection, query, c)}]"
-            for c in dict.fromkeys(list(col_preds) + value_cols)
-        )
-        lines.append(f"  SPC({preds})")
-        lines.append(f"    scan all blocks of: {cols}")
-        return "\n".join(lines)
-
-    if strategy is Strategy.EM_PIPELINED:
-        lines += tail
-        depth = 1
-        chain = []
-        first = ordered[0] if ordered else (value_cols or [None])[0]
-        rest = ordered[1:] + [c for c in value_cols if c not in col_preds]
-        for col in reversed(rest):
-            pred = col_preds.get(col)
-            label = str(pred) if pred is not None else f"fetch {col}"
-            chain.append((f"DS4({label})", col))
-        for text, col in chain:
-            lines.append(
-                "  " * depth + f"{text} [{_column_note(projection, query, col)}]"
-            )
-            depth += 1
-        first_pred = col_preds.get(first)
-        label = str(first_pred) if first_pred is not None else f"scan {first}"
-        lines.append(
-            "  " * depth
-            + f"DS2({label}) [{_column_note(projection, query, first)}]"
-        )
-        return "\n".join(lines)
-
-    # LM strategies share the extraction/merge top.
-    lines += tail
-    if query.aggregates:
-        lines.append(
-            "  vector aggregation input (no tuples constructed before groups)"
-        )
+        lines.append(f"  Combine(re-aggregate GROUP BY {groups})")
     else:
-        lines.append(f"  Merge({', '.join(value_cols)})")
-    for col in value_cols:
-        reaccess = col in col_preds
-        suffix = " [re-access via pinned mini-column]" if reaccess else ""
-        lines.append(
-            f"    DS3({col}) [{_column_note(projection, query, col)}]{suffix}"
-        )
-    if strategy is Strategy.LM_PARALLEL:
-        if len(ordered) > 1:
-            lines.append("    AND")
-            lines += _pred_lines(projection, query, col_preds, indent="      ")
-        elif ordered:
-            lines += _pred_lines(projection, query, col_preds, indent="    ")
-        else:
-            lines.append("    full position range (no predicates)")
-        return "\n".join(lines)
-
-    # LM-pipelined.
-    depth = 2
-    for col in ordered[1:][::-1]:
-        cf = projection.column(col).file(query.encoding_map.get(col))
-        if not cf.encoding.supports_position_filtering:
-            raise UnsupportedOperationError(
-                f"LM-pipelined cannot position-filter {col!r} "
-                f"({cf.encoding.name})"
-            )
-        lines.append(
-            "  " * depth
-            + f"DS3+filter({col_preds[col]}) "
-            + f"[{_column_note(projection, query, col)}]"
-        )
-        depth += 1
-    if ordered:
-        first = ordered[0]
-        lines.append(
-            "  " * depth
-            + f"DS1({col_preds[first]}) "
-            + f"[{_column_note(projection, query, first)}]"
-        )
-    else:
-        lines.append("  " * depth + "full position range (no predicates)")
+        lines.append("  Combine(concatenate in partition order)")
+    sub_query, _plan = internal_query(query)
+    for part in parts:
+        lines.append(f"    {part.name} ({part.n_rows} rows)")
+        core = [n for n in nodes if n.partition is part and n.op != "PARTITION"]
+        lines += _render(core, part.open(), sub_query, 3)
     return "\n".join(lines)
-
-
-def _group_by_column(group) -> dict[str, list]:
-    by_column: dict[str, list] = {}
-    for pred in group:
-        by_column.setdefault(pred.column, []).append(pred)
-    return by_column

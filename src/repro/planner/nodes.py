@@ -1,0 +1,255 @@
+"""The operator nodes of a selection plan, built once from column metadata.
+
+The paper's Section 3 model prices exactly the operator tree each strategy
+builds, so that tree is written down once, here: :func:`plan_nodes` lists
+its operators in execution order, and three views read the same list — the
+executor (:mod:`repro.planner.plans`) runs them, one span per traced node;
+the predictor (:mod:`repro.model.predictor`) attaches a
+:mod:`repro.model.cost` formula to each; EXPLAIN
+(:func:`repro.planner.describe.describe_plan`) renders them. Building them
+reads only metadata (encodings and header-only selectivity estimates), and
+a strategy that cannot run the query raises the executor's error here, so
+every view agrees on what runs.
+"""
+
+from __future__ import annotations
+
+from contextlib import contextmanager
+from typing import NamedTuple
+
+from ..errors import (
+    CatalogError,
+    CorruptBlockError,
+    PlanError,
+    StorageError,
+    UnsupportedOperationError,
+)
+from ..predicates import Predicate, combine_column_predicates
+from .estimate import estimate_selectivity
+from .strategies import Strategy
+
+
+class PlanNode(NamedTuple):
+    """One operator application.
+
+    ``op`` is named as its span is. ``inputs`` index the nodes it consumes
+    within its operator core (the tail, and a partitioned plan's PRUNE /
+    PARTITION / COMBINE outline, consume the result so far). ``case`` says
+    which variant runs: DS1 ``leaf`` (an independent LM-parallel leaf), DS3
+    ``extract`` / ``gather`` / ``group``, AGG ``tuple`` / ``vector``,
+    COMBINE ``aggregate`` / ``concat``. ``partition`` is set on a PARTITION
+    node and on the nodes of its sub-plan.
+    """
+
+    op: str
+    column: str | None = None
+    predicate: Predicate | None = None
+    sf: float = 1.0  # the predicate's estimated selectivity
+    inputs: tuple[int, ...] = ()
+    case: str = ""
+    partition: object = None
+
+    @property
+    def traced(self) -> bool:
+        """Whether executing this node opens a span."""
+        if self.op == "COMBINE":
+            return self.case == "aggregate"
+        return self.op not in ("UNION", "HAVING", "ORDER BY", "LIMIT")
+
+
+def grouped_predicates(predicates) -> dict[str, Predicate]:
+    """One (possibly compound) predicate per column, in first-seen order."""
+    by_column: dict[str, list[Predicate]] = {}
+    for pred in predicates:
+        by_column.setdefault(pred.column, []).append(pred)
+    return {
+        col: combine_column_predicates(preds) for col, preds in by_column.items()
+    }
+
+
+def uses_index(projection, node: PlanNode) -> bool:
+    """Whether a DS1 node is answered from the column's clustered index: no
+    block is read and nothing is pinned for later extraction."""
+    parts = getattr(node.predicate, "predicates", (node.predicate,))
+    return projection.column(node.column).index is not None and all(
+        getattr(p, "in_values", None) is not None or p.op != "!=" for p in parts
+    )
+
+
+def executed_strategy(query, strategy: Strategy) -> Strategy:
+    """The strategy whose plan runs: a disjunction always runs the
+    position-set union, which is the LM-parallel plan."""
+    return Strategy.LM_PARALLEL if query.disjuncts else strategy
+
+
+def tail_ops(query) -> list[str]:
+    """What runs once per query over the result so far: after the operator
+    core, or after COMBINE on a partitioned projection."""
+    ops = ["HAVING"] if query.having else []
+    ops += ["ORDER BY"] if query.order_by else []
+    ops += ["LIMIT"] if query.limit is not None else []
+    return ops + ["OUTPUT"]
+
+
+class PlanFacts:
+    """The metadata one unpartitioned operator core is built from: the
+    column file of every column the query touches (``files``) and, per
+    conjunction group (one unless the query is a disjunction), ``(column,
+    predicate, estimated selectivity)`` in first-seen order (``where``)."""
+
+    def __init__(self, projection, query):
+        self.projection = projection
+        self.query = query
+        enc = query.encoding_map
+        self.files = {
+            col: projection.column(col).file(enc.get(col))
+            for col in query.all_columns
+        }
+        self.where = [
+            tuple(
+                (col, pred, estimate_selectivity(self.files[col], pred))
+                for col, pred in grouped_predicates(group).items()
+            )
+            for group in (query.disjuncts or (query.predicates,))
+        ]
+
+    def core(self, strategy: Strategy) -> list[PlanNode]:
+        """The operator core *strategy* runs: everything before the tail."""
+        query = self.query
+        nodes: list[PlanNode] = []
+
+        def add(op, column=None, predicate=None, sf=1.0, inputs=(), case=""):
+            nodes.append(PlanNode(op, column, predicate, sf, tuple(inputs), case))
+            return len(nodes) - 1
+
+        # Pipelined plans apply the most selective predicate first.
+        by_sf = sorted(self.where[0], key=lambda cond: cond[2])
+        source = None  # the node producing the positions LM extracts at
+        if query.disjuncts:
+            # "The positions matching a predicate can be derived by ORing
+            # together the appropriate bitmaps" (paper §2.1.1): per-group
+            # AND, then a union, whatever strategy the caller named.
+            groups = []
+            for group in self.where:
+                leaves = [add("DS1", *cond) for cond in group]
+                groups.append(
+                    add("AND", inputs=leaves) if len(leaves) > 1 else leaves[0]
+                )
+            source = add("UNION", inputs=groups)
+        elif strategy is Strategy.LM_PARALLEL:
+            leaves = [add("DS1", *cond, case="leaf") for cond in self.where[0]]
+            source = add("AND", inputs=leaves) if leaves else None
+        elif strategy is Strategy.LM_PIPELINED:
+            for cond in by_sf:
+                encoding = self.files[cond[0]].encoding
+                if source is None:
+                    source = add("DS1", *cond)
+                elif not encoding.supports_position_filtering:
+                    raise UnsupportedOperationError(
+                        f"DS3 cannot position-filter a {encoding.name} column"
+                    )
+                else:
+                    source = add("DS3+filter", *cond, inputs=(source,))
+        else:
+            if strategy is Strategy.EM_PARALLEL:
+                top = add("SPC")
+            else:
+                filtered = {cond[0] for cond in by_sf}
+                chain = by_sf + [
+                    (c, None, 1.0) for c in query.value_columns if c not in filtered
+                ]
+                if not chain:
+                    raise PlanError("query touches no columns")
+                top = add("DS2", *chain[0])
+                for cond in chain[1:]:
+                    top = add("DS4", *cond, inputs=(top,))
+            if query.aggregates:
+                add("AGG", inputs=(top,), case="tuple")
+            return nodes
+        # Late materialization's top: DS3 at the final positions, then MERGE,
+        # or vector aggregation over the gathered value and group columns.
+        inputs = () if source is None else (source,)
+        if not query.aggregates:
+            extracts = [
+                add("DS3", c, inputs=inputs, case="extract")
+                for c in query.value_columns
+            ]
+            add("MERGE", inputs=extracts)
+            return nodes
+        gathered = dict.fromkeys(
+            s.column for s in query.aggregates if s.func != "count"
+        )
+        columns = [add("DS3", c, inputs=inputs, case="gather") for c in gathered]
+        columns += [
+            add("DS3", c, inputs=inputs, case="group") for c in query.group_columns
+        ]
+        add("AGG", inputs=columns, case="vector")
+        return nodes
+
+
+def plan_outline(projection, query, strategy: Strategy) -> list[PlanNode]:
+    """:func:`plan_nodes` without the partitions' sub-plans: on a
+    range-partitioned projection, PRUNE, one PARTITION per surviving
+    partition, COMBINE and the tail. The executor builds each sub-plan
+    inside its PARTITION span, where a partition's failures belong."""
+    tail = [PlanNode(op) for op in tail_ops(query)]
+    if not projection.is_partitioned:
+        return PlanFacts(projection, query).core(strategy) + tail
+    from .partitioned import prune_partitions
+
+    if any(s.func == "count_distinct" for s in query.aggregates):
+        raise UnsupportedOperationError(
+            "count(distinct) partials cannot be re-combined across "
+            "partitions; query an unpartitioned projection instead"
+        )
+    survivors, _total = prune_partitions(projection, query)
+    case = "aggregate" if query.aggregates and survivors else "concat"
+    parts = [PlanNode("PARTITION", partition=part) for part in survivors]
+    return [PlanNode("PRUNE"), *parts, PlanNode("COMBINE", case=case), *tail]
+
+
+@contextmanager
+def partition_errors(projection, part):
+    """Storage failures inside *part* surface as a
+    :class:`~repro.errors.CatalogError` naming it — a partitioned query
+    never silently returns the other partitions' rows. A
+    :class:`~repro.errors.CorruptBlockError` keeps its own type."""
+    try:
+        yield
+    except (CorruptBlockError, CatalogError):
+        raise
+    except (StorageError, OSError) as exc:
+        raise CatalogError(
+            f"partition {part.name!r} of projection "
+            f"{projection.name!r} is unreadable: {exc}"
+        ) from exc
+
+
+def partition_facts(projection, part, query) -> PlanFacts:
+    """:class:`PlanFacts` of one partition's child projection."""
+    with partition_errors(projection, part):
+        return PlanFacts(part.open(), query)
+
+
+def plan_nodes(projection, query, strategy: Strategy) -> list[PlanNode]:
+    """The ordered operator nodes *query* runs under *strategy*.
+
+    The order is execution order, so a traced execution's pre-order spans
+    are the traced nodes' ``(op, column)``. Each PARTITION node is followed
+    by its partition's operator core, built for the query every partition
+    runs (:func:`repro.delta.internal_query`: AVG split into mergeable
+    partials, the tail left to run once).
+
+    Raises:
+        UnsupportedOperationError: *strategy* cannot run *query*.
+    """
+    from ..delta import internal_query
+
+    nodes = []
+    for node in plan_outline(projection, query, strategy):
+        nodes.append(node)
+        if node.op == "PARTITION":
+            part = node.partition
+            facts = partition_facts(projection, part, internal_query(query)[0])
+            nodes += [n._replace(partition=part) for n in facts.core(strategy)]
+    return nodes

@@ -8,8 +8,8 @@ The pipeline has three stages, all visible in the span tree:
   partition is skipped only when its zone map provably excludes every
   matching row (``overlaps_range`` is false), so pruned execution returns
   exactly the unpruned result.
-* **PARTITION** (one span per survivor) — run the ordinary operator tree
-  (:func:`repro.planner.plans.build_select`) over the partition's child
+* **PARTITION** (one span per survivor) — run the ordinary operator core
+  (:func:`repro.planner.plans.run_core`) over the partition's child
   projection. Survivors fan out through the scan scheduler when one is
   configured, each leaf with private stats and tracer merged back in
   partition order, so counters and spans are deterministic however threads
@@ -22,7 +22,8 @@ The pipeline has three stages, all visible in the span tree:
   (:func:`repro.delta.internal_query` / :func:`repro.delta.merge_aggregates`).
 
 HAVING / ORDER BY / LIMIT and the output drain run exactly once, over the
-combined result, matching the unpartitioned tail.
+combined result, matching the unpartitioned tail. The stages are the nodes
+:func:`repro.planner.nodes.plan_outline` lists.
 """
 
 from __future__ import annotations
@@ -30,17 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..delta import internal_query, merge_aggregates
-from ..errors import (
-    CatalogError,
-    CorruptBlockError,
-    StorageError,
-    UnsupportedOperationError,
-)
-from ..operators import ExecutionContext, TupleSet, drain
+from ..errors import StorageError
+from ..operators import ExecutionContext, TupleSet
 from ..storage.partition import PartitionInfo
 from ..storage.projection import Projection
 from .logical import SelectQuery
-from .plans import _apply_having, _grouped_predicates, _order_and_limit, build_select
+from .nodes import PlanFacts, grouped_predicates, partition_errors, plan_outline
+from .plans import run_core, run_tail
 from .strategies import Strategy
 
 
@@ -54,7 +51,7 @@ class _QuarantineSkip:
 
 def _zone_overlaps(part: PartitionInfo, predicates) -> bool:
     """Could this partition hold a row satisfying the whole conjunction?"""
-    for col, pred in _grouped_predicates(predicates).items():
+    for col, pred in grouped_predicates(predicates).items():
         zone = part.zone_maps.get(col)
         if zone is not None and not pred.overlaps_range(
             zone.min_value, zone.max_value
@@ -95,14 +92,11 @@ def _partition_task(
     query: SelectQuery,
     strategy: Strategy,
 ):
-    """One scan-scheduler task: the full sub-plan over one partition.
+    """One scan-scheduler task: the operator core over one partition.
 
-    Storage-level failures opening the partition (missing directory or
-    column file, unreadable header) are translated to a
-    :class:`~repro.errors.CatalogError` naming the partition — a partitioned
-    query never silently returns the other partitions' rows.
-    :class:`~repro.errors.CorruptBlockError` passes through untranslated so
-    a mid-scan corruption keeps its span-truncation semantics.
+    Storage-level failures (missing directory or column file, unreadable
+    header) are translated to a :class:`~repro.errors.CatalogError` naming
+    the partition (:func:`~repro.planner.nodes.partition_errors`).
 
     Under ``on_error="degrade"`` the task instead *contains* any storage
     failure: the partition's span subtree is truncated in place, the
@@ -114,16 +108,9 @@ def _partition_task(
     def task(ctx: ExecutionContext) -> TupleSet | _QuarantineSkip:
         span = ctx.begin("PARTITION")
         try:
-            try:
-                child = part.open()
-                result = build_select(ctx, child, query, strategy)
-            except (CorruptBlockError, CatalogError):
-                raise
-            except (StorageError, OSError) as exc:
-                raise CatalogError(
-                    f"partition {part.name!r} of projection "
-                    f"{projection.name!r} is unreadable: {exc}"
-                ) from exc
+            with partition_errors(projection, part):
+                facts = PlanFacts(part.open(), query)
+                result = run_core(ctx, facts, facts.core(strategy))
         except (StorageError, OSError) as exc:
             if ctx.on_error != "degrade":
                 raise
@@ -145,13 +132,10 @@ def execute_partitioned_select(
     strategy: Strategy,
 ) -> TupleSet:
     """Prune, fan out, and re-combine a selection over a partitioned projection."""
-    if any(s.func == "count_distinct" for s in query.aggregates):
-        raise UnsupportedOperationError(
-            "count(distinct) partials cannot be re-combined across "
-            "partitions; query an unpartitioned projection instead"
-        )
+    outline = plan_outline(projection, query, strategy)
     span = ctx.begin("PRUNE")
-    survivors, total = prune_partitions(projection, query)
+    survivors = [node.partition for node in outline if node.op == "PARTITION"]
+    total = len(projection.partitions)
     # Under degraded execution, partitions already quarantined this session
     # are taken out of the fan-out up front — the query completes over the
     # rest and is marked degraded. In fail mode the quarantine is never
@@ -206,9 +190,7 @@ def execute_partitioned_select(
             extra.get("partitions_skipped", 0) + len(skipped)
         )
     merged = _combine(ctx, query, sub_query, plan, partials)
-    merged = _apply_having(ctx, merged, query)
-    merged = _order_and_limit(ctx, merged, query)
-    return drain(ctx, merged)
+    return run_tail(ctx, query, merged)
 
 
 def _combine(

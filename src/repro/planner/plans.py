@@ -1,15 +1,16 @@
-"""Physical plan construction and execution for the four strategies.
+"""Physical plan execution for the four strategies.
 
-Each builder assembles the operator tree from the paper's Figures 7 and 8 and
-runs it column-at-a-time. All builders end by draining the result (charging
-the output iteration the paper includes in both model and measurements).
+:func:`execute_select` runs the nodes :func:`repro.planner.nodes.plan_nodes`
+builds — the operator trees of the paper's Figures 7 and 8 — in order,
+column-at-a-time, one span per traced node. Every plan ends by draining the
+result (charging the output iteration the paper includes in both model and
+measurements).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import PlanError
 from ..multicolumn import MiniColumn, MultiColumn
 from ..operators import (
     AndOp,
@@ -25,7 +26,7 @@ from ..operators import (
     gather_values,
 )
 from ..operators.aggregate import AggregateEM, AggregateLM
-from ..operators.base import repeat_by_run
+from ..operators.and_op import and_groups
 from ..operators.joins import (
     fetch_right_columns,
     join_materialized,
@@ -33,12 +34,12 @@ from ..operators.joins import (
     join_single_column,
     merge_fetch_left,
 )
-from ..positions import ListedPositions, RangePositions
-from ..predicates import Predicate, combine_column_predicates
+from ..errors import PlanError
+from ..positions import ListedPositions, RangePositions, union_all
 from ..storage.column_file import ColumnFile
 from ..storage.projection import Projection
-from .estimate import estimate_selectivity
 from .logical import JoinQuery, SelectQuery
+from .nodes import PlanFacts, PlanNode, grouped_predicates
 from .strategies import LeftTableStrategy, RightTableStrategy, Strategy
 
 
@@ -51,26 +52,6 @@ def _column_files(
     }
 
 
-def _grouped_predicates(predicates) -> dict[str, Predicate]:
-    """One (possibly compound) predicate per column, in first-seen order."""
-    by_column: dict[str, list[Predicate]] = {}
-    for pred in predicates:
-        by_column.setdefault(pred.column, []).append(pred)
-    return {
-        col: combine_column_predicates(preds) for col, preds in by_column.items()
-    }
-
-
-def _selectivity_order(
-    files: dict[str, ColumnFile], col_preds: dict[str, Predicate]
-) -> list[str]:
-    """Predicate columns ordered most-selective-first (pipelined plans)."""
-    return sorted(
-        col_preds,
-        key=lambda col: estimate_selectivity(files[col], col_preds[col]),
-    )
-
-
 def execute_select(
     ctx: ExecutionContext,
     projection: Projection,
@@ -80,47 +61,12 @@ def execute_select(
     """Run *query* over *projection* with the given materialization strategy."""
     if projection.is_partitioned:
         # Range-partitioned projections fan out per partition after zone-map
-        # pruning; the per-partition sub-plans run build_select below.
+        # pruning; each partition runs its own operator core (run_core).
         from .partitioned import execute_partitioned_select
 
         return execute_partitioned_select(ctx, projection, query, strategy)
-    result = build_select(ctx, projection, query, strategy)
-    result = _apply_having(ctx, result, query)
-    result = _order_and_limit(ctx, result, query)
-    return drain(ctx, result)
-
-
-def build_select(
-    ctx: ExecutionContext,
-    projection: Projection,
-    query: SelectQuery,
-    strategy: Strategy,
-) -> TupleSet:
-    """The operator-tree core of a selection: everything up to (but not
-    including) HAVING, ORDER BY, LIMIT, and the output drain.
-
-    Per-partition execution runs this once per surviving partition and
-    applies the shared tail exactly once over the merged result, so output
-    iteration is never double-charged.
-    """
-    files = _column_files(projection, query, query.all_columns)
-    if query.disjuncts:
-        # Disjunctive WHERE clauses run on the position-set union path:
-        # "the positions matching a predicate can be derived by ORing
-        # together the appropriate bitmaps" (paper §2.1.1). Late
-        # materialization is the natural home for OR, whatever strategy the
-        # caller named.
-        return _lm_disjunction(ctx, projection, files, query)
-    col_preds = _grouped_predicates(query.predicates)
-    if strategy is Strategy.EM_PARALLEL:
-        return _em_parallel(ctx, files, col_preds, query)
-    if strategy is Strategy.EM_PIPELINED:
-        return _em_pipelined(ctx, files, col_preds, query)
-    if strategy is Strategy.LM_PARALLEL:
-        return _lm_parallel(ctx, projection, files, col_preds, query)
-    if strategy is Strategy.LM_PIPELINED:
-        return _lm_pipelined(ctx, projection, files, col_preds, query)
-    raise PlanError(f"unknown strategy {strategy}")  # pragma: no cover
+    facts = PlanFacts(projection, query)
+    return run_tail(ctx, query, run_core(ctx, facts, facts.core(strategy)))
 
 
 def _apply_having(
@@ -159,303 +105,134 @@ def _order_and_limit(
     return tuples
 
 
-# ---------------------------------------------------------------- EM plans
+def run_tail(ctx: ExecutionContext, query: SelectQuery, tuples: TupleSet) -> TupleSet:
+    """The tail nodes (:func:`~repro.planner.nodes.tail_ops`), once per
+    query: HAVING, ORDER BY, LIMIT and the output drain."""
+    tuples = _order_and_limit(ctx, _apply_having(ctx, tuples, query), query)
+    return drain(ctx, tuples)
 
 
-def _em_finish(ctx: ExecutionContext, tuples: TupleSet, query: SelectQuery) -> TupleSet:
-    """Aggregate (if requested) and project an EM tuple stream."""
-    if query.aggregates:
-        agg = AggregateEM(ctx, query.group_by, list(query.aggregates))
-        tuples = agg.execute(tuples)
-    return tuples.select(list(query.select))
-
-
-def _em_parallel(
-    ctx: ExecutionContext,
-    files: dict[str, ColumnFile],
-    col_preds: dict[str, Predicate],
-    query: SelectQuery,
+def run_core(
+    ctx: ExecutionContext, facts: PlanFacts, nodes: list[PlanNode]
 ) -> TupleSet:
-    spc = SPCScan(ctx, files, list(col_preds.values()))
-    return _em_finish(ctx, spc.execute(), query)
-
-
-def _em_pipelined(
-    ctx: ExecutionContext,
-    files: dict[str, ColumnFile],
-    col_preds: dict[str, Predicate],
-    query: SelectQuery,
-) -> TupleSet:
-    ordered = _selectivity_order(files, col_preds)
-    value_only = [c for c in query.value_columns if c not in col_preds]
-    if ordered:
-        first = ordered[0]
-        tuples = DS2Scan(ctx, files[first], col_preds[first]).execute()
-        rest = ordered[1:]
-    else:
-        if not value_only:
-            raise PlanError("query touches no columns")
-        first, *value_only = value_only
-        tuples = DS2Scan(ctx, files[first], None).execute()
-        rest = []
-    for col in rest:
-        tuples = DS4Scan(ctx, files[col], col_preds[col], tuples).execute()
-    for col in value_only:
-        tuples = DS4Scan(ctx, files[col], None, tuples).execute()
-    return _em_finish(ctx, tuples, query)
-
-
-# ---------------------------------------------------------------- LM plans
-
-
-def _extract_columns(
-    ctx: ExecutionContext,
-    files: dict[str, ColumnFile],
-    columns: list[str],
-    positions,
-    minicolumns: dict[str, MiniColumn],
-) -> dict[str, np.ndarray]:
-    """DS3-extract each column's values at the final position list."""
-    out = {}
-    for col in columns:
-        result = DS3Gather(
-            ctx, files[col], positions, minicolumn=minicolumns.get(col)
-        ).execute()
-        out[col] = result.values
-    return out
-
-
-def _rle_group_runs(
-    ctx: ExecutionContext,
-    column_file: ColumnFile,
-    positions: np.ndarray,
-    minicolumn: MiniColumn | None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Map each position to its RLE run: returns (run_values, run_id per row).
-
-    Lets the LM aggregator reduce per run instead of per row — operating
-    directly on the compressed group column.
-    """
-    stats = ctx.stats
-    run_value_parts: list[np.ndarray] = []
-    id_parts: list[np.ndarray] = []
-    cursor = 0
-    run_base = 0  # runs appended so far across loaded blocks
-    n = len(positions)
-    for desc in column_file.descriptors:
-        if cursor >= n:
-            break
-        hi = int(np.searchsorted(positions, desc.end_pos, side="left"))
-        if hi <= cursor:
-            stats.blocks_skipped += 1
+    """Execute an operator core in node order; the result is the last
+    node's output, projected to the select list."""
+    query, files = facts.query, facts.files
+    full = RangePositions(0, facts.projection.n_rows)  # no predicate ran
+    out: dict[int, object] = {}
+    # An output is dropped as its last consumer runs, so a pipeline keeps
+    # only the intermediates it still needs alive.
+    last_use = {j: i for i, node in enumerate(nodes) for j in node.inputs}
+    minicolumns: dict[str, MiniColumn] = {}
+    expanded = None  # the positions every aggregation gather shares
+    for i, node in enumerate(nodes):
+        if i in out:
             continue
-        if minicolumn is not None and minicolumn.has_block(desc.index):
-            payload = minicolumn.payload(desc.index)
-            stats.block_iterations += 1
-        else:
-            payload = ctx.read_block(column_file, desc.index)
-        values, starts, _lengths = ctx.run_table(column_file, desc, payload)
-        run_ids = np.arange(run_base, run_base + len(values), dtype=np.int64)
-        run_value_parts.append(values)
-        id_parts.append(repeat_by_run(starts, positions[cursor:hi], run_ids))
-        run_base += len(values)
-        cursor = hi
-    if not run_value_parts:
-        return (
-            np.empty(0, dtype=column_file.dtype),
-            np.empty(0, dtype=np.int64),
-        )
-    return np.concatenate(run_value_parts), np.concatenate(id_parts)
-
-
-def _lm_finish(
-    ctx: ExecutionContext,
-    files: dict[str, ColumnFile],
-    query: SelectQuery,
-    positions,
-    minicolumns: dict[str, MiniColumn],
-) -> TupleSet:
-    """Shared tail of LM plans: extract values, aggregate or merge."""
-    if query.aggregates:
-        pos_array = positions.to_array()
-        if not isinstance(positions, RangePositions):
-            # Expanded once; the gathers below take it as sorted by construction.
-            positions = ListedPositions(pos_array, assume_sorted=True)
-        value_cols = [
-            spec.column
-            for spec in query.aggregates
-            if spec.func != "count"
-        ]
-        columns = {}
-        for col in dict.fromkeys(value_cols):
-            columns[col] = gather_values(
-                ctx, files[col], positions, minicolumn=minicolumns.get(col)
-            )
-            ctx.stats.column_iterations += len(pos_array)
-        group_cols = list(query.group_columns)
-        agg = AggregateLM(ctx, group_cols, list(query.aggregates))
-        single = group_cols[0] if len(group_cols) == 1 else None
-        plain_funcs = all(
-            s.func != "count_distinct" for s in query.aggregates
-        )
-        if (
-            single is not None
-            and files[single].encoding.supports_runs
-            and ctx.compressed
-            and plain_funcs
-        ):
-            run_values, run_ids = _rle_group_runs(
-                ctx, files[single], pos_array, minicolumns.get(single)
-            )
-            tuples = agg.execute_runs(run_values, run_ids, columns)
-        elif (
-            single is not None
-            and files[single].encoding.name == "dictionary"
-            and ctx.compressed
-            and plain_funcs
-        ):
-            # The group column stays in the code domain: the aggregator
-            # reduces over dense code ids (a per-block code histogram) and
-            # only the distinct arrays are ever widened.
-            from ..compressed.kernels import dictionary_group_codes
-
-            code_values, code_ids = dictionary_group_codes(
-                ctx, files[single], pos_array, minicolumns.get(single)
-            )
-            tuples = agg.execute_runs(code_values, code_ids, columns)
-        else:
-            if (
-                single is not None
-                and ctx.compressed
-                and not plain_funcs
-                and (
-                    files[single].encoding.supports_runs
-                    or files[single].encoding.name == "dictionary"
-                )
-            ):
-                # A kernel-capable group column forced to the row path
-                # (count_distinct needs per-row values): that expansion is
-                # a morph.
-                ctx.stats.morphs += 1
-            groups = {}
-            for col in group_cols:
-                groups[col] = gather_values(
-                    ctx,
-                    files[col],
-                    positions,
-                    minicolumn=minicolumns.get(col),
-                )
-                ctx.stats.column_iterations += len(pos_array)
-            tuples = agg.execute(groups, columns)
-        return tuples.select(list(query.select))
-    values = _extract_columns(
-        ctx, files, query.value_columns, positions, minicolumns
-    )
-    tuples = MergeOp(ctx).execute(values)
-    return tuples.select(list(query.select))
-
-
-def _lm_parallel(
-    ctx: ExecutionContext,
-    projection: Projection,
-    files: dict[str, ColumnFile],
-    col_preds: dict[str, Predicate],
-    query: SelectQuery,
-) -> TupleSet:
-    minicolumns: dict[str, MiniColumn] = {}
-    # Independent DS1 leaves — one per predicate column, no data
-    # dependencies (paper Figure 5) — run concurrently when the context has
-    # a scan scheduler; results are consumed in plan order either way.
-    items = list(col_preds.items())
-    results = ctx.map_leaves(
-        [
-            (
-                lambda leaf_ctx, col=col, pred=pred: DS1Scan(
-                    leaf_ctx,
-                    files[col],
-                    pred,
-                    index=projection.column(col).index,
+        op, col = node.op, node.column
+        args = [out.pop(j) if last_use[j] == i else out[j] for j in node.inputs]
+        if op == "DS1":
+            # Independent DS1 leaves — no data dependencies (paper Figure
+            # 5) — run concurrently when the context has a scan scheduler;
+            # results are consumed in plan order either way.
+            batch = [j for j, n in enumerate(nodes) if n.case == "leaf" and j >= i]
+            batch = batch if node.case == "leaf" else [i]
+            results = ctx.map_leaves([
+                lambda c, n=nodes[j]: DS1Scan(
+                    c, files[n.column], n.predicate,
+                    index=facts.projection.column(n.column).index,
                 ).execute()
+                for j in batch
+            ])
+            for j, result in zip(batch, results):
+                out[j] = result.positions
+                if result.minicolumn is not None:
+                    minicolumns.setdefault(nodes[j].column, result.minicolumn)
+        elif op == "AND":
+            out[i] = AndOp(ctx).execute_positions(args)
+        elif op == "UNION":
+            groups = [and_groups(s) for s in args]
+            ctx.stats.column_iterations += sum(groups)
+            ctx.stats.function_calls += max(groups, default=0)
+            out[i] = union_all(args)
+        elif op == "DS3+filter":
+            # Extract only at surviving positions and filter.
+            out[i] = DS3Gather(
+                ctx, files[col], args[0], predicate=node.predicate
+            ).execute().positions
+        elif op == "DS3" and node.case == "extract":
+            out[i] = DS3Gather(
+                ctx, files[col], (args or [full])[0], minicolumn=minicolumns.get(col)
+            ).execute().values
+        elif op == "DS3":
+            if expanded is None:
+                # Expanded once; the gathers take it as sorted by construction.
+                positions = (args or [full])[0]
+                array = positions.to_array()
+                if not isinstance(positions, RangePositions):
+                    positions = ListedPositions(array, assume_sorted=True)
+                expanded = (positions, array)
+            out[i] = _gather(
+                ctx, query, node, files[col], minicolumns.get(col), *expanded
             )
-            for col, pred in items
-        ]
+        elif op == "AGG" and node.case == "tuple":
+            agg = AggregateEM(ctx, query.group_by, list(query.aggregates))
+            out[i] = agg.execute(args[0])
+        elif op == "AGG":
+            groups, columns = {}, {}
+            for j, value in zip(node.inputs, args):
+                into = groups if nodes[j].case == "group" else columns
+                into[nodes[j].column] = value
+            agg = AggregateLM(ctx, list(query.group_columns), list(query.aggregates))
+            units = next(iter(groups.values()))
+            out[i] = (
+                agg.execute_runs(*units, columns) if isinstance(units, tuple)
+                else agg.execute(groups, columns)
+            )
+        elif op == "MERGE":
+            out[i] = MergeOp(ctx).execute(
+                {nodes[j].column: v for j, v in zip(node.inputs, args)}
+            )
+        elif op == "SPC":
+            preds = [pred for _col, pred, _sf in facts.where[0]]
+            out[i] = SPCScan(ctx, files, preds).execute()
+        elif op == "DS2":
+            out[i] = DS2Scan(ctx, files[col], node.predicate).execute()
+        elif op == "DS4":
+            out[i] = DS4Scan(ctx, files[col], node.predicate, args[0]).execute()
+        else:  # pragma: no cover - plan_nodes builds no other core node
+            raise PlanError(f"no executor for {op}")
+        del args
+    return out[len(nodes) - 1].select(list(query.select))
+
+
+def _gather(ctx, query, node, cf, minicolumn, positions, array):
+    """LM aggregation input: a value column gathered per row, or the group
+    column per RLE run / dictionary code (operating directly on compressed
+    data) when it is the only one and the aggregates allow it."""
+    span = ctx.begin("DS3")
+    units = (
+        node.case == "group"
+        and len(query.group_columns) == 1
+        and ctx.compressed
+        and (cf.encoding.supports_runs or cf.encoding.name == "dictionary")
     )
-    position_sets = []
-    for (col, _pred), result in zip(items, results):
-        position_sets.append(result.positions)
-        if result.minicolumn is not None:
-            minicolumns[col] = result.minicolumn
-    if position_sets:
-        positions = AndOp(ctx).execute_positions(position_sets)
+    if units and any(s.func == "count_distinct" for s in query.aggregates):
+        # count_distinct needs per-row values: expanding a kernel-capable
+        # group column is a morph.
+        ctx.stats.morphs += 1
+        units = False
+    if units:
+        from ..compressed.kernels import group_ids
+
+        value = group_ids(ctx, cf, array, minicolumn)
     else:
-        positions = RangePositions(0, projection.n_rows)
-    return _lm_finish(ctx, files, query, positions, minicolumns)
-
-
-def _lm_disjunction(
-    ctx: ExecutionContext,
-    projection: Projection,
-    files: dict[str, ColumnFile],
-    query: SelectQuery,
-) -> TupleSet:
-    """OR of conjunction groups: per-group AND, then a position-set union."""
-    from ..positions import union_all
-
-    minicolumns: dict[str, MiniColumn] = {}
-    group_sets = []
-    for group in query.disjuncts:
-        col_preds = _grouped_predicates(group)
-        sets = []
-        for col, pred in col_preds.items():
-            result = DS1Scan(
-                ctx, files[col], pred, index=projection.column(col).index
-            ).execute()
-            sets.append(result.positions)
-            if result.minicolumn is not None:
-                minicolumns.setdefault(col, result.minicolumn)
-        group_sets.append(
-            AndOp(ctx).execute_positions(sets) if len(sets) > 1 else sets[0]
-        )
-    from ..operators.and_op import and_groups
-
-    ctx.stats.column_iterations += sum(and_groups(s) for s in group_sets)
-    ctx.stats.function_calls += max(
-        (and_groups(s) for s in group_sets), default=0
-    )
-    positions = union_all(group_sets)
-    return _lm_finish(ctx, files, query, positions, minicolumns)
-
-
-def _lm_pipelined(
-    ctx: ExecutionContext,
-    projection: Projection,
-    files: dict[str, ColumnFile],
-    col_preds: dict[str, Predicate],
-    query: SelectQuery,
-) -> TupleSet:
-    ordered = _selectivity_order(files, col_preds)
-    minicolumns: dict[str, MiniColumn] = {}
-    if not ordered:
-        positions = RangePositions(0, projection.n_rows)
-    else:
-        first = ordered[0]
-        result = DS1Scan(
-            ctx,
-            files[first],
-            col_preds[first],
-            index=projection.column(first).index,
-        ).execute()
-        if result.minicolumn is not None:
-            minicolumns[first] = result.minicolumn
-        positions = result.positions
-        for col in ordered[1:]:
-            # DS3 with a predicate: extract only at surviving positions and
-            # filter — this is where bit-vector columns are rejected.
-            step = DS3Gather(
-                ctx, files[col], positions, predicate=col_preds[col]
-            ).execute()
-            positions = step.positions
-    return _lm_finish(ctx, files, query, positions, minicolumns)
+        value = gather_values(ctx, cf, positions, minicolumn=minicolumn)
+        ctx.stats.column_iterations += len(array)
+    via = None
+    if node.case == "group":
+        via = ("runs" if cf.encoding.supports_runs else "codes") if units else "rows"
+    ctx.end(span, column=node.column, positions=len(array), group=via)
+    return value
 
 
 # ---------------------------------------------------------------- Join plans
@@ -495,7 +272,7 @@ def execute_join(
     ]
     left_files = _column_files(left_projection, query, left_cols)
     right_files = _column_files(right_projection, query, right_cols)
-    col_preds = _grouped_predicates(query.left_predicates)
+    col_preds = grouped_predicates(query.left_predicates)
     left_strategy = LeftTableStrategy.from_name(query.left_strategy)
 
     left_tuples = None

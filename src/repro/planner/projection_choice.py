@@ -34,6 +34,29 @@ def covering_candidates(catalog: Catalog, query) -> list[Projection]:
     return covering
 
 
+def cheapest_plan(candidates, query, constants=None, resident: float = 0.0):
+    """``(ms, projection, strategy)`` of the cheapest applicable plan over
+    *candidates* × strategies, or None when no candidate costs cleanly
+    (encoding overrides may name encodings a candidate lacks). Ties keep
+    the earlier candidate and strategy."""
+    from ..model.constants import PAPER_CONSTANTS
+    from ..model.predictor import predict_strategies
+    from .strategies import Strategy
+
+    best = None
+    for projection in candidates:
+        try:
+            predictions = predict_strategies(
+                projection, query, Strategy, constants or PAPER_CONSTANTS, resident
+            )
+        except (CatalogError, UnsupportedOperationError):
+            continue
+        for strategy, prediction in predictions.items():
+            if best is None or prediction.total_ms < best[0]:
+                best = (prediction.total_ms, projection, strategy)
+    return best
+
+
 def resolve_projection(
     catalog: Catalog, query, constants=None, resident: float = 0.0
 ) -> Projection:
@@ -41,37 +64,14 @@ def resolve_projection(
 
     A direct projection name resolves to itself; an anchor-table name with
     several covering projections is decided by the model's cheapest
-    applicable strategy per candidate.
+    applicable strategy per candidate (the first covering candidate when
+    none costs cleanly).
     """
     covering = covering_candidates(catalog, query)
     if len(covering) == 1:
         return covering[0]
-
-    from ..model.constants import PAPER_CONSTANTS
-    from ..model.predictor import predict_strategies
-    from .strategies import Strategy
-
-    constants = constants or PAPER_CONSTANTS
-    best_projection = None
-    best_ms = float("inf")
-    for projection in covering:
-        try:
-            # Encoding overrides may name encodings a candidate lacks;
-            # such a candidate is skipped.
-            predictions = predict_strategies(
-                projection, query, Strategy, constants, resident
-            )
-        except (CatalogError, UnsupportedOperationError):
-            continue
-        for prediction in predictions.values():
-            if prediction.total_ms < best_ms:
-                best_ms = prediction.total_ms
-                best_projection = projection
-    if best_projection is None:
-        # Every prediction failed (e.g. encoding overrides excluded all
-        # candidates) — fall back to the first covering candidate.
-        return covering[0]
-    return best_projection
+    best = cheapest_plan(covering, query, constants, resident)
+    return covering[0] if best is None else best[1]
 
 
 def resolve_join_side(

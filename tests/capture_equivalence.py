@@ -9,14 +9,20 @@ the change and compare the two captures::
     PYTHONPATH=src           python tests/capture_equivalence.py /tmp/change.json
     PYTHONPATH=src           python tests/capture_equivalence.py --compare /tmp/parent.json /tmp/change.json
 
+``--compare`` prints the first differing records and how many records of
+each kind differ: result, explain, describe, analyze, qlog, registry, write.
+
 It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
 selectivities), the Section 4.2 aggregations, and the Section 4.3 join under
 all three right-table strategies and both left-table strategies, plus a
 predicate-free selection, a disjunction and an all-columns projection.
 Selections also run under ``auto`` (the chosen strategy is recorded), each
-selection's ``Database.explain`` records the chosen strategy and every
-strategy's predicted steps, and each query's last strategy (``auto`` for
+query's ``Database.explain`` (selections and joins) records the chosen
+strategy and every strategy's predicted steps, each selection's
+``Database.describe`` text is recorded per strategy (or the
+``UnsupportedOperationError`` a rejected plan raises), and each query's
+last strategy (``auto`` for
 selections) records SHA-256 digests of the JSON a served reply would carry
 (``rows()`` and ``decoded_rows()``, dates as ISO strings) — once per seed,
 unpartitioned and in the default configuration, since the block digest
@@ -300,9 +306,12 @@ def _reply_digests(result) -> dict:
     }
 
 
-def _explain_record(db: Database, query: SelectQuery) -> dict:
+def _explain_record(db: Database, query) -> dict:
     """The optimizer's choice and every strategy's predicted steps."""
-    report = db.explain(query)
+    try:
+        report = db.explain(query)
+    except UnsupportedOperationError as exc:
+        return {"unsupported": str(exc)}
     return {
         "chosen": report["chosen"],
         "steps": {
@@ -314,6 +323,14 @@ def _explain_record(db: Database, query: SelectQuery) -> dict:
         },
         "partitions": report.get("partitions"),
     }
+
+
+def _describe_record(db: Database, query: SelectQuery, strategy: str) -> dict:
+    """``Database.describe`` text, or the error a rejected plan raises."""
+    try:
+        return {"text": db.describe(query, strategy)}
+    except UnsupportedOperationError as exc:
+        return {"unsupported": str(exc)}
 
 
 def _without_wall(value):
@@ -390,9 +407,15 @@ def capture() -> dict:
                                 records[key].update(_reply_digests(result))
                         if config_name != "default":
                             continue
+                        key = f"seed{seed}/p{partitions}/{label}/explain"
+                        records[key] = _explain_record(db, query)
                         if isinstance(query, SelectQuery):
-                            key = f"seed{seed}/p{partitions}/{label}/explain"
-                            records[key] = _explain_record(db, query)
+                            for strategy in strategies:
+                                key = (f"seed{seed}/p{partitions}/{label}/"
+                                       f"{strategy}/describe")
+                                records[key] = _describe_record(
+                                    db, query, strategy
+                                )
                         key = f"seed{seed}/p{partitions}/{label}/analyze"
                         logged.append(key)
                         records[key] = _analyze_record(
@@ -536,6 +559,19 @@ def capture_write_path() -> dict:
     return records
 
 
+#: Record kinds ``--compare`` counts separately, by key suffix; keys under
+#: ``write/`` are the write section and every other key is a result block.
+KINDS = ("result", "explain", "describe", "analyze", "qlog", "registry",
+         "write")
+
+
+def record_kind(key: str) -> str:
+    if key.startswith("write/"):
+        return "write"
+    last = key.rsplit("/", 1)[-1]
+    return last if last in KINDS else "result"
+
+
 def compare(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
@@ -546,6 +582,10 @@ def compare(path_a: str, path_b: str) -> int:
         for field in sorted(ra.keys() | rb.keys()):
             if ra.get(field) != rb.get(field):
                 print("   ", field, ra.get(field), "!=", rb.get(field))
+    for kind in KINDS:
+        total = sum(record_kind(k) == kind for k in a.keys() | b.keys())
+        differ = sum(record_kind(k) == kind for k in bad)
+        print(f"{kind:>9}: {differ} of {total} differ")
     print(f"{len(a)} vs {len(b)} records, {len(bad)} differ")
     return 1 if bad else 0
 

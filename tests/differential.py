@@ -11,7 +11,12 @@ every strategy with tracing on, and checks
   simulated times sum to the query's ``simulated_ms``, children's cumulative
   simulated time never exceeds their parent's, and cardinalities shrink
   monotonically across AND -> DS3 (the extractions are at exactly the
-  intersected positions).
+  intersected positions);
+* **executed plan = planned nodes** — the pre-order ``(name, column)``
+  spans equal the traced nodes of
+  :func:`~repro.planner.nodes.plan_nodes`, the plan the model prices and
+  EXPLAIN prints (:func:`plan_divergence`; on this and the partitioned
+  axis, a divergence counts as a mismatch).
 
 A second, **partitioned** axis (:func:`run_partition_differential`) runs
 every generated query on an unpartitioned database and a range-partitioned
@@ -251,6 +256,38 @@ def check_span_invariants(result, constants, rtol: float = 1e-6) -> None:
                 assert child.rows_out == and_rows
 
 
+def plan_divergence(db, query, result) -> dict | None:
+    """Where a traced execution left the plan it was predicted and
+    explained from, or None when it followed it.
+
+    Compares the pre-order ``(name, column)`` sequence of the spans under
+    the root with the traced nodes of
+    :func:`~repro.planner.nodes.plan_nodes` for the projection and strategy
+    the query ran with.
+    """
+    from repro.planner import plan_nodes
+
+    projection = db.catalog.get(result.projection)
+    strategy = Strategy.from_name(result.strategy)
+    spans = [
+        (span.name, span.detail.get("column"))
+        for span in list(result.spans.walk())[1:]
+    ]
+    nodes = [
+        (node.op, node.column)
+        for node in plan_nodes(projection, query, strategy)
+        if node.traced
+    ]
+    if spans == nodes:
+        return None
+    return {
+        "query": query,
+        "strategy": result.strategy,
+        "spans": spans,
+        "plan_nodes": nodes,
+    }
+
+
 def run_differential(
     db,
     n_queries: int = 60,
@@ -274,6 +311,9 @@ def run_differential(
                 continue
             report.runs += 1
             check_span_invariants(result, db.constants)
+            divergence = plan_divergence(db, query, result)
+            if divergence is not None:
+                report.mismatches.append(divergence)
             rows = sorted(result.rows())
             if reference is None:
                 reference = rows
@@ -315,6 +355,9 @@ def run_partition_differential(
                     continue
                 report.runs += 1
                 check_span_invariants(result, db.constants)
+                divergence = plan_divergence(db, query, result)
+                if divergence is not None:
+                    report.mismatches.append(divergence)
                 rows = sorted(result.rows())
                 if reference is None:
                     reference = rows

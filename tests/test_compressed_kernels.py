@@ -260,7 +260,7 @@ def test_run_aggregation_matches_row_path(group_list, func):
     rng = np.random.RandomState(len(group_list))
     measure = rng.randint(-100, 100, size=groups.size).astype(np.int32)
     # Factor the group column into (run value, run id per row) exactly the
-    # way _rle_group_runs / dictionary_group_codes do.
+    # way repro.compressed.group_ids does.
     change = np.concatenate(([True], groups[1:] != groups[:-1]))
     run_values = groups[change]
     run_ids = np.cumsum(change) - 1

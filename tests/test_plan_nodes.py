@@ -1,0 +1,219 @@
+"""One plan, three views: the executor runs it, the model prices it, EXPLAIN
+prints it.
+
+Each bug test here pins a place where the three used to disagree: the
+model pricing a plan that never runs, the optimizer and the executor
+deciding applicability differently, or EXPLAIN printing operators the
+executor does not run.
+"""
+
+import numpy as np
+import pytest
+
+from repro import (
+    AggSpec,
+    Database,
+    JoinQuery,
+    Predicate,
+    RightTableStrategy,
+    SelectQuery,
+    Strategy,
+    load_tpch,
+)
+from repro.errors import UnsupportedOperationError
+from repro.model.predictor import predict_join, predict_select
+from repro.planner import choose_strategy
+
+from .reference import full_column
+
+
+@pytest.fixture(scope="module")
+def lineitem(tpch_db):
+    return tpch_db.projection("lineitem")
+
+
+@pytest.fixture(scope="module")
+def partitioned_db(tmp_path_factory):
+    db = Database(tmp_path_factory.mktemp("p4"), query_log=False)
+    load_tpch(db.catalog, scale=0.002, seed=7, partitions=4)
+    return db
+
+
+def _shipdate_at(lineitem, quantile: float) -> int:
+    return int(np.quantile(full_column(lineitem, "shipdate"), quantile))
+
+
+def _pair(lineitem, quantile: float, linenum_pred, encoding="bitvector"):
+    return SelectQuery(
+        projection="lineitem",
+        select=("shipdate", "linenum"),
+        predicates=(
+            Predicate("shipdate", "<", _shipdate_at(lineitem, quantile)),
+            linenum_pred,
+        ),
+        encodings=(("linenum", encoding),),
+    )
+
+
+def _disjunction(lineitem) -> SelectQuery:
+    return SelectQuery(
+        projection="lineitem",
+        select=("shipdate", "linenum"),
+        disjuncts=(
+            (Predicate("shipdate", "<", _shipdate_at(lineitem, 0.1)),),
+            (Predicate("linenum", "=", 3), Predicate("quantity", "<", 5)),
+        ),
+    )
+
+
+class TestDisjunctionPricing:
+    def test_or_query_priced_as_the_union_plan(self, tpch_db, lineitem):
+        query = _disjunction(lineitem)
+        report = tpch_db.explain(query)
+        no_where = tpch_db.explain(
+            SelectQuery(projection="lineitem", select=("shipdate", "linenum"))
+        )
+        # Every strategy runs the one union plan, so every price is the same
+        # and none of them is the predicate-free scan's.
+        assert len(set(report["predictions"].values())) == 1
+        assert report["predictions"]["lm-parallel"] != pytest.approx(
+            no_where["predictions"]["lm-parallel"]
+        )
+        steps = [name for name, _c in report["details"][Strategy.LM_PARALLEL].steps]
+        assert steps[:4] == ["DS1(shipdate)", "DS1(quantity)", "DS1(linenum)", "AND"]
+
+    def test_explain_reports_the_strategy_that_runs(self, tpch_db, lineitem):
+        query = _disjunction(lineitem)
+        assert tpch_db.explain(query)["chosen"] == "lm-parallel"
+        assert tpch_db.query(query, strategy="em-parallel").strategy == "lm-parallel"
+
+
+class TestOneApplicabilityRule:
+    def test_bitvector_scanned_first_keeps_lm_pipelined(self, tpch_db, lineitem):
+        # linenum = 1 is the more selective predicate, so LM-pipelined scans
+        # the bit-vector column with DS1 and position-filters shipdate.
+        query = _pair(lineitem, 0.9, Predicate("linenum", "=", 1))
+        _best, predictions = choose_strategy(lineitem, query)
+        assert Strategy.LM_PIPELINED in predictions
+        ran = tpch_db.query(query, strategy="lm-pipelined")
+        reference = tpch_db.query(query, strategy="em-parallel")
+        assert sorted(ran.rows()) == sorted(reference.rows())
+
+    def test_rejected_plan_is_not_priced(self, tpch_db, lineitem):
+        # Here the bit-vector column is filtered second: the executor
+        # rejects the plan, so the model must not price it either.
+        query = _pair(lineitem, 0.5, Predicate("linenum", "<", 7))
+        with pytest.raises(UnsupportedOperationError):
+            tpch_db.query(query, strategy="lm-pipelined")
+        with pytest.raises(UnsupportedOperationError):
+            predict_select(lineitem, query, Strategy.LM_PIPELINED)
+        with pytest.raises(UnsupportedOperationError):
+            tpch_db.describe(query, Strategy.LM_PIPELINED)
+
+    def test_partitioned_count_distinct_rejected_everywhere(self, partitioned_db):
+        query = SelectQuery(
+            projection="lineitem",
+            select=("returnflag", "count(distinct linenum)"),
+            group_by="returnflag",
+            aggregates=(AggSpec("count_distinct", "linenum"),),
+        )
+        with pytest.raises(UnsupportedOperationError):
+            partitioned_db.query(query, strategy="lm-parallel")
+        with pytest.raises(UnsupportedOperationError):
+            partitioned_db.explain(query)
+        with pytest.raises(UnsupportedOperationError):
+            partitioned_db.describe(query, Strategy.LM_PARALLEL)
+
+
+def test_join_left_predicate_estimated_on_its_own_column(tpch_db):
+    orders = tpch_db.projection("orders")
+    customer = tpch_db.projection("customer")
+    cutoff = int(np.quantile(full_column(orders, "shipdate"), 0.1))
+
+    def predict(predicates):
+        query = JoinQuery(
+            left="orders", right="customer",
+            left_key="custkey", right_key="custkey",
+            left_select=("shipdate",), right_select=("nationcode",),
+            left_predicates=predicates,
+        )
+        return predict_join(
+            orders, customer, query, RightTableStrategy.MATERIALIZED
+        ).total_ms
+
+    # A shipdate cutoff keeping a tenth of the orders is priced as such, not
+    # estimated against the custkey file (where it keeps every row).
+    assert predict((Predicate("shipdate", "<", cutoff),)) < predict(())
+
+
+class TestExplainShowsTheExecutedPlan:
+    def test_one_predicate_lm_parallel_shows_its_and(self, tpch_db):
+        query = SelectQuery(
+            projection="lineitem",
+            select=("shipdate",),
+            predicates=(Predicate("shipdate", "<", 8800),),
+        )
+        text = tpch_db.describe(query, Strategy.LM_PARALLEL)
+        ran = tpch_db.query(query, strategy="lm-parallel", trace=True)
+        assert len(ran.spans.find("AND")) == 1
+        assert "    AND\n      DS1(shipdate < 8800)" in text
+
+    def test_partitioned_tail_runs_once_after_combine(self, partitioned_db):
+        query = SelectQuery(
+            projection="lineitem",
+            select=("shipdate", "sum(linenum)"),
+            predicates=(Predicate("linenum", "<", 7),),
+            group_by="shipdate",
+            aggregates=(AggSpec("sum", "linenum"),),
+            order_by=(("shipdate", True),),
+            limit=3,
+        )
+        text = partitioned_db.describe(query, Strategy.LM_PARALLEL)
+        assert text.count("OrderBy(") == 1
+        assert text.count("Limit(") == 1
+        assert text.index("Limit(") < text.index("Combine(")
+        assert text.count("Aggregate(") == text.count(" rows)") >= 2
+
+
+class TestSpansEqualNodes:
+    def test_lm_aggregation_gathers_have_ds3_spans(self, tpch_db):
+        query = SelectQuery(
+            projection="lineitem",
+            select=("returnflag", "sum(quantity)"),
+            predicates=(Predicate("shipdate", "<", 8800),),
+            group_by="returnflag",
+            aggregates=(AggSpec("sum", "quantity"),),
+        )
+        ran = tpch_db.query(query, strategy="lm-parallel", trace=True)
+        columns = [span.detail["column"] for span in ran.spans.find("DS3")]
+        assert columns == ["quantity", "returnflag"]
+
+    @pytest.mark.parametrize("strategy", list(Strategy), ids=lambda s: s.value)
+    @pytest.mark.parametrize("partitioned", [False, True])
+    def test_spans_are_the_traced_nodes(
+        self, tpch_db, partitioned_db, lineitem, strategy, partitioned
+    ):
+        from repro.planner import plan_nodes
+
+        db = partitioned_db if partitioned else tpch_db
+        queries = [
+            _pair(lineitem, 0.3, Predicate("linenum", "<", 7), "rle"),
+            SelectQuery(
+                projection="lineitem",
+                select=("linenum", "avg(quantity)"),
+                predicates=(Predicate("shipdate", "<", 8800),),
+                group_by="linenum",
+                aggregates=(AggSpec("avg", "quantity"),),
+                order_by=(("linenum", False),),
+            ),
+            _disjunction(lineitem),
+        ]
+        for query in queries:
+            result = db.query(query, strategy=strategy, trace=True)
+            spans = [(s.name, s.detail.get("column")) for s in result.spans.walk()]
+            nodes = plan_nodes(
+                db.projection("lineitem"),
+                query,
+                Strategy.from_name(result.strategy),
+            )
+            assert spans[1:] == [(n.op, n.column) for n in nodes if n.traced]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro import Database, Predicate, SelectQuery, Strategy, AggSpec, load_tpch
 from repro.dtypes import INT64, ColumnSchema
+from repro.errors import UnsupportedOperationError
 from repro.model.predictor import (
     predict_join,
     predict_select,
@@ -188,14 +189,27 @@ def lineitem_p4(tmp_path_factory):
 
 
 def _assert_joint_equals_alone(projection, query, strategies, resident=0.0):
+    """Joint pricing equals pricing each strategy alone; a strategy the
+    joint call leaves out is one whose plan cannot run the query."""
+    alone = {}
+    for strategy in strategies:
+        try:
+            alone[strategy] = predict_select(
+                projection, query, strategy, resident=resident
+            )
+        except UnsupportedOperationError:
+            pass
+    if not alone:
+        with pytest.raises(UnsupportedOperationError):
+            predict_strategies(projection, query, strategies, resident=resident)
+        return {}
     joint = predict_strategies(
         projection, query, strategies, resident=resident
     )
-    assert list(joint) == list(strategies)
-    for strategy in strategies:
-        alone = predict_select(projection, query, strategy, resident=resident)
-        assert joint[strategy].strategy == alone.strategy == strategy.value
-        assert joint[strategy].steps == alone.steps
+    assert list(joint) == list(alone)
+    for strategy, prediction in alone.items():
+        assert joint[strategy].strategy == prediction.strategy == strategy.value
+        assert joint[strategy].steps == prediction.steps
     return joint
 
 
