@@ -18,10 +18,11 @@ the scale this library needs:
   removal of pending rows, the tuple mover): subtract a multiset of full
   rows from a set of columns, duplicates cancelling one-for-one, with
   numpy primitives only.
-* query-time merge — `Database.query` transparently folds pending changes
-  into selection and aggregation results (see :func:`delta_select` /
-  :func:`merge_aggregates`); joins require a merge first, as C-Store's
-  early releases did.
+* query-time merge — a select reads one :class:`PendingWrites` snapshot,
+  which its plan folds in (``GHOST``, ``DELTA`` and ``COMBINE`` in
+  :func:`repro.planner.nodes.plan_outline`, through :func:`delta_select`
+  and :func:`merge_aggregates`); joins require a merge first, as
+  C-Store's early releases did.
 * :meth:`Database.merge` — the tuple mover: rebuilds every projection of a
   table from (stored − deleted) + pending rows and publishes all the
   rebuilds in one atomic manifest commit, and only then truncates the WAL.
@@ -56,19 +57,19 @@ from __future__ import annotations
 import json
 import logging
 import os
-from dataclasses import replace
 from itertools import groupby
 from pathlib import Path
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import CatalogError, ExecutionError
-from .operators.aggregate import (
-    AggSpec, _grouped_reduce, factorize_groups, fuse_keys,
-)
+from .errors import CatalogError
+from .operators.aggregate import AggSpec, _grouped_reduce, fuse_keys
 from .operators.tuples import TupleSet
-from .planner.logical import SelectQuery
 from .storage.atomic import fsync_dir
+
+if TYPE_CHECKING:  # the planner imports this module
+    from .planner.logical import SelectQuery
 
 #: Accepted values of the ``Database(durability=...)`` knob.
 DURABILITY_MODES = ("fsync", "flush")
@@ -161,6 +162,23 @@ class _ColumnBuffer:
             self._chunks[col] = [self.raw(col)[mask]]
         self.n = int(np.count_nonzero(mask))
         self._typed.clear()
+
+
+class PendingWrites(NamedTuple):
+    """One read's snapshot of a table's writable store: the pending
+    inserted rows and the delete multiset, as :meth:`DeltaStore.columns` /
+    :meth:`DeltaStore.deleted_columns` return them."""
+
+    inserts: dict[str, np.ndarray]
+    deletes: dict[str, np.ndarray]
+
+    @property
+    def n_inserts(self) -> int:
+        return _n_rows(self.inserts)
+
+    @property
+    def n_deletes(self) -> int:
+        return _n_rows(self.deletes)
 
 
 class DeltaStore:
@@ -469,6 +487,12 @@ class DeltaStore:
         sharing contract as :meth:`columns`."""
         return self._typed_columns(self._deleted.get(table), schemas)
 
+    def snapshot(self, table: str, schemas: dict) -> PendingWrites:
+        """Both sides of *table*'s pending changes at once, for one read."""
+        return PendingWrites(
+            self.columns(table, schemas), self.deleted_columns(table, schemas)
+        )
+
     @staticmethod
     def _typed_columns(buffer, schemas: dict) -> dict[str, np.ndarray]:
         if buffer is None or not buffer.n:
@@ -673,17 +697,12 @@ def delta_select(
     if not columns:
         return {}
     n = len(next(iter(columns.values())))
-    if query.disjuncts:
-        mask = np.zeros(n, dtype=bool)
-        for group in query.disjuncts:
-            group_mask = np.ones(n, dtype=bool)
-            for pred in group:
-                group_mask &= pred.mask(columns[pred.column])
-            mask |= group_mask
-    else:
-        mask = np.ones(n, dtype=bool)
-        for pred in query.predicates:
-            mask &= pred.mask(columns[pred.column])
+    mask = np.zeros(n, dtype=bool)
+    for group in query.disjuncts or (query.predicates,):
+        group_mask = np.ones(n, dtype=bool)
+        for pred in group:
+            group_mask &= pred.mask(columns[pred.column])
+        mask |= group_mask
     return {col: values[mask] for col, values in columns.items()}
 
 
@@ -705,70 +724,29 @@ def delta_aggregate(
     return TupleSet.stitch(reduced)
 
 
-def merge_aggregates(
-    stored: TupleSet,
-    pending: TupleSet,
-    group_columns: list[str],
-    internal_specs: list[AggSpec],
-    plan: dict,
-    select: list[str],
-) -> TupleSet:
-    """Combine stored-side and delta-side partial aggregates by group."""
-    both = TupleSet.concat([stored, pending])
-    keys, inverse = factorize_groups(
-        [both.column(c) for c in group_columns]
+def merge_aggregates(partials: list[TupleSet], query: SelectQuery) -> TupleSet:
+    """Fold partial aggregates of *query* (per partition, stored or
+    pending, with AVG split by :func:`expand_avg`) into its final groups: one
+    more grouped reduce, where SUM and COUNT partials add up and MIN / MAX
+    take theirs, then each AVG is rebuilt from its SUM and COUNT."""
+    specs, plan = expand_avg(query.aggregates)
+    groups = list(query.group_columns)
+    rows = TupleSet.concat(partials)
+    folds = [
+        AggSpec("sum" if s.func == "count" else s.func, s.output_name)
+        for s in specs
+    ]
+    reduced = _grouped_reduce(
+        [rows.column(c) for c in groups],
+        groups,
+        {s.output_name: rows.column(s.output_name) for s in specs},
+        folds,
     )
-    k = len(keys[0]) if keys else 0
-    merged: dict[str, np.ndarray] = dict(zip(group_columns, keys))
-    for spec in internal_specs:
-        partial = both.column(spec.output_name)
-        if spec.func in ("sum", "count"):
-            merged[spec.output_name] = np.bincount(
-                inverse, weights=partial, minlength=k
-            ).astype(np.int64)
-        elif spec.func in ("min", "max"):
-            fill = (
-                np.iinfo(np.int64).max
-                if spec.func == "min"
-                else np.iinfo(np.int64).min
-            )
-            acc = np.full(k, fill, dtype=np.int64)
-            ufunc = np.minimum if spec.func == "min" else np.maximum
-            ufunc.at(acc, inverse, partial)
-            merged[spec.output_name] = acc
-        else:  # pragma: no cover - internal specs never contain avg
-            raise ExecutionError(f"unmergeable partial {spec.func}")
-    out: dict[str, np.ndarray] = dict(zip(group_columns, keys))
+    merged = {s.output_name: reduced[f.output_name] for s, f in zip(specs, folds)}
+    out = {c: reduced[c] for c in groups}
     for output, how in plan.items():
         if how[0] == "avg":
-            sums = merged[how[1]]
-            counts = merged[how[2]]
-            out[output] = sums // np.maximum(counts, 1)
+            out[output] = merged[how[1]] // np.maximum(merged[how[2]], 1)
         else:
             out[output] = merged[how[1]]
-    result = TupleSet.stitch(out)
-    return result.select(select)
-
-
-def internal_query(query: SelectQuery) -> tuple[SelectQuery, dict]:
-    """The stored-side query to run when pending rows must be merged in.
-
-    Strips ORDER BY / LIMIT (applied after the merge) and rewrites AVG into
-    mergeable partials. Returns the rewritten query plus the reconstruction
-    plan (empty for plain selections).
-    """
-    if not query.aggregates:
-        return replace(query, order_by=(), limit=None), {}
-    internal_specs, plan = expand_avg(query.aggregates)
-    select = tuple(query.group_columns) + tuple(
-        s.output_name for s in internal_specs
-    )
-    rewritten = replace(
-        query,
-        select=select,
-        aggregates=tuple(internal_specs),
-        order_by=(),
-        limit=None,
-        having=(),  # applied after the merge, over final aggregates
-    )
-    return rewritten, plan
+    return TupleSet.stitch(out).select(list(query.select))

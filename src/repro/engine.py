@@ -2,8 +2,9 @@
 
 :class:`Database` ties the pieces together: a catalog of projections, a
 buffer pool over the cost-accounted disk model, strategy selection (explicit
-or model-driven), execution, and result decoding. This is the public entry
-point both the examples and the benchmark harness use.
+or model-driven), execution over one snapshot of the pending writes, and
+result decoding. This is the public entry point both the examples and the
+benchmark harness use.
 
 Example::
 
@@ -26,7 +27,7 @@ Example::
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .buffer import BufferPool, DecodedBlockCache, DiskModel
@@ -35,10 +36,8 @@ from .cancel import CancelToken
 
 from .delta import (
     DeltaStore,
-    delta_aggregate,
+    PendingWrites,
     delta_select,
-    internal_query,
-    merge_aggregates,
     merge_sorted,
     multiset_subtract,
 )
@@ -87,9 +86,9 @@ class QueryResult:
     #: Names of the partitions skipped by degraded execution, in partition
     #: order; empty for a complete result.
     skipped_partitions: tuple = ()
-    #: Rows in the scanned projection before predicates — the denominator
-    #: the query log's observed selectivity is computed against. 0 when
-    #: unknown (joins).
+    #: Rows read before predicates (stored + pending − deleted) — the
+    #: denominator the query log's observed selectivity is computed
+    #: against. 0 when unknown (joins).
     base_rows: int = 0
     #: Name of the projection the planner resolved the query to (selects
     #: only; None for joins). The query log records it so replay can pin
@@ -457,7 +456,7 @@ class Database:
             ctx.stats.extra["queue_wait_ms"] = wait
 
     def _resolve_strategy(
-        self, projection: Projection, query: SelectQuery, strategy
+        self, projection: Projection, query: SelectQuery, strategy, pending
     ) -> Strategy:
         if strategy is None or strategy == "auto":
             chosen, _predictions = choose_strategy(
@@ -469,6 +468,7 @@ class Database:
                         query.encoding_map.get(query.all_columns[0])
                     )
                 ),
+                pending=pending,
             )
             return chosen
         if not isinstance(strategy, Strategy):
@@ -570,6 +570,17 @@ class Database:
                 return name
         return None
 
+    def pending_writes(
+        self, projection: Projection, query: SelectQuery
+    ) -> PendingWrites | None:
+        """The one snapshot of pending writes a select over *projection*
+        reads, as its columns; None when there are none."""
+        table = self._pending_table(query.projection, projection.anchor)
+        if table is None:
+            return None
+        schemas = {c: projection.schema(c) for c in projection.column_names}
+        return self.delta.snapshot(table, schemas)
+
     def _run_select(
         self,
         query: SelectQuery,
@@ -591,19 +602,15 @@ class Database:
             projection = resolve_projection(
                 self.catalog, query, constants=self.constants
             )
-        resolved = self._resolve_strategy(projection, query, strategy)
-
-        def run(ctx):
-            pending = self._pending_table(query.projection, projection.anchor)
-            if pending is None:
-                return execute_select(ctx, projection, query, resolved)
-            return self._select_with_delta(
-                ctx, projection, query, resolved, pending
-            )
-
+        pending = self.pending_writes(projection, query)
+        resolved = self._resolve_strategy(projection, query, strategy, pending)
+        base_rows = projection.n_rows
+        if pending:
+            base_rows += pending.n_inserts - pending.n_deletes
         return self._execute(
-            run, resolved, (projection,), trace, cancel, queue_wait_ms,
-            base_rows=projection.n_rows, projection=projection.name,
+            lambda ctx: execute_select(ctx, projection, query, resolved, pending),
+            resolved, (projection,), trace, cancel, queue_wait_ms,
+            base_rows=base_rows, projection=projection.name,
         )
 
     def _execute(
@@ -649,102 +656,6 @@ class Database:
             skipped_partitions=tuple(ctx.skipped_partitions),
             **fields,
         )
-
-    def _select_with_delta(
-        self, ctx, projection, query: SelectQuery, resolved, table: str
-    ):
-        """Merge-on-read: fold the writable store into the stored result.
-
-        The stored side runs the chosen strategy unchanged, so all four
-        stay exercised and bit-identical. Without pending deletes it
-        produces mergeable partials (:func:`internal_query`) and the
-        pending rows are one more partial. Deleted rows still sit inside
-        the stored projections, so under pending deletes an aggregation
-        instead fetches its group/value rows, the delete multiset is
-        subtracted from them (``GHOST``), and they are reduced to the same
-        partials here. Pending survivors then join through one combine
-        (``DELTA``), and HAVING / ORDER BY / LIMIT run over the result.
-        """
-        from .planner.plans import _apply_having, _order_and_limit
-
-        if any(s.func == "count_distinct" for s in query.aggregates):
-            raise ExecutionError(
-                "count(distinct) cannot merge with pending writes; call "
-                "Database.merge() first"
-            )
-        ghosted = self.delta.deleted_count(table) > 0
-        stored_query, plan = internal_query(query)
-        specs = list(stored_query.aggregates)
-        groups = list(stored_query.group_columns)
-        if ghosted and specs:
-            value_cols = [s.column for s in specs if s.column]
-            stored_query = replace(
-                stored_query,
-                select=tuple(dict.fromkeys(groups + value_cols)),
-                aggregates=(),
-                group_by=None,
-            )
-        stored = execute_select(ctx, projection, stored_query, resolved)
-        schemas = {
-            col: projection.schema(col) for col in stored_query.all_columns
-        }
-        if ghosted:
-            span = ctx.begin("GHOST")
-            ghosts = delta_select(
-                stored_query, self.delta.deleted_columns(table, schemas)
-            )
-            names = stored_query.select
-            keep, unmatched = multiset_subtract(
-                {col: stored.column(col) for col in names}, ghosts, names
-            )
-            n_ghosts = len(ghosts[names[0]])
-            ctx.stats.tuple_iterations += stored.n_tuples + n_ghosts
-            if unmatched:
-                raise ExecutionError(
-                    f"delete multiset for {table!r} names rows the stored "
-                    f"projection {projection.name!r} does not hold "
-                    "(writable store out of sync with the read store)"
-                )
-            stored = stored.filter(keep)
-            if specs:
-                stored = delta_aggregate(
-                    specs, groups, {c: stored.column(c) for c in names}
-                )
-            ctx.end(span, rows=stored.n_tuples, ghosts=n_ghosts)
-        span = ctx.begin("DELTA")
-        pending = delta_select(
-            stored_query, self.delta.columns(table, schemas)
-        )
-        n_pending = len(next(iter(pending.values())))
-        ctx.stats.tuple_iterations += n_pending
-        if specs:
-            merged = merge_aggregates(
-                stored,
-                delta_aggregate(specs, groups, pending),
-                groups,
-                specs,
-                plan,
-                list(query.select),
-            )
-        else:
-            merged = TupleSet.concat([
-                stored,
-                TupleSet.stitch(
-                    {col: pending[col] for col in query.select},
-                    stats=ctx.stats,
-                ),
-            ])
-        if ghosted:
-            # The model charges the subtraction for re-materialising what
-            # it keeps: the surviving rows of a selection, the finished
-            # groups of an aggregation.
-            ctx.stats.tuples_constructed += (
-                merged.n_tuples if specs else stored.n_tuples
-            )
-        ctx.end(span, rows=merged.n_tuples, pending=n_pending)
-        merged = _apply_having(ctx, merged, query)
-        ctx.stats.tuples_output = merged.n_tuples
-        return _order_and_limit(ctx, merged, query)
 
     def _table_schemas(self, table: str) -> tuple[dict, list]:
         """Column schemas of *table* (the union over its projections) and
@@ -809,13 +720,11 @@ class Database:
         # LM-pipelined it supports every encoding.
         matched = execute_select(ctx, cover, query, Strategy.EM_PIPELINED)
         stored = {col: matched.column(col) for col in names}
-        already_deleted = delta_select(
-            query, self.delta.deleted_columns(table, schemas)
-        )
+        pending = self.delta.snapshot(table, schemas)
+        already_deleted = delta_select(query, pending.deletes)
         keep, _ = multiset_subtract(stored, already_deleted, names)
         stored = {col: values[keep] for col, values in stored.items()}
-        pending = delta_select(query, self.delta.columns(table, schemas))
-        return stored, pending
+        return stored, delta_select(query, pending.inserts)
 
     def delete(self, table: str, predicates) -> int:
         """Delete every row of *table* matching all *predicates*.
@@ -889,8 +798,7 @@ class Database:
         if moved == 0:
             return 0
         table_schemas, projections = self._table_schemas(table)
-        pending = self.delta.columns(table, table_schemas)
-        deleted = self.delta.deleted_columns(table, table_schemas)
+        pending, deleted = self.delta.snapshot(table, table_schemas)
         builds = []
         for proj in sorted(projections, key=lambda p: p.name):
             schemas = {c: proj.schema(c) for c in proj.column_names}
@@ -1020,8 +928,9 @@ class Database:
         projection = resolve_projection(
             self.catalog, query, constants=self.constants
         )
-        resolved = self._resolve_strategy(projection, query, strategy)
-        return describe_plan(projection, query, resolved)
+        pending = self.pending_writes(projection, query)
+        resolved = self._resolve_strategy(projection, query, strategy, pending)
+        return describe_plan(projection, query, resolved, pending)
 
     def explain(
         self,
@@ -1086,7 +995,8 @@ class Database:
                 self.catalog, query, constants=self.constants
             )
             best, predictions = choose_strategy(
-                projection, query, constants=self.constants, resident=resident
+                projection, query, constants=self.constants, resident=resident,
+                pending=self.pending_writes(projection, query),
             )
         report = {
             "chosen": best.value,

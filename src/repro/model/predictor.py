@@ -9,8 +9,8 @@ estimator; nothing here reads block payloads.
 Kept on purpose, so predictions stay what they were (inputs for a host
 cost model): a one-input AND is executed but not priced; OUTPUT is priced
 with each (sub)plan's last operator, so once per partition, though it runs
-once after COMBINE; COMBINE and UNION are not priced; and the predictor
-ignores the ``use_indexes`` / ``use_multicolumns`` ablations.
+once after COMBINE; COMBINE, UNION, GHOST and DELTA are not priced; and
+the predictor ignores the ``use_indexes`` / ``use_multicolumns`` ablations.
 
 The join predictor extends the paper's model (which stops at selection /
 aggregation plans) with the obvious per-strategy terms; DESIGN.md lists it as
@@ -34,7 +34,7 @@ from ..planner.nodes import (
     PlanFacts,
     PlanNode,
     partition_facts,
-    plan_outline,
+    stored_query,
     uses_index,
 )
 from ..planner.strategies import RightTableStrategy, Strategy
@@ -131,6 +131,7 @@ def predict_strategies(
     strategies: Iterable[Strategy],
     constants: ModelConstants = PAPER_CONSTANTS,
     resident: float = 0.0,
+    pending=None,
 ) -> dict[Strategy, PlanPrediction]:
     """Predict *query* under each of *strategies* from one metadata pass.
 
@@ -141,23 +142,22 @@ def predict_strategies(
     strategy whose plan cannot run the query is left out, and when none can
     the executor's error is raised. A partitioned prediction is the sum
     over the surviving partitions' sub-plans, each step prefixed with its
-    partition's name; a fully pruned query predicts (and costs) zero.
+    partition's name; a fully pruned query predicts (and costs) zero. Over
+    *pending* writes, the stored part of the plan is what is priced.
     """
     strategies = tuple(strategies)
     if not strategies:
         return {}
+    sub_query = stored_query(projection, query, pending)
     if projection.is_partitioned:
-        from ..delta import internal_query
+        from ..planner.partitioned import prune_partitions
 
-        sub_query, _plan = internal_query(query)
         scopes = [
-            (f"{node.partition.name}:",
-             partition_facts(projection, node.partition, sub_query))
-            for node in plan_outline(projection, query, strategies[0])
-            if node.op == "PARTITION"
+            (f"{part.name}:", partition_facts(projection, part, sub_query))
+            for part in prune_partitions(projection, sub_query)[0]
         ]
     else:
-        scopes = [("", PlanFacts(projection, query))]
+        scopes = [("", PlanFacts(projection, sub_query))]
     scopes = [(prefix, f, _Inputs(f, resident)) for prefix, f in scopes]
     predictions: dict[Strategy, PlanPrediction] = {}
     error = None

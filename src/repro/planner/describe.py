@@ -19,6 +19,7 @@ from .nodes import (
     executed_strategy,
     grouped_predicates,
     plan_nodes,
+    stored_query,
     tail_ops,
     uses_index,
 )
@@ -171,41 +172,54 @@ def _render(nodes, projection, query, depth: int) -> list[str]:
 
 
 def describe_plan(
-    projection: Projection, query: SelectQuery, strategy: Strategy
+    projection: Projection, query: SelectQuery, strategy: Strategy, pending=None
 ) -> str:
     """Render the physical operator tree for *query* under *strategy*.
 
-    Partitioned projections render the zone-map pruning outcome, the tail
-    that runs once and the COMBINE, then each surviving partition's
-    sub-plan — the shape per-partition execution fans out.
+    A plan that combines partials renders the tail that runs once, then
+    COMBINE, DELTA and GHOST over *pending* writes, then the stored part:
+    the operator core, or on a partitioned projection the zone-map pruning
+    outcome and each surviving partition's sub-plan.
 
     Raises:
         UnsupportedOperationError: *strategy* cannot run *query*.
+        ExecutionError: *query* cannot merge with *pending* writes.
     """
     strategy = executed_strategy(query, strategy)
-    nodes = plan_nodes(projection, query, strategy)
-    if not projection.is_partitioned:
-        header = f"{strategy.value} plan over projection {projection.name!r}"
+    nodes = plan_nodes(projection, query, strategy, pending)
+    header = f"{strategy.value} plan over projection {projection.name!r}"
+    if not projection.is_partitioned and not pending:
         return "\n".join([header] + _render(nodes, projection, query, 1))
-    from ..delta import internal_query
-
+    sub_query = stored_query(projection, query, pending)
     parts = [n.partition for n in nodes if n.op == "PARTITION"]
-    lines = [
-        f"{strategy.value} plan over range-partitioned projection "
-        f"{projection.name!r} ({len(parts)}/{len(projection.partitions)} "
-        "partitions after zone-map pruning)"
-    ] + [
+    tail = tail_ops(query)
+    if projection.is_partitioned:
+        header = (
+            f"{strategy.value} plan over range-partitioned projection "
+            f"{projection.name!r} ({len(parts)}/{len(projection.partitions)} "
+            "partitions after zone-map pruning)"
+        )
+    lines = [header] + [
         "  " + text for node in nodes
-        if node.partition is None and (text := _annotation(node, query))
+        if node.op in tail and (text := _annotation(node, query))
     ]
-    if not parts:
-        lines.append("  all partitions pruned: zone maps exclude every predicate")
-    elif query.aggregates:
+    if query.aggregates and (parts or pending):
         groups = ", ".join(query.group_columns)
         lines.append(f"  Combine(re-aggregate GROUP BY {groups})")
-    else:
-        lines.append("  Combine(concatenate in partition order)")
-    sub_query, _plan = internal_query(query)
+    elif parts or pending:
+        order = "in partition order" if parts else "stored rows"
+        then = ", then pending rows" if pending else ""
+        lines.append(f"  Combine(concatenate {order}{then})")
+    if pending:
+        lines.append(f"  Delta(filter {pending.n_inserts} pending inserts)")
+    if pending and pending.n_deletes:
+        lines.append(f"  Ghost(subtract {pending.n_deletes} pending deletes)")
+    if not projection.is_partitioned:
+        merge = ("GHOST", "DELTA", "COMBINE", *tail)
+        core = [n for n in nodes if n.op not in merge]
+        return "\n".join(lines + _render(core, projection, sub_query, 2))
+    if not parts:
+        lines.append("  all partitions pruned: zone maps exclude every predicate")
     for part in parts:
         lines.append(f"    {part.name} ({part.n_rows} rows)")
         core = [n for n in nodes if n.partition is part and n.op != "PARTITION"]

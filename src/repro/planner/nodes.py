@@ -2,7 +2,9 @@
 
 The paper's Section 3 model prices exactly the operator tree each strategy
 builds, so that tree is written down once, here: :func:`plan_nodes` lists
-its operators in execution order, and three views read the same list — the
+its operators in execution order (pending writes fold in through
+``GHOST``, ``DELTA`` and the plan's one ``COMBINE``), and three views read
+the same list — the
 executor (:mod:`repro.planner.plans`) runs them, one span per traced node;
 the predictor (:mod:`repro.model.predictor`) attaches a
 :mod:`repro.model.cost` formula to each; EXPLAIN
@@ -15,11 +17,14 @@ every view agrees on what runs.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import replace
 from typing import NamedTuple
 
+from ..delta import expand_avg
 from ..errors import (
     CatalogError,
     CorruptBlockError,
+    ExecutionError,
     PlanError,
     StorageError,
     UnsupportedOperationError,
@@ -33,12 +38,13 @@ class PlanNode(NamedTuple):
     """One operator application.
 
     ``op`` is named as its span is. ``inputs`` index the nodes it consumes
-    within its operator core (the tail, and a partitioned plan's PRUNE /
-    PARTITION / COMBINE outline, consume the result so far). ``case`` says
-    which variant runs: DS1 ``leaf`` (an independent LM-parallel leaf), DS3
-    ``extract`` / ``gather`` / ``group``, AGG ``tuple`` / ``vector``,
-    COMBINE ``aggregate`` / ``concat``. ``partition`` is set on a PARTITION
-    node and on the nodes of its sub-plan.
+    within its operator core (the outline around the cores — PRUNE,
+    PARTITION, GHOST, DELTA, COMBINE — and the tail consume the result so
+    far). ``case`` says which variant runs: DS1 ``leaf`` (an independent
+    LM-parallel leaf), DS3 ``extract`` / ``gather`` / ``group``, AGG
+    ``tuple`` / ``vector``, COMBINE ``aggregate`` / ``concat``.
+    ``partition`` is set on a PARTITION node and on the nodes of its
+    sub-plan.
     """
 
     op: str
@@ -187,25 +193,70 @@ class PlanFacts:
         return nodes
 
 
-def plan_outline(projection, query, strategy: Strategy) -> list[PlanNode]:
-    """:func:`plan_nodes` without the partitions' sub-plans: on a
-    range-partitioned projection, PRUNE, one PARTITION per surviving
-    partition, COMBINE and the tail. The executor builds each sub-plan
-    inside its PARTITION span, where a partition's failures belong."""
-    tail = [PlanNode(op) for op in tail_ops(query)]
-    if not projection.is_partitioned:
-        return PlanFacts(projection, query).core(strategy) + tail
-    from .partitioned import prune_partitions
+def stored_query(projection, query, pending=None):
+    """The one planner rule for the query the stored part of a plan runs.
 
+    *query* itself unless COMBINE folds partials (a partitioned projection,
+    or a :class:`~repro.delta.PendingWrites` snapshot in *pending*). Then
+    HAVING / ORDER BY / LIMIT wait for the tail, AVG becomes SUM + COUNT
+    partials (:func:`~repro.delta.expand_avg`), an aggregation under
+    pending deletes fetches rows for GHOST instead, and count(distinct)
+    raises: its partials cannot be combined.
+    """
+    if not pending and not projection.is_partitioned:
+        return query
     if any(s.func == "count_distinct" for s in query.aggregates):
+        if pending:
+            raise ExecutionError(
+                "count(distinct) cannot merge with pending writes; call "
+                "Database.merge() first"
+            )
         raise UnsupportedOperationError(
             "count(distinct) partials cannot be re-combined across "
             "partitions; query an unpartitioned projection instead"
         )
-    survivors, _total = prune_partitions(projection, query)
-    case = "aggregate" if query.aggregates and survivors else "concat"
-    parts = [PlanNode("PARTITION", partition=part) for part in survivors]
-    return [PlanNode("PRUNE"), *parts, PlanNode("COMBINE", case=case), *tail]
+    specs = expand_avg(query.aggregates)[0]
+    tail = dict(order_by=(), limit=None, having=())
+    if not specs:
+        return replace(query, **tail)
+    groups = query.group_columns
+    if pending and pending.n_deletes:
+        rows = dict.fromkeys([*groups, *(s.column for s in specs if s.column)])
+        return replace(
+            query, select=tuple(rows), aggregates=(), group_by=None, **tail
+        )
+    select = (*groups, *(s.output_name for s in specs))
+    return replace(query, select=select, aggregates=tuple(specs), **tail)
+
+
+def plan_outline(
+    projection, query, strategy: Strategy, pending=None
+) -> list[PlanNode]:
+    """:func:`plan_nodes` without the partitions' sub-plans: the stored
+    part (the operator core of :func:`stored_query`, or PRUNE and one
+    PARTITION per surviving partition), then over *pending* writes GHOST
+    (if rows are pending deletion) and DELTA, then one COMBINE of every
+    partial, then the tail. The executor builds each sub-plan inside its
+    PARTITION span, where a partition's failures belong."""
+    tail = [PlanNode(op) for op in tail_ops(query)]
+    sub_query = stored_query(projection, query, pending)
+    survivors = ()
+    if not projection.is_partitioned:
+        stored = PlanFacts(projection, sub_query).core(strategy)
+        if not pending:
+            return stored + tail
+    else:
+        from .partitioned import prune_partitions
+
+        survivors, _total = prune_partitions(projection, sub_query)
+        stored = [PlanNode("PRUNE")]
+        stored += [PlanNode("PARTITION", partition=p) for p in survivors]
+    if pending:
+        stored += [PlanNode("GHOST")] if pending.n_deletes else []
+        stored.append(PlanNode("DELTA"))
+    folds = query.aggregates and (pending or survivors)
+    case = "aggregate" if folds else "concat"
+    return stored + [PlanNode("COMBINE", case=case)] + tail
 
 
 @contextmanager
@@ -231,25 +282,26 @@ def partition_facts(projection, part, query) -> PlanFacts:
         return PlanFacts(part.open(), query)
 
 
-def plan_nodes(projection, query, strategy: Strategy) -> list[PlanNode]:
-    """The ordered operator nodes *query* runs under *strategy*.
+def plan_nodes(
+    projection, query, strategy: Strategy, pending=None
+) -> list[PlanNode]:
+    """The ordered operator nodes *query* runs under *strategy* and over
+    *pending* writes (None when its table has none).
 
     The order is execution order, so a traced execution's pre-order spans
     are the traced nodes' ``(op, column)``. Each PARTITION node is followed
-    by its partition's operator core, built for the query every partition
-    runs (:func:`repro.delta.internal_query`: AVG split into mergeable
-    partials, the tail left to run once).
+    by its partition's operator core, built for :func:`stored_query`.
 
     Raises:
         UnsupportedOperationError: *strategy* cannot run *query*.
+        ExecutionError: *query* cannot merge with *pending* writes.
     """
-    from ..delta import internal_query
-
+    sub_query = stored_query(projection, query, pending)
     nodes = []
-    for node in plan_outline(projection, query, strategy):
+    for node in plan_outline(projection, query, strategy, pending):
         nodes.append(node)
         if node.op == "PARTITION":
             part = node.partition
-            facts = partition_facts(projection, part, internal_query(query)[0])
+            facts = partition_facts(projection, part, sub_query)
             nodes += [n._replace(partition=part) for n in facts.core(strategy)]
     return nodes

@@ -20,8 +20,10 @@ def choose_strategy(
     query,
     constants=None,
     resident: float = 0.0,
+    pending=None,
 ):
-    """Pick the strategy the model predicts cheapest for *query*.
+    """Pick the strategy the model predicts cheapest for *query* (over the
+    *pending* writes snapshot, if any).
 
     Returns:
         (strategy, predictions): the winner and the per-strategy
@@ -36,6 +38,7 @@ def choose_strategy(
         Strategy,
         constants=constants or PAPER_CONSTANTS,
         resident=resident,
+        pending=pending,
     )
     best = min(predictions, key=lambda s: predictions[s].total_ms)
     return executed_strategy(query, best), predictions

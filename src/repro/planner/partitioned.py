@@ -1,6 +1,7 @@
 """Per-partition execution of selections over range-partitioned projections.
 
-The pipeline has three stages, all visible in the span tree:
+The stored part of a partitioned plan has two stages, both visible in the
+span tree:
 
 * **PRUNE** — intersect the query's predicates with each partition's zone
   maps (:class:`~repro.storage.partition.ZoneMap`) and keep only the
@@ -14,15 +15,12 @@ The pipeline has three stages, all visible in the span tree:
   configured, each leaf with private stats and tracer merged back in
   partition order, so counters and spans are deterministic however threads
   interleave.
-* **COMBINE** — stitch the partial results back together. Selections
-  concatenate in partition order (partitions are contiguous chunks of the
-  globally sorted rows, so this reproduces the unpartitioned output order
-  exactly); aggregates re-combine partial aggregates by group key using the
-  same AVG -> SUM+COUNT rewrite the writable-store merge uses
-  (:func:`repro.delta.internal_query` / :func:`repro.delta.merge_aggregates`).
 
-HAVING / ORDER BY / LIMIT and the output drain run exactly once, over the
-combined result, matching the unpartitioned tail. The stages are the nodes
+Each partition runs :func:`~repro.planner.nodes.stored_query` (AVG split
+into mergeable SUM + COUNT partials), and the plan's one COMBINE
+(:func:`repro.planner.plans.execute_select`) folds the partials — with the
+pending writes' partial, if any — before HAVING / ORDER BY / LIMIT and the
+output drain run exactly once. The stages are the nodes
 :func:`repro.planner.nodes.plan_outline` lists.
 """
 
@@ -30,14 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..delta import internal_query, merge_aggregates
 from ..errors import StorageError
 from ..operators import ExecutionContext, TupleSet
 from ..storage.partition import PartitionInfo
 from ..storage.projection import Projection
 from .logical import SelectQuery
-from .nodes import PlanFacts, grouped_predicates, partition_errors, plan_outline
-from .plans import run_core, run_tail
+from .nodes import PlanFacts, grouped_predicates, partition_errors
+from .plans import run_core
 from .strategies import Strategy
 
 
@@ -125,17 +122,16 @@ def _partition_task(
     return task
 
 
-def execute_partitioned_select(
+def run_partitions(
     ctx: ExecutionContext,
     projection: Projection,
     query: SelectQuery,
     strategy: Strategy,
-) -> TupleSet:
-    """Prune, fan out, and re-combine a selection over a partitioned projection."""
-    outline = plan_outline(projection, query, strategy)
+) -> list[TupleSet]:
+    """PRUNE, then *query*'s operator core over every surviving partition:
+    the partials, in partition order."""
     span = ctx.begin("PRUNE")
-    survivors = [node.partition for node in outline if node.op == "PARTITION"]
-    total = len(projection.partitions)
+    survivors, total = prune_partitions(projection, query)
     # Under degraded execution, partitions already quarantined this session
     # are taken out of the fan-out up front — the query completes over the
     # rest and is marked degraded. In fail mode the quarantine is never
@@ -167,16 +163,8 @@ def execute_partitioned_select(
         if pre_skipped:
             detail["quarantined"] = pre_skipped
         ctx.end(span, **detail)
-    # The same rewrite the writable-store merge uses: strip ORDER BY / LIMIT
-    # / HAVING (applied once, after the combine) and expand AVG into
-    # mergeable SUM + COUNT partials. Idempotent, so a query the delta path
-    # already rewrote passes through unchanged.
-    sub_query, plan = internal_query(query)
     results = ctx.map_leaves(
-        [
-            _partition_task(projection, part, sub_query, strategy)
-            for part in survivors
-        ]
+        [_partition_task(projection, part, query, strategy) for part in survivors]
     )
     partials = [r for r in results if not isinstance(r, _QuarantineSkip)]
     newly_failed = [r for r in results if isinstance(r, _QuarantineSkip)]
@@ -189,41 +177,4 @@ def execute_partitioned_select(
         extra["partitions_skipped"] = (
             extra.get("partitions_skipped", 0) + len(skipped)
         )
-    merged = _combine(ctx, query, sub_query, plan, partials)
-    return run_tail(ctx, query, merged)
-
-
-def _combine(
-    ctx: ExecutionContext,
-    query: SelectQuery,
-    sub_query: SelectQuery,
-    plan: dict,
-    partials: list[TupleSet],
-) -> TupleSet:
-    """Deterministically merge per-partition results (partition order)."""
-    if not partials:
-        return TupleSet.empty(tuple(query.select))
-    if not query.aggregates:
-        if len(partials) == 1:
-            return partials[0]
-        return TupleSet.concat(partials)
-    span = ctx.begin("COMBINE")
-    # Partial aggregates re-combine by group key exactly like stored-plus-
-    # pending results do; the recombination touches every partial row once.
-    ctx.stats.tuple_iterations += sum(p.n_tuples for p in partials)
-    rest = (
-        TupleSet.concat(partials[1:])
-        if len(partials) > 1
-        else TupleSet.empty(partials[0].columns)
-    )
-    merged = merge_aggregates(
-        partials[0],
-        rest,
-        list(sub_query.group_columns),
-        list(sub_query.aggregates),
-        plan,
-        list(query.select),
-    )
-    if span is not None:
-        ctx.end(span, partitions=len(partials), rows=merged.n_tuples)
-    return merged
+    return partials

@@ -1,10 +1,10 @@
 """Physical plan execution for the four strategies.
 
 :func:`execute_select` runs the nodes :func:`repro.planner.nodes.plan_nodes`
-builds — the operator trees of the paper's Figures 7 and 8 — in order,
-column-at-a-time, one span per traced node. Every plan ends by draining the
-result (charging the output iteration the paper includes in both model and
-measurements).
+builds — the operator trees of the paper's Figures 7 and 8, and the outline
+around them — in order, column-at-a-time, one span per traced node. Every
+plan ends by draining the rows it returns, once (charging the output
+iteration the paper includes in both model and measurements).
 """
 
 from __future__ import annotations
@@ -34,12 +34,20 @@ from ..operators.joins import (
     join_single_column,
     merge_fetch_left,
 )
-from ..errors import PlanError
+from ..delta import (
+    PendingWrites,
+    delta_aggregate,
+    delta_select,
+    expand_avg,
+    merge_aggregates,
+    multiset_subtract,
+)
+from ..errors import ExecutionError, PlanError
 from ..positions import ListedPositions, RangePositions, union_all
 from ..storage.column_file import ColumnFile
 from ..storage.projection import Projection
 from .logical import JoinQuery, SelectQuery
-from .nodes import PlanFacts, PlanNode, grouped_predicates
+from .nodes import PlanFacts, PlanNode, grouped_predicates, stored_query
 from .strategies import LeftTableStrategy, RightTableStrategy, Strategy
 
 
@@ -57,35 +65,101 @@ def execute_select(
     projection: Projection,
     query: SelectQuery,
     strategy: Strategy,
+    pending: PendingWrites | None = None,
 ) -> TupleSet:
-    """Run *query* over *projection* with the given materialization strategy."""
+    """Run *query* over *projection* and its table's *pending* writes with
+    the given materialization strategy, as
+    :func:`~repro.planner.nodes.plan_outline` lists the nodes: the stored
+    part, GHOST and DELTA, COMBINE, then the tail."""
+    sub_query = stored_query(projection, query, pending)
     if projection.is_partitioned:
         # Range-partitioned projections fan out per partition after zone-map
         # pruning; each partition runs its own operator core (run_core).
-        from .partitioned import execute_partitioned_select
+        from .partitioned import run_partitions
 
-        return execute_partitioned_select(ctx, projection, query, strategy)
-    facts = PlanFacts(projection, query)
-    return run_tail(ctx, query, run_core(ctx, facts, facts.core(strategy)))
-
-
-def _apply_having(
-    ctx: ExecutionContext, tuples: TupleSet, query: SelectQuery
-) -> TupleSet:
-    """Filter aggregated output rows (the HAVING clause)."""
-    if not query.having:
-        return tuples
-    mask = np.ones(tuples.n_tuples, dtype=bool)
-    for pred in query.having:
-        mask &= pred.mask(tuples.column(pred.column))
-    ctx.stats.tuple_iterations += tuples.n_tuples
-    return tuples.filter(mask)
+        partials = run_partitions(ctx, projection, sub_query, strategy)
+    else:
+        facts = PlanFacts(projection, sub_query)
+        partials = [run_core(ctx, facts, facts.core(strategy))]
+    if pending:
+        partials = _fold_pending(ctx, projection, query, sub_query, pending, partials)
+    elif not projection.is_partitioned:  # one core: nothing to combine
+        return run_tail(ctx, query, partials[0])
+    return run_tail(ctx, query, _combine(ctx, query, partials, pending))
 
 
-def _order_and_limit(
-    ctx: ExecutionContext, tuples: TupleSet, query: SelectQuery
-) -> TupleSet:
-    """Apply ORDER BY (stable lexicographic sort) and LIMIT to the output."""
+def _fold_pending(ctx, projection, query, sub_query, pending, partials):
+    """GHOST, then DELTA: the stored partials without the rows pending
+    deletion, then the pending inserts' partial.
+
+    Deleted rows still sit inside the stored projection, so GHOST subtracts
+    the delete multiset from the stored rows (an aggregation fetched rows
+    for it), charged a tuple iteration per row compared and a constructed
+    tuple per tuple it keeps. DELTA runs the predicates over the inserts.
+    """
+    specs = expand_avg(query.aggregates)[0]
+    groups = list(query.group_columns)
+
+    def partial(rows, stats=None) -> TupleSet:
+        """Surviving rows, shaped like a stored partial of *query*."""
+        if specs:
+            return delta_aggregate(specs, groups, rows)
+        return TupleSet.stitch({c: rows[c] for c in query.select}, stats=stats)
+
+    if pending.n_deletes:
+        span = ctx.begin("GHOST")
+        names = sub_query.select
+        stored = TupleSet.concat(partials) if partials else TupleSet.empty(names)
+        rows = {col: stored.column(col) for col in names}
+        ghosts = delta_select(sub_query, pending.deletes)
+        keep, unmatched = multiset_subtract(rows, ghosts, names)
+        if unmatched:
+            raise ExecutionError(
+                f"delete multiset for {projection.anchor or query.projection!r}"
+                f" names rows the stored projection {projection.name!r} does "
+                "not hold (writable store out of sync with the read store)"
+            )
+        n_ghosts = len(ghosts[names[0]])
+        ctx.stats.tuple_iterations += stored.n_tuples + n_ghosts
+        partials = [partial({col: v[keep] for col, v in rows.items()})]
+        ctx.stats.tuples_constructed += partials[0].n_tuples
+        ctx.end(span, rows=partials[0].n_tuples, ghosts=n_ghosts)
+    span = ctx.begin("DELTA")
+    rows = delta_select(sub_query, pending.inserts)
+    n_pending = len(next(iter(rows.values())))
+    ctx.stats.tuple_iterations += n_pending
+    delta = partial(rows, ctx.stats)
+    ctx.end(span, rows=delta.n_tuples, pending=n_pending)
+    return partials + [delta]
+
+
+def _combine(ctx, query, partials: list[TupleSet], pending) -> TupleSet:
+    """COMBINE: the partials as one result — the stored ones (one per
+    partition), then the pending rows' if *pending*. Selections concatenate
+    (partitions are contiguous chunks of the sorted rows); aggregations
+    fold with one :func:`~repro.delta.merge_aggregates`, charged a tuple
+    iteration per partial row."""
+    if not partials:
+        return TupleSet.empty(tuple(query.select))
+    if not query.aggregates:
+        return partials[0] if len(partials) == 1 else TupleSet.concat(partials)
+    span = ctx.begin("COMBINE")
+    ctx.stats.tuple_iterations += sum(p.n_tuples for p in partials)
+    merged = merge_aggregates(partials, query)
+    ctx.end(span, partitions=len(partials) - bool(pending), rows=merged.n_tuples)
+    return merged
+
+
+def run_tail(ctx: ExecutionContext, query: SelectQuery, tuples: TupleSet) -> TupleSet:
+    """The tail nodes (:func:`~repro.planner.nodes.tail_ops`), once per
+    query: HAVING, ORDER BY (stable lexicographic sort), LIMIT and the
+    output drain."""
+    if query.having:
+        mask = np.ones(tuples.n_tuples, dtype=bool)
+        for pred in query.having:
+            mask &= pred.mask(tuples.column(pred.column))
+        ctx.stats.tuple_iterations += tuples.n_tuples
+        tuples = tuples.filter(mask)
     if query.order_by:
         n = tuples.n_tuples
         keys = []
@@ -102,13 +176,6 @@ def _order_and_limit(
         tuples = TupleSet(
             columns=tuples.columns, data=tuples.data[: query.limit]
         )
-    return tuples
-
-
-def run_tail(ctx: ExecutionContext, query: SelectQuery, tuples: TupleSet) -> TupleSet:
-    """The tail nodes (:func:`~repro.planner.nodes.tail_ops`), once per
-    query: HAVING, ORDER BY, LIMIT and the output drain."""
-    tuples = _order_and_limit(ctx, _apply_having(ctx, tuples, query), query)
     return drain(ctx, tuples)
 
 

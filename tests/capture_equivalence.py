@@ -9,8 +9,11 @@ the change and compare the two captures::
     PYTHONPATH=src           python tests/capture_equivalence.py /tmp/change.json
     PYTHONPATH=src           python tests/capture_equivalence.py --compare /tmp/parent.json /tmp/change.json
 
-``--compare`` prints the first differing records and how many records of
-each kind differ: result, explain, describe, analyze, qlog, registry, write.
+``--compare`` prints the first differing records, how many records of
+each kind differ (result, explain, describe, analyze, qlog, registry,
+write, pending), and for the reads over pending writes how many differ in
+each field: the answer, the error, ``simulated_ms``, the describe text and
+every ``QueryStats`` counter.
 
 It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
@@ -41,9 +44,13 @@ but descending ``revkey`` (both take the join's sort branch). The write
 path has its own section: per seed and partition count, a seeded stream
 of inserts, updates, deletes and merges over ``lineitem`` (plus two
 secondary projections built here, one sorted on the tie-heavy
-``quantity`` and one with no sort key) records the answers read over the
-pending changes, ``disk.total_fsyncs`` after every write, and the SHA-256
-of every file in each merged projection directory. WAL bytes are not
+``quantity`` and one with no sort key) records ``disk.total_fsyncs``
+after every write and the SHA-256 of every file in each merged projection
+directory, and after every write five reads over the pending changes —
+among them an ORDER BY / LIMIT read and a count(distinct), which must
+raise — each under two strategies with its answer digest (or error),
+``QueryStats`` counters, ``simulated_ms`` and ``describe`` text (or
+error). WAL bytes are not
 captured: their format is not part of the contract. Not a pytest module
 (nothing here is collected): it compares two trees, which one test
 process cannot hold.
@@ -61,7 +68,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import Database, Predicate, SelectQuery, load_tpch
-from repro.errors import UnsupportedOperationError
+from repro.errors import ReproError, UnsupportedOperationError
 from repro.metrics import MetricsRegistry
 from repro.qlog import QueryLog, read_query_log
 from repro.planner.logical import AggSpec, JoinQuery
@@ -488,7 +495,34 @@ def _pending_reads(rng) -> list[SelectQuery]:
         SelectQuery("lineitem", ("returnflag", "sum(quantity)"),
                     (Predicate("quantity", "<", 10),), group_by="returnflag",
                     aggregates=(AggSpec("sum", "quantity"),)),
+        SelectQuery("lineitem", ("shipdate", "linenum", "quantity"), window,
+                    order_by=(("quantity", True), ("shipdate", False)),
+                    limit=7),
+        SelectQuery("lineitem", ("returnflag", "count(distinct linenum)"),
+                    window, group_by="returnflag",
+                    aggregates=(AggSpec("count_distinct", "linenum"),)),
     ]
+
+
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _pending_read(db: Database, query: SelectQuery, strategy: str) -> dict:
+    """One read over pending writes: its answer digest, counters and
+    ``simulated_ms`` (or its error), and its ``describe`` text (or error)."""
+    try:
+        result = db.query(query, strategy=strategy)
+        out = {"answer": _answer_digest(result),
+               "stats": result.stats.as_dict(),
+               "simulated_ms": result.simulated_ms}
+    except ReproError as exc:
+        out = {"error": _error(exc)}
+    try:
+        out["describe"] = db.describe(query, strategy)
+    except ReproError as exc:
+        out["describe"] = _error(exc)
+    return out
 
 
 def _write_op(db: Database, i: int, rng, flags) -> tuple[str, int]:
@@ -540,12 +574,13 @@ def capture_write_path() -> dict:
                             "rows": rows,
                             "pending": db.pending("lineitem"),
                             "total_fsyncs": db.disk.total_fsyncs,
-                            "answers": [
-                                _answer_digest(db.query(q, strategy=strategy))
-                                for q in _pending_reads(rng)
-                                for strategy in ("em-parallel", "lm-parallel")
-                            ],
                         }
+                        for j, query in enumerate(_pending_reads(rng)):
+                            for strategy in ("em-parallel", "lm-parallel"):
+                                key = f"{prefix}/op{i}/read{j}/{strategy}"
+                                records[key] = _pending_read(
+                                    db, query, strategy
+                                )
                     moved = db.merge("lineitem")
                     records[f"{prefix}/merge"] = {
                         "moved": moved,
@@ -560,16 +595,25 @@ def capture_write_path() -> dict:
 
 
 #: Record kinds ``--compare`` counts separately, by key suffix; keys under
-#: ``write/`` are the write section and every other key is a result block.
+#: ``write/`` are the write section (``pending`` for its reads) and every
+#: other key is a result block.
 KINDS = ("result", "explain", "describe", "analyze", "qlog", "registry",
-         "write")
+         "write", "pending")
 
 
 def record_kind(key: str) -> str:
     if key.startswith("write/"):
-        return "write"
+        return "pending" if "/read" in key else "write"
     last = key.rsplit("/", 1)[-1]
     return last if last in KINDS else "result"
+
+
+def _read_fields(record: dict) -> dict:
+    """A pending-read record flattened to one value per field."""
+    fields = {k: v for k, v in record.items() if k != "stats"}
+    for name, value in record.get("stats", {}).items():
+        fields[f"stats.{name}"] = value
+    return fields
 
 
 def compare(path_a: str, path_b: str) -> int:
@@ -586,6 +630,15 @@ def compare(path_a: str, path_b: str) -> int:
         total = sum(record_kind(k) == kind for k in a.keys() | b.keys())
         differ = sum(record_kind(k) == kind for k in bad)
         print(f"{kind:>9}: {differ} of {total} differ")
+    reads = [k for k in bad if record_kind(k) == "pending"]
+    by_field: dict[str, int] = {}
+    for key in reads:
+        fa, fb = _read_fields(a.get(key) or {}), _read_fields(b.get(key) or {})
+        for field in fa.keys() | fb.keys():
+            if fa.get(field) != fb.get(field):
+                by_field[field] = by_field.get(field, 0) + 1
+    for field in sorted(by_field):
+        print(f"  pending reads, {field}: {by_field[field]} differ")
     print(f"{len(a)} vs {len(b)} records, {len(bad)} differ")
     return 1 if bad else 0
 

@@ -237,6 +237,13 @@ def check_span_invariants(result, constants, rtol: float = 1e-6) -> None:
         f"self simulated times sum to {total_self}, "
         f"query reports {result.simulated_ms}"
     )
+    # OUTPUT runs last and once, on exactly the rows the query returns.
+    last = root.children[-1]
+    assert last.name == "OUTPUT", f"the root's last span is {last.name}"
+    assert last.rows_out == result.n_rows == result.stats.tuples_output, (
+        f"OUTPUT drained {last.rows_out} rows, the query returned "
+        f"{result.n_rows} and counted {result.stats.tuples_output} output"
+    )
     for span in root.walk():
         child_sum = sum(c.simulated_ms(constants) for c in span.children)
         assert child_sum <= span.simulated_ms(constants) + tolerance
@@ -262,20 +269,21 @@ def plan_divergence(db, query, result) -> dict | None:
 
     Compares the pre-order ``(name, column)`` sequence of the spans under
     the root with the traced nodes of
-    :func:`~repro.planner.nodes.plan_nodes` for the projection and strategy
-    the query ran with.
+    :func:`~repro.planner.nodes.plan_nodes` for the projection, strategy
+    and pending writes the query ran with.
     """
     from repro.planner import plan_nodes
 
     projection = db.catalog.get(result.projection)
     strategy = Strategy.from_name(result.strategy)
+    pending = db.pending_writes(projection, query)
     spans = [
         (span.name, span.detail.get("column"))
         for span in list(result.spans.walk())[1:]
     ]
     nodes = [
         (node.op, node.column)
-        for node in plan_nodes(projection, query, strategy)
+        for node in plan_nodes(projection, query, strategy, pending)
         if node.traced
     ]
     if spans == nodes:
@@ -840,11 +848,12 @@ def run_write_differential(
     row set on both databases — the end-to-end proof that the write path
     (WAL, delete multisets, upserts, merge) is purely physical.
 
-    Both sides run traced with the span invariants checked — on the
-    pending side that covers the ``GHOST`` and ``DELTA`` spans of the
-    merge-on-read fold. The sweep asserts the workload really updated and
-    deleted rows, so the axis cannot silently degrade to the insert-only
-    differential.
+    Both sides run traced with the span invariants checked, and a run
+    whose spans leave its :func:`plan_divergence` plan counts as a
+    mismatch — on the pending side that covers the ``GHOST``, ``DELTA``
+    and ``COMBINE`` nodes of the merge-on-read fold. The sweep asserts the
+    workload really updated and deleted rows, so the axis cannot silently
+    degrade to the insert-only differential.
     """
     ops = seeded_write_workload(pending_db, projection, seed, n_ops=n_ops)
     touched = {"insert": 0, "update": 0, "delete": 0}
@@ -881,6 +890,9 @@ def run_write_differential(
                     continue
                 report.runs += 1
                 check_span_invariants(result, db.constants)
+                divergence = plan_divergence(db, query, result)
+                if divergence is not None:
+                    report.mismatches.append(divergence)
                 rows = sorted(result.rows())
                 if reference is None:
                     reference = rows

@@ -87,6 +87,18 @@ class TestCountDistinct:
                 "SELECT returnflag, COUNT(DISTINCT quantity) FROM lineitem "
                 "GROUP BY returnflag"
             )
+        # One planner rule: what cannot run is not explained either.
+        query = SelectQuery(
+            projection="lineitem",
+            select=("returnflag", "count(distinct quantity)"),
+            group_by="returnflag",
+            aggregates=(AggSpec("count_distinct", "quantity"),),
+        )
+        for strategy in ("auto", *Strategy):
+            with pytest.raises(ExecutionError, match="merge"):
+                db.describe(query, strategy)
+        with pytest.raises(ExecutionError, match="merge"):
+            db.explain(query)
         db.merge("lineitem")
         r = db.sql(
             "SELECT returnflag, COUNT(DISTINCT quantity) FROM lineitem "

@@ -6,15 +6,16 @@ import pytest
 from repro import AggSpec, Predicate, SelectQuery
 from repro.delta import (
     DeltaStore,
+    PendingWrites,
     delta_aggregate,
     delta_select,
     expand_avg,
-    internal_query,
     merge_aggregates,
 )
 from repro.dtypes import INT8, INT32, ColumnSchema
 from repro.errors import EncodingError
 from repro.operators.tuples import TupleSet
+from repro.planner.nodes import stored_query
 
 
 class TestExpandAvg:
@@ -39,6 +40,13 @@ class TestExpandAvg:
 
 
 class TestInternalQuery:
+    """What the stored part of a plan that combines partials runs
+    (:func:`repro.planner.nodes.stored_query`), here over pending inserts."""
+
+    # With pending writes there is always a COMBINE, whatever the layout
+    # of the projection (so none is passed).
+    PENDING = PendingWrites(inserts={"a": np.array([1])}, deletes={})
+
     def test_plain_select_strips_order_and_limit(self):
         query = SelectQuery(
             projection="t",
@@ -46,10 +54,9 @@ class TestInternalQuery:
             order_by=(("a", True),),
             limit=3,
         )
-        rewritten, plan = internal_query(query)
+        rewritten = stored_query(None, query, self.PENDING)
         assert rewritten.order_by == ()
         assert rewritten.limit is None
-        assert plan == {}
 
     def test_aggregate_rewrite(self):
         query = SelectQuery(
@@ -59,10 +66,10 @@ class TestInternalQuery:
             aggregates=(AggSpec("avg", "v"),),
             having=(Predicate("avg(v)", ">", 1),),
         )
-        rewritten, plan = internal_query(query)
+        rewritten = stored_query(None, query, self.PENDING)
         assert rewritten.select == ("g", "sum(v)", "count(v)")
+        assert rewritten.aggregates == (AggSpec("sum", "v"), AggSpec("count", "v"))
         assert rewritten.having == ()
-        assert plan["avg(v)"][0] == "avg"
 
 
 class TestDeltaSelect:
@@ -92,6 +99,14 @@ class TestDeltaSelect:
         assert out["a"].tolist() == [0, 9]
 
 
+def _grouped(group, *specs):
+    """A query grouping on *group* with *specs*, selecting all outputs."""
+    return SelectQuery(
+        "t", (group, *(s.output_name for s in specs)),
+        group_by=group, aggregates=specs,
+    )
+
+
 class TestMergeAggregates:
     def test_overlapping_and_new_groups(self):
         specs = [AggSpec("sum", "v"), AggSpec("count", "v")]
@@ -109,11 +124,7 @@ class TestMergeAggregates:
                 "count(v)": np.array([1, 1]),
             }
         )
-        merged = merge_aggregates(
-            stored, pending, ["g"], specs,
-            {"sum(v)": ("direct", "sum(v)"), "count(v)": ("direct", "count(v)")},
-            ["g", "sum(v)", "count(v)"],
-        )
+        merged = merge_aggregates([stored, pending], _grouped("g", *specs))
         assert merged.rows() == [(1, 10, 2), (2, 25, 5), (3, 7, 1)]
 
     def test_min_max_merge(self):
@@ -132,15 +143,10 @@ class TestMergeAggregates:
                 "max(v)": np.array([7]),
             }
         )
-        merged = merge_aggregates(
-            stored, pending, ["g"], specs,
-            {"min(v)": ("direct", "min(v)"), "max(v)": ("direct", "max(v)")},
-            ["g", "min(v)", "max(v)"],
-        )
+        merged = merge_aggregates([stored, pending], _grouped("g", *specs))
         assert merged.rows() == [(1, 3, 9)]
 
     def test_avg_reconstruction(self):
-        specs = [AggSpec("sum", "v"), AggSpec("count", "v")]
         stored = TupleSet.stitch(
             {
                 "g": np.array([1]),
@@ -156,9 +162,7 @@ class TestMergeAggregates:
             }
         )
         merged = merge_aggregates(
-            stored, pending, ["g"], specs,
-            {"avg(v)": ("avg", "sum(v)", "count(v)")},
-            ["g", "avg(v)"],
+            [stored, pending], _grouped("g", AggSpec("avg", "v"))
         )
         assert merged.rows() == [(1, 2)]  # (10+2) // (4+2)
 

@@ -343,28 +343,30 @@ class TestFaultDifferential:
         assert faulted.pool.total_retries >= fault_report.retries
 
 
-@pytest.fixture(scope="module")
-def write_pair(tmp_path_factory):
-    """The same logical data twice, for the merged-vs-pending write axis."""
+def _write_report(root, partitions: int, n_queries: int, seed: int, **config):
+    """One write sweep over two copies of the same data, *partitions*-way
+    partitioned: merged-then-read against read-over-pending."""
     from repro import Database, MetricsRegistry, load_tpch
 
-    root = tmp_path_factory.mktemp("diff_write")
-    merged = Database(root / "merged", metrics=MetricsRegistry())
-    load_tpch(merged.catalog, scale=0.002, seed=7)
-    pending = Database(root / "pending", metrics=MetricsRegistry())
-    load_tpch(pending.catalog, scale=0.002, seed=7)
-    return merged, pending
+    with Database(root / "merged", metrics=MetricsRegistry()) as merged, \
+            Database(root / "pending", metrics=MetricsRegistry(),
+                     **config) as pending:
+        for db in (merged, pending):
+            load_tpch(db.catalog, scale=0.002, seed=7, partitions=partitions)
+        return run_write_differential(
+            merged, pending, n_queries=n_queries, seed=seed
+        )
 
 
 @pytest.fixture(scope="module")
-def write_report(write_pair):
+def write_report(tmp_path_factory):
     """One shared write sweep: 30 queries x 4 strategies x 2 databases."""
-    merged, pending = write_pair
-    return run_write_differential(merged, pending, n_queries=30, seed=SEED)
+    return _write_report(tmp_path_factory.mktemp("diff_write"), 1, 30, SEED)
 
 
-class TestWriteDifferential:
-    """Updates/deletes must read identically merged or pending."""
+class _WriteAxis:
+    """Updates/deletes must read identically merged or pending, and the
+    pending side must run the plan it is explained from."""
 
     def test_pending_matches_merged(self, write_report):
         assert write_report.mismatches == [], (
@@ -386,19 +388,23 @@ class TestWriteDifferential:
             write_report.encodings_used
         )
 
+
+class TestWriteDifferential(_WriteAxis):
+    """The write axis over an unpartitioned projection."""
+
     def test_write_axis_under_parallel_scans(self, tmp_path):
         # The merge-on-read stitch path must also hold with partitioned
         # storage fanning out through the scan scheduler.
-        from repro import Database, MetricsRegistry, load_tpch
-
-        merged = Database(tmp_path / "merged", metrics=MetricsRegistry())
-        load_tpch(merged.catalog, scale=0.002, seed=7, partitions=4)
-        with Database(
-            tmp_path / "pending", parallel_scans=2, metrics=MetricsRegistry()
-        ) as pending:
-            load_tpch(pending.catalog, scale=0.002, seed=7, partitions=4)
-            report = run_write_differential(
-                merged, pending, n_queries=8, seed=SEED + 2
-            )
+        report = _write_report(tmp_path, 4, 8, SEED + 2, parallel_scans=2)
         assert report.mismatches == [], report.mismatches[:1]
         assert report.runs >= 48
+
+
+class TestPartitionedWriteDifferential(_WriteAxis):
+    """The write axis over 4 range partitions: PRUNE and PARTITION, then
+    GHOST, DELTA and one COMBINE of every partial."""
+
+    @pytest.fixture(scope="class")
+    def write_report(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("diff_write_partitioned")
+        return _write_report(root, 4, 30, SEED)

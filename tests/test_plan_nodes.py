@@ -217,3 +217,92 @@ class TestSpansEqualNodes:
                 Strategy.from_name(result.strategy),
             )
             assert spans[1:] == [(n.op, n.column) for n in nodes if n.traced]
+
+
+def _pending_db(root, partitions: int) -> Database:
+    db = Database(root, query_log=False)
+    load_tpch(db.catalog, scale=0.002, seed=7, partitions=partitions)
+    db.insert("lineitem", [
+        {"shipdate": 8700 + i, "linenum": i % 7 + 1, "quantity": i + 1,
+         "returnflag": "ANR"[i % 3]}
+        for i in range(10)
+    ])
+    return db
+
+
+class TestPendingWritesArePlanNodes:
+    """Reads over pending writes run, price and print one plan too: the
+    stored part, GHOST, DELTA, one COMBINE and the tail."""
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_spans_are_the_traced_nodes(self, tmp_path, partitions):
+        from .differential import check_span_invariants, plan_divergence
+
+        db = _pending_db(tmp_path / "db", partitions)
+        queries = [
+            SelectQuery(
+                projection="lineitem",
+                select=("shipdate", "linenum"),
+                predicates=(Predicate("linenum", "<", 7),),
+                order_by=(("shipdate", True),),
+                limit=5,
+            ),
+            SelectQuery(
+                projection="lineitem",
+                select=("linenum", "avg(quantity)"),
+                predicates=(Predicate("shipdate", "<", 8800),),
+                group_by="linenum",
+                aggregates=(AggSpec("avg", "quantity"),),
+                having=(Predicate("avg(quantity)", ">", 2),),
+            ),
+            SelectQuery(
+                projection="lineitem",
+                select=("returnflag", "min(shipdate)", "count(linenum)"),
+                group_by="returnflag",
+                aggregates=(AggSpec("min", "shipdate"),
+                            AggSpec("count", "linenum")),
+            ),
+        ]
+        for deletes in (False, True):
+            if deletes:
+                assert db.delete("lineitem", (Predicate("linenum", "=", 3),))
+            for query in queries:
+                for strategy in Strategy:
+                    try:
+                        result = db.query(query, strategy=strategy, trace=True)
+                    except UnsupportedOperationError:
+                        continue
+                    check_span_invariants(result, db.constants)
+                    assert plan_divergence(db, query, result) is None
+                    names = [span.name for span in result.spans.children]
+                    assert ("GHOST" in names) == deletes
+                    assert names.count("DELTA") == 1
+                    assert names.count("OUTPUT") == 1
+
+    def test_limit_outputs_the_rows_it_returns(self, tmp_path):
+        db = _pending_db(tmp_path / "db", 1)
+        query = SelectQuery(
+            projection="lineitem", select=("shipdate", "linenum"), limit=5
+        )
+        result = db.query(query, strategy="lm-parallel", trace=True)
+        assert result.n_rows == result.stats.tuples_output == 5
+        (output,) = result.spans.find("OUTPUT")
+        assert output.rows_out == 5
+
+    @pytest.mark.parametrize("partitions", [1, 4])
+    def test_explain_describe_and_auto_agree(self, tmp_path, partitions):
+        db = _pending_db(tmp_path / "db", partitions)
+        db.delete("lineitem", (Predicate("linenum", "=", 3),))
+        query = SelectQuery(
+            projection="lineitem",
+            select=("returnflag", "sum(quantity)"),
+            predicates=(Predicate("shipdate", "<", 8800),),
+            group_by="returnflag",
+            aggregates=(AggSpec("sum", "quantity"),),
+        )
+        chosen = db.explain(query)["chosen"]
+        assert db.query(query, strategy="auto").strategy == chosen
+        text = db.describe(query)
+        assert text.startswith(f"{chosen} plan over")
+        assert "Combine(re-aggregate GROUP BY returnflag)" in text
+        assert "Delta(" in text and "Ghost(" in text

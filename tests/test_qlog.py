@@ -102,6 +102,20 @@ class TestRecorderCapture:
         assert first["result_hash"]
         assert records[0]["seq"] == 0 and records[1]["seq"] == 1
 
+    def test_selectivity_is_over_the_rows_read(self, tmp_path):
+        # The denominator is stored + pending - deleted rows, read from the
+        # same snapshot as the answer, so a full read selects exactly 1.
+        db = _db(tmp_path)
+        db.insert("t", [{"k": 7, "v0": 1, "v1": 2}] * 120)
+        deleted = db.delete("t", (Predicate("v0", "=", 3),))
+        assert deleted > 0
+        result = db.query(SelectQuery("t", ("k", "v0")), strategy="lm-parallel")
+        assert result.n_rows == 3000 + 120 - deleted
+        assert result.base_rows == result.n_rows
+        db.close()
+        record = read_query_log(tmp_path / "db" / "_qlog")[-1]
+        assert record["selectivity"] == 1.0
+
     def test_records_error_outcome(self, tmp_path):
         db = _db(tmp_path)
         bad = SelectQuery(
