@@ -70,11 +70,3 @@ class DiskModel:
         self.total_seeks = 0
         self.total_reads = 0
         self.total_fsyncs = 0
-
-    @property
-    def simulated_us(self) -> float:
-        return (
-            self.total_seeks * self.seek_us
-            + self.total_reads * self.read_us
-            + self.total_fsyncs * self.fsync_us
-        )

@@ -74,12 +74,6 @@ class CancelToken:
             and self.elapsed_ms() > self.timeout_ms
         )
 
-    def remaining_ms(self) -> float | None:
-        """Milliseconds left before the deadline; None without one."""
-        if self.timeout_ms is None:
-            return None
-        return max(0.0, self.timeout_ms - self.elapsed_ms())
-
     def check(self) -> None:
         """Raise if the token is tripped or the deadline has passed.
 

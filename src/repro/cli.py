@@ -46,6 +46,16 @@ def _add_encoding_option(parser: argparse.ArgumentParser, **kwargs) -> None:
     )
 
 
+def _add_strategy_option(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--strategy",
+        default="auto",
+        help="em-pipelined | em-parallel | lm-pipelined | lm-parallel for a "
+        "selection, materialized | multi-column | single-column for a join, "
+        "or auto (default): the model's pick",
+    )
+
+
 def _parse_encodings(pairs: list[str]) -> dict[str, str]:
     out = {}
     for pair in pairs:
@@ -89,12 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser("query", help="run a SQL statement")
     _add_db_argument(query)
     query.add_argument("sql", help="the SQL text")
-    query.add_argument(
-        "--strategy",
-        default="auto",
-        help="em-pipelined | em-parallel | lm-pipelined | lm-parallel | "
-        "materialized | multi-column | single-column | auto",
-    )
+    _add_strategy_option(query)
     _add_encoding_option(
         query, help="scan a column in a specific stored encoding (repeatable)"
     )
@@ -126,11 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute the query and print the measured span tree "
         "(EXPLAIN ANALYZE)",
     )
-    explain.add_argument(
-        "--strategy",
-        default="auto",
-        help="strategy for --analyze (default: model-driven choice)",
-    )
+    _add_strategy_option(explain)
     _add_json_flag(
         explain, "with --analyze, emit the span tree as JSON instead of ASCII"
     )
@@ -464,7 +465,7 @@ def cmd_explain(args) -> int:
             )
             for step, step_ms in detail.breakdown().items():
                 print(f"{'':>18}{step:<24} {step_ms:8.2f} ms")
-    if args.plan and hasattr(query, "projection"):
+    if args.plan:
         print()
         print(db.describe(query, strategy=plan["chosen"]))
     return 0

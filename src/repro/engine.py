@@ -41,7 +41,7 @@ from .delta import (
     merge_sorted,
     multiset_subtract,
 )
-from .errors import CatalogError, ExecutionError, PlanError
+from .errors import CatalogError, PlanError
 from .faults import FaultInjector, PartitionQuarantine, RetryPolicy
 from .metrics import REGISTRY, MetricsRegistry, QueryStats
 from .model.constants import PAPER_CONSTANTS, ModelConstants
@@ -455,22 +455,30 @@ class Database:
         else:
             ctx.stats.extra["queue_wait_ms"] = wait
 
-    def _resolve_strategy(
-        self, projection: Projection, query: SelectQuery, strategy, pending
-    ) -> Strategy:
+    def _resolve_strategy(self, projection, query, strategy, pending):
+        """The strategy *query* runs with over :meth:`sources`
+        *projection*: the model's pick for ``auto``, else the named one."""
         if strategy is None or strategy == "auto":
+            # The model's F: how much of the first column read is cached.
+            if isinstance(query, JoinQuery):
+                first, column = projection[0], query.left_key
+            else:
+                first, column = projection, query.all_columns[0]
+            cf = first.physical_column(column).file(
+                query.encoding_map.get(column)
+            )
             chosen, _predictions = choose_strategy(
                 projection,
                 query,
                 constants=self.constants,
-                resident=self.pool.resident_fraction(
-                    projection.physical_column(query.all_columns[0]).file(
-                        query.encoding_map.get(query.all_columns[0])
-                    )
-                ),
+                resident=self.pool.resident_fraction(cf),
                 pending=pending,
             )
             return chosen
+        if isinstance(query, JoinQuery):
+            if isinstance(strategy, RightTableStrategy):
+                return strategy
+            return RightTableStrategy.from_name(str(strategy))
         if not isinstance(strategy, Strategy):
             strategy = Strategy.from_name(str(strategy))
         return executed_strategy(query, strategy)
@@ -493,7 +501,8 @@ class Database:
         Args:
             query: a :class:`SelectQuery` or :class:`JoinQuery`.
             strategy: a :class:`Strategy` / its name, "auto" for model-driven
-                choice, or for joins a :class:`RightTableStrategy` / name.
+                choice, or for joins a :class:`RightTableStrategy` / name
+                ("auto" picks it by the join model).
             cold: clear the buffer pool first (cold-cache measurement).
             trace: build the EXPLAIN ANALYZE span tree and return it on
                 ``QueryResult.spans``.
@@ -570,11 +579,39 @@ class Database:
                 return name
         return None
 
+    def sources(self, query: SelectQuery | JoinQuery):
+        """What *query* reads: a select's routed projection, or a join's
+        ``(left, right)`` pair of stored projections — the first argument
+        of :func:`~repro.planner.plan_nodes` and every view of it."""
+        if isinstance(query, SelectQuery):
+            return resolve_projection(
+                self.catalog, query, constants=self.constants
+            )
+        left = resolve_join_side(
+            self.catalog,
+            query.left,
+            [query.left_key, *query.left_select]
+            + [p.column for p in query.left_predicates],
+        )
+        right = resolve_join_side(
+            self.catalog, query.right, [query.right_key, *query.right_select]
+        )
+        return left, right
+
     def pending_writes(
-        self, projection: Projection, query: SelectQuery
-    ) -> PendingWrites | None:
+        self, projection, query: SelectQuery | JoinQuery
+    ) -> PendingWrites | dict[str, int] | None:
         """The one snapshot of pending writes a select over *projection*
-        reads, as its columns; None when there are none."""
+        reads, as its columns; None when there are none. For a join
+        (*projection* is its :meth:`sources` pair), ``{table: pending
+        changes}`` of its sides that have any: joins refuse them."""
+        if isinstance(query, JoinQuery):
+            dirty = {}
+            for side, proj in zip((query.left, query.right), projection):
+                table = self._pending_table(side, proj.anchor)
+                if table is not None:
+                    dirty[table] = self.pending(table)
+            return dirty or None
         table = self._pending_table(query.projection, projection.anchor)
         if table is None:
             return None
@@ -599,9 +636,7 @@ class Database:
                     f"columns {sorted(missing)}"
                 )
         else:
-            projection = resolve_projection(
-                self.catalog, query, constants=self.constants
-            )
+            projection = self.sources(query)
         pending = self.pending_writes(projection, query)
         resolved = self._resolve_strategy(projection, query, strategy, pending)
         base_rows = projection.n_rows
@@ -842,39 +877,13 @@ class Database:
         cancel: CancelToken | None = None,
         queue_wait_ms: float | None = None,
     ) -> QueryResult:
-        for side in (query.left, query.right):
-            candidates = self.catalog.candidates(side)
-            anchor = candidates[0].anchor if candidates else None
-            pending = self._pending_table(side, anchor)
-            if pending is not None:
-                raise ExecutionError(
-                    f"table {pending!r} has {self.pending(pending)} "
-                    "pending writes; call Database.merge() before joining"
-                )
-        left, right = self._join_sides(query)
-        if strategy is None or strategy == "auto":
-            resolved = RightTableStrategy.MATERIALIZED
-        elif isinstance(strategy, RightTableStrategy):
-            resolved = strategy
-        else:
-            resolved = RightTableStrategy.from_name(str(strategy))
+        sides = self.sources(query)
+        pending = self.pending_writes(sides, query)
+        resolved = self._resolve_strategy(sides, query, strategy, pending)
         return self._execute(
-            lambda ctx: execute_join(ctx, left, right, query, resolved),
-            resolved, (left, right), trace, cancel, queue_wait_ms,
+            lambda ctx: execute_join(ctx, *sides, query, resolved, pending),
+            resolved, sides, trace, cancel, queue_wait_ms,
         )
-
-    def _join_sides(self, query: JoinQuery) -> tuple:
-        """The stored projections a join reads on its left and right."""
-        left = resolve_join_side(
-            self.catalog,
-            query.left,
-            [query.left_key, *query.left_select]
-            + [p.column for p in query.left_predicates],
-        )
-        right = resolve_join_side(
-            self.catalog, query.right, [query.right_key, *query.right_select]
-        )
-        return left, right
 
     def scrub(self, deep: bool = False):
         """Verify every stored block offline; see :mod:`repro.scrub`.
@@ -921,13 +930,15 @@ class Database:
             queue_wait_ms=queue_wait_ms,
         )
 
-    def describe(self, query: SelectQuery, strategy: Strategy | str = "auto") -> str:
+    def describe(
+        self,
+        query: SelectQuery | JoinQuery,
+        strategy: Strategy | RightTableStrategy | str = "auto",
+    ) -> str:
         """Render the physical plan for *query* without executing it."""
         from .planner import describe_plan
 
-        projection = resolve_projection(
-            self.catalog, query, constants=self.constants
-        )
+        projection = self.sources(query)
         pending = self.pending_writes(projection, query)
         resolved = self._resolve_strategy(projection, query, strategy, pending)
         return describe_plan(projection, query, resolved, pending)
@@ -978,26 +989,11 @@ class Database:
                     "morphs": result.stats.morphs,
                 }
             return report
-        if isinstance(query, JoinQuery):
-            from .model.predictor import predict_join
-
-            left, right = self._join_sides(query)
-            predictions = {
-                s: predict_join(
-                    left, right, query, s,
-                    constants=self.constants, resident=resident,
-                )
-                for s in RightTableStrategy
-            }
-            best = min(predictions, key=lambda s: predictions[s].total_ms)
-        else:
-            projection = resolve_projection(
-                self.catalog, query, constants=self.constants
-            )
-            best, predictions = choose_strategy(
-                projection, query, constants=self.constants, resident=resident,
-                pending=self.pending_writes(projection, query),
-            )
+        projection = self.sources(query)
+        best, predictions = choose_strategy(
+            projection, query, constants=self.constants, resident=resident,
+            pending=self.pending_writes(projection, query),
+        )
         report = {
             "chosen": best.value,
             "predictions": {

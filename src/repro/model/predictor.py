@@ -12,9 +12,9 @@ with each (sub)plan's last operator, so once per partition, though it runs
 once after COMBINE; COMBINE, UNION, GHOST and DELTA are not priced; and
 the predictor ignores the ``use_indexes`` / ``use_multicolumns`` ablations.
 
-The join predictor extends the paper's model (which stops at selection /
-aggregation plans) with the obvious per-strategy terms; DESIGN.md lists it as
-an extension.
+A join's outer core is priced as a selection core is; its inner input,
+JOIN and fetches get the join extension's terms (the paper's model stops
+at selection / aggregation plans; DESIGN.md lists it as an extension).
 """
 
 from __future__ import annotations
@@ -24,13 +24,10 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from ..errors import UnsupportedOperationError
-from ..planner.estimate import (
-    estimate_block_fragments,
-    estimate_read_fraction,
-    estimate_selectivity,
-)
+from ..planner.estimate import estimate_block_fragments, estimate_read_fraction
 from ..planner.logical import JoinQuery, SelectQuery
 from ..planner.nodes import (
+    JoinFacts,
     PlanFacts,
     PlanNode,
     partition_facts,
@@ -96,11 +93,11 @@ def _position_run_length(meta: ColumnMeta, sf: float) -> float:
     return float(_BITMAP_WORD) if sf > 1.0 / _BITMAP_WORD else 1.0
 
 
-def _estimated_groups(projection: Projection, query: SelectQuery, survivors: float) -> float:
+def _estimated_groups(files, group_columns, survivors: float) -> float:
     """Crude distinct-group estimate for aggregate output sizing."""
     bound = 1.0
-    for col in query.group_columns:
-        cf = projection.column(col).file(query.encoding_map.get(col))
+    for col in group_columns:
+        cf = files[col]
         bound *= cf.total_runs if cf.encoding.supports_runs else cf.n_values
     return min(bound, survivors)
 
@@ -143,11 +140,23 @@ def predict_strategies(
     the executor's error is raised. A partitioned prediction is the sum
     over the surviving partitions' sub-plans, each step prefixed with its
     partition's name; a fully pruned query predicts (and costs) zero. Over
-    *pending* writes, the stored part of the plan is what is priced.
+    *pending* writes, the stored part of the plan is what is priced. A
+    :class:`~repro.planner.logical.JoinQuery` is priced over its ``(left,
+    right)`` pair *projection*, per inner-table strategy.
     """
     strategies = tuple(strategies)
     if not strategies:
         return {}
+    if isinstance(query, JoinQuery):
+        facts = JoinFacts(*projection, query, pending)
+        outer = _Inputs(facts.outer, resident)
+        inner = _Inputs(facts.inner, resident)
+        return {
+            strategy: PlanPrediction(strategy.value, _price_join(
+                facts, outer, inner.metas, facts.core(strategy), constants
+            ))
+            for strategy in strategies
+        }
     sub_query = stored_query(projection, query, pending)
     if projection.is_partitioned:
         from ..planner.partitioned import prune_partitions
@@ -202,7 +211,7 @@ class _Inputs:
         else:
             self.survivors = math.prod((sf for *_, sf in self.conds), start=1.0) * n
         self.out_tuples = int(
-            _estimated_groups(projection, query, self.survivors)
+            _estimated_groups(files, query.group_columns, self.survivors)
             if query.aggregates else self.survivors
         )
         self.fragments = None
@@ -222,9 +231,48 @@ def _price(
     most-selective-first; the DS3 extractions feeding MERGE / AGG are priced
     once per value column, then that operator together with the output.
     """
+    steps, tail, pinned, rlp = _price_scans(facts, inputs, nodes, k)
+    survivors, out_tuples = inputs.survivors, inputs.out_tuples
+    value_cols = facts.query.value_columns
+    output = output_cost(out_tuples, k)
+    if tail is None:
+        return steps + [("output", output)]
+    if tail.case == "tuple":
+        agg = OperatorCost(cpu_us=survivors * k.tictup, io_us=0.0)
+        return steps + [("aggregate+output", agg + output)]
+    steps += [
+        (f"DS3({col})", _extraction(facts, inputs, col, rlp, pinned, k))
+        for col in value_cols
+    ]
+    if tail.op == "AGG":
+        agg = OperatorCost(cpu_us=survivors * k.ticcol, io_us=0.0)
+        merge = merge_cost(out_tuples, len(value_cols), k)
+        return steps + [("aggregate+output", agg + merge + output)]
+    merge = merge_cost(int(survivors), len(value_cols), k)
+    return steps + [("merge+output", merge + output)]
+
+
+def _extraction(facts, inputs, col, rlp, pinned, k) -> OperatorCost:
+    """DS3 of *col* at a core's surviving positions, whose run length is
+    *rlp* (infinite when no predicate ran)."""
+    meta = inputs.metas[col]
+    rlp = float(facts.projection.n_rows) if rlp == math.inf else rlp
+    # Extraction from run-length columns jumps per run, not per position,
+    # whatever the position representation.
+    return ds_case3_cost(
+        meta, int(inputs.survivors), max(rlp, meta.run_length), k,
+        reaccess=col in pinned, seek_fragments=inputs.fragments,
+    )
+
+
+def _price_scans(facts: PlanFacts, inputs: _Inputs, nodes, k: ModelConstants):
+    """The steps of a core's scans (DS1, AND, DS3+filter, DS2, DS4, SPC)
+    in execution order, then what the operators after them are priced
+    from: the MERGE / AGG node (None when there is none), the columns a
+    DS1 scan pinned for re-access and the surviving positions' run
+    length."""
     query, projection, n = facts.query, facts.projection, facts.projection.n_rows
     metas, conds, fragments = inputs.metas, inputs.conds, inputs.fragments
-    survivors, out_tuples = inputs.survivors, inputs.out_tuples
     pinned = set()  # columns a DS1 scan pins for re-access
     operands = {j for node in nodes if node.op == "AND" for j in node.inputs}
     steps, deferred, tail = [], {}, None
@@ -283,28 +331,7 @@ def _price(
         if op in ("DS1", "DS3+filter"):
             rlp = min(rlp, _position_run_length(metas[col], sf))
         running *= sf
-
-    value_cols = query.value_columns
-    output = output_cost(out_tuples, k)
-    if tail is None:
-        return steps + [("output", output)]
-    if tail.case == "tuple":
-        agg = OperatorCost(cpu_us=survivors * k.tictup, io_us=0.0)
-        return steps + [("aggregate+output", agg + output)]
-    rlp = float(n) if rlp == math.inf else rlp
-    for col in value_cols:
-        # Extraction from run-length columns jumps per run, not per
-        # position, whatever the position representation.
-        steps.append((f"DS3({col})", ds_case3_cost(
-            metas[col], int(survivors), max(rlp, metas[col].run_length), k,
-            reaccess=col in pinned, seek_fragments=fragments,
-        )))
-    if tail.op == "AGG":
-        agg = OperatorCost(cpu_us=survivors * k.ticcol, io_us=0.0)
-        merge = merge_cost(out_tuples, len(value_cols), k)
-        return steps + [("aggregate+output", agg + merge + output)]
-    merge = merge_cost(int(survivors), len(value_cols), k)
-    return steps + [("merge+output", merge + output)]
+    return steps, tail, pinned, rlp
 
 
 def predict_join(
@@ -315,95 +342,122 @@ def predict_join(
     constants: ModelConstants = PAPER_CONSTANTS,
     resident: float = 0.0,
 ) -> PlanPrediction:
-    """Predict join cost per inner-table strategy (our model extension)."""
-    k = constants
-    enc = query.encoding_map
-    pred = PlanPrediction(strategy=right_strategy.value)
-    n_left = left_projection.n_rows
-    n_right = right_projection.n_rows
+    """Predict *query* under one inner-table strategy (our model
+    extension); :func:`predict_strategies` over the ``(left, right)``
+    pair."""
+    return predict_strategies(
+        (left_projection, right_projection), query, (right_strategy,),
+        constants, resident,
+    )[right_strategy]
 
-    left_key_file = left_projection.column(query.left_key).file(
-        enc.get(query.left_key)
+
+def _price_join(
+    facts: JoinFacts,
+    inputs: _Inputs,
+    metas: dict[str, ColumnMeta],
+    nodes: list[PlanNode],
+    k: ModelConstants,
+) -> list[tuple[str, OperatorCost]]:
+    """The prediction steps of a join's nodes.
+
+    The outer core is priced as a selection core from its *inputs* (SPC,
+    or the DS1 leaves and their AND, then the left key's DS3 extraction).
+    The rest get the join extension's terms, from the inner columns'
+    *metas*: the inner input, the probe (a build pass over the inner keys
+    and one lookup per outer row), the fetches (the right values at
+    unordered positions: a sort, then one jump per match per column), then
+    MERGE, or AGG priced as a selection's vector aggregation, with the
+    output. Every outer survivor is assumed to find its key (FK-PK).
+    """
+    query, n_outer = facts.query, facts.n_outer
+    steps, _tail, pinned, rlp = _price_scans(
+        facts.outer, inputs, nodes[:n_outer], k
     )
-    sf = 1.0
-    for p in query.left_predicates:
-        sf *= estimate_selectivity(
-            left_projection.column(p.column).file(enc.get(p.column)), p
-        )
-    matches = sf * n_left
+    if not facts.early:
+        steps.append(("DS3(left key)", _extraction(
+            facts.outer, inputs, query.left_key, rlp, pinned, k
+        )))
+    n_right = facts.inner.projection.n_rows
+    matches = inputs.survivors
+    right_cols = query.right_select
 
-    left_meta = ColumnMeta.from_file(left_key_file, resident=resident)
-    pred.add("DS1(left key)", ds_case1_cost(left_meta, sf, k))
-    rlp = _position_run_length(left_meta, sf)
-    pred.add(
-        "DS3(left key)", ds_case3_cost(left_meta, int(matches), rlp, k, reaccess=True)
-    )
-
-    right_metas = {
-        c: ColumnMeta.from_file(
-            right_projection.column(c).file(enc.get(c)), resident=resident
+    def read_all(columns) -> OperatorCost:
+        """Every block of *columns*, read and iterated once."""
+        return OperatorCost(
+            cpu_us=sum(metas[c].blocks * k.bic for c in columns),
+            io_us=sum(
+                (metas[c].blocks / k.pf * k.seek + metas[c].blocks * k.read)
+                * (1 - metas[c].resident)
+                for c in columns
+            ),
         )
-        for c in (query.right_key, *query.right_select)
-    }
+
     probe = OperatorCost(
         cpu_us=n_right * k.ticcol + n_right * k.fc + matches * k.fc, io_us=0.0
     )
-    if right_strategy is RightTableStrategy.MATERIALIZED:
-        pred.add(
-            "SPC(right)",
-            spc_cost(list(right_metas.values()), [1.0] * len(right_metas), k),
-        )
-        pred.add("probe+emit", probe + OperatorCost(cpu_us=matches * k.tictup))
-    elif right_strategy is RightTableStrategy.MULTI_COLUMN:
-        io = sum(
-            (m.blocks / k.pf * k.seek + m.blocks * k.read) * (1 - m.resident)
-            for m in right_metas.values()
-        )
-        cpu = sum(m.blocks * k.bic for m in right_metas.values())
-        pred.add("pin(right)", OperatorCost(cpu_us=cpu, io_us=io))
-        extract = OperatorCost(
-            cpu_us=matches * (len(query.right_select)) * (k.fc + k.ticcol)
-        )
-        pred.add("probe+extract", probe + extract)
-    else:
-        key_meta = right_metas[query.right_key]
-        pred.add("DS3(right key)", ds_case3_cost(key_meta, n_right, n_right, k))
-        # Out-of-order positional fetch: sort the match positions, then one
-        # jump per match per column — the pure-LM penalty.
-        log_n = math.log2(max(matches, 2.0))
-        sort = OperatorCost(cpu_us=matches * log_n * k.fc)
-        fetch = OperatorCost(
-            cpu_us=matches
-            * len(query.right_select)
-            * (k.ticcol + 2 * k.fc)
-        )
-        io = sum(
-            (m.blocks / k.pf * k.seek + m.blocks * k.read) * (1 - m.resident)
-            for c, m in right_metas.items()
-            if c != query.right_key
-        )
-        pred.add("probe", probe)
-        pred.add("fetch out-of-order", sort + fetch + OperatorCost(io_us=io))
-
-    fetch_left = ds_case3_cost(
-        ColumnMeta.from_file(
-            left_projection.column(query.left_select[0]).file(
-                enc.get(query.left_select[0])
-            ),
-            resident=resident,
-        )
-        if query.left_select
-        else left_meta,
-        int(matches),
-        rlp,
-        k,
-    )
-    pred.add("DS3(left values)", fetch_left)
-    pred.add(
-        "merge+output",
-        merge_cost(
-            int(matches), len(query.left_select) + len(query.right_select), k
-        )
-        + output_cost(int(matches), k),
-    )
-    return pred
+    for node in nodes[n_outer:]:
+        op, case = node.op, node.case
+        if op == "SPC":
+            steps.append(("SPC(right)", spc_cost(
+                list(metas.values()), [1.0] * len(metas), k
+            )))
+        elif op == "PIN":
+            steps.append(("pin(right)", read_all(metas)))
+        elif op == "DS3":
+            steps.append(("DS3(right key)", ds_case3_cost(
+                metas[query.right_key], n_right, n_right, k
+            )))
+        elif op == "JOIN" and case == "materialized":
+            emit = OperatorCost(cpu_us=matches * k.tictup)
+            steps.append(("probe+emit", probe + emit))
+        elif op == "JOIN" and case == "multi-column":
+            extract = OperatorCost(
+                cpu_us=matches * len(right_cols) * (k.fc + k.ticcol)
+            )
+            steps.append(("probe+extract", probe + extract))
+        elif op == "JOIN":
+            steps.append(("probe", probe))
+        elif op == "FETCH" and case == "right":
+            # Out-of-order positional fetch: sort the match positions, then
+            # one jump per match per column — the pure-LM penalty.
+            log_n = math.log2(max(matches, 2.0))
+            sort = OperatorCost(cpu_us=matches * log_n * k.fc)
+            fetch = OperatorCost(
+                cpu_us=matches * len(right_cols) * (k.ticcol + 2 * k.fc)
+            )
+            io = OperatorCost(io_us=read_all(
+                [c for c in metas if c != query.right_key]
+            ).io_us)
+            steps.append(("fetch out-of-order", sort + fetch + io))
+        elif op == "FETCH" and facts.early:
+            # The surviving outer rows, picked out of the outer tuples.
+            rows = OperatorCost(cpu_us=matches * k.tictup)
+            steps.append(("left rows", rows))
+        elif op == "FETCH":
+            key = inputs.metas[query.left_key]
+            first = query.left_select[0] if query.left_select else None
+            meta = inputs.metas[first] if first else key
+            sf = matches / max(facts.outer.projection.n_rows, 1)
+            steps.append(("DS3(left values)", ds_case3_cost(
+                meta, int(matches), _position_run_length(key, sf), k
+            )))
+        elif op == "AGG":
+            files = {**facts.outer.files, **facts.inner.files}
+            groups = int(
+                _estimated_groups(files, query.group_columns, matches)
+            )
+            value_cols = dict.fromkeys([
+                *query.group_columns,
+                *(s.column for s in query.aggregates if s.func != "count"),
+            ])
+            agg = OperatorCost(cpu_us=matches * k.ticcol)
+            merge = merge_cost(groups, len(value_cols), k)
+            output = output_cost(groups, k)
+            steps.append(("aggregate+output", agg + merge + output))
+        elif op == "MERGE":
+            merge = merge_cost(
+                int(matches), len(query.left_select) + len(right_cols), k
+            )
+            output = output_cost(int(matches), k)
+            steps.append(("merge+output", merge + output))
+    return steps

@@ -61,14 +61,5 @@ class MultiColumn:
             minicolumns=merged,
         )
 
-    def with_descriptor(self, descriptor: PositionSet) -> "MultiColumn":
-        """Replace the position descriptor, keeping mini-columns pinned."""
-        return MultiColumn(
-            start=self.start,
-            stop=self.stop,
-            descriptor=descriptor,
-            minicolumns=dict(self.minicolumns),
-        )
-
     def valid_count(self) -> int:
         return self.descriptor.count()

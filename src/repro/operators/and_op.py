@@ -1,17 +1,13 @@
 """Position-list AND (paper Section 3.3).
 
-Takes k filtered position sets (or multi-columns) and produces their
-intersection. Ranges are intersected first (constant cost), then bitmaps
-word-wise, then anything else — the three cases of the paper's model. When the
-inputs are multi-columns, the output multi-column unions their mini-column
-arrays while intersecting descriptors; copying the mini-column pointers is the
-paper's zero-cost operation.
+Takes k filtered position sets and produces their intersection. Ranges are
+intersected first (constant cost), then bitmaps word-wise, then anything
+else — the three cases of the paper's model.
 """
 
 from __future__ import annotations
 
 from ..errors import ExecutionError
-from ..multicolumn import MultiColumn
 from ..positions import PositionSet, intersect_all
 from .base import ExecutionContext, position_groups
 
@@ -34,7 +30,7 @@ def and_groups(positions: PositionSet) -> int:
 
 
 class AndOp:
-    """Intersect position sets / multi-columns."""
+    """Intersect position sets."""
 
     def __init__(self, ctx: ExecutionContext):
         self.ctx = ctx
@@ -68,14 +64,3 @@ class AndOp:
             )
         return result
 
-    def execute_multicolumns(self, inputs: list[MultiColumn]) -> MultiColumn:
-        if not inputs:
-            raise ExecutionError("AND of zero multi-columns")
-        descriptor = self.execute_positions([mc.descriptor for mc in inputs])
-        start = max(mc.start for mc in inputs)
-        stop = min(mc.stop for mc in inputs)
-        merged = MultiColumn(start=start, stop=stop, descriptor=descriptor)
-        for mc in inputs:
-            for mini in mc.minicolumns.values():
-                merged.attach(mini)
-        return merged

@@ -142,13 +142,6 @@ class ExecutionContext:
             return column_file.encoding.decode(payload, desc, column_file.dtype)
         return self.decoded.values(column_file, desc, payload, self.stats)
 
-    def decode_block(
-        self, column_file: ColumnFile, desc: BlockDescriptor
-    ) -> np.ndarray:
-        """Read one block through the pool and decode it (cached when warm)."""
-        payload = self.read_block(column_file, desc.index)
-        return self.decode_payload(column_file, desc, payload)
-
     def run_table(
         self, column_file: ColumnFile, desc: BlockDescriptor, payload: bytes
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import UnsupportedOperationError
-from ..multicolumn import MiniColumn, MultiColumn
+from ..multicolumn import MiniColumn
 from ..positions import (
     BitmapPositions,
     ListedPositions,
@@ -94,12 +94,6 @@ class ScanResult:
     positions: PositionSet
     minicolumn: MiniColumn | None = None
     values: np.ndarray | None = None
-
-    def as_multicolumn(self, n_rows: int) -> MultiColumn:
-        mc = MultiColumn(start=0, stop=n_rows, descriptor=self.positions)
-        if self.minicolumn is not None:
-            mc.attach(self.minicolumn)
-        return mc
 
 
 class DS1Scan:

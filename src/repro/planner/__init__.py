@@ -2,11 +2,11 @@
 
 The planner turns a :class:`~repro.planner.logical.SelectQuery` or
 :class:`~repro.planner.logical.JoinQuery` into one of the paper's four
-physical plan shapes (EM/LM x pipelined/parallel) and executes it. A
-selection's shape is built once, by :func:`~repro.planner.nodes.plan_nodes`;
+physical plan shapes (EM/LM x pipelined/parallel), or a join's, and executes
+it. A plan's shape is built once, by :func:`~repro.planner.nodes.plan_nodes`;
 the executor runs those nodes, the cost model prices them, EXPLAIN renders
 them, and the model-driven :mod:`~repro.planner.optimizer` picks the
-strategy predicted to be fastest.
+strategy (for a join, the inner-table strategy) predicted to be fastest.
 """
 
 from .logical import JoinQuery, SelectQuery

@@ -3,9 +3,10 @@
 Two renderers live here:
 
 * :func:`describe_plan` renders the nodes :func:`repro.planner.nodes.plan_nodes`
-  builds — the plan the executor runs — annotated with the physical facts the
-  strategy decision rests on: encodings, block counts, run lengths,
-  estimated selectivities, index availability.
+  builds — the plan the executor runs, a selection's or a join's —
+  annotated with the physical facts the strategy decision rests on:
+  encodings, block counts, run lengths, estimated selectivities, index
+  availability.
 * :func:`render_span_tree` renders a *measured* execution — the span tree
   EXPLAIN ANALYZE produces — with per-operator wall-clock, simulated-time
   attribution and cache interactions.
@@ -14,8 +15,9 @@ Two renderers live here:
 from __future__ import annotations
 
 from ..storage.projection import Projection
-from .logical import SelectQuery
+from .logical import JoinQuery, SelectQuery
 from .nodes import (
+    JoinFacts,
     executed_strategy,
     grouped_predicates,
     plan_nodes,
@@ -23,7 +25,6 @@ from .nodes import (
     tail_ops,
     uses_index,
 )
-from .strategies import Strategy
 
 #: detail keys already surfaced elsewhere on a span line.
 _SKIP_DETAIL = frozenset(
@@ -131,6 +132,12 @@ def _render(nodes, projection, query, depth: int) -> list[str]:
         op, col, pad = node.op, node.column, "  " * depth
         if op == "AGG" and node.case == "tuple":
             return tree(node.inputs[0], depth, parent)
+        if op == "PIN":
+            cols = ", ".join(f"{c} [{note(c)}]" for c in query.all_columns)
+            return [
+                f"{pad}PIN(every block into one multi-column)",
+                f"{pad}  pin: {cols}",
+            ]
         if op in ("AND", "UNION"):
             lines = [pad + ("AND" if op == "AND" else "UNION of position sets")]
             return lines + [x for j in node.inputs for x in tree(j, depth + 1, op)]
@@ -171,20 +178,62 @@ def _render(nodes, projection, query, depth: int) -> list[str]:
     return lines + tree(top, depth, None)
 
 
-def describe_plan(
-    projection: Projection, query: SelectQuery, strategy: Strategy, pending=None
-) -> str:
+def _describe_join(facts: JoinFacts, strategy) -> str:
+    """A join's plan, from the top: MERGE or AGG, the fetches, JOIN, then
+    the outer core and the inner input as selection cores are drawn."""
+    query, k = facts.query, facts.n_outer
+    nodes = facts.core(strategy)
+    left, right = query.left_select, query.right_select
+    lines = [
+        f"{strategy.value} join plan: {facts.outer.projection.name!r} "
+        f"({query.left_strategy} outer input) x "
+        f"{facts.inner.projection.name!r}"
+    ]
+    for node in reversed(nodes[k + 1:]):
+        if node.op == "AGG":
+            lines.append("  " + _annotation(node, query))
+        elif node.op == "MERGE":
+            lines.append(f"  Merge({', '.join((*left, *right))})")
+        elif node.op == "FETCH" and node.case == "right":
+            lines.append(
+                f"  Fetch right({', '.join(right)}) at unordered join "
+                "positions (sort, jump per match)"
+            )
+        elif node.op == "FETCH":
+            lines.append(f"  Fetch left({', '.join(left)}) " + (
+                "from the outer tuples" if facts.early
+                else "at ordered join positions (merge join on position)"
+            ))
+        elif node.op == "JOIN":
+            lines.append(
+                f"  Join({query.left_key} = {query.right_key}, "
+                f"{node.case} inner input)"
+            )
+    lines.append("    outer:")
+    lines += _render(nodes[:k], facts.outer.projection, facts.outer.query, 3)
+    lines.append("    inner:")
+    lines += _render(
+        nodes[k:k + 1], facts.inner.projection, facts.inner.query, 3
+    )
+    return "\n".join(lines)
+
+
+def describe_plan(projection, query, strategy, pending=None) -> str:
     """Render the physical operator tree for *query* under *strategy*.
 
     A plan that combines partials renders the tail that runs once, then
     COMBINE, DELTA and GHOST over *pending* writes, then the stored part:
     the operator core, or on a partitioned projection the zone-map pruning
-    outcome and each surviving partition's sub-plan.
+    outcome and each surviving partition's sub-plan. A
+    :class:`~repro.planner.logical.JoinQuery` renders over its ``(left,
+    right)`` pair *projection*.
 
     Raises:
         UnsupportedOperationError: *strategy* cannot run *query*.
         ExecutionError: *query* cannot merge with *pending* writes.
     """
+    if isinstance(query, JoinQuery):
+        return _describe_join(JoinFacts(*projection, query, pending), strategy)
     strategy = executed_strategy(query, strategy)
     nodes = plan_nodes(projection, query, strategy, pending)
     header = f"{strategy.value} plan over projection {projection.name!r}"

@@ -94,9 +94,6 @@ class SelectQuery:
     def encoding_map(self) -> dict[str, str]:
         return dict(self.encodings)
 
-    def encoding_for(self, column: str) -> str | None:
-        return self.encoding_map.get(column)
-
     @property
     def all_predicates(self) -> tuple[Predicate, ...]:
         """Every predicate anywhere in the WHERE clause (flattened)."""

@@ -1,10 +1,11 @@
-"""The operator nodes of a selection plan, built once from column metadata.
+"""The operator nodes of a plan, built once from column metadata.
 
 The paper's Section 3 model prices exactly the operator tree each strategy
 builds, so that tree is written down once, here: :func:`plan_nodes` lists
-its operators in execution order (pending writes fold in through
-``GHOST``, ``DELTA`` and the plan's one ``COMBINE``), and three views read
-the same list — the
+its operators in execution order — a selection's (pending writes fold in
+through ``GHOST``, ``DELTA`` and the plan's one ``COMBINE``) or a join's
+(:class:`JoinFacts`: the outer core, the inner input, ``JOIN``, the
+fetches, ``MERGE`` or ``AGG``) — and three views read the same list — the
 executor (:mod:`repro.planner.plans`) runs them, one span per traced node;
 the predictor (:mod:`repro.model.predictor`) attaches a
 :mod:`repro.model.cost` formula to each; EXPLAIN
@@ -31,7 +32,8 @@ from ..errors import (
 )
 from ..predicates import Predicate, combine_column_predicates
 from .estimate import estimate_selectivity
-from .strategies import Strategy
+from .logical import JoinQuery, SelectQuery
+from .strategies import LeftTableStrategy, RightTableStrategy, Strategy
 
 
 class PlanNode(NamedTuple):
@@ -41,8 +43,10 @@ class PlanNode(NamedTuple):
     within its operator core (the outline around the cores — PRUNE,
     PARTITION, GHOST, DELTA, COMBINE — and the tail consume the result so
     far). ``case`` says which variant runs: DS1 ``leaf`` (an independent
-    LM-parallel leaf), DS3 ``extract`` / ``gather`` / ``group``, AGG
-    ``tuple`` / ``vector``, COMBINE ``aggregate`` / ``concat``.
+    LM-parallel leaf), DS3 ``extract`` / ``gather`` / ``group`` / ``key``
+    (a join's outer key at the surviving positions), AGG ``tuple`` /
+    ``vector``, COMBINE ``aggregate`` / ``concat``, JOIN the inner-table
+    strategy, FETCH the join side it fetches (``left`` / ``right``).
     ``partition`` is set on a PARTITION node and on the nodes of its
     sub-plan.
     """
@@ -82,10 +86,12 @@ def uses_index(projection, node: PlanNode) -> bool:
     )
 
 
-def executed_strategy(query, strategy: Strategy) -> Strategy:
+def executed_strategy(query, strategy):
     """The strategy whose plan runs: a disjunction always runs the
     position-set union, which is the LM-parallel plan."""
-    return Strategy.LM_PARALLEL if query.disjuncts else strategy
+    if isinstance(query, SelectQuery) and query.disjuncts:
+        return Strategy.LM_PARALLEL
+    return strategy
 
 
 def tail_ops(query) -> list[str]:
@@ -193,6 +199,93 @@ class PlanFacts:
         return nodes
 
 
+class JoinFacts:
+    """The metadata a join's nodes are built from: the :class:`PlanFacts`
+    of its two sides, each read as a selection — the outer one (``outer``)
+    of the left key, the left select list and the predicate columns, the
+    inner one (``inner``) of the right key and the right select list.
+
+    A join's nodes are its outer core (``n_outer`` nodes: EM-parallel's
+    SPC for an EARLY outer input; for a LATE one the DS1 leaves, their AND
+    when there are two or more, then the DS3 gather of the left key), then
+    one inner input node, then ``JOIN`` and what follows it.
+
+    Raises:
+        ExecutionError: a side has *pending* writes (``{table: count}``);
+            joins read the read store only.
+    """
+
+    def __init__(self, left, right, query: JoinQuery, pending=None):
+        if pending:
+            table, count = next(iter(pending.items()))
+            raise ExecutionError(
+                f"table {table!r} has {count} pending writes; call "
+                "Database.merge() before joining"
+            )
+        self.query = query
+        self.outer = PlanFacts(left, SelectQuery(
+            projection=query.left,
+            select=tuple(dict.fromkeys((query.left_key, *query.left_select))),
+            predicates=query.left_predicates,
+            encodings=query.encodings,
+        ))
+        self.inner = PlanFacts(right, SelectQuery(
+            projection=query.right,
+            select=tuple(dict.fromkeys((query.right_key, *query.right_select))),
+            encodings=query.encodings,
+        ))
+        self.early = (
+            LeftTableStrategy.from_name(query.left_strategy)
+            is LeftTableStrategy.EARLY
+        )
+        if self.early:
+            self.outer_nodes = self.outer.core(Strategy.EM_PARALLEL)
+        else:
+            nodes = [
+                PlanNode("DS1", *cond, case="leaf")
+                for cond in self.outer.where[0]
+            ]
+            if len(nodes) > 1:
+                nodes.append(PlanNode("AND", inputs=tuple(range(len(nodes)))))
+            source = (len(nodes) - 1,) if nodes else ()
+            nodes.append(
+                PlanNode("DS3", query.left_key, inputs=source, case="key")
+            )
+            self.outer_nodes = nodes
+
+    @property
+    def n_outer(self) -> int:
+        """How many nodes the outer core is; the inner input follows."""
+        return len(self.outer_nodes)
+
+    def core(self, strategy: RightTableStrategy) -> list[PlanNode]:
+        """Every node the join runs with the *strategy* inner input."""
+        nodes = list(self.outer_nodes)
+
+        def add(op, column=None, inputs=(), case=""):
+            nodes.append(PlanNode(op, column, inputs=tuple(inputs), case=case))
+            return len(nodes) - 1
+
+        outer = len(nodes) - 1
+        if strategy is RightTableStrategy.MATERIALIZED:
+            inner = add("SPC")
+        elif strategy is RightTableStrategy.MULTI_COLUMN:
+            inner = add("PIN")
+        else:
+            inner = add("DS3", self.query.right_key, case="extract")
+        join = add("JOIN", inputs=(outer, inner), case=strategy.value)
+        # Single-column's JOIN outputs positions only: the right values are
+        # fetched at its unordered right positions.
+        fetches = (
+            [add("FETCH", inputs=(join,), case="right")]
+            if strategy is RightTableStrategy.SINGLE_COLUMN else []
+        )
+        fetches.append(add("FETCH", inputs=(join,), case="left"))
+        top = "AGG" if self.query.aggregates else "MERGE"
+        add(top, inputs=(join, *fetches))
+        return nodes + [PlanNode("OUTPUT")]
+
+
 def stored_query(projection, query, pending=None):
     """The one planner rule for the query the stored part of a plan runs.
 
@@ -290,12 +383,18 @@ def plan_nodes(
 
     The order is execution order, so a traced execution's pre-order spans
     are the traced nodes' ``(op, column)``. Each PARTITION node is followed
-    by its partition's operator core, built for :func:`stored_query`.
+    by its partition's operator core, built for :func:`stored_query`. A
+    :class:`~repro.planner.logical.JoinQuery` reads the ``(left, right)``
+    pair *projection* under a
+    :class:`~repro.planner.strategies.RightTableStrategy` (see
+    :class:`JoinFacts`).
 
     Raises:
         UnsupportedOperationError: *strategy* cannot run *query*.
         ExecutionError: *query* cannot merge with *pending* writes.
     """
+    if isinstance(query, JoinQuery):
+        return JoinFacts(*projection, query, pending).core(strategy)
     sub_query = stored_query(projection, query, pending)
     nodes = []
     for node in plan_outline(projection, query, strategy, pending):

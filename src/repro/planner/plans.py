@@ -1,9 +1,10 @@
-"""Physical plan execution for the four strategies.
+"""Physical plan execution for the four strategies and the join.
 
 :func:`execute_select` runs the nodes :func:`repro.planner.nodes.plan_nodes`
 builds — the operator trees of the paper's Figures 7 and 8, and the outline
-around them — in order, column-at-a-time, one span per traced node. Every
-plan ends by draining the rows it returns, once (charging the output
+around them — in order, column-at-a-time, one span per traced node;
+:func:`execute_join` runs a join's, its two sides through the same walk.
+Every plan ends by draining the rows it returns, once (charging the output
 iteration the paper includes in both model and measurements).
 """
 
@@ -47,17 +48,8 @@ from ..positions import ListedPositions, RangePositions, union_all
 from ..storage.column_file import ColumnFile
 from ..storage.projection import Projection
 from .logical import JoinQuery, SelectQuery
-from .nodes import PlanFacts, PlanNode, grouped_predicates, stored_query
-from .strategies import LeftTableStrategy, RightTableStrategy, Strategy
-
-
-def _column_files(
-    projection: Projection, query: SelectQuery | JoinQuery, columns: list[str]
-) -> dict[str, ColumnFile]:
-    enc = query.encoding_map
-    return {
-        col: projection.column(col).file(enc.get(col)) for col in columns
-    }
+from .nodes import JoinFacts, PlanFacts, PlanNode, stored_query
+from .strategies import RightTableStrategy, Strategy
 
 
 def execute_select(
@@ -184,6 +176,12 @@ def run_core(
 ) -> TupleSet:
     """Execute an operator core in node order; the result is the last
     node's output, projected to the select list."""
+    return _walk(ctx, facts, nodes).select(list(facts.query.select))
+
+
+def _walk(ctx: ExecutionContext, facts: PlanFacts, nodes: list[PlanNode]):
+    """Run *nodes* — an operator core, or one side of a join — in order
+    over *facts*' columns; the last node's output."""
     query, files = facts.query, facts.files
     full = RangePositions(0, facts.projection.n_rows)  # no predicate ran
     out: dict[int, object] = {}
@@ -226,6 +224,19 @@ def run_core(
             out[i] = DS3Gather(
                 ctx, files[col], args[0], predicate=node.predicate
             ).execute().positions
+        elif op == "DS3" and node.case == "key":
+            # A join's outer key at the surviving positions: the positions
+            # and the keys go into JOIN together.
+            span = ctx.begin("DS3")
+            positions = (
+                args[0].to_array() if args
+                else np.arange(facts.projection.n_rows, dtype=np.int64)
+            )
+            keys = gather_values(
+                ctx, files[col], positions, minicolumn=minicolumns.get(col)
+            )
+            ctx.end(span, column=col, positions=len(positions))
+            out[i] = positions, keys
         elif op == "DS3" and node.case == "extract":
             out[i] = DS3Gather(
                 ctx, files[col], (args or [full])[0], minicolumn=minicolumns.get(col)
@@ -266,10 +277,14 @@ def run_core(
             out[i] = DS2Scan(ctx, files[col], node.predicate).execute()
         elif op == "DS4":
             out[i] = DS4Scan(ctx, files[col], node.predicate, args[0]).execute()
+        elif op == "PIN":
+            span = ctx.begin("PIN")
+            out[i] = _pin_multicolumn(ctx, files)
+            ctx.end(span, columns=list(files), rows=facts.projection.n_rows)
         else:  # pragma: no cover - plan_nodes builds no other core node
             raise PlanError(f"no executor for {op}")
         del args
-    return out[len(nodes) - 1].select(list(query.select))
+    return out[len(nodes) - 1]
 
 
 def _gather(ctx, query, node, cf, minicolumn, positions, array):
@@ -306,13 +321,12 @@ def _gather(ctx, query, node, cf, minicolumn, positions, array):
 
 
 def _pin_multicolumn(
-    ctx: ExecutionContext, files: dict[str, ColumnFile], columns: list[str]
+    ctx: ExecutionContext, files: dict[str, ColumnFile]
 ) -> MultiColumn:
     """Read the given columns fully, pinning payloads into a multi-column."""
-    n_rows = max(files[c].n_values for c in columns)
+    n_rows = max(cf.n_values for cf in files.values())
     mc = MultiColumn(start=0, stop=n_rows, descriptor=RangePositions(0, n_rows))
-    for col in columns:
-        cf = files[col]
+    for cf in files.values():
         mini = MiniColumn(cf)
         for desc in cf.descriptors:
             mini.pin(desc, ctx.read_block(cf, desc.index))
@@ -326,119 +340,83 @@ def execute_join(
     right_projection: Projection,
     query: JoinQuery,
     right_strategy: RightTableStrategy,
+    pending: dict[str, int] | None = None,
 ) -> TupleSet:
-    """Run the FK-PK join with the chosen inner-table materialization."""
-    left_cols = [query.left_key] + [
-        c for c in query.left_select if c != query.left_key
-    ]
-    for pred in query.left_predicates:
-        if pred.column not in left_cols:
-            left_cols.append(pred.column)
-    right_cols = [query.right_key] + [
-        c for c in query.right_select if c != query.right_key
-    ]
-    left_files = _column_files(left_projection, query, left_cols)
-    right_files = _column_files(right_projection, query, right_cols)
-    col_preds = grouped_predicates(query.left_predicates)
-    left_strategy = LeftTableStrategy.from_name(query.left_strategy)
-
-    left_tuples = None
-    if left_strategy is LeftTableStrategy.EARLY:
-        # EM outer input: construct the left tuples up front; the join then
-        # carries whole rows and "positions" are just row ordinals.
-        left_tuples = SPCScan(
-            ctx, left_files, list(col_preds.values())
-        ).execute()
-        left_keys = left_tuples.column(query.left_key)
-        left_positions = np.arange(left_tuples.n_tuples, dtype=np.int64)
-    # Outer side (LM): filter on the left predicates, keep positions + keys.
-    elif col_preds:
-        sets = []
-        minis: dict[str, MiniColumn] = {}
-        for col, pred in col_preds.items():
-            res = DS1Scan(
-                ctx,
-                left_files[col],
-                pred,
-                index=left_projection.column(col).index,
-            ).execute()
-            sets.append(res.positions)
-            if res.minicolumn is not None:
-                minis[col] = res.minicolumn
-        left_positions_set = (
-            AndOp(ctx).execute_positions(sets) if len(sets) > 1 else sets[0]
-        )
-        left_positions = left_positions_set.to_array()
-        left_keys = gather_values(
-            ctx,
-            left_files[query.left_key],
-            left_positions,
-            minicolumn=minis.get(query.left_key),
-        )
+    """Run the FK-PK join with the chosen inner-table materialization, as
+    :class:`~repro.planner.nodes.JoinFacts` lists its nodes: the outer core
+    and the inner input through the selection walk, then JOIN, the
+    fetches, MERGE or AGG, and the output drain."""
+    facts = JoinFacts(left_projection, right_projection, query, pending)
+    nodes = facts.core(right_strategy)
+    k = facts.n_outer
+    outer = _walk(ctx, facts.outer, nodes[:k])
+    inner = _walk(ctx, facts.inner, nodes[k:k + 1])
+    if facts.early:
+        # EM outer input: the left tuples are constructed up front; the
+        # join carries whole rows and "positions" are just row ordinals.
+        left_positions = np.arange(outer.n_tuples, dtype=np.int64)
+        left_keys = outer.column(query.left_key)
     else:
-        left_positions = np.arange(left_projection.n_rows, dtype=np.int64)
-        left_keys = gather_values(
-            ctx, left_files[query.left_key], left_positions
-        )
+        left_positions, left_keys = outer
+    right_cols = list(query.right_select)
+    left_values, right_values = {}, {}
+    for node in nodes[k + 1:]:
+        if node.op == "JOIN" and node.case == "materialized":
+            positions, matched = join_materialized(
+                ctx, left_keys, left_positions, inner, query.right_key
+            )
+            right_values = {c: matched.column(c) for c in right_cols}
+        elif node.op == "JOIN" and node.case == "multi-column":
+            positions, right_values = join_multicolumn(
+                ctx, left_keys, left_positions, inner, facts.inner.files,
+                query.right_key, right_cols,
+            )
+        elif node.op == "JOIN":
+            joined = join_single_column(ctx, left_keys, left_positions, inner)
+            positions = joined.left_positions
+        elif node.op == "FETCH":
+            span = ctx.begin("FETCH")
+            if node.case == "right":
+                right_values = fetch_right_columns(
+                    ctx, joined, facts.inner.files, right_cols
+                )
+            elif facts.early:
+                # The surviving rows already carry every left value.
+                rows = outer.data[positions]
+                ctx.stats.tuple_iterations += len(positions)
+                left_values = {
+                    c: rows[:, outer.column_index(c)]
+                    for c in query.left_select
+                }
+            else:
+                left_values = merge_fetch_left(
+                    ctx, positions, facts.outer.files, list(query.left_select)
+                )
+            ctx.end(span, side=node.case, positions=len(positions))
+        elif node.op == "AGG":
+            # Vector aggregation over the joined columns: only summary
+            # tuples are constructed — the paper's aggregated-join rule.
+            stitched = _stitch(query, left_values, right_values)
+            agg = AggregateLM(
+                ctx, list(query.group_columns), list(query.aggregates)
+            )
+            tuples = agg.execute(
+                {c: stitched[c] for c in query.group_columns},
+                {
+                    spec.column: stitched[spec.column]
+                    for spec in query.aggregates if spec.func != "count"
+                },
+            ).select(list(query.output_columns))
+        elif node.op == "MERGE":
+            tuples = MergeOp(ctx).execute(
+                _stitch(query, left_values, right_values)
+            )
+    return drain(ctx, tuples)  # OUTPUT, the last node
 
-    right_value_cols = list(query.right_select)
-    if right_strategy is RightTableStrategy.MATERIALIZED:
-        spc = SPCScan(ctx, right_files, [])
-        right_tuples = spc.execute()
-        out_positions, matched = join_materialized(
-            ctx, left_keys, left_positions, right_tuples, query.right_key
-        )
-        right_values = {c: matched.column(c) for c in right_value_cols}
-    elif right_strategy is RightTableStrategy.MULTI_COLUMN:
-        mc = _pin_multicolumn(ctx, right_files, right_cols)
-        out_positions, extracted = join_multicolumn(
-            ctx,
-            left_keys,
-            left_positions,
-            mc,
-            right_files,
-            query.right_key,
-            right_value_cols,
-        )
-        right_values = {c: extracted[c] for c in right_value_cols}
-    elif right_strategy is RightTableStrategy.SINGLE_COLUMN:
-        full = RangePositions(0, right_projection.n_rows)
-        key_scan = DS3Gather(ctx, right_files[query.right_key], full).execute()
-        join_out = join_single_column(
-            ctx, left_keys, left_positions, key_scan.values
-        )
-        out_positions = join_out.left_positions
-        right_values = fetch_right_columns(
-            ctx, join_out, right_files, right_value_cols
-        )
-    else:  # pragma: no cover - enum is closed
-        raise PlanError(f"unknown right-table strategy {right_strategy}")
 
-    if left_tuples is not None:
-        # EM outer input: the surviving rows already carry every left value.
-        rows = left_tuples.data[out_positions]
-        ctx.stats.tuple_iterations += len(out_positions)
-        left_values = {
-            c: rows[:, left_tuples.column_index(c)] for c in query.left_select
-        }
-    else:
-        left_values = merge_fetch_left(
-            ctx, out_positions, left_files, list(query.left_select)
-        )
+def _stitch(query: JoinQuery, left_values: dict, right_values: dict) -> dict:
+    """The joined columns in output order: the left select list, then the
+    right one."""
     stitched = {c: left_values[c] for c in query.left_select}
     stitched.update({c: right_values[c] for c in query.right_select})
-    if query.aggregates:
-        # Vector aggregation over the joined columns: only summary tuples
-        # are constructed — the paper's aggregated-join rule in action.
-        group_cols = list(query.group_columns)
-        agg = AggregateLM(ctx, group_cols, list(query.aggregates))
-        groups = {c: stitched[c] for c in group_cols}
-        columns = {
-            spec.column: stitched[spec.column]
-            for spec in query.aggregates
-            if spec.func != "count"
-        }
-        tuples = agg.execute(groups, columns)
-        return drain(ctx, tuples.select(list(query.output_columns)))
-    tuples = MergeOp(ctx).execute(stitched)
-    return drain(ctx, tuples)
+    return stitched

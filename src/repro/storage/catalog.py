@@ -262,37 +262,6 @@ class Catalog:
             ]
         )[0]
 
-    def replace_projection(
-        self,
-        name: str,
-        data,
-        schemas,
-        sort_keys,
-        encodings,
-        anchor=None,
-        partitions: int = 1,
-    ) -> Projection:
-        """Atomically swap a projection's contents (the tuple mover's write).
-
-        The new build is staged next to the old one and published by the
-        manifest commit; readers holding the old :class:`Projection` keep a
-        consistent (stale) view until they re-resolve, and the old
-        directory is deleted only after the commit.
-        """
-        return self._commit_builds(
-            [
-                dict(
-                    name=name,
-                    data=data,
-                    schemas=schemas,
-                    sort_keys=sort_keys,
-                    encodings=encodings,
-                    anchor=anchor,
-                    partitions=partitions,
-                )
-            ]
-        )[0]
-
     def commit_merge(
         self, table: str, builds: list[dict], wal_records: int
     ) -> list[Projection]:

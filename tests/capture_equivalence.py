@@ -11,9 +11,9 @@ the change and compare the two captures::
 
 ``--compare`` prints the first differing records, how many records of
 each kind differ (result, explain, describe, analyze, qlog, registry,
-write, pending), and for the reads over pending writes how many differ in
-each field: the answer, the error, ``simulated_ms``, the describe text and
-every ``QueryStats`` counter.
+spans, pick, write, pending), and for the reads over pending writes how
+many differ in each field: the answer, the error, ``simulated_ms``, the
+describe text and every ``QueryStats`` counter.
 
 It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
@@ -24,7 +24,10 @@ Selections also run under ``auto`` (the chosen strategy is recorded), each
 query's ``Database.explain`` (selections and joins) records the chosen
 strategy and every strategy's predicted steps, each selection's
 ``Database.describe`` text is recorded per strategy (or the
-``UnsupportedOperationError`` a rejected plan raises), and each query's
+``UnsupportedOperationError`` a rejected plan raises), each join cell
+records, from a second handle on the same data (so its pool cannot move
+the other records' counters), its traced span list and describe text (or
+error) per strategy and its ``auto`` pick, and each query's
 last strategy (``auto`` for
 selections) records SHA-256 digests of the JSON a served reply would carry
 (``rows()`` and ``decoded_rows()``, dates as ISO strings) — once per seed,
@@ -332,12 +335,33 @@ def _explain_record(db: Database, query) -> dict:
     }
 
 
-def _describe_record(db: Database, query: SelectQuery, strategy: str) -> dict:
-    """``Database.describe`` text, or the error a rejected plan raises."""
+def _describe_record(db: Database, query, strategy: str) -> dict:
+    """``Database.describe`` text, or the error a rejected plan raises
+    (any error: a tree without join rendering fails on joins)."""
     try:
         return {"text": db.describe(query, strategy)}
     except UnsupportedOperationError as exc:
         return {"unsupported": str(exc)}
+    except Exception as exc:  # noqa: BLE001 - recorded, not raised
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _join_views(db: Database, query: JoinQuery, strategies, prefix) -> dict:
+    """A join cell's views: each strategy's traced span list (pre-order
+    ``(name, column)`` below the root) and describe text, and the
+    ``auto`` pick."""
+    out = {}
+    for strategy in strategies:
+        result = db.query(query, strategy=strategy, trace=True)
+        out[f"{prefix}/{strategy}/spans"] = {"spans": [
+            [span.name, span.detail.get("column")]
+            for span in list(result.spans.walk())[1:]
+        ]}
+        out[f"{prefix}/{strategy}/describe"] = _describe_record(
+            db, query, strategy
+        )
+    out[f"{prefix}/pick"] = {"auto": db.query(query).strategy}
+    return out
 
 
 def _without_wall(value):
@@ -381,6 +405,8 @@ def capture() -> dict:
                     loader.catalog, loader.projection("customer").n_rows
                 )
                 loader.close()
+                view = Database(root, query_log=False,
+                                metrics=MetricsRegistry())
                 for config_name, config in CONFIGS.items():
                     log_dir = Path(root) / f"_qlog_{config_name}"
                     registry = MetricsRegistry()
@@ -423,6 +449,11 @@ def capture() -> dict:
                                 records[key] = _describe_record(
                                     db, query, strategy
                                 )
+                        else:
+                            records.update(_join_views(
+                                view, query, strategies,
+                                f"seed{seed}/p{partitions}/{label}",
+                            ))
                         key = f"seed{seed}/p{partitions}/{label}/analyze"
                         logged.append(key)
                         records[key] = _analyze_record(
@@ -442,6 +473,7 @@ def capture() -> dict:
                     records[
                         f"seed{seed}/p{partitions}/{config_name}/registry"
                     ] = counters
+                view.close()
     return records
 
 
@@ -598,7 +630,7 @@ def capture_write_path() -> dict:
 #: ``write/`` are the write section (``pending`` for its reads) and every
 #: other key is a result block.
 KINDS = ("result", "explain", "describe", "analyze", "qlog", "registry",
-         "write", "pending")
+         "spans", "pick", "write", "pending")
 
 
 def record_kind(key: str) -> str:

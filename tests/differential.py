@@ -99,6 +99,13 @@ tuple mover while the other leaves it all pending in the delta store —
 every generated query under every strategy must produce the identical
 sorted row set on both.
 
+A **join** axis (:func:`run_join_differential`) runs seeded random FK-PK
+:class:`~repro.planner.logical.JoinQuery`s — ``orders`` x ``customer`` on
+``custkey`` and ``lineitem`` x :data:`JOIN_DIMENSION` on ``linenum``, a
+key stored in three encodings — under the three inner-table x two
+outer-table strategies, with the first axis's checks: one answer, the
+span-tree invariants and executed plan = planned nodes.
+
 Known physical limitation: LM-pipelined cannot position-filter bit-vector
 encoded columns (``UnsupportedOperationError``); such runs are recorded as
 skips, not failures.
@@ -107,9 +114,18 @@ skips, not failures.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro import Predicate, SelectQuery, Strategy
+import numpy as np
+
+from repro import (
+    JoinQuery,
+    Predicate,
+    RightTableStrategy,
+    SelectQuery,
+    Strategy,
+)
+from repro.dtypes import INT32, ColumnSchema
 from repro.errors import UnsupportedOperationError
 from repro.operators.aggregate import AggSpec
 
@@ -253,14 +269,17 @@ def check_span_invariants(result, constants, rtol: float = 1e-6) -> None:
             assert span.detail["positions_out"] <= span.detail["positions_in"]
     # Rows-out monotonicity across AND -> DS3: extractions happen at exactly
     # the intersected positions, so sibling DS3 spans after an AND carry its
-    # output cardinality.
+    # output cardinality. In a join only the outer key gather does; the
+    # inner input after it reads the other table.
     for span in root.walk():
         and_rows = None
+        joins = any(child.name == "JOIN" for child in span.children)
         for child in span.children:
             if child.name == "AND":
                 and_rows = child.rows_out
             elif child.name == "DS3" and and_rows is not None:
                 assert child.rows_out == and_rows
+                and_rows = None if joins else and_rows
 
 
 def plan_divergence(db, query, result) -> dict | None:
@@ -269,13 +288,17 @@ def plan_divergence(db, query, result) -> dict | None:
 
     Compares the pre-order ``(name, column)`` sequence of the spans under
     the root with the traced nodes of
-    :func:`~repro.planner.nodes.plan_nodes` for the projection, strategy
-    and pending writes the query ran with.
+    :func:`~repro.planner.nodes.plan_nodes` for the projection (a join's
+    pair of them), strategy and pending writes the query ran with.
     """
     from repro.planner import plan_nodes
 
-    projection = db.catalog.get(result.projection)
-    strategy = Strategy.from_name(result.strategy)
+    if isinstance(query, JoinQuery):
+        projection = db.sources(query)
+        strategy = RightTableStrategy.from_name(result.strategy)
+    else:
+        projection = db.catalog.get(result.projection)
+        strategy = Strategy.from_name(result.strategy)
     pending = db.pending_writes(projection, query)
     spans = [
         (span.name, span.detail.get("column"))
@@ -327,6 +350,120 @@ def run_differential(
                 reference = rows
             elif rows != reference:
                 report.record_mismatch(query, strategy.value, reference, rows)
+    return report
+
+
+#: A dimension table keyed by lineitem's ``linenum``, stored like it in
+#: three encodings, so the join axis joins on a column whose encoding
+#: queries override (the ``orders`` x ``customer`` columns have one each).
+JOIN_DIMENSION = "linenum_dim"
+
+
+def add_join_dimension(db) -> None:
+    """Create :data:`JOIN_DIMENSION`: one row per distinct ``linenum``
+    with a small ``lineweight`` payload to select and group by."""
+    lineitem = db.projection("lineitem")
+    keys = np.unique(lineitem.read_column_values("linenum"))
+    db.catalog.create_projection(
+        JOIN_DIMENSION,
+        {"linenum": keys, "lineweight": (keys % 3).astype(np.int32)},
+        schemas={
+            "linenum": lineitem.schema("linenum"),
+            "lineweight": ColumnSchema("lineweight", INT32),
+        },
+        sort_keys=["linenum"],
+        encodings={
+            "linenum": ["uncompressed", "rle", "bitvector"],
+            "lineweight": ["uncompressed"],
+        },
+        presorted=True,
+    )
+
+
+class JoinQueryGenerator:
+    """Seeded random FK-PK :class:`JoinQuery` generator: ``orders`` x
+    ``customer`` on ``custkey``, and ``lineitem`` x :data:`JOIN_DIMENSION`
+    on ``linenum`` when the database holds the dimension."""
+
+    SHAPES = (
+        ("orders", "customer", "custkey"),
+        ("lineitem", JOIN_DIMENSION, "linenum"),
+    )
+
+    def __init__(self, db, seed: int = 0):
+        self.rng = random.Random(seed)
+        self.shapes = [s for s in self.SHAPES if db.catalog.has(s[1])]
+        # Each outer side's value domains and stored encodings, drawn from
+        # with this generator's one random stream.
+        self.sides = {}
+        for left, _right, _key in self.shapes:
+            side = QueryGenerator(db, projection=left, seed=seed)
+            side.rng = self.rng
+            self.sides[left] = side
+        self.right_columns = {
+            right: [c for c in db.projection(right).column_names if c != key]
+            for _left, right, key in self.shapes
+        }
+
+    def next_query(self) -> JoinQuery:
+        """One random plain or aggregated join, LATE outer input."""
+        rng = self.rng
+        left, right, key = rng.choice(self.shapes)
+        side = self.sides[left]
+        others = [c for c in side.columns if c != key]
+        n_left = rng.randint(1, min(2, len(others)))
+        left_select = tuple(rng.sample(others, n_left))
+        if rng.random() < 0.3:
+            left_select += (key,)
+        right_select = tuple(self.right_columns[right])
+        pred_cols = rng.choice(
+            [[], [key], [rng.choice(others)], [key, rng.choice(others)]]
+        )
+        predicates = tuple(side._predicate(c) for c in pred_cols)
+        encodings = side._encoding_overrides(
+            dict.fromkeys([key, *left_select, *pred_cols])
+        )
+        extra = {}
+        if rng.random() < 0.3:
+            group = rng.choice(right_select + left_select)
+            column = rng.choice(left_select + right_select)
+            spec = AggSpec(rng.choice(_AGG_FUNCS), column)
+            extra = dict(group_by=group, aggregates=(spec,))
+        return JoinQuery(
+            left=left, right=right, left_key=key, right_key=key,
+            left_select=left_select, right_select=right_select,
+            left_predicates=predicates, encodings=encodings, **extra,
+        )
+
+
+def run_join_differential(
+    db, n_queries: int = 40, seed: int = 0
+) -> DifferentialReport:
+    """Every generated join under each inner-table x outer-table strategy:
+    one answer, valid span trees, and spans = plan nodes."""
+    gen = JoinQueryGenerator(db, seed=seed)
+    report = DifferentialReport()
+    for _ in range(n_queries):
+        query = gen.next_query()
+        report.queries += 1
+        report.encodings_used.update(dict(query.encodings).values())
+        reference = None
+        for left_strategy in ("late", "early"):
+            variant = replace(query, left_strategy=left_strategy)
+            for strategy in RightTableStrategy:
+                result = db.query(variant, strategy=strategy, trace=True)
+                report.runs += 1
+                check_span_invariants(result, db.constants)
+                divergence = plan_divergence(db, variant, result)
+                if divergence is not None:
+                    report.mismatches.append(divergence)
+                rows = sorted(result.rows())
+                if reference is None:
+                    reference = rows
+                elif rows != reference:
+                    report.record_mismatch(
+                        variant, strategy.value, reference, rows
+                    )
     return report
 
 

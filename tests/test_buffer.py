@@ -40,7 +40,6 @@ class TestDiskModel:
         disk.charge_read(stats, sequential=True)
         assert disk.total_reads == 2
         assert disk.total_seeks == 1
-        assert disk.simulated_us == disk.seek_us + 2 * disk.read_us
         disk.reset()
         assert disk.total_reads == 0
 

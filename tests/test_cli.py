@@ -175,6 +175,25 @@ class TestExplain:
             assert name in out
         assert "<- chosen" in out
 
+    def test_join_explain_plan_prints_the_join(self, cli_db, capsys):
+        code = main(
+            [
+                "explain",
+                str(cli_db),
+                "SELECT o.shipdate, c.nationcode FROM orders o, customer c "
+                "WHERE o.custkey = c.custkey AND o.custkey < 50",
+                "--plan",
+            ]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        chosen = next(
+            line.split(":")[0].strip() for line in out.splitlines()
+            if "<- chosen" in line
+        )
+        assert f"{chosen} join plan: 'orders'" in out
+        assert "Join(custkey = custkey" in out
+
 
 class TestParser:
     def test_missing_command_exits(self):

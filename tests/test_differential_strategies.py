@@ -15,10 +15,12 @@ from repro import FaultRule, Strategy
 
 from .differential import (
     QueryGenerator,
+    add_join_dimension,
     check_span_invariants,
     run_compressed_differential,
     run_differential,
     run_fault_differential,
+    run_join_differential,
     run_partition_differential,
     run_write_differential,
 )
@@ -97,6 +99,35 @@ class TestDifferentialStrategies:
                 for strategy in (Strategy.LM_PARALLEL, Strategy.EM_PARALLEL):
                     result = db.query(query, strategy=strategy, trace=True)
                     check_span_invariants(result, db.constants)
+
+
+@pytest.fixture(scope="module")
+def join_report(tmp_path_factory):
+    """One shared join sweep: 40 queries x 3 inner x 2 outer strategies."""
+    from repro import Database, load_tpch
+
+    with Database(tmp_path_factory.mktemp("diff_join")) as db:
+        load_tpch(db.catalog, scale=0.002, seed=7)
+        add_join_dimension(db)
+        return run_join_differential(db, n_queries=40, seed=SEED)
+
+
+class TestJoinDifferential:
+    """Every inner x outer table strategy gives one answer, and each run's
+    spans are the join's plan nodes."""
+
+    def test_join_strategies_agree(self, join_report):
+        assert join_report.mismatches == [], (
+            f"seed={SEED}: {len(join_report.mismatches)} join divergences, "
+            f"first: {join_report.mismatches[:1]}"
+        )
+
+    def test_join_sweep_is_substantial(self, join_report):
+        assert join_report.queries == 40
+        assert join_report.runs >= 200
+
+    def test_join_encoding_overrides_exercised(self, join_report):
+        assert len(join_report.encodings_used) >= 2, join_report.encodings_used
 
 
 @pytest.fixture(scope="module")

@@ -123,19 +123,6 @@ class TestStatsExtras:
 
 
 class TestSmallPublicSurfaces:
-    def test_scanresult_as_multicolumn(self, tpch_db):
-        from repro.operators import DS1Scan, ExecutionContext
-        from repro.metrics import QueryStats
-
-        lineitem = tpch_db.projection("lineitem")
-        cf = lineitem.column("shipdate").file("rle")
-        ctx = ExecutionContext(pool=tpch_db.pool, stats=QueryStats())
-        scan = DS1Scan(ctx, cf, Predicate("shipdate", "<", 8700)).execute()
-        mc = scan.as_multicolumn(lineitem.n_rows)
-        assert mc.stop == lineitem.n_rows
-        assert mc.has_column("shipdate")
-        assert mc.valid_count() == scan.positions.count()
-
     def test_delta_store_tables(self, tmp_path):
         from datetime import date
 

@@ -69,11 +69,3 @@ class TestMultiColumn:
         assert out.degree == 1
         assert out.valid_count() == 500
         assert sorted(out.descriptor.to_array().tolist()) == list(range(500, 1000))
-
-    def test_with_descriptor_keeps_pins(self, pinned_column):
-        _values, cf, mini = pinned_column
-        mc = MultiColumn(0, cf.n_values, RangePositions(0, 50), {"x": mini})
-        replaced = mc.with_descriptor(RangePositions(0, 10))
-        assert replaced.valid_count() == 10
-        assert replaced.minicolumn("x") is mini
-        assert mc.valid_count() == 50  # original untouched

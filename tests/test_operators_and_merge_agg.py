@@ -8,7 +8,6 @@ from repro.errors import ExecutionError, PlanError
 from repro.metrics import QueryStats
 from repro.operators import AndOp, ExecutionContext, MergeOp, TupleSet, drain
 from repro.operators.aggregate import AggregateEM, AggregateLM, AggSpec
-from repro.multicolumn import MultiColumn
 from repro.positions import BitmapPositions, ListedPositions, RangePositions
 
 
@@ -28,12 +27,6 @@ class TestAndOp:
     def test_zero_inputs_rejected(self, ctx):
         with pytest.raises(ExecutionError):
             AndOp(ctx).execute_positions([])
-
-    def test_multicolumn_and_unions_minicolumns(self, ctx):
-        left = MultiColumn(0, 100, RangePositions(0, 60), {})
-        right = MultiColumn(0, 100, RangePositions(40, 100), {})
-        out = AndOp(ctx).execute_multicolumns([left, right])
-        assert out.descriptor.to_array().tolist() == list(range(40, 60))
 
 
 class TestMergeOp:

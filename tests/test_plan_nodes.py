@@ -306,3 +306,89 @@ class TestPendingWritesArePlanNodes:
         assert text.startswith(f"{chosen} plan over")
         assert "Combine(re-aggregate GROUP BY returnflag)" in text
         assert "Delta(" in text and "Ghost(" in text
+
+
+def _join(orders, **fields) -> JoinQuery:
+    cutoff = int(np.quantile(full_column(orders, "custkey"), 0.5))
+    return JoinQuery(
+        left="orders", right="customer",
+        left_key="custkey", right_key="custkey",
+        left_select=("shipdate",), right_select=("nationcode",),
+        left_predicates=(
+            Predicate("custkey", "<", cutoff),
+            Predicate("shipdate", "<", 9000),
+        ),
+        **fields,
+    )
+
+
+class TestJoinsArePlanNodes:
+    """A join runs, prices and prints one node list too: the outer core,
+    the inner input, JOIN, the fetches, MERGE or AGG, and OUTPUT."""
+
+    @pytest.mark.parametrize("left", ["late", "early"])
+    @pytest.mark.parametrize("aggregated", [False, True])
+    def test_spans_are_the_traced_nodes(self, tpch_db, left, aggregated):
+        from .differential import check_span_invariants, plan_divergence
+
+        extra = dict(
+            group_by="nationcode", aggregates=(AggSpec("count", "shipdate"),)
+        ) if aggregated else {}
+        query = _join(
+            tpch_db.projection("orders"), left_strategy=left, **extra
+        )
+        for strategy in RightTableStrategy:
+            result = tpch_db.query(query, strategy=strategy, trace=True)
+            check_span_invariants(result, tpch_db.constants)
+            assert plan_divergence(tpch_db, query, result) is None
+            names = [span.name for span in result.spans.children]
+            # Nothing runs untraced: the outer key gather, the pin and
+            # both fetches are spans of their own.
+            assert ("DS3" in names) == (left == "late" or strategy.value
+                                        == "single-column")
+            assert ("PIN" in names) == (strategy.value == "multi-column")
+            assert names.count("FETCH") == (
+                2 if strategy.value == "single-column" else 1
+            )
+            assert names[-2:] == ["AGG" if aggregated else "MERGE", "OUTPUT"]
+
+    def test_auto_runs_the_models_pick(self, tpch_db):
+        query = _join(tpch_db.projection("orders"))
+        tpch_db.clear_cache()  # explain prices a cold pool by default
+        assert (
+            tpch_db.query(query, strategy="auto").strategy
+            == tpch_db.explain(query)["chosen"]
+        )
+
+    def test_early_and_late_outer_inputs_are_priced_apart(self, tpch_db):
+        orders = tpch_db.projection("orders")
+        late, early = (
+            tpch_db.explain(_join(orders, left_strategy=side))["predictions"]
+            for side in ("late", "early")
+        )
+        assert all(late[s] != early[s] for s in late)
+
+    def test_pending_writes_refused_everywhere(self, tmp_path):
+        from repro.errors import ExecutionError
+
+        db = Database(tmp_path / "db", query_log=False)
+        load_tpch(db.catalog, scale=0.002, seed=7)
+        db.insert("orders", [{"shipdate": 8700, "custkey": 1}])
+        query = _join(db.projection("orders"))
+        with pytest.raises(ExecutionError, match="before joining"):
+            db.query(query, strategy="materialized")
+        with pytest.raises(ExecutionError, match="before joining"):
+            db.query(query)
+        with pytest.raises(ExecutionError, match="before joining"):
+            db.explain(query)
+        with pytest.raises(ExecutionError, match="before joining"):
+            db.describe(query)
+
+    def test_describe_draws_the_join(self, tpch_db):
+        query = _join(tpch_db.projection("orders"))
+        text = tpch_db.describe(query, RightTableStrategy.SINGLE_COLUMN)
+        assert text.startswith("single-column join plan: 'orders'")
+        for line in ("Merge(shipdate, nationcode)", "Fetch right(nationcode)",
+                     "Fetch left(shipdate)", "Join(custkey = custkey",
+                     "AND", "DS1(custkey <", "inner:"):
+            assert line in text

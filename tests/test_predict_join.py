@@ -43,7 +43,10 @@ class TestPredictJoin:
         assert pred.total_ms > 0
         assert pred.cpu_ms > 0
         breakdown = pred.breakdown()
-        assert "DS1(left key)" in breakdown
+        # The outer core is priced as a selection core: one DS1 per
+        # predicate column, then the key gathered at the survivors.
+        assert "DS1(custkey)" in breakdown
+        assert "DS3(left key)" in breakdown
         assert "merge+output" in breakdown
 
     def test_costs_grow_with_selectivity(self, tables):

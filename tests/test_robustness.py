@@ -8,7 +8,7 @@ from repro.dtypes import INT32, UINT8, ColumnSchema
 from repro.errors import EncodingError
 from repro.storage.block import BLOCK_SIZE
 
-from .reference import canonical, full_column, reference_select
+from .reference import canonical, reference_select
 
 
 class TestPinnedPayloadsSurviveEviction:
@@ -76,23 +76,6 @@ class TestCatalogOps:
         assert names == sorted(names)
         assert "lineitem" in tpch_db.catalog
         assert "nope" not in tpch_db.catalog
-
-    def test_replace_projection_roundtrip(self, tmp_path):
-        db = Database(tmp_path / "db")
-        values = np.arange(100, dtype=np.int32)
-        schemas = {"v": ColumnSchema("v", INT32)}
-        db.catalog.create_projection(
-            "t", {"v": values}, schemas, sort_keys=["v"],
-            encodings={"v": ["uncompressed"]},
-        )
-        db.catalog.replace_projection(
-            "t",
-            {"v": values * 2},
-            schemas,
-            sort_keys=["v"],
-            encodings={"v": ["uncompressed"]},
-        )
-        assert full_column(db.projection("t"), "v")[1] == 2
 
 
 class TestDtypeEdges:
