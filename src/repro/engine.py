@@ -59,7 +59,7 @@ from .planner import (
     resolve_projection,
 )
 from .planner.describe import render_span_tree
-from .planner.nodes import executed_strategy
+from .planner.nodes import executed_strategy, stored_overrides
 from .planner.projection_choice import resolve_join_side
 from .storage.catalog import Catalog
 from .storage.projection import Projection
@@ -462,11 +462,11 @@ class Database:
             # The model's F: how much of the first column read is cached.
             if isinstance(query, JoinQuery):
                 first, column = projection[0], query.left_key
+                encodings = dict(stored_overrides(first, query.encodings))
             else:
                 first, column = projection, query.all_columns[0]
-            cf = first.physical_column(column).file(
-                query.encoding_map.get(column)
-            )
+                encodings = query.encoding_map
+            cf = first.physical_column(column).file(encodings.get(column))
             chosen, _predictions = choose_strategy(
                 projection,
                 query,

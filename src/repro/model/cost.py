@@ -146,7 +146,8 @@ def ds_case3_cost(
     ``poslist`` approximates the SF * |C| block-read lower bound of step 2.
     ``seek_fragments`` caps the seek count when the positions are known to be
     localized into that many contiguous slabs (predicates over sorted
-    columns); by default every touched block is assumed to need a seek.
+    columns; 1 for a full-range extraction, which then reads like a DS1
+    scan); by default every touched block is assumed to need a seek.
     """
     groups = poslist / max(pos_run_length, 1.0)
     cpu = meta.blocks * k.bic + groups * k.ticcol + groups * (k.ticcol + k.fc)

@@ -214,7 +214,9 @@ class _Inputs:
             _estimated_groups(files, query.group_columns, self.survivors)
             if query.aggregates else self.survivors
         )
-        self.fragments = None
+        # With no predicate the positions are one full-range slab, which
+        # a gather reads sequentially, as DS1 reads the column.
+        self.fragments = 1.0
         if self.conds:
             col, pred, _sf = min(self.conds, key=lambda cond: cond[2])
             self.fragments = estimate_block_fragments(files[col], pred)

@@ -199,11 +199,23 @@ class PlanFacts:
         return nodes
 
 
+def stored_overrides(projection, encodings) -> tuple:
+    """The ``(column, encoding)`` overrides of *encodings* that
+    *projection* stores: the ones a join side reads its columns with."""
+    names = set(projection.column_names)
+    return tuple(
+        (col, enc) for col, enc in encodings
+        if col in names and enc in projection.physical_column(col).encodings
+    )
+
+
 class JoinFacts:
     """The metadata a join's nodes are built from: the :class:`PlanFacts`
     of its two sides, each read as a selection — the outer one (``outer``)
     of the left key, the left select list and the predicate columns, the
-    inner one (``inner``) of the right key and the right select list.
+    inner one (``inner``) of the right key and the right select list. An
+    encoding override applies to each side that stores the column in that
+    encoding.
 
     A join's nodes are its outer core (``n_outer`` nodes: EM-parallel's
     SPC for an EARLY outer input; for a LATE one the DS1 leaves, their AND
@@ -213,6 +225,8 @@ class JoinFacts:
     Raises:
         ExecutionError: a side has *pending* writes (``{table: count}``);
             joins read the read store only.
+        CatalogError: neither side stores an overridden column in its
+            override's encoding.
     """
 
     def __init__(self, left, right, query: JoinQuery, pending=None):
@@ -222,17 +236,25 @@ class JoinFacts:
                 f"table {table!r} has {count} pending writes; call "
                 "Database.merge() before joining"
             )
+        outer_enc = stored_overrides(left, query.encodings)
+        inner_enc = stored_overrides(right, query.encodings)
+        for col, enc in query.encodings:
+            if (col, enc) not in outer_enc + inner_enc:
+                raise CatalogError(
+                    f"column {col!r} has no {enc!r} encoding in "
+                    f"{query.left!r} or {query.right!r}"
+                )
         self.query = query
         self.outer = PlanFacts(left, SelectQuery(
             projection=query.left,
             select=tuple(dict.fromkeys((query.left_key, *query.left_select))),
             predicates=query.left_predicates,
-            encodings=query.encodings,
+            encodings=outer_enc,
         ))
         self.inner = PlanFacts(right, SelectQuery(
             projection=query.right,
             select=tuple(dict.fromkeys((query.right_key, *query.right_select))),
-            encodings=query.encodings,
+            encodings=inner_enc,
         ))
         self.early = (
             LeftTableStrategy.from_name(query.left_strategy)

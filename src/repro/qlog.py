@@ -1,30 +1,52 @@
 """The workload flight recorder: a persistent, replayable query log.
 
-Every query the engine finishes (or aborts) is appended as one JSON line to
-a size-rotated segment file under ``<database root>/_qlog/``. The record
-carries everything ROADMAP item 1's workload-adaptive advisor needs as
-durable input — a normalized **query fingerprint** (template hash with
-literals stripped), the resolved strategy and encoding overrides, observed
-selectivity, partition scan/prune counts, cache and kernel counters, queue
-wait / wall / simulated milliseconds, and the outcome (``ok`` / ``degraded``
-/ ``error`` / ``cancelled`` / ``timeout`` / ``rejected``) — plus the full
+Every query the engine finishes (or aborts) is appended to a size-rotated
+segment file under ``<database root>/_qlog/``. A record carries everything
+the workload-adaptive advisor needs as durable input — a normalized
+**query fingerprint** (template hash with literals stripped), the resolved
+strategy and encoding overrides, observed selectivity, partition
+scan/prune counts, cache and kernel counters, queue wait / wall /
+simulated milliseconds, and the outcome (``ok`` / ``degraded`` /
+``error`` / ``cancelled`` / ``timeout`` / ``rejected``) — plus the full
 logical query dict and a hash of the result tuples, which is what makes a
 captured log *replayable*: ``repro replay --check`` re-executes each record
 under its recorded strategy and asserts the re-computed hash matches bit
-for bit (the sixth differential-style axis; see :mod:`repro.workload`).
+for bit (see :mod:`repro.workload`).
 
-Records are serialized and appended by a dedicated writer thread (the hot
+**The line format (version 2).** A segment is JSON lines of three kinds:
+
+* a **header**, ``{"qlog":2,"counters":[...]}``, first in every segment
+  and first in every writer session appended to one; it names the counter
+  fields once;
+* a **definition**, ``{"def":<id>,...}``, written the first time a
+  distinct query (keyed by value) is recorded in a writer session or
+  segment: its fingerprint, kind, template, columns, query dict and
+  encoding overrides, under an id hashed from them;
+* a **record**: ``seq``, ``ts``, the definition id ``q`` (absent for a
+  request rejected before it was bound), the counters as one positional
+  list ``c`` (ok and degraded records), and the fields that vary per
+  execution. Fields at their default — ``outcome`` ``"ok"``, ``origin``
+  ``"embedded"``, ``queue_wait_ms`` 0 — are left out. A record's
+  definition is an earlier line of its own segment.
+
+:func:`read_query_log` expands every record into one flat dict with the
+static fields inlined and ``counters`` keyed by name — the dict a version-1
+line (one self-describing JSON object per query, written before the
+format had headers) held, which is still read: lines before a segment's
+first header are version 1.
+
+Lines are serialized and appended by a dedicated writer thread (the hot
 path pays one sample test, one CRC over the result tuples, and one queue
 hand-off); :meth:`QueryLog.flush` — and :meth:`QueryLog.close`, which
 ``Database.close`` calls — drains the backlog. Durability follows the WAL
 pattern from :mod:`repro.delta`: the writer flushes line-by-line, a crash
 can tear at most the final line of the active segment, and both the writer
-(on re-open) and :func:`read_query_log`
-tolerate exactly that torn tail — mid-file corruption anywhere else raises
-:class:`~repro.errors.CatalogError` naming the file and line. Rotation
-seals the active segment and opens the next numbered one; a monotonically
-increasing ``seq`` stamped on every written record makes cross-segment
-ordering checkable.
+(on re-open) and :func:`read_query_log` tolerate exactly that torn tail —
+mid-file corruption anywhere else, or a record naming a definition its
+segment lacks, raises :class:`~repro.errors.CatalogError` naming the file
+and line. Rotation seals the active segment and opens the next numbered
+one; a monotonically increasing ``seq`` stamped on every record makes
+cross-segment ordering checkable.
 
 The recorder is **always on** by default (``Database(query_log=True)``)
 and sampled (``QueryLog(directory, sample=...)``): the deterministic
@@ -44,6 +66,7 @@ import queue
 import threading
 import time
 import zlib
+from base64 import urlsafe_b64encode
 from dataclasses import fields
 from functools import lru_cache
 from hashlib import blake2b
@@ -68,6 +91,28 @@ _COUNTER_FIELDS = tuple(
     f.name for f in fields(QueryStats)
     if f.name not in ("tuples_output", "extra")
 )
+
+#: Compact JSON for one line; one encoder, not one per ``json.dumps`` call.
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+
+#: The first line of every segment and of every writer session: the line
+#: format's version and the names of the positional counters ``c``.
+_HEADER = _encode({"qlog": 2, "counters": list(_COUNTER_FIELDS)})
+
+#: The fields of a :class:`_Definition`, in order.
+_STATIC_FIELDS = ("fingerprint", "kind", "template", "columns", "query",
+                  "encodings")
+
+#: A read record's fields, in the order a version-1 line held them.
+_RECORD_FIELDS = (
+    "ts", "origin", "session", *_STATIC_FIELDS[:-1], "strategy",
+    "encodings", "outcome", "error", "rows", "wall_ms", "simulated_ms",
+    "queue_wait_ms", "counters", "projection", "selectivity", "partitions",
+    "skipped_partitions", "result_hash", "seq",
+)
+
+#: Record fields left out of a line when they hold these values.
+_DEFAULTS = {"origin": "embedded", "outcome": "ok", "queue_wait_ms": 0.0}
 
 
 def _segment_name(index: int) -> str:
@@ -209,15 +254,39 @@ def _touched_columns(query) -> list[str]:
     return []
 
 
-@lru_cache(maxsize=512)
-def _query_static(query) -> tuple:
-    """The per-query record fields that don't vary across executions.
+class _Definition:
+    """A query's definition: the record fields that don't vary across
+    executions (``facts``, in :data:`_STATIC_FIELDS` order), serialized as
+    a ``def`` line on first use, by the writer thread.
 
-    Keyed by the query's **value** (logical queries are frozen dataclasses,
-    so two structurally identical queries — e.g. rebuilt per request on the
-    serving path — share one cache entry). The returned query dict is
-    embedded in every record and must never be mutated.
+    The line's id is a hash of the facts, so every writer gives one query
+    the same id: handles sharing a log directory may append to one segment
+    at once, and each record finds its definition whichever wrote it.
     """
+
+    __slots__ = ("facts", "_encoded")
+
+    def __init__(self, facts: dict):
+        self.facts = facts
+        self._encoded = None
+
+    def encoded(self) -> tuple:
+        """``(id, line)``, computed once."""
+        if self._encoded is None:
+            payload = _encode(self.facts)
+            qid = urlsafe_b64encode(
+                blake2b(payload.encode("utf-8"), digest_size=6).digest()
+            ).decode("ascii")
+            self._encoded = (qid, f'{{"def":"{qid}",{payload[1:]}')
+        return self._encoded
+
+
+@lru_cache(maxsize=512)
+def _query_static(query) -> _Definition:
+    """The query's :class:`_Definition`, cached by the query's **value**
+    (logical queries are frozen dataclasses, so two structurally identical
+    queries — e.g. rebuilt per request on the serving path — share one
+    entry, and its line is serialized once)."""
     from .serving.protocol import query_to_dict
 
     kind = "join" if type(query).__name__ == "JoinQuery" else "select"
@@ -225,22 +294,14 @@ def _query_static(query) -> tuple:
         qdict = query_to_dict(query)
     except TypeError:
         qdict = None
-    return (
+    return _Definition(dict(zip(_STATIC_FIELDS, (
         query_fingerprint(query),
         kind,
         query_template(query),
-        tuple(_touched_columns(query)),
+        _touched_columns(query),
         qdict,
-    )
-
-
-def _counters(stats: QueryStats) -> dict:
-    """Every counter of an ok record, floats rounded to 3 places."""
-    out = {}
-    for name in _COUNTER_FIELDS:
-        value = getattr(stats, name)
-        out[name] = round(value, 3) if isinstance(value, float) else value
-    return out
+        dict(getattr(query, "encodings", ()) or ()),
+    ))))
 
 
 def result_hash(tuples) -> str:
@@ -312,11 +373,16 @@ class QueryLog:
         self._dropped = 0     # records lost to write errors (this open)
         self._closed = False
         self._fh = None
+        # The ids of the definitions written in the active scope (this
+        # session's part of the active segment); None until the scope has
+        # its header line.
+        self._defs: set | None = None
         self._open_active()
         # Records are serialized and written by a dedicated thread so the
         # engine's per-query cost is one sample test, one result hash, and
-        # one enqueue — what keeps the always-on recorder under the 5%
-        # warm-overhead bar. FIFO hand-off preserves ``seq`` ordering;
+        # one enqueue of the record's varying fields with the query's
+        # cached definition — what keeps the always-on recorder under the
+        # 5% warm-overhead bar. FIFO hand-off preserves ``seq`` ordering;
         # :meth:`flush` / :meth:`close` drain the queue.
         self._queue: queue.Queue = queue.Queue()
         self._drain_now = threading.Event()
@@ -342,13 +408,28 @@ class QueryLog:
             active = segments[-1]
             self._index = _segment_index(active)
             last_seq = self._recover_segment(active)
+            # A crash right after rotation can leave the active segment
+            # without an intact record: the sequence continues from the
+            # newest sealed segment that has one.
+            for sealed in reversed(segments[:-1]):
+                if last_seq >= 0:
+                    break
+                records = _read_segment(sealed, torn_tail_ok=False)[0]
+                if records:
+                    last_seq = int(records[-1]["seq"])
             self._next_seq = last_seq + 1
             self._size = active.stat().st_size
+        self._open_segment()
+
+    def _open_segment(self) -> None:
+        """Append to segment ``self._index`` in a new scope, whose first
+        line will be a header."""
         self._fh = open(
             self.directory / _segment_name(self._index),
             "a",
             encoding="utf-8",
         )
+        self._defs = None
 
     @staticmethod
     def _recover_segment(path: Path) -> int:
@@ -448,13 +529,17 @@ class QueryLog:
             if stop:
                 return
 
-    def _write(self, record: dict) -> None:
+    def _write(self, item: tuple) -> None:
         if self._fh is None:
             return
-        record["seq"] = self._next_seq
-        line = json.dumps(record, separators=(",", ":")) + "\n"
-        payload = line.encode("utf-8")
-        if self._size + len(payload) > self.max_segment_bytes and self._size:
+        definition, record, counters = item
+        record = {"seq": self._next_seq, **record}
+        if counters is not None:
+            record["c"] = [
+                round(v, 3) if isinstance(v, float) else v for v in counters
+            ]
+        text = self._lines(definition, record)
+        if self._size + len(text) > self.max_segment_bytes and self._size:
             # Seal the full segment durably before rotating: once the next
             # segment exists, readers treat this one as immutable history.
             self._fh.flush()
@@ -462,44 +547,53 @@ class QueryLog:
             self._fh.close()
             self._index += 1
             self._size = 0
-            self._fh = open(
-                self.directory / _segment_name(self._index),
-                "a",
-                encoding="utf-8",
-            )
-        self._fh.write(line)
+            self._open_segment()
+            text = self._lines(definition, record)
+        self._fh.write(text)
         self._fh.flush()
-        self._size += len(payload)
+        # Only now are the scope's header and the definition on disk.
+        if self._defs is None:
+            self._defs = set()
+        if "q" in record:
+            self._defs.add(record["q"])
+        self._size += len(text)  # json.dumps escapes to ASCII: chars = bytes
         self._next_seq += 1
 
-    def _enqueue(self, record: dict) -> None:
+    def _lines(self, definition, record: dict) -> str:
+        """The lines that append *record* to the active scope: its header
+        and the query's definition first when the scope lacks them."""
+        lines = [_HEADER] if self._defs is None else []
+        if definition is not None:
+            record["q"], line = definition.encoded()
+            if record["q"] not in (self._defs or ()):
+                lines.append(line)
+        lines.append(_encode(record))
+        return "\n".join(lines) + "\n"
+
+    def _enqueue(self, query, record: dict, counters=None) -> None:
+        """Hand *record* (its varying fields) to the writer with the
+        query's cached definition; *query* is ``None`` for a request
+        turned away before it was bound."""
+        definition = None
+        if query is not None:
+            try:
+                definition = _query_static(query)
+            except TypeError:  # unhashable query object: compute uncached
+                definition = _query_static.__wrapped__(query)
         self._written += 1
-        self._queue.put(record)
+        self._queue.put((definition, record, counters))
 
-    def _base_record(self, query, origin: str, session) -> dict:
-        """Timestamp, provenance and, given a query, its static fields.
-
-        A request turned away before it was bound has no query (``None``):
-        its record carries no fingerprint, kind, template, columns or query.
-        """
-        record = {"ts": round(time.time(), 3), "origin": origin}
+    @staticmethod
+    def _base_record(origin: str, session, queue_wait_ms) -> dict:
+        """Timestamp, provenance and queue wait, defaults left out."""
+        record = {"ts": round(time.time(), 3)}
+        if origin != _DEFAULTS["origin"]:
+            record["origin"] = origin
         if session is not None:
             record["session"] = session
-        if query is None:
-            return record
-        try:
-            fingerprint, kind, template, columns, qdict = _query_static(query)
-        except TypeError:  # unhashable query object: compute uncached
-            fingerprint, kind, template, columns, qdict = (
-                _query_static.__wrapped__(query)
-            )
-        record.update(
-            fingerprint=fingerprint,
-            kind=kind,
-            template=template,
-            columns=list(columns),
-            query=qdict,
-        )
+        queue_wait_ms = round(float(queue_wait_ms or 0.0), 3)
+        if queue_wait_ms:
+            record["queue_wait_ms"] = queue_wait_ms
         return record
 
     def observe(self, query, result, origin: str = "embedded",
@@ -507,24 +601,24 @@ class QueryLog:
         """Record one finished query; returns whether it was sampled in.
 
         The record is a view of ``result.summary()`` plus the query's
-        static fields, every :class:`QueryStats` counter, the resolved
+        definition, every :class:`QueryStats` counter, the resolved
         projection, the observed selectivity and the result hash.
         """
         with self._lock:
             if not self._sampled_in():
                 return False
-            record = self._base_record(query, origin, session)
             summary = result.summary()
+            record = self._base_record(
+                origin, session, summary["queue_wait_ms"]
+            )
             record.update(
                 strategy=summary["strategy"],
-                encodings=dict(getattr(query, "encodings", ()) or ()),
-                outcome="degraded" if "degraded" in summary else "ok",
                 rows=summary["rows"],
                 wall_ms=round(summary["wall_ms"], 3),
                 simulated_ms=round(summary["simulated_ms"], 3),
-                queue_wait_ms=round(summary["queue_wait_ms"], 3),
-                counters=_counters(result.stats),
             )
+            if "degraded" in summary:
+                record["outcome"] = "degraded"
             if result.projection is not None:
                 record["projection"] = result.projection
             if result.base_rows and not getattr(query, "aggregates", ()):
@@ -536,7 +630,10 @@ class QueryLog:
                     record[key] = summary[key]
             if self.result_hashes and "degraded" not in summary:
                 record["result_hash"] = result_hash(result.tuples)
-            self._enqueue(record)
+            stats = result.stats
+            self._enqueue(
+                query, record, [getattr(stats, n) for n in _COUNTER_FIELDS]
+            )
             return True
 
     def observe_error(
@@ -579,14 +676,13 @@ class QueryLog:
         with self._lock:
             if not self._sampled_in():
                 return False
-            record = self._base_record(query, origin, session)
+            record = self._base_record(origin, session, queue_wait_ms)
             record.update(
                 outcome=outcome,
                 error={"type": error_type, "message": message[:200]},
                 wall_ms=round(wall_ms, 3),
-                queue_wait_ms=round(float(queue_wait_ms or 0.0), 3),
             )
-            self._enqueue(record)
+            self._enqueue(query, record)
             return True
 
     # --------------------------------------------------------------- reading
@@ -645,17 +741,21 @@ def read_query_log(path: str | Path) -> list[dict]:
 def _read_segment(path: Path, torn_tail_ok: bool) -> tuple:
     """``(records, lines, torn)`` of one segment file.
 
-    *torn* is the parse error of a malformed final line when
-    *torn_tail_ok* (its record is left out), else ``None``; a malformed
-    line anywhere else is real corruption and raises
-    :class:`~repro.errors.CatalogError` naming the file and line.
+    Every record is expanded to its flat dict (:func:`_expand`); lines
+    before the first header are version-1 records, already flat. *torn* is
+    the parse error of a malformed final line when *torn_tail_ok* (its
+    record is left out), else ``None``; a malformed line anywhere else, or
+    a record naming a definition no earlier line defines, is real
+    corruption and raises :class:`~repro.errors.CatalogError` naming the
+    file and line.
     """
     with open(path, encoding="utf-8") as f:
         lines = [line.strip() for line in f if line.strip()]
     records = []
+    counters, defs = None, {}  # the last header's names; definitions
     for i, line in enumerate(lines):
         try:
-            records.append(json.loads(line))
+            obj = json.loads(line)
         except json.JSONDecodeError as exc:
             if torn_tail_ok and i == len(lines) - 1:
                 return records, lines, exc
@@ -663,7 +763,50 @@ def _read_segment(path: Path, torn_tail_ok: bool) -> tuple:
                 f"{path}: corrupt query-log line {i + 1} of "
                 f"{len(lines)} (not the torn-tail case): {exc}"
             ) from exc
+        if "qlog" in obj:
+            if obj["qlog"] != 2:
+                raise CatalogError(
+                    f"{path}: query-log line {i + 1}: unknown line format "
+                    f"version {obj['qlog']!r}"
+                )
+            counters = obj["counters"]
+        elif "def" in obj:
+            defs[obj["def"]] = line
+        elif counters is None and "q" not in obj:
+            records.append(obj)
+        else:
+            try:
+                records.append(_expand(obj, counters, defs))
+            except ValueError as exc:
+                raise CatalogError(
+                    f"{path}: query-log line {i + 1}: {exc}"
+                ) from None
     return records, lines, None
+
+
+def _expand(line: dict, counters, defs: dict) -> dict:
+    """A version-2 record line as the flat dict a version-1 line held:
+    its definition inlined, ``counters`` keyed by the header's names, the
+    defaults restored, in version-1 field order."""
+    fields = {**_DEFAULTS, **line}
+    q, values = fields.pop("q", None), fields.pop("c", None)
+    encodings = {}
+    if q is not None:
+        if q not in defs:
+            raise ValueError(f"record names definition {q!r}, "
+                             "which no earlier line defines")
+        static = json.loads(defs[q])  # parsed per record: dicts unshared
+        del static["def"]
+        encodings = static.pop("encodings", {})
+        fields.update(static)
+    if values is not None:
+        if counters is None or len(values) != len(counters):
+            raise ValueError("counter list does not match the header's")
+        fields["counters"] = dict(zip(counters, values))
+        fields["encodings"] = encodings
+    out = {k: fields.pop(k) for k in _RECORD_FIELDS if k in fields}
+    out.update(fields)
+    return out
 
 
 def record_plan(record: dict, catalog) -> tuple:

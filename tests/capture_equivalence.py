@@ -13,7 +13,10 @@ the change and compare the two captures::
 each kind differ (result, explain, describe, analyze, qlog, registry,
 spans, pick, write, pending), and for the reads over pending writes how
 many differ in each field: the answer, the error, ``simulated_ms``, the
-describe text and every ``QueryStats`` counter.
+describe text and every ``QueryStats`` counter. Beside the ``qlog`` line
+it prints the bytes of every configuration's query-log directory, summed,
+for each capture: a count, so a change to the log format shows its size
+exactly.
 
 It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
@@ -468,6 +471,10 @@ def capture() -> dict:
                         )
                     for key, record in zip(logged, log):
                         records[f"{key}/qlog"] = _qlog_record(record)
+                    records[
+                        f"seed{seed}/p{partitions}/{config_name}/qlog_bytes"
+                    ] = {"bytes": sum(f.stat().st_size
+                                      for f in log_dir.iterdir())}
                     counters = registry.snapshot()["counters"]
                     counters.pop("queries_slow_total", None)
                     records[
@@ -628,9 +635,11 @@ def capture_write_path() -> dict:
 
 #: Record kinds ``--compare`` counts separately, by key suffix; keys under
 #: ``write/`` are the write section (``pending`` for its reads) and every
-#: other key is a result block.
+#: other key is a result block. ``qlog_bytes`` (each configuration's
+#: query-log size) is a measurement, not a record: ``--compare`` prints the
+#: two totals beside the ``qlog`` line and never counts it as a difference.
 KINDS = ("result", "explain", "describe", "analyze", "qlog", "registry",
-         "spans", "pick", "write", "pending")
+         "spans", "pick", "write", "pending", "qlog_bytes")
 
 
 def record_kind(key: str) -> str:
@@ -651,17 +660,28 @@ def _read_fields(record: dict) -> dict:
 def compare(path_a: str, path_b: str) -> int:
     a = json.loads(Path(path_a).read_text())
     b = json.loads(Path(path_b).read_text())
-    bad = sorted(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
+    sizes = [
+        sum(r["bytes"] for k, r in side.items()
+            if record_kind(k) == "qlog_bytes")
+        for side in (a, b)
+    ]
+    bad = sorted(
+        k for k in a.keys() | b.keys()
+        if a.get(k) != b.get(k) and record_kind(k) != "qlog_bytes"
+    )
     for key in bad[:20]:
         print("DIFF", key)
         ra, rb = a.get(key) or {}, b.get(key) or {}
         for field in sorted(ra.keys() | rb.keys()):
             if ra.get(field) != rb.get(field):
                 print("   ", field, ra.get(field), "!=", rb.get(field))
-    for kind in KINDS:
+    for kind in KINDS[:-1]:
         total = sum(record_kind(k) == kind for k in a.keys() | b.keys())
         differ = sum(record_kind(k) == kind for k in bad)
-        print(f"{kind:>9}: {differ} of {total} differ")
+        line = f"{kind:>9}: {differ} of {total} differ"
+        if kind == "qlog":
+            line += f"; log bytes {sizes[0]} vs {sizes[1]}"
+        print(line)
     reads = [k for k in bad if record_kind(k) == "pending"]
     by_field: dict[str, int] = {}
     for key in reads:

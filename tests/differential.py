@@ -101,10 +101,12 @@ sorted row set on both.
 
 A **join** axis (:func:`run_join_differential`) runs seeded random FK-PK
 :class:`~repro.planner.logical.JoinQuery`s — ``orders`` x ``customer`` on
-``custkey`` and ``lineitem`` x :data:`JOIN_DIMENSION` on ``linenum``, a
-key stored in three encodings — under the three inner-table x two
-outer-table strategies, with the first axis's checks: one answer, the
-span-tree invariants and executed plan = planned nodes.
+``custkey``, and ``lineitem`` on ``linenum`` x :data:`JOIN_DIMENSION`,
+which stores the key in three encodings, or x
+:data:`JOIN_PLAIN_DIMENSION`, which stores it uncompressed only — under
+the three inner-table x two outer-table strategies, with the first axis's
+checks: one answer, the span-tree invariants and executed plan = planned
+nodes.
 
 Known physical limitation: LM-pipelined cannot position-filter bit-vector
 encoded columns (``UnsupportedOperationError``); such runs are recorded as
@@ -358,36 +360,46 @@ def run_differential(
 #: queries override (the ``orders`` x ``customer`` columns have one each).
 JOIN_DIMENSION = "linenum_dim"
 
+#: The same dimension with its key stored uncompressed only, so a key
+#: override applies to the outer side alone.
+JOIN_PLAIN_DIMENSION = "linenum_plain_dim"
+
 
 def add_join_dimension(db) -> None:
-    """Create :data:`JOIN_DIMENSION`: one row per distinct ``linenum``
-    with a small ``lineweight`` payload to select and group by."""
+    """Create :data:`JOIN_DIMENSION` and :data:`JOIN_PLAIN_DIMENSION`: one
+    row per distinct ``linenum`` with a small ``lineweight`` payload to
+    select and group by."""
     lineitem = db.projection("lineitem")
     keys = np.unique(lineitem.read_column_values("linenum"))
-    db.catalog.create_projection(
-        JOIN_DIMENSION,
-        {"linenum": keys, "lineweight": (keys % 3).astype(np.int32)},
-        schemas={
-            "linenum": lineitem.schema("linenum"),
-            "lineweight": ColumnSchema("lineweight", INT32),
-        },
-        sort_keys=["linenum"],
-        encodings={
-            "linenum": ["uncompressed", "rle", "bitvector"],
-            "lineweight": ["uncompressed"],
-        },
-        presorted=True,
-    )
+    for name, key_encodings in (
+        (JOIN_DIMENSION, ["uncompressed", "rle", "bitvector"]),
+        (JOIN_PLAIN_DIMENSION, ["uncompressed"]),
+    ):
+        db.catalog.create_projection(
+            name,
+            {"linenum": keys, "lineweight": (keys % 3).astype(np.int32)},
+            schemas={
+                "linenum": lineitem.schema("linenum"),
+                "lineweight": ColumnSchema("lineweight", INT32),
+            },
+            sort_keys=["linenum"],
+            encodings={
+                "linenum": key_encodings,
+                "lineweight": ["uncompressed"],
+            },
+            presorted=True,
+        )
 
 
 class JoinQueryGenerator:
     """Seeded random FK-PK :class:`JoinQuery` generator: ``orders`` x
-    ``customer`` on ``custkey``, and ``lineitem`` x :data:`JOIN_DIMENSION`
-    on ``linenum`` when the database holds the dimension."""
+    ``customer`` on ``custkey``, and ``lineitem`` x either ``linenum``
+    dimension when the database holds it."""
 
     SHAPES = (
         ("orders", "customer", "custkey"),
         ("lineitem", JOIN_DIMENSION, "linenum"),
+        ("lineitem", JOIN_PLAIN_DIMENSION, "linenum"),
     )
 
     def __init__(self, db, seed: int = 0):
@@ -436,15 +448,38 @@ class JoinQueryGenerator:
         )
 
 
+def pinned_joins(db) -> list[JoinQuery]:
+    """The join cells every sweep runs first: an override of the key in
+    an encoding only the outer side stores, plain and aggregated (empty
+    when the database lacks :data:`JOIN_PLAIN_DIMENSION`)."""
+    if not db.catalog.has(JOIN_PLAIN_DIMENSION):
+        return []
+    shape = dict(left="lineitem", right=JOIN_PLAIN_DIMENSION,
+                 left_key="linenum", right_key="linenum")
+    return [
+        JoinQuery(**shape, left_select=("shipdate",),
+                  right_select=("lineweight",),
+                  left_predicates=(Predicate("linenum", "<", 4),),
+                  encodings=(("linenum", "rle"),)),
+        JoinQuery(**shape, left_select=("quantity",),
+                  right_select=("lineweight",),
+                  encodings=(("linenum", "bitvector"),),
+                  group_by="lineweight",
+                  aggregates=(AggSpec("sum", "quantity"),)),
+    ]
+
+
 def run_join_differential(
     db, n_queries: int = 40, seed: int = 0
 ) -> DifferentialReport:
     """Every generated join under each inner-table x outer-table strategy:
-    one answer, valid span trees, and spans = plan nodes."""
+    one answer, valid span trees, and spans = plan nodes. The first
+    queries of the *n_queries* are :func:`pinned_joins`."""
     gen = JoinQueryGenerator(db, seed=seed)
+    pinned = pinned_joins(db)[:n_queries]
     report = DifferentialReport()
-    for _ in range(n_queries):
-        query = gen.next_query()
+    for i in range(n_queries):
+        query = pinned[i] if i < len(pinned) else gen.next_query()
         report.queries += 1
         report.encodings_used.update(dict(query.encodings).values())
         reference = None

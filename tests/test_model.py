@@ -209,3 +209,58 @@ class TestColumnMeta:
         assert meta.tuples == cf.n_values
         assert meta.run_length == pytest.approx(cf.avg_run_length)
         assert meta.resident == 0.25
+
+
+class TestFullRangeExtraction:
+    """With no predicate, an LM extraction gathers every position in order:
+    its io is a sequential read of the column, never above DS1's."""
+
+    @staticmethod
+    def _ds1_io(projection, column) -> float:
+        cf = projection.physical_column(column).file()
+        return ds_case1_cost(ColumnMeta.from_file(cf), 1.0, K).io_us
+
+    def test_selection_gather_reads_like_ds1(self, tpch_db):
+        from repro import SelectQuery, Strategy
+        from repro.model.predictor import predict_select
+
+        lineitem = tpch_db.projection("lineitem")
+        query = SelectQuery("lineitem", ("shipdate", "quantity"))
+        steps = dict(predict_select(
+            lineitem, query, Strategy.LM_PARALLEL
+        ).steps)
+        for column in query.select:
+            assert 0 < steps[f"DS3({column})"].io_us <= self._ds1_io(
+                lineitem, column
+            )
+
+    def test_join_left_key_gather_reads_like_ds1(self, tmp_path):
+        from repro import (
+            AggSpec, Database, JoinQuery, RightTableStrategy, load_tpch,
+        )
+        from repro.model.predictor import predict_join
+
+        from .differential import JOIN_PLAIN_DIMENSION, add_join_dimension
+
+        db = Database(tmp_path / "db", query_log=False)
+        load_tpch(db.catalog, scale=0.01, seed=7)  # a multi-block key
+        add_join_dimension(db)
+        lineitem = db.projection("lineitem")
+        query = JoinQuery(
+            left="lineitem", right=JOIN_PLAIN_DIMENSION,
+            left_key="linenum", right_key="linenum",
+            left_select=("quantity",), right_select=("lineweight",),
+            encodings=(("linenum", "uncompressed"),),
+            group_by="lineweight", aggregates=(AggSpec("sum", "quantity"),),
+        )
+        steps = dict(predict_join(
+            lineitem, db.projection(JOIN_PLAIN_DIMENSION), query,
+            RightTableStrategy.MATERIALIZED,
+        ).steps)
+        key = ColumnMeta.from_file(
+            lineitem.physical_column("linenum").file("uncompressed")
+        )
+        assert key.blocks > 1
+        assert 0 < steps["DS3(left key)"].io_us <= ds_case1_cost(
+            key, 1.0, K
+        ).io_us

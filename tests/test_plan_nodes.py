@@ -392,3 +392,21 @@ class TestJoinsArePlanNodes:
                      "Fetch left(shipdate)", "Join(custkey = custkey",
                      "AND", "DS1(custkey <", "inner:"):
             assert line in text
+
+    def test_override_no_side_stores_raises_everywhere(self, tpch_db):
+        from repro.errors import CatalogError
+
+        stored = {
+            enc for side in ("orders", "customer")
+            for enc in tpch_db.projection(side).physical_column(
+                "custkey"
+            ).encodings
+        }
+        missing = next(e for e in ("rle", "bitvector", "dictionary")
+                       if e not in stored)
+        query = _join(tpch_db.projection("orders"),
+                      encodings=(("custkey", missing),))
+        with pytest.raises(CatalogError, match="'orders' or 'customer'"):
+            tpch_db.query(query, strategy="materialized")
+        with pytest.raises(CatalogError, match="'orders' or 'customer'"):
+            tpch_db.explain(query)

@@ -1,23 +1,37 @@
-"""The workload flight recorder: fingerprints, rotation, crash recovery.
+"""The workload flight recorder: fingerprints, rotation, crash recovery,
+and the line format.
 
 The crash-simulation tests mirror the DeltaStore WAL tests: a torn final
 line (the only damage the line-by-line flush permits) is truncated by the
 writer on re-open and tolerated by the reader; corruption anywhere else
 raises :class:`~repro.errors.CatalogError` naming the file and line; and
 segment rotation preserves record ordering (monotonic ``seq``) across
-segment boundaries.
+segment boundaries. The format tests hold the version-2 lines (header,
+definitions, records) to the flat version-1 dicts: a random record stream
+reads back exactly as a small version-1 serializer kept here writes it,
+torn or reopened anywhere, and a checked-in version-1 log still reads,
+replays and takes appends.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro import (
     AggSpec,
     CatalogError,
     Database,
+    JoinQuery,
     MetricsRegistry,
     Predicate,
     QueryLog,
@@ -27,6 +41,12 @@ from repro import (
     query_template,
     read_query_log,
 )
+from repro.cli import main
+from repro.dtypes import INT32, INT64, ColumnSchema
+from repro.errors import QueryCancelledError, QueryTimeoutError
+from repro.metrics import QueryStats
+from repro.qlog import _COUNTER_FIELDS, _touched_columns, result_hash
+from repro.serving.protocol import query_to_dict
 from repro.testing import make_random_projection
 from repro.workload import summarize_log
 
@@ -269,13 +289,12 @@ class TestCrashRecovery:
     def test_torn_final_line_truncated_on_reopen(self, tmp_path):
         qlog_dir = self._capture(tmp_path)
         segment = sorted(qlog_dir.glob("qlog-*.jsonl"))[-1]
+        intact = segment.read_text(encoding="utf-8")
         with open(segment, "a", encoding="utf-8") as f:
             f.write('{"seq": 99, "outcome": "ok", "trunc')
         log = QueryLog(qlog_dir)  # writer recovery truncates the tail
         log.close()
-        content = segment.read_text(encoding="utf-8")
-        assert "trunc" not in content
-        assert len(content.strip().splitlines()) == 4
+        assert segment.read_text(encoding="utf-8") == intact
         # The next record resumes the sequence after the last intact one.
         db = Database(tmp_path / "db", metrics=MetricsRegistry(),
                       query_log=QueryLog(qlog_dir))
@@ -323,3 +342,358 @@ class TestCrashRecovery:
         records = read_query_log(segment)
         assert len(records) == 2
         assert json.dumps(records[0])  # JSON-safe all the way down
+
+
+# --------------------------------------------------------------------------
+# The line format: every version-2 stream reads back as version 1
+# --------------------------------------------------------------------------
+
+_QUERIES = (
+    _select(value=10),
+    _select(value=99),  # same template, another definition
+    _select(value=10, select=("k",)),
+    SelectQuery("t", ("k", "v0"), predicates=(Predicate("k", "<", 50),),
+                encodings=(("k", "rle"),)),
+    SelectQuery("t", ("v1", "sum(v0)"), group_by="v1",
+                aggregates=(AggSpec("sum", "v0"),)),
+    JoinQuery(left="t", right="dim", left_key="k", right_key="dk",
+              left_select=("v0",), right_select=("w",)),
+)
+
+
+def _v1_line(seq, ts, query, origin, session, fields) -> dict:
+    """What the version-1 writer wrote for one record: one flat dict."""
+    record = {"ts": ts, "origin": origin}
+    if session is not None:
+        record["session"] = session
+    if query is not None:
+        record.update(
+            fingerprint=query_fingerprint(query),
+            kind="join" if isinstance(query, JoinQuery) else "select",
+            template=query_template(query),
+            columns=_touched_columns(query),
+            query=query_to_dict(query),
+        )
+    record.update(fields, seq=seq)
+    return json.loads(json.dumps(record))
+
+
+def _v1_fields(query, result) -> dict:
+    """The fields the version-1 writer took from a finished query."""
+    summary = result.summary()
+    fields = dict(
+        strategy=summary["strategy"],
+        encodings=dict(getattr(query, "encodings", ())),
+        outcome="degraded" if "degraded" in summary else "ok",
+        rows=summary["rows"],
+        wall_ms=round(summary["wall_ms"], 3),
+        simulated_ms=round(summary["simulated_ms"], 3),
+        queue_wait_ms=round(summary["queue_wait_ms"], 3),
+        counters={
+            name: round(v, 3) if isinstance(v, float) else v
+            for name in _COUNTER_FIELDS
+            for v in [getattr(result.stats, name)]
+        },
+    )
+    if result.projection is not None:
+        fields["projection"] = result.projection
+    if result.base_rows and not getattr(query, "aggregates", ()):
+        fields["selectivity"] = round(summary["rows"] / result.base_rows, 6)
+    for key in ("partitions", "skipped_partitions"):
+        if key in summary:
+            fields[key] = summary[key]
+    if "degraded" not in summary:
+        fields["result_hash"] = result_hash(result.tuples)
+    return fields
+
+
+class _Result:
+    """A finished query as :meth:`QueryLog.observe` reads it."""
+
+    def __init__(self, n, rows, degraded, partitioned, wait):
+        self.stats = QueryStats(block_reads=n, function_calls=3 * n,
+                                simulated_io_us=n * 1000.0 / 3)
+        self.projection = "t" if n % 3 else None
+        self.base_rows = 0 if n % 4 == 1 else 1000
+        self.tuples = SimpleNamespace(
+            columns=("k",), data=np.arange(rows, dtype=np.int64)[:, None]
+        )
+        self._summary = {
+            "strategy": "lm-parallel", "rows": rows, "wall_ms": n / 7,
+            "simulated_ms": n / 3, "queue_wait_ms": wait,
+            "total_ms": wait + n / 7,
+        }
+        if partitioned:
+            self._summary["partitions"] = {"total": 4, "scanned": 3,
+                                           "pruned": 1}
+        if degraded:
+            self._summary.update(degraded=True, skipped_partitions=["p1"])
+
+    def summary(self) -> dict:
+        return dict(self._summary)
+
+
+_EVENT = st.tuples(
+    st.sampled_from(["ok", "ok", "ok", "degraded", "error", "timeout",
+                     "cancelled", "rejected", "unbound"]),
+    st.integers(0, len(_QUERIES) - 1),
+    st.sampled_from([("embedded", None), ("served", "3"), ("embedded", "9")]),
+    st.integers(0, 50),
+    st.sampled_from([0.0, 0.0004, 1.25]),
+)
+
+
+def _run_session(directory, events, sample, max_bytes, clock, expected):
+    """Log *events* through one :class:`QueryLog` session, appending the
+    version-1 dict of each sampled-in record to *expected*."""
+    log = QueryLog(directory, sample=sample, max_segment_bytes=max_bytes)
+    for outcome, qi, (origin, session), n, wait in events:
+        query = None if outcome == "unbound" else _QUERIES[qi]
+        ts = clock.tick()
+        if outcome in ("ok", "degraded"):
+            result = _Result(n, n * 3, outcome == "degraded", n % 2, wait)
+            kept = log.observe(query, result, origin=origin, session=session)
+            fields = _v1_fields(query, result)
+        elif outcome in ("rejected", "unbound"):
+            kept = log.observe_rejected(query, "queue full", origin=origin,
+                                        session=session)
+            fields = dict(outcome="rejected",
+                          error={"type": "Rejected", "message": "queue full"},
+                          wall_ms=0.0, queue_wait_ms=0.0)
+        else:
+            exc = {"timeout": QueryTimeoutError("slow"),
+                   "cancelled": QueryCancelledError("stop"),
+                   "error": ValueError("x" * 300)}[outcome]
+            kept = log.observe_error(query, exc, wall_ms=n / 7,
+                                     queue_wait_ms=wait, origin=origin,
+                                     session=session)
+            fields = dict(outcome=outcome,
+                          error={"type": type(exc).__name__,
+                                 "message": str(exc)[:200]},
+                          wall_ms=round(n / 7, 3),
+                          queue_wait_ms=round(wait, 3))
+        if kept:
+            expected.append(_v1_line(len(expected), ts, query, origin,
+                                     session, fields))
+    log.close()
+
+
+class _Clock:
+    """A deterministic ``time.time`` for the record timestamps."""
+
+    def __init__(self):
+        self.now = 1_700_000_000.0
+
+    def tick(self) -> float:
+        self.now += 0.25
+        return round(self.now, 3)
+
+    def time(self) -> float:
+        return self.now
+
+
+def _write_stream(directory, sessions, sample, max_bytes) -> list[dict]:
+    clock, expected = _Clock(), []
+    with mock.patch("repro.qlog.time", clock):
+        for events in sessions:
+            _run_session(directory, events, sample, max_bytes, clock,
+                         expected)
+    return expected
+
+
+def _assert_reads_as(directory, expected):
+    records = read_query_log(directory)
+    assert records == expected
+    assert [list(r) for r in records] == [list(r) for r in expected]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(
+    sessions=st.lists(st.lists(_EVENT, max_size=8), min_size=1, max_size=3),
+    sample=st.sampled_from([1.0, 1.0, 0.5]),
+    max_bytes=st.sampled_from([700, 2500, 1 << 20]),
+)
+def test_every_v2_stream_reads_back_as_v1(sessions, sample, max_bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        directory = Path(tmp) / "qlog"
+        expected = _write_stream(directory, sessions, sample, max_bytes)
+        if not expected:
+            return
+        _assert_reads_as(directory, expected)
+        # Tear the final segment at every line boundary and inside every
+        # line: the reader returns the records of the whole lines, and a
+        # reopened writer recovers and continues the sequence.
+        final = sorted(directory.glob("qlog-*.jsonl"))[-1]
+        text = final.read_text(encoding="utf-8")
+        lines = text.splitlines(keepends=True)
+        before = len(expected) - sum(
+            not ({"qlog", "def"} & set(json.loads(line))) for line in lines
+        )
+        cut, kept = 0, before
+        for line in lines:
+            for end in (cut + len(line) // 2, cut + len(line)):
+                whole = end == cut + len(line)
+                n = kept + (whole and not {"qlog", "def"} & set(
+                    json.loads(line)
+                ))
+                torn = Path(tmp) / f"torn{end}"
+                shutil.copytree(directory, torn)
+                (torn / final.name).write_text(text[:end], encoding="utf-8")
+                _assert_reads_as(torn, expected[:n])
+                more = expected[:n]
+                with mock.patch("repro.qlog.time", _Clock()) as clock:
+                    clock.now = 1_800_000_000.0
+                    _run_session(torn, [("ok", 0, ("embedded", None), 5,
+                                         0.0)], 1.0, max_bytes, clock, more)
+                _assert_reads_as(torn, more)
+                shutil.rmtree(torn)
+            cut += len(line)
+            kept = n
+
+
+class TestFormat:
+    def test_static_facts_written_once_per_scope(self, tmp_path):
+        log = QueryLog(tmp_path / "qlog")
+        db = _db(tmp_path, query_log=log)
+        for _ in range(3):
+            db.query(_select())
+        db.query(_select(value=7))
+        db.close()
+        segment = tmp_path / "qlog" / "qlog-00000001.jsonl"
+        lines = [json.loads(line) for line in
+                 segment.read_text(encoding="utf-8").splitlines()]
+        assert lines[0] == {"qlog": 2, "counters": list(_COUNTER_FIELDS)}
+        defs = [line["def"] for line in lines if "def" in line]
+        assert [i for i, line in enumerate(lines) if "def" in line] == [1, 5]
+        assert [line["q"] for line in lines if "seq" in line] == [
+            defs[0], defs[0], defs[0], defs[1],
+        ]
+        # Defaults are left out.
+        assert not {"outcome", "origin", "queue_wait_ms"} & set(lines[2])
+
+    def test_handles_sharing_a_directory_interleave(self, tmp_path):
+        # Two open logs on one directory append to one segment, each with
+        # its own header; a record's definition may precede another
+        # writer's header.
+        a, b = QueryLog(tmp_path / "qlog"), QueryLog(tmp_path / "qlog")
+        queries = [_select(value=v) for v in (1, 2, 3)]
+        a.observe_rejected(queries[0], "full")
+        a.flush()
+        b.observe_rejected(queries[1], "full")
+        b.flush()
+        a.observe_rejected(queries[0], "full")
+        a.observe_rejected(queries[2], "full")
+        a.flush()
+        b.observe_rejected(queries[0], "full")
+        a.close()
+        b.close()
+        records = read_query_log(tmp_path / "qlog")
+        assert [r["query"]["predicates"][0]["value"] for r in records] == [
+            1, 2, 1, 3, 1,
+        ]
+
+    def test_unknown_definition_raises_naming_file_and_line(self, tmp_path):
+        log = QueryLog(tmp_path / "qlog")
+        db = _db(tmp_path, query_log=log)
+        db.query(_select())
+        db.query(_select())
+        db.close()
+        segment = tmp_path / "qlog" / "qlog-00000001.jsonl"
+        lines = segment.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[3])
+        record["q"] = "unknown"
+        lines[3] = json.dumps(record)
+        segment.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(CatalogError) as excinfo:
+            read_query_log(segment)
+        assert str(segment) in str(excinfo.value)
+        assert "line 4" in str(excinfo.value)
+        with pytest.raises(CatalogError):
+            QueryLog(tmp_path / "qlog")
+
+
+# --------------------------------------------------------------------------
+# Version-1 logs
+# --------------------------------------------------------------------------
+
+#: A log the version-1 writer wrote over :func:`_v1_database`: five ok
+#: selects (one with an encoding override, one aggregated, one over the
+#: partitioned ``p``), an ok join, a served ok select, an error, two
+#: rejections (with and without a query), a degraded select (partition
+#: ``part0001`` of ``p`` corrupt, ``on_error="degrade"``), then two more ok
+#: selects.
+V1_LOG = Path(__file__).parent / "data" / "qlog_v1"
+
+
+def _v1_database(root) -> None:
+    """The database :data:`V1_LOG` was recorded over."""
+    db = Database(root, query_log=False, metrics=MetricsRegistry())
+    make_random_projection(db, n_rows=3000, seed=11)
+    rng = np.random.default_rng(7)
+    a = np.sort(rng.integers(0, 1000, size=4000)).astype(np.int32)
+    b = rng.integers(0, 1000, size=4000).astype(np.int32)
+    db.catalog.create_projection(
+        "p", {"a": a, "b": b},
+        schemas={"a": ColumnSchema("a", INT32), "b": ColumnSchema("b", INT32)},
+        sort_keys=["a"],
+        encodings={"a": ["uncompressed"], "b": ["uncompressed"]},
+        presorted=True, partitions=2,
+    )
+    keys = np.arange(100, dtype=np.int64)
+    db.catalog.create_projection(
+        "dim", {"dk": keys, "w": (keys * 7 % 13).astype(np.int32)},
+        schemas={"dk": ColumnSchema("dk", INT64), "w": ColumnSchema("w", INT32)},
+        sort_keys=["dk"],
+        encodings={"dk": ["uncompressed"], "w": ["uncompressed"]},
+        presorted=True,
+    )
+    db.close()
+
+
+def _v1_lines() -> list[dict]:
+    """The fixture as the version-1 reader read it: one dict per line."""
+    segment = V1_LOG / "qlog-00000001.jsonl"
+    text = segment.read_text(encoding="utf-8")
+    return [json.loads(line) for line in text.splitlines()]
+
+
+class TestV1Logs:
+    def test_reads_as_before(self):
+        records = read_query_log(V1_LOG)
+        assert records == _v1_lines()
+        assert [list(r) for r in records] == [list(r) for r in _v1_lines()]
+        assert [r["outcome"] for r in records] == [
+            "ok", "ok", "ok", "ok", "ok", "ok", "error", "rejected",
+            "rejected", "degraded", "ok", "ok",
+        ]
+        assert records[5]["origin"] == "served"
+        assert "query" not in records[8]
+
+    def test_replay_check_passes(self, tmp_path, capsys):
+        _v1_database(tmp_path / "db")
+        code = main(["replay", str(tmp_path / "db"), str(V1_LOG), "--check"])
+        out = capsys.readouterr().out.splitlines()
+        assert code == 0, out
+        assert out[2] == (
+            "replayed       8 (matched=8 mismatched=0 errors=0 skipped=4)"
+        )
+
+    def test_v1_segment_continues_in_v2(self, tmp_path):
+        _v1_database(tmp_path / "db")
+        shutil.copytree(V1_LOG, tmp_path / "db" / "_qlog")
+        db = Database(tmp_path / "db", metrics=MetricsRegistry())
+        db.query(_select(), strategy="lm-parallel")
+        db.query(_select(), strategy="em-parallel")
+        db.close()
+        segment = tmp_path / "db" / "_qlog" / "qlog-00000001.jsonl"
+        text = segment.read_text(encoding="utf-8")
+        v1_text = (V1_LOG / segment.name).read_text(encoding="utf-8")
+        assert text.startswith(v1_text)
+        assert json.loads(text[len(v1_text):].splitlines()[0])["qlog"] == 2
+        records = read_query_log(tmp_path / "db" / "_qlog")
+        assert records[:12] == _v1_lines()
+        assert [r["seq"] for r in records] == list(range(14))
+        assert [r["strategy"] for r in records[12:]] == [
+            "lm-parallel", "em-parallel",
+        ]
