@@ -4,8 +4,8 @@ Closes the loop the paper's cost model opens: the same Section-3 formulas
 that pick a materialization strategy per query can rank whole physical
 designs, once the workload is known. The query log (PR 7) records the
 workload; this package distills it, enumerates candidate designs
-(:mod:`~repro.advisor.candidates`), prices each against hypothetical
-catalog entries with **no data movement** (:mod:`~repro.advisor.whatif`),
+(:mod:`~repro.advisor.candidates`), prices each from the metadata records
+a build would have, with **no data movement** (:mod:`~repro.advisor.whatif`),
 and emits a ranked, appliable plan (:mod:`~repro.advisor.plan`).
 
 Entry points::
@@ -23,9 +23,6 @@ same logs is ``repro calibrate --from-log`` (see
 from .candidates import CandidateDesign, generate_candidates
 from .plan import AdvisorAction, AdvisorPlan, advise, apply_plan
 from .whatif import (
-    HypotheticalColumn,
-    HypotheticalColumnFile,
-    HypotheticalProjection,
     WhatIfCatalog,
     cheapest_plan_ms,
     evaluate_design,
@@ -39,9 +36,6 @@ __all__ = [
     "apply_plan",
     "CandidateDesign",
     "generate_candidates",
-    "HypotheticalColumn",
-    "HypotheticalColumnFile",
-    "HypotheticalProjection",
     "WhatIfCatalog",
     "cheapest_plan_ms",
     "evaluate_design",

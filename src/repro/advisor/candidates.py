@@ -46,6 +46,17 @@ class CandidateDesign:
     reason: str = ""
 
 
+def sorted_runs(histogram, n: int) -> tuple[int, float]:
+    """``(distinct values, run length)`` of *n* values sorted first: one
+    run per distinct value. Without a histogram every value is distinct."""
+    distinct = (
+        histogram.n_distinct
+        if histogram is not None and histogram.n_values
+        else max(n, 1)
+    )
+    return distinct, n / max(distinct, 1)
+
+
 def _anchor_of(catalog, table: str) -> str | None:
     """Resolve a query's projection field to its logical table name."""
     if table in catalog:
@@ -146,12 +157,7 @@ def generate_candidates(
         except CatalogError:
             continue
         n_rows = source.n_rows
-        distinct = (
-            histogram.n_distinct
-            if histogram is not None and histogram.n_values
-            else max(n_rows, 1)
-        )
-        run_length = n_rows / max(distinct, 1)
+        run_length = sorted_runs(histogram, n_rows)[1]
         encodings = {
             c: ("uncompressed",) for c in sorted(columns) if c != col
         }

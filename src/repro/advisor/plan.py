@@ -223,7 +223,7 @@ def advise(
     candidates = generate_candidates(
         db.catalog, summary, max_candidates=max_candidates
     )
-    chosen: list = []
+    chosen: list = []  # what-if projections of the builds picked so far
     current_total, current_per = baseline_total, baseline_per
     remaining = list(candidates)
     while remaining and len(chosen) < max_builds:
@@ -234,17 +234,8 @@ def advise(
             )
             if source is None:
                 continue
-            hyp = hypothetical_projection(
-                source,
-                candidate.name,
-                candidate.columns,
-                candidate.sort_keys,
-                candidate.encodings,
-                anchor=candidate.anchor,
-            )
-            view = WhatIfCatalog(
-                db.catalog, adds=[h for _c, h in chosen] + [hyp]
-            )
+            hyp = hypothetical_projection(source, candidate)
+            view = WhatIfCatalog(db.catalog, adds=[*chosen, hyp])
             with_total, with_per = evaluate_design(view, weighted, constants)
             # Compare over the keys both designs could score; adding a
             # candidate never removes a candidate, so current's keys are
@@ -281,7 +272,7 @@ def advise(
                 reason=candidate.reason,
             )
         )
-        chosen.append((candidate, hyp))
+        chosen.append(hyp)
         remaining = [c for c in remaining if c.name != candidate.name]
         current_total, current_per = with_total, with_per
     plan.predicted_ms = current_total
@@ -290,7 +281,7 @@ def advise(
     # query resolved to and the final design does not route anything to.
     used = _recorded_projections(summary)
     used.update(entry[2] for entry in current_per.values())
-    used.update(name for _c, h in chosen for name in (h.name,))
+    used.update(h.name for h in chosen)
     for name in db.catalog.names():
         proj = db.catalog.get(name)
         if not proj.anchor or proj.anchor == proj.name:

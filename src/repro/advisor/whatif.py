@@ -1,34 +1,26 @@
-"""Hypothetical catalog entries: what-if costing with no data movement.
+"""What-if designs: price a projection that was never built.
 
-The cost predictor never reads block payloads — every term it prices comes
-from column *metadata*: block counts, value counts, run lengths, block
-min/max descriptors, and the write-time histogram. That makes true what-if
-costing cheap: fabricate the metadata a projection **would** have if it
-were built (same rows, different sort order / encodings), hand it to the
-unchanged :func:`repro.model.predictor.predict_select`, and the model
-prices the hypothetical design exactly as it would the real one.
+The cost predictor never reads block payloads: every term it prices comes
+from column *metadata* (block counts, value counts, run lengths, block
+min/max descriptors, the write-time histogram), the paper's |C|, ||C||,
+RL, F and SF. So a design that does not exist is priced by building its
+metadata records and handing them to the unchanged
+:func:`repro.model.predictor.predict_select`.
 
-Three duck-typed stand-ins mirror the read surface the predictor and
-:mod:`repro.planner.projection_choice` actually touch:
+:func:`hypothetical_projection` builds those records from the same classes
+a stored design uses: one :class:`~repro.storage.column_file.ColumnFile`
+per encoding with no ``path`` (reading a payload from it raises
+:class:`~repro.errors.StorageError`), grouped by an in-memory
+:class:`~repro.storage.projection.ProjectionColumn` and
+:class:`~repro.storage.projection.Projection`. The histogram is the real
+source column's — a value distribution does not depend on sort order —
+while descriptors and run counts are synthesized for the new sort order,
+and the primary sort key is flagged ``indexed`` as a build would index it.
 
-* :class:`HypotheticalColumnFile` — the :class:`~repro.storage.column_file.
-  ColumnFile` metadata surface (``n_values``/``n_blocks``/``descriptors``/
-  ``total_runs``/``avg_run_length``/``histogram``/``encoding``). The
-  histogram is *delegated* from the real source column — a value
-  distribution is sort-order-invariant — while descriptors and run counts
-  are synthesized for the hypothetical sort order.
-* :class:`HypotheticalColumn` — ``file(encoding)`` with the same
-  default-order walk and the same :class:`~repro.errors.CatalogError` on a
-  missing encoding as :class:`~repro.storage.projection.ProjectionColumn`,
-  so encoding overrides disqualify hypothetical candidates exactly like
-  real ones.
-* :class:`HypotheticalProjection` — ``column``/``column_names``/
-  ``n_rows``/``sort_keys``/``is_partitioned``.
-
-:class:`WhatIfCatalog` overlays additions and drops on a real catalog and
-exposes the one method projection routing needs (``candidates``), so
-:func:`cheapest_plan_ms` can re-run the router's own
-candidate × strategy minimization against any hypothetical design.
+:class:`WhatIfCatalog` adds such projections to a real catalog's
+``candidates`` (the one lookup projection routing performs), so
+:func:`cheapest_plan_ms` re-runs the router's own candidate × strategy
+minimization against the grown design.
 
 Synthesis assumptions (documented approximations):
 
@@ -43,110 +35,23 @@ Synthesis assumptions (documented approximations):
   *counts*, not exact layouts;
 * partition advice is scored through the sorted-descriptor read fraction
   (a zone map prunes the same blocks the descriptors already skip), so
-  partitioned candidates reuse the unpartitioned hypothetical.
+  partitioned candidates reuse the unpartitioned design's records.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 from ..errors import CatalogError, UnsupportedOperationError
 from ..storage.block import BlockDescriptor
+from ..storage.column_file import ColumnFile
 from ..storage.encoding import encoding_by_name
-from ..storage.projection import ProjectionColumn
+from ..storage.projection import Projection, ProjectionColumn
+from .candidates import CandidateDesign, sorted_runs
 
 _BLOCK_BYTES = 64 * 1024
 #: Rough encoded bytes per RLE run (value + start + length).
 _RUN_BYTES = 24
-
-#: Sentinel standing in for a clustered index on a hypothetical primary
-#: sort key; the predictor only tests ``index is not None``.
-_HYPOTHETICAL_INDEX = object()
-
-
-@dataclass
-class HypotheticalColumnFile:
-    """Metadata-only stand-in for one encoding of one column."""
-
-    column: str
-    encoding: object
-    n_values: int
-    descriptors: list
-    total_runs: int
-    histogram: object | None = None
-
-    @property
-    def n_blocks(self) -> int:
-        return len(self.descriptors)
-
-    @property
-    def avg_run_length(self) -> float:
-        if self.total_runs == 0:
-            return 1.0
-        return self.n_values / self.total_runs
-
-
-@dataclass
-class HypotheticalColumn:
-    """``ProjectionColumn`` read surface over hypothetical files."""
-
-    name: str
-    files: dict[str, HypotheticalColumnFile]
-    #: True for the primary sort key: a real build would get a clustered
-    #: index there (and only there).
-    has_index: bool = False
-
-    @property
-    def index(self):
-        return _HYPOTHETICAL_INDEX if self.has_index else None
-
-    @property
-    def encodings(self) -> list[str]:
-        return sorted(self.files)
-
-    def file(self, encoding: str | None = None) -> HypotheticalColumnFile:
-        if encoding is None:
-            for preferred in ProjectionColumn.DEFAULT_ENCODING_ORDER:
-                if preferred in self.files:
-                    encoding = preferred
-                    break
-            else:
-                encoding = next(iter(sorted(self.files)))
-        if encoding not in self.files:
-            raise CatalogError(
-                f"column {self.name!r} has no {encoding!r} encoding "
-                f"(available: {self.encodings})"
-            )
-        return self.files[encoding]
-
-
-@dataclass
-class HypotheticalProjection:
-    """``Projection`` read surface for a design that was never built."""
-
-    name: str
-    anchor: str
-    n_rows: int
-    sort_keys: list[str]
-    columns: dict[str, HypotheticalColumn]
-
-    @property
-    def is_partitioned(self) -> bool:
-        return False
-
-    @property
-    def column_names(self) -> list[str]:
-        return list(self.columns)
-
-    def column(self, name: str) -> HypotheticalColumn:
-        try:
-            return self.columns[name]
-        except KeyError:
-            raise CatalogError(
-                f"hypothetical projection {self.name!r} has no column "
-                f"{name!r}"
-            ) from None
 
 
 def _mass_segments(histogram) -> list[tuple[float, float, float]]:
@@ -223,27 +128,21 @@ def _estimated_blocks(
     return max(1, math.ceil(payload / _BLOCK_BYTES))
 
 
-def _hypothetical_file(
+def _whatif_file(
     column: str,
-    source_file,
-    value_nbytes: int,
+    source_file: ColumnFile,
+    ctype,
     encoding_name: str,
     sorted_as_key: bool,
-) -> HypotheticalColumnFile:
+) -> ColumnFile:
     """Synthesize one encoding's metadata from the real column's stats."""
     encoding = encoding_by_name(encoding_name)
     n = source_file.n_values
     histogram = source_file.histogram
-    distinct = (
-        histogram.n_distinct if histogram is not None and histogram.n_values
-        else max(n, 1)
-    )
-    if sorted_as_key:
-        run_length = n / max(distinct, 1)
-    else:
-        run_length = 1.0
+    distinct, sorted_run_length = sorted_runs(histogram, n)
+    run_length = sorted_run_length if sorted_as_key else 1.0
     n_blocks = _estimated_blocks(
-        encoding_name, n, distinct, value_nbytes, run_length
+        encoding_name, n, distinct, ctype.numpy_dtype.itemsize, run_length
     )
     if sorted_as_key and histogram is not None and histogram.n_values:
         ranges = _sorted_block_ranges(histogram, n_blocks)
@@ -277,8 +176,10 @@ def _hypothetical_file(
         total_runs = max(1, math.ceil(n / max(run_length, 1.0))) if n else 0
     else:
         total_runs = n
-    return HypotheticalColumnFile(
+    return ColumnFile(
+        path=None,
         column=column,
+        ctype=ctype,
         encoding=encoding,
         n_values=n,
         descriptors=descriptors,
@@ -287,86 +188,56 @@ def _hypothetical_file(
     )
 
 
-def hypothetical_projection(
-    source,
-    name: str,
-    columns,
-    sort_keys,
-    encodings: dict,
-    anchor: str | None = None,
-) -> HypotheticalProjection:
-    """Fabricate the metadata *source*'s rows would have under a new design.
+def hypothetical_projection(source, candidate: CandidateDesign) -> Projection:
+    """The metadata *source*'s rows would have under *candidate*'s design.
 
-    *source* is a real, unpartitioned projection covering *columns*; its
-    per-column histograms and value counts parameterize the synthesis.
-    *encodings* maps each column to the encoding names the design would
-    store (exactly what an :func:`~repro.advisor.plan.apply_plan` build
-    materializes, so what-if scores describe the projection apply creates).
+    *source* is a real, unpartitioned projection covering the candidate's
+    columns; its per-column histograms and value counts parameterize the
+    synthesis. The candidate's encodings are exactly what an
+    :func:`~repro.advisor.plan.apply_plan` build materializes, so what-if
+    scores describe the projection apply creates.
     """
-    primary = sort_keys[0] if sort_keys else None
-    cols: dict[str, HypotheticalColumn] = {}
-    for col in columns:
+    primary = candidate.sort_keys[0] if candidate.sort_keys else None
+    columns = {}
+    for col in candidate.columns:
+        schema = source.schema(col)
         source_file = source.physical_column(col).file()
-        value_nbytes = source.schema(col).ctype.numpy_dtype.itemsize
         files = {
-            enc: _hypothetical_file(
-                col, source_file, value_nbytes, enc, col == primary
+            enc: _whatif_file(
+                col, source_file, schema.ctype, enc, col == primary
             )
-            for enc in encodings.get(col, ("uncompressed",))
+            for enc in candidate.encodings.get(col, ("uncompressed",))
         }
-        cols[col] = HypotheticalColumn(
-            name=col, files=files, has_index=(col == primary)
+        columns[col] = ProjectionColumn.in_memory(
+            schema, files, indexed=(col == primary)
         )
-    return HypotheticalProjection(
-        name=name,
-        anchor=anchor or source.anchor or source.name,
+    return Projection(
+        name=candidate.name,
+        directory=None,
         n_rows=source.n_rows,
-        sort_keys=list(sort_keys),
-        columns=cols,
+        sort_keys=list(candidate.sort_keys),
+        columns=columns,
+        anchor=candidate.anchor,
     )
 
 
 class WhatIfCatalog:
-    """A catalog view: real projections, plus adds, minus drops.
+    """A catalog view: the real projections, plus designs never built.
 
-    Duck-types the one lookup projection routing performs —
-    ``candidates(name)`` — preserving the real catalog's candidate order
-    (ties keep resolving to the incumbent) and appending hypotheticals
-    whose name or anchor matches.
+    Implements the one lookup projection routing performs —
+    ``candidates(name)`` — keeping the real catalog's candidate order
+    (ties keep resolving to the incumbent) and appending the added
+    projections whose name or anchor matches.
     """
 
-    def __init__(self, catalog, adds=(), drops=()):
+    def __init__(self, catalog, adds=()):
         self._catalog = catalog
-        self._adds = {p.name: p for p in adds}
-        self._drops = set(drops)
+        self._adds = list(adds)
 
     def candidates(self, name: str) -> list:
-        out = [
-            p
-            for p in self._catalog.candidates(name)
-            if p.name not in self._drops
+        return self._catalog.candidates(name) + [
+            p for p in self._adds if name in (p.name, p.anchor)
         ]
-        for p in self._adds.values():
-            if p.name == name or p.anchor == name:
-                out.append(p)
-        return out
-
-    def has(self, name: str) -> bool:
-        return bool(self.candidates(name))
-
-    def get(self, name: str):
-        if name in self._adds:
-            return self._adds[name]
-        if name in self._drops:
-            raise CatalogError(f"unknown projection {name!r}")
-        return self._catalog.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        if name in self._adds:
-            return True
-        if name in self._drops:
-            return False
-        return name in self._catalog
 
 
 def cheapest_plan_ms(catalog_like, query, constants):

@@ -373,7 +373,7 @@ def cmd_info(args) -> int:
         for col in proj.column_names:
             pc = proj.physical_column(col)
             encodings = ", ".join(pc.encodings)
-            indexed = "  [indexed]" if pc.index_path else ""
+            indexed = "  [indexed]" if pc.indexed else ""
             print(f"  {col:>16} ({pc.schema.ctype.name}): {encodings}{indexed}")
     return 0
 

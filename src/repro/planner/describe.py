@@ -96,7 +96,7 @@ def _column_note(projection: Projection, query: SelectQuery, col: str) -> str:
     bits = [cf.encoding.name, f"{cf.n_blocks} blocks"]
     if cf.avg_run_length > 1.05:
         bits.append(f"runs~{cf.avg_run_length:.0f}")
-    if projection.column(col).index is not None:
+    if projection.column(col).indexed:
         bits.append("indexed")
     return ", ".join(bits)
 

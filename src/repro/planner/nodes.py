@@ -81,7 +81,7 @@ def uses_index(projection, node: PlanNode) -> bool:
     """Whether a DS1 node is answered from the column's clustered index: no
     block is read and nothing is pinned for later extraction."""
     parts = getattr(node.predicate, "predicates", (node.predicate,))
-    return projection.column(node.column).index is not None and all(
+    return projection.column(node.column).indexed and all(
         getattr(p, "in_values", None) is not None or p.op != "!=" for p in parts
     )
 

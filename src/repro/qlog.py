@@ -259,9 +259,8 @@ class _Definition:
     executions (``facts``, in :data:`_STATIC_FIELDS` order), serialized as
     a ``def`` line on first use, by the writer thread.
 
-    The line's id is a hash of the facts, so every writer gives one query
-    the same id: handles sharing a log directory may append to one segment
-    at once, and each record finds its definition whichever wrote it.
+    The line's id is a hash of the facts, so one query has the same id in
+    every segment and every writer session.
     """
 
     __slots__ = ("facts", "_encoded")
@@ -330,8 +329,170 @@ def result_hash(tuples) -> str:
 # --------------------------------------------------------------------------
 
 
+#: The writer of each log directory open in this process, by resolved path.
+_WRITERS: dict = {}
+_WRITERS_LOCK = threading.Lock()
+
+
+class _SegmentWriter:
+    """The one appender of a log directory within a process: the ``seq``
+    counter, the active segment and its rotation.
+
+    Every :class:`QueryLog` handle on the directory shares it, by
+    reference count, so two handles never repeat a ``seq`` and neither
+    appends to a segment the other has rotated past. Handles in different
+    processes are not supported: each process would have its own writer.
+    """
+
+    def __init__(self, directory: Path, key: Path):
+        self.directory = directory
+        self._key = key
+        self._refs = 0
+        self._lock = threading.Lock()
+        self._fh = None
+        self.size = 0  # bytes in the active segment
+        # The ids of the definitions written in the active scope (this
+        # writer's part of the active segment); None until the scope has
+        # its header line.
+        self._defs: set | None = None
+        self._open_active()
+
+    @classmethod
+    def acquire(cls, directory: Path) -> "_SegmentWriter":
+        """The directory's writer, opened (and recovered) on first use."""
+        key = directory.resolve()
+        with _WRITERS_LOCK:
+            writer = _WRITERS.get(key)
+            if writer is None:
+                writer = _WRITERS[key] = cls(directory, key)
+            writer._refs += 1
+            return writer
+
+    def release(self) -> None:
+        """Drop one handle's reference; the last one seals the segment."""
+        with _WRITERS_LOCK:
+            self._refs -= 1
+            if self._refs:
+                return
+            del _WRITERS[self._key]
+        with self._lock:
+            self._fh.flush()
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            self._fh = None
+
+    def _open_active(self) -> None:
+        """Continue the newest segment, recovering a torn tail first."""
+        segments = sorted(self.directory.glob(_SEGMENT_GLOB))
+        if not segments:
+            self._index = 1
+            self.size = 0
+            self._next_seq = 0
+        else:
+            active = segments[-1]
+            self._index = _segment_index(active)
+            last_seq = self._recover_segment(active)
+            # A crash right after rotation can leave the active segment
+            # without an intact record: the sequence continues from the
+            # newest sealed segment that has one.
+            for sealed in reversed(segments[:-1]):
+                if last_seq >= 0:
+                    break
+                records = _read_segment(sealed, torn_tail_ok=False)[0]
+                if records:
+                    last_seq = int(records[-1]["seq"])
+            self._next_seq = last_seq + 1
+            self.size = active.stat().st_size
+        self._open_segment()
+
+    def _open_segment(self) -> None:
+        """Append to segment ``self._index`` in a new scope, whose first
+        line will be a header."""
+        self._fh = open(
+            self.directory / _segment_name(self._index),
+            "a",
+            encoding="utf-8",
+        )
+        self._defs = None
+
+    @staticmethod
+    def _recover_segment(path: Path) -> int:
+        """Truncate a torn final line; return the last intact record's seq.
+
+        Mirrors :meth:`repro.delta.DeltaStore._recover`: the only write is
+        an append, so a crash can tear at most the final line. That tail is
+        dropped (the query's caller never saw the record acknowledged); a
+        malformed line anywhere earlier is real corruption and raises.
+        """
+        records, lines, torn = _read_segment(path, torn_tail_ok=True)
+        if torn is not None:
+            logger.warning(
+                "%s: truncating torn final query-log line "
+                "(%d intact records kept): %s",
+                path, len(records), torn,
+            )
+            with open(path, "w", encoding="utf-8") as f:
+                f.writelines(line + "\n" for line in lines[:-1])
+        last_seq = -1
+        for record in records:
+            last_seq = int(record.get("seq", last_seq + 1))
+        return last_seq
+
+    def write(self, item: tuple, max_segment_bytes: int) -> None:
+        """Append one record, stamped with the next ``seq``, rotating
+        first when it would push the active segment past
+        *max_segment_bytes*."""
+        definition, record, counters = item
+        with self._lock:
+            record = {"seq": self._next_seq, **record}
+            if counters is not None:
+                record["c"] = [
+                    round(v, 3) if isinstance(v, float) else v
+                    for v in counters
+                ]
+            text = self._lines(definition, record)
+            if self.size + len(text) > max_segment_bytes and self.size:
+                # Seal the full segment durably before rotating: once the
+                # next segment exists, readers treat this one as immutable
+                # history.
+                self._fh.flush()
+                os.fsync(self._fh.fileno())
+                self._fh.close()
+                self._index += 1
+                self.size = 0
+                self._open_segment()
+                text = self._lines(definition, record)
+            self._fh.write(text)
+            self._fh.flush()
+            # Only now are the scope's header and the definition on disk.
+            if self._defs is None:
+                self._defs = set()
+            if "q" in record:
+                self._defs.add(record["q"])
+            # json.dumps escapes to ASCII: chars = bytes
+            self.size += len(text)
+            self._next_seq += 1
+
+    def _lines(self, definition, record: dict) -> str:
+        """The lines that append *record* to the active scope: its header
+        and the query's definition first when the scope lacks them."""
+        lines = [_HEADER] if self._defs is None else []
+        if definition is not None:
+            record["q"], line = definition.encoded()
+            if record["q"] not in (self._defs or ()):
+                lines.append(line)
+        lines.append(_encode(record))
+        return "\n".join(lines) + "\n"
+
+
 class QueryLog:
-    """Size-rotated, sampled JSONL query log (thread-safe append)."""
+    """Size-rotated, sampled JSONL query log (thread-safe append).
+
+    Handles on one directory within a process share one
+    :class:`_SegmentWriter` (one ``seq``, one active segment, one
+    rotation); sampling and result hashing stay per handle. Handles on one
+    directory in different processes are not supported.
+    """
 
     def __init__(
         self,
@@ -372,12 +533,7 @@ class QueryLog:
         self._written = 0     # records accepted into the log (this open)
         self._dropped = 0     # records lost to write errors (this open)
         self._closed = False
-        self._fh = None
-        # The ids of the definitions written in the active scope (this
-        # session's part of the active segment); None until the scope has
-        # its header line.
-        self._defs: set | None = None
-        self._open_active()
+        self._segments = _SegmentWriter.acquire(self.directory)
         # Records are serialized and written by a dedicated thread so the
         # engine's per-query cost is one sample test, one result hash, and
         # one enqueue of the record's varying fields with the query's
@@ -397,63 +553,6 @@ class QueryLog:
 
     # ------------------------------------------------------------- lifecycle
 
-    def _open_active(self) -> None:
-        """Continue the newest segment, recovering a torn tail first."""
-        segments = sorted(self.directory.glob(_SEGMENT_GLOB))
-        if not segments:
-            self._index = 1
-            self._size = 0
-            self._next_seq = 0
-        else:
-            active = segments[-1]
-            self._index = _segment_index(active)
-            last_seq = self._recover_segment(active)
-            # A crash right after rotation can leave the active segment
-            # without an intact record: the sequence continues from the
-            # newest sealed segment that has one.
-            for sealed in reversed(segments[:-1]):
-                if last_seq >= 0:
-                    break
-                records = _read_segment(sealed, torn_tail_ok=False)[0]
-                if records:
-                    last_seq = int(records[-1]["seq"])
-            self._next_seq = last_seq + 1
-            self._size = active.stat().st_size
-        self._open_segment()
-
-    def _open_segment(self) -> None:
-        """Append to segment ``self._index`` in a new scope, whose first
-        line will be a header."""
-        self._fh = open(
-            self.directory / _segment_name(self._index),
-            "a",
-            encoding="utf-8",
-        )
-        self._defs = None
-
-    @staticmethod
-    def _recover_segment(path: Path) -> int:
-        """Truncate a torn final line; return the last intact record's seq.
-
-        Mirrors :meth:`repro.delta.DeltaStore._recover`: the only write is
-        an append, so a crash can tear at most the final line. That tail is
-        dropped (the query's caller never saw the record acknowledged); a
-        malformed line anywhere earlier is real corruption and raises.
-        """
-        records, lines, torn = _read_segment(path, torn_tail_ok=True)
-        if torn is not None:
-            logger.warning(
-                "%s: truncating torn final query-log line "
-                "(%d intact records kept): %s",
-                path, len(records), torn,
-            )
-            with open(path, "w", encoding="utf-8") as f:
-                f.writelines(line + "\n" for line in lines[:-1])
-        last_seq = -1
-        for record in records:
-            last_seq = int(record.get("seq", last_seq + 1))
-        return last_seq
-
     def close(self) -> None:
         """Drain the writer and release the active segment (idempotent)."""
         with self._lock:
@@ -463,11 +562,7 @@ class QueryLog:
         self._queue.put(None)  # sentinel: writer exits after the backlog
         self._drain_now.set()
         self._writer.join()
-        if self._fh is not None:
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-            self._fh = None
+        self._segments.release()
         atexit.unregister(self.close)
 
     def flush(self) -> None:
@@ -518,7 +613,7 @@ class QueryLog:
                     stop = True
                     continue
                 try:
-                    self._write(rec)
+                    self._segments.write(rec, self.max_segment_bytes)
                 except Exception:
                     logger.exception(
                         "query-log write failed; record dropped"
@@ -528,47 +623,6 @@ class QueryLog:
                 self._queue.task_done()
             if stop:
                 return
-
-    def _write(self, item: tuple) -> None:
-        if self._fh is None:
-            return
-        definition, record, counters = item
-        record = {"seq": self._next_seq, **record}
-        if counters is not None:
-            record["c"] = [
-                round(v, 3) if isinstance(v, float) else v for v in counters
-            ]
-        text = self._lines(definition, record)
-        if self._size + len(text) > self.max_segment_bytes and self._size:
-            # Seal the full segment durably before rotating: once the next
-            # segment exists, readers treat this one as immutable history.
-            self._fh.flush()
-            os.fsync(self._fh.fileno())
-            self._fh.close()
-            self._index += 1
-            self._size = 0
-            self._open_segment()
-            text = self._lines(definition, record)
-        self._fh.write(text)
-        self._fh.flush()
-        # Only now are the scope's header and the definition on disk.
-        if self._defs is None:
-            self._defs = set()
-        if "q" in record:
-            self._defs.add(record["q"])
-        self._size += len(text)  # json.dumps escapes to ASCII: chars = bytes
-        self._next_seq += 1
-
-    def _lines(self, definition, record: dict) -> str:
-        """The lines that append *record* to the active scope: its header
-        and the query's definition first when the scope lacks them."""
-        lines = [_HEADER] if self._defs is None else []
-        if definition is not None:
-            record["q"], line = definition.encoded()
-            if record["q"] not in (self._defs or ()):
-                lines.append(line)
-        lines.append(_encode(record))
-        return "\n".join(lines) + "\n"
 
     def _enqueue(self, query, record: dict, counters=None) -> None:
         """Hand *record* (its varying fields) to the writer with the
@@ -701,7 +755,7 @@ class QueryLog:
                 "pending": self._queue.qsize(),
                 "sample": self.sample,
                 "segments": len(self.segments()),
-                "active_segment_bytes": self._size,
+                "active_segment_bytes": self._segments.size,
             }
 
 

@@ -28,6 +28,20 @@ from .encoding import Encoding, encoding_by_name
 MAGIC = b"RCOL0001"
 
 
+def _count_runs(path: Path, encoding: Encoding, descriptors,
+                n_values: int) -> int:
+    """The model's run count: per-block runs for run-aware encodings,
+    one per value otherwise."""
+    if not encoding.supports_runs:
+        return n_values
+    total = 0
+    with open(path, "rb") as f:
+        for d in descriptors:
+            f.seek(d.offset)
+            total += encoding.stats_run_count(f.read(d.nbytes), d)
+    return total
+
+
 def write_column(
     path: str | Path,
     values: np.ndarray,
@@ -108,11 +122,17 @@ def write_column(
     )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ColumnFile:
-    """Read-side handle on a column file: metadata plus payload access."""
+    """One encoding of one column: its metadata, and payload access.
 
-    path: Path
+    The metadata (|C|, block descriptors, run count, histogram) is all the
+    cost model reads. A file with no ``path`` is a record of a design that
+    was never built — what-if costing synthesizes one per encoding — and
+    reading a payload from it raises :class:`StorageError`.
+    """
+
+    path: Path | None
     column: str
     ctype: ColumnType
     encoding: Encoding
@@ -137,36 +157,23 @@ class ColumnFile:
             d = dict(d)
             d["offset"] += base
             descriptors.append(BlockDescriptor.from_json(d))
-        ctype = type_by_name(header["dtype"])
         encoding = encoding_by_name(header["encoding"])
-        total_runs = 0
-        histogram = (
-            ColumnHistogram.from_json(header["histogram"])
-            if header.get("histogram")
-            else None
-        )
-        cf = cls(
+        return cls(
             path=path,
             column=header["column"],
-            ctype=ctype,
+            ctype=type_by_name(header["dtype"]),
             encoding=encoding,
             n_values=header["n_values"],
             descriptors=descriptors,
-            total_runs=total_runs,
-            histogram=histogram,
+            total_runs=_count_runs(
+                path, encoding, descriptors, header["n_values"]
+            ),
+            histogram=(
+                ColumnHistogram.from_json(header["histogram"])
+                if header.get("histogram")
+                else None
+            ),
         )
-        cf.total_runs = cf._count_runs()
-        return cf
-
-    def _count_runs(self) -> int:
-        if not self.encoding.supports_runs:
-            return self.n_values
-        total = 0
-        with open(self.path, "rb") as f:
-            for d in self.descriptors:
-                f.seek(d.offset)
-                total += self.encoding.stats_run_count(f.read(d.nbytes), d)
-        return total
 
     @property
     def n_blocks(self) -> int:
@@ -185,6 +192,11 @@ class ColumnFile:
 
     def read_payload(self, index: int) -> bytes:
         """Read one block payload straight from disk (bypassing any pool)."""
+        if self.path is None:
+            raise StorageError(
+                f"column {self.column!r} ({self.encoding.name}) is a what-if "
+                "record with no stored file: it has no payloads to read"
+            )
         d = self.descriptors[index]
         with open(self.path, "rb") as f:
             f.seek(d.offset)

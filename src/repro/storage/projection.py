@@ -35,11 +35,20 @@ META_FILE = "projection.json"
 
 @dataclass
 class ProjectionColumn:
-    """One logical column of a projection and its physical encodings."""
+    """One logical column of a projection and its physical encodings.
+
+    A column of a design held only in memory (what-if costing) maps each
+    encoding to no path, and its files come already open: see
+    :meth:`in_memory`.
+    """
 
     schema: ColumnSchema
-    files: dict[str, Path]
+    files: dict[str, Path | None]
     index_path: Path | None = None
+    #: Whether the column has a clustered index (a stored projection's
+    #: primary sort key, or a what-if design's). Planning and pricing read
+    #: this flag; only execution loads the index itself.
+    indexed: bool = False
     _open_files: dict[str, ColumnFile] = field(default_factory=dict)
     _index: ClusteredIndex | None = field(default=None, repr=False)
     #: Guards the lazy ``_open_files`` / ``_index`` population: concurrent
@@ -49,6 +58,24 @@ class ProjectionColumn:
     _lock: threading.Lock = field(
         default_factory=threading.Lock, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        if self.index_path is not None:
+            self.indexed = True
+
+    @classmethod
+    def in_memory(
+        cls, schema: ColumnSchema, files: dict[str, ColumnFile],
+        indexed: bool = False,
+    ) -> "ProjectionColumn":
+        """A column over already-built :class:`ColumnFile` records, with
+        no directory behind it."""
+        return cls(
+            schema=schema,
+            files={enc: cf.path for enc, cf in files.items()},
+            indexed=indexed,
+            _open_files=dict(files),
+        )
 
     @property
     def index(self) -> ClusteredIndex | None:
@@ -121,7 +148,8 @@ class Projection:
     """
 
     name: str
-    directory: Path
+    #: ``None`` for a design held only in memory (what-if costing).
+    directory: Path | None
     n_rows: int
     sort_keys: list[str]
     columns: dict[str, ProjectionColumn]

@@ -11,12 +11,12 @@ the change and compare the two captures::
 
 ``--compare`` prints the first differing records, how many records of
 each kind differ (result, explain, describe, analyze, qlog, registry,
-spans, pick, write, pending), and for the reads over pending writes how
-many differ in each field: the answer, the error, ``simulated_ms``, the
-describe text and every ``QueryStats`` counter. Beside the ``qlog`` line
-it prints the bytes of every configuration's query-log directory, summed,
-for each capture: a count, so a change to the log format shows its size
-exactly.
+spans, pick, advise, write, pending), and for the reads over pending
+writes how many differ in each field: the answer, the error,
+``simulated_ms``, the describe text and every ``QueryStats`` counter.
+Beside the ``qlog`` line it prints the bytes of every configuration's
+query-log directory, summed, for each capture: a count, so a change to the
+log format shows its size exactly.
 
 It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
@@ -40,7 +40,11 @@ query are captured too: every execution's query-log record (without its
 ``ts``, ``seq`` and ``wall_ms``), each query's ``explain(analyze=True)``
 report under its last strategy in the default configuration (without
 wall-clock timings), and each configuration's final registry counters
-(without the wall-clock-dependent ``queries_slow_total``). The
+(without the wall-clock-dependent ``queries_slow_total``), and each
+configuration's ``advise`` plan over its own query log: every action's
+kind, name, sort keys, columns and encodings, and the baseline,
+predicted and per-action (and per-template) deltas as ``repr`` floats,
+so equal records mean bit-identical advice. The
 grouping and join kernels have a direct-address branch for dense integer
 domains and a sorting branch for the rest; TPC-H keys are all dense, so the
 capture also groups over wide compound keys (1-D unique and int64-overflow
@@ -74,6 +78,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import Database, Predicate, SelectQuery, load_tpch
+from repro.advisor import advise
 from repro.errors import ReproError, UnsupportedOperationError
 from repro.metrics import MetricsRegistry
 from repro.qlog import QueryLog, read_query_log
@@ -396,6 +401,29 @@ def _qlog_record(record: dict) -> dict:
     }
 
 
+def _advise_record(plan) -> dict:
+    """An advisor plan's actions and predictions; floats as ``repr`` so
+    equal records mean bit-identical advice."""
+    return {
+        "baseline_ms": repr(plan.baseline_ms),
+        "predicted_ms": repr(plan.predicted_ms),
+        "actions": [
+            {
+                "kind": a.kind,
+                "name": a.name,
+                "sort_keys": list(a.sort_keys),
+                "columns": list(a.columns),
+                "encodings": {c: list(e) for c, e in a.encodings.items()},
+                "predicted_delta_ms": repr(a.predicted_delta_ms),
+                "templates": {
+                    fp: repr(d) for fp, d in sorted(a.templates.items())
+                },
+            }
+            for a in plan.actions
+        ],
+    }
+
+
 def capture() -> dict:
     records: dict[str, dict] = {}
     for seed in SEEDS:
@@ -462,6 +490,9 @@ def capture() -> dict:
                         records[key] = _analyze_record(
                             db, query, strategies[-1]
                         )
+                    records[
+                        f"seed{seed}/p{partitions}/{config_name}/advise"
+                    ] = _advise_record(advise(db))
                     db.close()
                     log = read_query_log(log_dir)
                     if len(log) != len(logged):
@@ -639,7 +670,7 @@ def capture_write_path() -> dict:
 #: query-log size) is a measurement, not a record: ``--compare`` prints the
 #: two totals beside the ``qlog`` line and never counts it as a difference.
 KINDS = ("result", "explain", "describe", "analyze", "qlog", "registry",
-         "spans", "pick", "write", "pending", "qlog_bytes")
+         "spans", "pick", "advise", "write", "pending", "qlog_bytes")
 
 
 def record_kind(key: str) -> str:

@@ -3,7 +3,7 @@
 Hypothesis draws arbitrary subsets of a captured workload trace and checks
 the advisor's invariants hold on every one of them:
 
-* the what-if layer is *transparent*: with no hypothetical adds or drops,
+* the what-if layer is *transparent*: with no what-if designs added,
   it prices every logged query exactly like the real catalog, and a no-op
   plan (``max_builds=0``) scores the current design — predicted equals
   baseline;
@@ -24,12 +24,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro import Database, MetricsRegistry, load_tpch
-from repro.advisor import WhatIfCatalog, advise, cheapest_plan_ms
-from repro.errors import CatalogError, UnsupportedOperationError
+from repro import Database, MetricsRegistry, Predicate, SelectQuery, load_tpch
+from repro.advisor import (
+    CandidateDesign,
+    WhatIfCatalog,
+    advise,
+    cheapest_plan_ms,
+    hypothetical_projection,
+)
+from repro.errors import CatalogError, StorageError, UnsupportedOperationError
 from repro.model.recalibrate import FITTED_FIELDS, recalibrate_from_log
 from repro.qlog import read_query_log
 from repro.serving import query_from_dict
+from repro.storage.index import ClusteredIndex
 
 from .differential import STRATEGIES, QueryGenerator
 
@@ -69,7 +76,7 @@ def _subsets(records):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_whatif_catalog_is_transparent(captured, data):
-    """No adds, no drops: what-if pricing == real-catalog pricing."""
+    """No adds: what-if pricing == real-catalog pricing."""
     db, records = captured
     subset = data.draw(_subsets(records))
     whatif = WhatIfCatalog(db.catalog)
@@ -86,6 +93,42 @@ def test_whatif_catalog_is_transparent(captured, data):
             continue
         hypo = cheapest_plan_ms(whatif, query, db.constants)
         assert hypo == real
+
+
+def test_pricing_is_metadata_only(tpch_db, monkeypatch):
+    """Explaining and describing a plan never loads a clustered index, and
+    a what-if design's files have no payloads to read."""
+
+    def no_index(path):
+        raise AssertionError(f"pricing loaded the index {path}")
+
+    monkeypatch.setattr(ClusteredIndex, "load", no_index)
+    db = Database(tpch_db.catalog.root, query_log=False,
+                  metrics=MetricsRegistry())
+    query = SelectQuery(
+        projection="lineitem",
+        select=["returnflag", "linenum"],
+        predicates=[Predicate("returnflag", "=", 1)],
+    )
+    try:
+        explained = db.explain(query)
+        assert "indexed" in db.describe(query, strategy="em-pipelined")
+        source = db.projection("lineitem")
+    finally:
+        db.close()
+    assert explained["chosen"]
+    whatif = hypothetical_projection(source, CandidateDesign(
+        name="lineitem_adv_linenum",
+        anchor="lineitem",
+        columns=("linenum", "returnflag"),
+        sort_keys=("linenum",),
+        encodings={"linenum": ("rle", "uncompressed")},
+    ))
+    linenum = whatif.column("linenum")
+    assert linenum.indexed and not whatif.column("returnflag").indexed
+    for encoding in ("rle", "uncompressed"):
+        with pytest.raises(StorageError, match="linenum"):
+            linenum.file(encoding).read_payload(0)
 
 
 @given(data=st.data())

@@ -573,9 +573,9 @@ class TestFormat:
         assert not {"outcome", "origin", "queue_wait_ms"} & set(lines[2])
 
     def test_handles_sharing_a_directory_interleave(self, tmp_path):
-        # Two open logs on one directory append to one segment, each with
-        # its own header; a record's definition may precede another
-        # writer's header.
+        # Two open logs on one directory share one writer: their records
+        # interleave in one segment, each finding its definition whichever
+        # handle logged it first.
         a, b = QueryLog(tmp_path / "qlog"), QueryLog(tmp_path / "qlog")
         queries = [_select(value=v) for v in (1, 2, 3)]
         a.observe_rejected(queries[0], "full")
@@ -592,6 +592,39 @@ class TestFormat:
         assert [r["query"]["predicates"][0]["value"] for r in records] == [
             1, 2, 1, 3, 1,
         ]
+
+    def test_handles_sharing_a_directory_share_one_sequence(self, tmp_path):
+        a, b = QueryLog(tmp_path / "qlog"), QueryLog(tmp_path / "qlog")
+        for log in (a, b, a):
+            log.observe_rejected(_select(), "full")
+            log.flush()
+        a.close()
+        b.close()
+        records = read_query_log(tmp_path / "qlog")
+        assert [r["seq"] for r in records] == [0, 1, 2]
+
+    def test_handles_sharing_a_directory_never_append_behind_rotation(
+        self, tmp_path
+    ):
+        # Read oldest segment first, the records' seq counts up without a
+        # gap only if no line went to a segment after a newer one existed.
+        a = QueryLog(tmp_path / "qlog", max_segment_bytes=600)
+        b = QueryLog(tmp_path / "qlog", max_segment_bytes=600)
+        for i in range(24):
+            log = (a, b)[i % 3 == 0]
+            log.observe_rejected(_select(value=i), "full")
+            if i % 2:
+                log.flush()
+        a.close()
+        b.close()
+        segments = sorted((tmp_path / "qlog").glob("qlog-*.jsonl"))
+        assert len(segments) > 2, "rotation never happened"
+        records = read_query_log(tmp_path / "qlog")
+        assert [r["seq"] for r in records] == list(range(24))
+        reopened = QueryLog(tmp_path / "qlog")
+        reopened.observe_rejected(_select(), "full")
+        reopened.close()
+        assert read_query_log(tmp_path / "qlog")[-1]["seq"] == 24
 
     def test_unknown_definition_raises_naming_file_and_line(self, tmp_path):
         log = QueryLog(tmp_path / "qlog")
