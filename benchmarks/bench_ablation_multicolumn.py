@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Database, Strategy
+from repro.reproduce import selection_query
 from repro.storage.block import BLOCK_SIZE
 
 from .harness import (
@@ -24,7 +25,6 @@ from .harness import (
     format_table,
     record,
     run_point,
-    selection_query,
 )
 
 

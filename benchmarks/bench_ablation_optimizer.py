@@ -13,8 +13,9 @@ import pytest
 
 from repro import Strategy, choose_strategy
 from repro.errors import UnsupportedOperationError
+from repro.reproduce import selection_query
 
-from .harness import SWEEP, record, run_point, selection_query
+from .harness import SWEEP, record, run_point
 
 
 def optimizer_regret(db, encoding):

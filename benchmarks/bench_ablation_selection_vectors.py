@@ -15,15 +15,9 @@ from __future__ import annotations
 import pytest
 
 from repro import Strategy
+from repro.reproduce import aggregation_query, selection_query
 
-from .harness import (
-    SWEEP,
-    aggregation_query,
-    format_table,
-    record,
-    run_point,
-    selection_query,
-)
+from .harness import SWEEP, format_table, record, run_point
 
 
 @pytest.mark.parametrize("eager", [False, True], ids=["compressed", "eager"])

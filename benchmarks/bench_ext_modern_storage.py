@@ -18,8 +18,9 @@ import pytest
 from repro import Database, Strategy
 from repro.buffer import DiskModel
 from repro.model import PAPER_CONSTANTS
+from repro.reproduce import selection_query
 
-from .harness import BENCH_SCALE, format_table, record, run_point, selection_query
+from .harness import BENCH_SCALE, format_table, record, run_point
 
 PROFILES = {
     "hdd-2006": DiskModel.hdd_2006,

@@ -17,8 +17,9 @@ import pytest
 
 from repro import Strategy
 from repro.model.predictor import predict_select
+from repro.reproduce import selection_query
 
-from .harness import SWEEP, record, run_point, selection_query
+from .harness import SWEEP, record, run_point
 
 LM = (Strategy.LM_PIPELINED, Strategy.LM_PARALLEL)
 EM = (Strategy.EM_PIPELINED, Strategy.EM_PARALLEL)

@@ -19,6 +19,7 @@ import pytest
 
 from repro import Strategy
 from repro.errors import UnsupportedOperationError
+from repro.reproduce import selection_query
 
 from .harness import (
     POINTS,
@@ -27,7 +28,6 @@ from .harness import (
     geometric_mean_ratio,
     record,
     run_point,
-    selection_query,
     sweep_table,
 )
 

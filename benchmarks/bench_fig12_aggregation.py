@@ -17,10 +17,10 @@ import pytest
 
 from repro import Strategy
 from repro.errors import UnsupportedOperationError
+from repro.reproduce import aggregation_query, selection_query
 
 from .harness import (
     POINTS,
-    aggregation_query,
     format_table,
     geometric_mean_ratio,
     record,
@@ -90,7 +90,6 @@ def test_fig12_series(benchmark, bench_db, encoding):
 def test_fig12_em_curves_track_fig11(benchmark, bench_db):
     """Paper: 'the EM strategies perform similarly to their counterpart in
     Figure 11' — the aggregator absorbs the output-iteration cost."""
-    from .harness import selection_query
 
     def both():
         sel = 0.75

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro import JoinQuery, Predicate, RightTableStrategy
+from repro import RightTableStrategy
+from repro.reproduce import join_query
 
 from .harness import (
     POINTS,
@@ -26,20 +27,6 @@ from .harness import (
     run_point,
     sweep_table,
 )
-
-
-def join_query(db, selectivity: float) -> JoinQuery:
-    n_customer = db.projection("customer").n_rows
-    x = max(int(selectivity * n_customer) + 1, 1)
-    return JoinQuery(
-        left="orders",
-        right="customer",
-        left_key="custkey",
-        right_key="custkey",
-        left_select=("shipdate",),
-        right_select=("nationcode",),
-        left_predicates=(Predicate("custkey", "<", x),),
-    )
 
 
 @pytest.mark.parametrize("selectivity", POINTS)

@@ -22,15 +22,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import (
-    AggSpec,
-    Database,
-    Predicate,
-    SelectQuery,
-    load_tpch,
-)
+from repro import Database, UnsupportedOperationError, load_tpch
 # The selectivity sweep (the paper sweeps 0..1) and the shipdate constant
-# for a selectivity are shared with ``repro reproduce``.
+# for a selectivity are shared with ``repro reproduce``, as are the figure
+# queries, which the benches import from there.
 from repro.reproduce import SWEEP, shipdate_constant
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
@@ -45,38 +40,6 @@ def build_database(root) -> Database:
     db = Database(root)
     load_tpch(db.catalog, scale=BENCH_SCALE, seed=42)
     return db
-
-
-def selection_query(
-    selectivity: float, linenum_encoding: str, linenum_max: int = 7
-) -> SelectQuery:
-    """The paper's selection query (Section 4.1)."""
-    return SelectQuery(
-        projection="lineitem",
-        select=("shipdate", "linenum"),
-        predicates=(
-            Predicate("shipdate", "<", shipdate_constant(selectivity)),
-            Predicate("linenum", "<", linenum_max),
-        ),
-        encodings=(("linenum", linenum_encoding),),
-    )
-
-
-def aggregation_query(
-    selectivity: float, linenum_encoding: str, linenum_max: int = 7
-) -> SelectQuery:
-    """The paper's aggregation query (Section 4.2)."""
-    return SelectQuery(
-        projection="lineitem",
-        select=("shipdate", "sum(linenum)"),
-        predicates=(
-            Predicate("shipdate", "<", shipdate_constant(selectivity)),
-            Predicate("linenum", "<", linenum_max),
-        ),
-        group_by="shipdate",
-        aggregates=(AggSpec("sum", "linenum"),),
-        encodings=(("linenum", linenum_encoding),),
-    )
 
 
 def run_point(db: Database, query, strategy) -> dict:
@@ -96,7 +59,12 @@ def sweep_table(
     strategies,
     selectivities=SWEEP,
 ) -> dict:
-    """Run a full sweep; returns {strategy_name: [(sel, wall, sim), ...]}."""
+    """Run a full sweep; returns {strategy_name: [(sel, wall, sim), ...]}.
+
+    A point the strategy cannot run (UnsupportedOperationError, e.g.
+    LM-pipelined over bit-vectors) is ``(sel, None, None)``; any other
+    error propagates, so a broken point never passes for a missing one.
+    """
     table: dict[str, list] = {}
     for strategy in strategies:
         name = getattr(strategy, "value", str(strategy))
@@ -104,7 +72,7 @@ def sweep_table(
         for sel in selectivities:
             try:
                 point = run_point(db, make_query(sel), strategy)
-            except Exception:
+            except UnsupportedOperationError:
                 series.append((sel, None, None))
                 continue
             series.append((sel, point["wall_ms"], point["sim_ms"]))

@@ -14,8 +14,10 @@ this module only enumerates.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..errors import CatalogError
+from ..storage.stats import ColumnHistogram
 
 #: Expected sorted-run length above which the sort column also stores an
 #: RLE representation (runs shorter than this decode slower than they
@@ -57,6 +59,35 @@ def sorted_runs(histogram, n: int) -> tuple[int, float]:
     return distinct, n / max(distinct, 1)
 
 
+class ColumnStats(NamedTuple):
+    """One column's statistics over a whole projection: what candidate
+    encodings and what-if synthesis are chosen from."""
+
+    n_values: int
+    histogram: ColumnHistogram | None
+    lo: float
+    hi: float
+
+
+def column_stats(source, col: str) -> ColumnStats:
+    """*col*'s statistics over every row of *source*: its file's header
+    and block ranges, or for a partitioned source every partition's, with
+    the histogram an unpartitioned build would write built over the
+    values of all partitions."""
+    parts = [part.open() for part in source.partitions] or [source]
+    files = [part.column(col).file() for part in parts]
+    histogram = files[0].histogram if len(files) == 1 else (
+        ColumnHistogram.build(source.read_column_values(col))
+    )
+    descriptors = [d for f in files for d in f.descriptors]
+    return ColumnStats(
+        n_values=sum(f.n_values for f in files),
+        histogram=histogram,
+        lo=min((d.min_value for d in descriptors), default=0.0),
+        hi=max((d.max_value for d in descriptors), default=0.0),
+    )
+
+
 def _anchor_of(catalog, table: str) -> str | None:
     """Resolve a query's projection field to its logical table name."""
     if table in catalog:
@@ -82,12 +113,14 @@ def _existing_sort_columns(catalog, anchor: str) -> set:
     return out
 
 
-def _unpartitioned_source(catalog, anchor: str, columns):
-    """A real projection the build can read its rows (and stats) from."""
+def covering_source(catalog, anchor: str, columns):
+    """A real projection of *anchor* holding every one of *columns*, which
+    a build reads its rows (and the what-if its statistics) from; None
+    when no projection covers them. Partitioned or not: both read whole
+    columns (:meth:`~repro.storage.projection.Projection.read_column_values`,
+    :func:`column_stats`)."""
     needed = set(columns)
     for proj in catalog.candidates(anchor):
-        if proj.is_partitioned:
-            continue
         if needed <= set(proj.column_names):
             return proj
     return None
@@ -135,11 +168,11 @@ def generate_candidates(
         if col in _existing_sort_columns(catalog, anchor):
             continue
         columns = entry["columns"] | {col}
-        source = _unpartitioned_source(catalog, anchor, columns)
+        source = covering_source(catalog, anchor, columns)
         if source is None:
             # Drop columns the anchor cannot serve from one projection
-            # (or that cannot be rebuilt at all) and retry with the core.
-            source = _unpartitioned_source(catalog, anchor, {col})
+            # and retry with the core.
+            source = covering_source(catalog, anchor, {col})
             if source is None:
                 continue
             columns = columns & set(source.column_names)
@@ -153,7 +186,7 @@ def generate_candidates(
         if col not in columns:
             continue
         try:
-            histogram = source.physical_column(col).file().histogram
+            histogram = column_stats(source, col).histogram
         except CatalogError:
             continue
         n_rows = source.n_rows

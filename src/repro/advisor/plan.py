@@ -34,7 +34,7 @@ from ..workload import summarize_log
 from .candidates import (
     CandidateDesign,
     _template_weight,
-    _unpartitioned_source,
+    covering_source,
     generate_candidates,
 )
 from .whatif import WhatIfCatalog, evaluate_design, hypothetical_projection
@@ -220,21 +220,25 @@ def advise(
         scored_templates=tuple(sorted(baseline_per)),
     )
 
-    candidates = generate_candidates(
+    # Each candidate's what-if projection, synthesized once: it does not
+    # depend on which builds were picked before it.
+    hypothetical = {}
+    for candidate in generate_candidates(
         db.catalog, summary, max_candidates=max_candidates
-    )
+    ):
+        source = covering_source(
+            db.catalog, candidate.anchor, candidate.columns
+        )
+        if source is not None:
+            hypothetical[candidate.name] = (
+                candidate, hypothetical_projection(source, candidate)
+            )
     chosen: list = []  # what-if projections of the builds picked so far
     current_total, current_per = baseline_total, baseline_per
-    remaining = list(candidates)
+    remaining = list(hypothetical.values())
     while remaining and len(chosen) < max_builds:
         best = None
-        for candidate in remaining:
-            source = _unpartitioned_source(
-                db.catalog, candidate.anchor, candidate.columns
-            )
-            if source is None:
-                continue
-            hyp = hypothetical_projection(source, candidate)
+        for candidate, hyp in remaining:
             view = WhatIfCatalog(db.catalog, adds=[*chosen, hyp])
             with_total, with_per = evaluate_design(view, weighted, constants)
             # Compare over the keys both designs could score; adding a
@@ -273,7 +277,7 @@ def advise(
             )
         )
         chosen.append(hyp)
-        remaining = [c for c in remaining if c.name != candidate.name]
+        remaining = [r for r in remaining if r[0].name != candidate.name]
         current_total, current_per = with_total, with_per
     plan.predicted_ms = current_total
 
@@ -335,7 +339,7 @@ def apply_plan(db, plan: AdvisorPlan) -> list[str]:
         anchor = action.anchor
         if db.pending(anchor):
             db.merge(anchor)
-        source = _unpartitioned_source(db.catalog, anchor, action.columns)
+        source = covering_source(db.catalog, anchor, action.columns)
         if source is None:
             raise CatalogError(
                 f"no stored projection of {anchor!r} covers "

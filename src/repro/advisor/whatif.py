@@ -47,7 +47,7 @@ from ..storage.block import BlockDescriptor
 from ..storage.column_file import ColumnFile
 from ..storage.encoding import encoding_by_name
 from ..storage.projection import Projection, ProjectionColumn
-from .candidates import CandidateDesign, sorted_runs
+from .candidates import CandidateDesign, ColumnStats, column_stats, sorted_runs
 
 _BLOCK_BYTES = 64 * 1024
 #: Rough encoded bytes per RLE run (value + start + length).
@@ -130,15 +130,15 @@ def _estimated_blocks(
 
 def _whatif_file(
     column: str,
-    source_file: ColumnFile,
+    stats: ColumnStats,
     ctype,
     encoding_name: str,
     sorted_as_key: bool,
 ) -> ColumnFile:
     """Synthesize one encoding's metadata from the real column's stats."""
     encoding = encoding_by_name(encoding_name)
-    n = source_file.n_values
-    histogram = source_file.histogram
+    n = stats.n_values
+    histogram = stats.histogram
     distinct, sorted_run_length = sorted_runs(histogram, n)
     run_length = sorted_run_length if sorted_as_key else 1.0
     n_blocks = _estimated_blocks(
@@ -147,13 +147,7 @@ def _whatif_file(
     if sorted_as_key and histogram is not None and histogram.n_values:
         ranges = _sorted_block_ranges(histogram, n_blocks)
     else:
-        lo = min(
-            (d.min_value for d in source_file.descriptors), default=0.0
-        )
-        hi = max(
-            (d.max_value for d in source_file.descriptors), default=0.0
-        )
-        ranges = [(lo, hi)] * n_blocks
+        ranges = [(stats.lo, stats.hi)] * n_blocks
     descriptors = []
     per_block = max(1, math.ceil(n / n_blocks)) if n else 0
     pos = 0
@@ -191,8 +185,10 @@ def _whatif_file(
 def hypothetical_projection(source, candidate: CandidateDesign) -> Projection:
     """The metadata *source*'s rows would have under *candidate*'s design.
 
-    *source* is a real, unpartitioned projection covering the candidate's
-    columns; its per-column histograms and value counts parameterize the
+    *source* is a real projection covering the candidate's columns; its
+    whole-projection column statistics
+    (:func:`~repro.advisor.candidates.column_stats`: value counts,
+    histograms and block ranges over every partition) parameterize the
     synthesis. The candidate's encodings are exactly what an
     :func:`~repro.advisor.plan.apply_plan` build materializes, so what-if
     scores describe the projection apply creates.
@@ -201,11 +197,9 @@ def hypothetical_projection(source, candidate: CandidateDesign) -> Projection:
     columns = {}
     for col in candidate.columns:
         schema = source.schema(col)
-        source_file = source.physical_column(col).file()
+        stats = column_stats(source, col)
         files = {
-            enc: _whatif_file(
-                col, source_file, schema.ctype, enc, col == primary
-            )
+            enc: _whatif_file(col, stats, schema.ctype, enc, col == primary)
             for enc in candidate.encodings.get(col, ("uncompressed",))
         }
         columns[col] = ProjectionColumn.in_memory(

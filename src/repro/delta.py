@@ -14,10 +14,10 @@ the scale this library needs:
   read, and cached until the next write. Updates are delete+insert in one
   atomic WAL record.
 * :func:`multiset_subtract` — the one kernel every consumer of the delete
-  multiset shares (reads over pending deletes, update/delete matching,
-  removal of pending rows, the tuple mover): subtract a multiset of full
-  rows from a set of columns, duplicates cancelling one-for-one, with
-  numpy primitives only.
+  multiset shares (reads over pending deletes, and through them
+  update/delete matching; removal of pending rows; the tuple mover):
+  subtract a multiset of full rows from a set of columns, duplicates
+  cancelling one-for-one, with numpy primitives only.
 * query-time merge — a select reads one :class:`PendingWrites` snapshot,
   which its plan folds in (``GHOST``, ``DELTA`` and ``COMBINE`` in
   :func:`repro.planner.nodes.plan_outline`, through :func:`delta_select`
@@ -40,11 +40,18 @@ is a delete record plus the ``"assignments"`` its re-inserted rows take.
 Logs written before the columnar format still replay: a line without
 ``_op`` is one inserted row, and delete/update records may carry their
 sides as row lists (an update then also lists its re-inserted ``"rows"``).
-Recovery tolerates a torn final line (that write was never acknowledged,
-so a torn insert drops its whole batch) and honours the catalog's
-``wal_applied`` marker: records a committed merge already folded into the
-read store are discarded, which is what makes a crash between manifest
-commit and WAL truncation harmless.
+:func:`decode_wal_record` is the one reader of every shape, typed against
+the table's schemas: recovery replays what it returns and the scrubber
+(:mod:`repro.scrub`) reports what it refuses, so a record the table
+cannot hold (an unknown or missing column, ragged sides, a value its
+column type cannot represent) stops the open, naming file and line,
+instead of failing every later read. Recovery tolerates a torn final line
+(that write was never acknowledged, so a torn insert drops its whole
+batch) and honours the catalog's ``wal_applied`` marker: records a
+committed merge already folded into the read store are discarded, which
+is what makes a crash between manifest commit and WAL truncation
+harmless. A WAL whose table has no projection left has nothing to be
+typed against and stays on disk, unreplayed.
 
 Durability: with ``durability="fsync"`` (the default) every append is
 fsynced — one fsync per accepted write call, charged to the simulated disk
@@ -63,7 +70,7 @@ from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
-from .errors import CatalogError
+from .errors import CatalogError, EncodingError, WalRecordError
 from .operators.aggregate import AggSpec, _grouped_reduce, fuse_keys
 from .operators.tuples import TupleSet
 from .storage.atomic import fsync_dir
@@ -77,23 +84,132 @@ DURABILITY_MODES = ("fsync", "flush")
 
 def _is_plain_row(record) -> bool:
     """A WAL line without ``_op`` is one inserted row (the original format)."""
-    return not (isinstance(record, dict) and "_op" in record)
+    return isinstance(record, dict) and "_op" not in record
 
 
-def _row_columns(rows: list[dict], names) -> dict[str, np.ndarray]:
-    """Row dicts (the WAL's row shape) as one value array per column."""
-    return {col: np.array([row[col] for row in rows]) for col in names}
+class WalRecord(NamedTuple):
+    """One decoded WAL record as typed column arrays: the rows it deletes
+    from the read store (*stored*) and from the writable store
+    (*pending*), and the rows it inserts (None for a delete). A side that
+    holds no rows is ``{}``."""
+
+    stored: dict[str, np.ndarray]
+    pending: dict[str, np.ndarray]
+    inserts: dict[str, np.ndarray] | None
 
 
-def _record_columns(side) -> dict[str, np.ndarray]:
-    """One side of a WAL record as column arrays: a column dict, or a list
-    of row dicts as logs written before the columnar format hold it."""
-    if isinstance(side, dict):
-        columns = {col: np.asarray(values) for col, values in side.items()}
-        if len({len(v) for v in columns.values()}) > 1:
-            raise ValueError(f"columns differ in length: {sorted(side)}")
-        return columns
-    return _row_columns(side, side[0]) if side else {}
+#: Per op, the keys of which a record must carry at least one.
+_REQUIRED_KEYS = {"insert": ("columns", "rows"), "delete": (),
+                  "update": ("assignments", "rows")}
+
+
+def decode_wal_record(record, schemas: dict) -> WalRecord:
+    """Decode one parsed WAL line against its table's column *schemas*.
+
+    The one reader of the record format, shared by recovery and the
+    scrubber. Every shape ever written decodes: a plain row line, sides
+    as column lists or as row lists, an update carrying its re-inserted
+    ``rows`` or the ``assignments`` they take. Every side must name
+    exactly the table's columns, and every value must fit its column's
+    type (:meth:`~repro.dtypes.ColumnType.validate`) and, for a
+    dictionary-coded column, its dictionary.
+
+    Raises:
+        WalRecordError: the record is something the table cannot hold.
+    """
+    if not isinstance(record, dict):
+        raise WalRecordError(
+            f"WAL record is a JSON {type(record).__name__}, not an object"
+        )
+    if _is_plain_row(record):
+        return WalRecord({}, {}, _side("insert", "row", [record], schemas))
+    op = record["_op"]
+    if op not in _REQUIRED_KEYS:
+        raise WalRecordError(f"unknown WAL record op {op!r}")
+    required = _REQUIRED_KEYS[op]
+    if required and not any(key in record for key in required):
+        raise WalRecordError(f"{op} record carries none of {list(required)}")
+    if op == "insert":
+        key = "columns" if "columns" in record else "rows"
+        return WalRecord({}, {}, _side(op, key, record[key], schemas))
+    stored = _side(op, "stored", record.get("stored", []), schemas)
+    pending = _side(op, "pending", record.get("pending", []), schemas)
+    inserts = None
+    if op == "update" and "rows" in record:
+        inserts = _side(op, "rows", record["rows"], schemas)
+    elif op == "update":
+        assignments = record["assignments"]
+        if not isinstance(assignments, dict):
+            raise WalRecordError(
+                "update record's 'assignments' is not an object"
+            )
+        _refuse_unknown(op, "assignments", assignments, schemas)
+        inserts = _assigned(stored, pending, {
+            col: _typed(op, "assignments", col, [value], schemas[col])[0]
+            for col, value in assignments.items()
+        })
+    return WalRecord(stored, pending, inserts)
+
+
+def _refuse_unknown(op: str, key: str, names, schemas: dict) -> None:
+    unknown = sorted(set(names) - schemas.keys())
+    if unknown:
+        raise WalRecordError(
+            f"{op} record names unknown column(s) {unknown} in {key!r}"
+        )
+
+
+def _side(op: str, key: str, side, schemas: dict) -> dict[str, np.ndarray]:
+    """One side of a record, a column dict or (as logs written before the
+    columnar format hold it) a list of row dicts, as typed arrays."""
+    if isinstance(side, list):
+        if not all(isinstance(row, dict) for row in side):
+            raise WalRecordError(f"{op} record's {key!r} rows are not objects")
+        side = {
+            col: [row[col] for row in side if col in row]
+            for col in set().union(*side)
+        }
+    if not isinstance(side, dict):
+        raise WalRecordError(f"{op} record's {key!r} is not columns or rows")
+    if not side:
+        return {}
+    _refuse_unknown(op, key, side, schemas)
+    lengths = {
+        len(values) if isinstance(values, list) else -1
+        for values in side.values()
+    }
+    if -1 in lengths or len(lengths) > 1:
+        raise WalRecordError(
+            f"{op} record's {key!r} columns are not lists of one length"
+        )
+    missing = sorted(schemas.keys() - side.keys())
+    if missing:
+        raise WalRecordError(f"{op} record's {key!r} lacks column(s) {missing}")
+    return {
+        col: _typed(op, key, col, side[col], schema)
+        for col, schema in schemas.items()
+    }
+
+
+def _typed(op: str, key: str, col: str, values: list, schema) -> np.ndarray:
+    """*values* as one array of *schema*'s type, or a WalRecordError."""
+    where = f"{op} record's {key!r} column {col!r}"
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # nested lists of uneven length
+        arr = None
+    if arr is None or arr.ndim != 1 or arr.dtype.kind not in "biuf":
+        raise WalRecordError(f"{where} holds values that are not numbers")
+    try:
+        arr = schema.ctype.validate(arr)
+    except EncodingError as exc:
+        raise WalRecordError(f"{where}: {exc}") from None
+    size = len(schema.dictionary)
+    if size and len(arr) and not 0 <= arr.min() <= arr.max() < size:
+        raise WalRecordError(
+            f"{where} holds codes outside its dictionary of {size} values"
+        )
+    return arr
 
 
 def _n_rows(columns: dict[str, np.ndarray]) -> int:
@@ -184,9 +300,10 @@ class PendingWrites(NamedTuple):
 class DeltaStore:
     """Writable store: pending changes per logical table, with a WAL.
 
-    When constructed with a directory, every accepted change is appended to
-    a per-table write-ahead log before it becomes visible, and pending
-    changes are recovered from the logs on startup. The tuple mover
+    When constructed with a directory (and the catalog whose tables the
+    logs belong to), every accepted change is appended to a per-table
+    write-ahead log before it becomes visible, and pending changes are
+    recovered from the logs on startup. The tuple mover
     truncates a table's log only after the catalog has committed the merged
     projections (see :meth:`mark_applied`).
     """
@@ -227,7 +344,13 @@ class DeltaStore:
         tail is skipped with a warning (the change never returned, so it
         was never acknowledged) and every complete record is recovered. A
         malformed line anywhere *before* the tail is real corruption and
-        still raises.
+        still raises, and so does a live record :func:`decode_wal_record`
+        refuses against the table's schemas
+        (:meth:`~repro.storage.catalog.Catalog.table_schemas`): each is a
+        :class:`~repro.errors.CatalogError` naming the file and the line,
+        raised before that log is rewritten. The records of a table
+        with no projection left in the catalog have nothing to be typed
+        against: they stay on disk, unreplayed, with a warning.
 
         If the catalog carries a ``wal_applied`` marker for a table, a
         committed merge already folded that many records into the read
@@ -236,7 +359,7 @@ class DeltaStore:
         cleared — after which a re-merge is a no-op instead of a
         double-apply.
         """
-        markers = dict(self._catalog.wal_applied) if self._catalog else {}
+        markers = dict(self._catalog.wal_applied)
         for path in sorted(self._wal_dir.glob("*.wal")):
             table = path.stem
             lines = []
@@ -265,6 +388,7 @@ class DeltaStore:
                     ) from exc
             applied = min(markers.pop(table, 0), len(records))
             live = records[applied:]
+            decoded = self._decode(path, live, applied, len(lines))
             if (torn or applied) and not live:
                 # Nothing survives: the log is exactly the state a
                 # completed merge would have left, so finish its unlink.
@@ -277,57 +401,58 @@ class DeltaStore:
                     for line in lines[applied:len(records)]:
                         f.write(line + "\n")
                     f.flush()
-            if applied and self._catalog is not None:
+            if applied:
                 self._catalog.set_wal_applied(table, 0)
-            try:
-                # Consecutive plain rows (one insert batch or many, as logs
-                # written before the columnar format hold them) enter the
-                # column buffers as one chunk, not one per line.
-                for plain, group in groupby(live, key=_is_plain_row):
-                    if plain:
-                        rows = list(group)
-                        self._extend(self._pending, table,
-                                     _row_columns(rows, rows[0]))
-                    else:
-                        for record in group:
-                            self._apply_record(table, record)
-            except CatalogError:
-                raise
-            except (LookupError, TypeError, ValueError) as exc:
-                raise CatalogError(
-                    f"{path}: malformed WAL record: {exc}"
-                ) from exc
+            # Consecutive plain rows (one insert batch or many, as logs
+            # written before the columnar format hold them) enter the
+            # column buffers as one chunk, not one per line.
+            for plain, group in groupby(
+                zip(live, decoded), key=lambda pair: _is_plain_row(pair[0])
+            ):
+                group = [record for _raw, record in group]
+                if plain:
+                    self._extend(self._pending, table, {
+                        col: np.concatenate([r.inserts[col] for r in group])
+                        for col in group[0].inserts
+                    })
+                else:
+                    for record in group:
+                        self._apply(table, *record)
             if live:
                 self._records[table] = len(live)
         # A marker for a table whose WAL is already gone means the crash
         # hit between the log unlink and the marker-clearing commit.
-        if self._catalog is not None:
-            for table in markers:
-                self._catalog.set_wal_applied(table, 0)
+        for table in markers:
+            self._catalog.set_wal_applied(table, 0)
 
-    def _apply_record(self, table: str, record: dict) -> None:
-        """Replay one logged record, in any shape ever written."""
-        op = record["_op"]
-        if op == "insert":
-            self._extend(self._pending, table, _record_columns(
-                record["columns"] if "columns" in record else record["rows"]
-            ))
-        elif op in ("delete", "update"):
-            stored = _record_columns(record.get("stored", []))
-            pending = _record_columns(record.get("pending", []))
-            inserted = None
-            if op == "update":
-                inserted = (
-                    _record_columns(record["rows"]) if "rows" in record
-                    else _assigned(stored, pending, record["assignments"])
+    def _decode(self, path, live: list, applied: int,
+                n_lines: int) -> list[WalRecord]:
+        """*path*'s live records decoded against its table's schemas, or
+        none when no projection of the table is left to type them."""
+        table = path.stem
+        if not self._catalog.has(table):
+            if live:
+                logging.getLogger(__name__).warning(
+                    "%s: no projection of table %r is in the catalog; its "
+                    "%d WAL records stay on disk, not replayed",
+                    path, table, len(live),
                 )
-            self._apply(table, stored, pending, inserted)
-        else:
-            raise CatalogError(f"unknown WAL record op {op!r}")
+            return []
+        schemas = self._catalog.table_schemas(table)
+        decoded = []
+        for line, record in enumerate(live, start=applied + 1):
+            try:
+                decoded.append(decode_wal_record(record, schemas))
+            except WalRecordError as exc:
+                raise WalRecordError(
+                    f"{path}: WAL record at line {line} of {n_lines}: {exc}"
+                ) from None
+        return decoded
 
     def _apply(self, table: str, stored: dict, pending: dict,
                inserted: dict | None) -> None:
-        """One delete (``inserted`` None) or update, as column arrays."""
+        """One decoded record: a delete (``inserted`` None), an update, or
+        an insert (both delete sides empty), as column arrays."""
         self._remove_pending(table, pending)
         self._extend(self._deleted, table, stored)
         if inserted is not None:
@@ -527,10 +652,6 @@ class DeltaStore:
         self._records.pop(table, None)
         if self._catalog is not None:
             self._catalog.set_wal_applied(table, 0)
-
-    def clear(self, table: str) -> None:
-        """Discard *table*'s pending changes and WAL (compat alias)."""
-        self.mark_applied(table)
 
     def tables(self) -> list[str]:
         return sorted(

@@ -692,18 +692,6 @@ class Database:
             **fields,
         )
 
-    def _table_schemas(self, table: str) -> tuple[dict, list]:
-        """Column schemas of *table* (the union over its projections) and
-        the projections themselves."""
-        candidates = self.catalog.candidates(table)
-        if not candidates:
-            raise CatalogError(f"unknown projection or table {table!r}")
-        schemas: dict = {}
-        for proj in candidates:
-            for col in proj.column_names:
-                schemas.setdefault(col, proj.schema(col))
-        return schemas, candidates
-
     def _write_target(self, table: str, predicates) -> tuple:
         """Resolve a delete/update target: schemas plus a covering projection.
 
@@ -712,7 +700,8 @@ class Database:
         column — required because deletes capture full rows, so any
         projection (whatever its column subset) can subtract them later.
         """
-        schemas, candidates = self._table_schemas(table)
+        schemas = self.catalog.table_schemas(table)
+        candidates = self.catalog.candidates(table)
         for pred in predicates:
             if pred.column not in schemas:
                 raise CatalogError(
@@ -742,23 +731,27 @@ class Database:
         of every column over the covering projection, so zone maps prune,
         the sorted-column index applies and blocks come from the buffer
         pool — never a whole-table decode. Matches already queued for
-        deletion are excluded (a row can only die once); predicates take
-        stored-domain values, exactly like
+        deletion are excluded (a row can only die once) by the plan's
+        GHOST node over a snapshot holding only the pending deletes;
+        predicates take stored-domain values, exactly like
         :class:`~repro.planner.logical.SelectQuery` predicates.
         """
         names = tuple(schemas)
         query = SelectQuery(cover.name, names, tuple(predicates))
+        pending = self.delta.snapshot(table, schemas)
+        ghosts = None
+        if pending.n_deletes:
+            empty = {col: values[:0] for col, values in pending.inserts.items()}
+            ghosts = PendingWrites(empty, pending.deletes)
         ctx = self._context()
         ctx.on_error = "fail"  # a write must see every partition or fail
         # Early materialisation, pipelined: the write needs whole rows, the
         # plan applies the most selective predicate first, and unlike
         # LM-pipelined it supports every encoding.
-        matched = execute_select(ctx, cover, query, Strategy.EM_PIPELINED)
+        matched = execute_select(
+            ctx, cover, query, Strategy.EM_PIPELINED, ghosts
+        )
         stored = {col: matched.column(col) for col in names}
-        pending = self.delta.snapshot(table, schemas)
-        already_deleted = delta_select(query, pending.deletes)
-        keep, _ = multiset_subtract(stored, already_deleted, names)
-        stored = {col: values[keep] for col, values in stored.items()}
         return stored, delta_select(query, pending.inserts)
 
     def delete(self, table: str, predicates) -> int:
@@ -806,8 +799,7 @@ class Database:
         Rows become visible to selection and aggregation queries immediately
         (merge-on-read); call :meth:`merge` to fold them into the read store.
         """
-        schemas, _projections = self._table_schemas(table)
-        return self.delta.insert(table, rows, schemas)
+        return self.delta.insert(table, rows, self.catalog.table_schemas(table))
 
     def pending(self, table: str) -> int:
         """Number of buffered (not yet merged) changes for *table*:
@@ -832,10 +824,13 @@ class Database:
         moved = self.delta.count(table) + self.delta.deleted_count(table)
         if moved == 0:
             return 0
-        table_schemas, projections = self._table_schemas(table)
-        pending, deleted = self.delta.snapshot(table, table_schemas)
+        pending, deleted = self.delta.snapshot(
+            table, self.catalog.table_schemas(table)
+        )
         builds = []
-        for proj in sorted(projections, key=lambda p: p.name):
+        for proj in sorted(
+            self.catalog.candidates(table), key=lambda p: p.name
+        ):
             schemas = {c: proj.schema(c) for c in proj.column_names}
             stored = {
                 col: proj.read_column_values(col)

@@ -62,6 +62,16 @@ class CatalogError(StorageError):
     """A projection or column is missing from, or duplicated in, the catalog."""
 
 
+class WalRecordError(CatalogError):
+    """A write-ahead-log record its table cannot hold: an unknown op, a
+    missing key, a side naming an unknown column or lacking a table
+    column, ragged columns, or a value its column type (or, for a
+    dictionary-coded column, its dictionary) cannot represent.
+
+    Raised by :func:`repro.delta.decode_wal_record`; recovery re-raises it
+    naming the WAL file and line, the scrubber reports its message."""
+
+
 class PlanError(ReproError):
     """A logical query cannot be turned into a physical plan."""
 

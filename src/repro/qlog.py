@@ -499,7 +499,6 @@ class QueryLog:
         directory: str | Path,
         sample: float = 1.0,
         max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-        result_hashes: bool = True,
     ):
         """Open (or continue) the log under *directory*.
 
@@ -512,8 +511,9 @@ class QueryLog:
                 ``floor(n * sample)`` are written.
             max_segment_bytes: rotation threshold; a record that would push
                 the active segment past it opens the next segment first.
-            result_hashes: stamp each ``ok`` record with
-                :func:`result_hash` so the log is checkably replayable.
+
+        Every ``ok`` record (not a degraded one) carries its
+        :func:`result_hash`, so the log is checkably replayable.
         """
         if not (0.0 < sample <= 1.0):
             raise ValueError(f"sample must be in (0, 1], got {sample}")
@@ -527,7 +527,6 @@ class QueryLog:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.sample = sample
         self.max_segment_bytes = max_segment_bytes
-        self.result_hashes = result_hashes
         self._lock = threading.Lock()
         self._seen = 0        # observe() calls, for the sampler
         self._written = 0     # records accepted into the log (this open)
@@ -682,7 +681,7 @@ class QueryLog:
             for key in ("partitions", "skipped_partitions"):
                 if key in summary:
                     record[key] = summary[key]
-            if self.result_hashes and "degraded" not in summary:
+            if "degraded" not in summary:
                 record["result_hash"] = result_hash(result.tuples)
             stats = result.stats
             self._enqueue(

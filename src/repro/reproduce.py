@@ -2,7 +2,8 @@
 
 Regenerates any of the paper's evaluation figures from a fresh TPC-H-style
 database, printing the same series the paper plots. The pytest artefact
-benches (``benchmarks/bench_*.py``) share its sweep and shipdate constant
+benches (``benchmarks/bench_*.py``) share its sweep and its figure queries
+(:func:`selection_query`, :func:`aggregation_query`, :func:`join_query`)
 and assert each figure's shape; this module makes the installed package
 able to reproduce the figures on its own::
 
@@ -42,29 +43,38 @@ def shipdate_constant(selectivity: float) -> int:
     )
 
 
-def _query(kind: str, selectivity: float, encoding: str) -> SelectQuery:
-    predicates = (
-        Predicate("shipdate", "<", shipdate_constant(selectivity)),
-        Predicate("linenum", "<", 7),
-    )
-    if kind == "aggregation":
-        return SelectQuery(
-            projection="lineitem",
-            select=("shipdate", "sum(linenum)"),
-            predicates=predicates,
-            group_by="shipdate",
-            aggregates=(AggSpec("sum", "linenum"),),
-            encodings=(("linenum", encoding),),
-        )
+def selection_query(selectivity: float, encoding: str) -> SelectQuery:
+    """The paper's selection query (Section 4.1), LINENUM in *encoding*."""
     return SelectQuery(
         projection="lineitem",
         select=("shipdate", "linenum"),
-        predicates=predicates,
+        predicates=_predicates(selectivity),
         encodings=(("linenum", encoding),),
     )
 
 
-def _join_query(db: Database, selectivity: float) -> JoinQuery:
+def aggregation_query(selectivity: float, encoding: str) -> SelectQuery:
+    """The paper's aggregation query (Section 4.2), LINENUM in *encoding*."""
+    return SelectQuery(
+        projection="lineitem",
+        select=("shipdate", "sum(linenum)"),
+        predicates=_predicates(selectivity),
+        group_by="shipdate",
+        aggregates=(AggSpec("sum", "linenum"),),
+        encodings=(("linenum", encoding),),
+    )
+
+
+def _predicates(selectivity: float) -> tuple:
+    return (
+        Predicate("shipdate", "<", shipdate_constant(selectivity)),
+        Predicate("linenum", "<", 7),
+    )
+
+
+def join_query(db: Database, selectivity: float) -> JoinQuery:
+    """The paper's FK-PK join (Section 4.3): orders with a custkey below
+    the *selectivity* quantile of customer, joined to their customer."""
     n_customer = db.projection("customer").n_rows
     return JoinQuery(
         left="orders",
@@ -104,11 +114,12 @@ def reproduce_figure(
 
     if kind == "join":
         series_keys = [s for s in RightTableStrategy]
-        run = lambda sel, s: db.query(_join_query(db, sel), strategy=s, cold=True)
+        run = lambda sel, s: db.query(join_query(db, sel), strategy=s, cold=True)
     else:
         series_keys = list(Strategy)
+        make = selection_query if kind == "selection" else aggregation_query
         run = lambda sel, s: db.query(
-            _query(kind, sel, encoding), strategy=s, cold=True
+            make(sel, encoding), strategy=s, cold=True
         )
 
     table: dict[str, list] = {}

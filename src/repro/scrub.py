@@ -17,7 +17,11 @@ what is actually stored, not what a cache or schedule says), checking
   descriptor's value count and respects its min/max bounds — catching
   damage that checksums alone cannot see (e.g. a stale-but-valid block);
 * partitioned parents: every child opens, and child row counts sum to the
-  parent's.
+  parent's;
+* the write path: the manifest, staging debris, ``wal_applied`` markers,
+  and every WAL line, each record decoded by the reader recovery uses
+  (:func:`repro.delta.decode_wal_record`), so scrub reports exactly the
+  records the next open would refuse, at their line, with its message.
 
 The result is a machine-readable :class:`ScrubReport` naming each corrupt
 file and block, so the repair-detection path is independent of query
@@ -29,7 +33,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 
-from .errors import ReproError, StorageError
+from .delta import decode_wal_record
+from .errors import ReproError, StorageError, WalRecordError
 from .storage.column_file import ColumnFile
 
 
@@ -112,11 +117,13 @@ def _scrub_write_path(catalog, report: ScrubReport) -> None:
     The manifest must parse and every projection it names must exist;
     ``tmp-*`` staging directories (and a staged manifest copy) are
     uncommitted debris a crash left behind; each per-table WAL must be
-    line-by-line valid JSON with known record shapes (a known op; columnar
-    sides naming the table's columns, in lists of one length) — only its
-    *final* line may be torn (that case is recoverable and reported as
-    such). A
-    ``wal_applied`` marker exceeding the WAL's record count would make
+    line-by-line valid JSON — only its *final* line may be torn (that
+    case is recoverable and reported as such) — and every record must
+    decode against its table's schemas through
+    :func:`~repro.delta.decode_wal_record`, the reader recovery uses, so
+    a record scrub passes is one the next open replays. A WAL whose table
+    has no projection left is reported once: recovery keeps it unreplayed.
+    A ``wal_applied`` marker exceeding the WAL's record count would make
     recovery discard the whole log, so it is flagged too.
     """
     root = getattr(catalog, "root", None)
@@ -233,55 +240,24 @@ def _scrub_manifest(catalog, report: ScrubReport) -> None:
             )
 
 
-_WAL_OPS = (None, "insert", "delete", "update")
-
-
-def _wal_shape_error(record, known: set) -> str | None:
-    """What is wrong with one parsed WAL record's shape, or None.
-
-    A columnar side (an insert's ``columns``, a delete's or update's
-    ``stored``/``pending``) must name only *known* columns (any, when the
-    table has no projection to name them) in lists of one length; an
-    update's ``assignments`` only known columns. Row-shaped records, as
-    logs written before the columnar format hold them, are checked for
-    their op only.
-    """
-    op = record.get("_op") if isinstance(record, dict) else "?"
-    if op not in _WAL_OPS:
-        return f"unknown WAL record op {op!r}"
-    if op is None:
-        return None  # one inserted row, in the row-per-line format
-    required = {"insert": ("columns", "rows"),
-                "update": ("assignments", "rows")}.get(op, ())
-    if required and not any(key in record for key in required):
-        return f"{op} record carries none of {list(required)}"
-    for key in ("columns", "stored", "pending", "assignments"):
-        side = record.get(key)
-        if not isinstance(side, dict):
-            continue
-        unknown = sorted(set(side) - known) if known else []
-        if unknown:
-            return f"{op} record names unknown column(s) {unknown} in {key!r}"
-        if key == "assignments":
-            continue
-        lengths = {
-            len(values) if isinstance(values, list) else -1
-            for values in side.values()
-        }
-        if -1 in lengths or len(lengths) > 1:
-            return f"{op} record's {key!r} columns are not lists of one length"
-    return None
-
-
 def _scrub_wal(catalog, path, report: ScrubReport) -> None:
     import json
 
     report.files_scanned += 1
-    known = {
-        col
-        for proj in catalog.candidates(path.stem)
-        for col in proj.column_names
-    }
+    table = path.stem
+    schemas = catalog.table_schemas(table) if catalog.has(table) else None
+    if schemas is None:
+        report.issues.append(
+            ScrubIssue(
+                projection=table,
+                file=str(path),
+                error=(
+                    f"no projection of table {table!r} is in the catalog "
+                    "to type its WAL records: they stay on disk, not "
+                    "replayed"
+                ),
+            )
+        )
     lines = []
     with open(path, encoding="utf-8") as f:
         for raw in f:
@@ -296,7 +272,7 @@ def _scrub_wal(catalog, path, report: ScrubReport) -> None:
             if i == len(lines) - 1:
                 report.issues.append(
                     ScrubIssue(
-                        projection=path.stem,
+                        projection=table,
                         file=str(path),
                         line=i + 1,
                         error=(
@@ -308,7 +284,7 @@ def _scrub_wal(catalog, path, report: ScrubReport) -> None:
             else:
                 report.issues.append(
                     ScrubIssue(
-                        projection=path.stem,
+                        projection=table,
                         file=str(path),
                         line=i + 1,
                         error=(
@@ -319,21 +295,24 @@ def _scrub_wal(catalog, path, report: ScrubReport) -> None:
                 )
             continue
         records += 1
-        error = _wal_shape_error(record, known)
-        if error is not None:
+        if schemas is None:
+            continue
+        try:
+            decode_wal_record(record, schemas)
+        except WalRecordError as exc:
             report.issues.append(
                 ScrubIssue(
-                    projection=path.stem,
+                    projection=table,
                     file=str(path),
                     line=i + 1,
-                    error=error,
+                    error=str(exc),
                 )
             )
-    marker = getattr(catalog, "wal_applied", {}).get(path.stem, 0)
+    marker = getattr(catalog, "wal_applied", {}).get(table, 0)
     if marker > records:
         report.issues.append(
             ScrubIssue(
-                projection=path.stem,
+                projection=table,
                 file=str(path),
                 error=(
                     f"wal_applied marker is {marker} but the WAL holds "

@@ -302,6 +302,24 @@ class Catalog:
                 out.append(proj)
         return out
 
+    def table_schemas(self, table: str) -> dict[str, ColumnSchema]:
+        """Column schemas of logical *table*: the union over its
+        :meth:`candidates`, the first projection naming a column winning.
+        What writes encode against, and what WAL recovery and the scrubber
+        type each logged record against.
+
+        Raises:
+            CatalogError: no projection is *table* or anchored to it.
+        """
+        candidates = self.candidates(table)
+        if not candidates:
+            raise CatalogError(f"unknown projection or table {table!r}")
+        schemas: dict[str, ColumnSchema] = {}
+        for proj in candidates:
+            for col in proj.column_names:
+                schemas.setdefault(col, proj.schema(col))
+        return schemas
+
     def has(self, name: str) -> bool:
         """True when *name* is a projection or an anchor table name."""
         return bool(self.candidates(name))

@@ -440,8 +440,8 @@ def replay_log(db, records, check: bool = True,
     still has it, to that projection — so tuple order reproduces exactly
     even after the advisor has built or dropped anchored projections.
     With ``check=True`` every record must also carry a
-    ``result_hash`` (captured with ``QueryLog(result_hashes=True)``, the
-    default) and the replayed result's hash is compared bit for bit.
+    ``result_hash`` (every ``ok`` record a :class:`~repro.qlog.QueryLog`
+    writes has one) and the replayed result's hash is compared bit for bit.
 
     Queries the target database cannot run (e.g. a projection or encoding
     that doesn't exist there, or an unsupported strategy/encoding pair)

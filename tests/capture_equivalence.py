@@ -60,10 +60,12 @@ directory, and after every write five reads over the pending changes —
 among them an ORDER BY / LIMIT read and a count(distinct), which must
 raise — each under two strategies with its answer digest (or error),
 ``QueryStats`` counters, ``simulated_ms`` and ``describe`` text (or
-error). WAL bytes are not
-captured: their format is not part of the contract. Not a pytest module
-(nothing here is collected): it compares two trees, which one test
-process cannot hold.
+error). Before each epoch's merge a second handle opens the same root,
+replaying the WAL: its pending snapshot (per column, the dtype and a
+digest of the bytes) and its ``scrub()`` issues are a ``replay`` record.
+WAL bytes are not captured: their format is not part of the contract.
+Not a pytest module (nothing here is collected): it compares two trees,
+which one test process cannot hold.
 """
 
 from __future__ import annotations
@@ -595,6 +597,34 @@ def _pending_read(db: Database, query: SelectQuery, strategy: str) -> dict:
     return out
 
 
+def _replay_record(root: str) -> dict:
+    """What a second handle on *root* rebuilds from the WAL: lineitem's
+    pending snapshot, per column its dtype, length and SHA-256, and that
+    handle's scrub issues (paths relative to *root*)."""
+    replayed = Database(root, query_log=False, metrics=MetricsRegistry())
+    try:
+        proj = replayed.projection("lineitem")
+        pending = replayed.pending_writes(
+            proj, SelectQuery("lineitem", tuple(proj.column_names))
+        )
+        out = {
+            side: {
+                col: [str(values.dtype), len(values),
+                      hashlib.sha256(values.tobytes()).hexdigest()]
+                for col, values in getattr(pending, side).items()
+            }
+            for side in ("inserts", "deletes")
+        } if pending else {}
+        out["scrub"] = [
+            dict(issue.to_json(),
+                 file=str(Path(issue.file).relative_to(root)))
+            for issue in replayed.scrub().issues
+        ]
+    finally:
+        replayed.close()
+    return out
+
+
 def _write_op(db: Database, i: int, rng, flags) -> tuple[str, int]:
     """Op *i* of an epoch: an update at 4, a delete at 8, else an insert
     of a 64-row batch drawn uniformly over lineitem's domains."""
@@ -651,6 +681,7 @@ def capture_write_path() -> dict:
                                 records[key] = _pending_read(
                                     db, query, strategy
                                 )
+                    records[f"{prefix}/replay"] = _replay_record(root)
                     moved = db.merge("lineitem")
                     records[f"{prefix}/merge"] = {
                         "moved": moved,
@@ -665,16 +696,20 @@ def capture_write_path() -> dict:
 
 
 #: Record kinds ``--compare`` counts separately, by key suffix; keys under
-#: ``write/`` are the write section (``pending`` for its reads) and every
-#: other key is a result block. ``qlog_bytes`` (each configuration's
-#: query-log size) is a measurement, not a record: ``--compare`` prints the
-#: two totals beside the ``qlog`` line and never counts it as a difference.
+#: ``write/`` are the write section (``pending`` for its reads, ``replay``
+#: for a second handle's WAL replay) and every other key is a result
+#: block. ``qlog_bytes`` (each configuration's query-log size) is a
+#: measurement, not a record: ``--compare`` prints the two totals beside
+#: the ``qlog`` line and never counts it as a difference.
 KINDS = ("result", "explain", "describe", "analyze", "qlog", "registry",
-         "spans", "pick", "advise", "write", "pending", "qlog_bytes")
+         "spans", "pick", "advise", "write", "pending", "replay",
+         "qlog_bytes")
 
 
 def record_kind(key: str) -> str:
     if key.startswith("write/"):
+        if key.endswith("/replay"):
+            return "replay"
         return "pending" if "/read" in key else "write"
     last = key.rsplit("/", 1)[-1]
     return last if last in KINDS else "result"

@@ -7,7 +7,9 @@ the advisor runs, then again *after* ``apply_plan`` has built and dropped
 projections through the real catalog — the post-apply replay additionally
 runs under a different ``parallel_scans`` setting. Physical design changes
 recommended by the advisor must be invisible in every result hash. This is
-the acceptance gate behind ``repro advise --apply``.
+the acceptance gate behind ``repro advise --apply``. The cell runs over an
+unpartitioned lineitem and again over 4 range partitions, and each must
+build something.
 
 The seed is fixed (overridable via ``REPRO_DIFF_SEED``); CI's
 ``seeds`` job runs this file under two different seeds.
@@ -41,25 +43,35 @@ SEED = int(os.environ.get("REPRO_DIFF_SEED", "20260806"))
 STRATEGY_NAMES = {"em-pipelined", "em-parallel", "lm-pipelined", "lm-parallel"}
 
 
-@pytest.fixture(scope="module")
-def advisor_outcome(tmp_path_factory):
+def _advisor_outcome(root, partitions: int):
     """Capture with one database, advise+replay on a clone of its files."""
-    root = tmp_path_factory.mktemp("diff_advisor")
     capture_db = Database(root / "db", metrics=MetricsRegistry())
     load_tpch(
         capture_db.catalog,
         scale=0.002,
         seed=7,
         linenum_encodings=KERNEL_LINENUM_ENCODINGS,
+        partitions=partitions,
     )
     try:
-        records, plan, report_pre, report_post = run_advisor_differential(
+        return run_advisor_differential(
             capture_db, root / "clone", n_queries=60, seed=SEED,
             parallel_scans=2,
         )
-        yield records, plan, report_pre, report_post
     finally:
         capture_db.close()
+
+
+@pytest.fixture(scope="module")
+def advisor_outcome(tmp_path_factory):
+    return _advisor_outcome(tmp_path_factory.mktemp("diff_advisor"), 1)
+
+
+@pytest.fixture(scope="module")
+def partitioned_outcome(tmp_path_factory):
+    """The same cell over a lineitem range-partitioned 4 ways: a
+    partitioned projection is a build source like any other."""
+    return _advisor_outcome(tmp_path_factory.mktemp("diff_advisor_p4"), 4)
 
 
 class TestAdvisorDifferential:
@@ -95,6 +107,22 @@ class TestAdvisorDifferential:
         ok = [r for r in records if r["outcome"] == "ok"]
         assert ok
         assert all(r.get("projection") for r in ok)
+
+
+class TestPartitionedAdvisorDifferential:
+    def test_replay_is_bit_identical_around_the_apply(
+        self, partitioned_outcome
+    ):
+        _records, _plan, report_pre, report_post = partitioned_outcome
+        for report in (report_pre, report_post):
+            assert report.ok, report.render()
+            assert report.mismatched == 0 and report.errors == 0
+        assert report_post.replayed == report_pre.replayed >= 200
+
+    def test_advice_builds_over_a_partitioned_table(self, partitioned_outcome):
+        _records, plan, _report_pre, _report_post = partitioned_outcome
+        assert [a for a in plan.actions if a.kind == "build"], plan.render()
+        assert plan.predicted_improvement >= 1.0
 
 
 #: A Zipf(1/rank) workload led by selective ranges on ``quantity``, a column

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from repro import Database, Predicate
+from repro import Database, Predicate, load_tpch
 from repro.cli import main
 from repro.dtypes import INT32, ColumnSchema
 from repro.storage.column_file import ColumnFile
+
+from .test_wal_and_catalog_ops import UNHOLDABLE_RECORDS, append_record
 
 
 def make_db(root, partitions=None, n=50_000):
@@ -266,6 +268,11 @@ class TestScrubWritePath:
         ({"_op": "update", "stored": {"a": [1], "b": [2]},
           "pending": {"a": [], "b": []}},
          "update record carries none of"),
+        ({"_op": "delete", "stored": [{"a": 1, "b": 2}, {"a": 3}]},
+         "'stored' columns are not lists of one length"),
+        ({"_op": "delete", "pending": [{"a": 1, "b": 2, "c": 3}]},
+         "unknown column(s) ['c'] in 'pending'"),
+        ({"a": 1}, "insert record's 'row' lacks column(s) ['b']"),
     ])
     def test_malformed_columnar_record_names_file_and_line(
         self, tmp_path, record, error
@@ -278,6 +285,21 @@ class TestScrubWritePath:
         [issue] = db.scrub().issues
         assert (issue.file, issue.line) == (str(wal), 2)
         assert error in issue.error
+
+    @pytest.mark.parametrize("record, error", UNHOLDABLE_RECORDS)
+    def test_record_the_table_cannot_hold_is_one_issue(
+        self, tmp_path, record, error
+    ):
+        """Scrub reports what the open refuses, with the decoder's words."""
+        db = Database(tmp_path / "db")
+        load_tpch(db.catalog, scale=0.001, seed=2)
+        db.insert("lineitem", [{"returnflag": "A", "shipdate": 9000,
+                                "linenum": 1, "quantity": 2}])
+        wal = append_record(tmp_path / "db", record)
+        [issue] = db.scrub().issues
+        assert (issue.projection, issue.file, issue.line, issue.error) == (
+            "lineitem", str(wal), 2, error,
+        )
 
     def test_well_formed_write_calls_scrub_clean(self, tmp_path):
         db = make_db(tmp_path / "db")

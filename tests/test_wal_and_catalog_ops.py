@@ -208,6 +208,143 @@ class TestRowFormatLogsStillReplay:
         ).rows()) == [(3, 30), (5, 50), (8, 80)]
 
 
+def lineitem_columns(**overrides):
+    """One lineitem row as a columnar WAL side, with *overrides* applied."""
+    columns = {"returnflag": [0], "shipdate": [9000], "linenum": [1],
+               "quantity": [5]}
+    columns.update(overrides)
+    return {col: values for col, values in columns.items() if values is not None}
+
+
+#: WAL records ``lineitem`` cannot hold, each with the decoder's refusal.
+#: Each once opened, scrubbed clean (all but ``zz``) and failed later, in
+#: reads or writes, naming neither file nor line.
+UNHOLDABLE_RECORDS = [
+    pytest.param(
+        {"_op": "insert", "columns": lineitem_columns(quantity=None)},
+        "insert record's 'columns' lacks column(s) ['quantity']",
+        id="insert-missing-column",
+    ),
+    pytest.param(
+        {"_op": "insert", "columns": lineitem_columns(linenum=[2**40])},
+        "insert record's 'columns' column 'linenum': values of dtype int64 "
+        "do not fit column type int32",
+        id="int32-overflow",
+    ),
+    pytest.param(
+        {"_op": "insert", "columns": lineitem_columns(quantity=["x"])},
+        "insert record's 'columns' column 'quantity' holds values that are "
+        "not numbers",
+        id="string-in-int-column",
+    ),
+    pytest.param(
+        {"_op": "delete",
+         "stored": lineitem_columns(returnflag=[123456789]),
+         "pending": {}},
+        "delete record's 'stored' column 'returnflag': values of dtype "
+        "int64 do not fit column type uint8",
+        id="uint8-code-overflow",
+    ),
+    pytest.param(
+        {"_op": "insert", "columns": lineitem_columns(returnflag=[7])},
+        "insert record's 'columns' column 'returnflag' holds codes outside "
+        "its dictionary of 3 values",
+        id="code-outside-dictionary",
+    ),
+    pytest.param(
+        {"_op": "insert", "columns": lineitem_columns(zz=[1])},
+        "insert record names unknown column(s) ['zz'] in 'columns'",
+        id="unknown-column",
+    ),
+    pytest.param(
+        {"_op": "delete", "stored": lineitem_columns(linenum=None),
+         "pending": {}},
+        "delete record's 'stored' lacks column(s) ['linenum']",
+        id="delete-side-missing-column",
+    ),
+]
+
+
+def append_record(root, record):
+    wal = root / "_wal" / "lineitem.wal"
+    with open(wal, "a", encoding="utf-8") as f:
+        f.write(json.dumps(record) + "\n")
+    return wal
+
+
+class TestRecordsTheTableCannotHold:
+    """The open refuses a WAL record its table cannot hold, naming the
+    file and the line, and leaves the log as it found it."""
+
+    @pytest.mark.parametrize("record, error", UNHOLDABLE_RECORDS)
+    def test_open_refuses_naming_file_and_line(self, db_root, record, error):
+        root, db = db_root
+        db.insert("lineitem", [{"returnflag": "A", "shipdate": 9000,
+                                "linenum": 1, "quantity": 2}])
+        wal = append_record(root, record)
+        before = wal.read_bytes()
+        with pytest.raises(CatalogError) as excinfo:
+            Database(root)
+        assert str(excinfo.value) == (
+            f"{wal}: WAL record at line 2 of 2: {error}"
+        )
+        assert wal.read_bytes() == before
+
+    def test_refusal_counts_lines_past_the_applied_prefix(self, db_root):
+        root, db = db_root
+        for quantity in (1, 2):
+            db.insert("lineitem", [{"returnflag": "A", "shipdate": 9000,
+                                    "linenum": 1, "quantity": quantity}])
+        append_record(root, {"_op": "compact"})
+        db.catalog.set_wal_applied("lineitem", 1)
+        with pytest.raises(CatalogError, match="line 3 of 3: unknown WAL "
+                           "record op 'compact'"):
+            Database(root)
+
+    def test_every_write_shape_replays_to_the_same_snapshot(self, db_root):
+        root, db = db_root
+        db.insert("lineitem", [
+            {"returnflag": flag, "shipdate": 9000 + i, "linenum": 1 + i % 7,
+             "quantity": 1 + i % 50}
+            for i, flag in enumerate("ANRANR")
+        ])
+        db.update("lineitem", (Predicate("linenum", "=", 2),),
+                  {"quantity": 49, "returnflag": "N"})
+        db.delete("lineitem", (Predicate("linenum", "<", 4),))
+        db.delete("lineitem", (Predicate("shipdate", "=", 9004),))
+        schemas = db.catalog.table_schemas("lineitem")
+        written = db.delta.snapshot("lineitem", schemas)
+        replayed = Database(root).delta.snapshot("lineitem", schemas)
+        for side in ("inserts", "deletes"):
+            for col in schemas:
+                a = getattr(written, side)[col]
+                b = getattr(replayed, side)[col]
+                assert (a.dtype, a.tolist()) == (b.dtype, b.tolist()), col
+        assert written.n_inserts and written.n_deletes
+        assert db.scrub().clean
+
+
+class TestTableWithoutProjections:
+    """A WAL whose table has no projection left has nothing to be typed
+    against: the open keeps it on disk, unreplayed, and scrub says so."""
+
+    def test_open_keeps_the_log_and_replays_nothing(self, db_root):
+        root, db = db_root
+        db.insert("orders", [order_row(1)])
+        db.drop_projection("orders")
+        wal = root / "_wal" / "orders.wal"
+        before = wal.read_bytes()
+        reopened = Database(root)
+        assert reopened.pending("orders") == 0
+        assert reopened.delta.wal_records("orders") == 1
+        assert wal.read_bytes() == before
+        [issue] = reopened.scrub().issues
+        assert (issue.projection, issue.file, issue.line) == (
+            "orders", str(wal), None,
+        )
+        assert "no projection of table 'orders'" in issue.error
+
+
 class TestDropProjection:
     def test_drop_removes_files_and_catalog_entry(self, db_root):
         _root, db = db_root
