@@ -9,7 +9,6 @@ Installed as the ``repro`` console script::
     repro explain ./db "SELECT ... "
     repro scrub ./db --deep
     repro serve ./db --port 7379 --workers 4
-    repro loadgen ./db --clients 8 --duration 4
     repro advise ./db --apply
     repro calibrate
     repro calibrate ./db --from-log
@@ -166,46 +165,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-queue", type=int, default=64,
         help="admission queue bound; offers past it are rejected "
         "(default: 64)",
-    )
-
-    loadgen = sub.add_parser(
-        "loadgen",
-        help="closed-loop load generator: N clients over a Zipfian query mix",
-    )
-    _add_db_argument(loadgen)
-    loadgen.add_argument("--clients", type=int, default=8)
-    loadgen.add_argument(
-        "--duration", type=float, default=4.0, help="seconds (default: 4)"
-    )
-    loadgen.add_argument(
-        "--think-ms", type=float, default=20.0,
-        help="mean per-client think time between queries (default: 20)",
-    )
-    loadgen.add_argument(
-        "--theta", type=float, default=1.1, help="Zipf skew (default: 1.1)"
-    )
-    loadgen.add_argument("--seed", type=int, default=7)
-    loadgen.add_argument(
-        "--corpus", type=int, default=32,
-        help="generated query corpus size (default: 32)",
-    )
-    loadgen.add_argument("--workers", type=int, default=4)
-    loadgen.add_argument("--max-queue", type=int, default=64)
-    loadgen.add_argument("--timeout-ms", type=float, default=None)
-    loadgen.add_argument(
-        "--host", default=None,
-        help="target an already-running server instead of an in-process one",
-    )
-    loadgen.add_argument("--port", type=int, default=None)
-    loadgen.add_argument(
-        "--json",
-        nargs="?",
-        const="-",
-        default=None,
-        metavar="PATH",
-        help="emit the report as JSON: bare --json prints to stdout, "
-        "--json PATH writes an artifact file (and still prints the "
-        "human summary)",
     )
 
     workload = sub.add_parser(
@@ -474,11 +433,14 @@ def cmd_explain(args) -> int:
 def cmd_scrub(args) -> int:
     """`repro scrub`: offline checksum + structure verification.
 
-    Prints a machine-readable JSON report naming each corrupt file/block;
-    exits 0 when the store is clean, 1 when any damage was found.
+    Scrubs the root's files without opening a database (which would run
+    recovery, and refuse metadata it cannot decode), so a root that cannot
+    open is reported too. Prints a machine-readable JSON report naming each
+    defect; exits 0 when the store is clean, 1 when any damage was found.
     """
-    db = Database(args.db)
-    report = db.scrub(deep=args.deep)
+    from .scrub import scrub_catalog
+
+    report = scrub_catalog(args.db, deep=args.deep)
     print(json.dumps(report.to_json(), indent=2))
     if not args.quiet:
         status = "clean" if report.clean else f"{len(report.issues)} issue(s)"
@@ -527,53 +489,6 @@ def cmd_serve(args) -> int:
         # Runner semantics vary across Python versions: SIGINT may cancel
         # the main task (drain already ran above) or surface here.
         pass
-    return 0
-
-
-def cmd_loadgen(args) -> int:
-    """`repro loadgen`: closed-loop clients over a seeded Zipfian mix."""
-    from .serving import run_loadgen
-
-    db = Database(args.db)
-    report = run_loadgen(
-        db,
-        host=args.host,
-        port=args.port,
-        clients=args.clients,
-        duration_s=args.duration,
-        think_ms=args.think_ms,
-        theta=args.theta,
-        seed=args.seed,
-        corpus_size=args.corpus,
-        workers=args.workers,
-        max_queue=args.max_queue,
-        timeout_ms=args.timeout_ms,
-    )
-    if args.json == "-":
-        print(json.dumps(report.to_dict(), indent=2))
-        return 0
-    if args.json:
-        with open(args.json, "w", encoding="utf-8") as f:
-            json.dump(report.to_dict(), f, indent=2)
-            f.write("\n")
-        print(f"-- wrote load report to {args.json}", file=sys.stderr)
-    d = report.to_dict()
-    print(
-        f"{d['clients']} clients x {d['duration_s']:.1f}s "
-        f"(think {d['think_ms']:.0f} ms, zipf theta={d['theta']}): "
-        f"{d['ok']}/{d['queries']} ok"
-    )
-    print(
-        f"throughput {d['throughput_qps']:.1f} qps, latency p50 "
-        f"{d['p50_ms']:.2f} ms / p95 {d['p95_ms']:.2f} ms / p99 "
-        f"{d['p99_ms']:.2f} ms"
-    )
-    print(
-        f"queue depth max {d['queue_depth_max']} "
-        f"(mean {d['queue_depth_mean']:.2f}), rejection rate "
-        f"{d['rejection_rate']:.1%}, {d['timeouts']} timeouts, "
-        f"{d['errors']} errors"
-    )
     return 0
 
 
@@ -855,7 +770,6 @@ _COMMANDS = {
     "explain": cmd_explain,
     "scrub": cmd_scrub,
     "serve": cmd_serve,
-    "loadgen": cmd_loadgen,
     "workload": cmd_workload,
     "advise": cmd_advise,
     "replay": cmd_replay,

@@ -881,18 +881,18 @@ class Database:
         )
 
     def scrub(self, deep: bool = False):
-        """Verify every stored block offline; see :mod:`repro.scrub`.
+        """Verify the files under this database's root; see :mod:`repro.scrub`.
 
-        Walks each catalog projection (and partition children), checking
-        block checksums and structural invariants straight off disk —
-        independent of query traffic, the buffer pool, and any fault
-        injector. Returns a :class:`~repro.scrub.ScrubReport` naming every
-        corrupt file/block; with ``deep=True`` payloads are also decoded
-        and validated against their descriptors.
+        Decodes the metadata the next open would read, and checks every
+        block straight off disk — independent of this handle's cached
+        metadata, query traffic, the buffer pool, and any fault injector.
+        Returns a :class:`~repro.scrub.ScrubReport` naming every defect;
+        with ``deep=True`` payloads are also decoded and validated against
+        their descriptors.
         """
         from .scrub import scrub_catalog
 
-        return scrub_catalog(self.catalog, deep=deep)
+        return scrub_catalog(self.catalog.root, deep=deep)
 
     def sql(
         self,

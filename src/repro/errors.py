@@ -62,6 +62,18 @@ class CatalogError(StorageError):
     """A projection or column is missing from, or duplicated in, the catalog."""
 
 
+class MetadataError(CatalogError):
+    """A metadata file the store cannot trust: the catalog manifest, a
+    ``projection.json`` or a column-file header is unreadable, lacks a
+    field, or holds one its data contradicts.
+
+    Raised by the one decoder of each format (the catalog open,
+    :meth:`~repro.storage.projection.Projection.open`,
+    :meth:`~repro.storage.column_file.ColumnFile.open`); the message names
+    the file and the field (:class:`~repro.storage.metadata.MetadataReader`),
+    and the scrubber reports it verbatim."""
+
+
 class WalRecordError(CatalogError):
     """A write-ahead-log record its table cannot hold: an unknown op, a
     missing key, a side naming an unknown column or lacking a table

@@ -1,41 +1,45 @@
-"""Offline storage scrubber: checksum + structural verification.
+"""Offline storage scrubber: the open's decoders plus checksums, from disk.
 
 Production column stores do not wait for a query to trip over bit rot — a
-background *scrubber* walks the stored bytes and reports damage so operators
-can repair (re-replicate, re-merge, restore) before the data is needed.
-``Database.scrub()`` / ``repro scrub`` is that path here: it walks every
-catalog projection, partition, column file and block **directly on disk**
-(bypassing the buffer pool and any fault injector — the scrubber verifies
-what is actually stored, not what a cache or schedule says), checking
+background *scrubber* walks the stored bytes and reports damage so
+operators can repair (re-replicate, re-merge, restore) before the data is
+needed. :func:`scrub_catalog` / ``repro scrub`` is that path here: it reads
+the files under a database root **directly on disk**, bypassing the buffer
+pool, any fault injector and any open handle's cached metadata, checking
 
-* the column-file header opens and parses (magic, JSON, schema names);
-* structural invariants of the descriptor table: block positions start at
-  zero, chain contiguously, and sum to the header's value count; payload
-  extents lie inside the physical file;
+* every metadata file through the one decoder the open uses — the
+  manifest, each ``projection.json`` (partitions and zone maps included),
+  each column-file header and its block descriptors — so an issue carries
+  exactly the :class:`~repro.errors.MetadataError` message the open (or a
+  column file's first open) would raise;
 * every block payload's length and CRC32 checksum;
 * optionally (``deep=True``) that each payload *decodes* to exactly the
-  descriptor's value count and respects its min/max bounds — catching
-  damage that checksums alone cannot see (e.g. a stale-but-valid block);
-* partitioned parents: every child opens, and child row counts sum to the
-  parent's;
-* the write path: the manifest, staging debris, ``wal_applied`` markers,
-  and every WAL line, each record decoded by the reader recovery uses
-  (:func:`repro.delta.decode_wal_record`), so scrub reports exactly the
-  records the next open would refuse, at their line, with its message.
+  descriptor's value count within its min/max bounds, and that zone maps
+  bound the stored values — damage checksums alone cannot see;
+* the write path: staging debris, ``wal_applied`` markers, and every WAL
+  line, each record decoded by the reader recovery uses
+  (:func:`repro.delta.decode_wal_record`).
 
 The result is a machine-readable :class:`ScrubReport` naming each corrupt
-file and block, so the repair-detection path is independent of query
-traffic.
+file and block.
 """
 
 from __future__ import annotations
 
-import os
+import json
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .delta import decode_wal_record
-from .errors import ReproError, StorageError, WalRecordError
+from .errors import MetadataError, ReproError, StorageError, WalRecordError
+from .storage.catalog import (
+    MANIFEST_FILE,
+    Manifest,
+    read_manifest,
+    table_schemas,
+)
 from .storage.column_file import ColumnFile
+from .storage.projection import META_FILE, Projection
 
 
 @dataclass(frozen=True)
@@ -87,22 +91,43 @@ class ScrubReport:
         }
 
 
-def scrub_catalog(catalog, deep: bool = False) -> ScrubReport:
-    """Verify every projection/partition/column file/block under *catalog*.
+def scrub_catalog(root: str | Path, deep: bool = False) -> ScrubReport:
+    """Verify the database stored under *root*, straight from disk.
 
-    Never raises on damaged data — every defect becomes a
-    :class:`ScrubIssue` and the walk continues, so one corrupt block cannot
-    hide another.
+    Every metadata file goes through the decoder the open uses
+    (:func:`~repro.storage.catalog.read_manifest`,
+    :meth:`~repro.storage.projection.Projection.open`, and
+    :meth:`~repro.storage.projection.ProjectionColumn.file` for each
+    column-file header), so an issue's message is exactly what the open,
+    or the first read, would raise. Never raises on damaged data — every
+    defect becomes a :class:`ScrubIssue` and the walk continues, so one
+    corrupt block cannot hide another.
     """
+    root = Path(root)
     report = ScrubReport()
-    for name in catalog.names():
-        projection = catalog.get(name)
+    manifest = _decoded_manifest(root, report)
+    dirnames = manifest.projections if manifest else {
+        meta.parent.name: meta.parent.name
+        for meta in root.glob(f"*/{META_FILE}")
+    }
+    projections = {}
+    for name, dirname in sorted(dirnames.items()):
         report.projections_scanned += 1
+        try:
+            projection = Projection.open(root / dirname)
+        except MetadataError as exc:
+            report.issues.append(ScrubIssue(
+                projection=name, file=str(root / dirname / META_FILE),
+                error=str(exc),
+            ))
+            continue
+        projections[name] = projection
         if projection.is_partitioned:
             _scrub_partitioned(projection, report, deep)
         else:
-            _scrub_columns(projection, report, deep, partition=None)
-    _scrub_write_path(catalog, report)
+            _scrub_columns(projection, report, deep, partition=None,
+                           owner=name)
+    _scrub_write_path(root, projections, manifest, report)
     return report
 
 
@@ -111,27 +136,38 @@ def scrub_catalog(catalog, deep: bool = False) -> ScrubReport:
 CATALOG_SCOPE = "(catalog)"
 
 
-def _scrub_write_path(catalog, report: ScrubReport) -> None:
-    """Verify the write path: manifest, staging debris, and WAL segments.
+def _decoded_manifest(root: Path, report: ScrubReport) -> Manifest | None:
+    """The decoded manifest, or None (and an issue) when it is missing or
+    refused; the walk then covers every projection directory instead."""
+    path = root / MANIFEST_FILE
+    report.files_scanned += 1
+    if not path.exists():
+        error = "catalog manifest missing"
+    else:
+        try:
+            return read_manifest(path)
+        except MetadataError as exc:
+            error = str(exc)
+    report.issues.append(
+        ScrubIssue(projection=CATALOG_SCOPE, file=str(path), error=error)
+    )
+    return None
 
-    The manifest must parse and every projection it names must exist;
-    ``tmp-*`` staging directories (and a staged manifest copy) are
-    uncommitted debris a crash left behind; each per-table WAL must be
-    line-by-line valid JSON — only its *final* line may be torn (that
-    case is recoverable and reported as such) — and every record must
-    decode against its table's schemas through
-    :func:`~repro.delta.decode_wal_record`, the reader recovery uses, so
-    a record scrub passes is one the next open replays. A WAL whose table
-    has no projection left is reported once: recovery keeps it unreplayed.
-    A ``wal_applied`` marker exceeding the WAL's record count would make
-    recovery discard the whole log, so it is flagged too.
+
+def _scrub_write_path(
+    root: Path, projections: dict, manifest: Manifest | None,
+    report: ScrubReport,
+) -> None:
+    """Staging debris, ``wal_applied`` markers and WAL segments.
+
+    Only a WAL's *final* line may be torn (recoverable, and reported as
+    such); every other record must decode against its table's schemas, as
+    recovery decodes it. A WAL whose table has no projection left is
+    reported once (recovery keeps it unreplayed), and so is a marker past
+    the WAL's record count (recovery would discard the whole log).
     """
-    root = getattr(catalog, "root", None)
-    if root is None:  # what-if views have no write path
-        return
-    _scrub_manifest(catalog, report)
     for path in sorted(root.glob("tmp-*")) + sorted(
-        root.glob("manifest.json.tmp")
+        root.glob(f"{MANIFEST_FILE}.tmp")
     ):
         report.issues.append(
             ScrubIssue(
@@ -143,88 +179,11 @@ def _scrub_write_path(catalog, report: ScrubReport) -> None:
                 ),
             )
         )
+    markers = manifest.wal_applied if manifest else {}
     wal_dir = root / "_wal"
-    if wal_dir.is_dir():
-        for path in sorted(wal_dir.glob("*.wal")):
-            _scrub_wal(catalog, path, report)
-
-
-def _scrub_manifest(catalog, report: ScrubReport) -> None:
-    import json
-
-    from .storage.projection import META_FILE
-
-    path = catalog.root / "manifest.json"
-    report.files_scanned += 1
-    if not path.exists():
-        report.issues.append(
-            ScrubIssue(
-                projection=CATALOG_SCOPE,
-                file=str(path),
-                error="catalog manifest missing",
-            )
-        )
-        return
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        report.issues.append(
-            ScrubIssue(
-                projection=CATALOG_SCOPE,
-                file=str(path),
-                error=f"corrupt catalog manifest: {exc}",
-            )
-        )
-        return
-    if not isinstance(data, dict) or not isinstance(
-        data.get("projections"), dict
-    ):
-        report.issues.append(
-            ScrubIssue(
-                projection=CATALOG_SCOPE,
-                file=str(path),
-                error="corrupt catalog manifest: missing projections map",
-            )
-        )
-        return
-    if not isinstance(data.get("generation"), int) or data["generation"] < 0:
-        report.issues.append(
-            ScrubIssue(
-                projection=CATALOG_SCOPE,
-                file=str(path),
-                error=(
-                    "corrupt catalog manifest: generation is "
-                    f"{data.get('generation')!r}"
-                ),
-            )
-        )
-    for name, dirname in sorted(data["projections"].items()):
-        meta = catalog.root / str(dirname) / META_FILE
-        if not meta.exists():
-            report.issues.append(
-                ScrubIssue(
-                    projection=name,
-                    file=str(meta),
-                    error=(
-                        f"manifest names projection {name!r} at "
-                        f"{dirname!r} but its metadata is missing"
-                    ),
-                )
-            )
-    for table, count in sorted(data.get("wal_applied", {}).items()):
-        wal = catalog.root / "_wal" / f"{table}.wal"
-        if not isinstance(count, int) or count < 0:
-            report.issues.append(
-                ScrubIssue(
-                    projection=table,
-                    file=str(path),
-                    error=(
-                        f"corrupt wal_applied marker for {table!r}: "
-                        f"{count!r}"
-                    ),
-                )
-            )
-        elif count and not wal.exists():
+    for table, count in sorted(markers.items()):
+        wal = wal_dir / f"{table}.wal"
+        if count and not wal.exists():
             # Legal mid-recovery state (crash between WAL unlink and the
             # marker-clearing commit) — reported so operators see it, and
             # self-healing on the next open.
@@ -238,14 +197,15 @@ def _scrub_manifest(catalog, report: ScrubReport) -> None:
                     ),
                 )
             )
+    for path in sorted(wal_dir.glob("*.wal")):
+        schemas = table_schemas(projections, path.stem) or None
+        _scrub_wal(path, schemas, markers.get(path.stem, 0), report)
 
 
-def _scrub_wal(catalog, path, report: ScrubReport) -> None:
-    import json
-
+def _scrub_wal(path: Path, schemas: dict | None, marker: int,
+               report: ScrubReport) -> None:
     report.files_scanned += 1
     table = path.stem
-    schemas = catalog.table_schemas(table) if catalog.has(table) else None
     if schemas is None:
         report.issues.append(
             ScrubIssue(
@@ -308,7 +268,6 @@ def _scrub_wal(catalog, path, report: ScrubReport) -> None:
                     error=str(exc),
                 )
             )
-    marker = getattr(catalog, "wal_applied", {}).get(table, 0)
     if marker > records:
         report.issues.append(
             ScrubIssue(
@@ -323,55 +282,29 @@ def _scrub_wal(catalog, path, report: ScrubReport) -> None:
 
 
 def _scrub_partitioned(projection, report: ScrubReport, deep: bool) -> None:
-    child_rows = 0
     for part in projection.partitions:
+        where = dict(projection=projection.name, partition=part.name,
+                     file=str(part.directory / META_FILE))
         try:
             child = part.open()
-        except ReproError as exc:
-            report.issues.append(
-                ScrubIssue(
-                    projection=projection.name,
-                    partition=part.name,
-                    file=str(part.directory / "projection.json"),
-                    error=str(exc),
-                )
-            )
+        except MetadataError as exc:
+            report.issues.append(ScrubIssue(error=str(exc), **where))
             continue
-        child_rows += child.n_rows
         _scrub_columns(child, report, deep, partition=part.name,
-                       parent=projection)
+                       owner=projection.name)
         if deep:
             try:
                 zone_problems = part.verify_zone_maps()
             except ReproError as exc:
                 zone_problems = [f"cannot verify zone maps: {exc}"]
             for problem in zone_problems:
-                report.issues.append(
-                    ScrubIssue(
-                        projection=projection.name,
-                        partition=part.name,
-                        file=str(part.directory / "projection.json"),
-                        error=problem,
-                    )
-                )
-    if child_rows != projection.n_rows and not report.issues:
-        report.issues.append(
-            ScrubIssue(
-                projection=projection.name,
-                file=str(projection.directory / "projection.json"),
-                error=(
-                    f"partition row counts sum to {child_rows}, parent "
-                    f"metadata says {projection.n_rows}"
-                ),
-            )
-        )
+                report.issues.append(ScrubIssue(error=problem, **where))
 
 
 def _scrub_columns(
-    projection, report: ScrubReport, deep: bool,
-    partition: str | None, parent=None
+    projection, report: ScrubReport, deep: bool, partition: str | None,
+    owner: str,
 ) -> None:
-    owner = parent.name if parent is not None else projection.name
     for col in projection.column_names:
         pc = projection.column(col)
         for encoding, path in sorted(pc.files.items()):
@@ -381,61 +314,11 @@ def _scrub_columns(
                 column=col, encoding=encoding, file=str(path),
             )
             try:
-                cf = ColumnFile.open(path)
-            except (ReproError, OSError, ValueError, KeyError) as exc:
-                report.issues.append(
-                    ScrubIssue(error=f"cannot open column file: {exc}", **where)
-                )
+                cf = pc.file(encoding)
+            except MetadataError as exc:
+                report.issues.append(ScrubIssue(error=str(exc), **where))
                 continue
-            _scrub_structure(cf, report, where)
             _scrub_blocks(cf, report, where, deep)
-
-
-def _scrub_structure(cf: ColumnFile, report: ScrubReport, where: dict) -> None:
-    """Descriptor-table invariants that need no payload bytes."""
-    try:
-        file_size = os.path.getsize(cf.path)
-    except OSError as exc:  # pragma: no cover - file vanished mid-scrub
-        report.issues.append(ScrubIssue(error=str(exc), **where))
-        return
-    expected_pos = 0
-    covered = 0
-    for d in cf.descriptors:
-        if d.start_pos != expected_pos:
-            report.issues.append(
-                ScrubIssue(
-                    block=d.index,
-                    error=(
-                        f"block positions not contiguous: block {d.index} "
-                        f"starts at {d.start_pos}, expected {expected_pos}"
-                    ),
-                    **where,
-                )
-            )
-        if d.offset + d.nbytes > file_size:
-            report.issues.append(
-                ScrubIssue(
-                    block=d.index,
-                    error=(
-                        f"block {d.index} extends to byte "
-                        f"{d.offset + d.nbytes} but the file holds only "
-                        f"{file_size}"
-                    ),
-                    **where,
-                )
-            )
-        expected_pos = d.end_pos
-        covered += d.n_values
-    if covered != cf.n_values:
-        report.issues.append(
-            ScrubIssue(
-                error=(
-                    f"descriptors cover {covered} values, header says "
-                    f"{cf.n_values}"
-                ),
-                **where,
-            )
-        )
 
 
 def _scrub_blocks(

@@ -6,14 +6,12 @@ newline-delimited JSON protocol over one shared
 :class:`~repro.engine.Database`, with per-connection
 :class:`~repro.serving.session.Session` state, a bounded
 :class:`~repro.serving.admission.AdmissionQueue` with priority classes and
-backpressure, per-query deadlines with cooperative cancellation, graceful
-drain, and a seeded closed-loop Zipfian load generator. See
-``docs/serving.md`` for the protocol and semantics.
+backpressure, per-query deadlines with cooperative cancellation, and
+graceful drain. See ``docs/serving.md`` for the protocol and semantics.
 """
 
 from .admission import PRIORITIES, AdmissionQueue
 from .client import AsyncQueryClient
-from .loadgen import LoadgenReport, build_corpus, run_loadgen, zipfian_cdf
 from .protocol import query_from_dict, query_to_dict
 from .server import QueryServer, ServerThread
 from .session import DEFAULT_KNOBS, Session
@@ -26,10 +24,6 @@ __all__ = [
     "ServerThread",
     "Session",
     "DEFAULT_KNOBS",
-    "LoadgenReport",
-    "build_corpus",
-    "run_loadgen",
-    "zipfian_cdf",
     "query_to_dict",
     "query_from_dict",
 ]

@@ -59,16 +59,3 @@ class BlockDescriptor:
             "max_value": self.max_value,
             "crc32": self.crc32,
         }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "BlockDescriptor":
-        return cls(
-            index=data["index"],
-            offset=data["offset"],
-            nbytes=data["nbytes"],
-            start_pos=data["start_pos"],
-            n_values=data["n_values"],
-            min_value=data["min_value"],
-            max_value=data["max_value"],
-            crc32=data.get("crc32"),
-        )

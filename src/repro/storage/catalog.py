@@ -22,12 +22,14 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from ..dtypes import ColumnSchema
 from ..errors import CatalogError
 from .atomic import fsync_dir, fsync_tree, rename_dir, write_file_atomic
+from .metadata import MetadataReader
 from .projection import META_FILE, Projection
 
 #: The commit point: whichever build set this file names is the catalog.
@@ -36,6 +38,63 @@ MANIFEST_FILE = "manifest.json"
 #: Staging-directory prefix; anything matching ``tmp-*`` at the root is an
 #: uncommitted build and is deleted on open.
 STAGING_PREFIX = "tmp-"
+
+
+class Manifest(NamedTuple):
+    """A decoded ``manifest.json``: see :func:`read_manifest`."""
+
+    generation: int
+    #: Projection name -> directory name under the root.
+    projections: dict[str, str]
+    #: Table -> WAL records a committed merge already folded in.
+    wal_applied: dict[str, int]
+
+
+def read_manifest(path: Path) -> Manifest:
+    """Decode the catalog manifest at *path*: the one reader of the format
+    :meth:`Catalog._write_manifest` writes, shared by the open and the
+    scrubber.
+
+    Raises:
+        MetadataError: the file is unparseable, ``generation`` is not a
+            non-negative integer, ``projections`` not a map of names to
+            directory names, or a ``wal_applied`` count not a
+            non-negative integer; the message names the file and the field.
+    """
+    r = MetadataReader(path, "corrupt catalog manifest")
+    data = r.parse(path.read_bytes())
+    generation = r.field(data, "generation", "count")
+    projections = r.field(data, "projections", "object")
+    for name, dirname in projections.items():
+        r.value(dirname, "text", f"projections.{name}")
+    wal_applied = r.field(data, "wal_applied", "object", default={})
+    for table, count in wal_applied.items():
+        r.value(count, "count", f"wal_applied.{table}")
+    return Manifest(generation, projections, wal_applied)
+
+
+def candidates(projections: dict[str, Projection], name: str
+               ) -> list[Projection]:
+    """Projections usable for *name*: its own, or those anchored to it."""
+    out = [projections[name]] if name in projections else []
+    return out + [
+        proj for proj in projections.values()
+        if proj.anchor == name and proj.name != name
+    ]
+
+
+def table_schemas(projections: dict[str, Projection], table: str
+                  ) -> dict[str, ColumnSchema]:
+    """Column schemas of logical *table* (``{}`` when no projection is
+    *table* or anchored to it): the union over its :func:`candidates`, the
+    first projection naming a column winning. What writes encode against,
+    and what WAL recovery and the scrubber type each logged record
+    against."""
+    schemas: dict[str, ColumnSchema] = {}
+    for proj in candidates(projections, table):
+        for col in proj.column_names:
+            schemas.setdefault(col, proj.schema(col))
+    return schemas
 
 
 class Catalog:
@@ -83,31 +142,11 @@ class Catalog:
         (self.root / f"{MANIFEST_FILE}.tmp").unlink(missing_ok=True)
 
     def _load_manifest(self) -> None:
-        try:
-            data = json.loads(self.manifest_path.read_text(encoding="utf-8"))
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise CatalogError(
-                f"{self.manifest_path}: corrupt catalog manifest: {exc}"
-            ) from exc
-        if not isinstance(data, dict) or "projections" not in data:
-            raise CatalogError(
-                f"{self.manifest_path}: corrupt catalog manifest: "
-                "missing projections map"
-            )
-        self.generation = int(data.get("generation", 0))
-        self.wal_applied = {
-            table: int(count)
-            for table, count in data.get("wal_applied", {}).items()
-        }
-        for name, dirname in sorted(data["projections"].items()):
-            directory = self.root / dirname
-            if not (directory / META_FILE).exists():
-                raise CatalogError(
-                    f"{self.manifest_path}: manifest names projection "
-                    f"{name!r} at {dirname!r} but {directory / META_FILE} "
-                    "is missing"
-                )
-            self._projections[name] = Projection.open(directory)
+        manifest = read_manifest(self.manifest_path)
+        self.generation = manifest.generation
+        self.wal_applied = dict(manifest.wal_applied)
+        for name, dirname in sorted(manifest.projections.items()):
+            self._projections[name] = Projection.open(self.root / dirname)
             self._dirnames[name] = dirname
 
     def _gc_unreferenced(self) -> None:
@@ -293,31 +332,18 @@ class Catalog:
     # -------------------------------------------------------------- lookups
 
     def candidates(self, name: str) -> list[Projection]:
-        """Projections usable for *name*: its own, or those anchored to it."""
-        out = []
-        if name in self._projections:
-            out.append(self._projections[name])
-        for proj in self._projections.values():
-            if proj.anchor == name and proj.name != name:
-                out.append(proj)
-        return out
+        """See :func:`candidates`."""
+        return candidates(self._projections, name)
 
     def table_schemas(self, table: str) -> dict[str, ColumnSchema]:
-        """Column schemas of logical *table*: the union over its
-        :meth:`candidates`, the first projection naming a column winning.
-        What writes encode against, and what WAL recovery and the scrubber
-        type each logged record against.
+        """See :func:`table_schemas`.
 
         Raises:
             CatalogError: no projection is *table* or anchored to it.
         """
-        candidates = self.candidates(table)
-        if not candidates:
+        schemas = table_schemas(self._projections, table)
+        if not schemas:
             raise CatalogError(f"unknown projection or table {table!r}")
-        schemas: dict[str, ColumnSchema] = {}
-        for proj in candidates:
-            for col in proj.column_names:
-                schemas.setdefault(col, proj.schema(col))
         return schemas
 
     def has(self, name: str) -> bool:

@@ -22,8 +22,9 @@ import numpy as np
 from ..dtypes import ColumnType, type_by_name
 from ..errors import CorruptBlockError, StorageError
 from .block import BlockDescriptor
-from .stats import ColumnHistogram
 from .encoding import Encoding, encoding_by_name
+from .metadata import MetadataReader
+from .stats import ColumnHistogram
 
 MAGIC = b"RCOL0001"
 
@@ -143,36 +144,84 @@ class ColumnFile:
 
     @classmethod
     def open(cls, path: str | Path) -> "ColumnFile":
-        """Open a column file, reading only the header."""
+        """Open a column file: the one decoder of its header.
+
+        The block descriptors are checked before any payload is read: they
+        must chain from position 0 without gaps, cover exactly the
+        header's ``n_values``, and lie inside the file. Only then does a
+        run-aware encoding read its payloads to count runs.
+
+        Raises:
+            MetadataError: the file is missing or unreadable, or its header
+                lacks a field or holds one its descriptors contradict; the
+                message names the file and the field.
+        """
         path = Path(path)
-        with open(path, "rb") as f:
-            magic = f.read(len(MAGIC))
-            if magic != MAGIC:
-                raise StorageError(f"{path} is not a column file (bad magic)")
-            header_len = int.from_bytes(f.read(4), "little")
-            header = json.loads(f.read(header_len).decode("utf-8"))
+        r = MetadataReader(path, "cannot open column file")
+        try:
+            with open(path, "rb") as f:
+                size = os.fstat(f.fileno()).st_size
+                magic = f.read(len(MAGIC))
+                header_len = int.from_bytes(f.read(4), "little")
+                raw = f.read(header_len)
+        except OSError as exc:
+            raise r.error(exc.strerror or str(exc)) from None
+        if magic != MAGIC:
+            raise r.bad("magic", f"is {magic!r}, not {MAGIC!r}")
+        header = r.parse(raw)
+        ctype = r.known(r.field(header, "dtype", "text"), type_by_name,
+                        "column type", "dtype")
+        encoding = r.known(r.field(header, "encoding", "text"),
+                           encoding_by_name, "encoding", "encoding")
+        n_values = r.field(header, "n_values", "count")
         base = len(MAGIC) + 4 + header_len
         descriptors = []
-        for d in header["blocks"]:
-            d = dict(d)
-            d["offset"] += base
-            descriptors.append(BlockDescriptor.from_json(d))
-        encoding = encoding_by_name(header["encoding"])
+        covered = 0
+        for i, d in enumerate(r.field(header, "blocks", "list")):
+            at = f"blocks[{i}]"
+            d = r.value(d, "object", at)
+            index, offset, nbytes, start, count = (
+                r.field(d, key, "count", at)
+                for key in ("index", "offset", "nbytes", "start_pos",
+                            "n_values")
+            )
+            end = base + offset + nbytes
+            if index != i:
+                raise r.bad(f"{at}.index", f"is {index}, not {i}")
+            if start != covered:
+                raise r.bad(f"{at}.start_pos", f"is {start}, not {covered}: "
+                            "block positions must chain from 0 without gaps")
+            if end > size:
+                raise r.bad(f"{at}.nbytes", f"ends block {i} at byte {end} "
+                            f"but the file holds only {size}")
+            covered += count
+            descriptors.append(BlockDescriptor(
+                i, base + offset, nbytes, start, count,
+                min_value=r.field(d, "min_value", "number", at),
+                max_value=r.field(d, "max_value", "number", at),
+                crc32=r.field(d, "crc32", "int?", at, default=None),
+            ))
+        if covered != n_values:
+            raise r.bad(
+                "n_values",
+                f"is {n_values} but the blocks cover {covered} values",
+            )
+        histogram = r.field(header, "histogram", "object", default=None)
+        try:
+            histogram = (
+                ColumnHistogram.from_json(histogram) if histogram else None
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise r.bad("histogram", f"does not decode: {exc!r}") from None
         return cls(
             path=path,
-            column=header["column"],
-            ctype=type_by_name(header["dtype"]),
+            column=r.field(header, "column", "text"),
+            ctype=ctype,
             encoding=encoding,
-            n_values=header["n_values"],
+            n_values=n_values,
             descriptors=descriptors,
-            total_runs=_count_runs(
-                path, encoding, descriptors, header["n_values"]
-            ),
-            histogram=(
-                ColumnHistogram.from_json(header["histogram"])
-                if header.get("histogram")
-                else None
-            ),
+            total_runs=_count_runs(path, encoding, descriptors, n_values),
+            histogram=histogram,
         )
 
     @property

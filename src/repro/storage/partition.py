@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from ..errors import CatalogError
+from .metadata import MetadataReader
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
     from .projection import Projection
@@ -40,10 +40,6 @@ class ZoneMap:
     def as_dict(self) -> dict:
         return {"min": self.min_value, "max": self.max_value}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ZoneMap":
-        return cls(min_value=int(data["min"]), max_value=int(data["max"]))
-
 
 @dataclass
 class PartitionInfo:
@@ -58,25 +54,21 @@ class PartitionInfo:
     def open(self) -> "Projection":
         """Open (and cache) the child projection backing this partition.
 
-        Failures — a missing or unreadable partition directory — surface as
-        :class:`~repro.errors.CatalogError` naming the partition, never as a
-        partial result.
+        A missing or corrupt child surfaces as the
+        :class:`~repro.errors.MetadataError` of its decoder, whose path
+        names the partition's directory, never as a partial result; so
+        does a child holding other than :attr:`n_rows` rows.
         """
         if self._projection is None:
-            from .projection import Projection
+            from .projection import META_FILE, Projection
 
-            try:
-                self._projection = Projection.open(self.directory)
-            except CatalogError as exc:
-                raise CatalogError(
-                    f"partition {self.name!r} is unreadable: {exc}"
-                ) from exc
-            except (OSError, ValueError, KeyError) as exc:
-                # Mangled projection.json (bad JSON, missing keys) must also
-                # surface as a catalog failure naming the partition.
-                raise CatalogError(
-                    f"partition {self.name!r} has corrupt metadata: {exc}"
-                ) from exc
+            child = Projection.open(self.directory)
+            if child.n_rows != self.n_rows:
+                raise MetadataReader(
+                    self.directory / META_FILE, "corrupt projection metadata"
+                ).bad("n_rows", f"is {child.n_rows} but the parent's "
+                      f"partition {self.name!r} holds {self.n_rows} rows")
+            self._projection = child
         return self._projection
 
     def verify_zone_maps(self) -> list[str]:
@@ -121,15 +113,28 @@ class PartitionInfo:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, parent_directory: Path) -> "PartitionInfo":
+    def from_dict(cls, data, parent_directory: Path, r: MetadataReader,
+                  field: str, columns) -> "PartitionInfo":
+        """Decode one ``partitions`` entry of a parent's metadata (read by
+        *r*, reported as *field*): every zone map must name one of
+        *columns* and hold min <= max."""
+        data = r.value(data, "object", field)
+        name = r.field(data, "name", "text", field)
+        zone_maps = {}
+        for col, zm in r.field(data, "zone_maps", "object", field).items():
+            at = f"{field}.zone_maps.{col}"
+            if col not in columns:
+                raise r.bad(at, "names no column of the projection")
+            zm = r.value(zm, "object", at)
+            lo, hi = r.field(zm, "min", "int", at), r.field(zm, "max", "int", at)
+            if lo > hi:
+                raise r.bad(at, f"has min {lo} above max {hi}")
+            zone_maps[col] = ZoneMap(lo, hi)
         return cls(
-            name=data["name"],
-            directory=parent_directory / data["name"],
-            n_rows=int(data["n_rows"]),
-            zone_maps={
-                col: ZoneMap.from_dict(zm)
-                for col, zm in data["zone_maps"].items()
-            },
+            name=name,
+            directory=parent_directory / name,
+            n_rows=r.field(data, "n_rows", "count", field),
+            zone_maps=zone_maps,
         )
 
 

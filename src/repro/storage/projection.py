@@ -18,10 +18,11 @@ from typing import ClassVar
 import numpy as np
 
 from ..dtypes import ColumnSchema, type_by_name
-from ..errors import CatalogError
+from ..errors import CatalogError, MetadataError
 from .column_file import ColumnFile, write_column
 from .encoding import encoding_by_name
 from .index import ClusteredIndex
+from .metadata import MetadataReader
 from .partition import (
     PARTITION_DIR_FORMAT,
     PartitionInfo,
@@ -49,6 +50,9 @@ class ProjectionColumn:
     #: primary sort key, or a what-if design's). Planning and pricing read
     #: this flag; only execution loads the index itself.
     indexed: bool = False
+    #: The owning stored projection's row count, which every file opened
+    #: here must hold; ``None`` for a column with no stored projection.
+    n_rows: int | None = None
     _open_files: dict[str, ColumnFile] = field(default_factory=dict)
     _index: ClusteredIndex | None = field(default=None, repr=False)
     #: Guards the lazy ``_open_files`` / ``_index`` population: concurrent
@@ -109,6 +113,11 @@ class ProjectionColumn:
         dictionary, then frame-of-reference, then uncompressed, and
         bit-vector only as a last resort (its per-value materialization is
         the costliest decode path).
+
+        Raises:
+            MetadataError: :meth:`ColumnFile.open` refuses the header, or
+                its ``n_values`` is not :attr:`n_rows` (checked on first
+                open: an RLE open reads every payload to count runs).
         """
         if not self.files:
             raise CatalogError(
@@ -129,9 +138,14 @@ class ProjectionColumn:
             )
         with self._lock:
             if encoding not in self._open_files:
-                self._open_files[encoding] = ColumnFile.open(
-                    self.files[encoding]
-                )
+                cf = ColumnFile.open(self.files[encoding])
+                if self.n_rows is not None and cf.n_values != self.n_rows:
+                    raise MetadataReader(
+                        cf.path, "cannot open column file"
+                    ).bad("n_values", f"is {cf.n_values} but "
+                          f"{cf.path.parent / META_FILE} has 'n_rows' "
+                          f"{self.n_rows}")
+                self._open_files[encoding] = cf
             return self._open_files[encoding]
 
 
@@ -238,7 +252,8 @@ class Projection:
                 index_path = directory / f"{col}.idx"
                 ClusteredIndex.build(values).save(index_path)
             columns[col] = ProjectionColumn(
-                schema=schema, files=files, index_path=index_path
+                schema=schema, files=files, index_path=index_path,
+                n_rows=n_rows,
             )
 
         proj = cls(
@@ -348,40 +363,68 @@ class Projection:
 
     @classmethod
     def open(cls, directory: str | Path) -> "Projection":
-        """Load a projection from its directory metadata."""
+        """Load a projection from its directory: the one decoder of
+        ``projection.json``, partitions and zone maps included.
+
+        Column files are not opened here (see :meth:`ProjectionColumn.file`).
+
+        Raises:
+            MetadataError: the metadata is missing, unparseable, lacks a
+                field, names an unknown column type or encoding, holds a
+                zone map for no column or with min above max, or claims
+                more or fewer rows than its partitions hold; the message
+                names the file and the field.
+        """
         directory = Path(directory)
         meta_path = directory / META_FILE
         if not meta_path.exists():
-            raise CatalogError(f"no projection metadata at {meta_path}")
-        with open(meta_path, encoding="utf-8") as f:
-            meta = json.load(f)
+            raise MetadataError(f"{meta_path}: projection metadata is missing")
+        r = MetadataReader(meta_path, "corrupt projection metadata")
+        meta = r.parse(meta_path.read_bytes())
+        n_rows = r.field(meta, "n_rows", "count")
         columns = {}
-        for col, info in meta["columns"].items():
-            schema = ColumnSchema(
-                name=col,
-                ctype=type_by_name(info["dtype"]),
-                dictionary=tuple(info["dictionary"]),
-            )
-            files = {
-                enc: directory / fname for enc, fname in info["files"].items()
-            }
-            index_name = info.get("index")
+        for col, info in r.field(meta, "columns", "object").items():
+            at = f"columns.{col}"
+            info = r.value(info, "object", at)
+            files = {}
+            for enc, fname in r.field(info, "files", "object", at).items():
+                r.known(enc, encoding_by_name, "encoding", f"{at}.files")
+                files[enc] = directory / r.value(fname, "text",
+                                                 f"{at}.files.{enc}")
+            index_name = r.field(info, "index", "text?", at, None)
             columns[col] = ProjectionColumn(
-                schema=schema,
+                schema=ColumnSchema(
+                    name=col,
+                    ctype=r.known(r.field(info, "dtype", "text", at),
+                                  type_by_name, "column type", f"{at}.dtype"),
+                    dictionary=tuple(r.field(info, "dictionary", "list", at)),
+                ),
                 files=files,
                 index_path=directory / index_name if index_name else None,
+                n_rows=n_rows,
             )
+        sort_keys = r.field(meta, "sort_keys", "list")
+        if not all(isinstance(k, str) and k in columns for k in sort_keys):
+            raise r.bad("sort_keys", f"is {sort_keys!r}, not a list of the "
+                        "projection's columns")
+        partitions = [
+            PartitionInfo.from_dict(p, directory, r, f"partitions[{i}]",
+                                    columns)
+            for i, p in enumerate(r.field(meta, "partitions", "list",
+                                          default=[]))
+        ]
+        held = sum(p.n_rows for p in partitions)
+        if partitions and held != n_rows:
+            raise r.bad("n_rows", f"is {n_rows} but its partitions hold "
+                        f"{held} rows")
         return cls(
-            name=meta["name"],
+            name=r.field(meta, "name", "text"),
             directory=directory,
-            n_rows=meta["n_rows"],
-            sort_keys=list(meta["sort_keys"]),
+            n_rows=n_rows,
+            sort_keys=sort_keys,
             columns=columns,
-            anchor=meta.get("anchor"),
-            partitions=[
-                PartitionInfo.from_dict(p, directory)
-                for p in meta.get("partitions", [])
-            ],
+            anchor=r.field(meta, "anchor", "text?", default=None),
+            partitions=partitions,
         )
 
     # --------------------------------------------------------- partitioning

@@ -8,6 +8,7 @@ import pytest
 from repro import Database, Predicate, load_tpch
 from repro.cli import main
 from repro.dtypes import INT32, ColumnSchema
+from repro.errors import MetadataError
 from repro.storage.column_file import ColumnFile
 
 from .test_wal_and_catalog_ops import UNHOLDABLE_RECORDS, append_record
@@ -35,6 +36,110 @@ def flip_byte(path, offset):
     data = bytearray(path.read_bytes())
     data[offset] ^= 0xFF
     path.write_bytes(bytes(data))
+
+
+def edit_json(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def edit_header(path, edit):
+    """Rewrite a column file's JSON header (descriptor offsets are relative
+    to the payload area, so the header may change length)."""
+    raw = path.read_bytes()
+    n = int.from_bytes(raw[8:12], "little")
+    header = json.loads(raw[12 : 12 + n])
+    edit(header)
+    new = json.dumps(header).encode()
+    path.write_bytes(raw[:8] + len(new).to_bytes(4, "little") + new
+                     + raw[12 + n :])
+
+
+def make_rows_db(root, projections):
+    """One 12,000-row projection per ``(name, partitions, columns)``, each
+    column an uncompressed int32 copy of ``0 .. 11,999``."""
+    db = Database(root)
+    a = np.arange(12_000, dtype=np.int32)
+    for name, partitions, columns in projections:
+        db.catalog.create_projection(
+            name,
+            {col: a for col in columns},
+            schemas={col: ColumnSchema(col, INT32) for col in columns},
+            sort_keys=["a"],
+            encodings={col: ["uncompressed"] for col in columns},
+            presorted=True,
+            partitions=partitions,
+        )
+    return db
+
+
+def _pop(key):
+    return lambda d: d.pop(key)
+
+
+def _bump(key):
+    return lambda d: d.update({key: d[key] + 1})
+
+
+def _set(key, value):
+    return lambda d: d.update({key: value})
+
+
+COLUMN = "t/a.uncompressed.col"
+
+#: Metadata damage, one field per case: the file damaged, the edit, the
+#: file and field the open's refusal must name. A damaged column header, or
+#: a ``projection.json`` whose ``n_rows`` its column files contradict, is
+#: refused by the first ``ProjectionColumn.file()``; the rest by the open.
+METADATA_PROBES = [
+    pytest.param("manifest.json", _set("generation", "x"), "manifest.json",
+                 "generation", id="manifest-generation-text"),
+    pytest.param("manifest.json", _set("generation", 2.7), "manifest.json",
+                 "generation", id="manifest-generation-float"),
+    pytest.param("manifest.json", _set("projections", []), "manifest.json",
+                 "projections", id="manifest-projections-list"),
+    pytest.param("manifest.json", _set("wal_applied", {"t": "abc"}),
+                 "manifest.json", "wal_applied.t",
+                 id="manifest-wal-applied-text"),
+    pytest.param("t/projection.json", _pop("n_rows"), "t/projection.json",
+                 "n_rows", id="projection-n-rows-missing"),
+    pytest.param("t/projection.json", _bump("n_rows"), COLUMN, "n_values",
+                 id="projection-n-rows-plus-one"),
+    pytest.param("t/projection.json",
+                 lambda d: d["columns"]["a"].update(dtype="int99"),
+                 "t/projection.json", "columns.a.dtype",
+                 id="projection-dtype-unknown"),
+    pytest.param(COLUMN, _pop("n_values"), COLUMN, "n_values",
+                 id="header-n-values-missing"),
+    pytest.param(COLUMN, _bump("n_values"), COLUMN, "n_values",
+                 id="header-n-values-plus-one"),
+    pytest.param(COLUMN, _set("encoding", "zstd"), COLUMN, "encoding",
+                 id="header-encoding-unknown"),
+    pytest.param(COLUMN, _set("histogram", {"common": []}), COLUMN,
+                 "histogram", id="header-histogram-truncated"),
+]
+
+
+@pytest.mark.parametrize("damaged, edit, named, field", METADATA_PROBES)
+def test_metadata_probe_open_and_scrub_agree(
+    tmp_path, damaged, edit, named, field
+):
+    """The open refuses the damaged field, naming file and field, and
+    scrub on a handle opened before the damage reports that message."""
+    root = tmp_path / "db"
+    make_rows_db(root, [("t", 1, ["a"])])
+    db = Database(root)
+    path = root / damaged
+    (edit_header if path.suffix == ".col" else edit_json)(path, edit)
+    with pytest.raises(MetadataError) as caught:
+        reopened = Database(root)
+        assert named == COLUMN  # only a column file's check waits
+        reopened.projection("t").column("a").file("uncompressed")
+    message = str(caught.value)
+    assert message.startswith(f"{root / named}: ")
+    assert f"field {field!r} " in message
+    assert [issue.error for issue in db.scrub().issues] == [message]
 
 
 class TestScrubAPI:
@@ -170,6 +275,15 @@ class TestScrubCLI:
         make_db(tmp_path / "db")
         assert main(["scrub", str(tmp_path / "db"), "--quiet"]) == 0
         assert capsys.readouterr().err == ""
+
+    def test_root_that_cannot_open_is_reported(self, tmp_path, capsys):
+        make_db(tmp_path / "db")
+        edit_json(tmp_path / "db" / "t" / "projection.json", _pop("n_rows"))
+        with pytest.raises(MetadataError) as caught:
+            Database(tmp_path / "db")
+        assert main(["scrub", str(tmp_path / "db"), "--quiet"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert [i["error"] for i in report["issues"]] == [str(caught.value)]
 
 
 class TestScrubWritePath:
@@ -311,9 +425,29 @@ class TestScrubWritePath:
     def test_marker_exceeding_wal_records_reported(self, tmp_path):
         db = make_db(tmp_path / "db")
         db.insert("t", [{"a": 1, "b": 2}])
-        db.catalog.wal_applied["t"] = 5  # simulate a stale marker in memory
+        db.catalog.set_wal_applied("t", 5)  # a stale marker, committed
         report = db.scrub()
         assert any("marker is 5" in i.error for i in report.issues)
+
+
+def test_partition_row_count_mismatch_survives_other_damage(tmp_path):
+    """A parent's ``n_rows`` against its partitions' is the open's check,
+    so a checksum failure in another projection cannot hide it."""
+    root = tmp_path / "db"
+    db = make_rows_db(root, [("aa", 1, ["a", "b"]), ("p", 4, ["a", "b"])])
+    edit_json(root / "p" / "projection.json",
+              lambda d: d.update(n_rows=12_005))
+    with pytest.raises(MetadataError) as caught:
+        Database(root)
+    assert "'n_rows' is 12005 but its partitions hold 12000 rows" in str(
+        caught.value
+    )
+    path = root / "aa" / "b.uncompressed.col"
+    flip_byte(path, ColumnFile.open(path).descriptors[0].offset + 1)
+    errors = [issue.error for issue in db.scrub().issues]
+    assert len(errors) == 2
+    assert str(caught.value) in errors
+    assert any("checksum" in error for error in errors)
 
 
 class TestZoneMapDeepVerify:

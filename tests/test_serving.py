@@ -1,4 +1,4 @@
-"""Serving layer: protocol, sessions, admission, timeouts, drain, loadgen.
+"""Serving layer: protocol, sessions, admission, timeouts, drain.
 
 These tests stand a real server up (background event loop via
 ``ServerThread``) around the shared TPC-H fixture and talk to it over TCP —
@@ -443,44 +443,6 @@ class TestAdmissionControl:
         assert snapshot["histograms"]["serving.queue_wait_ms"]["count"] == 3
         assert snapshot["histograms"]["serving.total_ms"]["count"] == 3
         db.close()
-
-
-class TestLoadgen:
-    def test_loadgen_smoke_and_cli(self, tpch_db, capsys):
-        from repro.cli import main
-        from repro.serving import run_loadgen
-
-        report = run_loadgen(
-            tpch_db, clients=2, duration_s=0.5, think_ms=5.0, workers=2,
-            corpus_size=8, seed=7,
-        )
-        assert report.ok > 0
-        assert report.errors == 0 and report.timeouts == 0
-        assert report.max_ms >= report.p99_ms >= report.p95_ms
-        assert report.p95_ms >= report.p50_ms >= 0.0
-        d = report.to_dict()
-        assert json.dumps(d)  # JSON-safe
-        assert d["rejection_rate"] == 0.0
-
-        code = main(
-            [
-                "loadgen", str(tpch_db.catalog.root),
-                "--clients", "2", "--duration", "0.4", "--think-ms", "5",
-                "--corpus", "6", "--workers", "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "throughput" in out
-
-    def test_zipfian_cdf_is_skewed(self):
-        from repro.serving import zipfian_cdf
-
-        cdf = zipfian_cdf(16, theta=1.1)
-        assert len(cdf) == 16
-        assert cdf[-1] == pytest.approx(1.0)
-        assert cdf[0] > 1.0 / 16  # rank 1 carries more than uniform share
-        assert all(b >= a for a, b in zip(cdf, cdf[1:]))
 
 
 class TestTransientReconnect:
