@@ -1,11 +1,11 @@
 """The paper's analytical cost model (Section 3).
 
-Three layers:
+Its modules:
 
 * :mod:`~repro.model.constants` — Table 2's calibrated CPU/disk constants.
-* :mod:`~repro.model.cost` — per-operator cost formulas (Figures 1-6) plus
-  the replay function that converts a finished query's observed counters into
-  model milliseconds ("simulated time").
+* :mod:`~repro.model.cost` — per-operator formulas (Figures 1-6) counting
+  Table 1 events, and :func:`~repro.model.cost.price`, which prices them for
+  predictions and for the counter replay ("simulated time").
 * :mod:`~repro.model.predictor` — a-priori end-to-end plan cost prediction
   from column metadata and estimated selectivities, used both for the
   Figure 10 validation and by the strategy-choosing optimizer.

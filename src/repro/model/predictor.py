@@ -42,12 +42,14 @@ from .cost import (
     ColumnMeta,
     OperatorCost,
     and_cost,
+    disk_reads,
     ds_case1_cost,
     ds_case2_cost,
     ds_case3_cost,
     ds_case4_cost,
     merge_cost,
     output_cost,
+    price,
     spc_cost,
 )
 
@@ -56,28 +58,35 @@ _BITMAP_WORD = 64
 
 @dataclass
 class PlanPrediction:
-    """Predicted cost of one strategy for one query."""
+    """One strategy's predicted event counts per step, for one query."""
 
     strategy: str
     steps: list[tuple[str, OperatorCost]] = field(default_factory=list)
+    constants: ModelConstants = PAPER_CONSTANTS
 
-    def add(self, name: str, cost: OperatorCost) -> None:
-        self.steps.append((name, cost))
+    @property
+    def events(self) -> OperatorCost:
+        """The event counts of every step, summed in step order."""
+        return sum((cost for _name, cost in self.steps), OperatorCost())
 
     @property
     def cpu_ms(self) -> float:
-        return sum(c.cpu_us for _n, c in self.steps) / 1000.0
+        return price(self.events, self.constants)[0] / 1000.0
 
     @property
     def io_ms(self) -> float:
-        return sum(c.io_us for _n, c in self.steps) / 1000.0
+        return price(self.events, self.constants)[1] / 1000.0
 
     @property
     def total_ms(self) -> float:
-        return self.cpu_ms + self.io_ms
+        cpu_us, io_us = price(self.events, self.constants)
+        return cpu_us / 1000.0 + io_us / 1000.0
 
     def breakdown(self) -> dict[str, float]:
-        return {name: cost.total_us / 1000.0 for name, cost in self.steps}
+        return {
+            name: sum(price(cost, self.constants)) / 1000.0
+            for name, cost in self.steps
+        }
 
 
 def _position_run_length(meta: ColumnMeta, sf: float) -> float:
@@ -153,8 +162,8 @@ def predict_strategies(
         inner = _Inputs(facts.inner, resident)
         return {
             strategy: PlanPrediction(strategy.value, _price_join(
-                facts, outer, inner.metas, facts.core(strategy), constants
-            ))
+                facts, outer, inner.metas, facts.core(strategy), constants.pf
+            ), constants)
             for strategy in strategies
         }
     sub_query = stored_query(projection, query, pending)
@@ -171,13 +180,13 @@ def predict_strategies(
     predictions: dict[Strategy, PlanPrediction] = {}
     error = None
     for strategy in strategies:
-        prediction = PlanPrediction(strategy=strategy.value)
+        prediction = PlanPrediction(strategy.value, constants=constants)
         try:
             for prefix, facts, inputs in scopes:
                 prediction.steps.extend(
                     (prefix + name, cost)
                     for name, cost in _price(
-                        facts, inputs, facts.core(strategy), constants
+                        facts, inputs, facts.core(strategy), constants.pf
                     )
                 )
         except UnsupportedOperationError as exc:
@@ -223,7 +232,7 @@ class _Inputs:
 
 
 def _price(
-    facts: PlanFacts, inputs: _Inputs, nodes: list[PlanNode], k: ModelConstants
+    facts: PlanFacts, inputs: _Inputs, nodes: list[PlanNode], pf: int
 ) -> list[tuple[str, OperatorCost]]:
     """The prediction steps of one operator core.
 
@@ -233,28 +242,28 @@ def _price(
     most-selective-first; the DS3 extractions feeding MERGE / AGG are priced
     once per value column, then that operator together with the output.
     """
-    steps, tail, pinned, rlp = _price_scans(facts, inputs, nodes, k)
+    steps, tail, pinned, rlp = _price_scans(facts, inputs, nodes, pf)
     survivors, out_tuples = inputs.survivors, inputs.out_tuples
     value_cols = facts.query.value_columns
-    output = output_cost(out_tuples, k)
+    output = output_cost(out_tuples)
     if tail is None:
         return steps + [("output", output)]
     if tail.case == "tuple":
-        agg = OperatorCost(cpu_us=survivors * k.tictup, io_us=0.0)
+        agg = OperatorCost(tuple_iterations=survivors)
         return steps + [("aggregate+output", agg + output)]
     steps += [
-        (f"DS3({col})", _extraction(facts, inputs, col, rlp, pinned, k))
+        (f"DS3({col})", _extraction(facts, inputs, col, rlp, pinned, pf))
         for col in value_cols
     ]
     if tail.op == "AGG":
-        agg = OperatorCost(cpu_us=survivors * k.ticcol, io_us=0.0)
-        merge = merge_cost(out_tuples, len(value_cols), k)
+        agg = OperatorCost(column_iterations=survivors)
+        merge = merge_cost(out_tuples, len(value_cols))
         return steps + [("aggregate+output", agg + merge + output)]
-    merge = merge_cost(int(survivors), len(value_cols), k)
+    merge = merge_cost(int(survivors), len(value_cols))
     return steps + [("merge+output", merge + output)]
 
 
-def _extraction(facts, inputs, col, rlp, pinned, k) -> OperatorCost:
+def _extraction(facts, inputs, col, rlp, pinned, pf) -> OperatorCost:
     """DS3 of *col* at a core's surviving positions, whose run length is
     *rlp* (infinite when no predicate ran)."""
     meta = inputs.metas[col]
@@ -262,12 +271,12 @@ def _extraction(facts, inputs, col, rlp, pinned, k) -> OperatorCost:
     # Extraction from run-length columns jumps per run, not per position,
     # whatever the position representation.
     return ds_case3_cost(
-        meta, int(inputs.survivors), max(rlp, meta.run_length), k,
+        meta, int(inputs.survivors), max(rlp, meta.run_length), pf,
         reaccess=col in pinned, seek_fragments=inputs.fragments,
     )
 
 
-def _price_scans(facts: PlanFacts, inputs: _Inputs, nodes, k: ModelConstants):
+def _price_scans(facts: PlanFacts, inputs: _Inputs, nodes, pf: int):
     """The steps of a core's scans (DS1, AND, DS3+filter, DS2, DS4, SPC)
     in execution order, then what the operators after them are priced
     from: the MERGE / AGG node (None when there is none), the columns a
@@ -284,11 +293,11 @@ def _price_scans(facts: PlanFacts, inputs: _Inputs, nodes, k: ModelConstants):
         if op == "DS1":
             if uses_index(projection, node):
                 # Binary search over the index: no blocks touched at all.
-                cost = OperatorCost(cpu_us=16 * k.fc, io_us=0.0)
+                cost = OperatorCost(function_calls=16)
             else:
                 pinned.add(col)
                 fraction = inputs.fractions[col, node.predicate]
-                cost = ds_case1_cost(metas[col], sf, k, read_fraction=fraction)
+                cost = ds_case1_cost(metas[col], sf, read_fraction=fraction)
             if i in operands:
                 deferred[i] = (f"DS1({col})", cost)
             else:
@@ -305,28 +314,28 @@ def _price_scans(facts: PlanFacts, inputs: _Inputs, nodes, k: ModelConstants):
                         ),
                     )
                     for j in ordered
-                ], k)))
+                ])))
         elif op == "DS3+filter":
             cost = ds_case3_cost(
-                metas[col], int(running), rlp, k, seek_fragments=fragments
+                metas[col], int(running), rlp, pf, seek_fragments=fragments
             )
-            extra = OperatorCost(cpu_us=running * k.fc, io_us=0.0)
+            extra = OperatorCost(function_calls=running)
             steps.append((f"DS3+pred({col})", cost + extra))
         elif op == "DS2":
             fraction = inputs.fractions.get((col, node.predicate))
             steps.append((
                 f"DS2({col})",
-                ds_case2_cost(metas[col], sf, k, read_fraction=fraction),
+                ds_case2_cost(metas[col], sf, read_fraction=fraction),
             ))
         elif op == "DS4":
             steps.append(
-                (f"DS4({col})", ds_case4_cost(metas[col], int(running), sf, k))
+                (f"DS4({col})", ds_case4_cost(metas[col], int(running), sf))
             )
         elif op == "SPC":
             sfs = {c: f for c, _p, f in sorted(conds, key=lambda cond: cond[2])}
             cols = list(sfs) + [c for c in query.value_columns if c not in sfs]
             steps.append(("SPC", spc_cost(
-                [metas[c] for c in cols], [sfs.get(c, 1.0) for c in cols], k
+                [metas[c] for c in cols], [sfs.get(c, 1.0) for c in cols]
             )))
         elif op in ("MERGE", "AGG"):
             tail = node
@@ -358,7 +367,7 @@ def _price_join(
     inputs: _Inputs,
     metas: dict[str, ColumnMeta],
     nodes: list[PlanNode],
-    k: ModelConstants,
+    pf: int,
 ) -> list[tuple[str, OperatorCost]]:
     """The prediction steps of a join's nodes.
 
@@ -373,48 +382,49 @@ def _price_join(
     """
     query, n_outer = facts.query, facts.n_outer
     steps, _tail, pinned, rlp = _price_scans(
-        facts.outer, inputs, nodes[:n_outer], k
+        facts.outer, inputs, nodes[:n_outer], pf
     )
     if not facts.early:
         steps.append(("DS3(left key)", _extraction(
-            facts.outer, inputs, query.left_key, rlp, pinned, k
+            facts.outer, inputs, query.left_key, rlp, pinned, pf
         )))
     n_right = facts.inner.projection.n_rows
     matches = inputs.survivors
     right_cols = query.right_select
+    fetched = matches * len(right_cols)  # right values, one per match
 
     def read_all(columns) -> OperatorCost:
-        """Every block of *columns*, read and iterated once."""
-        return OperatorCost(
-            cpu_us=sum(metas[c].blocks * k.bic for c in columns),
-            io_us=sum(
-                (metas[c].blocks / k.pf * k.seek + metas[c].blocks * k.read)
-                * (1 - metas[c].resident)
-                for c in columns
-            ),
-        )
+        """Every block of *columns*, iterated and read (a seek per PF)."""
+        total = OperatorCost()
+        for c in columns:
+            blocks = metas[c].blocks
+            total += OperatorCost(
+                block_iterations=blocks,
+                **disk_reads(metas[c], blocks, blocks / pf),
+            )
+        return total
 
     probe = OperatorCost(
-        cpu_us=n_right * k.ticcol + n_right * k.fc + matches * k.fc, io_us=0.0
+        column_iterations=n_right, function_calls=n_right + matches
     )
     for node in nodes[n_outer:]:
         op, case = node.op, node.case
         if op == "SPC":
             steps.append(("SPC(right)", spc_cost(
-                list(metas.values()), [1.0] * len(metas), k
+                list(metas.values()), [1.0] * len(metas)
             )))
         elif op == "PIN":
             steps.append(("pin(right)", read_all(metas)))
         elif op == "DS3":
             steps.append(("DS3(right key)", ds_case3_cost(
-                metas[query.right_key], n_right, n_right, k
+                metas[query.right_key], n_right, n_right, pf
             )))
         elif op == "JOIN" and case == "materialized":
-            emit = OperatorCost(cpu_us=matches * k.tictup)
+            emit = OperatorCost(tuple_iterations=matches)
             steps.append(("probe+emit", probe + emit))
         elif op == "JOIN" and case == "multi-column":
             extract = OperatorCost(
-                cpu_us=matches * len(right_cols) * (k.fc + k.ticcol)
+                column_iterations=fetched, function_calls=fetched
             )
             steps.append(("probe+extract", probe + extract))
         elif op == "JOIN":
@@ -423,17 +433,16 @@ def _price_join(
             # Out-of-order positional fetch: sort the match positions, then
             # one jump per match per column — the pure-LM penalty.
             log_n = math.log2(max(matches, 2.0))
-            sort = OperatorCost(cpu_us=matches * log_n * k.fc)
+            sort = OperatorCost(function_calls=matches * log_n)
             fetch = OperatorCost(
-                cpu_us=matches * len(right_cols) * (k.ticcol + 2 * k.fc)
+                column_iterations=fetched, function_calls=2 * fetched
             )
-            io = OperatorCost(io_us=read_all(
-                [c for c in metas if c != query.right_key]
-            ).io_us)
+            io = read_all([c for c in metas if c != query.right_key])
+            io = io._replace(block_iterations=0.0)
             steps.append(("fetch out-of-order", sort + fetch + io))
         elif op == "FETCH" and facts.early:
             # The surviving outer rows, picked out of the outer tuples.
-            rows = OperatorCost(cpu_us=matches * k.tictup)
+            rows = OperatorCost(tuple_iterations=matches)
             steps.append(("left rows", rows))
         elif op == "FETCH":
             key = inputs.metas[query.left_key]
@@ -441,7 +450,7 @@ def _price_join(
             meta = inputs.metas[first] if first else key
             sf = matches / max(facts.outer.projection.n_rows, 1)
             steps.append(("DS3(left values)", ds_case3_cost(
-                meta, int(matches), _position_run_length(key, sf), k
+                meta, int(matches), _position_run_length(key, sf), pf
             )))
         elif op == "AGG":
             files = {**facts.outer.files, **facts.inner.files}
@@ -452,14 +461,14 @@ def _price_join(
                 *query.group_columns,
                 *(s.column for s in query.aggregates if s.func != "count"),
             ])
-            agg = OperatorCost(cpu_us=matches * k.ticcol)
-            merge = merge_cost(groups, len(value_cols), k)
-            output = output_cost(groups, k)
+            agg = OperatorCost(column_iterations=matches)
+            merge = merge_cost(groups, len(value_cols))
+            output = output_cost(groups)
             steps.append(("aggregate+output", agg + merge + output))
         elif op == "MERGE":
             merge = merge_cost(
-                int(matches), len(query.left_select) + len(right_cols), k
+                int(matches), len(query.left_select) + len(right_cols)
             )
-            output = output_cost(int(matches), k)
+            output = output_cost(int(matches))
             steps.append(("merge+output", merge + output))
     return steps

@@ -5,18 +5,14 @@ constants with synthetic micro-benchmarks; this module instead fits them
 to *observed* workload: for every ok select record in a query log it asks
 the predictor how many of each priced event (block iterations, column
 iterations, tuple iterations, function calls, seeks, block reads) the
-recorded plan performs, and solves the least-squares system
+recorded plan performs (one prediction's summed events) and solves the
+least-squares system
 
     features · k  ≈  measured simulated_ms
 
-for the six per-event prices ``k``. The trick that makes feature
-extraction cheap is that :func:`repro.model.predictor.predict_select` is
-*linear* in the constants (holding ``PF`` fixed): evaluating it six times
-with one-hot constants — e.g. ``bic=1`` and every other price zero —
-yields exactly the coefficient of each constant in milliseconds per unit
-price. (The one non-linear term, ``and_cost``'s ``m·TICCOL·FC`` cross
-term, vanishes under a one-hot basis and is negligible at Table-2
-magnitudes.)
+for the six per-event prices ``k``. The replayed ``simulated_ms`` is
+linear in them, so the fit leaves out ``and_cost``'s ``m·TICCOL·FC``
+term, which prices no executor counter.
 
 Fitted values are clamped positive and finite — any non-finite,
 non-positive, or wildly out-of-range component falls back to its baseline
@@ -32,11 +28,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import ModelConstants
+from .cost import EVENT_PRICES
 
-#: The constants fitted from traces, in ModelConstants field order. ``pf``
-#: is held at its baseline value: it is an integer prefetch window that
-#: changes *which* seeks the model counts, not a per-event price.
-FITTED_FIELDS = ("bic", "ticcol", "tictup", "fc", "seek", "read")
+#: The events priced by one constant each, and the constants fitted from
+#: traces. ``pf`` is held at its baseline value: it is an integer prefetch
+#: window that changes *which* seeks the model counts, not a per-event price.
+_FITTED_EVENTS = [(e, c) for e, (c, *rest) in EVENT_PRICES if not rest]
+FITTED_FIELDS = tuple(constant for _event, constant in _FITTED_EVENTS)
 
 #: Per-component sanity band around the baseline: a fitted price outside
 #: ``[baseline/CLAMP, baseline*CLAMP]`` reverts to the baseline value.
@@ -47,18 +45,9 @@ _CLAMP = 1000.0
 _MIN_RECORDS = 6
 
 
-def _basis(baseline: ModelConstants) -> list[ModelConstants]:
-    """One-hot constants: field i priced at 1 µs, every other at 0."""
-    out = []
-    for name in FITTED_FIELDS:
-        overrides = {f: 0.0 for f in FITTED_FIELDS}
-        overrides[name] = 1.0
-        out.append(baseline.with_overrides(**overrides))
-    return out
-
-
-def _record_features(db, record, basis, cache):
-    """Per-record feature row: predicted ms per unit price of each constant.
+def _record_features(db, record, baseline: ModelConstants, cache):
+    """Per-record feature row: predicted ms per unit price of each constant,
+    from one prediction's events under *baseline*.
 
     Priced against the record's logged plan
     (:func:`repro.workload.price_record`), so the features describe the
@@ -72,14 +61,9 @@ def _record_features(db, record, basis, cache):
     from .predictor import predict_select
 
     def features(projection, query, strategy):
-        return np.array(
-            [
-                predict_select(projection, query, strategy, constants=k)
-                .total_ms
-                for k in basis
-            ],
-            dtype=np.float64,
-        )
+        events = predict_select(projection, query, strategy, baseline).events
+        row = [getattr(events, event) for event, _ in _FITTED_EVENTS]
+        return np.array(row, dtype=np.float64) / 1000.0
 
     return price_record(db, record, cache, features)
 
@@ -141,16 +125,10 @@ def _clamped(baseline: ModelConstants, solution) -> ModelConstants:
     """Fold a raw solution vector into positive, finite, sane constants."""
     overrides = {}
     for name, value in zip(FITTED_FIELDS, solution):
-        default = getattr(baseline, name)
-        value = float(value)
-        if (
-            not np.isfinite(value)
-            or value <= 0.0
-            or value < default / _CLAMP
-            or value > default * _CLAMP
-        ):
-            value = default
-        overrides[name] = value
+        value, default = float(value), getattr(baseline, name)
+        # NaN and infinities fail the comparisons too.
+        sane = 0.0 < value and default / _CLAMP <= value <= default * _CLAMP
+        overrides[name] = value if sane else default
     return baseline.with_overrides(**overrides)
 
 
@@ -167,48 +145,32 @@ def recalibrate_from_log(
     baseline when the fit's trace MAE is no worse.
     """
     baseline = constants if constants is not None else db.constants
-    basis = _basis(baseline)
     cache: dict = {}
     rows, targets = [], []
     for record in records:
-        row = _record_features(db, record, basis, cache)
-        if row is None:
-            continue
-        rows.append(row)
-        targets.append(float(record["simulated_ms"]))
+        row = _record_features(db, record, baseline, cache)
+        if row is not None:
+            rows.append(row)
+            targets.append(float(record["simulated_ms"]))
+    A, y = np.array(rows), np.array(targets, dtype=np.float64)
 
-    n = len(rows)
-    base_vec = np.array(
-        [getattr(baseline, f) for f in FITTED_FIELDS], dtype=np.float64
-    )
-    if n == 0:
-        return CalibrationReport(
-            constants=baseline, fitted=baseline, baseline=baseline,
-            n_records=0, mae_fitted_ms=0.0, mae_baseline_ms=0.0,
-            used_fitted=False,
-        )
-    A = np.vstack(rows)
-    y = np.array(targets, dtype=np.float64)
-    mae_baseline = float(np.mean(np.abs(A @ base_vec - y)))
-    if n < _MIN_RECORDS:
-        return CalibrationReport(
-            constants=baseline, fitted=baseline, baseline=baseline,
-            n_records=n, mae_fitted_ms=mae_baseline,
-            mae_baseline_ms=mae_baseline, used_fitted=False,
-        )
-    solution, *_ = np.linalg.lstsq(A, y, rcond=None)
-    fitted = _clamped(baseline, solution)
-    fit_vec = np.array(
-        [getattr(fitted, f) for f in FITTED_FIELDS], dtype=np.float64
-    )
-    mae_fitted = float(np.mean(np.abs(A @ fit_vec - y)))
-    used_fitted = mae_fitted <= mae_baseline
+    def mae(k: ModelConstants) -> float:
+        if not rows:
+            return 0.0
+        prices = [getattr(k, name) for name in FITTED_FIELDS]
+        return float(np.mean(np.abs(A @ prices - y)))
+
+    fitted, used_fitted = baseline, False
+    if len(rows) >= _MIN_RECORDS:
+        solution, *_ = np.linalg.lstsq(A, y, rcond=None)
+        fitted = _clamped(baseline, solution)
+        used_fitted = mae(fitted) <= mae(baseline)
     return CalibrationReport(
         constants=fitted if used_fitted else baseline,
         fitted=fitted,
         baseline=baseline,
-        n_records=n,
-        mae_fitted_ms=mae_fitted,
-        mae_baseline_ms=mae_baseline,
+        n_records=len(rows),
+        mae_fitted_ms=mae(fitted),
+        mae_baseline_ms=mae(baseline),
         used_fitted=used_fitted,
     )

@@ -42,9 +42,6 @@ class MultiColumn:
                 f"(has {sorted(self.minicolumns)})"
             ) from None
 
-    def has_column(self, column: str) -> bool:
-        return column in self.minicolumns
-
     def intersect(self, other: "MultiColumn") -> "MultiColumn":
         """AND two multi-columns (paper Section 3.6).
 

@@ -25,14 +25,6 @@ class Strategy(Enum):
     LM_PIPELINED = "lm-pipelined"
     LM_PARALLEL = "lm-parallel"
 
-    @property
-    def is_late(self) -> bool:
-        return self in (Strategy.LM_PIPELINED, Strategy.LM_PARALLEL)
-
-    @property
-    def is_pipelined(self) -> bool:
-        return self in (Strategy.EM_PIPELINED, Strategy.LM_PIPELINED)
-
     @classmethod
     def from_name(cls, name: str) -> "Strategy":
         name = name.strip().lower().replace("_", "-")

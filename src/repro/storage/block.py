@@ -44,10 +44,6 @@ class BlockDescriptor:
         """One past the last position covered (half-open)."""
         return self.start_pos + self.n_values
 
-    def covers_positions(self, start: int, stop: int) -> bool:
-        """True when the block's position range intersects ``[start, stop)``."""
-        return self.start_pos < stop and start < self.end_pos
-
     def to_json(self) -> dict:
         return {
             "index": self.index,

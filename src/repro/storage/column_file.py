@@ -271,9 +271,5 @@ class ColumnFile:
             return np.empty(0, dtype=self.dtype)
         return np.concatenate(parts)
 
-    def blocks_for_positions(self, start: int, stop: int) -> list[BlockDescriptor]:
-        """Descriptors of blocks covering any position in ``[start, stop)``."""
-        return [d for d in self.descriptors if d.covers_positions(start, stop)]
-
     def size_bytes(self) -> int:
         return os.path.getsize(self.path)

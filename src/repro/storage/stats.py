@@ -15,6 +15,7 @@ selectivity in ``[0, 1]``.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,7 +77,7 @@ class ColumnHistogram:
 
     Attributes:
         common: ``(value, count)`` pairs for the most frequent values, exact.
-        edges: strictly increasing bin edges over the residual values
+        edges: non-decreasing bin edges over the residual values
             (``len(edges) == len(counts) + 1``; empty when no residual).
         counts: residual values per bin.
         n_values: total number of values (heavy + residual).
@@ -135,7 +136,10 @@ class ColumnHistogram:
             )
         )
         if len(edges) < 2:
-            edges = np.array([edges[0], edges[0] + 1.0])
+            # From 2**53 on, edges[0] + 1.0 rounds back to edges[0]; files
+            # written before this fallback hold such equal edges.
+            upper = max(edges[0] + 1.0, np.nextafter(edges[0], np.inf))
+            edges = np.array([edges[0], upper])
         # np.histogram: bins are half-open except the last, which is closed.
         cumulative = np.concatenate((
             below[np.searchsorted(res_values, edges[:-1], side="left")],
@@ -238,10 +242,40 @@ class ColumnHistogram:
 
     @classmethod
     def from_json(cls, data: dict) -> "ColumnHistogram":
+        """Decode :meth:`to_json`'s form.
+
+        Raises:
+            ValueError: an element is of the wrong kind: ``common`` holds
+                (number, count) pairs, ``edges`` non-decreasing numbers,
+                one more than ``counts`` unless both are empty.
+        """
+        common, edges, counts = data["common"], data["edges"], data["counts"]
+        valid = {
+            "common": all(type(pair) is list and len(pair) == 2
+                          and _is_number(pair[0]) and _is_count(pair[1])
+                          for pair in common),
+            "edges": all(map(_is_number, edges))
+            and all(a <= b for a, b in zip(edges, edges[1:])),
+            "counts": all(map(_is_count, counts))
+            and len(edges) == (len(counts) + 1 if counts else 0),
+            "n_values": _is_count(data["n_values"]),
+            "n_distinct": _is_count(data["n_distinct"]),
+        }
+        for key, ok in valid.items():
+            if not ok:
+                raise ValueError(f"{key} is {reprlib.repr(data[key])}")
         return cls(
-            common=tuple((float(v), int(c)) for v, c in data["common"]),
-            edges=tuple(data["edges"]),
-            counts=tuple(data["counts"]),
+            common=tuple((float(v), c) for v, c in common),
+            edges=tuple(edges),
+            counts=tuple(counts),
             n_values=data["n_values"],
             n_distinct=data["n_distinct"],
         )
+
+
+def _is_number(value) -> bool:
+    return type(value) in (int, float)
+
+
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0

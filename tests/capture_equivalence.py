@@ -70,6 +70,7 @@ which one test process cannot hold.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -336,13 +337,19 @@ def _explain_record(db: Database, query) -> dict:
         "chosen": report["chosen"],
         "steps": {
             strategy.value: [
-                [name, cost.cpu_us, cost.io_us]
-                for name, cost in prediction.steps
+                _step_record(prediction, step) for step in prediction.steps
             ]
             for strategy, prediction in report["details"].items()
         },
         "partitions": report.get("partitions"),
     }
+
+
+def _step_record(prediction, step) -> list:
+    """``[name, cpu_us, io_us]`` of one predicted step, priced as a
+    one-step copy of its prediction through ``cpu_ms`` / ``io_ms``."""
+    one = dataclasses.replace(prediction, steps=[step])
+    return [step[0], one.cpu_ms * 1000.0, one.io_ms * 1000.0]
 
 
 def _describe_record(db: Database, query, strategy: str) -> dict:

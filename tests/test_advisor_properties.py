@@ -188,3 +188,43 @@ def test_recalibration_is_safe_on_any_subset(captured, data):
     if report.n_records == 0:
         # Nothing usable: the shipped defaults come back untouched.
         assert constants == report.baseline
+
+
+def test_recalibration_recovers_known_constants(captured):
+    """A trace priced by known constants is fitted back to them: each
+    record's ``simulated_ms`` is replaced by its plan's prediction under
+    ``k*`` (CPU constants ×3, seek and read ×0.5), and the adopted fit
+    predicts that trace exactly. Plans with a multi-input AND are left
+    out: its ``m·TICCOL·FC`` term prices no executor counter, so the
+    linear fit does not model it."""
+    from repro.model import PAPER_CONSTANTS, predict_select
+    from repro.workload import price_record
+
+    db, records = captured
+    k = PAPER_CONSTANTS
+    truth = k.with_overrides(
+        bic=3 * k.bic, ticcol=3 * k.ticcol, tictup=3 * k.tictup,
+        fc=3 * k.fc, seek=0.5 * k.seek, read=0.5 * k.read,
+    )
+    trace, events, cache = [], [], {}
+    for record in records:
+        prediction = price_record(
+            db, record, cache,
+            lambda *plan: predict_select(*plan, constants=truth),
+        )
+        if (record.get("outcome") == "ok" and prediction is not None
+                and prediction.events.and_products == 0):
+            trace.append({**record, "simulated_ms": prediction.total_ms})
+            events.append(prediction.events)
+    for event in ("block_iterations", "column_iterations", "tuple_iterations",
+                  "function_calls", "disk_seeks", "block_reads"):
+        assert any(getattr(e, event) > 0 for e in events), event
+    report = recalibrate_from_log(db, trace, constants=k)
+    mean_ms = sum(r["simulated_ms"] for r in trace) / len(trace)
+    assert report.n_records == len(trace) >= 2 * len(FITTED_FIELDS)
+    assert report.used_fitted
+    assert report.mae_fitted_ms <= 1e-6 * mean_ms
+    for field in FITTED_FIELDS:
+        assert getattr(report.constants, field) == pytest.approx(
+            getattr(truth, field), rel=1e-6
+        ), field

@@ -58,16 +58,6 @@ class TestWriteOpen:
         )
         assert cf.avg_run_length == 1.0
 
-    def test_blocks_for_positions(self, tmp_path, sorted_values):
-        path = tmp_path / "col.unc.col"
-        cf = write_column(
-            path, sorted_values, INT32, encoding_by_name("uncompressed")
-        )
-        per_block = cf.descriptors[0].n_values
-        hits = cf.blocks_for_positions(per_block, per_block + 1)
-        assert [d.index for d in hits] == [1]
-        assert cf.blocks_for_positions(0, len(sorted_values)) == cf.descriptors
-
     def test_empty_column(self, tmp_path):
         path = tmp_path / "empty.col"
         cf = write_column(

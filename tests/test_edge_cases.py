@@ -182,12 +182,6 @@ class TestStrategiesEnum:
         assert Strategy.from_name("LM_PARALLEL") is Strategy.LM_PARALLEL
         assert Strategy.from_name(" em-pipelined ") is Strategy.EM_PIPELINED
 
-    def test_flags(self):
-        assert Strategy.LM_PARALLEL.is_late
-        assert not Strategy.EM_PARALLEL.is_late
-        assert Strategy.LM_PIPELINED.is_pipelined
-        assert not Strategy.LM_PARALLEL.is_pipelined
-
     def test_bad_name(self):
         with pytest.raises(ValueError):
             Strategy.from_name("middle-out")

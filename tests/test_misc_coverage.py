@@ -7,7 +7,7 @@ from repro import Database, Predicate, SelectQuery
 from repro.dtypes import INT32, ColumnSchema
 from repro.errors import CatalogError
 from repro.model import PAPER_CONSTANTS
-from repro.model.cost import output_cost
+from repro.model.cost import output_cost, price
 from repro.operators.and_op import and_groups
 from repro.operators.base import position_groups
 from repro.positions import BitmapPositions, ListedPositions, RangePositions
@@ -34,8 +34,8 @@ class TestPositionGroupAccounting:
 
 class TestOutputCost:
     def test_scales_with_tuples(self):
-        assert output_cost(0, PAPER_CONSTANTS).cpu_us == 0
-        assert output_cost(2000, PAPER_CONSTANTS).cpu_us == pytest.approx(
+        assert price(output_cost(0), PAPER_CONSTANTS) == (0.0, 0.0)
+        assert price(output_cost(2000), PAPER_CONSTANTS)[0] == pytest.approx(
             2000 * PAPER_CONSTANTS.tictup
         )
 

@@ -13,11 +13,12 @@ from repro.model import (
     ds_case2_cost,
     ds_case3_cost,
     ds_case4_cost,
+    OperatorCost,
     merge_cost,
     simulated_time_ms,
     spc_cost,
 )
-from repro.model.cost import output_cost
+from repro.model.cost import output_cost, price
 
 
 META = ColumnMeta(blocks=5, tuples=26_726, run_length=1.0, resident=0.0)
@@ -47,94 +48,144 @@ class TestConstants:
         assert d["TICTUP"] == 0.065
 
 
+def cpu_us(cost):
+    return price(cost, K)[0]
+
+
+def io_us(cost):
+    return price(cost, K)[1]
+
+
 class TestDataSourceFormulas:
     def test_ds1_formula_verbatim(self):
         # Figure 1: |C|*BIC + ||C||*(TICCOL+FC)/RL + SF*||C||*FC
         sf = 0.5
-        cost = ds_case1_cost(META, sf, K)
-        expected_cpu = (
-            5 * K.bic + 26_726 * (K.ticcol + K.fc) / 1.0 + sf * 26_726 * K.fc
-        )
-        assert cost.cpu_us == pytest.approx(expected_cpu)
+        cost = ds_case1_cost(META, sf)
         # A full sequential scan pays one head movement plus |C| block reads.
-        expected_io = 1 * K.seek + 5 * K.read
-        assert cost.io_us == pytest.approx(expected_io)
+        assert cost == OperatorCost(
+            block_iterations=5,
+            column_iterations=26_726 / 1.0,
+            function_calls=26_726 / 1.0 + sf * 26_726,
+            disk_seeks=1,
+            block_reads=5,
+        )
+        assert price(cost, K) == pytest.approx((
+            5 * K.bic + 26_726 * (K.ticcol + K.fc) / 1.0 + sf * 26_726 * K.fc,
+            1 * K.seek + 5 * K.read,
+        ))
 
     def test_ds1_rle_cheaper_cpu(self):
-        dense = ds_case1_cost(META, 0.5, K)
-        rle = ds_case1_cost(RLE_META, 0.5, K)
-        assert rle.cpu_us < dense.cpu_us
+        dense = ds_case1_cost(META, 0.5)
+        rle = ds_case1_cost(RLE_META, 0.5)
+        assert rle.column_iterations < dense.column_iterations
+        assert cpu_us(rle) < cpu_us(dense)
 
     def test_ds2_costs_more_than_ds1(self):
         # Case 2 swaps FC for TICTUP+FC on matched tuples.
-        assert ds_case2_cost(META, 0.5, K).cpu_us > ds_case1_cost(
-            META, 0.5, K
-        ).cpu_us
+        ds1, ds2 = ds_case1_cost(META, 0.5), ds_case2_cost(META, 0.5)
+        assert ds2 == ds1._replace(tuple_iterations=0.5 * 26_726)
+        assert cpu_us(ds2) == pytest.approx(
+            5 * K.bic + 26_726 * (K.ticcol + K.fc)
+            + 0.5 * 26_726 * (K.tictup + K.fc)
+        )
 
     def test_ds3_reaccess_has_no_io(self):
-        cost = ds_case3_cost(META, 1000, 1.0, K, reaccess=True)
-        assert cost.io_us == 0.0
-        assert cost.cpu_us > 0.0
+        # Figure 2: |C|*BIC + G*TICCOL + G*(TICCOL+FC), G = ||POS||/RLp.
+        cost = ds_case3_cost(META, 1000, 1.0, K.pf, reaccess=True)
+        assert cost == OperatorCost(
+            block_iterations=5, column_iterations=2000, function_calls=1000
+        )
+        assert price(cost, K) == pytest.approx((
+            5 * K.bic + 1000 * K.ticcol + 1000 * (K.ticcol + K.fc), 0.0
+        ))
 
     def test_ds3_io_scales_with_positions(self):
-        few = ds_case3_cost(META, 100, 1.0, K)
-        many = ds_case3_cost(META, 20_000, 1.0, K)
-        assert few.io_us < many.io_us
+        few = ds_case3_cost(META, 100, 1.0, K.pf)
+        many = ds_case3_cost(META, 20_000, 1.0, K.pf)
+        assert few.block_reads < many.block_reads
+        assert io_us(few) < io_us(many)
 
     def test_ds3_position_runs_reduce_cpu(self):
-        slow = ds_case3_cost(META, 10_000, 1.0, K, reaccess=True)
-        fast = ds_case3_cost(META, 10_000, 1000.0, K, reaccess=True)
-        assert fast.cpu_us < slow.cpu_us
+        slow = ds_case3_cost(META, 10_000, 1.0, K.pf, reaccess=True)
+        fast = ds_case3_cost(META, 10_000, 1000.0, K.pf, reaccess=True)
+        assert fast.column_iterations == 20 < slow.column_iterations
+        assert cpu_us(fast) < cpu_us(slow)
 
     def test_ds4_formula_verbatim(self):
         # Figure 3: |C|*BIC + ||EM||*TICTUP + ||EM||*((FC+TICTUP)+FC)
         #           + SF*||EM||*TICTUP
         em = 1_000
         sf = 0.3
-        cost = ds_case4_cost(META, em, sf, K)
-        expected = (
+        cost = ds_case4_cost(META, em, sf)
+        assert cost._replace(disk_seeks=0, block_reads=0) == OperatorCost(
+            block_iterations=5,
+            tuple_iterations=(2 + sf) * em,
+            function_calls=2 * em,
+        )
+        assert cpu_us(cost) == pytest.approx(
             5 * K.bic
             + em * K.tictup
             + em * ((K.fc + K.tictup) + K.fc)
             + sf * em * K.tictup
         )
-        assert cost.cpu_us == pytest.approx(expected)
 
     def test_resident_fraction_zeroes_io(self):
         warm = ColumnMeta(blocks=5, tuples=100, run_length=1.0, resident=1.0)
-        assert ds_case1_cost(warm, 0.5, K).io_us == 0.0
+        cost = ds_case1_cost(warm, 0.5)
+        assert cost.disk_seeks == cost.block_reads == 0.0
+        assert io_us(cost) == 0.0
 
 
 class TestOtherOperators:
     def test_and_formula_verbatim(self):
         # Figure 4 with M = max(||inpos_i|| / RLp_i).
         inputs = [AndCost(1000, 1.0), AndCost(64_000, 64.0)]
-        cost = and_cost(inputs, K)
+        cost = and_cost(inputs)
         m = 1000.0
-        expected = (
-            K.ticcol * 1000 + K.ticcol * 1000 + m * 1 * K.fc + m * K.ticcol * K.fc
+        assert cost == OperatorCost(
+            column_iterations=1000 + 1000, function_calls=m * 1, and_products=m
         )
-        assert cost.cpu_us == pytest.approx(expected)
-        assert cost.io_us == 0.0
+        assert price(cost, K) == pytest.approx((
+            K.ticcol * 1000 + K.ticcol * 1000 + m * 1 * K.fc
+            + m * K.ticcol * K.fc,
+            0.0,
+        ))
 
     def test_merge_formula(self):
-        cost = merge_cost(500, 2, K)
-        assert cost.cpu_us == pytest.approx(2 * 500 * 2 * K.fc)
+        # Figure 5: 2 * n * k * FC.
+        cost = merge_cost(500, 2)
+        assert cost == OperatorCost(function_calls=2 * 500 * 2)
+        assert cpu_us(cost) == pytest.approx(2 * 500 * 2 * K.fc)
 
     def test_spc_short_circuits_selectivities(self):
+        # Figure 6: per column |C_i|*BIC + ||C_i||*FC*prod(SF_j<i), then
+        # ||C_k||*TICTUP*prod(SF) to construct; every block is read.
         metas = [META, META]
-        all_pass = spc_cost(metas, [1.0, 1.0], K)
-        selective = spc_cost(metas, [0.01, 1.0], K)
-        assert selective.cpu_us < all_pass.cpu_us
-        assert selective.io_us == all_pass.io_us  # SPC always reads everything
+        all_pass = spc_cost(metas, [1.0, 1.0])
+        selective = spc_cost(metas, [0.01, 1.0])
+        assert selective == OperatorCost(
+            block_iterations=10,
+            tuple_iterations=26_726 * 0.01,
+            function_calls=26_726 + 26_726 * 0.01,
+            disk_seeks=2,
+            block_reads=10,
+        )
+        assert cpu_us(selective) == pytest.approx(
+            10 * K.bic + (26_726 + 26_726 * 0.01) * K.fc
+            + 26_726 * K.tictup * 0.01
+        )
+        assert selective.block_reads == all_pass.block_reads
+        assert io_us(selective) == io_us(all_pass)
 
     def test_output_cost(self):
-        assert output_cost(1000, K).cpu_us == pytest.approx(1000 * K.tictup)
+        assert output_cost(1000) == OperatorCost(tuple_iterations=1000)
+        assert cpu_us(output_cost(1000)) == pytest.approx(1000 * K.tictup)
 
     def test_operator_cost_addition(self):
-        total = merge_cost(10, 2, K) + output_cost(10, K)
-        assert total.total_us == pytest.approx(
-            merge_cost(10, 2, K).cpu_us + output_cost(10, K).cpu_us
+        total = merge_cost(10, 2) + output_cost(10)
+        assert total == OperatorCost(function_calls=40, tuple_iterations=10)
+        assert sum(price(total, K)) == pytest.approx(
+            cpu_us(merge_cost(10, 2)) + cpu_us(output_cost(10))
         )
 
 
@@ -218,7 +269,7 @@ class TestFullRangeExtraction:
     @staticmethod
     def _ds1_io(projection, column) -> float:
         cf = projection.physical_column(column).file()
-        return ds_case1_cost(ColumnMeta.from_file(cf), 1.0, K).io_us
+        return io_us(ds_case1_cost(ColumnMeta.from_file(cf), 1.0))
 
     def test_selection_gather_reads_like_ds1(self, tpch_db):
         from repro import SelectQuery, Strategy
@@ -230,7 +281,7 @@ class TestFullRangeExtraction:
             lineitem, query, Strategy.LM_PARALLEL
         ).steps)
         for column in query.select:
-            assert 0 < steps[f"DS3({column})"].io_us <= self._ds1_io(
+            assert 0 < io_us(steps[f"DS3({column})"]) <= self._ds1_io(
                 lineitem, column
             )
 
@@ -261,6 +312,6 @@ class TestFullRangeExtraction:
             lineitem.physical_column("linenum").file("uncompressed")
         )
         assert key.blocks > 1
-        assert 0 < steps["DS3(left key)"].io_us <= ds_case1_cost(
-            key, 1.0, K
-        ).io_us
+        assert 0 < io_us(steps["DS3(left key)"]) <= io_us(
+            ds_case1_cost(key, 1.0)
+        )

@@ -48,7 +48,6 @@ class TestMultiColumn:
         assert mc.degree == 0
         mc.attach(mini)
         assert mc.degree == 1
-        assert mc.has_column("x")
         assert mc.minicolumn("x") is mini
 
     def test_missing_minicolumn_raises(self):

@@ -317,7 +317,7 @@ class TestPredictStrategies:
         )
         joint = _assert_joint_equals_alone(lineitem, query, list(Strategy))
         ds1 = dict(joint[Strategy.LM_PARALLEL].steps)["DS1(returnflag)"]
-        assert ds1.io_us == 0.0
+        assert ds1.disk_seeks == ds1.block_reads == 0.0
 
     def test_candidate_lacking_an_encoding_override_is_skipped(
         self, tmp_path

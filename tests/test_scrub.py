@@ -7,9 +7,10 @@ import pytest
 
 from repro import Database, Predicate, load_tpch
 from repro.cli import main
-from repro.dtypes import INT32, ColumnSchema
+from repro.dtypes import INT32, INT64, ColumnSchema
 from repro.errors import MetadataError
 from repro.storage.column_file import ColumnFile
+from repro.storage.stats import ColumnHistogram
 
 from .test_wal_and_catalog_ops import UNHOLDABLE_RECORDS, append_record
 
@@ -118,6 +119,9 @@ METADATA_PROBES = [
                  id="header-encoding-unknown"),
     pytest.param(COLUMN, _set("histogram", {"common": []}), COLUMN,
                  "histogram", id="header-histogram-truncated"),
+    pytest.param(COLUMN, lambda d: d["histogram"].update(
+                     edges=[str(e) for e in d["histogram"]["edges"]]),
+                 COLUMN, "histogram", id="header-histogram-text-edges"),
 ]
 
 
@@ -140,6 +144,24 @@ def test_metadata_probe_open_and_scrub_agree(
     assert message.startswith(f"{root / named}: ")
     assert f"field {field!r} " in message
     assert [issue.error for issue in db.scrub().issues] == [message]
+
+
+def test_histogram_of_one_huge_residual_value_reopens(tmp_path):
+    """A residual of one value at or above 2**53, where ``v + 1.0 == v``,
+    still gets two distinct edges, and the store opens and scrubs clean."""
+    values = np.array([0] * 199 + [10**16], dtype=np.int64)
+    Database(tmp_path / "db").catalog.create_projection(
+        "t", {"a": values}, schemas={"a": ColumnSchema("a", INT64)},
+        sort_keys=["a"], encodings={"a": ["uncompressed"]}, presorted=True,
+    )
+    reopened = Database(tmp_path / "db")
+    column = reopened.projection("t").column("a").file("uncompressed")
+    assert column.histogram.edges[0] < column.histogram.edges[-1]
+    assert reopened.scrub(deep=True).clean
+    # Files written with equal edges before the fix still decode.
+    written = dict(column.histogram.to_json(), edges=[1e16, 1e16])
+    assert ColumnHistogram.from_json(written).estimate(
+        Predicate("a", "<", 10**16)) == pytest.approx(199 / 200)
 
 
 class TestScrubAPI:
