@@ -126,41 +126,47 @@ def covering_source(catalog, anchor: str, columns):
     return None
 
 
-def generate_candidates(
-    catalog, summary, max_candidates: int = 12
-) -> list[CandidateDesign]:
-    """Enumerate build candidates from observed predicate statistics."""
-    # (anchor, predicate column) -> accumulated evidence.
-    evidence: dict[tuple, dict] = {}
-    for template in summary.templates.values():
+def weighted_queries(summary) -> list[tuple]:
+    """``(fingerprint, weight, query)`` for every scoreable template: a
+    select with ok or degraded executions whose example query rebuilds
+    (:func:`~repro.serving.protocol.query_from_dict`)."""
+    from ..serving.protocol import query_from_dict
+
+    out = []
+    for fp, template in sorted(summary.templates.items()):
         if template.kind != "select" or template.example_query is None:
             continue
         weight = _template_weight(template)
         if weight == 0:
             continue
-        qdict = template.example_query
-        anchor = _anchor_of(catalog, qdict.get("projection", ""))
+        try:
+            query = query_from_dict(template.example_query)
+        except Exception:
+            continue
+        out.append((fp, weight, query))
+    return out
+
+
+def generate_candidates(
+    catalog, summary, max_candidates: int = 12
+) -> list[CandidateDesign]:
+    """Enumerate build candidates from observed predicate statistics:
+    every predicate of the WHERE clause, conjunctive or in an OR group."""
+    # (anchor, predicate column) -> accumulated evidence.
+    evidence: dict[tuple, dict] = {}
+    for _fp, weight, query in weighted_queries(summary):
+        anchor = _anchor_of(catalog, query.projection)
         if anchor is None:
             continue
-        touched = set(qdict.get("select") or ())
-        touched.update(qdict.get("group_by") or ())
-        for agg in qdict.get("aggregates") or ():
-            if agg.get("column"):
-                touched.add(agg["column"])
-        pred_cols = []
-        ops = []
-        for pred in qdict.get("predicates") or ():
-            pred_cols.append(pred["column"])
-            ops.append("in" if "in" in pred else pred.get("op", "="))
-        touched.update(pred_cols)
-        for col, op in zip(pred_cols, ops):
+        touched = set(query.all_columns)
+        for pred in query.all_predicates:
             entry = evidence.setdefault(
-                (anchor, col),
+                (anchor, pred.column),
                 {"weight": 0, "columns": set(), "range_weight": 0},
             )
             entry["weight"] += weight
             entry["columns"].update(touched)
-            if op in _RANGE_OPS:
+            if getattr(pred, "op", None) in _RANGE_OPS:
                 entry["range_weight"] += weight
 
     candidates = []

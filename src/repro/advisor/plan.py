@@ -33,9 +33,9 @@ from ..errors import CatalogError
 from ..workload import summarize_log
 from .candidates import (
     CandidateDesign,
-    _template_weight,
     covering_source,
     generate_candidates,
+    weighted_queries,
 )
 from .whatif import WhatIfCatalog, evaluate_design, hypothetical_projection
 
@@ -150,25 +150,6 @@ class AdvisorPlan:
         return "\n".join(lines)
 
 
-def _weighted_queries(summary):
-    """(fingerprint, weight, query) triples for scoreable templates."""
-    from ..serving.protocol import query_from_dict
-
-    out = []
-    for fp, template in sorted(summary.templates.items()):
-        if template.kind != "select" or template.example_query is None:
-            continue
-        weight = _template_weight(template)
-        if weight == 0:
-            continue
-        try:
-            query = query_from_dict(template.example_query)
-        except Exception:
-            continue
-        out.append((fp, weight, query))
-    return out
-
-
 def _recorded_projections(summary) -> set:
     """Every projection name a logged query is recorded to have used."""
     used = set()
@@ -206,7 +187,7 @@ def advise(
     if constants is None:
         constants = db.constants
     summary = summarize_log(records, db=db, constants=constants)
-    weighted = _weighted_queries(summary)
+    weighted = weighted_queries(summary)
 
     baseline_view = WhatIfCatalog(db.catalog)
     baseline_total, baseline_per = evaluate_design(

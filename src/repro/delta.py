@@ -45,13 +45,13 @@ the table's schemas: recovery replays what it returns and the scrubber
 (:mod:`repro.scrub`) reports what it refuses, so a record the table
 cannot hold (an unknown or missing column, ragged sides, a value its
 column type cannot represent) stops the open, naming file and line,
-instead of failing every later read. Recovery tolerates a torn final line
-(that write was never acknowledged, so a torn insert drops its whole
-batch) and honours the catalog's ``wal_applied`` marker: records a
-committed merge already folded into the read store are discarded, which
-is what makes a crash between manifest commit and WAL truncation
-harmless. A WAL whose table has no projection left has nothing to be
-typed against and stays on disk, unreplayed.
+instead of failing every later read. Recovery never rewrites a log: it
+cuts a torn final line off (that write was never acknowledged, so a torn
+insert drops its whole batch; :mod:`repro.storage.jsonlines`) and skips
+the records a committed merge already folded in (the catalog's
+``wal_applied`` marker), which makes a crash between manifest commit and
+WAL unlink harmless. A WAL whose table has no projection left has nothing
+to be typed against and stays on disk, unreplayed.
 
 Durability: with ``durability="fsync"`` (the default) every append is
 fsynced — one fsync per accepted write call, charged to the simulated disk
@@ -74,6 +74,7 @@ from .errors import CatalogError, EncodingError, WalRecordError
 from .operators.aggregate import AggSpec, _grouped_reduce, fuse_keys
 from .operators.tuples import TupleSet
 from .storage.atomic import fsync_dir
+from .storage.jsonlines import read_json_lines, truncate_torn_tail
 
 if TYPE_CHECKING:  # the planner imports this module
     from .planner.logical import SelectQuery
@@ -338,71 +339,33 @@ class DeltaStore:
     # ------------------------------------------------------------- recovery
 
     def _recover(self) -> None:
-        """Replay per-table logs, tolerating a torn final line.
+        """Replay per-table logs; recovery never rewrites one.
 
-        A crash mid-append can leave the last JSON line incomplete; that
-        tail is skipped with a warning (the change never returned, so it
-        was never acknowledged) and every complete record is recovered. A
-        malformed line anywhere *before* the tail is real corruption and
-        still raises, and so does a live record :func:`decode_wal_record`
-        refuses against the table's schemas
-        (:meth:`~repro.storage.catalog.Catalog.table_schemas`): each is a
-        :class:`~repro.errors.CatalogError` naming the file and the line,
-        raised before that log is rewritten. The records of a table
-        with no projection left in the catalog have nothing to be typed
-        against: they stay on disk, unreplayed, with a warning.
+        Each log is read by :func:`~repro.storage.jsonlines.read_json_lines`:
+        a torn final line (never acknowledged) is cut off, any other bad
+        line raises naming file and line, and so does a live record
+        :func:`decode_wal_record` refuses, before the log is touched. A
+        table with no projection left keeps its records on disk,
+        unreplayed, with a warning.
 
-        If the catalog carries a ``wal_applied`` marker for a table, a
-        committed merge already folded that many records into the read
-        store but crashed before truncating the log: the applied prefix is
-        discarded, the log rewritten to the remainder, and the marker
-        cleared — after which a re-merge is a no-op instead of a
-        double-apply.
+        A ``wal_applied`` marker counts the records a committed merge
+        already folded in before it crashed short of the unlink. Recovery
+        skips them and keeps file and marker: :meth:`wal_records` counts
+        every intact line, so the next merge's marker covers the prefix.
+        Only a fully applied log is finished, by :meth:`mark_applied`.
         """
         markers = dict(self._catalog.wal_applied)
         for path in sorted(self._wal_dir.glob("*.wal")):
             table = path.stem
-            lines = []
-            with open(path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        lines.append(line)
-            records = []
-            torn = False
-            for i, line in enumerate(lines):
-                try:
-                    records.append(json.loads(line))
-                except json.JSONDecodeError as exc:
-                    if i == len(lines) - 1:
-                        torn = True
-                        logging.getLogger(__name__).warning(
-                            "%s: skipping torn final WAL line "
-                            "(%d complete records recovered): %s",
-                            path, len(records), exc,
-                        )
-                        break
-                    raise CatalogError(
-                        f"{path}: corrupt WAL line {i + 1} of {len(lines)} "
-                        f"(not the torn-tail case): {exc}"
-                    ) from exc
-            applied = min(markers.pop(table, 0), len(records))
-            live = records[applied:]
-            decoded = self._decode(path, live, applied, len(lines))
-            if (torn or applied) and not live:
-                # Nothing survives: the log is exactly the state a
-                # completed merge would have left, so finish its unlink.
-                path.unlink()
-            elif torn or applied:
-                # Drop the torn bytes (so later appends cannot land after
-                # a malformed line) and the already-merged prefix, keeping
-                # the surviving lines byte-identical.
-                with open(path, "w", encoding="utf-8") as f:
-                    for line in lines[applied:len(records)]:
-                        f.write(line + "\n")
-                    f.flush()
-            if applied:
-                self._catalog.set_wal_applied(table, 0)
+            log = read_json_lines(path, "WAL")
+            applied = min(markers.pop(table, 0), len(log.records))
+            live = log.records[applied:]
+            decoded = self._decode(log, applied)
+            if applied and not live:
+                self.mark_applied(table)
+                continue
+            if log.torn is not None:
+                truncate_torn_tail(log, crash=self._crash, disk=self._disk)
             # Consecutive plain rows (one insert batch or many, as logs
             # written before the columnar format hold them) enter the
             # column buffers as one chunk, not one per line.
@@ -418,17 +381,18 @@ class DeltaStore:
                 else:
                     for record in group:
                         self._apply(table, *record)
-            if live:
-                self._records[table] = len(live)
+            if log.records:
+                self._records[table] = len(log.records)
         # A marker for a table whose WAL is already gone means the crash
         # hit between the log unlink and the marker-clearing commit.
         for table in markers:
             self._catalog.set_wal_applied(table, 0)
 
-    def _decode(self, path, live: list, applied: int,
-                n_lines: int) -> list[WalRecord]:
-        """*path*'s live records decoded against its table's schemas, or
-        none when no projection of the table is left to type them."""
+    def _decode(self, log, applied: int) -> list[WalRecord]:
+        """*log*'s records past *applied* decoded against its table's
+        schemas, or none when no projection of the table is left."""
+        path, live = log.path, log.records[applied:]
+        n_lines = len(log.records) + (log.torn is not None)
         table = path.stem
         if not self._catalog.has(table):
             if live:

@@ -74,6 +74,18 @@ class MetadataError(CatalogError):
     and the scrubber reports it verbatim."""
 
 
+class LogLineError(CatalogError):
+    """A bad line of a WAL or query-log segment, other than a torn final
+    one (:mod:`repro.storage.jsonlines`). The message names the file and
+    the line, which ``path`` and ``line`` also carry; the scrubber reports
+    it verbatim."""
+
+    def __init__(self, path, line: int, message: str):
+        super().__init__(f"{path}: {message}")
+        self.path = str(path)
+        self.line = line
+
+
 class WalRecordError(CatalogError):
     """A write-ahead-log record its table cannot hold: an unknown op, a
     missing key, a side naming an unknown column or lacking a table

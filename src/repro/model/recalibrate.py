@@ -14,11 +14,12 @@ for the six per-event prices ``k``. The replayed ``simulated_ms`` is
 linear in them, so the fit leaves out ``and_cost``'s ``m·TICCOL·FC``
 term, which prices no executor counter.
 
-Fitted values are clamped positive and finite — any non-finite,
-non-positive, or wildly out-of-range component falls back to its baseline
-value — and the fit is only *adopted* when its mean absolute prediction
-error over the trace is no worse than the baseline constants', so
-``repro calibrate --from-log`` can never regress what-if scoring.
+Fitted values are clamped positive and finite — a non-finite,
+non-positive, or wildly out-of-range component is held at its baseline
+value and the others are re-solved without it — and the fit is only
+*adopted* when its mean absolute prediction error over the trace is no
+worse than the baseline constants', so ``repro calibrate --from-log`` can
+never regress what-if scoring.
 """
 
 from __future__ import annotations
@@ -121,15 +122,31 @@ class CalibrationReport:
         return "\n".join(lines)
 
 
-def _clamped(baseline: ModelConstants, solution) -> ModelConstants:
-    """Fold a raw solution vector into positive, finite, sane constants."""
-    overrides = {}
-    for name, value in zip(FITTED_FIELDS, solution):
-        value, default = float(value), getattr(baseline, name)
+def _clamped_fit(baseline: ModelConstants, A, y) -> ModelConstants:
+    """Least-squares prices for ``A · k ≈ y``, each within its sanity band.
+
+    A component solved out of its band (or not finite) is held at its
+    baseline and the rest are re-solved against ``y − A_held · k_held``,
+    so its events' time is fitted by the free components, not dropped.
+    Each round holds one more component at least: at most six solves.
+    """
+    start = np.array([getattr(baseline, name) for name in FITTED_FIELDS])
+    prices, free = start.copy(), np.ones(len(start), dtype=bool)
+    while free.any():
+        solution, *_ = np.linalg.lstsq(
+            A[:, free], y - A[:, ~free] @ start[~free], rcond=None
+        )
+        base = start[free]
         # NaN and infinities fail the comparisons too.
-        sane = 0.0 < value and default / _CLAMP <= value <= default * _CLAMP
-        overrides[name] = value if sane else default
-    return baseline.with_overrides(**overrides)
+        sane = (0.0 < solution) & (base / _CLAMP <= solution) & (
+            solution <= base * _CLAMP
+        )
+        prices[free] = np.where(sane, solution, base)
+        if sane.all():
+            break
+        free[free] = sane
+    return baseline.with_overrides(**dict(zip(FITTED_FIELDS,
+                                              prices.tolist())))
 
 
 def recalibrate_from_log(
@@ -162,8 +179,7 @@ def recalibrate_from_log(
 
     fitted, used_fitted = baseline, False
     if len(rows) >= _MIN_RECORDS:
-        solution, *_ = np.linalg.lstsq(A, y, rcond=None)
-        fitted = _clamped(baseline, solution)
+        fitted = _clamped_fit(baseline, A, y)
         used_fitted = mae(fitted) <= mae(baseline)
     return CalibrationReport(
         constants=fitted if used_fitted else baseline,

@@ -38,12 +38,13 @@ first header are version 1.
 Lines are serialized and appended by a dedicated writer thread (the hot
 path pays one sample test, one CRC over the result tuples, and one queue
 hand-off); :meth:`QueryLog.flush` — and :meth:`QueryLog.close`, which
-``Database.close`` calls — drains the backlog. Durability follows the WAL
-pattern from :mod:`repro.delta`: the writer flushes line-by-line, a crash
-can tear at most the final line of the active segment, and both the writer
-(on re-open) and :func:`read_query_log` tolerate exactly that torn tail —
-mid-file corruption anywhere else, or a record naming a definition its
-segment lacks, raises :class:`~repro.errors.CatalogError` naming the file
+``Database.close`` calls — drains the backlog. Segments are read by the
+JSON-lines reader the WAL shares (:mod:`repro.storage.jsonlines`): the
+writer flushes line-by-line, so a crash can tear at most the final line of
+the active segment; :func:`read_query_log` skips exactly that torn tail
+and the writer, on re-open, truncates it. A bad line anywhere else, a
+torn line in a sealed segment, or a record naming a definition its
+segment lacks raises :class:`~repro.errors.LogLineError` naming the file
 and line. Rotation seals the active segment and opens the next numbered
 one; a monotonically increasing ``seq`` stamped on every record makes
 cross-segment ordering checkable.
@@ -72,8 +73,9 @@ from functools import lru_cache
 from hashlib import blake2b
 from pathlib import Path
 
-from .errors import CatalogError
+from .errors import CatalogError, LogLineError
 from .metrics import QueryStats
+from .storage.jsonlines import read_json_lines, truncate_torn_tail
 
 logger = logging.getLogger(__name__)
 
@@ -382,7 +384,8 @@ class _SegmentWriter:
             self._fh = None
 
     def _open_active(self) -> None:
-        """Continue the newest segment, recovering a torn tail first."""
+        """Continue the newest segment, cutting a torn tail off first (its
+        query's caller never saw that record acknowledged)."""
         segments = sorted(self.directory.glob(_SEGMENT_GLOB))
         if not segments:
             self._index = 1
@@ -391,16 +394,19 @@ class _SegmentWriter:
         else:
             active = segments[-1]
             self._index = _segment_index(active)
-            last_seq = self._recover_segment(active)
+            records, log = _read_segment(active, torn_tail_ok=True)
+            if log.torn is not None:
+                truncate_torn_tail(log)
             # A crash right after rotation can leave the active segment
             # without an intact record: the sequence continues from the
             # newest sealed segment that has one.
             for sealed in reversed(segments[:-1]):
-                if last_seq >= 0:
+                if records:
                     break
                 records = _read_segment(sealed, torn_tail_ok=False)[0]
-                if records:
-                    last_seq = int(records[-1]["seq"])
+            last_seq = -1
+            for record in records:
+                last_seq = int(record.get("seq", last_seq + 1))
             self._next_seq = last_seq + 1
             self.size = active.stat().st_size
         self._open_segment()
@@ -414,29 +420,6 @@ class _SegmentWriter:
             encoding="utf-8",
         )
         self._defs = None
-
-    @staticmethod
-    def _recover_segment(path: Path) -> int:
-        """Truncate a torn final line; return the last intact record's seq.
-
-        Mirrors :meth:`repro.delta.DeltaStore._recover`: the only write is
-        an append, so a crash can tear at most the final line. That tail is
-        dropped (the query's caller never saw the record acknowledged); a
-        malformed line anywhere earlier is real corruption and raises.
-        """
-        records, lines, torn = _read_segment(path, torn_tail_ok=True)
-        if torn is not None:
-            logger.warning(
-                "%s: truncating torn final query-log line "
-                "(%d intact records kept): %s",
-                path, len(records), torn,
-            )
-            with open(path, "w", encoding="utf-8") as f:
-                f.writelines(line + "\n" for line in lines[:-1])
-        last_seq = -1
-        for record in records:
-            last_seq = int(record.get("seq", last_seq + 1))
-        return last_seq
 
     def write(self, item: tuple, max_segment_bytes: int) -> None:
         """Append one record, stamped with the next ``seq``, rotating
@@ -762,10 +745,10 @@ def read_query_log(path: str | Path) -> list[dict]:
     """Read every record from a query log, tolerating a torn tail.
 
     *path* may be the log directory or a single segment file. Segments are
-    read oldest-first; a torn (half-written) final line of the **final**
-    segment is skipped with a warning — the crash case the writer's
-    line-by-line flush permits. A malformed line anywhere else is real
-    corruption and raises :class:`~repro.errors.CatalogError` naming the
+    read oldest-first; a torn (half-written or unterminated) final line of
+    the **final** segment is skipped with a warning — the crash case the
+    writer's line-by-line flush permits. A bad line anywhere else is real
+    corruption and raises :class:`~repro.errors.LogLineError` naming the
     file and line. Unlike the writer's recovery, reading never mutates the
     log, so it is safe against a live database.
     """
@@ -780,61 +763,48 @@ def read_query_log(path: str | Path) -> list[dict]:
         raise CatalogError(f"{path}: no such query log")
     records: list[dict] = []
     for segment in segments:
-        part, _, torn = _read_segment(
+        part, log = _read_segment(
             segment, torn_tail_ok=segment == segments[-1]
         )
-        if torn is not None:
-            logger.warning(
-                "%s: skipping torn final query-log line: %s", segment, torn
-            )
+        if log.torn is not None:
+            logger.warning("%s: skipping torn final query-log line: %s",
+                           segment, log.torn)
         records.extend(part)
     return records
 
 
 def _read_segment(path: Path, torn_tail_ok: bool) -> tuple:
-    """``(records, lines, torn)`` of one segment file.
+    """``(records, log)`` of one segment file, *log* as
+    :func:`~repro.storage.jsonlines.read_json_lines` read it.
 
     Every record is expanded to its flat dict (:func:`_expand`); lines
-    before the first header are version-1 records, already flat. *torn* is
-    the parse error of a malformed final line when *torn_tail_ok* (its
-    record is left out), else ``None``; a malformed line anywhere else, or
-    a record naming a definition no earlier line defines, is real
-    corruption and raises :class:`~repro.errors.CatalogError` naming the
-    file and line.
+    before the first header are version-1 records, already flat. A record
+    naming a definition no earlier line defines raises
+    :class:`~repro.errors.LogLineError`, as a corrupt line does.
     """
-    with open(path, encoding="utf-8") as f:
-        lines = [line.strip() for line in f if line.strip()]
+    log = read_json_lines(path, "query-log", torn_tail_ok)
     records = []
     counters, defs = None, {}  # the last header's names; definitions
-    for i, line in enumerate(lines):
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if torn_tail_ok and i == len(lines) - 1:
-                return records, lines, exc
-            raise CatalogError(
-                f"{path}: corrupt query-log line {i + 1} of "
-                f"{len(lines)} (not the torn-tail case): {exc}"
-            ) from exc
+    for number, (obj, line) in enumerate(zip(log.records, log.lines), 1):
         if "qlog" in obj:
             if obj["qlog"] != 2:
-                raise CatalogError(
-                    f"{path}: query-log line {i + 1}: unknown line format "
-                    f"version {obj['qlog']!r}"
+                raise LogLineError(
+                    path, number, f"query-log line {number}: unknown line "
+                    f"format version {obj['qlog']!r}"
                 )
             counters = obj["counters"]
         elif "def" in obj:
-            defs[obj["def"]] = line
+            defs[obj["def"]] = line.decode()  # str parses faster than bytes
         elif counters is None and "q" not in obj:
             records.append(obj)
         else:
             try:
                 records.append(_expand(obj, counters, defs))
             except ValueError as exc:
-                raise CatalogError(
-                    f"{path}: query-log line {i + 1}: {exc}"
+                raise LogLineError(
+                    path, number, f"query-log line {number}: {exc}"
                 ) from None
-    return records, lines, None
+    return records, log
 
 
 def _expand(line: dict, counters, defs: dict) -> dict:

@@ -16,9 +16,9 @@ pool, any fault injector and any open handle's cached metadata, checking
 * optionally (``deep=True``) that each payload *decodes* to exactly the
   descriptor's value count within its min/max bounds, and that zone maps
   bound the stored values — damage checksums alone cannot see;
-* the write path: staging debris, ``wal_applied`` markers, and every WAL
-  line, each record decoded by the reader recovery uses
-  (:func:`repro.delta.decode_wal_record`).
+* the write path: staging debris, ``wal_applied`` markers, every WAL
+  line and record, read and decoded as recovery does, and the query log,
+  read by :func:`repro.qlog.read_query_log`.
 
 The result is a machine-readable :class:`ScrubReport` naming each corrupt
 file and block.
@@ -26,12 +26,18 @@ file and block.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .delta import decode_wal_record
-from .errors import MetadataError, ReproError, StorageError, WalRecordError
+from .errors import (
+    LogLineError,
+    MetadataError,
+    ReproError,
+    StorageError,
+    WalRecordError,
+)
+from .qlog import _SEGMENT_GLOB, read_query_log
 from .storage.catalog import (
     MANIFEST_FILE,
     Manifest,
@@ -39,6 +45,7 @@ from .storage.catalog import (
     table_schemas,
 )
 from .storage.column_file import ColumnFile
+from .storage.jsonlines import read_json_lines
 from .storage.projection import META_FILE, Projection
 
 
@@ -132,7 +139,8 @@ def scrub_catalog(root: str | Path, deep: bool = False) -> ScrubReport:
 
 
 #: Synthetic projection name for issues in the catalog's shared write-path
-#: files (manifest, staging debris) rather than any one projection.
+#: files (manifest, staging debris, query log) rather than any one
+#: projection.
 CATALOG_SCOPE = "(catalog)"
 
 
@@ -158,27 +166,23 @@ def _scrub_write_path(
     root: Path, projections: dict, manifest: Manifest | None,
     report: ScrubReport,
 ) -> None:
-    """Staging debris, ``wal_applied`` markers and WAL segments.
+    """Staging debris, ``wal_applied`` markers, WAL files and the query log.
 
     Only a WAL's *final* line may be torn (recoverable, and reported as
-    such); every other record must decode against its table's schemas, as
-    recovery decodes it. A WAL whose table has no projection left is
-    reported once (recovery keeps it unreplayed), and so is a marker past
-    the WAL's record count (recovery would discard the whole log).
+    such); every other line must be intact and its record must decode
+    against its table's schemas, as recovery reads and decodes it. A WAL
+    whose table has no projection left is reported once (recovery keeps
+    it unreplayed), and so is a marker past the WAL's record count
+    (recovery would discard the whole log).
     """
     for path in sorted(root.glob("tmp-*")) + sorted(
         root.glob(f"{MANIFEST_FILE}.tmp")
     ):
-        report.issues.append(
-            ScrubIssue(
-                projection=CATALOG_SCOPE,
-                file=str(path),
-                error=(
-                    "orphaned staging path left by an interrupted commit "
-                    "(reopening the database garbage-collects it)"
-                ),
-            )
-        )
+        report.issues.append(ScrubIssue(
+            projection=CATALOG_SCOPE, file=str(path),
+            error="orphaned staging path left by an interrupted commit "
+                  "(reopening the database garbage-collects it)",
+        ))
     markers = manifest.wal_applied if manifest else {}
     wal_dir = root / "_wal"
     for table, count in sorted(markers.items()):
@@ -187,98 +191,62 @@ def _scrub_write_path(
             # Legal mid-recovery state (crash between WAL unlink and the
             # marker-clearing commit) — reported so operators see it, and
             # self-healing on the next open.
-            report.issues.append(
-                ScrubIssue(
-                    projection=table,
-                    file=str(wal),
-                    error=(
-                        f"wal_applied marker is {count} but the WAL is "
-                        "gone (recoverable: the next open clears it)"
-                    ),
-                )
-            )
+            report.issues.append(ScrubIssue(
+                projection=table, file=str(wal),
+                error=f"wal_applied marker is {count} but the WAL is gone "
+                      "(recoverable: the next open clears it)",
+            ))
     for path in sorted(wal_dir.glob("*.wal")):
         schemas = table_schemas(projections, path.stem) or None
         _scrub_wal(path, schemas, markers.get(path.stem, 0), report)
+    _scrub_query_log(root / "_qlog", report)
 
 
 def _scrub_wal(path: Path, schemas: dict | None, marker: int,
                report: ScrubReport) -> None:
     report.files_scanned += 1
     table = path.stem
+
+    def issue(error: str, line: int | None = None) -> None:
+        report.issues.append(ScrubIssue(
+            projection=table, file=str(path), line=line, error=error,
+        ))
+
     if schemas is None:
-        report.issues.append(
-            ScrubIssue(
-                projection=table,
-                file=str(path),
-                error=(
-                    f"no projection of table {table!r} is in the catalog "
-                    "to type its WAL records: they stay on disk, not "
-                    "replayed"
-                ),
-            )
-        )
-    lines = []
-    with open(path, encoding="utf-8") as f:
-        for raw in f:
-            raw = raw.strip()
-            if raw:
-                lines.append(raw)
-    records = 0
-    for i, line in enumerate(lines):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            if i == len(lines) - 1:
-                report.issues.append(
-                    ScrubIssue(
-                        projection=table,
-                        file=str(path),
-                        line=i + 1,
-                        error=(
-                            "torn final WAL line (recoverable: dropped on "
-                            f"the next open): {exc}"
-                        ),
-                    )
-                )
-            else:
-                report.issues.append(
-                    ScrubIssue(
-                        projection=table,
-                        file=str(path),
-                        line=i + 1,
-                        error=(
-                            f"corrupt WAL record (line {i + 1} of "
-                            f"{len(lines)}): {exc}"
-                        ),
-                    )
-                )
-            continue
-        records += 1
-        if schemas is None:
-            continue
+        issue(f"no projection of table {table!r} is in the catalog to type "
+              "its WAL records: they stay on disk, not replayed")
+    try:
+        log = read_json_lines(path, "WAL")
+    except LogLineError as exc:
+        issue(str(exc), exc.line)
+        return
+    records = len(log.records)
+    if log.torn is not None:
+        issue("torn final WAL line (recoverable: dropped on the next open): "
+              f"{log.torn}", records + 1)
+    for line, record in enumerate(log.records if schemas else (), 1):
         try:
             decode_wal_record(record, schemas)
         except WalRecordError as exc:
-            report.issues.append(
-                ScrubIssue(
-                    projection=table,
-                    file=str(path),
-                    line=i + 1,
-                    error=str(exc),
-                )
-            )
+            issue(str(exc), line)
     if marker > records:
-        report.issues.append(
-            ScrubIssue(
-                projection=table,
-                file=str(path),
-                error=(
-                    f"wal_applied marker is {marker} but the WAL holds "
-                    f"only {records} records"
-                ),
-            )
-        )
+        issue(f"wal_applied marker is {marker} but the WAL holds only "
+              f"{records} records")
+
+
+def _scrub_query_log(directory: Path, report: ScrubReport) -> None:
+    """The query log's segments, read as :func:`~repro.qlog.read_query_log`
+    reads them; a missing or empty log is not an issue."""
+    segments = sorted(directory.glob(_SEGMENT_GLOB))
+    if not segments:
+        return
+    report.files_scanned += len(segments)
+    try:
+        read_query_log(directory)
+    except LogLineError as exc:
+        report.issues.append(ScrubIssue(projection=CATALOG_SCOPE,
+                                        file=exc.path, line=exc.line,
+                                        error=str(exc)))
 
 
 def _scrub_partitioned(projection, report: ScrubReport, deep: bool) -> None:

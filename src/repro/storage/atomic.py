@@ -9,15 +9,17 @@ creates/drops, advisor applies) follows the classic staged-commit recipe:
 4. fsync the parent directory so the rename is durable;
 5. commit by ``os.replace`` of the generation-numbered manifest — the
    single atomic switch that makes the new files *the* catalog state;
-6. only then delete superseded directories and truncate the WAL.
+6. only then delete superseded directories and unlink the WAL.
 
 A crash anywhere before step 5 leaves the old manifest pointing at the old
 files; the staged/renamed debris is garbage-collected on the next open. A
 crash after step 5 leaves the new state committed with at most some
 deletable debris. This module provides steps 2–5 as free functions so the
-catalog, the delta store, and the qlog all share one implementation — and
-one set of :class:`~repro.faults.CrashInjector` hooks, which is what lets
-the crash differential enumerate every boundary deterministically.
+catalog and the delta store share one implementation — and one set of
+:class:`~repro.faults.CrashInjector` hooks, which is what lets the crash
+differential enumerate every boundary deterministically; the append-only
+logs' torn-tail repair (:mod:`repro.storage.jsonlines`) fsyncs through
+:func:`fsync_file` too.
 
 Each function takes an optional ``crash`` injector (consulted *before* the
 real I/O: "the process died just as it was about to …") and an optional

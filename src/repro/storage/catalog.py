@@ -249,10 +249,10 @@ class Catalog:
         """Commit the per-table merged-WAL marker (0 clears it).
 
         The tuple mover sets the marker in the same commit that publishes
-        the merged projections, truncates the WAL, then clears it here;
-        recovery clears it after discarding the already-applied prefix of
-        a WAL the crash preserved. Either way the clear is itself a
-        manifest commit, so the marker can never disagree with the files.
+        the merged projections, unlinks the WAL, then clears it here;
+        recovery clears it only once the log is fully applied or already
+        gone. Either way the clear is itself a manifest commit, so the
+        marker can never disagree with the files.
         """
         if records == 0 and not self.wal_applied.get(table):
             self.wal_applied.pop(table, None)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -30,6 +31,7 @@ from repro.advisor import (
     WhatIfCatalog,
     advise,
     cheapest_plan_ms,
+    generate_candidates,
     hypothetical_projection,
 )
 from repro.errors import CatalogError, StorageError, UnsupportedOperationError
@@ -37,6 +39,7 @@ from repro.model.recalibrate import FITTED_FIELDS, recalibrate_from_log
 from repro.qlog import read_query_log
 from repro.serving import query_from_dict
 from repro.storage.index import ClusteredIndex
+from repro.workload import summarize_log
 
 from .differential import STRATEGIES, QueryGenerator
 
@@ -228,3 +231,55 @@ def test_recalibration_recovers_known_constants(captured):
         assert getattr(report.constants, field) == pytest.approx(
             getattr(truth, field), rel=1e-6
         ), field
+
+
+def test_out_of_band_component_is_held_and_the_rest_refitted():
+    """A raw least-squares solution with one negative price: that price
+    is held at its baseline and the other five are re-solved against what
+    it leaves, not kept at their raw values."""
+    from repro.model import PAPER_CONSTANTS
+    from repro.model.recalibrate import _clamped_fit
+
+    k = PAPER_CONSTANTS
+    start = np.array([getattr(k, name) for name in FITTED_FIELDS])
+    rng = np.random.default_rng(5)
+    A = rng.uniform(0.1, 1.0, size=(40, len(FITTED_FIELDS))) / start
+    truth = start * np.array([2.0, 3.0, 0.5, 1.5, 1.0, -1.0])
+    y = A @ truth
+    raw, *_ = np.linalg.lstsq(A, y, rcond=None)
+    assert raw[-1] < 0 and (raw[:-1] > 0).all()
+
+    fitted = np.array([getattr(_clamped_fit(k, A, y), name)
+                       for name in FITTED_FIELDS])
+    assert fitted[-1] == start[-1]
+    refit, *_ = np.linalg.lstsq(A[:, :-1], y - A[:, -1] * start[-1],
+                                rcond=None)
+    assert fitted[:-1] == pytest.approx(refit, rel=1e-9)
+    per_component = np.append(raw[:-1], start[-1])
+    assert (np.abs(A @ fitted - y).mean()
+            < np.abs(A @ per_component - y).mean())
+
+
+@pytest.mark.parametrize("form", ["disjunction", "conjunction"])
+def test_every_where_predicate_is_candidate_evidence(tmp_path, form):
+    """Range predicates on ``quantity`` make it a candidate sort column
+    whether they are ANDed or sit in the groups of an OR."""
+    with Database(tmp_path / "db", metrics=MetricsRegistry()) as db:
+        load_tpch(db.catalog, scale=0.001, seed=7)
+        for lo, hi in ((5, 45), (8, 40), (3, 47)):
+            low = Predicate("quantity", "<", lo)
+            high = Predicate("quantity", ">", hi)
+            where = (
+                {"disjuncts": ((low,), (high,))} if form == "disjunction"
+                else {"predicates": (Predicate("quantity", ">", lo),
+                                     Predicate("quantity", "<", hi))}
+            )
+            db.query(SelectQuery("lineitem", ("quantity", "linenum"),
+                                 **where))
+        db.qlog.flush()
+        summary = summarize_log(read_query_log(db.qlog.directory))
+        candidates = generate_candidates(db.catalog, summary)
+    [candidate] = [c for c in candidates
+                   if c.name == "lineitem_adv_quantity"]
+    assert candidate.sort_keys == ("quantity",)
+    assert {"quantity", "linenum"} <= set(candidate.columns)

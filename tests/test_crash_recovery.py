@@ -16,6 +16,7 @@ broken protocol step:
 
 from __future__ import annotations
 
+import shutil
 from datetime import date
 
 import pytest
@@ -112,7 +113,7 @@ class TestTornTailUnderInflightMove:
         assert order_count(reopened) == baseline + 3
         assert reopened.pending("orders") == 0
 
-    def test_recovered_wal_rewrite_is_byte_faithful(self, db_root):
+    def test_recovery_leaves_wal_and_marker_untouched(self, db_root):
         db = crashing_db(db_root, "wal.truncate")
         db.insert("orders", [order_row(5)])
         with pytest.raises(SimulatedCrash):
@@ -121,10 +122,54 @@ class TestTornTailUnderInflightMove:
         racer = '{"custkey": 301, "shipdate": 10001}\n'
         with open(wal, "a", encoding="utf-8") as f:
             f.write(racer)
-        Database(db_root).close()
-        # Recovery rewrote the file to only the unapplied records, byte
-        # for byte as they were appended.
-        assert wal.read_text(encoding="utf-8") == racer
+        before = wal.read_bytes()
+        reopened = Database(db_root)
+        # Recovery only reads: the applied prefix and its marker stay, and
+        # the next merge's marker covers the prefix and the racer alike.
+        assert wal.read_bytes() == before
+        assert reopened.catalog.wal_applied == {"orders": 1}
+        assert reopened.delta.wal_records("orders") == 2
+        assert reopened.pending("orders") == 1
+        reopened.close()
+
+
+class TestRecoveringOpenWindow:
+    """A crash inside a recovering open loses no acknowledged write.
+
+    The state: a merge crashed before unlinking its WAL (marker 1) and an
+    acknowledged racer record follows the applied prefix, then a torn
+    tail. Every boundary the recovering open itself crosses is crashed in
+    turn; the next open must still hold the racer pending, once.
+    """
+
+    def _recovering_root(self, db_root):
+        db = crashing_db(db_root, "wal.truncate")
+        db.insert("orders", [order_row(5)])
+        with pytest.raises(SimulatedCrash):
+            db.merge("orders")
+        with open(db_root / "_wal" / "orders.wal", "a",
+                  encoding="utf-8") as f:
+            f.write('{"custkey": 301, "shipdate": 10001}\n')
+            f.write('{"custkey": 302, "shi')  # torn, never acknowledged
+        return db_root
+
+    def test_crash_at_each_boundary_keeps_the_racer(self, db_root,
+                                                    tmp_path):
+        template = self._recovering_root(db_root)
+        shutil.copytree(template, tmp_path / "count")
+        counter = CrashInjector(seed=0)  # no schedule: counts boundaries
+        Database(tmp_path / "count", crash_injector=counter).close()
+        assert counter.steps >= 1  # the torn tail's truncation fsync
+        for k in range(1, counter.steps + 1):
+            root = tmp_path / f"crash{k}"
+            shutil.copytree(template, root)
+            with pytest.raises(SimulatedCrash):
+                Database(root, crash_injector=CrashInjector(crash_at=k))
+            reopened = Database(root)
+            assert reopened.pending("orders") == 1, f"crash at boundary {k}"
+            assert reopened.merge("orders") == 1
+            assert reopened.pending("orders") == 0
+            reopened.close()
 
 
 class TestStagingAndDropWindows:

@@ -302,6 +302,22 @@ class TestCrashRecovery:
         db.close()
         assert read_query_log(qlog_dir)[-1]["seq"] == 4
 
+    def test_final_line_missing_only_its_newline_is_torn(self, tmp_path):
+        # The record's bytes parse, but its append never finished: kept,
+        # the next session's header would join it on one line.
+        qlog_dir = self._capture(tmp_path)
+        segment = sorted(qlog_dir.glob("qlog-*.jsonl"))[-1]
+        intact = segment.read_bytes()
+        segment.write_bytes(intact[:-1])
+        assert len(read_query_log(qlog_dir)) == 3
+        # The writer's reopen cuts the torn line off.
+        db = Database(tmp_path / "db", metrics=MetricsRegistry())
+        assert segment.read_bytes() == intact[:intact.rindex(b"\n", 0, -1) + 1]
+        db.query(_select())
+        db.close()
+        assert [r["seq"] for r in read_query_log(qlog_dir)] == [0, 1, 2, 3]
+        assert Database(tmp_path / "db").scrub().clean
+
     def test_mid_file_corruption_raises_naming_file(self, tmp_path):
         qlog_dir = self._capture(tmp_path)
         segment = sorted(qlog_dir.glob("qlog-*.jsonl"))[-1]
@@ -521,9 +537,10 @@ def test_every_v2_stream_reads_back_as_v1(sessions, sample, max_bytes):
         if not expected:
             return
         _assert_reads_as(directory, expected)
-        # Tear the final segment at every line boundary and inside every
-        # line: the reader returns the records of the whole lines, and a
-        # reopened writer recovers and continues the sequence.
+        # Tear the final segment at every line boundary, inside every line
+        # and just before every line's newline: the reader returns the
+        # records of the whole lines, and a reopened writer recovers and
+        # continues the sequence.
         final = sorted(directory.glob("qlog-*.jsonl"))[-1]
         text = final.read_text(encoding="utf-8")
         lines = text.splitlines(keepends=True)
@@ -532,7 +549,8 @@ def test_every_v2_stream_reads_back_as_v1(sessions, sample, max_bytes):
         )
         cut, kept = 0, before
         for line in lines:
-            for end in (cut + len(line) // 2, cut + len(line)):
+            for end in (cut + len(line) // 2, cut + len(line) - 1,
+                        cut + len(line)):
                 whole = end == cut + len(line)
                 n = kept + (whole and not {"qlog", "def"} & set(
                     json.loads(line)

@@ -5,10 +5,11 @@ import json
 import numpy as np
 import pytest
 
-from repro import Database, Predicate, load_tpch
+from repro import Database, Predicate, SelectQuery, load_tpch
 from repro.cli import main
 from repro.dtypes import INT32, INT64, ColumnSchema
-from repro.errors import MetadataError
+from repro.errors import CatalogError, MetadataError
+from repro.scrub import scrub_catalog
 from repro.storage.column_file import ColumnFile
 from repro.storage.stats import ColumnHistogram
 
@@ -170,7 +171,8 @@ class TestScrubAPI:
         report = db.scrub(deep=True)
         assert report.clean
         assert report.projections_scanned == 1
-        assert report.files_scanned == 3  # 2 column files + the manifest
+        # 2 column files, the manifest and the query log's one segment
+        assert report.files_scanned == 4
         assert report.blocks_scanned > 0
         assert report.to_json()["issues"] == []
 
@@ -251,7 +253,8 @@ class TestScrubAPI:
         db = make_db(tmp_path / "db", partitions=4)
         report = db.scrub()
         assert report.clean
-        assert report.files_scanned == 9  # 8 partition column files + the manifest
+        # 8 partition column files, the manifest, the query-log segment
+        assert report.files_scanned == 10
         part = db.projection("t").partitions[2]
         path = part.open().column("a").files["uncompressed"]
         d = ColumnFile.open(path).descriptors[0]
@@ -372,9 +375,44 @@ class TestScrubWritePath:
         lines[0] = "{broken"
         wal.write_text("\n".join(lines) + "\n")
         report = db.scrub()
-        [issue] = [i for i in report.issues if "corrupt WAL record" in i.error]
-        assert issue.line == 1
-        assert "line 1 of 2" in issue.error
+        with pytest.raises(CatalogError) as refused:
+            Database(tmp_path / "db")
+        # Scrub reports the open's refusal in the open's words.
+        [issue] = report.issues
+        assert (issue.file, issue.line) == (str(wal), 1)
+        assert issue.error == str(refused.value)
+        assert "corrupt WAL line 1 of 2" in issue.error
+
+    def test_query_log_refusal_reported_as_the_open_raises(self, tmp_path):
+        root = tmp_path / "db"
+        db = make_db(root)
+        for value in (10, 20, 30):
+            db.query(SelectQuery("t", ("a",),
+                                 predicates=(Predicate("a", "<", value),)))
+        db.close()
+        [segment] = sorted((root / "_qlog").glob("qlog-*.jsonl"))
+        lines = segment.read_bytes().split(b"\n")
+        # Two lines joined: what an append after an unterminated final
+        # line would leave.
+        lines[2:4] = [lines[2] + lines[3]]
+        segment.write_bytes(b"\n".join(lines))
+        with pytest.raises(CatalogError) as refused:
+            Database(root)
+        [issue] = scrub_catalog(root).issues
+        assert (issue.projection, issue.file, issue.line) == (
+            "(catalog)", str(segment), 3,
+        )
+        assert issue.error == str(refused.value)
+        assert "corrupt query-log line 3 of" in issue.error
+
+    def test_missing_or_empty_query_log_is_no_issue(self, tmp_path):
+        root = tmp_path / "db"
+        make_db(root).close()
+        for segment in (root / "_qlog").glob("qlog-*.jsonl"):
+            segment.unlink()
+        assert scrub_catalog(root).clean
+        (root / "_qlog").rmdir()
+        assert scrub_catalog(root).clean
 
     def test_unknown_wal_op_reported(self, tmp_path):
         db = make_db(tmp_path / "db")

@@ -94,6 +94,27 @@ class TestWALDurability:
         # ...and the *next* recovery sees a fully well-formed log.
         assert Database(root).pending("orders") == 3
 
+    def test_final_line_missing_only_its_newline_is_torn(self, db_root):
+        """A final line whose bytes parse but whose ``\\n`` never reached
+        disk is torn: its append never returned. Kept, the next append
+        would join it on one line and every later open would refuse it."""
+        root, db = db_root
+        db.insert("orders", [order_row(1)])
+        db.insert("orders", [order_row(2)])
+        wal = root / "_wal" / "orders.wal"
+        complete = wal.read_bytes()
+        wal.write_bytes(complete[:-1])
+        [issue] = db.scrub().issues  # scrub reads the disk, recovers nothing
+        assert (issue.line, "torn" in issue.error) == (2, True)
+
+        reopened = Database(root)
+        assert reopened.pending("orders") == 1
+        assert wal.read_bytes() == complete[:complete.index(b"\n") + 1]
+        reopened.insert("orders", [order_row(3)])
+        again = Database(root)
+        assert again.pending("orders") == 2
+        assert again.scrub().clean
+
     def test_torn_tail_alone_recovers_nothing(self, db_root):
         root, _db = db_root
         wal = root / "_wal" / "orders.wal"
@@ -184,11 +205,11 @@ class TestRowFormatLogsStillReplay:
         assert self.rows(delta.deleted_columns("t", self.SCHEMAS)) == [
             (1, 10), (2, 20),
         ]
-        assert reopened.catalog.wal_applied == {}
-        # The applied line and the torn tail are gone from disk, the rest
-        # kept byte for byte.
+        # Recovery never rewrites a log: the applied line and its marker
+        # stay, and only the torn tail is cut off.
+        assert reopened.catalog.wal_applied == {"t": 1}
         assert wal.read_text() == "".join(
-            line + "\n" for line in ROW_FORMAT_WAL.splitlines()[1:6]
+            line + "\n" for line in ROW_FORMAT_WAL.splitlines()[:6]
         )
         assert sorted(reopened.query(
             SelectQuery("t", ("a", "b"))
