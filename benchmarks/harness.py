@@ -22,11 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro import Database, UnsupportedOperationError, load_tpch
-# The selectivity sweep (the paper sweeps 0..1) and the shipdate constant
-# for a selectivity are shared with ``repro reproduce``, as are the figure
-# queries, which the benches import from there.
-from repro.reproduce import SWEEP, shipdate_constant
+from repro import Database, load_tpch
+# The selectivity sweep (the paper sweeps 0..1), the shipdate constant for
+# a selectivity, the sweep itself and its table are shared with ``repro
+# reproduce``, as are the figure queries, which the benches import from
+# there.
+from repro.reproduce import SWEEP, format_table, shipdate_constant, sweep_table
 
 BENCH_SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -51,51 +52,6 @@ def run_point(db: Database, query, strategy) -> dict:
         "rows": result.n_rows,
         "stats": result.stats,
     }
-
-
-def sweep_table(
-    db: Database,
-    make_query,
-    strategies,
-    selectivities=SWEEP,
-) -> dict:
-    """Run a full sweep; returns {strategy_name: [(sel, wall, sim), ...]}.
-
-    A point the strategy cannot run (UnsupportedOperationError, e.g.
-    LM-pipelined over bit-vectors) is ``(sel, None, None)``; any other
-    error propagates, so a broken point never passes for a missing one.
-    """
-    table: dict[str, list] = {}
-    for strategy in strategies:
-        name = getattr(strategy, "value", str(strategy))
-        series = []
-        for sel in selectivities:
-            try:
-                point = run_point(db, make_query(sel), strategy)
-            except UnsupportedOperationError:
-                series.append((sel, None, None))
-                continue
-            series.append((sel, point["wall_ms"], point["sim_ms"]))
-        table[name] = series
-    return table
-
-
-def format_table(title: str, table: dict, metric: int = 2) -> str:
-    """Render a sweep as the paper-style series table.
-
-    Args:
-        metric: 1 for wall-clock ms, 2 for simulated (model-replay) ms.
-    """
-    names = list(table)
-    lines = [title, f"{'selectivity':>12} " + " ".join(f"{n:>14}" for n in names)]
-    sels = [row[0] for row in table[names[0]]]
-    for i, sel in enumerate(sels):
-        cells = []
-        for n in names:
-            value = table[n][i][metric]
-            cells.append(f"{value:>14.1f}" if value is not None else f"{'n/a':>14}")
-        lines.append(f"{sel:>12.2f} " + " ".join(cells))
-    return "\n".join(lines)
 
 
 def record(name: str, text: str, table: dict | None = None) -> None:

@@ -194,12 +194,12 @@ def group_ids(
     """Map each position to its RLE run or dictionary code of the group
     column: ``(unit values, unit id per row)``.
 
-    The aggregation side of operating on compressed data: the aggregator
-    reduces rows per run / per code (a dense bincount over the ids) and only
-    the run values or per-block dictionaries — a handful per block — are
-    ever widened. Per-block units are concatenated with globally offset
-    ids, the ``(run_values, run_ids)`` contract of
-    ``AggregateLM.execute_runs``.
+    The aggregation side of operating on compressed data: AGG reduces rows
+    per run / per code over the ids, then folds the per-unit partials by
+    unit value, so only the run values or per-block dictionaries — a
+    handful per block — are ever widened. Per-block units are concatenated
+    with globally offset ids, the ``(unit_values, unit_ids)`` contract of
+    :func:`repro.operators.aggregate.aggregate_units`.
     """
     from ..operators.base import repeat_by_run
 

@@ -21,7 +21,8 @@ the scale this library needs:
 * query-time merge — a select reads one :class:`PendingWrites` snapshot,
   which its plan folds in (``GHOST``, ``DELTA`` and ``COMBINE`` in
   :func:`repro.planner.nodes.plan_outline`, through :func:`delta_select`
-  and :func:`merge_aggregates`); joins require a merge first, as
+  and the aggregation algebra of :mod:`repro.operators.aggregate`); joins
+  require a merge first, as
   C-Store's early releases did.
 * :meth:`Database.merge` — the tuple mover: rebuilds every projection of a
   table from (stored − deleted) + pending rows and publishes all the
@@ -71,8 +72,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import CatalogError, EncodingError, WalRecordError
-from .operators.aggregate import AggSpec, _grouped_reduce, fuse_keys
-from .operators.tuples import TupleSet
+from .operators.aggregate import fuse_keys
 from .storage.atomic import fsync_dir
 from .storage.jsonlines import read_json_lines, truncate_torn_tail
 
@@ -748,33 +748,6 @@ def _row_keys(
     return row_keys, run[len(candidates):]
 
 
-def expand_avg(specs: tuple[AggSpec, ...]) -> tuple[list[AggSpec], dict]:
-    """Rewrite AVG into mergeable partials (SUM + COUNT).
-
-    Returns the internal spec list (deduplicated) and a mapping from each
-    original output name to how it is reconstructed after merging.
-    """
-    internal: list[AggSpec] = []
-    plan: dict[str, tuple] = {}
-
-    def ensure(spec: AggSpec) -> str:
-        for existing in internal:
-            if existing == spec:
-                return existing.output_name
-        internal.append(spec)
-        return spec.output_name
-
-    for spec in specs:
-        if spec.func == "avg":
-            s = ensure(AggSpec("sum", spec.column))
-            c = ensure(AggSpec("count", spec.column))
-            plan[spec.output_name] = ("avg", s, c)
-        else:
-            name = ensure(spec)
-            plan[spec.output_name] = ("direct", name)
-    return internal, plan
-
-
 def delta_select(
     query: SelectQuery, columns: dict[str, np.ndarray]
 ) -> dict[str, np.ndarray]:
@@ -789,49 +762,3 @@ def delta_select(
             group_mask &= pred.mask(columns[pred.column])
         mask |= group_mask
     return {col: values[mask] for col, values in columns.items()}
-
-
-def delta_aggregate(
-    internal_specs: list[AggSpec],
-    group_columns: list[str],
-    survivors: dict[str, np.ndarray],
-) -> TupleSet:
-    """Aggregate pending survivors into the same shape as a stored result."""
-    group_arrays = [survivors[c].astype(np.int64) for c in group_columns]
-    value_columns = {
-        spec.column: survivors[spec.column].astype(np.int64)
-        for spec in internal_specs
-        if spec.func != "count"
-    }
-    reduced = _grouped_reduce(
-        group_arrays, group_columns, value_columns, internal_specs
-    )
-    return TupleSet.stitch(reduced)
-
-
-def merge_aggregates(partials: list[TupleSet], query: SelectQuery) -> TupleSet:
-    """Fold partial aggregates of *query* (per partition, stored or
-    pending, with AVG split by :func:`expand_avg`) into its final groups: one
-    more grouped reduce, where SUM and COUNT partials add up and MIN / MAX
-    take theirs, then each AVG is rebuilt from its SUM and COUNT."""
-    specs, plan = expand_avg(query.aggregates)
-    groups = list(query.group_columns)
-    rows = TupleSet.concat(partials)
-    folds = [
-        AggSpec("sum" if s.func == "count" else s.func, s.output_name)
-        for s in specs
-    ]
-    reduced = _grouped_reduce(
-        [rows.column(c) for c in groups],
-        groups,
-        {s.output_name: rows.column(s.output_name) for s in specs},
-        folds,
-    )
-    merged = {s.output_name: reduced[f.output_name] for s, f in zip(specs, folds)}
-    out = {c: reduced[c] for c in groups}
-    for output, how in plan.items():
-        if how[0] == "avg":
-            out[output] = merged[how[1]] // np.maximum(merged[how[2]], 1)
-        else:
-            out[output] = merged[how[1]]
-    return TupleSet.stitch(out).select(list(query.select))

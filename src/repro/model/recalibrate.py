@@ -17,9 +17,9 @@ term, which prices no executor counter.
 Fitted values are clamped positive and finite — a non-finite,
 non-positive, or wildly out-of-range component is held at its baseline
 value and the others are re-solved without it — and the fit is only
-*adopted* when its mean absolute prediction error over the trace is no
-worse than the baseline constants', so ``repro calibrate --from-log`` can
-never regress what-if scoring.
+*adopted* when it moved some component and its mean absolute prediction
+error over the trace is no worse than the baseline constants', so
+``repro calibrate --from-log`` can never regress what-if scoring.
 """
 
 from __future__ import annotations
@@ -159,7 +159,8 @@ def recalibrate_from_log(
     cost cleanly against the catalog participate. *constants* is the
     baseline (default ``db.constants``). The result always carries
     positive, finite constants, and ``constants`` only differs from the
-    baseline when the fit's trace MAE is no worse.
+    baseline when the fit moved some component and its trace MAE is no
+    worse.
     """
     baseline = constants if constants is not None else db.constants
     cache: dict = {}
@@ -180,7 +181,8 @@ def recalibrate_from_log(
     fitted, used_fitted = baseline, False
     if len(rows) >= _MIN_RECORDS:
         fitted = _clamped_fit(baseline, A, y)
-        used_fitted = mae(fitted) <= mae(baseline)
+        # A fit that held every component is the baseline, not an adoption.
+        used_fitted = fitted != baseline and mae(fitted) <= mae(baseline)
     return CalibrationReport(
         constants=fitted if used_fitted else baseline,
         fitted=fitted,

@@ -1,13 +1,28 @@
-"""Aggregation operators.
+"""The aggregation algebra and the AGG operator.
 
-Two flavours, matching the two materialization strategies:
+Every aggregating path — EM and LM AGG, AGG over RLE runs or dictionary
+codes, DELTA's pending partial and COMBINE's fold across partitions — is
+built from three parts:
 
-* :class:`AggregateEM` consumes constructed row-style tuples through a tuple
-  iterator (TICTUP per input row).
-* :class:`AggregateLM` consumes parallel column vectors straight from DS3
-  extraction — no tuples exist yet, input iteration is vector-style (TICCOL),
-  and the only tuples ever constructed are the group summary rows. This is
-  why the LM curves drop so far below EM in Figure 12.
+* **the reduce** (:func:`reduce_groups`): each aggregate over rows with
+  dense group ids, one per-function switch, SUM and AVG added up exactly
+  in int64;
+* **the partial specs** (:func:`partial_specs`): AVG becomes SUM + COUNT,
+  so partials of one query can be folded;
+* **the fold** (:func:`fold_partials`): partial rows regrouped, COUNT and
+  SUM partials added up, MIN and MAX taking theirs, and each AVG rebuilt
+  as SUM // COUNT.
+
+AGG itself takes its input in one of three forms:
+
+* :func:`aggregate_tuples` — constructed row-style tuples, pulled through a
+  tuple iterator (TICTUP per input row): early materialization;
+* :func:`aggregate_vectors` — parallel column vectors straight from DS3
+  extraction: no tuples exist yet, input iteration is vector-style
+  (TICCOL), and the only tuples ever constructed are the group summary
+  rows. This is why the LM curves drop so far below EM in Figure 12;
+* :func:`aggregate_units` — the group column as RLE runs or dictionary
+  codes: the reduce over unit ids, then the fold over unit values.
 """
 
 from __future__ import annotations
@@ -119,213 +134,201 @@ def factorize_groups(
     return columns[::-1], inverse
 
 
-def _grouped_reduce(
-    group_arrays: list[np.ndarray],
-    group_names: list[str],
-    columns: dict[str, np.ndarray],
-    specs: list[AggSpec],
-) -> dict[str, np.ndarray]:
-    """Group-by reduce over parallel vectors; returns output column -> values."""
-    keys, inverse = factorize_groups(group_arrays)
-    k = len(keys[0]) if keys else 0
-    out: dict[str, np.ndarray] = dict(zip(group_names, keys))
+def _avg(sums: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """AVG from its SUM and COUNT: int64 floor division (0 for no rows)."""
+    return sums // np.maximum(counts, 1)
+
+
+def reduce_groups(
+    inverse: np.ndarray, k: int, aggregates: list[tuple[str, np.ndarray | None]]
+) -> list[np.ndarray]:
+    """The reduce: each ``(function, values)`` of *aggregates* over rows
+    whose dense group ids (``0 .. k-1``) are *inverse*; one int64 array of
+    *k* per aggregate.
+
+    SUM and AVG add into int64, so a total past 2**53 stays exact; AVG is
+    that sum floor-divided by the count. COUNT reads no values.
+    """
     counts = None
-    for spec in specs:
-        if spec.func == "count":
-            counts = np.bincount(inverse, minlength=k) if counts is None else counts
-            out[spec.output_name] = counts.astype(np.int64)
-            continue
-        values = columns[spec.column]
-        if spec.func == "count_distinct":
+    out = []
+    for func, values in aggregates:
+        if func in ("count", "avg") and counts is None:
+            counts = np.bincount(inverse, minlength=k)
+        if func == "count":
+            out.append(counts.astype(np.int64))
+        elif func == "count_distinct":
             # Distinct (group, value) pairs, then pairs per group.
             pairs, _ = factorize_groups([inverse, values])
-            out[spec.output_name] = np.bincount(
-                pairs[0], minlength=k
-            ).astype(np.int64)
-        elif spec.func == "sum":
-            out[spec.output_name] = np.bincount(
-                inverse, weights=values, minlength=k
-            ).astype(np.int64)
-        elif spec.func == "avg":
-            counts = np.bincount(inverse, minlength=k) if counts is None else counts
-            sums = np.bincount(inverse, weights=values, minlength=k)
-            out[spec.output_name] = (sums // np.maximum(counts, 1)).astype(np.int64)
+            out.append(np.bincount(pairs[0], minlength=k).astype(np.int64))
+        elif func in ("sum", "avg"):
+            acc = np.zeros(k, dtype=np.int64)
+            np.add.at(acc, inverse, values.astype(np.int64, copy=False))
+            out.append(acc if func == "sum" else _avg(acc, counts))
         else:
-            fill = np.iinfo(np.int64).max if spec.func == "min" else np.iinfo(
-                np.int64
-            ).min
+            ufunc, fill = (
+                (np.minimum, np.iinfo(np.int64).max) if func == "min"
+                else (np.maximum, np.iinfo(np.int64).min)
+            )
             acc = np.full(k, fill, dtype=np.int64)
-            ufunc = np.minimum if spec.func == "min" else np.maximum
-            ufunc.at(acc, inverse, values.astype(np.int64))
-            out[spec.output_name] = acc
+            ufunc.at(acc, inverse, values.astype(np.int64, copy=False))
+            out.append(acc)
     return out
 
 
-def _normalize_groups(group_columns) -> list[str]:
-    if isinstance(group_columns, str):
-        return [group_columns]
-    return list(group_columns)
+def group_reduce(
+    groups: dict[str, np.ndarray], columns, specs
+) -> dict[str, np.ndarray]:
+    """Group rows by the *groups* columns and reduce each of *specs* over
+    its input in *columns*: the group keys, then one column per spec under
+    its output name."""
+    keys, inverse = factorize_groups(list(groups.values()))
+    reduced = reduce_groups(
+        inverse, len(keys[0]), [(s.func, columns.get(s.column)) for s in specs]
+    )
+    out = dict(zip(groups, keys))
+    out.update(zip((s.output_name for s in specs), reduced))
+    return out
 
 
-class AggregateEM:
-    """Group-by aggregation over an early-materialized tuple stream."""
+def partial_specs(specs) -> tuple[list[AggSpec], dict]:
+    """The partial specs: AVG rewritten into mergeable SUM + COUNT.
 
-    def __init__(
-        self,
-        ctx: ExecutionContext,
-        group_columns,
-        specs: list[AggSpec],
-    ):
-        self.ctx = ctx
-        self.group_columns = _normalize_groups(group_columns)
-        self.specs = specs
-
-    def execute(self, tuples: TupleSet) -> TupleSet:
-        stats = self.ctx.stats
-        span = self.ctx.begin("AGG")
-        n = tuples.n_tuples
-        # The aggregator pulls every input row through a tuple iterator.
-        stats.tuple_iterations += n
-        stats.function_calls += n * (1 + len(self.specs))
-        groups = [tuples.column(c) for c in self.group_columns]
-        columns = {
-            spec.column: tuples.column(spec.column)
-            for spec in self.specs
-            if spec.func != "count"
-        }
-        reduced = _grouped_reduce(groups, self.group_columns, columns, self.specs)
-        result = TupleSet.stitch(reduced, stats=stats)
-        stats.tuple_iterations += result.n_tuples
-        if span is not None:
-            self.ctx.end(
-                span, style="tuple", tuples_in=n, groups=result.n_tuples
-            )
-        return result
-
-
-class AggregateLM:
-    """Group-by aggregation over parallel column vectors (no input tuples).
-
-    When the group column arrived run-length encoded, pass ``group_runs`` —
-    the run index of each input row — instead of decoding group values per
-    row: the reduction then happens per run (operating directly on compressed
-    data) and group values are only expanded once per distinct run.
+    Returns the partial spec list (deduplicated) and a mapping from each
+    original output name to how the fold rebuilds it: ``("direct", name)``
+    or ``("avg", sum name, count name)``. count(distinct) has no partials.
     """
+    internal: list[AggSpec] = []
+    plan: dict[str, tuple] = {}
 
-    def __init__(
-        self,
-        ctx: ExecutionContext,
-        group_columns,
-        specs: list[AggSpec],
-    ):
-        self.ctx = ctx
-        self.group_columns = _normalize_groups(group_columns)
-        self.specs = specs
-
-    def execute(
-        self,
-        groups: dict[str, np.ndarray] | np.ndarray,
-        columns: dict[str, np.ndarray],
-    ) -> TupleSet:
-        stats = self.ctx.stats
-        span = self.ctx.begin("AGG")
-        if isinstance(groups, np.ndarray):
-            groups = {self.group_columns[0]: groups}
-        group_arrays = [groups[c] for c in self.group_columns]
-        n = len(group_arrays[0]) if group_arrays else 0
-        # Vector-style input iteration: TICCOL per row, not TICTUP.
-        stats.column_iterations += n
-        stats.function_calls += n
-        reduced = _grouped_reduce(
-            group_arrays, self.group_columns, columns, self.specs
-        )
-        result = TupleSet.stitch(reduced, stats=stats)
-        stats.tuple_iterations += result.n_tuples
-        if span is not None:
-            self.ctx.end(
-                span, style="vector", rows_in=n, groups=result.n_tuples
-            )
-        return result
-
-    def execute_runs(
-        self,
-        run_values: np.ndarray,
-        run_ids: np.ndarray,
-        columns: dict[str, np.ndarray],
-    ) -> TupleSet:
-        """Aggregate with the group column kept as (run value, run id) pairs.
-
-        Args:
-            run_values: group value of each distinct run, indexed by run id.
-            run_ids: run id per input row (monotonic for sorted columns).
-            columns: aggregate input vectors, parallel to ``run_ids``.
-        """
-        stats = self.ctx.stats
-        if any(spec.func == "count_distinct" for spec in self.specs):
+    def ensure(spec: AggSpec) -> str:
+        if spec.func == "count_distinct":
             raise PlanError(
-                "count(distinct) has no per-run reduction; use the row path"
+                "count(distinct) has no partials to fold; use the row path"
             )
-        span = self.ctx.begin("AGG")
-        n_runs = len(run_values)
-        stats.column_iterations += n_runs  # one step per run, not per row
-        stats.function_calls += n_runs
-        # Reduce rows to runs first (cheap bincount over dense run ids), then
-        # runs to groups (tiny).
-        per_run: dict[str, np.ndarray] = {}
-        for spec in self.specs:
-            if spec.func == "count":
-                continue
-            values = columns[spec.column]
-            if spec.func in ("sum", "avg"):
-                per_run[spec.output_name] = np.bincount(
-                    run_ids, weights=values, minlength=n_runs
-                )
-            else:
-                fill = np.iinfo(np.int64).max if spec.func == "min" else np.iinfo(
-                    np.int64
-                ).min
-                acc = np.full(n_runs, fill, dtype=np.int64)
-                ufunc = np.minimum if spec.func == "min" else np.maximum
-                ufunc.at(acc, run_ids, values.astype(np.int64))
-                per_run[spec.output_name] = acc
-        run_counts = np.bincount(run_ids, minlength=n_runs)
-        # The run table covers whole blocks; runs no surviving row fell into
-        # must not surface as output groups.
-        occupied = run_counts > 0
-        run_values = np.asarray(run_values)[occupied]
-        run_counts = run_counts[occupied]
-        per_run = {col: acc[occupied] for col, acc in per_run.items()}
+        if spec not in internal:
+            internal.append(spec)
+        return spec.output_name
 
-        (uniques,), inverse = factorize_groups([run_values])
-        k = len(uniques)
-        out: dict[str, np.ndarray] = {self.group_columns[0]: uniques}
-        group_counts = np.bincount(inverse, weights=run_counts, minlength=k)
-        for spec in self.specs:
-            if spec.func == "count":
-                out[spec.output_name] = group_counts.astype(np.int64)
-            elif spec.func == "sum":
-                out[spec.output_name] = np.bincount(
-                    inverse, weights=per_run[spec.output_name], minlength=k
-                ).astype(np.int64)
-            elif spec.func == "avg":
-                sums = np.bincount(
-                    inverse, weights=per_run[spec.output_name], minlength=k
-                )
-                out[spec.output_name] = (
-                    sums // np.maximum(group_counts, 1)
-                ).astype(np.int64)
-            else:
-                fill = np.iinfo(np.int64).max if spec.func == "min" else np.iinfo(
-                    np.int64
-                ).min
-                acc = np.full(k, fill, dtype=np.int64)
-                ufunc = np.minimum if spec.func == "min" else np.maximum
-                ufunc.at(acc, inverse, per_run[spec.output_name].astype(np.int64))
-                out[spec.output_name] = acc
-        result = TupleSet.stitch(out, stats=stats)
-        stats.tuple_iterations += result.n_tuples
-        if span is not None:
-            self.ctx.end(
-                span, style="runs", runs_in=n_runs, groups=result.n_tuples
-            )
-        return result
+    for spec in specs:
+        if spec.func == "avg":
+            s = ensure(AggSpec("sum", spec.column))
+            c = ensure(AggSpec("count", spec.column))
+            plan[spec.output_name] = ("avg", s, c)
+        else:
+            plan[spec.output_name] = ("direct", ensure(spec))
+    return internal, plan
+
+
+#: How each partial folds: counts and sums add up, MIN and MAX take theirs.
+_FOLD = {"count": "sum", "sum": "sum", "min": "min", "max": "max"}
+
+
+def fold_partials(group_columns, rows, specs) -> dict[str, np.ndarray]:
+    """The fold: partial rows of *specs* (columns named as
+    :func:`partial_specs` names them, in *rows*) regrouped by
+    *group_columns*, each AVG rebuilt as SUM // COUNT. The group keys come
+    first, then one column per spec of *specs*."""
+    partials, plan = partial_specs(specs)
+    keys, inverse = factorize_groups([rows[c] for c in group_columns])
+    folded = dict(zip(
+        (p.output_name for p in partials),
+        reduce_groups(
+            inverse, len(keys[0]),
+            [(_FOLD[p.func], rows[p.output_name]) for p in partials],
+        ),
+    ))
+    out = dict(zip(group_columns, keys))
+    for output, how in plan.items():
+        out[output] = (
+            _avg(folded[how[1]], folded[how[2]]) if how[0] == "avg"
+            else folded[how[1]]
+        )
+    return out
+
+
+def aggregate_tuples(
+    ctx: ExecutionContext, tuples: TupleSet, group_columns, specs
+) -> TupleSet:
+    """AGG over an early-materialized tuple stream."""
+    stats = ctx.stats
+    span = ctx.begin("AGG")
+    n = tuples.n_tuples
+    # The aggregator pulls every input row through a tuple iterator.
+    stats.tuple_iterations += n
+    stats.function_calls += n * (1 + len(specs))
+    reduced = group_reduce(
+        {c: tuples.column(c) for c in group_columns},
+        {s.column: tuples.column(s.column) for s in specs if s.func != "count"},
+        specs,
+    )
+    result = TupleSet.stitch(reduced, stats=stats)
+    stats.tuple_iterations += result.n_tuples
+    if span is not None:
+        ctx.end(span, style="tuple", tuples_in=n, groups=result.n_tuples)
+    return result
+
+
+def aggregate_vectors(
+    ctx: ExecutionContext,
+    groups: dict[str, np.ndarray],
+    columns: dict[str, np.ndarray],
+    specs,
+) -> TupleSet:
+    """AGG over parallel column vectors (no input tuples): *groups* holds
+    the group columns in output order, *columns* the aggregate inputs."""
+    stats = ctx.stats
+    span = ctx.begin("AGG")
+    n = len(next(iter(groups.values())))
+    # Vector-style input iteration: TICCOL per row, not TICTUP.
+    stats.column_iterations += n
+    stats.function_calls += n
+    reduced = group_reduce(groups, columns, specs)
+    result = TupleSet.stitch(reduced, stats=stats)
+    stats.tuple_iterations += result.n_tuples
+    if span is not None:
+        ctx.end(span, style="vector", rows_in=n, groups=result.n_tuples)
+    return result
+
+
+def aggregate_units(
+    ctx: ExecutionContext,
+    group_column: str,
+    unit_values: np.ndarray,
+    unit_ids: np.ndarray,
+    columns: dict[str, np.ndarray],
+    specs,
+) -> TupleSet:
+    """AGG with the group column kept as RLE runs or dictionary codes
+    (:func:`repro.compressed.kernels.group_ids`): the reduce over unit ids
+    into partials, then the fold over unit values, so group values are
+    widened once per unit, never per row.
+
+    Args:
+        unit_values: group value of each unit, indexed by unit id.
+        unit_ids: unit id per input row.
+        columns: aggregate input vectors, parallel to ``unit_ids``.
+    """
+    partials = partial_specs(specs)[0]
+    stats = ctx.stats
+    span = ctx.begin("AGG")
+    n_units = len(unit_values)
+    stats.column_iterations += n_units  # one step per unit, not per row
+    stats.function_calls += n_units
+    # The unit ids are dense ids over the unit table, so they group rows
+    # as they are.
+    counts, *reduced = reduce_groups(
+        unit_ids, n_units,
+        [("count", None), *((p.func, columns.get(p.column)) for p in partials)],
+    )
+    # A unit table covers whole blocks: a unit no surviving row fell into
+    # is no partial, and must not surface as a group.
+    held = counts > 0
+    rows = {p.output_name: r[held] for p, r in zip(partials, reduced)}
+    rows[group_column] = np.asarray(unit_values)[held]
+    result = TupleSet.stitch(
+        fold_partials([group_column], rows, specs), stats=stats
+    )
+    stats.tuple_iterations += result.n_tuples
+    if span is not None:
+        ctx.end(span, style="runs", runs_in=n_units, groups=result.n_tuples)
+    return result

@@ -8,7 +8,13 @@ else — the three cases of the paper's model.
 from __future__ import annotations
 
 from ..errors import ExecutionError
-from ..positions import PositionSet, intersect_all
+from ..positions import (
+    BitmapPositions,
+    ListedPositions,
+    PositionSet,
+    RunPositions,
+    intersect_all,
+)
 from .base import ExecutionContext, position_groups
 
 
@@ -20,8 +26,6 @@ def and_groups(positions: PositionSet) -> int:
     a time (the paper's Case 2: ``||inpos|| / 32`` with the processor word
     size); listed positions cost one step each.
     """
-    from ..positions import BitmapPositions, RunPositions
-
     if isinstance(positions, BitmapPositions):
         return (positions.nbits + positions.WORD_BITS - 1) // positions.WORD_BITS
     if isinstance(positions, RunPositions):
@@ -29,38 +33,30 @@ def and_groups(positions: PositionSet) -> int:
     return position_groups(positions)
 
 
-class AndOp:
-    """Intersect position sets."""
-
-    def __init__(self, ctx: ExecutionContext):
-        self.ctx = ctx
-
-    def execute_positions(self, inputs: list[PositionSet]) -> PositionSet:
-        if not inputs:
-            raise ExecutionError("AND of zero position lists")
-        stats = self.ctx.stats
-        span = self.ctx.begin("AND")
-        groups = [and_groups(p) for p in inputs]
-        m = max(groups)
-        # Step 1: iterate each input list; steps 2-3: produce the output.
-        stats.column_iterations += sum(groups) + m
-        stats.function_calls += m * (len(inputs) - 1) + m
-        stats.positions_intersected += sum(p.count() for p in inputs)
-        from ..positions import BitmapPositions, ListedPositions, RunPositions
-
-        if any(isinstance(p, RunPositions) for p in inputs) and any(
-            isinstance(p, (BitmapPositions, ListedPositions)) for p in inputs
-        ):
-            # A run list meeting a materialized (bitmap/listed) set cannot
-            # stay in run form through the intersection: the run side is
-            # expanded against the other representation — a morph.
-            stats.morphs += 1
-        result = intersect_all(inputs)
-        if span is not None:
-            self.ctx.end(
-                span,
-                inputs=[p.count() for p in inputs],
-                positions=result.count(),
-            )
-        return result
-
+def and_positions(ctx: ExecutionContext, inputs: list[PositionSet]) -> PositionSet:
+    """AND: the intersection of *inputs*."""
+    if not inputs:
+        raise ExecutionError("AND of zero position lists")
+    stats = ctx.stats
+    span = ctx.begin("AND")
+    groups = [and_groups(p) for p in inputs]
+    m = max(groups)
+    # Step 1: iterate each input list; steps 2-3: produce the output.
+    stats.column_iterations += sum(groups) + m
+    stats.function_calls += m * (len(inputs) - 1) + m
+    stats.positions_intersected += sum(p.count() for p in inputs)
+    if any(isinstance(p, RunPositions) for p in inputs) and any(
+        isinstance(p, (BitmapPositions, ListedPositions)) for p in inputs
+    ):
+        # A run list meeting a materialized (bitmap/listed) set cannot stay
+        # in run form through the intersection: the run side is expanded
+        # against the other representation — a morph.
+        stats.morphs += 1
+    result = intersect_all(inputs)
+    if span is not None:
+        ctx.end(
+            span,
+            inputs=[p.count() for p in inputs],
+            positions=result.count(),
+        )
+    return result

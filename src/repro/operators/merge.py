@@ -14,26 +14,21 @@ from .base import ExecutionContext
 from .tuples import TupleSet
 
 
-class MergeOp:
-    """Stitch k aligned value vectors into output tuples."""
-
-    def __init__(self, ctx: ExecutionContext):
-        self.ctx = ctx
-
-    def execute(self, columns: dict[str, np.ndarray]) -> TupleSet:
-        if not columns:
-            raise ExecutionError("MERGE of zero columns")
-        stats = self.ctx.stats
-        span = self.ctx.begin("MERGE")
-        k = len(columns)
-        lengths = {len(v) for v in columns.values()}
-        if len(lengths) > 1:
-            raise ExecutionError(f"MERGE inputs differ in length: {lengths}")
-        n = lengths.pop()
-        # Figure 5: access values as vectors (n*k FC) and produce tuples as
-        # an array (n*k FC) — no per-tuple iterator on either side.
-        stats.function_calls += 2 * n * k
-        result = TupleSet.stitch(columns, stats=stats)
-        if span is not None:
-            self.ctx.end(span, columns=list(columns), tuples=n)
-        return result
+def merge_columns(ctx: ExecutionContext, columns: dict[str, np.ndarray]) -> TupleSet:
+    """MERGE: stitch k aligned value vectors into output tuples."""
+    if not columns:
+        raise ExecutionError("MERGE of zero columns")
+    stats = ctx.stats
+    span = ctx.begin("MERGE")
+    k = len(columns)
+    lengths = {len(v) for v in columns.values()}
+    if len(lengths) > 1:
+        raise ExecutionError(f"MERGE inputs differ in length: {lengths}")
+    n = lengths.pop()
+    # Figure 5: access values as vectors (n*k FC) and produce tuples as an
+    # array (n*k FC) — no per-tuple iterator on either side.
+    stats.function_calls += 2 * n * k
+    result = TupleSet.stitch(columns, stats=stats)
+    if span is not None:
+        ctx.end(span, columns=list(columns), tuples=n)
+    return result

@@ -21,7 +21,6 @@ from contextlib import contextmanager
 from dataclasses import replace
 from typing import NamedTuple
 
-from ..delta import expand_avg
 from ..errors import (
     CatalogError,
     CorruptBlockError,
@@ -30,6 +29,7 @@ from ..errors import (
     StorageError,
     UnsupportedOperationError,
 )
+from ..operators.aggregate import partial_specs
 from ..predicates import Predicate, combine_column_predicates
 from .estimate import estimate_selectivity
 from .logical import JoinQuery, SelectQuery
@@ -314,9 +314,9 @@ def stored_query(projection, query, pending=None):
     *query* itself unless COMBINE folds partials (a partitioned projection,
     or a :class:`~repro.delta.PendingWrites` snapshot in *pending*). Then
     HAVING / ORDER BY / LIMIT wait for the tail, AVG becomes SUM + COUNT
-    partials (:func:`~repro.delta.expand_avg`), an aggregation under
-    pending deletes fetches rows for GHOST instead, and count(distinct)
-    raises: its partials cannot be combined.
+    partials (:func:`~repro.operators.aggregate.partial_specs`), an
+    aggregation under pending deletes fetches rows for GHOST instead, and
+    count(distinct) raises: its partials cannot be combined.
     """
     if not pending and not projection.is_partitioned:
         return query
@@ -330,7 +330,7 @@ def stored_query(projection, query, pending=None):
             "count(distinct) partials cannot be re-combined across "
             "partitions; query an unpartitioned projection instead"
         )
-    specs = expand_avg(query.aggregates)[0]
+    specs = partial_specs(query.aggregates)[0]
     tail = dict(order_by=(), limit=None, having=())
     if not specs:
         return replace(query, **tail)

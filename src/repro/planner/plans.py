@@ -14,19 +14,23 @@ import numpy as np
 
 from ..multicolumn import MiniColumn, MultiColumn
 from ..operators import (
-    AndOp,
-    DS1Scan,
-    DS2Scan,
-    DS3Gather,
-    DS4Scan,
     ExecutionContext,
-    MergeOp,
-    SPCScan,
     TupleSet,
+    aggregate_tuples,
+    aggregate_units,
+    aggregate_vectors,
+    and_positions,
     drain,
+    ds1_scan,
+    ds2_scan,
+    ds3_filter,
+    ds3_gather,
+    ds4_extend,
     gather_values,
+    merge_columns,
+    spc_scan,
 )
-from ..operators.aggregate import AggregateEM, AggregateLM
+from ..operators.aggregate import fold_partials, group_reduce, partial_specs
 from ..operators.and_op import and_groups
 from ..operators.joins import (
     fetch_right_columns,
@@ -35,14 +39,7 @@ from ..operators.joins import (
     join_single_column,
     merge_fetch_left,
 )
-from ..delta import (
-    PendingWrites,
-    delta_aggregate,
-    delta_select,
-    expand_avg,
-    merge_aggregates,
-    multiset_subtract,
-)
+from ..delta import PendingWrites, delta_select, multiset_subtract
 from ..errors import ExecutionError, PlanError
 from ..positions import ListedPositions, RangePositions, union_all
 from ..storage.column_file import ColumnFile
@@ -89,13 +86,15 @@ def _fold_pending(ctx, projection, query, sub_query, pending, partials):
     for it), charged a tuple iteration per row compared and a constructed
     tuple per tuple it keeps. DELTA runs the predicates over the inserts.
     """
-    specs = expand_avg(query.aggregates)[0]
-    groups = list(query.group_columns)
+    specs = partial_specs(query.aggregates)[0]
+    groups = query.group_columns
 
     def partial(rows, stats=None) -> TupleSet:
         """Surviving rows, shaped like a stored partial of *query*."""
         if specs:
-            return delta_aggregate(specs, groups, rows)
+            return TupleSet.stitch(
+                group_reduce({c: rows[c] for c in groups}, rows, specs)
+            )
         return TupleSet.stitch({c: rows[c] for c in query.select}, stats=stats)
 
     if pending.n_deletes:
@@ -129,15 +128,21 @@ def _combine(ctx, query, partials: list[TupleSet], pending) -> TupleSet:
     """COMBINE: the partials as one result — the stored ones (one per
     partition), then the pending rows' if *pending*. Selections concatenate
     (partitions are contiguous chunks of the sorted rows); aggregations
-    fold with one :func:`~repro.delta.merge_aggregates`, charged a tuple
-    iteration per partial row."""
+    fold with one :func:`~repro.operators.aggregate.fold_partials`, charged
+    a tuple iteration per partial row."""
     if not partials:
         return TupleSet.empty(tuple(query.select))
     if not query.aggregates:
         return partials[0] if len(partials) == 1 else TupleSet.concat(partials)
     span = ctx.begin("COMBINE")
     ctx.stats.tuple_iterations += sum(p.n_tuples for p in partials)
-    merged = merge_aggregates(partials, query)
+    rows = TupleSet.concat(partials)
+    folded = fold_partials(
+        query.group_columns,
+        {c: rows.column(c) for c in rows.columns},
+        query.aggregates,
+    )
+    merged = TupleSet.stitch(folded).select(list(query.select))
     ctx.end(span, partitions=len(partials) - bool(pending), rows=merged.n_tuples)
     return merged
 
@@ -202,18 +207,18 @@ def _walk(ctx: ExecutionContext, facts: PlanFacts, nodes: list[PlanNode]):
             batch = [j for j, n in enumerate(nodes) if n.case == "leaf" and j >= i]
             batch = batch if node.case == "leaf" else [i]
             results = ctx.map_leaves([
-                lambda c, n=nodes[j]: DS1Scan(
+                lambda c, n=nodes[j]: ds1_scan(
                     c, files[n.column], n.predicate,
-                    index=facts.projection.column(n.column).index,
-                ).execute()
+                    facts.projection.column(n.column).index,
+                )
                 for j in batch
             ])
-            for j, result in zip(batch, results):
-                out[j] = result.positions
-                if result.minicolumn is not None:
-                    minicolumns.setdefault(nodes[j].column, result.minicolumn)
+            for j, (positions, mini) in zip(batch, results):
+                out[j] = positions
+                if mini is not None:
+                    minicolumns.setdefault(nodes[j].column, mini)
         elif op == "AND":
-            out[i] = AndOp(ctx).execute_positions(args)
+            out[i] = and_positions(ctx, args)
         elif op == "UNION":
             groups = [and_groups(s) for s in args]
             ctx.stats.column_iterations += sum(groups)
@@ -221,9 +226,7 @@ def _walk(ctx: ExecutionContext, facts: PlanFacts, nodes: list[PlanNode]):
             out[i] = union_all(args)
         elif op == "DS3+filter":
             # Extract only at surviving positions and filter.
-            out[i] = DS3Gather(
-                ctx, files[col], args[0], predicate=node.predicate
-            ).execute().positions
+            out[i] = ds3_filter(ctx, files[col], args[0], node.predicate)
         elif op == "DS3" and node.case == "key":
             # A join's outer key at the surviving positions: the positions
             # and the keys go into JOIN together.
@@ -238,9 +241,9 @@ def _walk(ctx: ExecutionContext, facts: PlanFacts, nodes: list[PlanNode]):
             ctx.end(span, column=col, positions=len(positions))
             out[i] = positions, keys
         elif op == "DS3" and node.case == "extract":
-            out[i] = DS3Gather(
-                ctx, files[col], (args or [full])[0], minicolumn=minicolumns.get(col)
-            ).execute().values
+            out[i] = ds3_gather(
+                ctx, files[col], (args or [full])[0], minicolumns.get(col)
+            )
         elif op == "DS3":
             if expanded is None:
                 # Expanded once; the gathers take it as sorted by construction.
@@ -253,30 +256,31 @@ def _walk(ctx: ExecutionContext, facts: PlanFacts, nodes: list[PlanNode]):
                 ctx, query, node, files[col], minicolumns.get(col), *expanded
             )
         elif op == "AGG" and node.case == "tuple":
-            agg = AggregateEM(ctx, query.group_by, list(query.aggregates))
-            out[i] = agg.execute(args[0])
+            out[i] = aggregate_tuples(
+                ctx, args[0], query.group_columns, query.aggregates
+            )
         elif op == "AGG":
             groups, columns = {}, {}
             for j, value in zip(node.inputs, args):
                 into = groups if nodes[j].case == "group" else columns
                 into[nodes[j].column] = value
-            agg = AggregateLM(ctx, list(query.group_columns), list(query.aggregates))
-            units = next(iter(groups.values()))
-            out[i] = (
-                agg.execute_runs(*units, columns) if isinstance(units, tuple)
-                else agg.execute(groups, columns)
+            name, units = next(iter(groups.items()))
+            out[i] = (  # units: the one group column, as runs or codes
+                aggregate_units(ctx, name, *units, columns, query.aggregates)
+                if isinstance(units, tuple)
+                else aggregate_vectors(ctx, groups, columns, query.aggregates)
             )
         elif op == "MERGE":
-            out[i] = MergeOp(ctx).execute(
-                {nodes[j].column: v for j, v in zip(node.inputs, args)}
+            out[i] = merge_columns(
+                ctx, {nodes[j].column: v for j, v in zip(node.inputs, args)}
             )
         elif op == "SPC":
             preds = [pred for _col, pred, _sf in facts.where[0]]
-            out[i] = SPCScan(ctx, files, preds).execute()
+            out[i] = spc_scan(ctx, files, preds)
         elif op == "DS2":
-            out[i] = DS2Scan(ctx, files[col], node.predicate).execute()
+            out[i] = ds2_scan(ctx, files[col], node.predicate)
         elif op == "DS4":
-            out[i] = DS4Scan(ctx, files[col], node.predicate, args[0]).execute()
+            out[i] = ds4_extend(ctx, files[col], node.predicate, args[0])
         elif op == "PIN":
             span = ctx.begin("PIN")
             out[i] = _pin_multicolumn(ctx, files)
@@ -397,20 +401,14 @@ def execute_join(
             # Vector aggregation over the joined columns: only summary
             # tuples are constructed — the paper's aggregated-join rule.
             stitched = _stitch(query, left_values, right_values)
-            agg = AggregateLM(
-                ctx, list(query.group_columns), list(query.aggregates)
-            )
-            tuples = agg.execute(
+            tuples = aggregate_vectors(
+                ctx,
                 {c: stitched[c] for c in query.group_columns},
-                {
-                    spec.column: stitched[spec.column]
-                    for spec in query.aggregates if spec.func != "count"
-                },
+                stitched,
+                query.aggregates,
             ).select(list(query.output_columns))
         elif node.op == "MERGE":
-            tuples = MergeOp(ctx).execute(
-                _stitch(query, left_values, right_values)
-            )
+            tuples = merge_columns(ctx, _stitch(query, left_values, right_values))
     return drain(ctx, tuples)  # OUTPUT, the last node
 
 

@@ -2,9 +2,10 @@
 
 Regenerates any of the paper's evaluation figures from a fresh TPC-H-style
 database, printing the same series the paper plots. The pytest artefact
-benches (``benchmarks/bench_*.py``) share its sweep and its figure queries
-(:func:`selection_query`, :func:`aggregation_query`, :func:`join_query`)
-and assert each figure's shape; this module makes the installed package
+benches (``benchmarks/bench_*.py``) share its sweep (:func:`sweep_table`,
+:func:`format_table`) and its figure queries (:func:`selection_query`,
+:func:`aggregation_query`, :func:`join_query`) and assert each figure's
+shape; this module makes the installed package
 able to reproduce the figures on its own::
 
     repro reproduce 11a --scale 0.05
@@ -15,6 +16,7 @@ able to reproduce the figures on its own::
 from __future__ import annotations
 
 import tempfile
+from functools import partial
 
 from .engine import Database
 from .errors import ReproError, UnsupportedOperationError
@@ -91,6 +93,46 @@ def join_query(db: Database, selectivity: float) -> JoinQuery:
     )
 
 
+def sweep_table(db: Database, make_query, strategies, selectivities=SWEEP) -> dict:
+    """Run each strategy cold over the selectivity sweep; returns
+    ``{strategy_name: [(sel, wall_ms, sim_ms), ...]}``.
+
+    A point the strategy cannot run (UnsupportedOperationError, e.g.
+    LM-pipelined over bit-vectors) is ``(sel, None, None)``; any other
+    error propagates, so a broken point never passes for a missing one.
+    """
+    table: dict[str, list] = {}
+    for strategy in strategies:
+        series = []
+        for sel in selectivities:
+            try:
+                result = db.query(make_query(sel), strategy=strategy, cold=True)
+            except UnsupportedOperationError:
+                series.append((sel, None, None))
+                continue
+            series.append((sel, result.wall_ms, result.simulated_ms))
+        table[getattr(strategy, "value", str(strategy))] = series
+    return table
+
+
+def format_table(title: str, table: dict, metric: int = 2) -> str:
+    """Render a sweep as the paper-style series table.
+
+    Args:
+        metric: 1 for wall-clock ms, 2 for simulated (model-replay) ms.
+    """
+    names = list(table)
+    lines = [title, f"{'selectivity':>12} " + " ".join(f"{n:>14}" for n in names)]
+    sels = [row[0] for row in table[names[0]]]
+    for i, sel in enumerate(sels):
+        cells = []
+        for n in names:
+            value = table[n][i][metric]
+            cells.append(f"{value:>14.1f}" if value is not None else f"{'n/a':>14}")
+        lines.append(f"{sel:>12.2f} " + " ".join(cells))
+    return "\n".join(lines)
+
+
 def reproduce_figure(
     figure: str, scale: float = 0.05, seed: int = 42, out=print
 ) -> dict:
@@ -113,39 +155,15 @@ def reproduce_figure(
     load_tpch(db.catalog, scale=scale, seed=seed)
 
     if kind == "join":
-        series_keys = [s for s in RightTableStrategy]
-        run = lambda sel, s: db.query(join_query(db, sel), strategy=s, cold=True)
+        strategies, make = list(RightTableStrategy), partial(join_query, db)
     else:
-        series_keys = list(Strategy)
-        make = selection_query if kind == "selection" else aggregation_query
-        run = lambda sel, s: db.query(
-            make(sel, encoding), strategy=s, cold=True
-        )
-
-    table: dict[str, list] = {}
-    for strategy in series_keys:
-        series = []
-        for sel in SWEEP:
-            try:
-                result = run(sel, strategy)
-            except UnsupportedOperationError:
-                series.append((sel, None, None))
-                continue
-            series.append((sel, result.wall_ms, result.simulated_ms))
-        table[strategy.value] = series
-
+        figure_query = selection_query if kind == "selection" else aggregation_query
+        strategies, make = list(Strategy), partial(figure_query, encoding=encoding)
+    table = sweep_table(db, make, strategies)
     title = (
         f"Figure {key}: {kind}"
         + (f", LINENUM {encoding}" if encoding else "")
         + " (model-replay ms)"
     )
-    out(title)
-    names = list(table)
-    out(f"{'sel':>6} " + " ".join(f"{n:>14}" for n in names))
-    for i, sel in enumerate(SWEEP):
-        cells = []
-        for name in names:
-            sim = table[name][i][2]
-            cells.append(f"{sim:>14.1f}" if sim is not None else f"{'n/a':>14}")
-        out(f"{sel:>6.2f} " + " ".join(cells))
+    out(format_table(title, table))
     return table

@@ -15,8 +15,10 @@ spans, pick, advise, write, pending), and for the reads over pending
 writes how many differ in each field: the answer, the error,
 ``simulated_ms``, the describe text and every ``QueryStats`` counter.
 Beside the ``qlog`` line it prints the bytes of every configuration's
-query-log directory, summed, for each capture: a count, so a change to the
-log format shows its size exactly.
+query-log directory, summed, for each capture, with every record's
+wall-clock fields (``ts``, ``wall_ms``, ``queue_wait_ms``) counted as one
+fixed token each: a count that two captures of one tree print equal, so a
+change to the log format shows its size exactly.
 
 It sweeps seeds x {1, 4} partitions x engine configurations over the paper's
 Section 4.1 selection (4 strategies x 3 ``linenum`` encodings x 6
@@ -74,6 +76,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -513,8 +516,7 @@ def capture() -> dict:
                         records[f"{key}/qlog"] = _qlog_record(record)
                     records[
                         f"seed{seed}/p{partitions}/{config_name}/qlog_bytes"
-                    ] = {"bytes": sum(f.stat().st_size
-                                      for f in log_dir.iterdir())}
+                    ] = {"bytes": _log_bytes(log_dir)}
                     counters = registry.snapshot()["counters"]
                     counters.pop("queries_slow_total", None)
                     records[
@@ -522,6 +524,18 @@ def capture() -> dict:
                     ] = counters
                 view.close()
     return records
+
+
+_WALL_CLOCK = re.compile(rb'"(ts|wall_ms|queue_wait_ms)":[-+.0-9eE]+')
+
+
+def _log_bytes(log_dir: Path) -> int:
+    """The query-log directory's bytes, each wall-clock field's number
+    counted as ``0``: its printed length varies run to run."""
+    return sum(
+        len(_WALL_CLOCK.sub(rb'"\1":0', f.read_bytes()))
+        for f in log_dir.iterdir()
+    )
 
 
 WRITE_EPOCHS = 3

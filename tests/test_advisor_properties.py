@@ -233,6 +233,34 @@ def test_recalibration_recovers_known_constants(captured):
         ), field
 
 
+def test_fit_that_holds_every_component_adopts_the_baseline(captured):
+    """A trace that no positive prices can explain (each record's
+    ``simulated_ms`` is minus its plan's prediction under the baseline)
+    holds every component at its baseline: the fit equals the baseline,
+    so it is not adopted, though its MAE ties the baseline's."""
+    from repro.model import PAPER_CONSTANTS, predict_select
+    from repro.workload import price_record
+
+    db, records = captured
+    k = PAPER_CONSTANTS
+    trace, cache = [], {}
+    for record in records:
+        prediction = price_record(
+            db, record, cache,
+            lambda *plan: predict_select(*plan, constants=k),
+        )
+        if (record.get("outcome") == "ok" and prediction is not None
+                and prediction.events.and_products == 0):
+            trace.append({**record, "simulated_ms": -prediction.total_ms})
+    report = recalibrate_from_log(db, trace, constants=k)
+    assert report.n_records == len(trace) >= 2 * len(FITTED_FIELDS)
+    assert report.fitted == report.baseline
+    assert report.mae_fitted_ms == report.mae_baseline_ms
+    assert not report.used_fitted
+    assert report.constants == report.baseline
+    assert "adopted        baseline" in report.render()
+
+
 def test_out_of_band_component_is_held_and_the_rest_refitted():
     """A raw least-squares solution with one negative price: that price
     is held at its baseline and the other five are re-solved against what

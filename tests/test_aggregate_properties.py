@@ -9,10 +9,14 @@ from repro.buffer import BufferPool
 from repro.metrics import QueryStats
 from repro.operators import ExecutionContext, TupleSet
 from repro.operators.aggregate import (
-    AggregateEM,
-    AggregateLM,
     AggSpec,
+    aggregate_tuples,
+    aggregate_units,
+    aggregate_vectors,
     factorize_groups,
+    fold_partials,
+    group_reduce,
+    partial_specs,
 )
 
 FUNCS = ["sum", "count", "min", "max", "avg"]
@@ -52,7 +56,7 @@ def test_em_aggregation_matches_naive(data, func):
     groups = np.array([g for g, _v in data], dtype=np.int64)
     values = np.array([v for _g, v in data], dtype=np.int64)
     tuples = TupleSet.stitch({"g": groups, "v": values})
-    out = AggregateEM(ctx, "g", [AggSpec(func, "v")]).execute(tuples)
+    out = aggregate_tuples(ctx, tuples, ("g",), [AggSpec(func, "v")])
     expected = naive_reference(groups, values, func)
     got = {
         int(row[0]): int(row[1])
@@ -68,10 +72,10 @@ def test_lm_aggregation_matches_em(data, func):
     groups = np.array([g for g, _v in data], dtype=np.int64)
     values = np.array([v for _g, v in data], dtype=np.int64)
     spec = AggSpec(func, "v")
-    em = AggregateEM(ctx, "g", [spec]).execute(
-        TupleSet.stitch({"g": groups, "v": values})
+    em = aggregate_tuples(
+        ctx, TupleSet.stitch({"g": groups, "v": values}), ("g",), [spec]
     )
-    lm = AggregateLM(ctx, "g", [spec]).execute(groups, {"v": values})
+    lm = aggregate_vectors(ctx, {"g": groups}, {"v": values}, [spec])
     assert em.select(["g", spec.output_name]).rows() == lm.select(
         ["g", spec.output_name]
     ).rows()
@@ -80,7 +84,7 @@ def test_lm_aggregation_matches_em(data, func):
 @given(rows, st.sampled_from(FUNCS))
 @settings(max_examples=100, deadline=None)
 def test_run_based_aggregation_matches_row_based(data, func):
-    """execute_runs over a run-encoded group column equals plain execute."""
+    """AGG over a run-encoded group column equals AGG over its rows."""
     ctx = ExecutionContext(pool=BufferPool(), stats=QueryStats())
     # Sort by group so the group column has run structure, then run-encode it.
     data = sorted(data)
@@ -91,13 +95,79 @@ def test_run_based_aggregation_matches_row_based(data, func):
     run_values = groups[run_starts]
     run_ids = np.searchsorted(run_starts, np.arange(len(groups)), side="right") - 1
     spec = AggSpec(func, "v")
-    by_rows = AggregateLM(ctx, "g", [spec]).execute(groups, {"v": values})
-    by_runs = AggregateLM(ctx, "g", [spec]).execute_runs(
-        run_values, run_ids, {"v": values}
-    )
+    by_rows = aggregate_vectors(ctx, {"g": groups}, {"v": values}, [spec])
+    by_runs = aggregate_units(ctx, "g", run_values, run_ids, {"v": values}, [spec])
     assert by_rows.select(["g", spec.output_name]).rows() == by_runs.select(
         ["g", spec.output_name]
     ).rows()
+
+
+def _fold(groups, values, cuts, specs):
+    """Rows cut into partials at *cuts*, each reduced to the partials of
+    *specs*, then folded as COMBINE folds them: ``{output: values}``."""
+    partial = partial_specs(specs)[0]
+    bounds = [0, *cuts, len(values)]
+    parts = [
+        TupleSet.stitch(group_reduce(
+            {"g": groups[lo:hi]}, {"v": values[lo:hi]}, partial
+        ))
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+    rows = TupleSet.concat(parts)
+    return fold_partials(
+        ["g"], {c: rows.column(c) for c in rows.columns}, specs
+    )
+
+
+@given(rows, st.data())
+@settings(max_examples=150, deadline=None)
+def test_folded_partials_equal_one_reduce(data, draw):
+    """Rows split anywhere into k partials (empty ones too), each reduced
+    to partials and folded, equal the rows aggregated at once."""
+    groups = np.array([g for g, _v in data], dtype=np.int64)
+    values = np.array([v for _g, v in data], dtype=np.int64)
+    cuts = sorted(draw.draw(
+        st.lists(st.integers(0, len(values)), max_size=5), label="cuts"
+    ))
+    specs = [AggSpec(func, "v") for func in FUNCS]
+    once = group_reduce({"g": groups}, {"v": values}, specs)
+    folded = _fold(groups, values, cuts, specs)
+    assert list(folded) == list(once)
+    for name, column in once.items():
+        assert folded[name].tolist() == column.tolist(), name
+
+
+def test_exact_sum_past_2_53_on_every_path():
+    """Group totals past 2**53 are exact on every aggregating path: rows,
+    tuples, RLE runs, and partials of four partitions folded by COMBINE
+    (float64 weights round them, each path differently)."""
+    ctx = ExecutionContext(pool=BufferPool(), stats=QueryStats())
+    row = np.arange(1, 1000)
+    values = (2**50 + row).astype(np.int64)
+    run_ids = row // 7  # runs of 7 rows
+    run_values = np.arange(run_ids[-1] + 1) % 3
+    groups = run_values[run_ids]
+    want = {
+        g: (sum(int(v) for v in values[groups == g]),
+            sum(int(v) for v in values[groups == g]) // int((groups == g).sum()))
+        for g in range(3)
+    }
+    assert max(s for s, _avg in want.values()) > 2**53
+    specs = [AggSpec("sum", "v"), AggSpec("avg", "v")]
+    names = ["g", "sum(v)", "avg(v)"]
+    outs = {
+        "rows": aggregate_vectors(ctx, {"g": groups}, {"v": values}, specs),
+        "tuples": aggregate_tuples(
+            ctx, TupleSet.stitch({"g": groups, "v": values}), ("g",), specs
+        ),
+        "runs": aggregate_units(
+            ctx, "g", run_values, run_ids, {"v": values}, specs
+        ),
+        "combine": TupleSet.stitch(_fold(groups, values, [250, 500, 750], specs)),
+    }
+    for path, out in outs.items():
+        got = {g: (s, avg) for g, s, avg in out.select(names).rows()}
+        assert got == want, path
 
 
 @given(
@@ -113,8 +183,9 @@ def test_compound_group_keys_match_pairwise_naive(data):
     a = np.array([x for x, _y, _v in data], dtype=np.int64)
     b = np.array([y for _x, y, _v in data], dtype=np.int64)
     v = np.array([z for _x, _y, z in data], dtype=np.int64)
-    out = AggregateEM(ctx, ("a", "b"), [AggSpec("sum", "v")]).execute(
-        TupleSet.stitch({"a": a, "b": b, "v": v})
+    out = aggregate_tuples(
+        ctx, TupleSet.stitch({"a": a, "b": b, "v": v}), ("a", "b"),
+        [AggSpec("sum", "v")],
     )
     expected: dict = {}
     for x, y, z in data:
@@ -162,8 +233,8 @@ def _assert_factorize_matches_reference(cols):
     ctx = ExecutionContext(pool=BufferPool(), stats=QueryStats())
     names = [f"g{i}" for i in range(len(cols) - 1)] or ["g0"]
     groups = dict(zip(names, cols[:-1] or cols))
-    out = AggregateLM(ctx, names, [AggSpec("count_distinct", "v")]).execute(
-        groups, {"v": cols[-1]}
+    out = aggregate_vectors(
+        ctx, groups, {"v": cols[-1]}, [AggSpec("count_distinct", "v")]
     )
     group_keys, group_of = _unique_rows_reference(list(groups.values()))
     pairs, _ = _unique_rows_reference([group_of, cols[-1]])

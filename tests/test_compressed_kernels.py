@@ -31,7 +31,7 @@ from repro.model.morph import (
     morph_scan_us,
     rle_scan_decision,
 )
-from repro.operators.aggregate import AggSpec, AggregateLM
+from repro.operators.aggregate import AggSpec, aggregate_units, aggregate_vectors
 from repro.operators.base import ExecutionContext
 from repro.positions import (
     BitmapPositions,
@@ -265,12 +265,8 @@ def test_run_aggregation_matches_row_path(group_list, func):
     run_values = groups[change]
     run_ids = np.cumsum(change) - 1
     spec = AggSpec(func, "m")
-    row = AggregateLM(_ctx(), ["g"], [spec]).execute(
-        {"g": groups}, {"m": measure}
-    )
-    runs = AggregateLM(_ctx(), ["g"], [spec]).execute_runs(
-        run_values, run_ids, {"m": measure}
-    )
+    row = aggregate_vectors(_ctx(), {"g": groups}, {"m": measure}, [spec])
+    runs = aggregate_units(_ctx(), "g", run_values, run_ids, {"m": measure}, [spec])
     assert sorted(row.rows()) == sorted(runs.rows())
 
 

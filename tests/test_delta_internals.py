@@ -4,16 +4,10 @@ import numpy as np
 import pytest
 
 from repro import AggSpec, Predicate, SelectQuery
-from repro.delta import (
-    DeltaStore,
-    PendingWrites,
-    delta_aggregate,
-    delta_select,
-    expand_avg,
-    merge_aggregates,
-)
+from repro.delta import DeltaStore, PendingWrites, delta_select
 from repro.dtypes import INT8, INT32, ColumnSchema
 from repro.errors import EncodingError
+from repro.operators.aggregate import fold_partials, group_reduce, partial_specs
 from repro.operators.tuples import TupleSet
 from repro.planner.nodes import stored_query
 
@@ -21,7 +15,7 @@ from repro.planner.nodes import stored_query
 class TestExpandAvg:
     def test_plain_specs_pass_through(self):
         specs = (AggSpec("sum", "v"), AggSpec("count", "v"))
-        internal, plan = expand_avg(specs)
+        internal, plan = partial_specs(specs)
         assert internal == list(specs)
         assert plan == {
             "sum(v)": ("direct", "sum(v)"),
@@ -29,13 +23,13 @@ class TestExpandAvg:
         }
 
     def test_avg_expands_to_sum_and_count(self):
-        internal, plan = expand_avg((AggSpec("avg", "v"),))
+        internal, plan = partial_specs((AggSpec("avg", "v"),))
         assert internal == [AggSpec("sum", "v"), AggSpec("count", "v")]
         assert plan == {"avg(v)": ("avg", "sum(v)", "count(v)")}
 
     def test_avg_reuses_existing_partials(self):
         specs = (AggSpec("sum", "v"), AggSpec("avg", "v"))
-        internal, _plan = expand_avg(specs)
+        internal, _plan = partial_specs(specs)
         assert internal == [AggSpec("sum", "v"), AggSpec("count", "v")]
 
 
@@ -99,12 +93,13 @@ class TestDeltaSelect:
         assert out["a"].tolist() == [0, 9]
 
 
-def _grouped(group, *specs):
-    """A query grouping on *group* with *specs*, selecting all outputs."""
-    return SelectQuery(
-        "t", (group, *(s.output_name for s in specs)),
-        group_by=group, aggregates=specs,
+def _fold(partials, *specs):
+    """COMBINE's fold of partial tuple sets grouped on ``g``, as rows."""
+    rows = TupleSet.concat(partials)
+    folded = fold_partials(
+        ("g",), {c: rows.column(c) for c in rows.columns}, specs
     )
+    return TupleSet.stitch(folded).rows()
 
 
 class TestMergeAggregates:
@@ -124,8 +119,7 @@ class TestMergeAggregates:
                 "count(v)": np.array([1, 1]),
             }
         )
-        merged = merge_aggregates([stored, pending], _grouped("g", *specs))
-        assert merged.rows() == [(1, 10, 2), (2, 25, 5), (3, 7, 1)]
+        assert _fold([stored, pending], *specs) == [(1, 10, 2), (2, 25, 5), (3, 7, 1)]
 
     def test_min_max_merge(self):
         specs = [AggSpec("min", "v"), AggSpec("max", "v")]
@@ -143,8 +137,7 @@ class TestMergeAggregates:
                 "max(v)": np.array([7]),
             }
         )
-        merged = merge_aggregates([stored, pending], _grouped("g", *specs))
-        assert merged.rows() == [(1, 3, 9)]
+        assert _fold([stored, pending], *specs) == [(1, 3, 9)]
 
     def test_avg_reconstruction(self):
         stored = TupleSet.stitch(
@@ -161,10 +154,8 @@ class TestMergeAggregates:
                 "count(v)": np.array([2]),
             }
         )
-        merged = merge_aggregates(
-            [stored, pending], _grouped("g", AggSpec("avg", "v"))
-        )
-        assert merged.rows() == [(1, 2)]  # (10+2) // (4+2)
+        # (10+2) // (4+2)
+        assert _fold([stored, pending], AggSpec("avg", "v")) == [(1, 2)]
 
 
 class TestDeltaAggregate:
@@ -173,8 +164,8 @@ class TestDeltaAggregate:
             "g": np.array([1, 1, 2]),
             "v": np.array([3, 4, 5]),
         }
-        out = delta_aggregate(
-            [AggSpec("sum", "v")], ["g"], survivors
+        out = TupleSet.stitch(
+            group_reduce({"g": survivors["g"]}, survivors, [AggSpec("sum", "v")])
         )
         assert out.columns == ("g", "sum(v)")
         assert out.rows() == [(1, 7), (2, 5)]

@@ -10,13 +10,14 @@ from repro.dtypes import INT32
 from repro.errors import UnsupportedOperationError
 from repro.metrics import QueryStats
 from repro.operators import (
-    DS1Scan,
-    DS2Scan,
-    DS3Gather,
-    DS4Scan,
     ExecutionContext,
-    SPCScan,
+    ds1_scan,
+    ds2_scan,
+    ds3_filter,
+    ds3_gather,
+    ds4_extend,
     gather_values,
+    spc_scan,
 )
 from repro.multicolumn import MiniColumn
 from repro.operators.base import repeat_by_run
@@ -52,52 +53,52 @@ def columns(tmp_path):
 class TestDS1:
     def test_positions_match_reference(self, ctx, columns):
         a, _b, cf_a, _cf_b = columns
-        res = DS1Scan(ctx, cf_a, Predicate("a", "<", 25)).execute()
-        assert np.array_equal(res.positions.to_array(), np.nonzero(a < 25)[0])
+        positions, _mini = ds1_scan(ctx, cf_a, Predicate("a", "<", 25))
+        assert np.array_equal(positions.to_array(), np.nonzero(a < 25)[0])
 
     def test_minicolumn_pinned(self, ctx, columns):
         _a, _b, cf_a, _cf_b = columns
-        res = DS1Scan(ctx, cf_a, Predicate("a", "<", 25)).execute()
-        assert res.minicolumn is not None
-        assert res.minicolumn.block_count() > 0
+        _positions, mini = ds1_scan(ctx, cf_a, Predicate("a", "<", 25))
+        assert mini is not None
+        assert mini.block_count() > 0
 
     def test_multicolumns_disabled(self, columns):
         _a, _b, cf_a, _cf_b = columns
         ctx = ExecutionContext(pool=BufferPool(), use_multicolumns=False)
-        res = DS1Scan(ctx, cf_a, Predicate("a", "<", 25)).execute()
-        assert res.minicolumn is None
+        _positions, mini = ds1_scan(ctx, cf_a, Predicate("a", "<", 25))
+        assert mini is None
 
     def test_block_skipping_on_sorted_column(self, ctx, columns):
         a, _b, cf_a, _cf_b = columns
         # An impossible predicate: every block skipped, nothing read.
-        res = DS1Scan(ctx, cf_a, Predicate("a", ">", 10_000)).execute()
-        assert res.positions.is_empty()
+        positions, _mini = ds1_scan(ctx, cf_a, Predicate("a", ">", 10_000))
+        assert positions.is_empty()
         assert ctx.stats.blocks_skipped == cf_a.n_blocks
         assert ctx.stats.block_reads == 0
 
     def test_uncompressed_scan(self, ctx, columns):
         _a, b, _cf_a, cf_b = columns
-        res = DS1Scan(ctx, cf_b, Predicate("b", "=", 4)).execute()
-        assert np.array_equal(res.positions.to_array(), np.nonzero(b == 4)[0])
+        positions, _mini = ds1_scan(ctx, cf_b, Predicate("b", "=", 4))
+        assert np.array_equal(positions.to_array(), np.nonzero(b == 4)[0])
         assert ctx.stats.values_scanned == len(b)
 
 
 class TestDS2:
     def test_pairs_match_reference(self, ctx, columns):
         a, _b, cf_a, _cf_b = columns
-        tuples = DS2Scan(ctx, cf_a, Predicate("a", "<", 10)).execute()
+        tuples = ds2_scan(ctx, cf_a, Predicate("a", "<", 10))
         expected_pos = np.nonzero(a < 10)[0]
         assert np.array_equal(tuples.positions, expected_pos)
         assert np.array_equal(tuples.column("a"), a[expected_pos])
 
     def test_none_predicate_returns_everything(self, ctx, columns):
         _a, b, _cf_a, cf_b = columns
-        tuples = DS2Scan(ctx, cf_b, None).execute()
+        tuples = ds2_scan(ctx, cf_b, None)
         assert tuples.n_tuples == len(b)
 
     def test_counts_tuple_iterations(self, ctx, columns):
         a, _b, cf_a, _cf_b = columns
-        DS2Scan(ctx, cf_a, Predicate("a", "<", 10)).execute()
+        ds2_scan(ctx, cf_a, Predicate("a", "<", 10))
         assert ctx.stats.tuple_iterations >= int((a < 10).sum())
         assert ctx.stats.tuples_constructed == int((a < 10).sum())
 
@@ -106,35 +107,30 @@ class TestDS3:
     def test_gather_matches_reference(self, ctx, columns):
         _a, b, _cf_a, cf_b = columns
         picks = ListedPositions(np.array([5, 77, 30_000, 79_999]))
-        res = DS3Gather(ctx, cf_b, picks).execute()
-        assert np.array_equal(res.values, b[picks.to_array()])
+        values = ds3_gather(ctx, cf_b, picks)
+        assert np.array_equal(values, b[picks.to_array()])
 
     def test_gather_skips_uncovered_blocks(self, ctx, columns):
         _a, b, _cf_a, cf_b = columns
         picks = RangePositions(0, 10)  # everything in block 0
-        DS3Gather(ctx, cf_b, picks).execute()
+        ds3_gather(ctx, cf_b, picks)
         assert ctx.stats.block_reads == 1
         assert ctx.stats.blocks_skipped == 0  # early-exit before later blocks
 
     def test_gather_with_predicate_filters(self, ctx, columns):
         _a, b, _cf_a, cf_b = columns
         picks = RangePositions(0, 1000)
-        res = DS3Gather(
-            ctx, cf_b, picks, predicate=Predicate("b", "<", 5)
-        ).execute()
+        positions = ds3_filter(ctx, cf_b, picks, Predicate("b", "<", 5))
         expected = np.nonzero(b[:1000] < 5)[0]
-        assert np.array_equal(res.positions.to_array(), expected)
-        assert np.array_equal(res.values, b[expected])
+        assert np.array_equal(positions.to_array(), expected)
 
     def test_gather_via_minicolumn_avoids_pool(self, ctx, columns):
         a, _b, cf_a, _cf_b = columns
-        scan = DS1Scan(ctx, cf_a, Predicate("a", "<", 25)).execute()
+        positions, mini = ds1_scan(ctx, cf_a, Predicate("a", "<", 25))
         reads_before = ctx.stats.block_reads + ctx.stats.buffer_hits
-        res = DS3Gather(
-            ctx, cf_a, scan.positions, minicolumn=scan.minicolumn
-        ).execute()
+        values = ds3_gather(ctx, cf_a, positions, mini)
         assert ctx.stats.block_reads + ctx.stats.buffer_hits == reads_before
-        assert np.array_equal(res.values, a[scan.positions.to_array()])
+        assert np.array_equal(values, a[positions.to_array()])
 
     def test_bitvector_position_filtering_rejected(self, ctx, tmp_path):
         values = np.zeros(100, dtype=np.int32)
@@ -142,9 +138,7 @@ class TestDS3:
             tmp_path / "bv.col", values, INT32, encoding_by_name("bitvector")
         )
         with pytest.raises(UnsupportedOperationError):
-            DS3Gather(
-                ctx, cf, RangePositions(0, 10), predicate=Predicate("v", "<", 1)
-            )
+            ds3_filter(ctx, cf, RangePositions(0, 10), Predicate("v", "<", 1))
 
     def test_bitvector_plain_gather_allowed(self, ctx, tmp_path):
         rng = np.random.default_rng(5)
@@ -152,8 +146,8 @@ class TestDS3:
         cf = write_column(
             tmp_path / "bv.col", values, INT32, encoding_by_name("bitvector")
         )
-        res = DS3Gather(ctx, cf, ListedPositions(np.array([3, 500, 999]))).execute()
-        assert np.array_equal(res.values, values[[3, 500, 999]])
+        got = ds3_gather(ctx, cf, ListedPositions(np.array([3, 500, 999])))
+        assert np.array_equal(got, values[[3, 500, 999]])
 
 
 class TestGatherValues:
@@ -182,8 +176,8 @@ class TestGatherValues:
 class TestDS4:
     def test_extends_and_filters(self, ctx, columns):
         a, b, cf_a, cf_b = columns
-        seed = DS2Scan(ctx, cf_a, Predicate("a", "<", 10)).execute()
-        out = DS4Scan(ctx, cf_b, Predicate("b", "<", 5), seed).execute()
+        seed = ds2_scan(ctx, cf_a, Predicate("a", "<", 10))
+        out = ds4_extend(ctx, cf_b, Predicate("b", "<", 5), seed)
         mask = (a < 10) & (b < 5)
         expected_pos = np.nonzero(mask)[0]
         assert np.array_equal(out.positions, expected_pos)
@@ -192,8 +186,8 @@ class TestDS4:
 
     def test_extend_without_predicate(self, ctx, columns):
         a, b, cf_a, cf_b = columns
-        seed = DS2Scan(ctx, cf_a, Predicate("a", "<", 5)).execute()
-        out = DS4Scan(ctx, cf_b, None, seed).execute()
+        seed = ds2_scan(ctx, cf_a, Predicate("a", "<", 5))
+        out = ds4_extend(ctx, cf_b, None, seed)
         assert out.n_tuples == seed.n_tuples
         assert np.array_equal(out.column("b"), b[a < 5])
 
@@ -201,27 +195,20 @@ class TestDS4:
 class TestSPC:
     def test_constructs_filtered_tuples(self, ctx, columns):
         a, b, cf_a, cf_b = columns
-        out = SPCScan(
+        out = spc_scan(
             ctx,
             {"a": cf_a, "b": cf_b},
             [Predicate("a", "<", 10), Predicate("b", "<", 5)],
-        ).execute()
+        )
         mask = (a < 10) & (b < 5)
         assert np.array_equal(out.column("a"), a[mask])
         assert np.array_equal(out.column("b"), b[mask])
 
     def test_reads_every_block_of_every_column(self, ctx, columns):
         _a, _b, cf_a, cf_b = columns
-        SPCScan(ctx, {"a": cf_a, "b": cf_b}, [Predicate("a", ">", 10_000)]).execute()
+        spc_scan(ctx, {"a": cf_a, "b": cf_b}, [Predicate("a", ">", 10_000)])
         assert ctx.stats.block_reads == cf_a.n_blocks + cf_b.n_blocks
         assert ctx.stats.blocks_skipped == 0
-
-    def test_with_positions(self, ctx, columns):
-        a, _b, cf_a, cf_b = columns
-        out = SPCScan(
-            ctx, {"a": cf_a}, [Predicate("a", "<", 3)], with_positions=True
-        ).execute()
-        assert np.array_equal(out.positions, np.nonzero(a < 3)[0])
 
 
 # ---- gather by structure
@@ -373,12 +360,9 @@ class TestGatherByStructure:
             pytest.skip("encoding cannot position-filter")
         pred = Predicate("v", "<", 4)
         for make_ctx in GATHER_CONTEXTS:
-            res = DS3Gather(
-                make_ctx(), cf, RangePositions(100, 90_000), predicate=pred
-            ).execute()
+            got = ds3_filter(make_ctx(), cf, RangePositions(100, 90_000), pred)
             want = 100 + np.flatnonzero(values[100:90_000] < 4)
-            assert np.array_equal(res.positions.to_array(), want)
-            assert np.array_equal(res.values, values[want])
+            assert np.array_equal(got.to_array(), want)
 
 
 class TestDS2Pairs:
@@ -388,7 +372,7 @@ class TestDS2Pairs:
             outs = []
             for make_ctx in GATHER_CONTEXTS:
                 ctx = make_ctx()
-                outs.append((DS2Scan(ctx, cf, pred).execute(), ctx.stats))
+                outs.append((ds2_scan(ctx, cf, pred), ctx.stats))
             (a, stats_a), (b, stats_b) = outs
             assert a.columns == b.columns
             assert np.array_equal(a.data, b.data)
