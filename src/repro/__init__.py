@@ -67,7 +67,6 @@ from .model import (
     PAPER_CONSTANTS,
     CalibrationReport,
     ModelConstants,
-    calibrate_constants,
     recalibrate_from_log,
 )
 from .advisor import AdvisorAction, AdvisorPlan, advise, apply_plan
@@ -114,7 +113,6 @@ __all__ = [
     "choose_strategy",
     "ModelConstants",
     "PAPER_CONSTANTS",
-    "calibrate_constants",
     "CalibrationReport",
     "recalibrate_from_log",
     "AdvisorAction",

@@ -16,7 +16,7 @@ Entry points::
     apply_plan(db, plan)              # build/drop through the catalog
 
 CLI: ``repro advise [--json] [--apply]``; model recalibration from the
-same logs is ``repro calibrate --from-log`` (see
+same logs is ``repro calibrate`` (see
 :mod:`repro.model.recalibrate`).
 """
 

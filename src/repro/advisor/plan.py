@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..errors import CatalogError
+from ..qlog import own_records
 from ..workload import summarize_log
 from .candidates import (
     CandidateDesign,
@@ -170,20 +171,10 @@ def advise(
     *records* is an iterable of query-log dicts; when omitted, the
     database's own query log is flushed and read. *constants* defaults to
     ``db.constants`` — pass :attr:`~repro.model.recalibrate.
-    CalibrationReport.constants` from ``repro calibrate --from-log`` to
-    score with trace-fitted prices.
+    CalibrationReport.constants` from ``repro calibrate`` to score with
+    prices fitted to this host's logged wall time.
     """
-    if records is None:
-        if db.qlog is None:
-            raise CatalogError(
-                "advise needs records: the database has no query log "
-                "(pass records= or open with query_log=True)"
-            )
-        db.qlog.flush()
-        from ..qlog import read_query_log
-
-        records = read_query_log(db.qlog.directory)
-    records = list(records)
+    records = list(own_records(db, "advise") if records is None else records)
     if constants is None:
         constants = db.constants
     summary = summarize_log(records, db=db, constants=constants)

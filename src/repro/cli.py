@@ -10,8 +10,7 @@ Installed as the ``repro`` console script::
     repro scrub ./db --deep
     repro serve ./db --port 7379 --workers 4
     repro advise ./db --apply
-    repro calibrate
-    repro calibrate ./db --from-log
+    repro calibrate ./db
 """
 
 from __future__ import annotations
@@ -206,8 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     advise.add_argument(
         "--recalibrate", action="store_true",
-        help="first re-fit the model constants from the same log "
-        "(calibrate --from-log) and score with the fitted constants",
+        help="first fit the model constants to the same log "
+        "(repro calibrate) and score with the fitted constants",
     )
     _add_json_flag(advise, "emit the plan as JSON")
 
@@ -259,23 +258,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     calibrate = sub.add_parser(
         "calibrate",
-        help="measure this machine's Table 2 model constants, or re-fit "
-        "them from an observed query log with --from-log",
+        help="fit this host's Table 2 CPU constants to a query log's "
+        "wall time over its logged counters",
     )
+    _add_db_argument(calibrate)
     calibrate.add_argument(
-        "db", nargs="?", default=None,
-        help="database root (required with --from-log)",
-    )
-    calibrate.add_argument(
-        "--from-log", nargs="?", const="", default=None, metavar="PATH",
+        "--from-log", nargs="?", const="", default="", metavar="PATH",
         dest="from_log",
-        help="fit constants to a captured query log instead of "
-        "micro-benchmarking: bare --from-log reads the database's own "
-        "<db>/_qlog, --from-log PATH reads a directory or segment",
+        help="query-log directory or segment to fit (default: the "
+        "database's own <db>/_qlog)",
     )
-    _add_json_flag(
-        calibrate, "with --from-log, emit the calibration report as JSON"
-    )
+    _add_json_flag(calibrate, "emit the calibration report as JSON")
 
     reproduce = sub.add_parser(
         "reproduce", help="regenerate one of the paper's evaluation figures"
@@ -724,31 +717,15 @@ def cmd_top(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    """`repro calibrate`: measure (or, with --from-log, fit) the constants.
+    """`repro calibrate`: fit the CPU constants to a query log.
 
-    Without --from-log: micro-benchmark this machine's Table 2 CPU
-    constants. With --from-log: least-squares-fit the constants to the
-    measured simulated times of an observed query log (see
-    :mod:`repro.model.recalibrate`); the fit is only adopted when its
-    trace MAE is no worse than the baseline constants'.
+    Least-squares-fits BIC, TICCOL, TICTUP and FC to the logged wall time
+    over the logged counters (see :mod:`repro.model.recalibrate`); the fit
+    is only adopted when its trace MAE is no worse than the baseline
+    constants'.
     """
-    from .model import PAPER_CONSTANTS, calibrate_constants
-
-    if getattr(args, "from_log", None) is None:
-        measured = calibrate_constants()
-        paper = PAPER_CONSTANTS.as_dict()
-        mine = measured.as_dict()
-        print(f"{'constant':>10} {'paper':>12} {'this machine':>14}")
-        for key in ("BIC", "TICTUP", "TICCOL", "FC", "PF", "SEEK", "READ"):
-            print(f"{key:>10} {paper[key]:>12.4g} {mine[key]:>14.4g}")
-        return 0
-
     from .model import recalibrate_from_log
 
-    if not args.db:
-        print("error: calibrate --from-log needs a database root",
-              file=sys.stderr)
-        return 2
     with _logged_db(args.db, args.from_log) as (db, records):
         report = recalibrate_from_log(db, records)
     _emit(report, args.json)

@@ -66,9 +66,10 @@ class QueryStats:
       (the replayed ``SEEK``/``READ`` terms, plus injected slow-block
       latency and retry backoff when a fault schedule is active).
 
-    The field list is the contract: ``merge``/``reset``/``as_dict`` operate
-    reflectively over it, the class docstring documents every field (guarded
-    by a reflection test), and new fields must keep all three in sync.
+    The field list is the contract: ``merge``/``reset``/``as_dict`` walk it
+    through :data:`COUNTER_FIELDS`, the class docstring documents every
+    field (guarded by a reflection test), and new fields must keep all
+    three in sync.
     """
 
     block_reads: int = 0
@@ -95,30 +96,32 @@ class QueryStats:
 
     def merge(self, other: "QueryStats") -> None:
         """Fold another stats object into this one (for sub-plans)."""
-        for f in fields(self):
-            if f.name == "extra":
-                continue
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        for name in COUNTER_FIELDS:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
         for key, value in other.extra.items():
             self.extra[key] = self.extra.get(key, 0) + value
 
     def reset(self) -> None:
-        for f in fields(self):
-            if f.name == "extra":
-                self.extra = {}
-            else:
-                setattr(self, f.name, type(getattr(self, f.name))())
+        for name in COUNTER_FIELDS:
+            setattr(self, name, type(getattr(self, name))())
+        self.extra = {}
 
     def as_dict(self) -> dict:
-        out = {
-            f.name: getattr(self, f.name) for f in fields(self) if f.name != "extra"
-        }
+        out = {name: getattr(self, name) for name in COUNTER_FIELDS}
         out.update(self.extra)
         return out
 
     def __str__(self) -> str:
         pairs = ", ".join(f"{k}={v}" for k, v in self.as_dict().items() if v)
         return f"QueryStats({pairs})"
+
+
+#: The numeric :class:`QueryStats` fields (every field but ``extra``), in
+#: declaration order: the one list ``merge``/``reset``/``as_dict``, span
+#: snapshots and query-log records' ``counters`` are derived from.
+COUNTER_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in fields(QueryStats) if f.name != "extra"
+)
 
 
 # --------------------------------------------------------------------------

@@ -11,8 +11,9 @@ Its modules:
   Figure 10 validation and by the strategy-choosing optimizer.
 * :mod:`~repro.model.morph` — per-block stay-compressed vs. morph decisions
   for the compressed-execution kernels, in the same microsecond currency.
-* :mod:`~repro.model.recalibrate` — least-squares re-fit of the Table-2
-  constants from observed query-log traces (``repro calibrate --from-log``).
+* :mod:`~repro.model.recalibrate` — least-squares fit of Table 2's CPU
+  constants to a query log's wall time over its logged counters
+  (``repro calibrate``).
 """
 
 from .constants import ModelConstants, PAPER_CONSTANTS
@@ -30,7 +31,6 @@ from .cost import (
     spc_cost,
 )
 from .predictor import predict_join, predict_select, predict_strategies
-from .calibrate import calibrate_constants
 from .recalibrate import CalibrationReport, recalibrate_from_log
 from .morph import (
     MorphDecision,
@@ -57,7 +57,6 @@ __all__ = [
     "predict_select",
     "predict_strategies",
     "predict_join",
-    "calibrate_constants",
     "CalibrationReport",
     "recalibrate_from_log",
     "MorphDecision",

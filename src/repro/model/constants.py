@@ -1,9 +1,9 @@
 """Model constants (paper Table 2).
 
 The defaults are the paper's measured values on its 3.8 GHz Pentium 4
-testbed. :func:`repro.model.calibrate.calibrate_constants` re-measures the
-CPU constants on the current machine; the disk constants are part of the
-simulated disk model and normally stay at the paper's values.
+testbed. :func:`repro.model.recalibrate.recalibrate_from_log` fits the CPU
+constants to this host's logged wall time; the disk constants are part of
+the simulated disk model and stay at the paper's values.
 """
 
 from __future__ import annotations

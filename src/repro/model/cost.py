@@ -255,7 +255,7 @@ def output_cost(n_tuples: int) -> OperatorCost:
 
 #: The CPU events a finished query's :class:`QueryStats` counts; its disk
 #: time is ``simulated_io_us``, priced by the disk model as the query ran.
-_REPLAYED = EVENT_PRICES[:4]
+REPLAYED_EVENTS = EVENT_PRICES[:4]
 
 
 def simulated_time_ms(stats: QueryStats, k: ModelConstants) -> float:
@@ -266,7 +266,7 @@ def simulated_time_ms(stats: QueryStats, k: ModelConstants) -> float:
     read, iterator steps taken, tuples stitched), rather than to a-priori
     estimates.
     """
-    counts = {name: getattr(stats, name) for name, _ in _REPLAYED}
+    counts = {name: getattr(stats, name) for name, _ in REPLAYED_EVENTS}
     cpu_us, _ = price(OperatorCost(**counts), k)
     return (cpu_us + stats.simulated_io_us) / 1000.0
 
@@ -277,7 +277,7 @@ def replay_breakdown(stats: QueryStats, k: ModelConstants) -> dict[str, float]:
     :func:`simulated_time_ms`.
     """
     out = {}
-    for name, (constant,) in _REPLAYED:
+    for name, (constant,) in REPLAYED_EVENTS:
         cpu_us, _ = price(OperatorCost(**{name: getattr(stats, name)}), k)
         out[f"{constant.upper()}_ms"] = cpu_us / 1000.0
     out["IO_ms"] = stats.simulated_io_us / 1000.0

@@ -1,25 +1,24 @@
-"""Online recalibration: re-fit Table-2 constants from query-log traces.
+"""Recalibration: fit Table 2's CPU constants to this host's wall time.
 
-:func:`repro.model.calibrate.calibrate_constants` measures the CPU
-constants with synthetic micro-benchmarks; this module instead fits them
-to *observed* workload: for every ok select record in a query log it asks
-the predictor how many of each priced event (block iterations, column
-iterations, tuple iterations, function calls, seeks, block reads) the
-recorded plan performs (one prediction's summed events) and solves the
+The paper obtained Table 2 by timing the code that performs each event.
+Here the timed code is the executor itself: every ok query-log record
+carries the query's measured ``wall_ms`` and the Table 1 events it
+performed (its ``counters``). Over a trace this module solves the
 least-squares system
 
-    features · k  ≈  measured simulated_ms
+    counters · k  ≈  wall_ms
 
-for the six per-event prices ``k``. The replayed ``simulated_ms`` is
-linear in them, so the fit leaves out ``and_cost``'s ``m·TICCOL·FC``
-term, which prices no executor counter.
+for the four CPU prices ``k`` the counters price: BIC, TICCOL, TICTUP
+and FC. PF, SEEK and READ stay at their baseline values: they describe
+the simulated disk, whose time the disk model charges as a counter
+(``simulated_io_us``) without ever sleeping, so no wall time carries it.
 
 Fitted values are clamped positive and finite — a non-finite,
 non-positive, or wildly out-of-range component is held at its baseline
 value and the others are re-solved without it — and the fit is only
-*adopted* when it moved some component and its mean absolute prediction
-error over the trace is no worse than the baseline constants', so
-``repro calibrate --from-log`` can never regress what-if scoring.
+*adopted* when it moved some component and its mean absolute error over
+the trace is no worse than the baseline constants', so ``repro
+calibrate`` can never regress what-if scoring on the trace it read.
 """
 
 from __future__ import annotations
@@ -28,13 +27,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..qlog import own_records
 from .constants import ModelConstants
-from .cost import EVENT_PRICES
+from .cost import REPLAYED_EVENTS
 
-#: The events priced by one constant each, and the constants fitted from
-#: traces. ``pf`` is held at its baseline value: it is an integer prefetch
-#: window that changes *which* seeks the model counts, not a per-event price.
-_FITTED_EVENTS = [(e, c) for e, (c, *rest) in EVENT_PRICES if not rest]
+#: The logged counters fitted, each with the one constant that prices it.
+_FITTED_EVENTS = [(event, constant) for event, (constant,) in REPLAYED_EVENTS]
 FITTED_FIELDS = tuple(constant for _event, constant in _FITTED_EVENTS)
 
 #: Per-component sanity band around the baseline: a fitted price outside
@@ -46,27 +44,20 @@ _CLAMP = 1000.0
 _MIN_RECORDS = 6
 
 
-def _record_features(db, record, baseline: ModelConstants, cache):
-    """Per-record feature row: predicted ms per unit price of each constant,
-    from one prediction's events under *baseline*.
-
-    Priced against the record's logged plan
-    (:func:`repro.workload.price_record`), so the features describe the
-    plan that produced the measurement. Returns an
-    ``len(FITTED_FIELDS)``-vector or None when the record is not a usable
-    ok select trace.
-    """
-    if record.get("outcome") != "ok" or "simulated_ms" not in record:
-        return None
-    from ..workload import price_record
-    from .predictor import predict_select
-
-    def features(projection, query, strategy):
-        events = predict_select(projection, query, strategy, baseline).events
-        row = [getattr(events, event) for event, _ in _FITTED_EVENTS]
-        return np.array(row, dtype=np.float64) / 1000.0
-
-    return price_record(db, record, cache, features)
+def wall_trace(records) -> tuple[np.ndarray, np.ndarray]:
+    """``(A, y)`` of a trace: one row per ok record that logged every
+    fitted counter, ``A`` its counters in thousands (so prices in µs give
+    ms) in :data:`FITTED_FIELDS` order, ``y`` its ``wall_ms``."""
+    rows, walls = [], []
+    for record in records:
+        counters = record.get("counters") or {}
+        if (record.get("outcome") != "ok" or "wall_ms" not in record
+                or any(event not in counters for event, _ in _FITTED_EVENTS)):
+            continue
+        rows.append([counters[event] for event, _ in _FITTED_EVENTS])
+        walls.append(float(record["wall_ms"]))
+    A = np.array(rows, dtype=np.float64).reshape(-1, len(FITTED_FIELDS))
+    return A / 1000.0, np.array(walls, dtype=np.float64)
 
 
 @dataclass
@@ -79,10 +70,10 @@ class CalibrationReport:
     #: The raw (clamped) least-squares fit, regardless of adoption.
     fitted: ModelConstants
     baseline: ModelConstants
-    #: Usable ok-select records the fit was computed over.
+    #: Usable ok records the fit was computed over.
     n_records: int
-    #: Mean absolute error (ms) of each constant set's linear prediction
-    #: against the measured simulated_ms over the trace.
+    #: Mean absolute error (ms) of each constant set's pricing of the
+    #: logged counters against the logged wall_ms over the trace.
     mae_fitted_ms: float
     mae_baseline_ms: float
     used_fitted: bool
@@ -128,7 +119,7 @@ def _clamped_fit(baseline: ModelConstants, A, y) -> ModelConstants:
     A component solved out of its band (or not finite) is held at its
     baseline and the rest are re-solved against ``y − A_held · k_held``,
     so its events' time is fitted by the free components, not dropped.
-    Each round holds one more component at least: at most six solves.
+    Each round holds one more component at least: at most four solves.
     """
     start = np.array([getattr(baseline, name) for name in FITTED_FIELDS])
     prices, free = start.copy(), np.ones(len(start), dtype=bool)
@@ -152,34 +143,29 @@ def _clamped_fit(baseline: ModelConstants, A, y) -> ModelConstants:
 def recalibrate_from_log(
     db, records, constants: ModelConstants | None = None
 ) -> CalibrationReport:
-    """Fit Table-2 constants to a query-log trace captured on *db*.
+    """Fit Table 2's CPU constants to a query-log trace captured on *db*.
 
     *records* is an iterable of query-log dicts (e.g. from
-    :func:`repro.qlog.read_query_log`); only ok select records that still
-    cost cleanly against the catalog participate. *constants* is the
+    :func:`repro.qlog.read_query_log`), or None for *db*'s own log; only
+    ok records carrying their counters participate. *constants* is the
     baseline (default ``db.constants``). The result always carries
     positive, finite constants, and ``constants`` only differs from the
     baseline when the fit moved some component and its trace MAE is no
     worse.
     """
     baseline = constants if constants is not None else db.constants
-    cache: dict = {}
-    rows, targets = [], []
-    for record in records:
-        row = _record_features(db, record, baseline, cache)
-        if row is not None:
-            rows.append(row)
-            targets.append(float(record["simulated_ms"]))
-    A, y = np.array(rows), np.array(targets, dtype=np.float64)
+    if records is None:
+        records = own_records(db, "recalibrate_from_log")
+    A, y = wall_trace(records)
 
     def mae(k: ModelConstants) -> float:
-        if not rows:
+        if not len(y):
             return 0.0
         prices = [getattr(k, name) for name in FITTED_FIELDS]
         return float(np.mean(np.abs(A @ prices - y)))
 
     fitted, used_fitted = baseline, False
-    if len(rows) >= _MIN_RECORDS:
+    if len(y) >= _MIN_RECORDS:
         fitted = _clamped_fit(baseline, A, y)
         # A fit that held every component is the baseline, not an adoption.
         used_fitted = fitted != baseline and mae(fitted) <= mae(baseline)
@@ -187,7 +173,7 @@ def recalibrate_from_log(
         constants=fitted if used_fitted else baseline,
         fitted=fitted,
         baseline=baseline,
-        n_records=len(rows),
+        n_records=len(y),
         mae_fitted_ms=mae(fitted),
         mae_baseline_ms=mae(baseline),
         used_fitted=used_fitted,

@@ -35,14 +35,9 @@ each leaf's spans, finished, in deterministic task order).
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
-from .metrics import QueryStats
-
-#: Numeric QueryStats fields, snapshotted at span boundaries.
-_COUNTER_FIELDS: tuple[str, ...] = tuple(
-    f.name for f in fields(QueryStats) if f.name != "extra"
-)
+from .metrics import COUNTER_FIELDS, QueryStats
 
 #: ``detail`` keys probed (in order) for a span's output cardinality.
 _ROWS_KEYS = ("rows", "tuples", "tuples_out", "positions", "positions_out",
@@ -82,7 +77,7 @@ class Span:
         own = QueryStats()
         own.merge(self.stats)
         for child in self.children:
-            for name in _COUNTER_FIELDS:
+            for name in COUNTER_FIELDS:
                 setattr(
                     own, name, getattr(own, name) - getattr(child.stats, name)
                 )
@@ -179,7 +174,7 @@ class SpanTracer:
 
     def _snapshot(self) -> tuple:
         stats = self.stats
-        return tuple(getattr(stats, name) for name in _COUNTER_FIELDS)
+        return tuple(getattr(stats, name) for name in COUNTER_FIELDS)
 
     # ------------------------------------------------------------ recording
 
@@ -207,7 +202,7 @@ class SpanTracer:
         span, t0, snap0, extra0 = entry
         span.wall_ms = (self.clock() - t0) * 1000.0
         now = self._snapshot()
-        for name, before, after in zip(_COUNTER_FIELDS, snap0, now):
+        for name, before, after in zip(COUNTER_FIELDS, snap0, now):
             setattr(span.stats, name, after - before)
         for key, value in self.stats.extra.items():
             delta = value - extra0.get(key, 0)

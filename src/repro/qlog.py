@@ -68,13 +68,12 @@ import threading
 import time
 import zlib
 from base64 import urlsafe_b64encode
-from dataclasses import fields
 from functools import lru_cache
 from hashlib import blake2b
 from pathlib import Path
 
 from .errors import CatalogError, LogLineError
-from .metrics import QueryStats
+from .metrics import COUNTER_FIELDS
 from .storage.jsonlines import read_json_lines, truncate_torn_tail
 
 logger = logging.getLogger(__name__)
@@ -87,11 +86,10 @@ _BATCH_DELAY_S = 0.02
 
 _SEGMENT_GLOB = "qlog-*.jsonl"
 
-#: The ``counters`` of an ok record: every :class:`QueryStats` field except
-#: ``tuples_output`` (the record's ``rows``) and ``extra``.
+#: The ``counters`` of an ok record: every numeric :class:`QueryStats`
+#: field except ``tuples_output`` (the record's ``rows``).
 _COUNTER_FIELDS = tuple(
-    f.name for f in fields(QueryStats)
-    if f.name not in ("tuples_output", "extra")
+    name for name in COUNTER_FIELDS if name != "tuples_output"
 )
 
 #: Compact JSON for one line; one encoder, not one per ``json.dumps`` call.
@@ -773,6 +771,21 @@ def read_query_log(path: str | Path) -> list[dict]:
     return records
 
 
+def own_records(db, caller: str) -> list[dict]:
+    """Every record of *db*'s own query log, flushed first: what a
+    function taking ``records=None`` reads. Raises
+    :class:`~repro.errors.CatalogError` naming *caller* when the database
+    has no query log.
+    """
+    if db.qlog is None:
+        raise CatalogError(
+            f"{caller} needs records: the database has no query log "
+            "(pass records= or open with query_log=True)"
+        )
+    db.qlog.flush()
+    return read_query_log(db.qlog.directory)
+
+
 def _read_segment(path: Path, torn_tail_ok: bool) -> tuple:
     """``(records, log)`` of one segment file, *log* as
     :func:`~repro.storage.jsonlines.read_json_lines` read it.
@@ -842,9 +855,9 @@ def record_plan(record: dict, catalog) -> tuple:
     name of the projection a select resolved to — kept only while *catalog*
     still serves the query's table from it, ``None`` otherwise (joins,
     older records, or a design that has since dropped it), in which case
-    the caller routes afresh. Replay, the workload summary's model
-    residuals and log recalibration all read records through this one
-    helper, so they price and re-execute the same physical plan.
+    the caller routes afresh. Replay and the workload summary's model
+    residuals both read records through this one helper, so they price
+    and re-execute the same physical plan.
     """
     from .serving.protocol import query_from_dict
 

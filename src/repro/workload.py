@@ -215,8 +215,8 @@ class WorkloadSummary:
         return "\n".join(lines)
 
 
-def price_record(db, record, cache: dict, price, constants=None):
-    """``price(projection, query, strategy)`` for a logged select's plan.
+def price_record(db, record, cache: dict, constants):
+    """Predicted ms of a logged select's plan under *constants*.
 
     The plan is :func:`repro.qlog.record_plan`'s: the recorded strategy and,
     while the catalog still has it, the recorded projection (else the one
@@ -238,6 +238,7 @@ def price_record(db, record, cache: dict, price, constants=None):
         json.dumps(record["query"], sort_keys=True),
     )
     if key not in cache:
+        from .model import predict_select
         from .planner.projection_choice import resolve_projection
         from .planner.strategies import Strategy
 
@@ -249,7 +250,10 @@ def price_record(db, record, cache: dict, price, constants=None):
                 projection = resolve_projection(
                     db.catalog, query, constants=constants
                 )
-            cache[key] = price(projection, query, Strategy.from_name(strategy))
+            cache[key] = predict_select(
+                projection, query, Strategy.from_name(strategy),
+                constants=constants,
+            ).total_ms
         except (ReproError, ValueError):
             cache[key] = None
     return cache[key]
@@ -262,20 +266,12 @@ def summarize_log(records, db=None, constants=None) -> WorkloadSummary:
     costed through the analytical model (against the recorded projection
     and strategy, with *constants* defaulting to ``db.constants``) and the
     per-template predicted-vs-measured simulated-ms residuals are
-    accumulated on :class:`TemplateStats` — the advisor's recalibration
-    and what-if inputs. Without *db* the summary is purely observational,
-    as before.
+    accumulated on :class:`TemplateStats` — the advisor's what-if inputs.
+    Without *db* the summary is purely observational, as before.
     """
     if db is not None and constants is None:
         constants = db.constants
     prediction_cache: dict = {}
-
-    def predict(projection, query, strategy) -> float:
-        from .model import predict_select
-
-        return predict_select(
-            projection, query, strategy, constants=constants
-        ).total_ms
 
     summary = WorkloadSummary()
     for record in records:
@@ -336,7 +332,7 @@ def summarize_log(records, db=None, constants=None) -> WorkloadSummary:
                 tmpl.example_query = record["query"]
             if db is not None:
                 predicted = price_record(
-                    db, record, prediction_cache, predict, constants
+                    db, record, prediction_cache, constants
                 )
                 if predicted is not None:
                     tmpl.predicted_count += 1

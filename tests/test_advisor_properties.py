@@ -35,6 +35,7 @@ from repro.advisor import (
     hypothetical_projection,
 )
 from repro.errors import CatalogError, StorageError, UnsupportedOperationError
+from repro.model.cost import REPLAYED_EVENTS
 from repro.model.recalibrate import FITTED_FIELDS, recalibrate_from_log
 from repro.qlog import read_query_log
 from repro.serving import query_from_dict
@@ -44,6 +45,9 @@ from repro.workload import summarize_log
 from .differential import STRATEGIES, QueryGenerator
 
 N_QUERIES = 12
+
+#: Each fitted counter with the constant that prices it.
+FITTED_EVENTS = [(event, constant) for event, (constant,) in REPLAYED_EVENTS]
 
 
 @pytest.fixture(scope="module")
@@ -193,37 +197,36 @@ def test_recalibration_is_safe_on_any_subset(captured, data):
         assert constants == report.baseline
 
 
+def _priced_wall_trace(records, k):
+    """The ok records that logged counters, each with its ``wall_ms``
+    replaced by those counters priced at *k*, in ms."""
+    trace = []
+    for record in records:
+        counters = record.get("counters")
+        if record.get("outcome") == "ok" and counters:
+            wall_us = sum(counters[event] * getattr(k, constant)
+                          for event, constant in FITTED_EVENTS)
+            trace.append({**record, "wall_ms": wall_us / 1000.0})
+    return trace
+
+
 def test_recalibration_recovers_known_constants(captured):
-    """A trace priced by known constants is fitted back to them: each
-    record's ``simulated_ms`` is replaced by its plan's prediction under
-    ``k*`` (CPU constants ×3, seek and read ×0.5), and the adopted fit
-    predicts that trace exactly. Plans with a multi-input AND are left
-    out: its ``m·TICCOL·FC`` term prices no executor counter, so the
-    linear fit does not model it."""
-    from repro.model import PAPER_CONSTANTS, predict_select
-    from repro.workload import price_record
+    """A trace whose wall time is its logged counters priced by known
+    constants ``k*`` (each CPU constant moved by its own factor) is fitted
+    back to them, and the adopted fit predicts that trace exactly."""
+    from repro.model import PAPER_CONSTANTS
 
     db, records = captured
     k = PAPER_CONSTANTS
     truth = k.with_overrides(
-        bic=3 * k.bic, ticcol=3 * k.ticcol, tictup=3 * k.tictup,
-        fc=3 * k.fc, seek=0.5 * k.seek, read=0.5 * k.read,
+        bic=2 * k.bic, ticcol=3 * k.ticcol, tictup=0.5 * k.tictup,
+        fc=1.5 * k.fc,
     )
-    trace, events, cache = [], [], {}
-    for record in records:
-        prediction = price_record(
-            db, record, cache,
-            lambda *plan: predict_select(*plan, constants=truth),
-        )
-        if (record.get("outcome") == "ok" and prediction is not None
-                and prediction.events.and_products == 0):
-            trace.append({**record, "simulated_ms": prediction.total_ms})
-            events.append(prediction.events)
-    for event in ("block_iterations", "column_iterations", "tuple_iterations",
-                  "function_calls", "disk_seeks", "block_reads"):
-        assert any(getattr(e, event) > 0 for e in events), event
+    trace = _priced_wall_trace(records, truth)
+    for event, _constant in FITTED_EVENTS:
+        assert any(r["counters"][event] > 0 for r in trace), event
     report = recalibrate_from_log(db, trace, constants=k)
-    mean_ms = sum(r["simulated_ms"] for r in trace) / len(trace)
+    mean_ms = sum(r["wall_ms"] for r in trace) / len(trace)
     assert report.n_records == len(trace) >= 2 * len(FITTED_FIELDS)
     assert report.used_fitted
     assert report.mae_fitted_ms <= 1e-6 * mean_ms
@@ -231,27 +234,21 @@ def test_recalibration_recovers_known_constants(captured):
         assert getattr(report.constants, field) == pytest.approx(
             getattr(truth, field), rel=1e-6
         ), field
+    for field in ("pf", "seek", "read"):
+        assert getattr(report.constants, field) == getattr(k, field), field
 
 
 def test_fit_that_holds_every_component_adopts_the_baseline(captured):
     """A trace that no positive prices can explain (each record's
-    ``simulated_ms`` is minus its plan's prediction under the baseline)
-    holds every component at its baseline: the fit equals the baseline,
-    so it is not adopted, though its MAE ties the baseline's."""
-    from repro.model import PAPER_CONSTANTS, predict_select
-    from repro.workload import price_record
+    ``wall_ms`` is minus its counters priced at the baseline) holds every
+    component at its baseline: the fit equals the baseline, so it is not
+    adopted, though its MAE ties the baseline's."""
+    from repro.model import PAPER_CONSTANTS
 
     db, records = captured
     k = PAPER_CONSTANTS
-    trace, cache = [], {}
-    for record in records:
-        prediction = price_record(
-            db, record, cache,
-            lambda *plan: predict_select(*plan, constants=k),
-        )
-        if (record.get("outcome") == "ok" and prediction is not None
-                and prediction.events.and_products == 0):
-            trace.append({**record, "simulated_ms": -prediction.total_ms})
+    trace = [{**r, "wall_ms": -r["wall_ms"]}
+             for r in _priced_wall_trace(records, k)]
     report = recalibrate_from_log(db, trace, constants=k)
     assert report.n_records == len(trace) >= 2 * len(FITTED_FIELDS)
     assert report.fitted == report.baseline
@@ -263,7 +260,7 @@ def test_fit_that_holds_every_component_adopts_the_baseline(captured):
 
 def test_out_of_band_component_is_held_and_the_rest_refitted():
     """A raw least-squares solution with one negative price: that price
-    is held at its baseline and the other five are re-solved against what
+    is held at its baseline and the other three are re-solved against what
     it leaves, not kept at their raw values."""
     from repro.model import PAPER_CONSTANTS
     from repro.model.recalibrate import _clamped_fit
@@ -272,7 +269,7 @@ def test_out_of_band_component_is_held_and_the_rest_refitted():
     start = np.array([getattr(k, name) for name in FITTED_FIELDS])
     rng = np.random.default_rng(5)
     A = rng.uniform(0.1, 1.0, size=(40, len(FITTED_FIELDS))) / start
-    truth = start * np.array([2.0, 3.0, 0.5, 1.5, 1.0, -1.0])
+    truth = start * np.array([2.0, 3.0, 1.5, -1.0])
     y = A @ truth
     raw, *_ = np.linalg.lstsq(A, y, rcond=None)
     assert raw[-1] < 0 and (raw[:-1] > 0).all()
@@ -286,6 +283,27 @@ def test_out_of_band_component_is_held_and_the_rest_refitted():
     per_component = np.append(raw[:-1], start[-1])
     assert (np.abs(A @ fitted - y).mean()
             < np.abs(A @ per_component - y).mean())
+
+
+def test_recalibration_reads_the_databases_own_log(captured):
+    """``records=None`` fits the database's own query log, as ``advise``
+    reads it."""
+    db, _records = captured
+    report = recalibrate_from_log(db, None)
+    db.qlog.flush()
+    own = recalibrate_from_log(db, read_query_log(db.qlog.directory))
+    assert report.n_records > 0
+    assert report.to_dict() == own.to_dict()
+
+
+@pytest.mark.parametrize("reader", [advise, recalibrate_from_log],
+                         ids=["advise", "recalibrate_from_log"])
+def test_reading_the_own_log_needs_one(tmp_path, reader):
+    """Without a query log, ``records=None`` is refused by name."""
+    with Database(tmp_path / "db", query_log=False,
+                  metrics=MetricsRegistry()) as db:
+        with pytest.raises(CatalogError, match=f"{reader.__name__} needs"):
+            reader(db, None)
 
 
 @pytest.mark.parametrize("form", ["disjunction", "conjunction"])

@@ -250,20 +250,28 @@ class TestLogCommands:
         ]
 
     def test_calibrate_from_log(self, logged_db, capsys):
-        assert main(["calibrate", str(logged_db), "--from-log"]) == 0
+        assert main(["calibrate", str(logged_db)]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "records        12"
         assert lines[1].startswith("mae ms         fitted=")
         assert lines[2] in ("adopted        fitted", "adopted        baseline")
         assert lines[4].split() == ["constant", "baseline", "fitted", "adopted"]
-        assert main(
-            ["calibrate", str(logged_db), "--from-log", "--json"]
-        ) == 0
-        assert json.loads(capsys.readouterr().out)["n_records"] == 12
+        assert main(["calibrate", str(logged_db), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["n_records"] == 12
+        for disk in ("PF", "SEEK", "READ"):
+            assert report["constants"][disk] == report["baseline"][disk]
+        # --from-log names the log; bare, it is the database's own.
+        for log in ([str(logged_db / "_qlog")], []):
+            assert main(["calibrate", str(logged_db), "--from-log", *log,
+                         "--json"]) == 0
+            assert json.loads(capsys.readouterr().out) == report
 
     def test_calibrate_from_log_needs_db(self, capsys):
-        assert main(["calibrate", "--from-log"]) == 2
-        assert "needs a database root" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exit_:
+            main(["calibrate", "--from-log"])
+        assert exit_.value.code == 2
+        assert "required: db" in capsys.readouterr().err
 
 
 class TestServerCommands:
