@@ -285,75 +285,77 @@ def cmd_load_tpch(args) -> int:
     """`repro load-tpch`: generate and load the TPC-H-style projections."""
     from .tpch import load_tpch
 
-    db = Database(args.db)
-    load_tpch(
-        db.catalog,
-        scale=args.scale,
-        seed=args.seed,
-        partitions=args.partitions,
-    )
-    for name in db.catalog.names():
-        proj = db.projection(name)
-        parts = (
-            f" in {len(proj.partitions)} partitions"
-            if proj.is_partitioned
-            else ""
+    with Database(args.db) as db:
+        load_tpch(
+            db.catalog,
+            scale=args.scale,
+            seed=args.seed,
+            partitions=args.partitions,
         )
-        print(f"loaded projection {name}: {proj.n_rows} rows{parts}")
-    return 0
+        for name in db.catalog.names():
+            proj = db.projection(name)
+            parts = (
+                f" in {len(proj.partitions)} partitions"
+                if proj.is_partitioned
+                else ""
+            )
+            print(f"loaded projection {name}: {proj.n_rows} rows{parts}")
+        return 0
 
 
 def cmd_info(args) -> int:
     """`repro info`: list projections, columns, encodings, indexes."""
-    db = Database(args.db)
-    names = db.catalog.names()
-    if not names:
-        print("no projections")
+    with Database(args.db) as db:
+        names = db.catalog.names()
+        if not names:
+            print("no projections")
+            return 0
+        for name in names:
+            proj = db.projection(name)
+            keys = ", ".join(proj.sort_keys) or "unsorted"
+            print(f"{name}: {proj.n_rows} rows, sorted by ({keys})")
+            if proj.is_partitioned:
+                print(f"  range-partitioned: {len(proj.partitions)} "
+                      "partitions")
+                for part in proj.partitions:
+                    zones = ", ".join(
+                        f"{col}=[{zm.min_value},{zm.max_value}]"
+                        for col, zm in part.zone_maps.items()
+                    )
+                    print(f"    {part.name}: {part.n_rows} rows, {zones}")
+            for col in proj.column_names:
+                pc = proj.physical_column(col)
+                encodings = ", ".join(pc.encodings)
+                indexed = "  [indexed]" if pc.indexed else ""
+                print(f"  {col:>16} ({pc.schema.ctype.name}): "
+                      f"{encodings}{indexed}")
         return 0
-    for name in names:
-        proj = db.projection(name)
-        keys = ", ".join(proj.sort_keys) or "unsorted"
-        print(f"{name}: {proj.n_rows} rows, sorted by ({keys})")
-        if proj.is_partitioned:
-            print(f"  range-partitioned: {len(proj.partitions)} partitions")
-            for part in proj.partitions:
-                zones = ", ".join(
-                    f"{col}=[{zm.min_value},{zm.max_value}]"
-                    for col, zm in part.zone_maps.items()
-                )
-                print(f"    {part.name}: {part.n_rows} rows, {zones}")
-        for col in proj.column_names:
-            pc = proj.physical_column(col)
-            encodings = ", ".join(pc.encodings)
-            indexed = "  [indexed]" if pc.indexed else ""
-            print(f"  {col:>16} ({pc.schema.ctype.name}): {encodings}{indexed}")
-    return 0
 
 
 def cmd_query(args) -> int:
     """`repro query`: run a SQL statement and print rows + costs."""
-    db = Database(args.db)
-    result = db.sql(
-        args.sql,
-        strategy=args.strategy,
-        encodings=_parse_encodings(args.encoding) or None,
-        cold=args.cold,
-    )
-    rows = result.rows() if args.raw else result.decoded_rows()
-    print(" | ".join(result.tuples.columns))
-    for row in rows[: args.limit]:
-        print(" | ".join(str(v) for v in row))
-    if result.n_rows > args.limit:
-        print(f"... ({result.n_rows - args.limit} more rows)")
-    summary = result.summary()
-    print(_summary_line(summary, 1))
-    if "degraded" in summary:
-        print(
-            "-- DEGRADED: skipped quarantined partitions "
-            + ", ".join(summary["skipped_partitions"]),
-            file=sys.stderr,
+    with Database(args.db) as db:
+        result = db.sql(
+            args.sql,
+            strategy=args.strategy,
+            encodings=_parse_encodings(args.encoding) or None,
+            cold=args.cold,
         )
-    return 0
+        rows = result.rows() if args.raw else result.decoded_rows()
+        print(" | ".join(result.tuples.columns))
+        for row in rows[: args.limit]:
+            print(" | ".join(str(v) for v in row))
+        if result.n_rows > args.limit:
+            print(f"... ({result.n_rows - args.limit} more rows)")
+        summary = result.summary()
+        print(_summary_line(summary, 1))
+        if "degraded" in summary:
+            print(
+                "-- DEGRADED: skipped quarantined partitions "
+                + ", ".join(summary["skipped_partitions"]),
+                file=sys.stderr,
+            )
+        return 0
 
 
 def _summary_line(summary: dict, digits: int) -> str:
@@ -369,58 +371,59 @@ def cmd_explain(args) -> int:
     """`repro explain`: model predictions, or measured spans with --analyze."""
     from .sql import bind, parse
 
-    db = Database(args.db)
-    query = bind(
-        parse(args.sql),
-        db.catalog,
-        encodings=_parse_encodings(args.encoding) or None,
-    )
-    if args.analyze:
-        report = db.explain(query, analyze=True, strategy=args.strategy)
-        if args.json:
-            print(json.dumps(report["json"], indent=2))
-        else:
-            print(report["text"])
-            summary = _summary_line(report, 2)
-            if report["queue_wait_ms"]:
-                summary += (
-                    f", queue-wait={report['queue_wait_ms']:.2f} ms "
-                    f"(end-to-end {report['total_ms']:.2f} ms)"
-                )
-            parts = report.get("partitions")
-            if parts:
-                summary += (
-                    f", partitions={parts['scanned']}/{parts['total']} "
-                    f"scanned ({parts['pruned']} pruned)"
-                )
-            if "degraded" in report:
-                summary += (
-                    ", DEGRADED (skipped "
-                    + ", ".join(report["skipped_partitions"])
-                    + ")"
-                )
-            print(summary)
-        return 0
-    plan = db.explain(query)
-    parts = plan.get("partitions")
-    if parts:
-        print(
-            f"partitions: {parts['scanned']}/{parts['total']} scanned, "
-            f"{parts['pruned']} pruned by zone maps"
+    with Database(args.db) as db:
+        query = bind(
+            parse(args.sql),
+            db.catalog,
+            encodings=_parse_encodings(args.encoding) or None,
         )
-    for name, ms in sorted(plan["predictions"].items(), key=lambda kv: kv[1]):
-        marker = "  <- chosen" if name == plan["chosen"] else ""
-        print(f"{name:>14}: {ms:9.2f} ms predicted{marker}")
-        if args.verbose:
-            detail = next(
-                d for s, d in plan["details"].items() if s.value == name
+        if args.analyze:
+            report = db.explain(query, analyze=True, strategy=args.strategy)
+            if args.json:
+                print(json.dumps(report["json"], indent=2))
+            else:
+                print(report["text"])
+                summary = _summary_line(report, 2)
+                if report["queue_wait_ms"]:
+                    summary += (
+                        f", queue-wait={report['queue_wait_ms']:.2f} ms "
+                        f"(end-to-end {report['total_ms']:.2f} ms)"
+                    )
+                parts = report.get("partitions")
+                if parts:
+                    summary += (
+                        f", partitions={parts['scanned']}/{parts['total']} "
+                        f"scanned ({parts['pruned']} pruned)"
+                    )
+                if "degraded" in report:
+                    summary += (
+                        ", DEGRADED (skipped "
+                        + ", ".join(report["skipped_partitions"])
+                        + ")"
+                    )
+                print(summary)
+            return 0
+        plan = db.explain(query)
+        parts = plan.get("partitions")
+        if parts:
+            print(
+                f"partitions: {parts['scanned']}/{parts['total']} scanned, "
+                f"{parts['pruned']} pruned by zone maps"
             )
-            for step, step_ms in detail.breakdown().items():
-                print(f"{'':>18}{step:<24} {step_ms:8.2f} ms")
-    if args.plan:
-        print()
-        print(db.describe(query, strategy=plan["chosen"]))
-    return 0
+        predictions = sorted(plan["predictions"].items(), key=lambda kv: kv[1])
+        for name, ms in predictions:
+            marker = "  <- chosen" if name == plan["chosen"] else ""
+            print(f"{name:>14}: {ms:9.2f} ms predicted{marker}")
+            if args.verbose:
+                detail = next(
+                    d for s, d in plan["details"].items() if s.value == name
+                )
+                for step, step_ms in detail.breakdown().items():
+                    print(f"{'':>18}{step:<24} {step_ms:8.2f} ms")
+        if args.plan:
+            print()
+            print(db.describe(query, strategy=plan["chosen"]))
+        return 0
 
 
 def cmd_scrub(args) -> int:
@@ -452,9 +455,7 @@ def cmd_serve(args) -> int:
 
     from .serving import QueryServer
 
-    db = Database(args.db)
-
-    async def main() -> None:
+    async def main(db) -> None:
         server = QueryServer(
             db,
             host=args.host,
@@ -477,7 +478,8 @@ def cmd_serve(args) -> int:
             print("drained, bye", file=sys.stderr)
 
     try:
-        asyncio.run(main())
+        with Database(args.db) as db:
+            asyncio.run(main(db))
     except KeyboardInterrupt:
         # Runner semantics vary across Python versions: SIGINT may cancel
         # the main task (drain already ran above) or surface here.

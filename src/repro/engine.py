@@ -286,9 +286,8 @@ class Database:
                 opens a :class:`~repro.qlog.QueryLog` under
                 ``<root>/_qlog/`` recording every finished query (outcome,
                 strategy, counters, selectivity, result hash — see
-                :mod:`repro.qlog`); pass a ``QueryLog(directory,
-                sample=..., max_segment_bytes=...)`` to sample, rotate or
-                share one, or ``False``/``None`` to disable. The recorder
+                :mod:`repro.qlog`); pass a ``QueryLog(directory)`` to log
+                elsewhere, or ``False``/``None`` to disable. The recorder
                 runs inside every workload of the e2e benchmark
                 (``benchmarks/e2e``), so its cost is part of every
                 end-to-end number there.

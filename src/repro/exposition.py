@@ -24,8 +24,9 @@ Dotted registry names map onto labelled families: a three-part name
 pair — ``repro_queries_by_strategy_total{strategy="em-parallel"}`` — so the
 per-strategy/per-encoding breakdowns the registry keeps as separate
 instruments scrape as proper label dimensions. Collector dicts (buffer
-pool, decoded cache, admission queue, query log, ...) flatten to gauges,
-with the admission queue's ``per_class`` map becoming a ``priority`` label.
+pool, decoded cache, query log, ...) flatten to gauges. The admission
+queue is not a collector: its state scrapes once, from the serving stats,
+as the ``repro_serving_*`` families.
 """
 
 from __future__ import annotations
@@ -104,10 +105,10 @@ def _fmt(value) -> str:
 class _Family:
     """One metric family: HELP/TYPE header plus its samples."""
 
-    def __init__(self, name: str, mtype: str, help_text: str | None = None):
+    def __init__(self, name: str, mtype: str):
         self.name = name
         self.type = mtype
-        self.help = help_text or _HELP.get(name) or f"repro metric {name}."
+        self.help = _HELP.get(name) or f"repro metric {name}."
         self.samples: list[tuple[str, dict, object]] = []
 
     def add(self, value, labels: dict | None = None, suffix: str = "") -> None:
@@ -149,11 +150,11 @@ class _Exposition:
         self.prefix = prefix
         self.families: dict[str, _Family] = {}
 
-    def family(self, name: str, mtype: str, help_text=None) -> _Family:
+    def family(self, name: str, mtype: str) -> _Family:
         name = _sanitize_name(f"{self.prefix}_{name}")
         fam = self.families.get(name)
         if fam is None:
-            fam = self.families[name] = _Family(name, mtype, help_text)
+            fam = self.families[name] = _Family(name, mtype)
         return fam
 
     def render(self) -> str:
@@ -223,16 +224,6 @@ def _add_collector(exp: _Exposition, collector: str, payload: dict) -> None:
     for key, value in payload.items():
         if key == "error":
             exp.family(f"{base}_collector_error", "gauge").add(1)
-            continue
-        if key == "per_class" and isinstance(value, dict):
-            fam = exp.family(
-                f"{base}_depth_by_priority",
-                "gauge",
-                help_text=f"Queued entries in {collector} by priority class.",
-            )
-            for cls, depth in value.items():
-                if isinstance(depth, (int, float)):
-                    fam.add(depth, labels={"priority": str(cls)})
             continue
         if isinstance(value, dict):
             for sub, sub_value in value.items():

@@ -35,24 +35,24 @@ line (one self-describing JSON object per query, written before the
 format had headers) held, which is still read: lines before a segment's
 first header are version 1.
 
-Lines are serialized and appended by a dedicated writer thread (the hot
-path pays one sample test, one CRC over the result tuples, and one queue
-hand-off); :meth:`QueryLog.flush` — and :meth:`QueryLog.close`, which
-``Database.close`` calls — drains the backlog. Segments are read by the
-JSON-lines reader the WAL shares (:mod:`repro.storage.jsonlines`): the
+Each log directory open in a process has one writer
+(:class:`_SegmentWriter`), however many :class:`QueryLog` handles share
+it: one thread serializes and appends every handle's records, in one
+``seq``; a query pays one CRC over its result tuples and one queue
+hand-off. :meth:`QueryLog.flush` drains the directory's whole backlog, as
+does :meth:`QueryLog.close` (which ``Database.close`` calls) before it
+releases the writer, and so does interpreter exit. Segments are read by
+the JSON-lines reader the WAL shares (:mod:`repro.storage.jsonlines`): the
 writer flushes line-by-line, so a crash can tear at most the final line of
 the active segment; :func:`read_query_log` skips exactly that torn tail
 and the writer, on re-open, truncates it. A bad line anywhere else, a
 torn line in a sealed segment, or a record naming a definition its
 segment lacks raises :class:`~repro.errors.LogLineError` naming the file
-and line. Rotation seals the active segment and opens the next numbered
-one; a monotonically increasing ``seq`` stamped on every record makes
-cross-segment ordering checkable.
+and line. A segment is sealed at :data:`SEGMENT_BYTES` and the next
+numbered one opened; a monotonically increasing ``seq`` stamped on every
+record makes cross-segment ordering checkable.
 
-The recorder is **always on** by default (``Database(query_log=True)``)
-and sampled (``QueryLog(directory, sample=...)``): the deterministic
-counter-based sampler keeps exactly ``floor(n * sample)`` of the first *n*
-finished queries, so two runs over the same workload log the same subset.
+The recorder is **always on** by default (``Database(query_log=True)``).
 Every workload of the e2e benchmark (``benchmarks/e2e``) runs with the
 recorder on, so its cost is inside every end-to-end number there.
 """
@@ -78,8 +78,8 @@ from .storage.jsonlines import read_json_lines, truncate_torn_tail
 
 logger = logging.getLogger(__name__)
 
-#: Default byte budget per segment file before rotation.
-DEFAULT_SEGMENT_BYTES = 8 * 1024 * 1024
+#: Byte budget per segment file before rotation.
+SEGMENT_BYTES = 8 * 1024 * 1024
 
 #: How long the writer thread lets a batch accumulate before draining.
 _BATCH_DELAY_S = 0.02
@@ -335,20 +335,24 @@ _WRITERS_LOCK = threading.Lock()
 
 
 class _SegmentWriter:
-    """The one appender of a log directory within a process: the ``seq``
-    counter, the active segment and its rotation.
+    """The one writer of a log directory within a process: the backlog,
+    the thread that drains it, the ``seq`` counter, the active segment and
+    its rotation.
 
     Every :class:`QueryLog` handle on the directory shares it, by
-    reference count, so two handles never repeat a ``seq`` and neither
-    appends to a segment the other has rotated past. Handles in different
-    processes are not supported: each process would have its own writer.
+    reference count, so :meth:`flush` drains every handle's records, two
+    handles never repeat a ``seq`` and neither appends to a segment the
+    other has rotated past. Handles in different processes are not
+    supported: each process would have its own writer.
     """
 
     def __init__(self, directory: Path, key: Path):
         self.directory = directory
         self._key = key
         self._refs = 0
-        self._lock = threading.Lock()
+        self.seen = 0         # records handed to the writer
+        self.dropped = 0      # records lost to write errors
+        self._seen_lock = threading.Lock()
         self._fh = None
         self.size = 0  # bytes in the active segment
         # The ids of the definitions written in the active scope (this
@@ -356,6 +360,21 @@ class _SegmentWriter:
         # its header line.
         self._defs: set | None = None
         self._open_active()
+        # Records are serialized and written by one thread per directory,
+        # so a query pays one result hash and one enqueue of its varying
+        # fields with its cached definition — what keeps the always-on
+        # recorder under the 5% warm-overhead bar. FIFO hand-off preserves
+        # ``seq`` ordering.
+        self._queue: queue.Queue = queue.Queue()
+        self._drain_now = threading.Event()
+        self._thread = threading.Thread(
+            target=self._loop, name="qlog-writer", daemon=True
+        )
+        self._thread.start()
+        # The thread is a daemon, so a process that exits without
+        # Database.close() (one-shot CLI commands, scripts) would drop its
+        # last batch; drain at interpreter shutdown instead.
+        atexit.register(self._sync)
 
     @classmethod
     def acquire(cls, directory: Path) -> "_SegmentWriter":
@@ -369,17 +388,22 @@ class _SegmentWriter:
             return writer
 
     def release(self) -> None:
-        """Drop one handle's reference; the last one seals the segment."""
+        """Drop one handle's reference. The last one drains the backlog,
+        stops the thread and seals the active segment before the directory
+        can be acquired again, so a new writer never recovers a segment
+        this one is still appending to."""
         with _WRITERS_LOCK:
             self._refs -= 1
             if self._refs:
                 return
             del _WRITERS[self._key]
-        with self._lock:
+            atexit.unregister(self._sync)
+            self._queue.put(None)  # sentinel: the thread exits after it
+            self._drain_now.set()
+            self._thread.join()
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self._fh.close()
-            self._fh = None
 
     def _open_active(self) -> None:
         """Continue the newest segment, cutting a torn tail off first (its
@@ -419,40 +443,36 @@ class _SegmentWriter:
         )
         self._defs = None
 
-    def write(self, item: tuple, max_segment_bytes: int) -> None:
+    def _write(self, definition, record: dict, counters) -> None:
         """Append one record, stamped with the next ``seq``, rotating
         first when it would push the active segment past
-        *max_segment_bytes*."""
-        definition, record, counters = item
-        with self._lock:
-            record = {"seq": self._next_seq, **record}
-            if counters is not None:
-                record["c"] = [
-                    round(v, 3) if isinstance(v, float) else v
-                    for v in counters
-                ]
-            text = self._lines(definition, record)
-            if self.size + len(text) > max_segment_bytes and self.size:
-                # Seal the full segment durably before rotating: once the
-                # next segment exists, readers treat this one as immutable
-                # history.
-                self._fh.flush()
-                os.fsync(self._fh.fileno())
-                self._fh.close()
-                self._index += 1
-                self.size = 0
-                self._open_segment()
-                text = self._lines(definition, record)
-            self._fh.write(text)
+        :data:`SEGMENT_BYTES`."""
+        record = {"seq": self._next_seq, **record}
+        if counters is not None:
+            record["c"] = [
+                round(v, 3) if isinstance(v, float) else v for v in counters
+            ]
+        text = self._lines(definition, record)
+        if self.size + len(text) > SEGMENT_BYTES and self.size:
+            # Seal the full segment durably before rotating: once the next
+            # segment exists, readers treat this one as immutable history.
             self._fh.flush()
-            # Only now are the scope's header and the definition on disk.
-            if self._defs is None:
-                self._defs = set()
-            if "q" in record:
-                self._defs.add(record["q"])
-            # json.dumps escapes to ASCII: chars = bytes
-            self.size += len(text)
-            self._next_seq += 1
+            os.fsync(self._fh.fileno())
+            self._fh.close()
+            self._index += 1
+            self.size = 0
+            self._open_segment()
+            text = self._lines(definition, record)
+        self._fh.write(text)
+        self._fh.flush()
+        # Only now are the scope's header and the definition on disk.
+        if self._defs is None:
+            self._defs = set()
+        if "q" in record:
+            self._defs.add(record["q"])
+        # json.dumps escapes to ASCII: chars = bytes
+        self.size += len(text)
+        self._next_seq += 1
 
     def _lines(self, definition, record: dict) -> str:
         """The lines that append *record* to the active scope: its header
@@ -465,94 +485,101 @@ class _SegmentWriter:
         lines.append(_encode(record))
         return "\n".join(lines) + "\n"
 
+    def put(self, item: tuple) -> None:
+        """Hand one record to the writer thread."""
+        with self._seen_lock:
+            self.seen += 1
+        self._queue.put(item)
+
+    def flush(self) -> None:
+        """Block until every record handed over so far is on disk."""
+        self._drain_now.set()
+        self._queue.join()
+        self._drain_now.clear()
+
+    def _sync(self) -> None:
+        """Drain the backlog and make the active segment durable."""
+        self.flush()
+        os.fsync(self._fh.fileno())
+
+    def _loop(self) -> None:
+        while True:
+            item = self._queue.get()
+            # Let a batch accumulate so the thread wakes — and contends
+            # with query threads for the GIL — once per interval, not once
+            # per record. flush() and release() skip the pause.
+            self._drain_now.wait(_BATCH_DELAY_S)
+            batch = [item]
+            while True:
+                try:
+                    batch.append(self._queue.get_nowait())
+                except queue.Empty:
+                    break
+            for item in batch:
+                if item is None:
+                    continue
+                try:
+                    self._write(*item)
+                except Exception:
+                    logger.exception("query-log write failed; record dropped")
+                    self.dropped += 1
+            for _ in batch:
+                self._queue.task_done()
+            if batch[-1] is None:
+                return
+
+    def metrics(self) -> dict:
+        return {
+            "seen": self.seen,
+            "dropped": self.dropped,
+            "pending": self._queue.qsize(),
+            "segments": len(list(self.directory.glob(_SEGMENT_GLOB))),
+            "active_segment_bytes": self.size,
+        }
+
 
 class QueryLog:
-    """Size-rotated, sampled JSONL query log (thread-safe append).
+    """A handle on a size-rotated JSONL query log (thread-safe append).
 
-    Handles on one directory within a process share one
-    :class:`_SegmentWriter` (one ``seq``, one active segment, one
-    rotation); sampling and result hashing stay per handle. Handles on one
-    directory in different processes are not supported.
+    Handles on one directory within a process share its one
+    :class:`_SegmentWriter`; a handle holds a reference to it and turns
+    finished queries into records. Handles on one directory in different
+    processes are not supported.
     """
 
-    def __init__(
-        self,
-        directory: str | Path,
-        sample: float = 1.0,
-        max_segment_bytes: int = DEFAULT_SEGMENT_BYTES,
-    ):
-        """Open (or continue) the log under *directory*.
-
-        Args:
-            directory: segment directory, created if missing. Re-opening an
-                existing log truncates a torn final line (the WAL recovery
-                contract) and appends to the newest segment.
-            sample: fraction of finished queries to record, in (0, 1].
-                Deterministic: of the first *n* observed queries, exactly
-                ``floor(n * sample)`` are written.
-            max_segment_bytes: rotation threshold; a record that would push
-                the active segment past it opens the next segment first.
+    def __init__(self, directory: str | Path):
+        """Open (or continue) the log under *directory*, created if
+        missing. Re-opening an existing log truncates a torn final line
+        (the WAL recovery contract) and appends to the newest segment.
 
         Every ``ok`` record (not a degraded one) carries its
         :func:`result_hash`, so the log is checkably replayable.
         """
-        if not (0.0 < sample <= 1.0):
-            raise ValueError(f"sample must be in (0, 1], got {sample}")
-        if max_segment_bytes < 1:
-            raise ValueError("max_segment_bytes must be positive")
         # Warm the query-serialization import now so the first observed
         # query doesn't pay the serving-package import inside the hot path.
         from .serving import protocol as _protocol  # noqa: F401
 
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
-        self.sample = sample
-        self.max_segment_bytes = max_segment_bytes
-        self._lock = threading.Lock()
-        self._seen = 0        # observe() calls, for the sampler
-        self._written = 0     # records accepted into the log (this open)
-        self._dropped = 0     # records lost to write errors (this open)
-        self._closed = False
-        self._segments = _SegmentWriter.acquire(self.directory)
-        # Records are serialized and written by a dedicated thread so the
-        # engine's per-query cost is one sample test, one result hash, and
-        # one enqueue of the record's varying fields with the query's
-        # cached definition — what keeps the always-on recorder under the
-        # 5% warm-overhead bar. FIFO hand-off preserves ``seq`` ordering;
-        # :meth:`flush` / :meth:`close` drain the queue.
-        self._queue: queue.Queue = queue.Queue()
-        self._drain_now = threading.Event()
-        self._writer = threading.Thread(
-            target=self._writer_loop, name="qlog-writer", daemon=True
+        self._writer: _SegmentWriter | None = _SegmentWriter.acquire(
+            self.directory
         )
-        self._writer.start()
-        # The writer is a daemon thread, so a process that exits without
-        # Database.close() (one-shot CLI commands, scripts) would drop its
-        # final batch; drain at interpreter shutdown instead.
-        atexit.register(self.close)
 
     # ------------------------------------------------------------- lifecycle
 
     def close(self) -> None:
-        """Drain the writer and release the active segment (idempotent)."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        self._queue.put(None)  # sentinel: writer exits after the backlog
-        self._drain_now.set()
-        self._writer.join()
-        self._segments.release()
-        atexit.unregister(self.close)
+        """Drain the directory's backlog and release the writer
+        (idempotent)."""
+        writer, self._writer = self._writer, None
+        if writer is not None:
+            writer.flush()
+            writer.release()
 
     def flush(self) -> None:
-        """Block until every record enqueued so far is on disk."""
-        self._drain_now.set()
-        try:
-            self._queue.join()
-        finally:
-            if not self._closed:
-                self._drain_now.clear()
+        """Block until every record handed to the directory's writer so
+        far, by any handle, is on disk."""
+        if self._writer is not None:
+            self._writer.flush()
 
     def __enter__(self) -> "QueryLog":
         return self
@@ -562,60 +589,20 @@ class QueryLog:
 
     # --------------------------------------------------------------- writing
 
-    def _sampled_in(self) -> bool:
-        """Deterministic counter-based sampler (exact at every prefix)."""
-        if self._closed:
-            return False
-        self._seen += 1
-        return int(self._seen * self.sample) > int(
-            (self._seen - 1) * self.sample
-        )
-
-    def _writer_loop(self) -> None:
-        while True:
-            record = self._queue.get()
-            if record is None:
-                self._queue.task_done()
-                return
-            # Let a batch accumulate so the writer wakes — and contends
-            # with query threads for the GIL — once per interval, not once
-            # per record. flush()/close() skip the pause via _drain_now.
-            self._drain_now.wait(_BATCH_DELAY_S)
-            batch = [record]
-            while True:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except queue.Empty:
-                    break
-            stop = False
-            for rec in batch:
-                if rec is None:
-                    stop = True
-                    continue
-                try:
-                    self._segments.write(rec, self.max_segment_bytes)
-                except Exception:
-                    logger.exception(
-                        "query-log write failed; record dropped"
-                    )
-                    self._dropped += 1
-            for _ in batch:
-                self._queue.task_done()
-            if stop:
-                return
-
     def _enqueue(self, query, record: dict, counters=None) -> None:
         """Hand *record* (its varying fields) to the writer with the
         query's cached definition; *query* is ``None`` for a request
-        turned away before it was bound."""
+        turned away before it was bound. A closed handle records nothing."""
+        writer = self._writer
+        if writer is None:
+            return
         definition = None
         if query is not None:
             try:
                 definition = _query_static(query)
             except TypeError:  # unhashable query object: compute uncached
                 definition = _query_static.__wrapped__(query)
-        self._written += 1
-        self._queue.put((definition, record, counters))
+        writer.put((definition, record, counters))
 
     @staticmethod
     def _base_record(origin: str, session, queue_wait_ms) -> dict:
@@ -631,44 +618,36 @@ class QueryLog:
         return record
 
     def observe(self, query, result, origin: str = "embedded",
-                session=None) -> bool:
-        """Record one finished query; returns whether it was sampled in.
+                session=None) -> None:
+        """Record one finished query.
 
         The record is a view of ``result.summary()`` plus the query's
         definition, every :class:`QueryStats` counter, the resolved
         projection, the observed selectivity and the result hash.
         """
-        with self._lock:
-            if not self._sampled_in():
-                return False
-            summary = result.summary()
-            record = self._base_record(
-                origin, session, summary["queue_wait_ms"]
-            )
-            record.update(
-                strategy=summary["strategy"],
-                rows=summary["rows"],
-                wall_ms=round(summary["wall_ms"], 3),
-                simulated_ms=round(summary["simulated_ms"], 3),
-            )
-            if "degraded" in summary:
-                record["outcome"] = "degraded"
-            if result.projection is not None:
-                record["projection"] = result.projection
-            if result.base_rows and not getattr(query, "aggregates", ()):
-                record["selectivity"] = round(
-                    summary["rows"] / result.base_rows, 6
-                )
-            for key in ("partitions", "skipped_partitions"):
-                if key in summary:
-                    record[key] = summary[key]
-            if "degraded" not in summary:
-                record["result_hash"] = result_hash(result.tuples)
-            stats = result.stats
-            self._enqueue(
-                query, record, [getattr(stats, n) for n in _COUNTER_FIELDS]
-            )
-            return True
+        summary = result.summary()
+        record = self._base_record(origin, session, summary["queue_wait_ms"])
+        record.update(
+            strategy=summary["strategy"],
+            rows=summary["rows"],
+            wall_ms=round(summary["wall_ms"], 3),
+            simulated_ms=round(summary["simulated_ms"], 3),
+        )
+        if "degraded" in summary:
+            record["outcome"] = "degraded"
+        if result.projection is not None:
+            record["projection"] = result.projection
+        if result.base_rows and not getattr(query, "aggregates", ()):
+            record["selectivity"] = round(summary["rows"] / result.base_rows, 6)
+        for key in ("partitions", "skipped_partitions"):
+            if key in summary:
+                record[key] = summary[key]
+        if "degraded" not in summary:
+            record["result_hash"] = result_hash(result.tuples)
+        stats = result.stats
+        self._enqueue(
+            query, record, [getattr(stats, n) for n in _COUNTER_FIELDS]
+        )
 
     def observe_error(
         self,
@@ -678,7 +657,7 @@ class QueryLog:
         queue_wait_ms=None,
         origin: str = "embedded",
         session=None,
-    ) -> bool:
+    ) -> None:
         """Record an aborted query (error / cancelled / timeout outcome)."""
         from .errors import QueryCancelledError, QueryTimeoutError
 
@@ -688,55 +667,37 @@ class QueryLog:
             outcome = "cancelled"
         else:
             outcome = "error"
-        return self._observe_failure(
+        self._observe_failure(
             query, outcome, type(exc).__name__, str(exc), wall_ms,
             queue_wait_ms, origin, session,
         )
 
     def observe_rejected(self, query, reason: str,
-                         origin: str = "served", session=None) -> bool:
+                         origin: str = "served", session=None) -> None:
         """Record a query the admission queue (or drain) turned away.
 
         *query* is ``None`` for a request turned away before it was bound;
         that record carries the outcome and provenance only, so the workload
         summary counts it without inventing a template for it.
         """
-        return self._observe_failure(
+        self._observe_failure(
             query, "rejected", "Rejected", reason, 0.0, 0.0, origin, session
         )
 
     def _observe_failure(self, query, outcome, error_type, message, wall_ms,
-                         queue_wait_ms, origin, session) -> bool:
-        with self._lock:
-            if not self._sampled_in():
-                return False
-            record = self._base_record(origin, session, queue_wait_ms)
-            record.update(
-                outcome=outcome,
-                error={"type": error_type, "message": message[:200]},
-                wall_ms=round(wall_ms, 3),
-            )
-            self._enqueue(query, record)
-            return True
-
-    # --------------------------------------------------------------- reading
-
-    def segments(self) -> list[Path]:
-        """Segment files, oldest first."""
-        return sorted(self.directory.glob(_SEGMENT_GLOB))
+                         queue_wait_ms, origin, session) -> None:
+        record = self._base_record(origin, session, queue_wait_ms)
+        record.update(
+            outcome=outcome,
+            error={"type": error_type, "message": message[:200]},
+            wall_ms=round(wall_ms, 3),
+        )
+        self._enqueue(query, record)
 
     def metrics(self) -> dict:
-        """Collector payload for :class:`~repro.metrics.MetricsRegistry`."""
-        with self._lock:
-            return {
-                "seen": self._seen,
-                "written": self._written,
-                "dropped": self._dropped,
-                "pending": self._queue.qsize(),
-                "sample": self.sample,
-                "segments": len(self.segments()),
-                "active_segment_bytes": self._segments.size,
-            }
+        """Collector payload for :class:`~repro.metrics.MetricsRegistry`:
+        the directory writer's counts."""
+        return self._writer.metrics()
 
 
 def read_query_log(path: str | Path) -> list[dict]:
@@ -753,7 +714,7 @@ def read_query_log(path: str | Path) -> list[dict]:
     path = Path(path)
     if path.is_dir():
         segments = sorted(path.glob(_SEGMENT_GLOB))
-        if not segments and not list(path.glob("*.jsonl")):
+        if not segments:
             raise CatalogError(f"{path}: no query-log segments found")
     elif path.is_file():
         segments = [path]

@@ -49,7 +49,7 @@ from ..errors import (
     QueryTimeoutError,
     ReproError,
 )
-from ..serving.admission import AdmissionQueue, PRIORITIES
+from ..serving.admission import AdmissionQueue
 from ..serving.protocol import error_response, json_default, query_from_dict
 from ..serving.session import Session
 
@@ -129,7 +129,6 @@ class QueryServer:
     async def start(self) -> None:
         """Bind the listener and start the worker pool."""
         self._loop = asyncio.get_running_loop()
-        self.metrics.register_collector("admission_queue", self.admission.metrics)
         for i in range(self.workers):
             thread = threading.Thread(
                 target=self._worker_loop,
@@ -179,9 +178,6 @@ class QueryServer:
         self._threads.clear()
         for writer in list(self._writers):
             writer.close()
-        self.metrics.unregister_collector(
-            "admission_queue", self.admission.metrics
-        )
 
     def _active_count(self) -> int:
         with self._active_lock:
@@ -296,11 +292,10 @@ class QueryServer:
         except Exception as exc:
             session.record(op, ok=False, detail=str(exc))
             return error_response(exc)
-        knobs = session.effective(request)
-        if knobs["priority"] not in PRIORITIES:
-            return error_response(
-                ValueError(f"unknown priority {knobs['priority']!r}")
-            )
+        try:
+            knobs = session.effective(request)
+        except ValueError as exc:
+            return error_response(exc)
         analyze = bool(request.get("analyze", True))
         if op == "explain" and not analyze:
             # Pure model predictions: no execution, no admission needed.
@@ -418,7 +413,7 @@ class QueryServer:
                 result = self.db.query(
                     work.query,
                     strategy=knobs["strategy"],
-                    trace=bool(knobs["trace"]),
+                    trace=knobs["trace"],
                     cancel=work.token,
                     queue_wait_ms=wait_ms,
                     origin="served",

@@ -28,6 +28,26 @@ DEFAULT_KNOBS: dict = {
 HISTORY_CAPACITY = 64
 
 
+def _checked(key: str, value):
+    """*value* as knob *key* holds it; raises ``ValueError`` when the knob
+    is unknown or the value out of its domain."""
+    if key not in DEFAULT_KNOBS:
+        raise ValueError(
+            f"unknown session knob {key!r} (known: {sorted(DEFAULT_KNOBS)})"
+        )
+    if key == "priority" and value not in PRIORITIES:
+        raise ValueError(
+            f"unknown priority {value!r} (use one of {PRIORITIES})"
+        )
+    if key == "timeout_ms" and value is not None:
+        value = float(value)
+        if value < 0:
+            raise ValueError("timeout_ms must be >= 0")
+    if key in ("trace", "decoded"):
+        value = bool(value)
+    return value
+
+
 class Session:
     """One client connection's serving state."""
 
@@ -49,30 +69,16 @@ class Session:
     def set_knobs(self, updates: dict) -> dict:
         """Validate and apply knob *updates*; returns the effective knobs."""
         for key, value in updates.items():
-            if key not in DEFAULT_KNOBS:
-                raise ValueError(
-                    f"unknown session knob {key!r} "
-                    f"(known: {sorted(DEFAULT_KNOBS)})"
-                )
-            if key == "priority" and value not in PRIORITIES:
-                raise ValueError(
-                    f"unknown priority {value!r} (use one of {PRIORITIES})"
-                )
-            if key == "timeout_ms" and value is not None:
-                value = float(value)
-                if value < 0:
-                    raise ValueError("timeout_ms must be >= 0")
-            if key in ("trace", "decoded"):
-                value = bool(value)
-            self.knobs[key] = value
+            self.knobs[key] = _checked(key, value)
         return dict(self.knobs)
 
     def effective(self, request: dict) -> dict:
-        """Session knobs with any per-request overrides applied."""
+        """Session knobs with any per-request overrides applied, each
+        checked and coerced as :meth:`set_knobs` would."""
         knobs = dict(self.knobs)
         for key in DEFAULT_KNOBS:
             if key in request:
-                knobs[key] = request[key]
+                knobs[key] = _checked(key, request[key])
         return knobs
 
     # --------------------------------------------------------------- history

@@ -46,13 +46,9 @@ def _populated_registry() -> MetricsRegistry:
         )
     reg.counter("serving.rejected_total").inc(3)
     reg.register_collector(
-        "admission_queue",
-        lambda: {
-            "depth": 2,
-            "max_depth": 64,
-            "per_class": {"interactive": 1, "normal": 1, "batch": 0},
-            "closed": False,
-        },
+        "query_log",
+        lambda: {"seen": 4, "dropped": 0, "pending": 1, "segments": 1,
+                 "active_segment_bytes": 2048},
     )
     reg.register_collector(
         "buffer_pool",
@@ -212,11 +208,8 @@ class TestConformance:
     def test_collectors_flattened_to_gauges(self):
         text = _render()
         assert "repro_buffer_pool_hits 5" in text
-        assert (
-            'repro_admission_queue_depth_by_priority{priority="normal"} 1'
-            in text
-        )
-        assert "repro_admission_queue_closed 0" in text
+        assert "repro_query_log_seen 4" in text
+        assert "repro_query_log_active_segment_bytes 2048" in text
 
     def test_ends_with_single_newline(self):
         text = _render()

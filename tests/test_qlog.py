@@ -16,8 +16,12 @@ replays and takes appends.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -27,6 +31,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import (
     AggSpec,
     CatalogError,
@@ -45,7 +50,12 @@ from repro.cli import main
 from repro.dtypes import INT32, INT64, ColumnSchema
 from repro.errors import QueryCancelledError, QueryTimeoutError
 from repro.metrics import QueryStats
-from repro.qlog import _COUNTER_FIELDS, _touched_columns, result_hash
+from repro.qlog import (
+    _COUNTER_FIELDS,
+    _touched_columns,
+    own_records,
+    result_hash,
+)
 from repro.serving.protocol import query_to_dict
 from repro.testing import make_random_projection
 from repro.workload import summarize_log
@@ -196,20 +206,11 @@ class TestRecorderCapture:
         recorded.close()
         unrecorded.close()
 
-    def test_sampling_is_deterministic_and_exact(self, tmp_path):
-        log = QueryLog(tmp_path / "qlog", sample=0.25)
-        db = _db(tmp_path, query_log=log)
-        for _ in range(40):
-            db.query(_select())
-        db.close()
-        records = read_query_log(tmp_path / "qlog")
-        assert len(records) == 10  # exactly floor(40 * 0.25)
-
     def test_collector_reports_recorder_state(self, tmp_path):
         db = _db(tmp_path)
         db.query(_select())
         snap = db.metrics.snapshot()
-        assert snap["query_log"]["written"] == 1
+        assert snap["query_log"]["seen"] == 1
         assert snap["query_log"]["segments"] == 1
         db.close()
 
@@ -231,18 +232,12 @@ class TestRecorderCapture:
             query_template(_select())
         ]
 
-    def test_invalid_sample_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            QueryLog(tmp_path / "qlog", sample=0.0)
-        with pytest.raises(ValueError):
-            QueryLog(tmp_path / "qlog", sample=1.5)
-
 
 class TestRotation:
+    @mock.patch("repro.qlog.SEGMENT_BYTES", 2048)
     def test_rotation_preserves_ordering_across_segments(self, tmp_path):
         # Tiny segments force rotation every few records.
-        log = QueryLog(tmp_path / "qlog", max_segment_bytes=2048)
-        db = _db(tmp_path, query_log=log)
+        db = _db(tmp_path, query_log=QueryLog(tmp_path / "qlog"))
         for i in range(30):
             db.query(_select(value=i))
         db.close()
@@ -332,11 +327,11 @@ class TestCrashRecovery:
         with pytest.raises(CatalogError):
             QueryLog(qlog_dir)
 
+    @mock.patch("repro.qlog.SEGMENT_BYTES", 2048)
     def test_torn_line_in_sealed_segment_raises(self, tmp_path):
         # Only the FINAL segment may carry a torn tail; damage in an
         # earlier (sealed) segment is real corruption.
-        log = QueryLog(tmp_path / "qlog", max_segment_bytes=2048)
-        db = _db(tmp_path, query_log=log)
+        db = _db(tmp_path, query_log=QueryLog(tmp_path / "qlog"))
         for i in range(30):
             db.query(_select(value=i))
         db.close()
@@ -351,6 +346,11 @@ class TestCrashRecovery:
     def test_missing_log_raises(self, tmp_path):
         with pytest.raises(CatalogError):
             read_query_log(tmp_path / "nope")
+        # A directory without segments is no log, whatever else it holds.
+        (tmp_path / "other").mkdir()
+        (tmp_path / "other" / "other.jsonl").write_text("{}\n")
+        with pytest.raises(CatalogError, match="no query-log segments"):
+            read_query_log(tmp_path / "other")
 
     def test_single_segment_file_readable(self, tmp_path):
         qlog_dir = self._capture(tmp_path, n=2)
@@ -459,20 +459,20 @@ _EVENT = st.tuples(
 )
 
 
-def _run_session(directory, events, sample, max_bytes, clock, expected):
+def _run_session(directory, events, clock, expected):
     """Log *events* through one :class:`QueryLog` session, appending the
-    version-1 dict of each sampled-in record to *expected*."""
-    log = QueryLog(directory, sample=sample, max_segment_bytes=max_bytes)
+    version-1 dict of each record to *expected*."""
+    log = QueryLog(directory)
     for outcome, qi, (origin, session), n, wait in events:
         query = None if outcome == "unbound" else _QUERIES[qi]
         ts = clock.tick()
         if outcome in ("ok", "degraded"):
             result = _Result(n, n * 3, outcome == "degraded", n % 2, wait)
-            kept = log.observe(query, result, origin=origin, session=session)
+            log.observe(query, result, origin=origin, session=session)
             fields = _v1_fields(query, result)
         elif outcome in ("rejected", "unbound"):
-            kept = log.observe_rejected(query, "queue full", origin=origin,
-                                        session=session)
+            log.observe_rejected(query, "queue full", origin=origin,
+                                 session=session)
             fields = dict(outcome="rejected",
                           error={"type": "Rejected", "message": "queue full"},
                           wall_ms=0.0, queue_wait_ms=0.0)
@@ -480,17 +480,16 @@ def _run_session(directory, events, sample, max_bytes, clock, expected):
             exc = {"timeout": QueryTimeoutError("slow"),
                    "cancelled": QueryCancelledError("stop"),
                    "error": ValueError("x" * 300)}[outcome]
-            kept = log.observe_error(query, exc, wall_ms=n / 7,
-                                     queue_wait_ms=wait, origin=origin,
-                                     session=session)
+            log.observe_error(query, exc, wall_ms=n / 7,
+                              queue_wait_ms=wait, origin=origin,
+                              session=session)
             fields = dict(outcome=outcome,
                           error={"type": type(exc).__name__,
                                  "message": str(exc)[:200]},
                           wall_ms=round(n / 7, 3),
                           queue_wait_ms=round(wait, 3))
-        if kept:
-            expected.append(_v1_line(len(expected), ts, query, origin,
-                                     session, fields))
+        expected.append(_v1_line(len(expected), ts, query, origin, session,
+                                 fields))
     log.close()
 
 
@@ -508,12 +507,11 @@ class _Clock:
         return self.now
 
 
-def _write_stream(directory, sessions, sample, max_bytes) -> list[dict]:
+def _write_stream(directory, sessions) -> list[dict]:
     clock, expected = _Clock(), []
     with mock.patch("repro.qlog.time", clock):
         for events in sessions:
-            _run_session(directory, events, sample, max_bytes, clock,
-                         expected)
+            _run_session(directory, events, clock, expected)
     return expected
 
 
@@ -527,13 +525,13 @@ def _assert_reads_as(directory, expected):
           suppress_health_check=[HealthCheck.too_slow])
 @given(
     sessions=st.lists(st.lists(_EVENT, max_size=8), min_size=1, max_size=3),
-    sample=st.sampled_from([1.0, 1.0, 0.5]),
     max_bytes=st.sampled_from([700, 2500, 1 << 20]),
 )
-def test_every_v2_stream_reads_back_as_v1(sessions, sample, max_bytes):
-    with tempfile.TemporaryDirectory() as tmp:
+def test_every_v2_stream_reads_back_as_v1(sessions, max_bytes):
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch("repro.qlog.SEGMENT_BYTES", max_bytes):
         directory = Path(tmp) / "qlog"
-        expected = _write_stream(directory, sessions, sample, max_bytes)
+        expected = _write_stream(directory, sessions)
         if not expected:
             return
         _assert_reads_as(directory, expected)
@@ -563,7 +561,7 @@ def test_every_v2_stream_reads_back_as_v1(sessions, sample, max_bytes):
                 with mock.patch("repro.qlog.time", _Clock()) as clock:
                     clock.now = 1_800_000_000.0
                     _run_session(torn, [("ok", 0, ("embedded", None), 5,
-                                         0.0)], 1.0, max_bytes, clock, more)
+                                         0.0)], clock, more)
                 _assert_reads_as(torn, more)
                 shutil.rmtree(torn)
             cut += len(line)
@@ -621,13 +619,13 @@ class TestFormat:
         records = read_query_log(tmp_path / "qlog")
         assert [r["seq"] for r in records] == [0, 1, 2]
 
+    @mock.patch("repro.qlog.SEGMENT_BYTES", 600)
     def test_handles_sharing_a_directory_never_append_behind_rotation(
         self, tmp_path
     ):
         # Read oldest segment first, the records' seq counts up without a
         # gap only if no line went to a segment after a newer one existed.
-        a = QueryLog(tmp_path / "qlog", max_segment_bytes=600)
-        b = QueryLog(tmp_path / "qlog", max_segment_bytes=600)
+        a, b = QueryLog(tmp_path / "qlog"), QueryLog(tmp_path / "qlog")
         for i in range(24):
             log = (a, b)[i % 3 == 0]
             log.observe_rejected(_select(value=i), "full")
@@ -662,6 +660,94 @@ class TestFormat:
         assert "line 4" in str(excinfo.value)
         with pytest.raises(CatalogError):
             QueryLog(tmp_path / "qlog")
+
+
+class TestOneWriterPerDirectory:
+    """Every handle on a directory shares its one writer: one thread, one
+    backlog, drained by any handle's flush and by interpreter exit."""
+
+    def test_flush_drains_every_handles_records(self, tmp_path):
+        a = _db(tmp_path)
+        b = Database(tmp_path / "db", metrics=MetricsRegistry())
+        b.query(_select())
+        a.qlog.flush()
+        assert len(read_query_log(a.qlog.directory)) == 1
+        b.query(_select(value=7))
+        assert len(own_records(a, "test")) == 2
+        a.close()
+        b.close()
+
+    def test_close_leaves_its_records_on_disk(self, tmp_path):
+        a = _db(tmp_path)
+        b = Database(tmp_path / "db", metrics=MetricsRegistry())
+        a.query(_select())
+        a.close()
+        assert len(read_query_log(tmp_path / "db" / "_qlog")) == 1
+        b.close()
+
+    def test_handles_run_one_writer_thread(self, tmp_path):
+        def writers() -> set:
+            return {t for t in threading.enumerate()
+                    if t.name == "qlog-writer"}
+
+        before = writers()
+        logs = [QueryLog(tmp_path / "qlog") for _ in range(3)]
+        ours = writers() - before
+        assert len(ours) == 1
+        for log in logs:
+            log.observe_rejected(_select(), "full")
+            log.close()
+        assert not ours & writers()
+        assert len(read_query_log(tmp_path / "qlog")) == 3
+
+    def test_concurrent_handles_lose_no_record(self, tmp_path):
+        # Four threads (more than cores) on two handles, switching often:
+        # ``seen`` counts the directory's records, and a lost or repeated
+        # record would show as a gap in ``seq``.
+        logs = [QueryLog(tmp_path / "qlog") for _ in range(2)]
+        n = 150
+
+        def work(log):
+            for i in range(n):
+                log.observe_rejected(_select(value=i), "full")
+
+        threads = [threading.Thread(target=work, args=(log,))
+                   for log in logs * 2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        logs[0].flush()
+        assert logs[1].metrics()["seen"] == 4 * n
+        assert logs[1].metrics()["pending"] == 0
+        for log in logs:
+            log.close()
+        records = read_query_log(tmp_path / "qlog")
+        assert [r["seq"] for r in records] == list(range(4 * n))
+
+    def test_unclosed_database_leaves_its_record_at_exit(self, tmp_path):
+        _db(tmp_path).close()
+        script = (
+            "import sys\n"
+            "from repro import Database, Predicate, SelectQuery\n"
+            "db = Database(sys.argv[1])\n"
+            "db.query(SelectQuery('t', ('k',), "
+            "predicates=(Predicate('k', '<', 50),)))\n"
+        )
+        src = str(Path(repro.__file__).parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))
+        )}
+        subprocess.run([sys.executable, "-c", script, str(tmp_path / "db")],
+                       env=env, check=True, timeout=120)
+        records = read_query_log(tmp_path / "db" / "_qlog")
+        assert [r["outcome"] for r in records] == ["ok"]
 
 
 # --------------------------------------------------------------------------

@@ -373,6 +373,48 @@ class TestAdmissionControl:
         assert all(r["ok"] for r in out)
         assert not bad["ok"]
 
+    @pytest.mark.parametrize("knobs", [
+        {"timeout_ms": "10000"}, {"timeout_ms": -5}, {"priority": "urgent"},
+    ])
+    def test_request_knobs_are_checked_as_set_checks_them(self, served,
+                                                         knobs):
+        # A per-request override answers as the ``set`` op would, and one
+        # ``set`` refuses is refused before admission.
+        _db, server = served
+        admission = server.server.admission
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            before = admission.admitted
+            reply = await client.sql(SQL, **knobs)
+            admitted = admission.admitted - before
+            setter = await client.set_knobs(**knobs)
+            await client.close()
+            return reply, admitted, setter
+
+        reply, admitted, setter = run(go())
+        assert reply["ok"] == setter["ok"], reply
+        if setter["ok"]:
+            assert admitted == 1
+        else:
+            assert reply["error"] == setter["error"]
+            assert admitted == 0
+
+    def test_one_scrape_carries_the_admission_queue_once(self, served):
+        _db, server = served
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            await client.sql(SQL)
+            scrape = await client.metrics()
+            await client.close()
+            return scrape["text"]
+
+        text = run(go())
+        assert "repro_serving_admitted_total" in text
+        assert 'repro_serving_queue_depth{priority="batch"}' in text
+        assert "repro_admission_queue" not in text
+
     def test_timeout_produces_timeout_response(self, served):
         _db, server = served
 
@@ -436,8 +478,7 @@ class TestAdmissionControl:
 
             stats = run(go())
             snapshot = registry.snapshot()
-            # While the server lives, its admission queue is a collector.
-            assert snapshot["admission_queue"]["admitted"] >= 3
+        assert stats["stats"]["admission"]["admitted"] >= 3
         assert stats["stats"]["admission"]["taken"] >= 3
         assert snapshot["counters"]["serving.queries_total"] == 3
         assert snapshot["histograms"]["serving.queue_wait_ms"]["count"] == 3
