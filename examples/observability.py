@@ -12,7 +12,8 @@ Shows the lenses the engine offers on a single query:
 3. ``trace=True`` — what actually happened, operator by operator (a walk
    of the span tree), with observed cardinalities, next to the executed
    query's counter-level statistics;
-4. ``explain --analyze`` — the span tree: per-operator wall-clock and
+4. EXPLAIN ANALYZE (``explain --analyze``, in code the query run with
+   ``trace=True``) — the span tree: per-operator wall-clock and
    model-replay attribution (exclusive times sum exactly to the query's
    ``simulated_ms``), plus I/O and decode-cache counters;
 5. the process-wide metrics registry — counters, latency histograms and the
@@ -24,6 +25,7 @@ from __future__ import annotations
 import tempfile
 
 from repro import REGISTRY, Database, Predicate, SelectQuery, load_tpch
+from repro.planner.describe import render_span_tree
 
 
 def main() -> None:
@@ -78,15 +80,16 @@ def main() -> None:
     )
 
     print("\n4) explain analyze — the span tree, with per-operator timing")
-    report = db.explain(query, analyze=True, strategy=plan["chosen"])
-    for line in report["text"].splitlines():
+    analyzed = db.query(query, strategy=plan["chosen"], trace=True)
+    text = render_span_tree(analyzed.spans, db.constants)
+    for line in text.splitlines():
         print("   " + line)
     self_total = sum(
-        s.self_simulated_ms(db.constants) for s in report["root"].walk()
+        s.self_simulated_ms(db.constants) for s in analyzed.spans.walk()
     )
     print(
         f"   -> per-span self times sum to {self_total:.3f} ms "
-        f"== query simulated_ms {report['simulated_ms']:.3f} ms"
+        f"== query simulated_ms {analyzed.simulated_ms:.3f} ms"
     )
 
     print("\n5) metrics registry — accumulated across everything above")

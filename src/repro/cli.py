@@ -347,28 +347,32 @@ def cmd_query(args) -> int:
             print(" | ".join(str(v) for v in row))
         if result.n_rows > args.limit:
             print(f"... ({result.n_rows - args.limit} more rows)")
-        summary = result.summary()
-        print(_summary_line(summary, 1))
-        if "degraded" in summary:
-            print(
-                "-- DEGRADED: skipped quarantined partitions "
-                + ", ".join(summary["skipped_partitions"]),
-                file=sys.stderr,
-            )
+        print(_summary_line(result.summary(), 1))
         return 0
 
 
 def _summary_line(summary: dict, digits: int) -> str:
-    """The ``-- N rows, strategy=…`` line of a :meth:`QueryResult.summary`."""
-    return (
+    """The ``-- N rows, strategy=…`` line of a :meth:`QueryResult.summary`,
+    with the partition counts when it scanned a range-partitioned
+    projection."""
+    line = (
         f"-- {summary['rows']} rows, strategy={summary['strategy']}, "
         f"wall={summary['wall_ms']:.{digits}f} ms, "
         f"model-replay={summary['simulated_ms']:.{digits}f} ms"
     )
+    parts = summary.get("partitions")
+    if parts:
+        line += (
+            f", partitions={parts['scanned']}/{parts['total']} "
+            f"scanned ({parts['pruned']} pruned)"
+        )
+    return line
 
 
 def cmd_explain(args) -> int:
-    """`repro explain`: model predictions, or measured spans with --analyze."""
+    """`repro explain`: model predictions, or measured spans with --analyze
+    (the query run traced)."""
+    from .planner.describe import render_span_tree
     from .sql import bind, parse
 
     with Database(args.db) as db:
@@ -378,30 +382,14 @@ def cmd_explain(args) -> int:
             encodings=_parse_encodings(args.encoding) or None,
         )
         if args.analyze:
-            report = db.explain(query, analyze=True, strategy=args.strategy)
+            result = db.query(query, strategy=args.strategy, trace=True)
             if args.json:
-                print(json.dumps(report["json"], indent=2))
+                print(json.dumps(
+                    result.spans.to_dict(db.constants), indent=2
+                ))
             else:
-                print(report["text"])
-                summary = _summary_line(report, 2)
-                if report["queue_wait_ms"]:
-                    summary += (
-                        f", queue-wait={report['queue_wait_ms']:.2f} ms "
-                        f"(end-to-end {report['total_ms']:.2f} ms)"
-                    )
-                parts = report.get("partitions")
-                if parts:
-                    summary += (
-                        f", partitions={parts['scanned']}/{parts['total']} "
-                        f"scanned ({parts['pruned']} pruned)"
-                    )
-                if "degraded" in report:
-                    summary += (
-                        ", DEGRADED (skipped "
-                        + ", ".join(report["skipped_partitions"])
-                        + ")"
-                    )
-                print(summary)
+                print(render_span_tree(result.spans, db.constants))
+                print(_summary_line(result.summary(), 2))
             return 0
         plan = db.explain(query)
         parts = plan.get("partitions")

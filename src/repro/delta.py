@@ -54,10 +54,9 @@ the records a committed merge already folded in (the catalog's
 WAL unlink harmless. A WAL whose table has no projection left has nothing
 to be typed against and stays on disk, unreplayed.
 
-Durability: with ``durability="fsync"`` (the default) every append is
-fsynced — one fsync per accepted write call, charged to the simulated disk
-clock; ``"flush"`` restores the old buffered behaviour for callers that
-prefer speed over crash-durability of the last few writes.
+Durability: every append is fsynced — one fsync per accepted write call,
+charged to the simulated disk clock — so an acknowledged write survives
+power loss.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ if TYPE_CHECKING:  # the planner imports this module
     from .planner.logical import SelectQuery
 
 #: Accepted values of the ``Database(durability=...)`` knob.
-DURABILITY_MODES = ("fsync", "flush")
+DURABILITY_MODES = ("fsync",)
 
 
 def _is_plain_row(record) -> bool:
@@ -310,12 +309,7 @@ class DeltaStore:
     """
 
     def __init__(self, wal_directory=None, catalog=None, disk=None,
-                 durability: str = "fsync", crash=None):
-        if durability not in DURABILITY_MODES:
-            raise ValueError(
-                f"durability must be one of {DURABILITY_MODES}, "
-                f"got {durability!r}"
-            )
+                 crash=None):
         #: Pending inserted rows per table.
         self._pending: dict[str, _ColumnBuffer] = {}
         #: Multiset of stored rows deleted ahead of the next merge, as full
@@ -326,7 +320,6 @@ class DeltaStore:
         self._records: dict[str, int] = {}
         self._catalog = catalog
         self._disk = disk
-        self._durability = durability
         self._crash = crash
         self._wal_dir = Path(wal_directory) if wal_directory else None
         if self._wal_dir is not None:
@@ -447,7 +440,7 @@ class DeltaStore:
     # ---------------------------------------------------------------- write
 
     def _append(self, table: str, record: dict) -> None:
-        """Log one write call as one WAL line (fsynced per durability)."""
+        """Log one write call as one fsynced WAL line."""
         path = self._wal_path(table)
         if path is not None:
             payload = json.dumps(record, separators=(",", ":")) + "\n"
@@ -466,12 +459,11 @@ class DeltaStore:
                     raise self._crash.crash("wal.torn", str(path))
                 f.write(payload)
                 f.flush()
-                if self._durability == "fsync":
-                    if self._crash is not None:
-                        self._crash.hook("wal.fsync", path)
-                    os.fsync(f.fileno())
-                    if self._disk is not None:
-                        self._disk.charge_fsync()
+                if self._crash is not None:
+                    self._crash.hook("wal.fsync", path)
+                os.fsync(f.fileno())
+                if self._disk is not None:
+                    self._disk.charge_fsync()
         self._records[table] = self._records.get(table, 0) + 1
 
     def insert(self, table: str, rows: list[dict], schemas: dict) -> int:

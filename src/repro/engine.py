@@ -35,6 +35,7 @@ from .buffer.decoded import DEFAULT_DECODED_CAPACITY_BYTES
 from .cancel import CancelToken
 
 from .delta import (
+    DURABILITY_MODES,
     DeltaStore,
     PendingWrites,
     delta_select,
@@ -122,9 +123,9 @@ class QueryResult:
         ``partitions`` ``{total, scanned, pruned}`` when the query scanned
         a range-partitioned projection; ``degraded`` and
         ``skipped_partitions`` when it completed over a strict subset of
-        its partitions. The metrics registry, the query log, the
-        ``explain(analyze=True)`` report, the server reply and the CLI
-        summary lines are all views of this dict.
+        its partitions. The metrics registry, the query log, EXPLAIN
+        ANALYZE, the server reply and the CLI summary lines are all views
+        of this dict.
         """
         queue_wait_ms = self.queue_wait_ms
         out = {
@@ -291,12 +292,10 @@ class Database:
                 runs inside every workload of the e2e benchmark
                 (``benchmarks/e2e``), so its cost is part of every
                 end-to-end number there.
-            durability: ``"fsync"`` (default) fsyncs every WAL append (one
-                fsync per accepted batch, charged to the simulated disk
-                clock) and every staged-commit boundary, so acknowledged
-                writes survive power loss; ``"flush"`` restores the
-                buffered pre-durability behaviour — the OS may lose the
-                last few acknowledged writes on a crash. See
+            durability: ``"fsync"``, the only mode: every WAL append
+                (one fsync per accepted batch, charged to the simulated
+                disk clock) and every staged-commit boundary is fsynced,
+                so acknowledged writes survive power loss. See
                 ``docs/durability.md``.
             crash_injector: optional :class:`~repro.faults.CrashInjector`
                 consulted at every write-path boundary (WAL append/fsync/
@@ -308,9 +307,10 @@ class Database:
             raise ValueError(
                 f"on_error must be 'fail' or 'degrade', got {on_error!r}"
             )
-        if durability not in ("fsync", "flush"):
+        if durability not in DURABILITY_MODES:
             raise ValueError(
-                f"durability must be 'fsync' or 'flush', got {durability!r}"
+                f"durability must be one of {DURABILITY_MODES}, "
+                f"got {durability!r}"
             )
         self.durability = durability
         self.crash_injector = crash_injector
@@ -370,7 +370,6 @@ class Database:
             wal_directory=self.catalog.root / "_wal",
             catalog=self.catalog,
             disk=self.disk,
-            durability=durability,
             crash=crash_injector,
         )
 
@@ -938,51 +937,16 @@ class Database:
         return describe_plan(projection, query, resolved, pending)
 
     def explain(
-        self,
-        query: SelectQuery | JoinQuery,
-        resident: float = 0.0,
-        analyze: bool = False,
-        strategy: Strategy | str | None = "auto",
-        timeout_ms: float | None = None,
-        cancel: CancelToken | None = None,
-        queue_wait_ms: float | None = None,
+        self, query: SelectQuery | JoinQuery, resident: float = 0.0
     ) -> dict:
         """Per-strategy model predictions for *query* (the optimizer's view).
 
         Selection queries compare the four materialization strategies; join
         queries compare the three inner-table strategies (via the join model
-        extension).
-
-        With ``analyze=True`` the query is *executed* (with tracing on, under
-        the given *strategy*) and the result is an EXPLAIN ANALYZE report
-        instead: :meth:`QueryResult.summary` plus ``"root"`` (the Span
-        tree), ``"text"`` (rendered tree), ``"json"`` (export dict) and, when
-        kernels fired, ``"compressed"``. ``queue_wait_ms`` is the
-        admission-queue wait passed through to :meth:`query` (0.0 outside a
-        serving context) and ``total_ms`` is wait + execute, so serving
-        latency decomposes in the report itself.
+        extension). Nothing executes: EXPLAIN ANALYZE is
+        ``query(..., trace=True)``, read through :meth:`QueryResult.summary`
+        and the span tree on ``QueryResult.spans``.
         """
-        if analyze:
-            result = self.query(
-                query,
-                strategy=strategy,
-                trace=True,
-                timeout_ms=timeout_ms,
-                cancel=cancel,
-                queue_wait_ms=queue_wait_ms,
-            )
-            report = result.summary()
-            report.update(
-                root=result.spans,
-                text=render_span_tree(result.spans, self.constants),
-                json=result.spans.to_dict(self.constants),
-            )
-            if result.stats.compressed_scans or result.stats.morphs:
-                report["compressed"] = {
-                    "kernel_scans": result.stats.compressed_scans,
-                    "morphs": result.stats.morphs,
-                }
-            return report
         projection = self.sources(query)
         best, predictions = choose_strategy(
             projection, query, constants=self.constants, resident=resident,

@@ -59,9 +59,9 @@ class ExecutionContext:
     #: to this scheduler instead of running them serially.
     scheduler: "ScanScheduler | None" = None
     #: When not None, operators record structured spans here — the
-    #: observability hook behind ``Database.query(..., trace=True)`` and
-    #: ``Database.explain(..., analyze=True)``. None keeps the hot path
-    #: untouched (``begin`` returns None without allocating).
+    #: observability hook behind ``Database.query(..., trace=True)``
+    #: (EXPLAIN ANALYZE). None keeps the hot path untouched (``begin``
+    #: returns None without allocating).
     tracer: SpanTracer | None = None
     #: Storage-failure policy: ``"fail"`` (default) aborts the query on the
     #: first unrecovered error, bit-for-bit the pre-fault-layer contract;

@@ -15,7 +15,8 @@ Architecture — a front-end/worker split (the BRAD pattern scaled down):
   the client as ``{"ok": false, "rejected": true}`` instead of unbounded
   buffering.
 * A fixed pool of **worker threads** takes from the queue and runs
-  ``Database.query(..., cancel=token, queue_wait_ms=wait)``; the engine's
+  ``Database.query(..., cancel=token, queue_wait_ms=wait)`` for every
+  admitted request (an ``explain`` is that call traced); the engine's
   execute path is thread-safe (locked buffer pool / decoded cache /
   metrics, per-query stats), so workers share one Database. Results are
   delivered back to the event loop via ``loop.call_soon_threadsafe``.
@@ -49,6 +50,7 @@ from ..errors import (
     QueryTimeoutError,
     ReproError,
 )
+from ..planner.describe import render_span_tree
 from ..serving.admission import AdmissionQueue
 from ..serving.protocol import error_response, json_default, query_from_dict
 from ..serving.session import Session
@@ -389,41 +391,39 @@ class QueryServer:
         knobs = work.knobs
         self.metrics.histogram("serving.queue_wait_ms").record(wait_ms)
         try:
+            result = self.db.query(
+                work.query,
+                strategy=knobs["strategy"],
+                trace=knobs["trace"] or work.kind == "explain",
+                cancel=work.token,
+                queue_wait_ms=wait_ms,
+                origin="served",
+                session=str(work.session.session_id),
+            )
+            summary = result.summary()
             if work.kind == "explain":
-                report = self.db.explain(
-                    work.query,
-                    analyze=True,
-                    strategy=knobs["strategy"],
-                    cancel=work.token,
-                    queue_wait_ms=wait_ms,
+                report = {
+                    key: summary[key]
+                    for key in (
+                        "strategy", "rows", "wall_ms", "simulated_ms",
+                        "queue_wait_ms", "total_ms",
+                    )
+                }
+                report["text"] = render_span_tree(
+                    result.spans, self.db.constants
                 )
+                report["json"] = result.spans.to_dict(self.db.constants)
                 response = {
                     "ok": True,
-                    "explain": {
-                        k: report[k]
-                        for k in (
-                            "strategy", "rows", "wall_ms", "simulated_ms",
-                            "queue_wait_ms", "total_ms", "text", "json",
-                        )
-                    },
-                    "queue_wait_ms": report["queue_wait_ms"],
-                    "total_ms": report["total_ms"],
+                    "explain": report,
+                    "queue_wait_ms": summary["queue_wait_ms"],
+                    "total_ms": summary["total_ms"],
                 }
             else:
-                result = self.db.query(
-                    work.query,
-                    strategy=knobs["strategy"],
-                    trace=knobs["trace"],
-                    cancel=work.token,
-                    queue_wait_ms=wait_ms,
-                    origin="served",
-                    session=str(work.session.session_id),
-                )
                 rows = (
                     result.decoded_rows() if knobs["decoded"]
                     else result.rows()
                 )
-                summary = result.summary()
                 response = {
                     "ok": True,
                     "columns": list(result.tuples.columns),

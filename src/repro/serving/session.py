@@ -14,6 +14,7 @@ import threading
 import time
 from collections import deque
 
+from ..planner.strategies import RightTableStrategy, Strategy
 from ..serving.admission import PRIORITIES
 
 #: Knobs a session (or an individual request) may set, with defaults.
@@ -28,6 +29,19 @@ DEFAULT_KNOBS: dict = {
 HISTORY_CAPACITY = 64
 
 
+def _check_strategy(name) -> None:
+    """Raise ``ValueError`` unless *name* names a selection or a join
+    strategy: a session cannot know whether its next query is a join."""
+    for kind in (Strategy, RightTableStrategy):
+        try:
+            kind.from_name(str(name))
+            return
+        except ValueError:
+            pass
+    names = [s.value for s in (*Strategy, *RightTableStrategy)]
+    raise ValueError(f"unknown strategy {name!r} (use auto or one of {names})")
+
+
 def _checked(key: str, value):
     """*value* as knob *key* holds it; raises ``ValueError`` when the knob
     is unknown or the value out of its domain."""
@@ -39,6 +53,8 @@ def _checked(key: str, value):
         raise ValueError(
             f"unknown priority {value!r} (use one of {PRIORITIES})"
         )
+    if key == "strategy" and value != "auto":
+        _check_strategy(value)
     if key == "timeout_ms" and value is not None:
         value = float(value)
         if value < 0:
@@ -67,9 +83,10 @@ class Session:
     # ----------------------------------------------------------------- knobs
 
     def set_knobs(self, updates: dict) -> dict:
-        """Validate and apply knob *updates*; returns the effective knobs."""
-        for key, value in updates.items():
-            self.knobs[key] = _checked(key, value)
+        """Validate every knob in *updates*, then apply them all; a refused
+        update changes nothing. Returns the effective knobs."""
+        checked = {key: _checked(key, value) for key, value in updates.items()}
+        self.knobs.update(checked)
         return dict(self.knobs)
 
     def effective(self, request: dict) -> dict:

@@ -39,9 +39,10 @@ selections) records SHA-256 digests of the JSON a served reply would carry
 unpartitioned and in the default configuration, since the block digest
 already pins the same block everywhere else. The views of each finished
 query are captured too: every execution's query-log record (without its
-``ts``, ``seq`` and ``wall_ms``), each query's ``explain(analyze=True)``
-report under its last strategy in the default configuration (without
-wall-clock timings), and each configuration's final registry counters
+``ts``, ``seq`` and ``wall_ms``), each query's EXPLAIN ANALYZE (the
+query run traced: summary, kernel counts and span export) under its
+last strategy in the default configuration (without wall-clock
+timings), and each configuration's final registry counters
 (without the wall-clock-dependent ``queries_slow_total``), and each
 configuration's ``advise`` plan over its own query log: every action's
 kind, name, sort keys, columns and encodings, and the baseline,
@@ -394,16 +395,23 @@ def _without_wall(value):
 
 
 def _analyze_record(db: Database, query, strategy: str) -> dict:
-    """``explain(analyze=True)`` without its wall-clock fields."""
+    """EXPLAIN ANALYZE, the query run traced, without its wall-clock
+    fields: the summary, the kernel counts when kernels fired, and the
+    span tree's export."""
     try:
-        report = db.explain(query, analyze=True, strategy=strategy)
+        result = db.query(query, strategy=strategy, trace=True)
     except UnsupportedOperationError as exc:
         return {"unsupported": str(exc)}
     out = {
-        k: v for k, v in report.items()
-        if k not in ("wall_ms", "total_ms", "root", "text", "json")
+        k: v for k, v in result.summary().items()
+        if k not in ("wall_ms", "total_ms")
     }
-    out["json"] = _without_wall(report["json"])
+    if result.stats.compressed_scans or result.stats.morphs:
+        out["compressed"] = {
+            "kernel_scans": result.stats.compressed_scans,
+            "morphs": result.stats.morphs,
+        }
+    out["json"] = _without_wall(result.spans.to_dict(db.constants))
     return out
 
 

@@ -475,17 +475,9 @@ class TestDurabilityKnob:
         database.insert("lineitem", [lineitem_row()])
         assert database.disk.total_fsyncs > before
 
-    def test_flush_mode_skips_wal_fsync(self, tmp_path):
-        database = Database(tmp_path / "db", durability="flush")
-        load_tpch(database.catalog, scale=0.001, seed=5)
-        before = database.disk.total_fsyncs
-        database.insert("lineitem", [lineitem_row()])
-        assert database.disk.total_fsyncs == before
-
     def test_empty_crash_schedule_changes_no_outcome(self, tmp_path):
-        """Disabled crash hooks and the durability knob change no logical
-        outcome; only the per-append WAL fsyncs follow the durability mode
-        (the staged-commit fsyncs are unconditional)."""
+        """Disabled crash hooks change no logical outcome and no fsync
+        count."""
         import shutil
 
         from repro.faults import CrashInjector
@@ -493,7 +485,6 @@ class TestDurabilityKnob:
         with Database(tmp_path / "source", query_log=False) as source:
             load_tpch(source.catalog, scale=0.001, seed=5)
         configs = {
-            "flush": dict(durability="flush"),
             "fsync": {},
             "hooked": dict(crash_injector=CrashInjector([], seed=0)),
         }
@@ -509,9 +500,9 @@ class TestDurabilityKnob:
                 moved = db.merge("lineitem")
                 outcomes[name] = (moved, db.disk.total_fsyncs)
         assert len({moved for moved, _ in outcomes.values()}) == 1, outcomes
-        assert outcomes["flush"][1] < outcomes["fsync"][1]
         assert outcomes["hooked"][1] == outcomes["fsync"][1]
 
     def test_invalid_mode_rejected(self, tmp_path):
-        with pytest.raises(ValueError, match="durability"):
-            Database(tmp_path / "db", durability="yolo")
+        for mode in ("yolo", "flush"):
+            with pytest.raises(ValueError, match="durability"):
+                Database(tmp_path / "db", durability=mode)

@@ -15,6 +15,7 @@ HEAVY = [
     "custom_dataset.py",
     "strategy_advisor.py",
     "projection_design.py",
+    "observability.py",
 ]
 
 

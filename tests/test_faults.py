@@ -443,7 +443,9 @@ class TestDegradedExecution:
 
     def test_explain_analyze_reports_degradation(self, tmp_path):
         db = degrade_db(tmp_path)
-        report = db.explain(scan_query(), analyze=True, strategy="em-parallel")
+        report = db.query(
+            scan_query(), strategy="em-parallel", trace=True
+        ).summary()
         assert report["degraded"] is True
         assert report["skipped_partitions"] == ["part0001"]
 

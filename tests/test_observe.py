@@ -6,6 +6,7 @@ from repro import PAPER_CONSTANTS, Predicate, SelectQuery, Strategy
 from repro.metrics import QueryStats
 from repro.model.cost import replay_breakdown, simulated_time_ms
 from repro.observe import Span, SpanTracer
+from repro.planner.describe import render_span_tree
 
 
 def make_tracer():
@@ -161,14 +162,17 @@ class TestQueryResultSpans:
         assert r.spans is None
 
     def test_explain_analyze_report(self, tpch_db):
-        report = tpch_db.explain(
-            self.QUERY, analyze=True, strategy="lm-parallel"
+        # EXPLAIN ANALYZE is the traced query read through its views.
+        result = tpch_db.query(
+            self.QUERY, strategy="lm-parallel", trace=True
         )
-        assert report["strategy"] == "lm-parallel"
-        assert report["rows"] == report["root"].find("OUTPUT")[0].rows_out
-        assert "+- DS1" in report["text"]
-        assert "sim=" in report["text"] and "self=" in report["text"]
-        assert report["json"]["operator"] == "query"
+        summary = result.summary()
+        text = render_span_tree(result.spans, tpch_db.constants)
+        assert summary["strategy"] == "lm-parallel"
+        assert summary["rows"] == result.spans.find("OUTPUT")[0].rows_out
+        assert "+- DS1" in text
+        assert "sim=" in text and "self=" in text
+        assert result.spans.to_dict(tpch_db.constants)["operator"] == "query"
 
     def test_parallel_leaves_adopted_deterministically(self, tmp_path):
         from repro import Database, load_tpch

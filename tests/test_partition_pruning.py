@@ -251,9 +251,9 @@ class TestPruningPaysOff:
                     assert full.simulated_ms >= 2.0 * pruned.simulated_ms, (
                         strategy, full.simulated_ms, pruned.simulated_ms
                     )
-            parts = partitioned.explain(
-                query, analyze=True, strategy="em-parallel"
-            )["partitions"]
+            parts = partitioned.query(
+                query, strategy="em-parallel", trace=True
+            ).summary()["partitions"]
             assert parts["total"] == 4
             assert parts["pruned"] >= 2, parts
         finally:

@@ -25,6 +25,7 @@ from repro import (
 from repro.operators.aggregate import AggSpec
 from repro.predicates import InPredicate
 from repro.planner import JoinQuery
+from repro.qlog import read_query_log
 from repro.serving import (
     AsyncQueryClient,
     ServerThread,
@@ -169,6 +170,49 @@ class TestServerBasics:
         assert session["queries"] >= 1
         assert session["history"][-1]["ok"]
 
+    def test_refused_set_changes_no_knob(self, served):
+        _db, server = served
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            before = (await client.session())["session"]["knobs"]
+            refused = await client.set_knobs(timeout_ms=5, priority="vip")
+            after = (await client.session())["session"]["knobs"]
+            await client.close()
+            return before, refused, after
+
+        before, refused, after = run(go())
+        assert not refused["ok"] and "vip" in refused["error"]["message"]
+        assert after == before
+
+    def test_unknown_strategy_refused_before_admission(self, served):
+        _db, server = served
+
+        async def admitted(client):
+            return (await client.stats())["stats"]["admission"]["admitted"]
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            before = await admitted(client)
+            bad_set = await client.set_knobs(strategy="bogus")
+            bad_override = await client.sql(SQL, strategy="bogus")
+            after = await admitted(client)
+            named = [
+                await client.set_knobs(strategy=name)
+                for name in ("materialized", "LM_PARALLEL")
+            ]
+            await client.close()
+            return before, after, bad_set, bad_override, named
+
+        before, after, bad_set, bad_override, named = run(go())
+        for refused in (bad_set, bad_override):
+            assert not refused["ok"]
+            assert "bogus" in refused["error"]["message"]
+        assert after == before
+        assert [r["knobs"]["strategy"] for r in named] == [
+            "materialized", "LM_PARALLEL",
+        ]
+
     def test_decoded_rows_knob(self, served):
         db, server = served
 
@@ -268,6 +312,29 @@ class TestServerBasics:
         )
         assert plain["ok"] and "predictions" in plain["explain"]
 
+    def test_served_explain_is_logged_as_served(self, served):
+        db, server = served
+        statement = "SELECT linenum FROM lineitem WHERE shipdate < 8123"
+
+        async def go():
+            client = await AsyncQueryClient.connect(server.host, server.port)
+            response = await client.explain(statement)
+            await client.close()
+            return response, client.session_id
+
+        response, session_id = run(go())
+        assert response["ok"], response
+        db.qlog.flush()
+        predicates = [{"column": "shipdate", "op": "<", "value": 8123}]
+        records = [
+            r for r in read_query_log(db.qlog.directory)
+            if (r.get("query") or {}).get("predicates") == predicates
+        ]
+        assert len(records) == 1, records
+        assert records[0]["origin"] == "served"
+        assert records[0]["session"] == str(session_id)
+        assert records[0]["rows"] == response["explain"]["rows"]
+
 
 class TestLatencyDecomposition:
     """Satellite: serving latency decomposes into wait + execute."""
@@ -301,9 +368,9 @@ class TestLatencyDecomposition:
         assert result.queue_wait_ms == 7.5
         assert "queue wait" in result.report()
         assert len(result.spans.find("QUEUE")) == 1
-        report = tpch_db.explain(query, analyze=True, queue_wait_ms=7.5)
-        assert report["queue_wait_ms"] == 7.5
-        assert report["total_ms"] == pytest.approx(7.5 + report["wall_ms"])
+        summary = result.summary()  # what EXPLAIN ANALYZE reports
+        assert summary["queue_wait_ms"] == 7.5
+        assert summary["total_ms"] == pytest.approx(7.5 + summary["wall_ms"])
 
 
 class SlowDB(Database):
